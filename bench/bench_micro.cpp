@@ -111,45 +111,13 @@ void BM_SimulatorCyclesPerSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCyclesPerSecond)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_SimulatorParallel(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  const auto threads = static_cast<std::uint32_t>(state.range(1));
-  const auto prog =
-      transform(domino::compile(apps::make_synthetic_source(4, 512),
-                                banzai::MachineSpec{}, 1)
-                    .pvsm);
-  SyntheticConfig config;
-  config.pipelines = k;
-  config.packets = 5000;
-  const auto trace = make_synthetic_trace(config);
-  auto opts = mp5_options(k, 1);
-  opts.threads = threads;
-  std::uint64_t cycles = 0, packets = 0;
-  for (auto _ : state) {
-    Mp5Simulator sim(prog, opts);
-    const auto result = sim.run(trace);
-    cycles += result.cycles_run;
-    packets += result.egressed;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["packets/s"] = benchmark::Counter(
-      static_cast<double>(packets), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatorParallel)->Args({8, 1})->Args({8, 4});
-
-/// The event-engine headline scenario: sparse traffic (~0.2% of line
-/// rate, well under 1% cell occupancy) under a live maintenance fault
-/// plan — one transient stage stall plus one lane fail/recover. Any fault
-/// plan pins lockstep to the cycle-by-cycle walk (fast-forward is
-/// unsound against wall-clock-scheduled faults), scanning k × stages
-/// cells every cycle; the event engine visits only occupied cells and
-/// still skips drained cycle ranges, clamping at the fault boundaries.
-/// Args: {k, engine (0 = lockstep, 1 = event), threads}.
+/// The idle-skip headline scenario: sparse traffic (~0.2% of line rate,
+/// well under 1% cell occupancy) under a live maintenance fault plan —
+/// one transient stage stall plus one lane fail/recover. The walk visits
+/// only occupied cells and skips drained cycle ranges, clamping at the
+/// fault boundaries. Args: {k}.
 void BM_SimulatorSparse(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
-  const bool event = state.range(1) != 0;
-  const auto threads = static_cast<std::uint32_t>(state.range(2));
   const auto prog =
       transform(domino::compile(apps::make_synthetic_source(4, 512),
                                 banzai::MachineSpec{}, 1)
@@ -160,8 +128,6 @@ void BM_SimulatorSparse(benchmark::State& state) {
   config.load = 0.002;
   const auto trace = make_synthetic_trace(config);
   auto opts = mp5_options(k, 1);
-  opts.engine = event ? SimEngine::kEvent : SimEngine::kLockstep;
-  opts.threads = threads;
   opts.faults.stalls.push_back(StageStall{1, 1, 1000, 1200});
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 5000, 9000});
   std::uint64_t cycles = 0, packets = 0;
@@ -176,14 +142,7 @@ void BM_SimulatorSparse(benchmark::State& state) {
   state.counters["packets/s"] = benchmark::Counter(
       static_cast<double>(packets), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimulatorSparse)
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
-    ->Args({8, 1, 4})
-    ->Args({16, 0, 1})
-    ->Args({16, 1, 1})
-    ->Args({32, 0, 1})
-    ->Args({32, 1, 1});
+BENCHMARK(BM_SimulatorSparse)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_ReferenceSwitch(benchmark::State& state) {
   const auto pvsm =

@@ -53,29 +53,11 @@ void validate_replicated(const SimOptions& o) {
                       "the staleness_bound knob applies to variant "
                       "'relaxed' only");
   }
-  if (o.threads == 0) {
-    throw ConfigError("SimOptions: threads must be >= 1");
-  }
-  if (o.threads > 1) {
-    throw ConfigError("SimOptions: " + v +
-                      " does not support the parallel engine; the threads "
-                      "knob applies to variant 'mp5' only");
-  }
-  if (o.engine != SimEngine::kLockstep) {
-    throw ConfigError("SimOptions: " + v +
-                      " runs its own dense cycle walk; the engine knob "
-                      "(event engine) applies to variant 'mp5' only");
-  }
   if (o.sharding != ShardingPolicy::kDynamic) {
     throw ConfigError("SimOptions: " + v +
                       " replicates every register on every pipeline; the "
                       "sharding knob applies to variant 'mp5' only (leave "
                       "the kDynamic default)");
-  }
-  if (o.reference_rebalance) {
-    throw ConfigError("SimOptions: " + v +
-                      " performs no rebalancing; the reference_rebalance "
-                      "knob applies to variant 'mp5' only");
   }
   if (!o.phantoms) {
     throw ConfigError("SimOptions: " + v +
@@ -238,11 +220,11 @@ SimResult ReplicatedSimulator::run_loop(const Trace& trace, Cycle start) {
       do_checkpoint(now);
       next_checkpoint_ += opts_.checkpoint_interval;
     }
-    if (opts_.fast_forward && live_packets_ == 0) {
+    if (live_packets_ == 0) {
       // Nothing in flight: jump to the next arrival or digest delivery.
       // Clamped to the next checkpoint boundary so the cadence is
-      // preserved; results (including cycles_run) are bit-identical with
-      // the optimization off.
+      // preserved; results (including cycles_run) are bit-identical to
+      // stepping every idle cycle.
       Cycle target = opts_.max_cycles;
       if (cursor_ < trace.size()) {
         target = std::min(target,

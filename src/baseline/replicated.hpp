@@ -27,14 +27,14 @@
 // or divergent per variant (src/fuzz/differ.hpp) and shrinks the
 // divergent-where-MP5-isn't cases into committed witnesses.
 //
-// Both simulators take the common SimOptions. MP5-only knobs (threads,
-// event engine, sharding, phantoms, faults, telemetry, ...) are rejected
-// at construction with a ConfigError naming the variant and the knob —
-// never silently ignored (the ISSUE 10 validation sweep). Supported:
-// fast_forward (bit-identical including cycles_run), record_egress,
-// check_c1, paranoid_checks, max_cycles, seed, and mp5-checkpoint v1
-// checkpoint/restore (the config fingerprint covers variant and
-// staleness bound, so cross-variant restores are refused).
+// Both simulators take the common SimOptions. MP5-only knobs (sharding,
+// phantoms, faults, telemetry, ...) are rejected at construction with a
+// ConfigError naming the variant and the knob — never silently ignored.
+// Supported: record_egress, check_c1, paranoid_checks, max_cycles, seed,
+// and mp5-checkpoint v1 checkpoint/restore (the config fingerprint covers
+// variant and staleness bound, so cross-variant restores are refused).
+// Idle cycles with nothing in flight are always jumped, bit-identically
+// (including cycles_run) to stepping them one by one.
 #pragma once
 
 #include <deque>

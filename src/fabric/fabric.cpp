@@ -275,7 +275,6 @@ FabricSimulator::FabricSimulator(const FabricOptions& options)
     so.remap_period = opts_.remap_period;
     so.check_c1 = opts_.check_c1;
     so.paranoid_checks = opts_.paranoid_checks;
-    so.engine = opts_.engine;
     so.seed = mix64(opts_.seed ^ (0xfab00000ULL + s));
     so.max_cycles = opts_.max_cycles + 2;
     so.track_flow_reordering = false;

@@ -90,10 +90,6 @@ struct FabricOptions {
   std::uint32_t remap_period = 100;
   bool check_c1 = true;
   bool paranoid_checks = false;
-  /// Cycle-walk engine for every inner switch simulator. Fabrics clock
-  /// their switches externally, so the event engine's win here is the
-  /// per-cycle walk cost, not whole-run cycle skipping.
-  SimEngine engine = SimEngine::kLockstep;
 
   std::uint64_t seed = 1;
   /// ECMP/WCMP hash salt and field selection at the leaves.

@@ -90,14 +90,10 @@ std::string SimConfig::name() const {
   if (variant != DesignVariant::kMp5) {
     os << "k" << pipelines << "-" << mp5::to_string(variant);
     if (variant == DesignVariant::kRelaxed) os << staleness;
-    os << (fast_forward ? "-ff" : "-noff");
     if (checkpoint_restore) os << "-ckpt";
     return os.str();
   }
-  os << "k" << pipelines << "-" << fuzz::to_string(sharding) << "-t" << threads
-     << (fast_forward ? "-ff" : "-noff")
-     << (reference_rebalance ? "-ref" : "-incr");
-  if (engine == SimEngine::kEvent) os << "-ev";
+  os << "k" << pipelines << "-" << fuzz::to_string(sharding);
   if (checkpoint_restore) os << "-ckpt";
   return os.str();
 }
@@ -105,7 +101,6 @@ std::string SimConfig::name() const {
 SimOptions SimConfig::to_options() const {
   SimOptions opts;
   opts.pipelines = pipelines;
-  opts.fast_forward = fast_forward;
   opts.seed = seed;
   opts.record_egress = true;
   // Every fuzz run doubles as a watchdog run: invariant violations are
@@ -119,9 +114,6 @@ SimOptions SimConfig::to_options() const {
     return opts;
   }
   opts.sharding = sharding;
-  opts.threads = threads;
-  opts.reference_rebalance = reference_rebalance;
-  opts.engine = engine;
   opts.remap_period = remap_period;
   opts.fifo_capacity = fifo_capacity;
   return opts;
@@ -133,23 +125,10 @@ std::vector<SimConfig> full_config_matrix() {
     for (const ShardingPolicy policy :
          {ShardingPolicy::kDynamic, ShardingPolicy::kStaticRandom,
           ShardingPolicy::kIdealLpt}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        for (const bool ff : {true, false}) {
-          for (const bool ref_rebalance : {false, true}) {
-            for (const SimEngine engine :
-                 {SimEngine::kLockstep, SimEngine::kEvent}) {
-              SimConfig cfg;
-              cfg.pipelines = k;
-              cfg.sharding = policy;
-              cfg.threads = threads;
-              cfg.fast_forward = ff;
-              cfg.reference_rebalance = ref_rebalance;
-              cfg.engine = engine;
-              matrix.push_back(cfg);
-            }
-          }
-        }
-      }
+      SimConfig cfg;
+      cfg.pipelines = k;
+      cfg.sharding = policy;
+      matrix.push_back(cfg);
     }
   }
   return matrix;
@@ -157,7 +136,7 @@ std::vector<SimConfig> full_config_matrix() {
 
 std::vector<SimConfig> quick_config_matrix() {
   std::vector<SimConfig> matrix;
-  SimConfig cfg; // k4 dynamic t1 ff incremental
+  SimConfig cfg; // k4 dynamic
   matrix.push_back(cfg);
   cfg.pipelines = 2;
   cfg.sharding = ShardingPolicy::kStaticRandom;
@@ -165,16 +144,6 @@ std::vector<SimConfig> quick_config_matrix() {
   cfg = SimConfig{};
   cfg.pipelines = 8;
   cfg.sharding = ShardingPolicy::kIdealLpt;
-  cfg.fast_forward = false;
-  matrix.push_back(cfg);
-  cfg = SimConfig{};
-  cfg.threads = 4;
-  cfg.reference_rebalance = true;
-  matrix.push_back(cfg);
-  cfg = SimConfig{}; // k4 dynamic t1 ff incremental, event engine
-  cfg.engine = SimEngine::kEvent;
-  matrix.push_back(cfg);
-  cfg.threads = 4;
   matrix.push_back(cfg);
   return matrix;
 }
@@ -182,17 +151,14 @@ std::vector<SimConfig> quick_config_matrix() {
 std::vector<SimConfig> variant_config_matrix() {
   std::vector<SimConfig> matrix;
   for (const std::uint32_t k : {2u, 4u, 8u}) {
-    for (const bool ff : {true, false}) {
-      SimConfig cfg;
-      cfg.pipelines = k;
-      cfg.fast_forward = ff;
-      cfg.variant = DesignVariant::kScr;
+    SimConfig cfg;
+    cfg.pipelines = k;
+    cfg.variant = DesignVariant::kScr;
+    matrix.push_back(cfg);
+    cfg.variant = DesignVariant::kRelaxed;
+    for (const std::uint32_t staleness : {1u, 64u, 512u}) {
+      cfg.staleness = staleness;
       matrix.push_back(cfg);
-      cfg.variant = DesignVariant::kRelaxed;
-      for (const std::uint32_t staleness : {1u, 64u, 512u}) {
-        cfg.staleness = staleness;
-        matrix.push_back(cfg);
-      }
     }
   }
   return matrix;
@@ -201,16 +167,15 @@ std::vector<SimConfig> variant_config_matrix() {
 std::vector<SimConfig> quick_variant_matrix() {
   std::vector<SimConfig> matrix;
   SimConfig cfg;
-  cfg.variant = DesignVariant::kScr; // k4-scr-ff
+  cfg.variant = DesignVariant::kScr; // k4-scr
   matrix.push_back(cfg);
-  cfg.variant = DesignVariant::kRelaxed; // k4-relaxed64-ff
+  cfg.variant = DesignVariant::kRelaxed; // k4-relaxed64
   cfg.staleness = 64;
   matrix.push_back(cfg);
   cfg = SimConfig{};
-  cfg.variant = DesignVariant::kRelaxed; // k2-relaxed1-noff
+  cfg.variant = DesignVariant::kRelaxed; // k2-relaxed1
   cfg.staleness = 1;
   cfg.pipelines = 2;
-  cfg.fast_forward = false;
   matrix.push_back(cfg);
   return matrix;
 }
@@ -491,7 +456,6 @@ FailurePredicate Differ::make_predicate(const Failure& failure) const {
         // variant diverges while MP5 at the same pipeline count does not.
         SimConfig mp5_cell;
         mp5_cell.pipelines = target.config.pipelines;
-        mp5_cell.fast_forward = target.config.fast_forward;
         if (check_config(ast, trace, mp5_cell)) return false;
         return check_variant_config(ast, trace, target.config).kind ==
                target.kind;

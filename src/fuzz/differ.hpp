@@ -3,8 +3,7 @@
 //   1. the AstInterp oracle (direct source semantics),
 //   2. the banzai::SinglePipeline reference (compiled PVSM, §2.2), and
 //   3. the MP5 simulator across a configuration matrix
-//      (k ∈ {2,4,8} × sharding policy × engine threads × fast-forward
-//       on/off × reference_rebalance on/off)
+//      (k ∈ {2,4,8} × sharding policy)
 // via check_equivalence. Every run is lossless (unbounded FIFOs) with the
 // paranoid invariant watchdog armed, so a failure is a divergence, a drop
 // in a lossless config, or a crash/invariant violation — exactly the
@@ -28,21 +27,15 @@ namespace mp5::fuzz {
 struct SimConfig {
   /// Consistency design for this cell. kMp5 cells exercise the Mp5Simulator
   /// knob axes below; kScr/kRelaxed cells run the replicated-state
-  /// baselines, whose only knobs are pipelines, staleness (relaxed),
-  /// fast_forward and checkpoint_restore — the MP5-only axes must stay at
-  /// their defaults (to_options() would otherwise be rejected at
-  /// simulator construction).
+  /// baselines, whose only knobs are pipelines, staleness (relaxed) and
+  /// checkpoint_restore — the MP5-only axes must stay at their defaults
+  /// (to_options() would otherwise be rejected at simulator
+  /// construction).
   DesignVariant variant = DesignVariant::kMp5;
   /// Staleness bound Δ for kRelaxed cells; 0 otherwise.
   std::uint32_t staleness = 0;
   std::uint32_t pipelines = 4;
   ShardingPolicy sharding = ShardingPolicy::kDynamic;
-  /// Engine threads; 1 = sequential engine, >1 = parallel lane engine.
-  std::uint32_t threads = 1;
-  bool fast_forward = true;
-  bool reference_rebalance = false;
-  /// Cycle-walk engine: lockstep dense scan or event-driven bitmap walk.
-  SimEngine engine = SimEngine::kLockstep;
   std::uint32_t remap_period = 32;
   std::size_t fifo_capacity = 0; // 0 = unbounded (lossless)
   std::uint64_t seed = 1;
@@ -53,9 +46,8 @@ struct SimConfig {
   /// uninterrupted run (the mp5-checkpoint v1 bit-identity contract).
   bool checkpoint_restore = false;
 
-  /// Stable human-readable id, e.g. "k4-dynamic-t1-ff-incr"
-  /// (event-engine cells get an extra "-ev" suffix); variant cells use
-  /// "k4-scr-ff" / "k2-relaxed64-noff".
+  /// Stable human-readable id, e.g. "k4-dynamic"; variant cells use
+  /// "k4-scr" / "k2-relaxed64" (checkpoint cells add "-ckpt").
   std::string name() const;
   SimOptions to_options() const;
 };
@@ -64,15 +56,13 @@ std::string to_string(ShardingPolicy policy);
 /// Inverse of to_string; throws ConfigError on unknown names.
 ShardingPolicy sharding_from_string(const std::string& name);
 
-/// The full ISSUE matrix: 3 k-values x 3 sharding policies x 2 thread
-/// counts x fast-forward on/off x reference/incremental rebalance x
-/// lockstep/event engine.
+/// The full matrix: 3 k-values x 3 sharding policies.
 std::vector<SimConfig> full_config_matrix();
 /// A small subset for smoke tests (one config per distinguishing axis).
 std::vector<SimConfig> quick_config_matrix();
 
-/// Replicated-variant matrix (ISSUE 10): k ∈ {2,4,8} × {scr, relaxed Δ1,
-/// relaxed Δ64, relaxed Δ512} × fast-forward on/off. These cells run in
+/// Replicated-variant matrix: k ∈ {2,4,8} × {scr, relaxed Δ1, relaxed
+/// Δ64, relaxed Δ512}. These cells run in
 /// *expectation mode*: divergence from the single-pipeline reference is a
 /// classification (the designs genuinely relax consistency), not a
 /// failure — only crashes, drops, nondeterminism and checkpoint breakage

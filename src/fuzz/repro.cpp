@@ -167,10 +167,6 @@ void save_reproducer(const Reproducer& repro, const std::string& json_path) {
   w.kv("staleness", repro.config.staleness);
   w.kv("pipelines", repro.config.pipelines);
   w.kv("sharding", to_string(repro.config.sharding));
-  w.kv("threads", repro.config.threads);
-  w.kv("fast_forward", repro.config.fast_forward);
-  w.kv("reference_rebalance", repro.config.reference_rebalance);
-  w.kv("engine", mp5::to_string(repro.config.engine));
   w.kv("remap_period", repro.config.remap_period);
   w.kv("fifo_capacity", static_cast<std::uint64_t>(repro.config.fifo_capacity));
   w.kv("seed", repro.config.seed);
@@ -217,17 +213,9 @@ Reproducer load_reproducer(const std::string& json_path) {
       static_cast<std::uint32_t>(scan_int(config_text, "pipelines"));
   repro.config.sharding =
       sharding_from_string(scan_string(config_text, "sharding"));
-  repro.config.threads =
-      static_cast<std::uint32_t>(scan_int(config_text, "threads"));
-  repro.config.fast_forward = scan_bool(config_text, "fast_forward");
-  repro.config.reference_rebalance =
-      scan_bool(config_text, "reference_rebalance");
-  // Key added with the event engine; corpus files written before it
-  // existed mean the (then-only) lockstep engine.
-  repro.config.engine =
-      config_text.find("\"engine\"") == std::string::npos
-          ? SimEngine::kLockstep
-          : engine_from_string(scan_string(config_text, "engine"));
+  // Files written while the simulator had several interchangeable cycle
+  // walks also carry "threads", "fast_forward", "reference_rebalance" and
+  // "engine". Those knobs no longer exist; their keys are ignored.
   repro.config.remap_period =
       static_cast<std::uint32_t>(scan_int(config_text, "remap_period"));
   repro.config.fifo_capacity =
@@ -272,7 +260,6 @@ Failure replay(const Reproducer& repro) {
     Differ differ(std::move(opts));
     SimConfig mp5_cell;
     mp5_cell.pipelines = repro.config.pipelines;
-    mp5_cell.fast_forward = repro.config.fast_forward;
     if (Failure f = differ.check_config(ast, repro.trace, mp5_cell)) return f;
     return differ.check_variant_config(ast, repro.trace, repro.config);
   }

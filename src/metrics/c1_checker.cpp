@@ -16,13 +16,8 @@ void C1Checker::init_dense(const std::vector<std::size_t>& reg_sizes) {
   }
 }
 
-void C1Checker::on_access(RegId reg, RegIndex index, SeqNo seq,
-                          C1Scratch* scratch) {
-  if (scratch != nullptr) {
-    ++scratch->accesses;
-  } else {
-    ++accesses_;
-  }
+void C1Checker::on_access(RegId reg, RegIndex index, SeqNo seq) {
+  ++accesses_;
   if (dense_) {
     if (reg >= last_seq_dense_.size() ||
         index >= last_seq_dense_[reg].size()) {
@@ -33,11 +28,7 @@ void C1Checker::on_access(RegId reg, RegIndex index, SeqNo seq,
       last = seq;
     } else if (seq < last) {
       // `seq` arrives at the state after a later-arriving packet: inversion.
-      if (scratch != nullptr) {
-        scratch->violators.insert(seq);
-      } else {
-        violators_.insert(seq);
-      }
+      violators_.insert(seq);
     } else {
       last = seq;
     }
@@ -48,19 +39,10 @@ void C1Checker::on_access(RegId reg, RegIndex index, SeqNo seq,
   auto [it, inserted] = last_seq_.try_emplace(key, seq);
   if (inserted) return;
   if (seq < it->second) {
-    if (scratch != nullptr) {
-      scratch->violators.insert(seq);
-    } else {
-      violators_.insert(seq);
-    }
+    violators_.insert(seq);
   } else {
     it->second = seq;
   }
-}
-
-void C1Checker::absorb(const C1Scratch& scratch) {
-  accesses_ += scratch.accesses;
-  violators_.insert(scratch.violators.begin(), scratch.violators.end());
 }
 
 void C1Checker::save(ByteWriter& w) const {

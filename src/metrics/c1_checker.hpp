@@ -16,11 +16,7 @@
 //    baseline, whose register universe is not pre-declared to the checker.
 //  * dense mode (init_dense): one flat SeqNo vector per register, sized to
 //    the register's declared length. This removes the hash+probe from every
-//    state access on the simulator hot path, and — because a (reg, index)
-//    cell is only ever written by the lane that owns its shard — makes the
-//    table safely writable from the parallel engine's workers without
-//    locks. Workers accumulate their own violator sets / access counts in a
-//    C1Scratch and the simulator absorb()s them at the end of the run.
+//    state access on the simulator hot path.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +31,6 @@ namespace mp5 {
 class ByteReader;
 class ByteWriter;
 
-/// Per-worker accumulator for the parallel engine: everything a state
-/// access mutates besides its own (reg, index) cell of the dense table.
-struct C1Scratch {
-  std::unordered_set<SeqNo> violators;
-  std::uint64_t accesses = 0;
-};
-
 class C1Checker {
 public:
   /// Switch to dense storage. `reg_sizes[r]` is the declared length of
@@ -49,13 +38,7 @@ public:
   void init_dense(const std::vector<std::size_t>& reg_sizes);
 
   /// Record that packet `seq` performed an access at (reg, index).
-  /// Violators and the access count go into `scratch` when given (parallel
-  /// workers), into the checker's own totals otherwise.
-  void on_access(RegId reg, RegIndex index, SeqNo seq,
-                 C1Scratch* scratch = nullptr);
-
-  /// Merge a worker's accumulator into the run totals.
-  void absorb(const C1Scratch& scratch);
+  void on_access(RegId reg, RegIndex index, SeqNo seq);
 
   /// Checkpoint serialization (unordered containers written sorted for a
   /// byte-stable payload). load() requires the same storage mode and,

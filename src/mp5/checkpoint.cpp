@@ -145,12 +145,9 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
                                  const SimOptions& options) {
   Fp fp;
   // Semantic SimOptions: everything that changes *what* the run computes.
-  // Engine knobs (engine, threads, fast_forward, reference_rebalance,
-  // max_cycles, paranoid_checks, sinks, telemetry, checkpoint cadence) are
-  // excluded by design: they are proven bit-identity-preserving, so a
-  // checkpoint may be restored under a different engine configuration — in
-  // particular, a lockstep checkpoint restores under the event engine and
-  // vice versa.
+  // Run knobs (max_cycles, paranoid_checks, sinks, telemetry, checkpoint
+  // cadence) are excluded by design: they cannot change the result, so a
+  // checkpoint may be restored under a different run configuration.
   fp.u32(static_cast<std::uint32_t>(options.variant));
   fp.u32(options.staleness_bound);
   fp.u32(options.pipelines);
@@ -472,24 +469,14 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
     }
   }
 
-  // The event engine's activity bitmap is derived state (never
-  // serialized): rebuild it from the restored FIFO/arrival occupancy, so
-  // a checkpoint taken under either engine restores under either.
+  // The activity bitmap is derived state (never serialized): rebuild it
+  // from the restored FIFO/arrival occupancy.
   rebuild_activity();
 
   return now;
 }
 
 void Mp5Simulator::do_checkpoint(Cycle now) {
-  if (workers_ > 1) {
-    // Fold the workers' persistent C1 scratches into the shared checker so
-    // the payload is complete. Identity-preserving: the scratches would be
-    // absorbed at run end anyway, and set-union/sum commute.
-    for (auto& ctx : worker_ctx_) {
-      c1_.absorb(ctx.c1);
-      ctx.c1 = C1Scratch{};
-    }
-  }
   opts_.checkpoint_sink(
       now, frame_checkpoint(config_fingerprint(*prog_, opts_), now,
                             serialize_state(now)));

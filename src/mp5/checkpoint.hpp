@@ -14,10 +14,10 @@
 //
 // All integers little-endian. The fingerprint covers only *semantic*
 // configuration — fields that change what the simulation computes
-// (pipelines, sharding, seed, faults, program shape, ...). Engine knobs
-// that are proven bit-identity-preserving (threads, fast_forward,
-// reference_rebalance, checkpoint cadence itself) are excluded, so a
-// checkpoint taken single-threaded restores fine into a 4-thread run.
+// (pipelines, sharding, seed, faults, program shape, ...). Run knobs that
+// cannot change the result (max_cycles, paranoid checks, sinks,
+// telemetry, the checkpoint cadence itself) are excluded, so a checkpoint
+// taken every 1000 cycles restores fine into a run that never checkpoints.
 //
 // Corruption handling: truncated files, bad magic, version or fingerprint
 // mismatches and checksum failures all throw Error with a diagnostic —

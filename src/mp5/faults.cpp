@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -42,6 +44,29 @@ void FaultPlan::validate(std::uint32_t pipelines) const {
   if (!pipeline_faults.empty() && pipelines < 2) {
     throw ConfigError("fault plan: pipeline failure needs k >= 2 (no "
                       "survivor to remap state to)");
+  }
+  // Replay the lane events in FaultSchedule order (by cycle, a failure
+  // before a recovery at the same cycle): some pipeline must stay alive
+  // throughout, or the run would die mid-way with no survivor to re-home
+  // state to.
+  std::vector<std::pair<Cycle, bool>> events; // (cycle, is_recovery)
+  for (const auto& fault : pipeline_faults) {
+    events.emplace_back(fault.fail_at, false);
+    if (fault.recover_at != kNeverRecovers) {
+      events.emplace_back(fault.recover_at, true);
+    }
+  }
+  std::sort(events.begin(), events.end());
+  std::uint32_t down = 0;
+  for (const auto& [cycle, is_recovery] : events) {
+    if (is_recovery) {
+      --down;
+    } else if (++down == pipelines) {
+      throw ConfigError("fault plan: all " + std::to_string(pipelines) +
+                        " pipelines are down at cycle " +
+                        std::to_string(cycle) +
+                        "; at least one must stay alive");
+    }
   }
   for (const auto& stall : stalls) {
     if (stall.pipeline >= pipelines) {

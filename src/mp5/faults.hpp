@@ -115,7 +115,7 @@ public:
   bool has_stalls() const { return !stalls_.empty(); }
   bool has_pressure() const { return !pressure_.empty(); }
 
-  /// The raw stall windows: the event engine accounts stalled-but-empty
+  /// The raw stall windows: the simulator accounts stalled-but-empty
   /// cells arithmetically instead of visiting them, and clamps its cycle
   /// skips so no stall-covered cycle is jumped over.
   const std::vector<StageStall>& stalls() const { return stalls_; }

@@ -17,32 +17,6 @@ namespace telemetry {
 class Telemetry;
 }
 
-/// Execution engine for the cycle loop (SimOptions::engine). Both engines
-/// produce bit-identical SimResult for every configuration, seed and fault
-/// plan — the fuzz matrix and the determinism suite enforce it.
-enum class SimEngine : std::uint8_t {
-  /// Dense walk: every (lane, stage) cell is visited every cycle.
-  kLockstep = 0,
-  /// Event-driven conservative-lookahead walk: cells are visited only when
-  /// an activity bit says they might hold work, and stretches of cycles
-  /// where no cell can make progress are skipped arithmetically even under
-  /// a scheduled fault plan (the lockstep fast-forward only skips fully
-  /// idle, fault-free stretches). Cost per cycle is proportional to
-  /// occupied cells instead of k x stages.
-  kEvent = 1,
-};
-
-inline const char* to_string(SimEngine e) {
-  return e == SimEngine::kEvent ? "event" : "lockstep";
-}
-
-inline SimEngine engine_from_string(const std::string& s) {
-  if (s == "lockstep") return SimEngine::kLockstep;
-  if (s == "event") return SimEngine::kEvent;
-  throw ConfigError("SimOptions::engine: unknown engine '" + s +
-                    "' (expected 'lockstep' or 'event')");
-}
-
 /// Which consistency design the options describe (SimOptions::variant).
 ///
 /// kMp5 covers the whole Mp5Simulator family — full MP5 and its ablations
@@ -156,40 +130,6 @@ struct SimOptions {
   /// Safety valve for runaway runs; tests assert it is never hit.
   std::uint64_t max_cycles = 5'000'000;
 
-  /// Cycle-loop engine. kLockstep is the classic dense per-cycle walk;
-  /// kEvent visits only cells whose activity bits are set and skips
-  /// no-progress cycle stretches arithmetically (works under fault plans,
-  /// unlike fast_forward). Results are bit-identical either way; the knob
-  /// is excluded from the checkpoint config fingerprint, so a checkpoint
-  /// taken under one engine restores under the other.
-  SimEngine engine = SimEngine::kLockstep;
-
-  /// Worker threads for the per-lane parallel engine. 1 (the default)
-  /// runs the classic sequential engine. N > 1 partitions the k lanes
-  /// into contiguous blocks stepped by a persistent worker pool with a
-  /// per-cycle barrier; cross-lane effects are staged per worker and
-  /// merged deterministically, so results are bit-identical to the
-  /// sequential engine for every seed and fault plan. Clamped to k.
-  /// Incompatible with `telemetry` and `timeline` (their event streams
-  /// are inherently ordered by the sequential walk).
-  std::uint32_t threads = 1;
-
-  /// Idle-cycle fast-forward: when no packet is anywhere in the switch
-  /// and no fault plan is scheduled, jump the clock straight to the next
-  /// event (trace arrival, phantom-channel delivery) instead of stepping
-  /// empty cycles one by one. Sparse traces then cost O(packets) instead
-  /// of O(cycles). Results — including SimResult::cycles_run — are
-  /// identical with the optimization on or off; disable only to measure
-  /// the raw cycle loop.
-  bool fast_forward = true;
-
-  /// Route periodic rebalances through the full-scan reference
-  /// implementation (ShardedState::rebalance_reference) instead of the
-  /// incremental O(touched) path. Validation/bench knob: the two produce
-  /// bit-identical results, so this only changes how long a remap
-  /// boundary takes.
-  bool reference_rebalance = false;
-
   /// Record per-packet egress headers (needed for equivalence checks).
   bool record_egress = false;
 
@@ -220,7 +160,7 @@ struct SimOptions {
 
   /// Checkpoint every N cycles (0 = disabled). Requires checkpoint_sink.
   /// The checkpoint is taken at the top of the cycle, before that cycle's
-  /// fault events and arrivals; fast-forward jumps are clamped so no
+  /// fault events and arrivals; idle-cycle jumps are clamped so no
   /// boundary is skipped (behavior-neutral: the extra boundary cycles are
   /// provable no-ops). Restoring from any emitted checkpoint reproduces
   /// the uninterrupted run's SimResult field-by-field.

@@ -114,8 +114,7 @@ public:
   /// therefore identical maps, move counts and downstream SimResults),
   /// O(table size) per call. Kept compiled in as the oracle for the
   /// equivalence property suite and the bench_ablation_remap before/after
-  /// comparison; SimOptions::reference_rebalance routes the simulator
-  /// through it.
+  /// comparison.
   std::size_t rebalance_reference();
 
   /// Aggregate per-pipeline access-counter load for one register array
@@ -127,7 +126,7 @@ public:
   /// whose counters the next rebalance would reset — i.e. the next remap
   /// boundary is observable. When false, a rebalance under any policy is
   /// a provable no-op (zero windowed loads => zero moves, nothing to
-  /// reset) and the simulator's fast-forward may skip the boundary.
+  /// reset) and the simulator's idle-cycle skip may jump the boundary.
   bool window_dirty() const { return window_dirty_; }
 
   /// Number of distinct indices of `reg` accessed in the current window

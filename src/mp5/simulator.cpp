@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <exception>
 
 #include "common/error.hpp"
 
@@ -10,19 +9,16 @@ namespace mp5 {
 namespace {
 
 /// Access observer that feeds the C1 checker, collapsing one packet's
-/// read-modify-write of a state into a single logical access. Parallel
-/// workers pass their C1Scratch so the shared violator set is only touched
-/// at the barrier merge.
+/// read-modify-write of a state into a single logical access.
 struct C1Observer final : ir::AccessObserver {
   void on_state_access(RegId reg, RegIndex index, bool /*is_write*/) override {
     if (seen && reg == last_reg && index == last_index) return;
-    checker->on_access(reg, index, seq, scratch);
+    checker->on_access(reg, index, seq);
     last_reg = reg;
     last_index = index;
     seen = true;
   }
   C1Checker* checker = nullptr;
-  C1Scratch* scratch = nullptr;
   SeqNo seq = 0;
   RegId last_reg = ir::kNoReg;
   RegIndex last_index = 0;
@@ -30,14 +26,6 @@ struct C1Observer final : ir::AccessObserver {
 };
 
 bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
-
-/// Parallel event engine: minimum number of active cells before a cycle is
-/// worth dispatching to the worker pool. Below this, a barrier round-trip
-/// (condvar wakeup + merge, microseconds) dwarfs the per-cell visit cost
-/// (~100ns), so the busy blocks run inline on the main thread instead —
-/// with identical staging and merge order. Full-rate traffic at k >= 8
-/// clears the bar comfortably; sparse trickles never do.
-constexpr std::uint32_t kDispatchMinActiveCells = 64;
 
 } // namespace
 
@@ -82,16 +70,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
     throw ConfigError(
         "SimOptions: ecn_threshold exceeds the maximum stage-FIFO "
         "occupancy (pipelines * fifo_capacity); it could never trigger");
-  }
-  if (opts_.threads == 0) {
-    throw ConfigError("SimOptions: threads must be >= 1");
-  }
-  if (opts_.threads > 1 &&
-      (opts_.telemetry != nullptr || opts_.timeline)) {
-    throw ConfigError(
-        "SimOptions: the parallel engine (threads > 1) cannot produce the "
-        "telemetry/timeline event streams (their order is defined by the "
-        "sequential walk); run with threads = 1 to record events");
   }
   if (opts_.checkpoint_interval != 0 && !opts_.checkpoint_sink) {
     throw ConfigError(
@@ -138,8 +116,7 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
 
   if (opts_.check_c1) {
     // Dense last-seq table: one flat vector per register array, replacing
-    // the per-access hash lookup (and letting parallel workers write their
-    // own shard's cells without locks).
+    // the per-access hash lookup.
     std::vector<std::size_t> sizes;
     sizes.reserve(prog_->pvsm.registers.size());
     for (const auto& spec : prog_->pvsm.registers) {
@@ -148,37 +125,8 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
     c1_.init_dense(sizes);
   }
 
-  workers_ = std::min<std::uint32_t>(opts_.threads, k_);
-  worker_ctx_.resize(workers_);
-  worker_error_.resize(workers_);
-  worker_phase_ = std::vector<std::atomic<std::uint64_t>>(workers_);
-  busy_scratch_.assign(workers_, 0);
-  lane_range_.reserve(workers_);
-  for (std::uint32_t w = 0; w < workers_; ++w) {
-    lane_range_.emplace_back(
-        static_cast<PipelineId>(static_cast<std::uint64_t>(w) * k_ / workers_),
-        static_cast<PipelineId>(static_cast<std::uint64_t>(w + 1) * k_ /
-                                workers_));
-  }
-
-  event_engine_ = opts_.engine == SimEngine::kEvent;
   lane_words_ = (k_ + 63) / 64;
-  if (event_engine_) {
-    active_ = std::vector<std::atomic<std::uint64_t>>(
-        static_cast<std::size_t>(num_stages_) * lane_words_);
-    busy_words_.assign(lane_words_, 0);
-    worker_masks_.resize(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      const auto [lo, hi] = lane_range_[w];
-      for (std::uint32_t widx = lo >> 6; widx <= (hi - 1) >> 6; ++widx) {
-        const std::uint32_t base = widx << 6;
-        std::uint64_t mask = ~std::uint64_t{0};
-        if (lo > base) mask &= ~std::uint64_t{0} << (lo - base);
-        if (hi - base < 64) mask &= (std::uint64_t{1} << (hi - base)) - 1;
-        worker_masks_[w].emplace_back(widx, mask);
-      }
-    }
-  }
+  active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
 
 #if MP5_TELEMETRY_COMPILED
   if (opts_.telemetry != nullptr) {
@@ -205,8 +153,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   }
 #endif
 }
-
-Mp5Simulator::~Mp5Simulator() { stop_workers(); }
 
 // ---------------------------------------------------------------------------
 // Run loop
@@ -242,11 +188,6 @@ SimResult Mp5Simulator::run(TraceSource& source) {
 // ---------------------------------------------------------------------------
 
 void Mp5Simulator::begin(TraceSource& source) {
-  if (workers_ > 1) {
-    throw ConfigError(
-        "Mp5Simulator::begin: external clocking requires the sequential "
-        "engine (threads == 1)");
-  }
   if (opts_.checkpoint_interval != 0) {
     throw ConfigError(
         "Mp5Simulator::begin: checkpointing is owned by run(); an "
@@ -266,7 +207,7 @@ void Mp5Simulator::step(Cycle now) {
   if (source_ == nullptr) {
     throw Error("Mp5Simulator::step: no active run (call begin first)");
   }
-  step_cycle(now, /*parallel=*/false);
+  step_cycle(now);
 }
 
 bool Mp5Simulator::has_work() { return work_remaining(); }
@@ -280,46 +221,21 @@ SimResult Mp5Simulator::finish(Cycle end_cycle) {
 
 SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
   source_ = &source;
-
-  // Fast-forward is only sound when nothing is scheduled against the wall
-  // clock: any fault plan (stall windows, pressure windows, lane events,
-  // phantom coin flips happen at admit) pins the cycle-by-cycle walk.
-  const bool ff_enabled = opts_.fast_forward && !fault_sched_.any();
-  const bool parallel = workers_ > 1;
-  if (parallel) start_workers();
-
   Cycle now = start_cycle;
   try {
     while (work_remaining()) {
+      // 0a. Idle-cycle skip: with the switch drained (no live packet, so
+      //     the source is non-empty, and no set activity bit, so no zombie
+      //     phantom is queued), every cycle until the next event is a
+      //     provable no-op — jump there. next_event_cycle clamps the jump
+      //     at every observable boundary: checkpoints, remaps, fault
+      //     events and stall windows.
+      if (live_packets_ == 0 && activity_all_clear()) {
+        now = next_event_cycle(now);
+      }
       if (now >= opts_.max_cycles) {
         throw Error(
             "Mp5Simulator: max_cycles exceeded (deadlock or overload?)");
-      }
-      // 0a. Idle-cycle fast-forward: with the switch fully drained, every
-      //     cycle until the next event is a provable no-op — jump there.
-      //     (next_event_cycle clamps the jump to the next checkpoint
-      //     boundary; the boundary cycle itself is then a no-op walk, so
-      //     checkpointed and checkpoint-free runs stay bit-identical.)
-      //     The event engine skips unconditionally (it is the engine's
-      //     defining move) and under fault plans too, with the skip target
-      //     further clamped at every per-cycle-observable fault boundary;
-      //     activity_all_clear() stands in for the per-FIFO drain scan.
-      if (event_engine_) {
-        if (live_packets_ == 0 && source_->peek() != nullptr &&
-            activity_all_clear()) {
-          now = next_event_cycle_event(now);
-          if (now >= opts_.max_cycles) {
-            throw Error(
-                "Mp5Simulator: max_cycles exceeded (deadlock or overload?)");
-          }
-        }
-      } else if (ff_enabled && live_packets_ == 0 &&
-                 source_->peek() != nullptr && fully_drained()) {
-        now = next_event_cycle(now);
-        if (now >= opts_.max_cycles) {
-          throw Error(
-              "Mp5Simulator: max_cycles exceeded (deadlock or overload?)");
-        }
       }
       // 0b. Periodic checkpoint, at the top of the cycle: the blob captures
       //     the state *before* this cycle's fault events and arrivals, so a
@@ -329,18 +245,17 @@ SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
         next_checkpoint_ = ((now / opts_.checkpoint_interval) + 1) *
                            opts_.checkpoint_interval;
       }
-      step_cycle(now, parallel);
+      step_cycle(now);
       ++now;
     }
   } catch (...) {
     source_ = nullptr;
-    stop_workers();
     throw;
   }
   return finalize(now);
 }
 
-void Mp5Simulator::step_cycle(Cycle now, bool parallel) {
+void Mp5Simulator::step_cycle(Cycle now) {
   // 0c. Scheduled faults fire at the cycle boundary, before arrivals,
   //     so packets admitted this cycle already see the new lane set.
   if (fault_sched_.any()) {
@@ -375,116 +290,59 @@ void Mp5Simulator::step_cycle(Cycle now, bool parallel) {
     }
   }
   // 3. Stage processing, last stage first so packets move one stage per
-  //    cycle (outputs land in already-processed downstream cells). Dead
-  //    lanes are skipped (their queues were drained at failure time).
-  //    The event engine first settles the stalled-but-empty cells it will
-  //    not visit (before the walk mutates any activity bit), then walks
-  //    only the active cells — and, in parallel mode, dispatches only the
-  //    workers whose lane blocks are active: cycles where at most one
-  //    block is busy run on the main thread with direct effects and no
-  //    barrier at all (the conservative-lookahead horizon).
-  if (event_engine_) account_skipped_stalls(now);
-  if (!parallel) {
-    if (event_engine_) {
-      walk_lanes_event(0, static_cast<PipelineId>(k_), now, nullptr);
-    } else {
-      for (StageId st = num_stages_; st-- > 0;) {
-        for (PipelineId p = 0; p < k_; ++p) {
-          if (!lane_alive_[p]) continue;
-          step_cell(p, st, now, nullptr);
-        }
+  //    cycle (outputs land in already-processed downstream cells), lanes
+  //    ascending within a stage. Only cells with a set activity bit are
+  //    visited; dead lanes are skipped (their queues were drained at
+  //    failure time).
+  //
+  //    A stalled cell counts one stalled cycle per cycle even when it is
+  //    empty. Visited cells count it in step_cell; the unvisited
+  //    (bit-clear) ones are counted here, before the walk mutates any bit.
+  if (fault_sched_.has_stalls()) {
+    const auto& stalls = fault_sched_.stalls();
+    std::uint64_t skipped = 0;
+    for (std::size_t i = 0; i < stalls.size(); ++i) {
+      const auto& s = stalls[i];
+      if (now < s.from || now >= s.until) continue;
+      if (s.pipeline >= k_ || s.stage >= num_stages_) continue;
+      if (!lane_alive_[s.pipeline]) continue;
+      if (cell_active(s.pipeline, s.stage)) continue; // the walk counts it
+      // One stalled cycle per *cell* per cycle, however many windows
+      // cover it.
+      bool counted = false;
+      for (std::size_t j = 0; j < i && !counted; ++j) {
+        const auto& t = stalls[j];
+        counted = t.pipeline == s.pipeline && t.stage == s.stage &&
+                  now >= t.from && now < t.until;
       }
+      if (!counted) ++skipped;
     }
-  } else if (event_engine_) {
-    // One OR-pass over the bitmap answers "which lane blocks are busy?"
-    // for every worker at once; per-worker rescans would cost workers ×
-    // the walk's own scan on cycles that mostly visit nothing.
+    if (skipped != 0) {
+      result_.stalled_cycles += skipped;
+      MP5_TELEM_ADD(t_stall_cycles_, skipped);
+    }
+  }
+  //    A visited cell's bit is cleared once the cell is empty again. Bits
+  //    the walk sets itself (a processed packet advancing into stage
+  //    st + 1) always land in rows already behind the cursor, exactly like
+  //    arrivals landing in already-processed downstream cells.
+  for (StageId st = num_stages_; st-- > 0;) {
+    const std::size_t row = static_cast<std::size_t>(st) * lane_words_;
     for (std::uint32_t widx = 0; widx < lane_words_; ++widx) {
-      std::uint64_t acc = 0;
-      for (StageId st = 0; st < num_stages_; ++st) {
-        acc |= active_[static_cast<std::size_t>(st) * lane_words_ + widx].load(
-            std::memory_order_relaxed);
-      }
-      busy_words_[widx] = acc;
-    }
-    std::uint32_t nbusy = 0;
-    std::uint32_t only_busy = 0;
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      busy_scratch_[w] = 0;
-      for (const auto& [widx, mask] : worker_masks_[w]) {
-        if ((busy_words_[widx] & mask) != 0) {
-          busy_scratch_[w] = 1;
-          break;
-        }
-      }
-      if (busy_scratch_[w]) {
-        ++nbusy;
-        only_busy = w;
+      std::uint64_t word = active_[row + widx];
+      while (word != 0) {
+        const PipelineId p =
+            static_cast<PipelineId>((widx << 6) + std::countr_zero(word));
+        word &= word - 1;
+        if (!lane_alive_[p]) continue; // failure already drained the lane
+        step_cell(p, st, now);
+        if (fifos_[cell(p, st)].size() == 0) clear_active(p, st);
       }
     }
-    if (nbusy == 1) {
-      // Exactly one lane block can make progress: the dense walk over the
-      // other blocks would be a pure no-op, so the merge order degenerates
-      // to this block's own lane-ascending order. Run it inline with
-      // direct effects — no staging, no barrier, no wakeups.
-      const auto [lo, hi] = lane_range_[only_busy];
-      walk_lanes_event(lo, hi, now, nullptr);
-    } else if (nbusy > 1 && active_cell_count() < kDispatchMinActiveCells) {
-      // Several blocks are busy but barely: the per-cell work cannot
-      // amortize a barrier round-trip, so walk the busy blocks on this
-      // thread with the same staged per-worker effects and merge them in
-      // the same worker-ascending order — bit-identical to a dispatch,
-      // minus the wakeup latency.
-      for (std::uint32_t w = 0; w < workers_; ++w) {
-        if (busy_scratch_[w]) run_worker_lanes(w, now);
-      }
-      merge_worker_effects(now);
-    } else if (nbusy > 1) {
-      shared_now_ = now;
-      ++next_phase_;
-      pending_.store(nbusy - (busy_scratch_[0] ? 1 : 0),
-                     std::memory_order_relaxed);
-      for (std::uint32_t w = 1; w < workers_; ++w) {
-        if (busy_scratch_[w]) {
-          worker_phase_[w].store(next_phase_, std::memory_order_release);
-        }
-      }
-      dispatch_workers();
-      if (busy_scratch_[0]) run_worker_lanes(0, now);
-      wait_for_workers();
-      for (auto& err : worker_error_) {
-        if (err) {
-          std::exception_ptr e = err;
-          err = nullptr;
-          std::rethrow_exception(e);
-        }
-      }
-      merge_worker_effects(now);
-    }
-  } else {
-    shared_now_ = now;
-    ++next_phase_;
-    pending_.store(workers_ - 1, std::memory_order_relaxed);
-    for (std::uint32_t w = 1; w < workers_; ++w) {
-      worker_phase_[w].store(next_phase_, std::memory_order_release);
-    }
-    dispatch_workers();
-    run_worker_lanes(0, now); // the main thread is worker 0
-    wait_for_workers();
-    for (auto& err : worker_error_) {
-      if (err) {
-        std::exception_ptr e = err;
-        err = nullptr;
-        std::rethrow_exception(e);
-      }
-    }
-    merge_worker_effects(now);
   }
   // 4. Periodic dynamic state sharding (Figure 6).
   if (opts_.remap_period != 0 && (now + 1) % opts_.remap_period == 0) {
-    const std::size_t moves = opts_.reference_rebalance
-                                  ? state_->rebalance_reference()
-                                  : state_->rebalance();
+    const std::size_t moves = state_->rebalance();
     result_.remap_moves += moves;
     if (moves != 0) {
       emit(TimelineEvent::Kind::kRemap, now, 0, 0, kInvalidSeqNo,
@@ -497,14 +355,6 @@ void Mp5Simulator::step_cycle(Cycle now, bool parallel) {
 
 SimResult Mp5Simulator::finalize(Cycle now) {
   source_ = nullptr;
-  if (!pool_.empty()) {
-    for (auto& ctx : worker_ctx_) {
-      c1_.absorb(ctx.c1);
-      ctx.c1 = C1Scratch{};
-    }
-    stop_workers();
-  }
-
   result_.cycles_run = now;
   result_.final_registers = state_->storage();
   result_.c1_violating_packets = c1_.violating_packets();
@@ -535,18 +385,8 @@ SimResult Mp5Simulator::finalize(Cycle now) {
 }
 
 // ---------------------------------------------------------------------------
-// Idle-cycle fast-forward
+// Idle-cycle skip and the activity bitmap
 // ---------------------------------------------------------------------------
-
-bool Mp5Simulator::fully_drained() const {
-  // live_packets_ == 0 is checked by the caller, but cancelled zombie
-  // phantoms may still be queued — and reclaiming them consumes real
-  // (wasted) pop cycles, so the clock must tick through them.
-  for (const auto& fifo : fifos_) {
-    if (fifo.size() != 0) return false;
-  }
-  return true;
-}
 
 Cycle Mp5Simulator::next_event_cycle(Cycle now) {
   // Next trace arrival: admitted in the cycle its arrival time truncates
@@ -574,90 +414,6 @@ Cycle Mp5Simulator::next_event_cycle(Cycle now) {
   if (opts_.checkpoint_interval != 0) {
     target = std::min(target, next_checkpoint_);
   }
-  target = std::min<Cycle>(target, opts_.max_cycles);
-  return std::max(target, now);
-}
-
-// ---------------------------------------------------------------------------
-// Event engine (SimOptions::engine == kEvent)
-// ---------------------------------------------------------------------------
-
-bool Mp5Simulator::activity_all_clear() const {
-  for (const auto& word : active_) {
-    if (word.load(std::memory_order_relaxed) != 0) return false;
-  }
-  return true;
-}
-
-void Mp5Simulator::rebuild_activity() {
-  if (!event_engine_) return;
-  for (auto& word : active_) word.store(0, std::memory_order_relaxed);
-  for (PipelineId p = 0; p < k_; ++p) {
-    for (StageId st = 0; st < num_stages_; ++st) {
-      const std::size_t c = cell(p, st);
-      if (fifos_[c].size() != 0 || arrival_count_[c] != 0) {
-        mark_active(p, st);
-      }
-    }
-  }
-}
-
-void Mp5Simulator::walk_lanes_event(PipelineId lo, PipelineId hi, Cycle now,
-                                    WorkerCtx* ctx) {
-  // The dense walk's order — stages descending, lanes ascending — over the
-  // set bits only. A visited cell's bit is cleared once the cell is empty
-  // again; bits this walk sets itself (a processed packet advancing into
-  // stage st + 1) always land in rows already behind the cursor, exactly
-  // like arrivals landing in already-processed downstream cells.
-  for (StageId st = num_stages_; st-- > 0;) {
-    const std::size_t row = static_cast<std::size_t>(st) * lane_words_;
-    for (std::uint32_t widx = lo >> 6; widx <= (hi - 1) >> 6; ++widx) {
-      const std::uint32_t base = widx << 6;
-      std::uint64_t word = active_[row + widx].load(std::memory_order_relaxed);
-      if (lo > base) word &= ~std::uint64_t{0} << (lo - base);
-      if (hi - base < 64) word &= (std::uint64_t{1} << (hi - base)) - 1;
-      while (word != 0) {
-        const PipelineId p =
-            static_cast<PipelineId>(base + std::countr_zero(word));
-        word &= word - 1;
-        if (!lane_alive_[p]) continue; // failure already drained the lane
-        step_cell(p, st, now, ctx);
-        if (fifos_[cell(p, st)].size() == 0) clear_active(p, st);
-      }
-    }
-  }
-}
-
-void Mp5Simulator::account_skipped_stalls(Cycle now) {
-  if (!fault_sched_.has_stalls()) return;
-  const auto& stalls = fault_sched_.stalls();
-  std::uint64_t skipped = 0;
-  for (std::size_t i = 0; i < stalls.size(); ++i) {
-    const auto& s = stalls[i];
-    if (now < s.from || now >= s.until) continue;
-    if (s.pipeline >= k_ || s.stage >= num_stages_) continue;
-    if (!lane_alive_[s.pipeline]) continue;
-    if (cell_active(s.pipeline, s.stage)) continue; // the walk counts it
-    // One stalled cycle per *cell* per cycle, however many windows cover
-    // it — the same dedup the dense walk gets from its per-cell predicate.
-    bool counted = false;
-    for (std::size_t j = 0; j < i && !counted; ++j) {
-      const auto& t = stalls[j];
-      counted = t.pipeline == s.pipeline && t.stage == s.stage &&
-                now >= t.from && now < t.until;
-    }
-    if (!counted) ++skipped;
-  }
-  if (skipped != 0) {
-    result_.stalled_cycles += skipped;
-    MP5_TELEM_ADD(t_stall_cycles_, skipped);
-  }
-}
-
-Cycle Mp5Simulator::next_event_cycle_event(Cycle now) {
-  Cycle target = next_event_cycle(now);
-  // Unlike lockstep fast-forward, the event engine skips under fault
-  // plans; the extra clamps pin every per-cycle-observable fault boundary.
   // Lane fail/recover events mutate state at their exact cycle.
   const auto& events = fault_sched_.lane_events();
   if (fault_cursor_ < events.size()) {
@@ -672,192 +428,27 @@ Cycle Mp5Simulator::next_event_cycle_event(Cycle now) {
     if (s.pipeline >= k_ || !lane_alive_[s.pipeline]) continue;
     target = std::min(target, std::max(s.from, now));
   }
+  target = std::min<Cycle>(target, opts_.max_cycles);
   return std::max(target, now);
 }
 
-std::uint32_t Mp5Simulator::active_cell_count() const {
-  std::uint32_t count = 0;
-  for (const auto& word : active_) {
-    count += static_cast<std::uint32_t>(
-        std::popcount(word.load(std::memory_order_relaxed)));
+bool Mp5Simulator::activity_all_clear() const {
+  for (const std::uint64_t word : active_) {
+    if (word != 0) return false;
   }
-  return count;
+  return true;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel engine
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Iterations of the dispatch/done spin before falling back to a condvar
-/// sleep. Big enough that a back-to-back busy cycle never pays a futex
-/// round-trip; small enough that an idle worker (or a pool parked by the
-/// event engine between lookahead horizons) stops burning its core within
-/// microseconds.
-constexpr std::uint32_t kBarrierSpinLimit = 2048;
-} // namespace
-
-void Mp5Simulator::start_workers() {
-  if (!pool_.empty()) return;
-  stop_.store(false, std::memory_order_relaxed);
-  worker_error_.assign(workers_, nullptr);
-  for (auto& ctx : worker_ctx_) {
-    ctx.clear_cycle();
-    ctx.routed.reserve(static_cast<std::size_t>(num_stages_) * k_);
-  }
-  // Reset the dispatch generations here, on the dispatching thread, before
-  // any worker exists: a worker reading its slot after spawn could
-  // otherwise observe a generation that was already advanced for the first
-  // dispatch and sleep through it forever.
-  next_phase_ = 0;
-  for (auto& ph : worker_phase_) ph.store(0, std::memory_order_relaxed);
-  pool_.reserve(workers_ - 1);
-  for (std::uint32_t w = 1; w < workers_; ++w) {
-    pool_.emplace_back([this, w] { worker_loop(w, 0); });
-  }
-}
-
-void Mp5Simulator::stop_workers() {
-  if (pool_.empty()) return;
-  stop_.store(true, std::memory_order_release);
-  {
-    // The empty critical section pairs with the predicate check inside
-    // cv_dispatch_.wait: any worker past its predicate-false check is
-    // still holding the mutex, so the notify below cannot be lost.
-    std::lock_guard<std::mutex> lock(pool_mtx_);
-  }
-  cv_dispatch_.notify_all();
-  for (auto& t : pool_) t.join();
-  pool_.clear();
-}
-
-void Mp5Simulator::dispatch_workers() {
-  // Callers already advanced the chosen workers' phase slots. The empty
-  // critical section orders those stores before any sleeper's predicate
-  // re-check, closing the check-then-sleep race without holding the lock
-  // across the stores.
-  {
-    std::lock_guard<std::mutex> lock(pool_mtx_);
-  }
-  cv_dispatch_.notify_all();
-}
-
-void Mp5Simulator::wait_for_workers() {
-  std::uint32_t spins = 0;
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    if (++spins >= kBarrierSpinLimit) {
-      std::unique_lock<std::mutex> lock(pool_mtx_);
-      cv_done_.wait(lock, [this] {
-        return pending_.load(std::memory_order_acquire) == 0;
-      });
-      return;
-    }
-    std::this_thread::yield();
-  }
-}
-
-void Mp5Simulator::worker_loop(std::uint32_t w, std::uint64_t seen) {
-  // Spinning exists to catch a back-to-back dispatch right after a busy
-  // cycle; a worker that has not run yet (or whose last wait already went
-  // to sleep) blocks immediately instead — the event engine can go whole
-  // runs without dispatching this worker, and its startup spin would just
-  // steal cycles from the main thread on small hosts.
-  bool fresh_off_work = false;
-  while (true) {
-    // Spin briefly (yielding, so the pool degrades gracefully when the
-    // host has fewer cores than workers), then block on the condvar: an
-    // idle worker costs no CPU once the spin budget is spent.
-    std::uint64_t cur;
-    std::uint32_t spins = 0;
-    while ((cur = worker_phase_[w].load(std::memory_order_acquire)) == seen &&
-           !stop_.load(std::memory_order_acquire)) {
-      if (!fresh_off_work || ++spins >= kBarrierSpinLimit) {
-        std::unique_lock<std::mutex> lock(pool_mtx_);
-        cv_dispatch_.wait(lock, [this, w, seen] {
-          return worker_phase_[w].load(std::memory_order_acquire) != seen ||
-                 stop_.load(std::memory_order_acquire);
-        });
-        spins = 0;
-        fresh_off_work = false;
-      } else {
-        std::this_thread::yield();
+void Mp5Simulator::rebuild_activity() {
+  std::fill(active_.begin(), active_.end(), 0);
+  for (PipelineId p = 0; p < k_; ++p) {
+    for (StageId st = 0; st < num_stages_; ++st) {
+      const std::size_t c = cell(p, st);
+      if (fifos_[c].size() != 0 || arrival_count_[c] != 0) {
+        mark_active(p, st);
       }
     }
-    if (cur == seen) break; // stop requested with no new phase
-    seen = cur;
-    fresh_off_work = true;
-    try {
-      run_worker_lanes(w, shared_now_);
-    } catch (...) {
-      worker_error_[w] = std::current_exception();
-    }
-    if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
-      // Last worker through the barrier: wake the main thread if it
-      // already gave up spinning (same empty-critical-section pairing as
-      // dispatch).
-      {
-        std::lock_guard<std::mutex> lock(pool_mtx_);
-      }
-      cv_done_.notify_one();
-    }
   }
-}
-
-void Mp5Simulator::run_worker_lanes(std::uint32_t w, Cycle now) {
-  WorkerCtx& ctx = worker_ctx_[w];
-  const auto [lo, hi] = lane_range_[w];
-  if (event_engine_) {
-    walk_lanes_event(lo, hi, now, &ctx);
-    return;
-  }
-  for (StageId st = num_stages_; st-- > 0;) {
-    for (PipelineId p = lo; p < hi; ++p) {
-      if (!lane_alive_[p]) continue;
-      step_cell(p, st, now, &ctx);
-    }
-  }
-}
-
-void Mp5Simulator::merge_worker_effects(Cycle now) {
-  // Worker order equals source-lane order (contiguous lane blocks), and
-  // each worker recorded its effects in its own processing order — so this
-  // serial replay reproduces exactly the effect order of the sequential
-  // engine's lane-ascending walk. Every applied operation either commutes
-  // (counter adds, in-flight decrements, per-seq FIFO cancels) or is only
-  // observable next cycle (arrival pushes), so category grouping is safe.
-  for (std::uint32_t w = 0; w < workers_; ++w) {
-    WorkerCtx& ctx = worker_ctx_[w];
-    result_.blocked_cycles += ctx.blocked;
-    result_.wasted_cycles += ctx.wasted;
-    result_.stalled_cycles += ctx.stalled;
-    result_.steers += ctx.steers;
-    for (const auto& [reg, index] : ctx.completions) {
-      state_->note_completed(reg, index);
-    }
-    for (const auto& r : ctx.routed) {
-      push_arrival(r.dest, r.stage, r.ref, r.from_lane);
-    }
-    for (const auto& sc : ctx.cancels) apply_staged_cancel(sc, now);
-    for (const auto& d : ctx.drops) drop_packet(d.ref, d.cause, nullptr);
-    for (const PacketRef ref : ctx.egressed) egress_packet(ref, now, nullptr);
-    ctx.clear_cycle();
-  }
-}
-
-void Mp5Simulator::apply_staged_cancel(const WorkerCtx::StagedCancel& sc,
-                                       Cycle /*now*/) {
-  // Serial tail of cancel_entry for a phantom whose sharers all cancelled
-  // during the parallel lane phase.
-  if (sc.maybe_in_channel) {
-    const ChannelKey key{sc.seq, sc.pipeline, sc.stage};
-    if (lost_phantoms_[sc.pipeline].erase(key) != 0) return;
-    if (auto it = channel_index_.find(key); it != channel_index_.end()) {
-      channel_slots_[it->second].cancelled = true;
-      return;
-    }
-    // Already delivered: fall through to the FIFO cancel.
-  }
-  fifo_at(sc.pipeline, sc.stage).cancel(sc.seq);
 }
 
 // ---------------------------------------------------------------------------
@@ -935,7 +526,7 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
       ++result_.dropped_phantom;
       continue; // the data packet will miss its placeholder and be dropped
     }
-    if (event_engine_) mark_active(pending.pipeline, pending.stage);
+    mark_active(pending.pipeline, pending.stage);
     emit(TimelineEvent::Kind::kPhantomPush, now, pending.pipeline,
          pending.stage, pending.seq);
     if (pending.cancelled) {
@@ -982,7 +573,7 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
     }
     arrival_count_[c] = 0;
     for (const PacketRef ref : fifos_[c].drain_all()) doomed.push_back(ref);
-    if (event_engine_) clear_active(p, st);
+    clear_active(p, st);
   }
 
   // 2. Phantoms in flight toward the dead lane vanish with its channel
@@ -1041,7 +632,7 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
   //    also releases its in-flight counters, clearing the §3.4 guard.
   for (const PacketRef ref : doomed) {
     emit(TimelineEvent::Kind::kDropFault, now, p, 0, arena_.get(ref).seq);
-    drop_packet(ref, DropCause::kFault, nullptr);
+    drop_packet(ref, DropCause::kFault, now);
   }
 
   // 5. Atomically re-home the dead lane's active indices to survivors.
@@ -1097,10 +688,10 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                  std::to_string(st));
       }
       in_containers += arrival_count_[c];
-      if (event_engine_ && !cell_active(p, st) &&
+      if (!cell_active(p, st) &&
           (fifo.size() != 0 || arrival_count_[c] != 0)) {
         // A clear activity bit must prove the cell empty — a stale clear
-        // would make the event walk silently skip real work.
+        // would make the walk silently skip real work.
         throw InvariantError("event-activity", now,
                              "cell (" + std::to_string(p) + ", " +
                                  std::to_string(st) +
@@ -1190,7 +781,7 @@ void Mp5Simulator::push_arrival(PipelineId dest, StageId st, PacketRef ref,
   }
   arrival_slots_[c * k_ + n] = ArrivedRef{ref, from_lane};
   arrival_count_[c] = n + 1;
-  if (event_engine_) mark_active(dest, st);
+  mark_active(dest, st);
 }
 
 void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
@@ -1302,7 +893,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             acc.phantom_dropped = true;
             ++result_.dropped_phantom;
           } else {
-            if (event_engine_) mark_active(acc.pipeline, acc.stage);
+            mark_active(acc.pipeline, acc.stage);
             MP5_TELEM_INC(t_phantom_sent_);
             emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
                  acc.stage, pkt.seq);
@@ -1323,8 +914,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   ingress_[admit_lane].push_back(ref);
 }
 
-void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
-                             WorkerCtx* ctx) {
+void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
   // Injected transient stall: the cell has no processing slot this cycle.
   // FIFO inserts still happen (they are memory operations, not processing)
   // but nothing is served — a stateless arrival must be dropped, since
@@ -1332,12 +922,8 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
   const bool stalled =
       fault_sched_.has_stalls() && fault_sched_.stalled(p, st, now);
   if (stalled) {
-    if (ctx != nullptr) {
-      ++ctx->stalled;
-    } else {
-      ++result_.stalled_cycles;
-      MP5_TELEM_INC(t_stall_cycles_);
-    }
+    ++result_.stalled_cycles;
+    MP5_TELEM_INC(t_stall_cycles_);
   }
 
   StageFifo& fifo = fifos_[cell(p, st)];
@@ -1361,14 +947,14 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
         // no-D4 ablation: queue the data packet directly at the stage.
         const SeqNo seq = pkt.seq;
         if (!fifo.push_phantom(seq, acc->reg, acc->index, from_lane, now)) {
-          drop_packet(ref, DropCause::kData, ctx);
+          drop_packet(ref, DropCause::kData, now);
         } else {
           // Convert the just-pushed placeholder into the data packet.
           fifo.insert_data(seq, ref);
         }
       } else if (acc->phantom_dropped) {
         emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
-        drop_packet(ref, DropCause::kData, ctx);
+        drop_packet(ref, DropCause::kData, now);
       } else if (!fifo.has_phantom(pkt.seq)) {
         if (!opts_.realistic_phantom_channel) {
           // Defensive: phantom vanished despite not being flagged dropped.
@@ -1381,7 +967,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
           // orphaned data packet with fault accounting instead of letting
           // it deadlock the FIFO order.
           emit(TimelineEvent::Kind::kDropFault, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kFault, ctx);
+          drop_packet(ref, DropCause::kFault, now);
         } else if (auto chan = channel_index_.find(key);
                    chan != channel_index_.end()) {
           // The phantom is still in flight (injected extra delay let the
@@ -1390,12 +976,12 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
           // costs one wasted pop.
           channel_slots_[chan->second].cancelled = true;
           emit(TimelineEvent::Kind::kDropFault, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kFault, ctx);
+          drop_packet(ref, DropCause::kFault, now);
         } else {
           // The phantom was dropped at channel delivery (FIFO full): the
           // regular §3.4 drop path.
           emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kData, ctx);
+          drop_packet(ref, DropCause::kData, now);
         }
       } else {
         const SeqNo seq = pkt.seq;
@@ -1419,7 +1005,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
       // A stalled cell cannot serve the stateless packet, and Invariant 2
       // forbids queueing it: it is lost to the fault.
       emit(TimelineEvent::Kind::kDropFault, now, p, st, pt_seq);
-      drop_packet(passthrough, DropCause::kFault, ctx);
+      drop_packet(passthrough, DropCause::kFault, now);
     } else {
       // §3.4 starvation guard: when a queued stateful packet has waited
       // past the threshold, drop the arriving stateless packet instead of
@@ -1433,12 +1019,12 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
       }
       if (starved) {
         emit(TimelineEvent::Kind::kDropStarved, now, p, st, pt_seq);
-        drop_packet(passthrough, DropCause::kStarved, ctx);
+        drop_packet(passthrough, DropCause::kStarved, now);
       } else {
         // Invariant 2: stateless packets are processed with priority and
         // never queued.
         emit(TimelineEvent::Kind::kPassThrough, now, p, st, pt_seq);
-        process_packet(passthrough, p, st, /*from_fifo=*/false, now, ctx);
+        process_packet(passthrough, p, st, /*from_fifo=*/false, now);
         return;
       }
     }
@@ -1450,38 +1036,29 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now,
     case StageFifo::PopResult::Kind::kIdle:
       return;
     case StageFifo::PopResult::Kind::kBlocked:
-      if (ctx != nullptr) {
-        ++ctx->blocked;
-      } else {
-        ++result_.blocked_cycles;
-      }
+      ++result_.blocked_cycles;
       emit(TimelineEvent::Kind::kBlocked, now, p, st, kInvalidSeqNo);
       return;
     case StageFifo::PopResult::Kind::kWasted:
-      if (ctx != nullptr) {
-        ++ctx->wasted;
-      } else {
-        ++result_.wasted_cycles;
-      }
+      ++result_.wasted_cycles;
       emit(TimelineEvent::Kind::kPopWasted, now, p, st, kInvalidSeqNo);
       return;
     case StageFifo::PopResult::Kind::kData:
       emit(TimelineEvent::Kind::kPopData, now, p, st,
            arena_.get(popped.ref).seq);
-      process_packet(popped.ref, p, st, /*from_fifo=*/true, now, ctx);
+      process_packet(popped.ref, p, st, /*from_fifo=*/true, now);
       return;
   }
 }
 
 void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
-                                    bool from_fifo, WorkerCtx* ctx) {
+                                    bool from_fifo) {
   if (st == 0) return; // AR stage has no program atoms
   const ir::Stage& stage = prog_->pvsm.stages[st - 1];
 
   C1Observer obs;
   obs.checker = &c1_;
   obs.seq = pkt.seq;
-  obs.scratch = ctx != nullptr ? &ctx->c1 : nullptr;
 
   for (const auto& atom : stage.atoms) {
     bool allow_state = false;
@@ -1514,30 +1091,26 @@ void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
 }
 
 void Mp5Simulator::process_packet(PacketRef ref, PipelineId p, StageId st,
-                                  bool from_fifo, Cycle now, WorkerCtx* ctx) {
+                                  bool from_fifo, Cycle now) {
   Packet& pkt = arena_.get(ref);
-  exec_stage_atoms(pkt, p, st, from_fifo, ctx);
+  exec_stage_atoms(pkt, p, st, from_fifo);
 
   if (from_fifo) {
     for (auto& e : pkt.plan) {
       if (e.stage == st && e.pipeline == p && entry_live(e)) {
         e.done = true;
-        if (ctx != nullptr) {
-          ctx->completions.emplace_back(e.reg, e.index);
-        } else {
-          state_->note_completed(e.reg, e.index);
-        }
+        state_->note_completed(e.reg, e.index);
       }
     }
   }
 
-  resolve_conservative_guards(pkt, st, ctx);
-  route_onwards(ref, p, st, now, ctx);
+  resolve_conservative_guards(pkt, st, now);
+  route_onwards(ref, p, st, now);
 }
 
 void Mp5Simulator::resolve_conservative_guards(Packet& pkt,
                                                StageId done_stage,
-                                               WorkerCtx* ctx) {
+                                               Cycle now) {
   for (std::size_t i = 0; i < pkt.plan.size(); ++i) {
     auto& e = pkt.plan[i];
     if (e.guard != GuardStatus::kConservative || !entry_live(e)) continue;
@@ -1548,20 +1121,16 @@ void Mp5Simulator::resolve_conservative_guards(Packet& pkt,
     if (taken) {
       e.guard = GuardStatus::kTaken; // resolved: access will happen
     } else {
-      cancel_entry(pkt, i, ctx);
+      cancel_entry(pkt, i, now);
     }
   }
 }
 
 void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
-                                WorkerCtx* ctx) {
+                                Cycle now) {
   auto& e = pkt.plan[entry_idx];
   e.cancelled = true;
-  if (ctx != nullptr) {
-    ctx->completions.emplace_back(e.reg, e.index);
-  } else {
-    state_->note_completed(e.reg, e.index);
-  }
+  state_->note_completed(e.reg, e.index);
   if (!opts_.phantoms) return;
 
   // Zombie the phantom once every plan entry sharing it is cancelled.
@@ -1571,15 +1140,6 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
   }
   const auto& owner_acc = pkt.plan[owner];
   if (owner_acc.phantom_dropped) return;
-  if (ctx != nullptr) {
-    // The phantom may live in another worker's lane (channel structures
-    // and foreign FIFOs are off-limits during the lane phase): stage the
-    // cancellation for the serial merge.
-    ctx->cancels.push_back(WorkerCtx::StagedCancel{
-        pkt.seq, owner_acc.pipeline, owner_acc.stage,
-        opts_.realistic_phantom_channel && !owner_acc.phantom_delivered});
-    return;
-  }
   if (opts_.realistic_phantom_channel && !owner_acc.phantom_delivered) {
     const ChannelKey key{pkt.seq, owner_acc.pipeline, owner_acc.stage};
     // Lost on the channel (injected fault): there is nothing to cancel,
@@ -1593,20 +1153,12 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
     }
     // Already delivered (the packet's flag is stale): fall through.
   }
-  emit(TimelineEvent::Kind::kCancel, 0, owner_acc.pipeline, owner_acc.stage,
+  emit(TimelineEvent::Kind::kCancel, now, owner_acc.pipeline, owner_acc.stage,
        pkt.seq);
   fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq);
 }
 
-void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause,
-                               WorkerCtx* ctx) {
-  if (ctx != nullptr) {
-    // Dropping cancels downstream phantoms in arbitrary lanes and mutates
-    // global counters: stage the whole drop for the serial merge. The
-    // packet stays live in the arena until then.
-    ctx->drops.push_back(WorkerCtx::StagedDrop{ref, cause});
-    return;
-  }
+void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause, Cycle now) {
   Packet& pkt = arena_.get(ref);
   switch (cause) {
     case DropCause::kData:
@@ -1643,16 +1195,16 @@ void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause,
     auto& e = pkt.plan[i];
     if (!entry_live(e)) continue;
     // Cancel downstream phantoms so they do not block their FIFOs forever.
-    cancel_entry(pkt, i, nullptr);
+    cancel_entry(pkt, i, now);
   }
   --live_packets_;
   arena_.release(ref);
 }
 
 void Mp5Simulator::route_onwards(PacketRef ref, PipelineId p, StageId st,
-                                 Cycle now, WorkerCtx* ctx) {
+                                 Cycle now) {
   if (st == num_stages_ - 1) {
-    egress_packet(ref, now, ctx);
+    egress_packet(ref, now);
     return;
   }
   Packet& pkt = arena_.get(ref);
@@ -1661,12 +1213,8 @@ void Mp5Simulator::route_onwards(PacketRef ref, PipelineId p, StageId st,
   if (acc != nullptr && acc->stage == st + 1) {
     dest = acc->pipeline;
     if (dest != p) {
-      if (ctx != nullptr) {
-        ++ctx->steers;
-      } else {
-        ++result_.steers;
-        MP5_TELEM_INC(t_steer_);
-      }
+      ++result_.steers;
+      MP5_TELEM_INC(t_steer_);
       emit(TimelineEvent::Kind::kSteer, now, dest, st + 1, pkt.seq);
     }
   }
@@ -1676,27 +1224,13 @@ void Mp5Simulator::route_onwards(PacketRef ref, PipelineId p, StageId st,
     // impossible — but degrade gracefully rather than corrupting a dead
     // lane's queues if a future change breaks that guarantee.
     emit(TimelineEvent::Kind::kDropFault, now, dest, st + 1, pkt.seq);
-    drop_packet(ref, DropCause::kFault, ctx);
+    drop_packet(ref, DropCause::kFault, now);
     return;
   }
-  if (ctx != nullptr) {
-    // The destination cell may belong to another worker: stage the hop.
-    // The merge replays routes worker-ascending == lane-ascending, the
-    // same order the sequential engine fills arrival cells in.
-    ctx->routed.push_back(WorkerCtx::Routed{ref, dest, static_cast<StageId>(st + 1), p});
-  } else {
-    push_arrival(dest, static_cast<StageId>(st + 1), ref, p);
-  }
+  push_arrival(dest, static_cast<StageId>(st + 1), ref, p);
 }
 
-void Mp5Simulator::egress_packet(PacketRef ref, Cycle now, WorkerCtx* ctx) {
-  if (ctx != nullptr) {
-    // Egress mutates global counters, latency histograms and the per-flow
-    // reordering table: replay serially at the barrier (worker-ascending ==
-    // the sequential engine's lane walk order).
-    ctx->egressed.push_back(ref);
-    return;
-  }
+void Mp5Simulator::egress_packet(PacketRef ref, Cycle now) {
   Packet& pkt = arena_.get(ref);
   emit(TimelineEvent::Kind::kEgress, now, 0, num_stages_ - 1, pkt.seq);
   ++result_.egressed;

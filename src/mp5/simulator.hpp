@@ -32,33 +32,23 @@
 //     the (pipeline, stage) FIFO grid is one flat vector.
 //   * The realistic phantom channel is a slot pool plus a lazy-deletion
 //     min-heap instead of a multimap.
-//   * When the switch is completely drained (fault-free runs only), the
-//     clock jumps straight to the next event (SimOptions::fast_forward).
-//   * SimOptions::threads > 1 steps lanes on a persistent worker pool
-//     with a per-cycle barrier; all cross-lane effects are staged per
-//     worker (WorkerCtx) and merged deterministically, so results are
-//     bit-identical to the sequential engine.
-//   * SimOptions::engine == kEvent replaces the dense stage walk with an
-//     activity-bitmap walk (cells visited only when they might hold work),
-//     skips no-progress cycle stretches arithmetically even under fault
-//     plans, and — with threads > 1 — dispatches only the workers whose
-//     lane blocks are active, running barrier-free while at most one block
-//     is busy (see DESIGN.md "Event-driven engine").
+//   * The stage walk is event-driven: an activity bitmap marks the cells
+//     that might hold work, and only those are visited. When the switch
+//     is completely drained, the clock jumps straight to the next event
+//     (trace arrival, phantom delivery, observable remap boundary, fault
+//     boundary), also under fault plans (see DESIGN.md "Event-driven
+//     engine").
 //
 // The same class implements the ablations (no-D4, static sharding, naive
 // single-pipeline, ideal) via SimOptions; the recirculation baseline has
 // its own simulator in src/baseline.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -84,7 +74,6 @@ class ByteReader;
 class Mp5Simulator {
 public:
   Mp5Simulator(const Mp5Program& program, const SimOptions& options);
-  ~Mp5Simulator();
 
   Mp5Simulator(const Mp5Simulator&) = delete;
   Mp5Simulator& operator=(const Mp5Simulator&) = delete;
@@ -103,9 +92,9 @@ public:
   /// source to the checkpoint's trace position, and run to completion. The
   /// simulator must be freshly constructed from the *same program and
   /// semantic options* as the checkpointing run (enforced via the config
-  /// fingerprint); engine knobs (threads, fast_forward, sinks, telemetry)
-  /// may differ. The returned SimResult is field-by-field identical to the
-  /// uninterrupted run's.
+  /// fingerprint); run knobs (checkpoint cadence, sinks, telemetry,
+  /// paranoid checks) may differ. The returned SimResult is field-by-field
+  /// identical to the uninterrupted run's.
   SimResult resume(TraceSource& source, std::string_view checkpoint_blob);
 
   // -- co-simulation stepping API --
@@ -124,11 +113,11 @@ public:
   // a begin/step/finish run over the same source is bit-identical to
   // run(). The bound source may grow between steps (the fabric pushes
   // link deliveries into it); skipped cycles are the caller's fast-forward.
-  // Sequential engine only (threads == 1), checkpointing unsupported.
+  // Checkpointing is unsupported under external clocking.
 
   /// Bind a source and reset per-run results. Throws ConfigError when the
-  /// options are incompatible with external clocking (threads > 1 or
-  /// checkpoint_interval != 0) and Error if a run is already active.
+  /// options are incompatible with external clocking (checkpoint_interval
+  /// != 0) and Error if a run is already active.
   void begin(TraceSource& source);
   /// Execute one cycle of the walk at external clock value `now`. Cycles
   /// must be non-decreasing across calls; cycles where the switch is
@@ -138,9 +127,6 @@ public:
   bool has_work();
   /// Packets currently inside the switch (queues, slots, FIFOs).
   std::uint64_t live_packets() const { return live_packets_; }
-  /// True when no packet *or zombie phantom* occupies any structure — the
-  /// precondition for the caller to skip this switch's cycles.
-  bool drained() const { return live_packets_ == 0 && fully_drained(); }
   /// End the externally-clocked run at `end_cycle` and return the result
   /// (identical tail to run(): final registers, C1, sorted egress).
   SimResult finish(Cycle end_cycle);
@@ -186,54 +172,6 @@ private:
 
   enum class DropCause : std::uint8_t { kData, kStarved, kFault };
 
-  /// Per-worker staging area for the parallel engine. During the lane
-  /// phase a worker may only mutate structures owned by its own lanes
-  /// (their FIFOs, their shard of the register state, its packets'
-  /// fields); every cross-lane effect is recorded here and applied by the
-  /// main thread at the barrier, in worker order — which equals source-
-  /// lane order, reproducing the sequential engine's effect order exactly.
-  struct WorkerCtx {
-    struct Routed {
-      PacketRef ref = kNullPacketRef;
-      PipelineId dest = 0;
-      StageId stage = 0;
-      PipelineId from_lane = 0;
-    };
-    struct StagedDrop {
-      PacketRef ref = kNullPacketRef;
-      DropCause cause = DropCause::kData;
-    };
-    /// Deferred phantom-zombie action from a conservative-guard cancel
-    /// (the cancelled packet itself keeps flowing).
-    struct StagedCancel {
-      SeqNo seq = kInvalidSeqNo;
-      PipelineId pipeline = 0;
-      StageId stage = 0;
-      /// Realistic channel: the phantom may still be in flight (or lost).
-      bool maybe_in_channel = false;
-    };
-    std::vector<Routed> routed;
-    std::vector<PacketRef> egressed;
-    std::vector<StagedDrop> drops;
-    std::vector<std::pair<RegId, RegIndex>> completions;
-    std::vector<StagedCancel> cancels;
-    std::uint64_t blocked = 0;
-    std::uint64_t wasted = 0;
-    std::uint64_t stalled = 0;
-    std::uint64_t steers = 0;
-    /// Persists across cycles; absorbed into the C1 checker at run end.
-    C1Scratch c1;
-
-    void clear_cycle() {
-      routed.clear();
-      egressed.clear();
-      drops.clear();
-      completions.clear();
-      cancels.clear();
-      blocked = wasted = stalled = steers = 0;
-    }
-  };
-
   // -- cell addressing --
   std::size_t cell(PipelineId p, StageId st) const {
     return static_cast<std::size_t>(p) * num_stages_ + st;
@@ -247,18 +185,16 @@ private:
 
   void admit(const TraceItem& item, Cycle now);
   void deliver_due_phantoms(Cycle now);
-  void step_cell(PipelineId p, StageId st, Cycle now, WorkerCtx* ctx);
+  void step_cell(PipelineId p, StageId st, Cycle now);
   void process_packet(PacketRef ref, PipelineId p, StageId st, bool from_fifo,
-                      Cycle now, WorkerCtx* ctx);
-  void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo,
-                        WorkerCtx* ctx);
+                      Cycle now);
+  void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo);
   void resolve_conservative_guards(Packet& pkt, StageId done_stage,
-                                   WorkerCtx* ctx);
-  void cancel_entry(Packet& pkt, std::size_t entry_idx, WorkerCtx* ctx);
-  void drop_packet(PacketRef ref, DropCause cause, WorkerCtx* ctx);
-  void route_onwards(PacketRef ref, PipelineId p, StageId st, Cycle now,
-                     WorkerCtx* ctx);
-  void egress_packet(PacketRef ref, Cycle now, WorkerCtx* ctx);
+                                   Cycle now);
+  void cancel_entry(Packet& pkt, std::size_t entry_idx, Cycle now);
+  void drop_packet(PacketRef ref, DropCause cause, Cycle now);
+  void route_onwards(PacketRef ref, PipelineId p, StageId st, Cycle now);
+  void egress_packet(PacketRef ref, Cycle now);
   bool work_remaining();
 
   // -- checkpoint/restore (implemented in checkpoint.cpp) --
@@ -268,9 +204,9 @@ private:
   /// One cycle of the walk: fault events, arrivals, phantom delivery,
   /// ingress, the stage walk, remap, watchdog. Shared verbatim between
   /// run_loop and the external-clock step().
-  void step_cycle(Cycle now, bool parallel);
-  /// The shared run tail: unbind the source, merge/stop workers, fill the
-  /// end-of-run SimResult fields, and sort the egress/fault-drop logs.
+  void step_cycle(Cycle now);
+  /// The shared run tail: unbind the source, fill the end-of-run
+  /// SimResult fields, and sort the egress/fault-drop logs.
   SimResult finalize(Cycle now);
   /// Frame the complete simulator state and hand it to checkpoint_sink.
   void do_checkpoint(Cycle now);
@@ -281,79 +217,46 @@ private:
   /// of trace items already admitted (the source skip target).
   Cycle restore_state(ByteReader& r, std::uint64_t& trace_consumed);
 
-  // -- idle-cycle fast-forward --
+  // -- idle-cycle skip --
 
-  /// True when no packet exists anywhere in the switch (queues, arrival
-  /// slots, FIFOs) — the precondition for jumping the clock.
-  bool fully_drained() const;
-  /// Next cycle at which anything can happen: the next trace arrival, the
-  /// next phantom-channel delivery, and — while the shard map's window is
-  /// dirty or telemetry observes rebalance runs — the next remap boundary.
+  /// Next cycle at which anything can happen, for a drained switch: the
+  /// next trace arrival, the next phantom-channel delivery, the next
+  /// checkpoint boundary, the next remap boundary while the shard map's
+  /// window is dirty or telemetry observes rebalance runs, the next lane
+  /// fail/recover event, and every cycle covered by a stall window of an
+  /// alive lane (each increments stalled_cycles).
   Cycle next_event_cycle(Cycle now);
 
-  // -- event engine (SimOptions::engine == kEvent) --
+  // -- activity bitmap --
   //
   // One activity bit per (stage, lane) cell, set whenever the cell might
   // hold work (a FIFO entry or a pending arrival slot). Bits are set
   // conservatively and cleared only at a visit that finds the cell empty
   // (or when a whole lane is drained at failure), so a clear bit *proves*
-  // the cell is a no-op this cycle — the dense walk's step_cell on it
-  // would touch nothing. Stale *set* bits are harmless: the next stepped
-  // cycle visits the cell, finds it empty, and clears them.
+  // the cell is a no-op this cycle. Stale *set* bits are harmless: the
+  // next stepped cycle visits the cell, finds it empty, and clears them.
 
+  std::uint64_t& active_word(PipelineId p, StageId st) {
+    return active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)];
+  }
   void mark_active(PipelineId p, StageId st) {
-    active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)].fetch_or(
-        std::uint64_t{1} << (p & 63), std::memory_order_relaxed);
+    active_word(p, st) |= std::uint64_t{1} << (p & 63);
   }
   void clear_active(PipelineId p, StageId st) {
-    active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)].fetch_and(
-        ~(std::uint64_t{1} << (p & 63)), std::memory_order_relaxed);
+    active_word(p, st) &= ~(std::uint64_t{1} << (p & 63));
   }
   bool cell_active(PipelineId p, StageId st) const {
-    return (active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)]
-                .load(std::memory_order_relaxed) &
+    return (active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)] &
             (std::uint64_t{1} << (p & 63))) != 0;
   }
-  /// Every activity bit clear: with live_packets_ == 0 this proves the
-  /// switch is fully drained (bits are never stale-cleared), without the
-  /// per-FIFO scan of fully_drained().
+  /// Every activity bit clear: with live_packets_ == 0 this proves that no
+  /// packet or zombie phantom is anywhere in the switch (bits are never
+  /// stale-cleared) — the precondition for jumping the clock.
   bool activity_all_clear() const;
   /// Rebuild every bit from the restored FIFO/arrival-slot occupancy
   /// (checkpoint restore) — the bitmap itself is derived state and is
   /// never serialized.
   void rebuild_activity();
-  /// Visit the active cells of lanes [lo, hi), last stage first, lanes
-  /// ascending within each stage — the dense walk's order minus its
-  /// provable no-ops.
-  void walk_lanes_event(PipelineId lo, PipelineId hi, Cycle now,
-                        WorkerCtx* ctx);
-  /// Lockstep counts one stalled cycle per alive stalled cell per cycle,
-  /// even when the cell is empty. The event walk skips empty cells, so the
-  /// unvisited (bit-clear) stalled cells are counted arithmetically here,
-  /// before the walk mutates any bit.
-  void account_skipped_stalls(Cycle now);
-  /// Event-engine cycle skip target: next_event_cycle further clamped so
-  /// no skipped cycle contains a lane fail/recover event or is covered by
-  /// a stall window of an alive lane (both are observable per cycle).
-  Cycle next_event_cycle_event(Cycle now);
-
-  // -- parallel engine --
-
-  void start_workers();
-  void stop_workers();
-  void worker_loop(std::uint32_t w, std::uint64_t seen_phase);
-  void run_worker_lanes(std::uint32_t w, Cycle now);
-  /// Total set activity bits — the dispatch-worthiness estimate for a
-  /// parallel event-engine cycle.
-  std::uint32_t active_cell_count() const;
-  /// Wake the workers whose slot in worker_phase_ was advanced; the others
-  /// sleep through the generation.
-  void dispatch_workers();
-  /// Barrier wait: bounded spin on pending_, then condvar sleep.
-  void wait_for_workers();
-  /// Apply every worker's staged effects, in worker (== lane) order.
-  void merge_worker_effects(Cycle now);
-  void apply_staged_cancel(const WorkerCtx::StagedCancel& sc, Cycle now);
 
   // -- realistic phantom channel (slot pool + lazy-deletion min-heap) --
 
@@ -443,42 +346,10 @@ private:
   // (Remap-boundary observability lives in ShardedState::window_dirty()
   // now — the shard map knows which registers the next rebalance resets.)
 
-  // -- event engine state --
-  bool event_engine_ = false;       // opts_.engine == SimEngine::kEvent
-  std::uint32_t lane_words_ = 1;    // ceil(k_ / 64)
-  /// Activity bitmap, [stage * lane_words_ + (lane >> 6)]. Atomic because
-  /// parallel workers clear their own lanes' bits concurrently, and two
-  /// workers' lane blocks can share one 64-bit word; all accesses are
-  /// relaxed — cross-thread visibility rides on the cycle barrier.
-  std::vector<std::atomic<std::uint64_t>> active_;
-
-  // -- parallel engine state --
-  std::uint32_t workers_ = 1; // min(opts_.threads, k_), fixed per run
-  std::vector<WorkerCtx> worker_ctx_;
-  std::vector<std::pair<PipelineId, PipelineId>> lane_range_; // [lo, hi) per worker
-  /// Per-worker (word index, lane mask) cover of its lane block, for the
-  /// event engine's O(stages x words) per-cycle busy-worker scan.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
-      worker_masks_;
-  std::vector<std::uint8_t> busy_scratch_; // per-worker busy flag, per cycle
-  std::vector<std::uint64_t> busy_words_;  // per-word OR across stage rows
-  std::vector<std::thread> pool_;
-  std::vector<std::exception_ptr> worker_error_;
-  /// Per-worker dispatch generation (slot 0 unused — worker 0 is the main
-  /// thread). A worker runs one lane phase each time its slot advances;
-  /// the event engine advances only the busy workers' slots, so idle
-  /// workers sleep through the generation entirely.
-  std::vector<std::atomic<std::uint64_t>> worker_phase_;
-  std::uint64_t next_phase_ = 0; // main-thread view of the generation
-  std::atomic<std::uint32_t> pending_{0};
-  std::atomic<bool> stop_{false};
-  /// Workers spin briefly on their phase slot, then block here — a pool
-  /// idling between dispatches (or parked by the event engine) costs no
-  /// CPU instead of burning a core per worker.
-  std::mutex pool_mtx_;
-  std::condition_variable cv_dispatch_;
-  std::condition_variable cv_done_;
-  Cycle shared_now_ = 0;
+  // -- activity bitmap state --
+  std::uint32_t lane_words_ = 1; // ceil(k_ / 64)
+  /// [stage * lane_words_ + (lane >> 6)], bit (lane & 63).
+  std::vector<std::uint64_t> active_;
 
   // -- fault state --
   FaultSchedule fault_sched_;
@@ -489,7 +360,7 @@ private:
   /// Phantoms lost on the channel: their data packets are orphans and must
   /// be dropped as faults (not as regular data drops) when they reach the
   /// stateful stage. Erased on detection or cancellation. Partitioned by
-  /// destination lane so a parallel worker only touches its own set.
+  /// destination lane so a lane failure clears its own set.
   std::vector<std::unordered_set<ChannelKey, ChannelKeyHash>> lost_phantoms_;
   /// Most recent lane-failure cycle with no egress since; kInvalidSeqNo-like
   /// sentinel via awaiting flag. Feeds SimResult::time_to_recover.

@@ -18,6 +18,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/trace_source.hpp"
 #include "test_util.hpp"
 
@@ -96,12 +97,9 @@ TEST(CheckpointFingerprint, CoversSemanticsNotEngineKnobs) {
   SimOptions base;
   const std::uint64_t fp = config_fingerprint(prog, base);
 
-  // Engine knobs are excluded by design: a checkpoint taken
-  // single-threaded restores into a 4-thread / no-fast-forward run.
+  // Engine knobs are excluded by design: a checkpoint restores into a run
+  // with another cadence, cycle budget or watchdog setting.
   SimOptions engine = base;
-  engine.threads = 4;
-  engine.fast_forward = false;
-  engine.reference_rebalance = true;
   engine.checkpoint_interval = 1000;
   engine.max_cycles = 42;
   engine.paranoid_checks = true;
@@ -137,10 +135,9 @@ TEST(CheckpointFingerprint, CoversVariantAndStaleness) {
   EXPECT_NE(rel128_fp, rel64_fp);
 
   // Engine knobs stay excluded for the replicated variants too.
-  SimOptions noff = scr_options(4, 1);
-  noff.fast_forward = false;
-  noff.checkpoint_interval = 1000;
-  EXPECT_EQ(config_fingerprint(prog, noff), scr_fp);
+  SimOptions cadence = scr_options(4, 1);
+  cadence.checkpoint_interval = 1000;
+  EXPECT_EQ(config_fingerprint(prog, cadence), scr_fp);
 }
 
 // -- bit-identity property test --------------------------------------------
@@ -230,7 +227,7 @@ TEST(CheckpointRestore, CrossEngineRestore) {
   const Trace trace = test::trace_from_fields(
       test::random_fields(400, prog.pvsm.num_slots(), 64, rng), 4);
 
-  SimOptions opts; // threads=1, fast_forward=true
+  SimOptions opts;
   opts.record_egress = true;
   opts.paranoid_checks = true;
   const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
@@ -245,48 +242,25 @@ TEST(CheckpointRestore, CrossEngineRestore) {
   (void)Mp5Simulator(prog, copts).run(trace);
   ASSERT_FALSE(blobs.empty());
 
-  // The fingerprint excludes engine knobs, so a single-threaded
-  // checkpoint restores under the parallel engine, with fast-forward
-  // off, and under the event-driven engine (which rebuilds its activity
-  // bitmap from the restored occupancy) — and still reproduces the
-  // sequential result bit-for-bit.
-  for (const char* variant :
-       {"threads4", "noff", "ref-rebalance", "event", "event-t4"}) {
+  // The fingerprint excludes engine knobs, so the checkpoint restores
+  // under a differently configured engine — watchdog off, telemetry
+  // attached, checkpointing at its own cadence — which rebuilds its
+  // activity bitmap from the restored occupancy and still reproduces the
+  // uninterrupted result bit for bit.
+  for (const char* variant : {"no-watchdog", "telemetry", "own-cadence"}) {
     SCOPED_TRACE(variant);
     SimOptions vopts = opts;
-    if (std::string(variant) == "threads4") vopts.threads = 4;
-    if (std::string(variant) == "noff") vopts.fast_forward = false;
-    if (std::string(variant) == "ref-rebalance") {
-      vopts.reference_rebalance = true;
-    }
-    if (std::string(variant) == "event") vopts.engine = SimEngine::kEvent;
-    if (std::string(variant) == "event-t4") {
-      vopts.engine = SimEngine::kEvent;
-      vopts.threads = 4;
+    telemetry::Telemetry telem;
+    if (std::string(variant) == "no-watchdog") vopts.paranoid_checks = false;
+    if (std::string(variant) == "telemetry") vopts.telemetry = &telem;
+    if (std::string(variant) == "own-cadence") {
+      vopts.checkpoint_interval =
+          std::max<std::uint64_t>(1, baseline.cycles_run / 3);
+      vopts.checkpoint_sink = [](Cycle, std::string&&) {};
     }
     Mp5Simulator sim(prog, vopts);
     VectorTraceSource source(trace);
     const SimResult result = sim.resume(source, blobs.front());
-    std::string why;
-    EXPECT_TRUE(same_results(baseline, result, &why)) << why;
-  }
-
-  // The reverse direction: a checkpoint captured mid-run by the event
-  // engine restores under plain lockstep.
-  std::vector<std::string> ev_blobs;
-  SimOptions ev_copts = opts;
-  ev_copts.engine = SimEngine::kEvent;
-  ev_copts.checkpoint_interval =
-      std::max<std::uint64_t>(1, baseline.cycles_run / 2);
-  ev_copts.checkpoint_sink = [&ev_blobs](Cycle, std::string&& blob) {
-    ev_blobs.push_back(std::move(blob));
-  };
-  (void)Mp5Simulator(prog, ev_copts).run(trace);
-  ASSERT_FALSE(ev_blobs.empty());
-  {
-    Mp5Simulator sim(prog, opts); // lockstep
-    VectorTraceSource source(trace);
-    const SimResult result = sim.resume(source, ev_blobs.front());
     std::string why;
     EXPECT_TRUE(same_results(baseline, result, &why)) << why;
   }
@@ -382,13 +356,12 @@ TEST(CheckpointRestore, ReplicatedBitIdentity) {
     ASSERT_FALSE(blobs.empty());
 
     // Every emitted checkpoint restores to the identical SimResult, with
-    // fast-forward either on or off in the restoring simulator.
+    // the watchdog either on or off in the restoring simulator.
     for (const auto& [cycle, blob] : blobs) {
-      for (const bool ff : {true, false}) {
+      for (const bool paranoid : {true, false}) {
         SimOptions ropts = base;
         ropts.record_egress = true;
-        ropts.paranoid_checks = true;
-        ropts.fast_forward = ff;
+        ropts.paranoid_checks = paranoid;
         std::unique_ptr<ReplicatedSimulator> sim;
         if (base.variant == DesignVariant::kScr) {
           sim = std::make_unique<ScrSimulator>(prog, ropts);
@@ -397,7 +370,7 @@ TEST(CheckpointRestore, ReplicatedBitIdentity) {
         }
         const SimResult result = sim->resume(trace, blob);
         EXPECT_TRUE(same_results(baseline, result, &why))
-            << "restore at cycle " << cycle << " (ff=" << ff
+            << "restore at cycle " << cycle << " (paranoid=" << paranoid
             << ") diverged: " << why;
       }
     }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "apps/programs.hpp"
@@ -343,6 +344,27 @@ TEST(FaultPlanValidation, RejectsInconsistentPlans) {
   plan = FaultPlan{};
   plan.pipeline_faults = {PipelineFault{2, 10, 20}, PipelineFault{2, 30, 40}};
   EXPECT_NO_THROW(plan.validate(4));
+
+  // Every pipeline down at once: caught here, not when the run reaches
+  // cycle 100. A failure applies before a recovery at the same cycle, so
+  // a hand-over at cycle 200 leaves no survivor either.
+  plan.pipeline_faults = {PipelineFault{0, 100, kNeverRecovers},
+                          PipelineFault{1, 100, kNeverRecovers}};
+  try {
+    plan.validate(2);
+    ADD_FAILURE() << "a plan killing every pipeline was accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cycle 100"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(plan.validate(3)); // lane 2 survives
+  plan.pipeline_faults = {PipelineFault{0, 100, 200},
+                          PipelineFault{1, 200, 400}};
+  EXPECT_THROW(plan.validate(2), ConfigError);
+  plan.pipeline_faults = {PipelineFault{0, 100, 200},
+                          PipelineFault{1, 201, 400}};
+  EXPECT_NO_THROW(plan.validate(2));
 }
 
 TEST(FaultPlanValidation, SimulatorRejectsUnsupportedCombinations) {
@@ -355,6 +377,11 @@ TEST(FaultPlanValidation, SimulatorRejectsUnsupportedCombinations) {
   opts = naive_options(4, 1);
   opts.faults.pipeline_faults.push_back(PipelineFault{1, 10, kNeverRecovers});
   EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError); // nowhere to re-home
+
+  opts = mp5_options(2, 1); // every pipeline down at cycle 100
+  opts.faults.pipeline_faults = {PipelineFault{0, 100, kNeverRecovers},
+                                 PipelineFault{1, 100, kNeverRecovers}};
+  EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError);
 }
 
 } // namespace

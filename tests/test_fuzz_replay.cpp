@@ -79,7 +79,6 @@ TEST(ReproCompat, VariantConfigRoundTrips) {
   repro.config.variant = DesignVariant::kRelaxed;
   repro.config.staleness = 64;
   repro.config.pipelines = 8;
-  repro.config.fast_forward = false;
 
   const auto dir =
       std::filesystem::temp_directory_path() / "mp5-repro-compat";
@@ -97,9 +96,11 @@ TEST(ReproCompat, VariantConfigRoundTrips) {
 }
 
 TEST(ReproCompat, PreVariantReproLoadsAsMp5) {
-  // A corpus file written before ISSUE 10 has no "variant"/"staleness"
-  // keys in its config object; it must keep loading as the (then-only)
-  // MP5 design, like the PR 8 "engine" key before it.
+  // A corpus file written before the replicated variants existed has no
+  // "variant"/"staleness" keys in its config object; it must keep loading
+  // as the (then-only) MP5 design. One written while the simulator had
+  // several cycle walks carries their retired selector keys, which load
+  // and are ignored.
   const auto dir =
       std::filesystem::temp_directory_path() / "mp5-repro-compat-legacy";
   std::filesystem::create_directories(dir);
@@ -118,6 +119,16 @@ TEST(ReproCompat, PreVariantReproLoadsAsMp5) {
   const fuzz::Reproducer loaded = fuzz::load_reproducer(path);
   EXPECT_EQ(loaded.config.variant, DesignVariant::kMp5);
   EXPECT_EQ(loaded.config.staleness, 0u);
+
+  text = slurp(path);
+  const std::size_t at = text.find("\"pipelines\"");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "\"engine\": \"event\", \"threads\": 4, "
+                  "\"fast_forward\": false, \"reference_rebalance\": true, ");
+  std::ofstream(path) << text;
+  const fuzz::Reproducer retired = fuzz::load_reproducer(path);
+  EXPECT_EQ(retired.config.name(), sample_repro().config.name());
+  EXPECT_FALSE(fuzz::replay(retired)) << "retired keys changed the replay";
   std::filesystem::remove_all(dir);
 }
 

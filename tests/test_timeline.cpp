@@ -157,9 +157,24 @@ TEST(Timeline, ConservativeCancellationEmitsCancelEvents) {
   const auto trace = trace_from_fields(random_fields(500, 3, 64, rng), 4);
   const auto events = record(prog, trace, mp5_options(4, 9));
   std::size_t cancels = 0, wasted = 0;
-  for (const auto& e : events) {
-    if (e.kind == Kind::kCancel) ++cancels;
+  // A guard resolves while its packet is processed; the cancellation it
+  // triggers carries that processing's cycle, so the stream stays
+  // cycle-ordered.
+  std::map<SeqNo, Cycle> last_processed;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events[i];
+    if (i > 0) {
+      ASSERT_GE(e.cycle, events[i - 1].cycle) << "event " << i;
+    }
+    if (e.kind == Kind::kPopData || e.kind == Kind::kPassThrough) {
+      last_processed[e.seq] = e.cycle;
+    }
     if (e.kind == Kind::kPopWasted) ++wasted;
+    if (e.kind != Kind::kCancel) continue;
+    ++cancels;
+    const auto it = last_processed.find(e.seq);
+    ASSERT_NE(it, last_processed.end()) << "cancel before any processing";
+    EXPECT_EQ(e.cycle, it->second) << "seq " << e.seq;
   }
   EXPECT_GT(cancels, 0u);
   EXPECT_EQ(cancels, wasted); // every cancelled phantom costs one pop

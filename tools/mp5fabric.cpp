@@ -23,7 +23,6 @@
 //   --packet-bytes B
 // Per-switch MP5 knobs:
 //   --pipelines K  --fifo-capacity N  --remap N  --paranoid
-//   --engine lockstep|event  inner-switch cycle-walk engine
 // Run control:
 //   --seed S  --max-cycles N  --util-window W
 // Fault plan (repeatable; switch names are leaf<i>/spine<i>):
@@ -158,7 +157,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--remap") o.remap_period =
         static_cast<std::uint32_t>(std::stoul(next()));
     else if (arg == "--paranoid") o.paranoid_checks = true;
-    else if (arg == "--engine") o.engine = engine_from_string(next());
     else if (arg == "--seed") o.seed = std::stoull(next());
     else if (arg == "--max-cycles") o.max_cycles = std::stoull(next());
     else if (arg == "--util-window") o.util_window =

@@ -28,7 +28,7 @@
 //                        the budget expires)
 //   --seed-start S       first seed (default 1)
 //   --budget-s T         wall-clock budget in seconds (default: none)
-//   --matrix full|quick  simulator config matrix (default full: 144 cells)
+//   --matrix full|quick  simulator config matrix (default full: 9 cells)
 //   --packets N          max packets per generated trace (default 96)
 //   --trace-mutations N  seeded mutations per trace (default 2)
 //   --corpus DIR         reproducer output directory (default fuzz-corpus)

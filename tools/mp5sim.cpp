@@ -20,14 +20,6 @@
 //                           every other design
 //   --pipelines K  --packets N  --seed S  --load F
 //   --fifo-capacity N  --remap N  --flow-order f1,f2
-//   --threads N             parallel per-lane engine (bit-identical to
-//                           sequential; MP5 designs only; incompatible
-//                           with --telemetry/--timeline/--trace-out)
-//   --no-fast-forward       step idle cycles one by one (identical
-//                           results; for measuring the raw cycle loop)
-//   --engine lockstep|event cycle-walk engine (MP5 designs only; the
-//                           event engine skips idle cells/cycles and is
-//                           bit-identical to lockstep)
 //   --check-equivalence     verify vs the single-pipeline reference
 //   --save-trace file.csv   store the generated trace
 // Checkpoint/restore (MP5 and replicated designs; see DESIGN.md "Soak &
@@ -69,7 +61,6 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "apps/programs.hpp"
 #include "banzai/single_pipeline.hpp"
@@ -111,9 +102,6 @@ struct Args {
   double load = 1.0;
   std::size_t fifo_capacity = 0;
   std::uint32_t remap = 100;
-  std::uint32_t threads = 1;
-  bool fast_forward = true;
-  SimEngine engine = SimEngine::kLockstep;
   std::vector<std::string> flow_order_fields;
   bool check_equivalence = false;
   std::uint64_t timeline = 0; // print the first N simulator events
@@ -188,10 +176,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--fifo-capacity") args.fifo_capacity = std::stoull(next());
     else if (arg == "--remap") args.remap =
         static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--threads") args.threads =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--no-fast-forward") args.fast_forward = false;
-    else if (arg == "--engine") args.engine = engine_from_string(next());
     else if (arg == "--flow-order") args.flow_order_fields = split_csv(next());
     else if (arg == "--check-equivalence") args.check_equivalence = true;
     else if (arg == "--timeline") args.timeline = std::stoull(next());
@@ -254,15 +238,6 @@ void validate_checkpoint_args(const Args& args) {
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   validate_checkpoint_args(args);
-
-  if (const unsigned hw = std::thread::hardware_concurrency();
-      hw != 0 && args.threads > hw) {
-    std::cerr << "mp5sim: warning: --threads " << args.threads
-              << " exceeds this host's " << hw
-              << " hardware thread(s); lanes will time-share cores (results "
-                 "stay bit-identical, wall-clock speedups will not "
-                 "materialize)\n";
-  }
 
   // Resolve the program.
   std::string source = args.source;
@@ -338,14 +313,10 @@ int run(int argc, char** argv) {
   SimResult result;
   std::unique_ptr<telemetry::Telemetry> telem;
   if (args.design == "recirc") {
-    if (!args.faults.empty() || args.paranoid || args.threads > 1) {
+    if (!args.faults.empty() || args.paranoid) {
       throw ConfigError(
-          "fault injection / --paranoid / --threads apply to the MP5 "
-          "designs only, not recirc");
-    }
-    if (args.engine != SimEngine::kLockstep) {
-      throw ConfigError(
-          "--engine applies to the MP5 designs only, not recirc");
+          "fault injection / --paranoid apply to the MP5 designs only, not "
+          "recirc");
     }
     if (args.checkpoint_interval != 0 || !args.restore_from.empty()) {
       throw ConfigError(
@@ -359,17 +330,11 @@ int run(int argc, char** argv) {
           "--telemetry/--trace-out apply to the MP5 designs only, not "
           "recirc");
     }
-    // The remaining knobs used to be accepted and silently ignored
-    // (ISSUE 10 validation sweep): recirc has no stage FIFOs, no idle
-    // fast-forward path, no phantom channel and no timeline hook.
+    // The remaining knobs would otherwise be silently ignored: recirc has
+    // no stage FIFOs, no phantom channel and no timeline hook.
     if (args.fifo_capacity != 0) {
       throw ConfigError(
           "--fifo-capacity applies to the MP5 designs only, not recirc");
-    }
-    if (!args.fast_forward) {
-      throw ConfigError(
-          "--no-fast-forward applies to the MP5 and replicated designs "
-          "only, not recirc");
     }
     if (args.phantom_channel) {
       throw ConfigError(
@@ -405,9 +370,6 @@ int run(int argc, char** argv) {
     if (args.staleness != 0) opts.staleness_bound = args.staleness;
     opts.fifo_capacity = args.fifo_capacity;
     opts.remap_period = args.remap;
-    opts.threads = args.threads;
-    opts.fast_forward = args.fast_forward;
-    opts.engine = args.engine;
     opts.record_egress = args.check_equivalence;
     opts.faults = args.faults;
     if (args.phantom_channel) opts.realistic_phantom_channel = true;

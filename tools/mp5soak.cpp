@@ -25,8 +25,7 @@
 //                       switch can keep up)
 //   --flows N --field-bound B --seed S
 // Simulator:
-//   --pipelines K --fifo-capacity N --remap N --threads N --paranoid
-//   --engine lockstep|event  cycle-walk engine (bit-identical results)
+//   --pipelines K --fifo-capacity N --remap N --paranoid
 //   --max-cycles N      override the derived safety ceiling
 //   --fail-pipeline P@CYCLE[:RECOVER]   fault plan entry (repeatable)
 // Soak mode:
@@ -127,10 +126,6 @@ Args parse_args(int argc, char** argv) {
       args.soak.sim.fifo_capacity = std::stoull(next());
     else if (arg == "--remap")
       args.soak.sim.remap_period = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--threads")
-      args.soak.sim.threads = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--engine")
-      args.soak.sim.engine = engine_from_string(next());
     else if (arg == "--paranoid") args.soak.sim.paranoid_checks = true;
     else if (arg == "--max-cycles") args.max_cycles_override = std::stoull(next());
     else if (arg == "--fail-pipeline")

@@ -247,14 +247,14 @@ def validate_repro(doc, where):
         fail(f"{where}: trace '{trace}' must end in .trace.csv")
     config = require(doc, "config", dict, where)
     cwhere = f"{where}.config"
-    for key in ("pipelines", "threads", "remap_period"):
+    for key in ("pipelines", "remap_period"):
         if require(config, key, int, cwhere) < 1:
             fail(f"{cwhere}: {key} must be >= 1")
     sharding = require(config, "sharding", str, cwhere)
     if sharding not in FUZZ_SHARDING:
         fail(f"{cwhere}: sharding '{sharding}' not in {sorted(FUZZ_SHARDING)}")
-    require(config, "fast_forward", bool, cwhere)
-    require(config, "reference_rebalance", bool, cwhere)
+    # Older files also carry the selector keys of retired cycle walks; the
+    # loader ignores them, so they are neither required nor checked.
     if require(config, "fifo_capacity", int, cwhere) < 0:
         fail(f"{cwhere}: fifo_capacity must be >= 0")
     require(config, "seed", int, cwhere)
