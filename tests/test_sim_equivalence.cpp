@@ -4,6 +4,8 @@
 // long as no packets are dropped.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
 #include "test_util.hpp"
@@ -185,6 +187,12 @@ struct VariantParam {
   const char* variant;
   std::uint32_t pipelines;
 };
+
+// Without a printer gtest shows the raw bytes, pointer included, so the
+// registered test names would change with every relink.
+void PrintTo(const VariantParam& p, std::ostream* os) {
+  *os << p.variant << " k=" << p.pipelines;
+}
 
 class VariantEquivalence : public ::testing::TestWithParam<VariantParam> {};
 
