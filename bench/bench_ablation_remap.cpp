@@ -10,8 +10,10 @@
 //     tables (the production-scale case: a huge register array with a
 //     small Zipf working set).
 //
-// `--only-sparse` runs just the incremental-accounting section (the CI
-// bench-smoke job gates it against bench/baselines/).
+// `--only-sparse` runs just the incremental-accounting section. The
+// program exits 1 when the incremental path is less than
+// kMinSparseSpeedup times the full-scan path's accesses/s at either table
+// size; both paths run in this process, so the check needs no baseline.
 #include <chrono>
 #include <iostream>
 #include <string_view>
@@ -25,6 +27,8 @@ using namespace mp5;
 using namespace mp5::bench;
 
 namespace {
+
+constexpr double kMinSparseSpeedup = 10.0;
 
 // Drive a ShardedState directly: per window, `kPerWindow` resolved+completed
 // accesses Zipf-drawn from a <=1K-index working set spread across the table,
@@ -68,8 +72,15 @@ double drive_sparse_remap(std::size_t table_size, bool incremental,
 } // namespace
 
 int main(int argc, char** argv) {
-  const bool only_sparse =
-      argc > 1 && std::string_view(argv[1]) == "--only-sparse";
+  bool only_sparse = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) != "--only-sparse") {
+      std::cerr << "bench_ablation_remap: unknown argument '" << argv[i]
+                << "' (only --only-sparse is accepted)\n";
+      return 1;
+    }
+    only_sparse = true;
+  }
   constexpr std::uint64_t kPackets = 20000;
   constexpr int kRuns = 5;
   BenchReport report("ablation_remap");
@@ -217,6 +228,7 @@ int main(int argc, char** argv) {
   print_header("Ablation: incremental vs full-scan D2 accounting",
                "large sparse tables — remap cost proportional to the "
                "working set, not the table (DESIGN.md)");
+  bool sparse_ok = true;
   {
     TextTable table({"table size", "accounting", "windows", "accesses/s",
                      "moves/window", "speedup"});
@@ -242,9 +254,15 @@ int main(int argc, char** argv) {
                                 static_cast<double>(windows), 3),
              incremental ? TextTable::num(rates[1] / rates[0], 1) + "x" : "-"});
       }
+      if (rates[1] < kMinSparseSpeedup * rates[0]) {
+        std::cerr << "bench_ablation_remap: incremental accounting is only "
+                  << rates[1] / rates[0] << "x the full scan at table size "
+                  << size << " (floor " << kMinSparseSpeedup << "x)\n";
+        sparse_ok = false;
+      }
     }
     table.print(std::cout);
   }
   finish_report(report);
-  return 0;
+  return sparse_ok ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 # invocation must still exit zero.
 #
 # Inputs: -DMP5C=<path> -DMP5SIM=<path> -DMP5FABRIC=<path> -DMP5NATIVE=<path>
-#         -DMP5SOAK=<path>
+#         -DMP5SOAK=<path> -DABLATION=<path to bench_ablation_remap>
 
 function(expect_failure label)
   execute_process(COMMAND ${ARGN}
@@ -254,3 +254,7 @@ if(NOT err MATCHES "exceeds")
   message(FATAL_ERROR "mp5native oversubscribed run: expected a --cores warning on stderr, got '${err}'")
 endif()
 
+# -- bench_ablation_remap --
+# A misspelt flag must not silently run all five ablation sections.
+expect_failure("bench_ablation_remap unknown flag"
+               ${ABLATION} --only_sparse)
