@@ -130,19 +130,19 @@ void exec_instr(const TacInstr& instr, std::vector<Value>& headers,
               : eval_operand(instr.c, headers);
       return;
     case TacOp::kHash: {
-      std::vector<Value> vals;
-      vals.reserve(instr.hash_args.size());
-      for (const auto& arg : instr.hash_args) {
-        vals.push_back(eval_operand(arg, headers));
-      }
+      // Operands go straight into the hash: no temporary vector.
+      const auto& args = instr.hash_args;
+      const auto arg = [&](std::size_t i) {
+        return eval_operand(args[i], headers);
+      };
       Value h = 0;
-      switch (vals.size()) {
-        case 2: h = hash2(vals[0], vals[1]); break;
-        case 3: h = hash3(vals[0], vals[1], vals[2]); break;
-        case 5: h = hash5(vals[0], vals[1], vals[2], vals[3], vals[4]); break;
+      switch (args.size()) {
+        case 2: h = hash2(arg(0), arg(1)); break;
+        case 3: h = hash3(arg(0), arg(1), arg(2)); break;
+        case 5: h = hash5(arg(0), arg(1), arg(2), arg(3), arg(4)); break;
         default:
           // Fold arbitrary arity through hash2.
-          for (const Value v : vals) h = hash2(h, v);
+          for (const auto& op : args) h = hash2(h, eval_operand(op, headers));
           break;
       }
       headers[static_cast<std::size_t>(instr.dst)] = h;

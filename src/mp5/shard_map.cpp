@@ -315,15 +315,16 @@ std::size_t ShardedState::rebalance_one(RegId reg) {
   if (best < 0) {
     // Cold fallback: with no touched candidate below the threshold the
     // reference scan settles on the lowest untouched (counter 0) index on
-    // H with nothing in flight. This walks H's membership list —
-    // O(indices mapped to H), the one remaining super-working-set scan,
-    // and it only runs in windows that actually move a cold index.
-    for (const RegIndex i : per.members[static_cast<PipelineId>(hi)]) {
+    // H with nothing in flight. Scan indices ascending and stop at the
+    // first that qualifies: it costs the distance to the answer, not the
+    // size of H's membership list, and only windows with no touched
+    // candidate run it.
+    for (RegIndex i = 0; i < per.map.size(); ++i) {
+      if (per.map[i] != static_cast<PipelineId>(hi)) continue;
       if (per.stamp[i] == per.epoch) continue; // touched: handled above
       if (per.in_flight[i] != 0) continue;
-      if (best < 0 || static_cast<std::int64_t>(i) < best) {
-        best = static_cast<std::int64_t>(i);
-      }
+      best = static_cast<std::int64_t>(i);
+      break;
     }
   }
   if (best < 0) return 0;

@@ -23,7 +23,9 @@
 //     O(k) instead of O(indices);
 //   * a per-window touched-index list feeds the Figure 6 candidate search
 //     and the LPT baseline, preserving the naive scan's tie-breaks bit for
-//     bit (ascending index, strict-greater best);
+//     bit (ascending index, strict-greater best); when no touched index
+//     qualifies, the cold fallback scans indices ascending and stops at
+//     the first untouched, idle one on the hot lane;
 //   * fail_pipeline() walks the dead lane's membership list instead of the
 //     whole map.
 // The pre-optimization full-scan implementation is kept compiled in as
@@ -170,6 +172,7 @@ private:
     std::vector<RegIndex> touched;
     /// Per-lane membership: members[p] lists the indices mapped to lane p
     /// (swap-remove order; pos[i] is index i's slot in its lane's list).
+    /// fail_pipeline() evacuates from it and checkpoints carry it.
     std::vector<std::vector<RegIndex>> members;
     std::vector<std::uint32_t> pos;
     /// Per-lane windowed aggregate of access counters, maintained at
@@ -190,7 +193,7 @@ private:
   /// Telemetry + dirty-flag epilogue shared by both rebalance paths.
   void finish_rebalance(std::size_t moves, std::uint64_t touched);
 
-  std::size_t rebalance_one(RegId reg);      // Figure 6, O(touched + members[hi] on cold fallback)
+  std::size_t rebalance_one(RegId reg);      // Figure 6, O(touched), + O(chosen index) on cold fallback
   std::size_t rebalance_lpt(RegId reg);      // ideal LPT re-shard, O(touched log touched)
   std::size_t rebalance_one_reference(RegId reg); // Figure 6, full scan
   std::size_t rebalance_lpt_reference(RegId reg); // LPT, full scan

@@ -60,7 +60,7 @@ bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
     }
     queues_[key].push_back(std::move(entry));
     seq_key_[seq] = key;
-    directory_[seq] = Address{lane, 0};
+    directory_.insert_or_assign(seq, Address{lane, 0});
   } else {
     if (pressure_ != 0 && lanes_[lane].size() >= pressure_) {
       MP5_TELEM_INC(t_push_dropped_);
@@ -71,7 +71,7 @@ bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
       MP5_TELEM_INC(t_push_dropped_);
       return false; // dropped: lane full
     }
-    directory_[seq] = Address{lane, *vidx};
+    directory_.insert_or_assign(seq, Address{lane, *vidx});
   }
   ++live_entries_;
   high_water_ = std::max(high_water_, live_entries_);
@@ -81,8 +81,8 @@ bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
 }
 
 bool StageFifo::insert_data(SeqNo seq, PacketRef ref) {
-  auto it = directory_.find(seq);
-  if (it == directory_.end()) return false;
+  const Address* addr = directory_.find(seq);
+  if (addr == nullptr) return false;
   if (ideal_) {
     const IndexKey key = seq_key_.at(seq);
     auto& queue = queues_.at(key);
@@ -94,21 +94,21 @@ bool StageFifo::insert_data(SeqNo seq, PacketRef ref) {
     entry->ref = ref;
     if (&queue.front() == entry) eligible_[seq] = key;
   } else {
-    auto& entry = lanes_[it->second.lane].at(it->second.vidx);
+    auto& entry = lanes_[addr->lane].at(addr->vidx);
     if (entry.kind != FifoEntry::Kind::kPhantom) {
       throw Error("StageFifo::insert_data: entry is not a phantom");
     }
     entry.kind = FifoEntry::Kind::kData;
     entry.ref = ref;
   }
-  directory_.erase(it);
+  directory_.erase(seq);
   MP5_TELEM_INC(t_insert_);
   return true;
 }
 
 void StageFifo::cancel(SeqNo seq) {
-  auto it = directory_.find(seq);
-  if (it == directory_.end()) return; // phantom was dropped
+  const Address* addr = directory_.find(seq);
+  if (addr == nullptr) return; // phantom was dropped
   MP5_TELEM_INC(t_cancel_);
   if (ideal_) {
     const IndexKey key = seq_key_.at(seq);
@@ -118,15 +118,15 @@ void StageFifo::cancel(SeqNo seq) {
       throw Error("StageFifo::cancel: entry is not a phantom");
     }
     entry->kind = FifoEntry::Kind::kCancelled;
-    directory_.erase(it);
+    directory_.erase(seq);
     ideal_settle_front(key); // free reclamation in the ideal design
   } else {
-    auto& entry = lanes_[it->second.lane].at(it->second.vidx);
+    auto& entry = lanes_[addr->lane].at(addr->vidx);
     if (entry.kind != FifoEntry::Kind::kPhantom) {
       throw Error("StageFifo::cancel: entry is not a phantom");
     }
     entry.kind = FifoEntry::Kind::kCancelled;
-    directory_.erase(it);
+    directory_.erase(seq);
   }
 }
 
@@ -333,7 +333,7 @@ void StageFifo::check_invariants(Cycle now, bool check_order) const {
                              std::to_string(directory_.size()) +
                              " directory entries");
   }
-  for (const auto& [seq, addr] : directory_) {
+  directory_.for_each([&](SeqNo seq, const Address& addr) {
     const FifoEntry* entry = nullptr;
     if (ideal_) {
       auto kit = seq_key_.find(seq);
@@ -355,7 +355,7 @@ void StageFifo::check_invariants(Cycle now, bool check_order) const {
                            "directory entry for seq " + std::to_string(seq) +
                                " does not address a queued phantom");
     }
-  }
+  });
 }
 
 namespace {
@@ -415,10 +415,12 @@ void StageFifo::save(ByteWriter& w) const {
       }
     }
   }
-  // directory_ is an unordered_map used for keyed lookup only: write it
-  // sorted by seq for a byte-stable payload.
-  std::vector<std::pair<SeqNo, Address>> dir(directory_.begin(),
-                                             directory_.end());
+  // directory_ iterates in table order: write it sorted by seq for a
+  // byte-stable payload.
+  std::vector<std::pair<SeqNo, Address>> dir;
+  dir.reserve(directory_.size());
+  directory_.for_each(
+      [&](SeqNo seq, const Address& addr) { dir.emplace_back(seq, addr); });
   std::sort(dir.begin(), dir.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   w.u64(dir.size());
@@ -496,7 +498,7 @@ void StageFifo::load(ByteReader& r) {
         throw Error("checkpoint: FIFO directory addresses a stale entry");
       }
     }
-    directory_[seq] = addr;
+    directory_.insert_or_assign(seq, addr);
   }
   live_entries_ = static_cast<std::size_t>(r.u64());
   high_water_ = static_cast<std::size_t>(r.u64());

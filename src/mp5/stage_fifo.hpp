@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/ring_buffer.hpp"
+#include "common/seq_map.hpp"
 #include "common/types.hpp"
 #include "packet/packet.hpp"
 
@@ -61,7 +62,7 @@ public:
   /// to the §3.4 starvation guard.
   std::optional<Cycle> oldest_head_enqueue() const;
 
-  bool has_phantom(SeqNo seq) const { return directory_.count(seq) != 0; }
+  bool has_phantom(SeqNo seq) const { return directory_.contains(seq); }
 
   /// Replace the packet's phantom with the packet itself (by arena ref;
   /// the FIFO never dereferences packet contents). Returns false if the
@@ -128,7 +129,7 @@ public:
 
   /// Serialize queued entries, the phantom directory (with exact ring
   /// virtual indexes), and occupancy stats. Hash-map contents are written
-  /// in a sorted order so the payload is byte-stable across runs.
+  /// sorted by key, so the payload does not depend on the table layout.
   void save(ByteWriter& w) const;
   /// Restore into a freshly constructed (empty) StageFifo of the same
   /// configuration; throws Error on any structural mismatch.
@@ -155,10 +156,13 @@ private:
   std::map<SeqNo, IndexKey> eligible_;
   std::unordered_map<SeqNo, IndexKey> seq_key_;
   struct Address {
-    PipelineId lane;
-    std::uint64_t vidx;
+    PipelineId lane = 0;
+    std::uint64_t vidx = 0;
   };
-  std::unordered_map<SeqNo, Address> directory_;
+  /// Phantom directory: seq -> queued phantom's (lane, virtual index).
+  /// Flat and node-free (see common/seq_map.hpp), so the per-packet
+  /// push/insert/cancel churn allocates nothing once it has warmed up.
+  SeqMap<Address> directory_;
   std::size_t live_entries_ = 0;
   std::size_t high_water_ = 0;
   std::size_t pressure_ = 0; // forced capacity clamp; 0 = off

@@ -51,22 +51,42 @@ private:
   std::vector<std::vector<Value>>* v_;
 };
 
+/// Pin the calling thread to the (core mod n)-th of the n CPUs in its
+/// affinity mask, so a restricted mask (taskset, cpusets) is respected.
 void pin_current_thread(std::uint32_t core) {
 #if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % hw, &set);
-  // Best effort: failure (restricted affinity masks in containers) only
-  // costs locality, never correctness.
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n == 0) return;
+  int skip = static_cast<int>(core % static_cast<std::uint32_t>(n));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- != 0) continue;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    // Best effort: failure only costs locality, never correctness.
+    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+    return;
+  }
 #else
   (void)core;
 #endif
 }
 
 } // namespace
+
+std::uint32_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::uint32_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
 
 struct NativeBackend::Impl {
   const Mp5Program& program;
@@ -103,7 +123,7 @@ struct NativeBackend::Impl {
   std::vector<std::unique_ptr<SpscRing<std::uint32_t>>> xfer_ring; // from*W+to
 
   ValuesRegFile regfile{&values};
-  /// More runnable threads (workers + dispatcher) than hardware threads:
+  /// More runnable threads (workers + dispatcher) than usable CPUs:
   /// spinning then burns scheduler quanta the thread we wait for needs,
   /// so idle paths yield immediately instead of pause-looping.
   bool oversubscribed = false;
@@ -116,8 +136,8 @@ struct NativeBackend::Impl {
         state(prog.pvsm.registers, prog.shardable, o.workers, o.policy,
               Rng(o.seed)) {
     validate();
-    const unsigned hw = std::thread::hardware_concurrency();
-    oversubscribed = hw != 0 && opts.workers + 1u > hw;
+    const std::uint32_t cpus = usable_cpus();
+    oversubscribed = cpus != 0 && opts.workers + 1u > cpus;
     slots = program.pvsm.num_slots();
     naccesses = program.accesses.size();
     nregs = program.pvsm.registers.size();

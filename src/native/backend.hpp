@@ -55,8 +55,8 @@ struct NativeOptions {
   /// (dynamic/ideal policies only; 0 disables periodic rebalancing).
   std::uint64_t rebalance_packets = 8192;
   std::uint64_t seed = 1;
-  /// Pin worker i to CPU i mod hardware_concurrency (Linux only; silently
-  /// best-effort elsewhere).
+  /// Pin worker i to the (i mod n)-th of the n CPUs in its affinity mask
+  /// (Linux only; silently best-effort elsewhere).
   bool pin_threads = true;
   /// Record final declared-field values per packet (oracle checking;
   /// O(packets) memory — leave off for throughput runs).
@@ -78,6 +78,11 @@ struct NativeResult {
   std::vector<std::vector<Value>> egress_fields;
   NativeProfile profile;
 };
+
+/// CPUs the calling thread may run on: the size of its sched_getaffinity
+/// mask on Linux (so taskset and cpusets count), hardware_concurrency
+/// elsewhere (0 when unknown). cgroup cpu.max quotas are not considered.
+std::uint32_t usable_cpus();
 
 class NativeBackend {
 public:

@@ -253,6 +253,23 @@ endif()
 if(NOT err MATCHES "exceeds")
   message(FATAL_ERROR "mp5native oversubscribed run: expected a --cores warning on stderr, got '${err}'")
 endif()
+# The check counts the CPUs in the affinity mask, not the host's: two
+# workers on one allowed CPU must warn too.
+find_program(TASKSET taskset)
+if(TASKSET)
+  execute_process(COMMAND ${TASKSET} -c 0 true RESULT_VARIABLE rc)
+  if(rc EQUAL 0)
+    execute_process(COMMAND ${TASKSET} -c 0 ${MP5NATIVE} --builtin flowlet
+                    --cores 2 --no-pin --packets 2000
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "mp5native under taskset -c 0: expected exit 0, got ${rc}")
+    endif()
+    if(NOT err MATCHES "exceeds the 1 CPU")
+      message(FATAL_ERROR "mp5native under taskset -c 0: expected a --cores warning on stderr, got '${err}'")
+    endif()
+  endif()
+endif()
 
 # -- bench_ablation_remap --
 # A misspelt flag must not silently run all five ablation sections.

@@ -3,11 +3,15 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/hashing.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
+#include "common/seq_map.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -206,6 +210,93 @@ TEST(RingFifo, WrapAroundReusesSlots) {
     EXPECT_EQ(fifo.front(), round);
     fifo.pop_front();
   }
+}
+
+// SeqMap hashes that force collisions. Homes are the hash's top bits, so
+// AllAtEnd sends every key to the last slot (every probe run wraps round
+// to slot 0) and NearEnd to four homes near the end of the array.
+struct AllAtEndHash {
+  std::uint64_t operator()(SeqNo) const noexcept { return ~std::uint64_t{0}; }
+};
+struct NearEndHash {
+  std::uint64_t operator()(SeqNo key) const noexcept {
+    return ~std::uint64_t{0} - (key % 4) * (std::uint64_t{1} << 61);
+  }
+};
+
+/// Random insert/overwrite/find/erase against std::unordered_map over a
+/// small key space, checking size and full iteration as it goes.
+template <typename Hash>
+void seq_map_matches_unordered_map(std::uint64_t seed, SeqNo key_space,
+                                   int ops) {
+  SeqMap<std::uint64_t, Hash> map;
+  std::unordered_map<SeqNo, std::uint64_t> ref;
+  Rng rng(seed);
+  for (int op = 0; op < ops; ++op) {
+    const SeqNo key = rng.next_below(key_space);
+    const std::uint64_t roll = rng.next_below(10);
+    if (roll < 5) {
+      const std::uint64_t value = rng.next_u64();
+      map.insert_or_assign(key, value);
+      ref[key] = value;
+    } else if (roll < 8) {
+      ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "op " << op;
+    } else {
+      const std::uint64_t* found = map.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "op " << op;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "op " << op;
+      }
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "op " << op;
+    ASSERT_LE(2 * map.size(), map.capacity()) << "op " << op;
+    if (op % 64 == 0) {
+      std::unordered_map<SeqNo, std::uint64_t> seen;
+      map.for_each([&](SeqNo k, std::uint64_t v) {
+        ASSERT_TRUE(seen.emplace(k, v).second) << "key " << k << " twice";
+      });
+      ASSERT_EQ(seen, ref) << "op " << op;
+    }
+  }
+  for (const auto& [key, value] : ref) {
+    const std::uint64_t* found = map.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, value);
+  }
+}
+
+TEST(SeqMap, MatchesUnorderedMapUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    seq_map_matches_unordered_map<SeqHash>(seed, 200, 20'000);
+  }
+}
+
+TEST(SeqMap, MatchesUnorderedMapWithWraparoundCollisions) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    seq_map_matches_unordered_map<AllAtEndHash>(seed, 40, 5'000);
+    seq_map_matches_unordered_map<NearEndHash>(seed, 60, 5'000);
+  }
+}
+
+TEST(SeqMap, AllocatesNothingUntilFirstInsertAndKeepsSlotsOnClear) {
+  SeqMap<int> map;
+  EXPECT_EQ(map.capacity(), 0u);
+  EXPECT_EQ(map.find(3), nullptr);
+  EXPECT_FALSE(map.erase(3));
+  map.clear();
+  EXPECT_EQ(map.capacity(), 0u);
+  for (SeqNo s = 0; s < 100; ++s) map.insert_or_assign(s, static_cast<int>(s));
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_EQ(map.capacity(), 256u); // doubled past half load
+  for (SeqNo s = 0; s < 100; s += 2) EXPECT_TRUE(map.erase(s));
+  for (SeqNo s = 0; s < 100; ++s) {
+    EXPECT_EQ(map.contains(s), s % 2 == 1) << s;
+  }
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.capacity(), 256u);
+  EXPECT_THROW(map.insert_or_assign(kInvalidSeqNo, 1), Error);
 }
 
 TEST(TextTable, FormatsAlignedRows) {

@@ -14,6 +14,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "apps/programs.hpp"
 #include "common/error.hpp"
 #include "domino/compiler.hpp"
@@ -349,6 +353,31 @@ TEST(NativeProfiler, ShardableStateSpreadsOwnershipAcrossWorkers) {
       native::check_against_oracle(cp.ast, cp.program, trace, result);
   EXPECT_TRUE(check.equivalent) << check.first_difference;
 }
+
+#if defined(__linux__)
+TEST(NativeBackend, CountsAffinityMaskAndStaysExactOnOneCpu) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  // Workers inherit the one-CPU mask: two of them plus the dispatcher
+  // time-share it, and the result must still match the oracle.
+  EXPECT_EQ(native::usable_cpus(), 1u);
+  const auto cp = compile_source(apps::flowlet_app().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 2000, 11);
+  native::NativeOptions opts;
+  opts.workers = 2;
+  expect_oracle_equivalent(cp, trace, opts, "flowlet on one CPU");
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(native::usable_cpus(),
+            static_cast<std::uint32_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(NativeBackend, WorkerAccountingIsConsistent) {
   const auto cp = compile_source(apps::figure3_source());

@@ -2,6 +2,7 @@
 
 #include "apps/programs.hpp"
 #include "banzai/single_pipeline.hpp"
+#include "banzai/ir.hpp"
 #include "domino/compiler.hpp"
 
 namespace mp5 {
@@ -159,6 +160,33 @@ TEST(Reference, FieldAliasReadsOriginalValue) {
   const auto out = sw.process(std::move(headers));
   EXPECT_EQ(out[static_cast<std::size_t>(pvsm.slot_of("a"))], 12);
   EXPECT_EQ(out[static_cast<std::size_t>(pvsm.slot_of("b"))], 19);
+}
+
+// kHash through ir::exec_instr for arities 0-6: arities 2, 3 and 5 take
+// the dedicated hash2/hash3/hash5, every other arity folds h = hash2(h, v)
+// from h = 0. The goldens pin both paths for every executor built on
+// exec_instr.
+TEST(IrExec, HashGoldenAcrossArities) {
+  constexpr Value kGolden[7] = {
+      0,                   6133712765027237408, 6226814378140978288,
+      6983973517301578875, 4552390297836465068, 4652204005175002114,
+      6599319990965026970};
+  std::vector<Value> headers = {11, -5, Value{1} << 40, 3, 0, 99, 7, 0};
+  const ir::Slot dst = 7;
+  ir::FlatRegFile regs({});
+  for (std::size_t arity = 0; arity <= 6; ++arity) {
+    ir::TacInstr instr;
+    instr.op = ir::TacOp::kHash;
+    instr.dst = dst;
+    for (std::size_t i = 0; i < arity; ++i) {
+      // Alternate header slots and constants, one of them negative.
+      instr.hash_args.push_back(
+          i % 2 == 0 ? ir::Operand::make_slot(static_cast<ir::Slot>(i))
+                     : ir::Operand::make_const(static_cast<Value>(i) * 7 - 10));
+    }
+    ir::exec_instr(instr, headers, regs, {});
+    EXPECT_EQ(headers[dst], kGolden[arity]) << "arity " << arity;
+  }
 }
 
 } // namespace

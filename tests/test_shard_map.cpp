@@ -323,6 +323,67 @@ TEST(ShardMapEquivalence, ColdIndexFallbackMatchesReference) {
   }
 }
 
+TEST(ShardMapEquivalence, ColdFallbackSkipsTouchedAndInFlightLowIndices) {
+  // The hot lane's lowest indices are all disqualified: m[0] and m[1] are
+  // touched at the threshold, m[2] has a packet in flight from the last
+  // window. The cold fallback must step past them (and past every index
+  // of the other lane) to m[3], exactly as the full scan does.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto specs = one_reg(64);
+    ShardedState inc(specs, {true}, 2, ShardingPolicy::kDynamic, Rng(seed));
+    ShardedState ref(specs, {true}, 2, ShardingPolicy::kDynamic, Rng(seed));
+    std::vector<RegIndex> m; // lane 0's indices, ascending
+    for (RegIndex i = 0; i < 64; ++i) {
+      if (inc.pipeline_of(0, i) == 0) m.push_back(i);
+    }
+    ASSERT_GE(m.size(), 4u) << "seed " << seed;
+    for (ShardedState* s : {&inc, &ref}) s->note_resolved(0, m[2]);
+    // One access against none: threshold 0, no move.
+    ASSERT_EQ(inc.rebalance(), 0u);
+    ASSERT_EQ(ref.rebalance_reference(), 0u);
+    for (ShardedState* s : {&inc, &ref}) {
+      for (int n = 0; n < 100; ++n) {
+        for (const RegIndex i : {m[0], m[1]}) {
+          s->note_resolved(0, i);
+          s->note_completed(0, i);
+        }
+      }
+    }
+    // Lane loads 200 vs 0: threshold 100, so neither touched index
+    // qualifies and the fallback picks the lowest cold index on lane 0.
+    ASSERT_EQ(inc.rebalance(), 1u) << "seed " << seed;
+    ASSERT_EQ(ref.rebalance_reference(), 1u) << "seed " << seed;
+    EXPECT_EQ(inc.pipeline_of(0, m[3]), 1u) << "seed " << seed;
+    expect_identical_sharding(inc, ref, specs);
+  }
+}
+
+TEST(ShardMapEquivalence, ColdFallbackFindsNothingWhenHotLaneIsAllTouched) {
+  // Every index on lane 0 is touched: m[0] at the threshold, the rest
+  // with a packet in flight. The fallback scan runs off the end of the
+  // array and both paths make no move.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto specs = one_reg(16);
+    ShardedState inc(specs, {true}, 2, ShardingPolicy::kDynamic, Rng(seed));
+    ShardedState ref(specs, {true}, 2, ShardingPolicy::kDynamic, Rng(seed));
+    std::vector<RegIndex> m;
+    for (RegIndex i = 0; i < 16; ++i) {
+      if (inc.pipeline_of(0, i) == 0) m.push_back(i);
+    }
+    ASSERT_FALSE(m.empty()) << "seed " << seed;
+    for (ShardedState* s : {&inc, &ref}) {
+      for (int n = 0; n < 100; ++n) {
+        s->note_resolved(0, m[0]);
+        s->note_completed(0, m[0]);
+      }
+      for (std::size_t j = 1; j < m.size(); ++j) s->note_resolved(0, m[j]);
+    }
+    ASSERT_EQ(inc.rebalance(), 0u) << "seed " << seed;
+    ASSERT_EQ(ref.rebalance_reference(), 0u) << "seed " << seed;
+    expect_identical_sharding(inc, ref, specs);
+  }
+}
+
 TEST(ShardMap, WindowDirtyTracksObservableBoundaries) {
   ShardedState state(mixed_regs(64), {true, false, true}, 4,
                      ShardingPolicy::kDynamic, Rng(3));

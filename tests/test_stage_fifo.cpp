@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <sstream>
+#include <string>
+
+#include "common/serialize.hpp"
 #include "mp5/stage_fifo.hpp"
 
 namespace mp5 {
@@ -119,6 +124,59 @@ TEST(StageFifoIdeal, CancelledEntriesReclaimedForFree) {
   const auto r = fifo.pop(); // no kWasted in the ideal design
   ASSERT_EQ(r.kind, Kind::kData);
   EXPECT_EQ(r.ref, ref_for(1));
+}
+
+// FNV-1a over the bytes of StageFifo::save after a fixed push / insert /
+// cancel / pop script. The script keeps more phantoms outstanding than
+// the directory's first capacity, leaves phantom, data and cancelled
+// entries queued on every lane, and the payload must round-trip through
+// load(). The goldens pin the mp5-checkpoint v1 bytes of a FIFO.
+std::uint64_t scripted_save_digest(bool ideal) {
+  StageFifo fifo(3, 0, ideal);
+  const auto push = [&](SeqNo s) {
+    ASSERT_TRUE(fifo.push_phantom(s, static_cast<RegId>(s % 2),
+                                  static_cast<RegIndex>((s * 7) % 5),
+                                  static_cast<PipelineId>(s % 3), 100 + s));
+  };
+  for (SeqNo s = 0; s < 48; ++s) push(s);
+  for (SeqNo s = 0; s < 48; ++s) {
+    if (s % 4 != 3) {
+      EXPECT_TRUE(fifo.insert_data(s, ref_for(s)));
+    } else if (s % 8 == 3) {
+      fifo.cancel(s);
+    }
+  }
+  for (int i = 0; i < 10; ++i) fifo.pop();
+  for (SeqNo s = 48; s < 60; ++s) push(s);
+  fifo.check_invariants(0);
+  ByteWriter w;
+  fifo.save(w);
+
+  StageFifo restored(3, 0, ideal);
+  ByteReader r(w.buffer());
+  restored.load(r);
+  ByteWriter again;
+  restored.save(again);
+  EXPECT_EQ(again.buffer(), w.buffer()) << "save/load/save is not stable";
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : w.buffer()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(StageFifoCheckpoint, SavePayloadMatchesGolden) {
+  for (const bool ideal : {false, true}) {
+    const std::uint64_t digest = scripted_save_digest(ideal);
+    const std::uint64_t golden =
+        ideal ? 0xc631f500824fccd0ULL : 0xa66c49b3cb6f373dULL;
+    std::ostringstream got;
+    got << "0x" << std::hex << digest;
+    EXPECT_EQ(digest, golden) << (ideal ? "ideal" : "lanes") << " digest "
+                              << got.str();
+  }
 }
 
 } // namespace

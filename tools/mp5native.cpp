@@ -224,12 +224,12 @@ int run(int argc, char** argv) {
   if (args.native.workers < 1) {
     throw ConfigError("--cores must be >= 1");
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && args.native.workers > hw) {
+  const std::uint32_t cpus = native::usable_cpus();
+  if (cpus != 0 && args.native.workers > cpus) {
     std::cerr << "mp5native: warning: --cores " << args.native.workers
-              << " exceeds this host's " << hw
-              << " hardware thread(s); workers will time-share cores and "
-                 "throughput numbers will not reflect scaling\n";
+              << " exceeds the " << cpus
+              << " CPU(s) this process may run on; workers will time-share "
+                 "cores and throughput numbers will not reflect scaling\n";
   }
 
   const auto ast = domino::parse(source);

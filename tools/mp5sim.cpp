@@ -56,6 +56,7 @@
 //                                       "mp5-results" document (includes
 //                                       the telemetry section when
 //                                       --telemetry is on)
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -308,7 +309,9 @@ int run(int argc, char** argv) {
   }
   if (!args.save_trace.empty()) save_trace_file(trace, args.save_trace);
 
-  // Resolve the design and run.
+  // Resolve the design and run. The wall clock covers building the
+  // simulator and running it; it is printed, never written to the JSON.
+  const auto sim_start = std::chrono::steady_clock::now();
   const bool want_telemetry = args.telemetry || !args.trace_out.empty();
   SimResult result;
   std::unique_ptr<telemetry::Telemetry> telem;
@@ -430,6 +433,10 @@ int run(int argc, char** argv) {
     }
   }
 
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - sim_start)
+                            .count();
+
   TextTable table({"metric", "value"});
   table.add_row({"design", args.design});
   table.add_row({"pipelines", TextTable::integer(args.pipelines)});
@@ -477,6 +484,11 @@ int run(int argc, char** argv) {
                      static_cast<long long>(result.recirculations))});
   table.add_row({"cycles", TextTable::integer(
                                static_cast<long long>(result.cycles_run))});
+  table.add_row({"wall seconds", TextTable::num(wall_s, 3)});
+  table.add_row({"sim cycles/s",
+                 TextTable::integer(static_cast<long long>(
+                     wall_s > 0 ? static_cast<double>(result.cycles_run) / wall_s
+                                : 0.0))});
   table.print(std::cout);
 
   if (!args.json_out.empty()) {
