@@ -1,10 +1,14 @@
 #include "native/backend.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
@@ -75,17 +79,69 @@ void pin_current_thread(std::uint32_t core) {
 #endif
 }
 
+/// Charge the wall time since `prev` to busy or idle and restart the
+/// interval (the profile's per-loop-iteration accounting).
+void charge_iteration(bool busy, Clock::time_point& prev,
+                      std::uint64_t& busy_ns, std::uint64_t& idle_ns) {
+  const auto now = Clock::now();
+  (busy ? busy_ns : idle_ns) += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - prev)
+          .count());
+  prev = now;
+}
+
+/// Request write ownership of every cache line of `v`.
+template <typename T>
+void prefetch_for_write(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const char*>(v.data());
+  const auto* end = p + v.size() * sizeof(T);
+  const auto misalign = reinterpret_cast<std::uintptr_t>(p) % kCacheLine;
+  for (p -= misalign; p < end; p += kCacheLine) __builtin_prefetch(p, 1);
+}
+
 } // namespace
 
+std::optional<std::uint32_t> cpu_max_limit(const std::string& cpu_max) {
+  std::istringstream in(cpu_max);
+  std::string quota;
+  std::string period;
+  std::string extra;
+  if (!(in >> quota >> period) || (in >> extra) || quota == "max") {
+    return std::nullopt;
+  }
+  const auto number = [](const std::string& text) -> std::uint64_t {
+    std::uint64_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    return ec == std::errc{} && stop == end ? v : 0;
+  };
+  const std::uint64_t q = number(quota);
+  const std::uint64_t p = number(period);
+  if (q == 0 || p == 0) return std::nullopt;
+  const std::uint64_t cpus = q / p + (q % p != 0 ? 1 : 0);
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      cpus, std::numeric_limits<std::uint32_t>::max()));
+}
+
 std::uint32_t usable_cpus() {
+  std::uint32_t cpus = std::thread::hardware_concurrency();
 #if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<std::uint32_t>(CPU_COUNT(&set));
+    cpus = static_cast<std::uint32_t>(CPU_COUNT(&set));
   }
+  // The quota belongs to the container, not the thread: read it once.
+  static const std::optional<std::uint32_t> quota =
+      []() -> std::optional<std::uint32_t> {
+    std::ifstream cgroup("/sys/fs/cgroup/cpu.max");
+    std::string line;
+    if (!std::getline(cgroup, line)) return std::nullopt;
+    return cpu_max_limit(line);
+  }();
+  if (quota) cpus = cpus == 0 ? *quota : std::min(cpus, *quota);
 #endif
-  return std::thread::hardware_concurrency();
+  return cpus;
 }
 
 struct NativeBackend::Impl {
@@ -259,20 +315,15 @@ struct NativeBackend::Impl {
   enum class Outcome { kParked, kForwarded, kEgressed };
 
   struct OutBufs {
-    // Per-destination pending refs with a consumed-prefix offset, so a
-    // partially accepted batch keeps FIFO order without memmove.
-    std::vector<std::vector<std::uint32_t>> to;
-    std::vector<std::size_t> to_off;
-    std::vector<std::uint32_t> egress;
-    std::size_t egress_off = 0;
+    std::vector<RingBacklog<std::uint32_t>> to; // per destination worker
+    RingBacklog<std::uint32_t> egress;
 
-    explicit OutBufs(std::uint32_t workers)
-        : to(workers), to_off(workers, 0) {}
+    explicit OutBufs(std::uint32_t workers) : to(workers) {}
 
     bool pending() const {
-      if (egress.size() != egress_off) return true;
-      for (std::size_t i = 0; i < to.size(); ++i) {
-        if (to[i].size() != to_off[i]) return true;
+      if (!egress.empty()) return true;
+      for (const auto& buf : to) {
+        if (!buf.empty()) return true;
       }
       return false;
     }
@@ -315,7 +366,7 @@ struct NativeBackend::Impl {
           pos_atom[ref] = static_cast<std::uint16_t>(at);
           hopped[ref] = 1;
           ++s.stats.forwards;
-          outs.to[e.owner].push_back(ref);
+          outs.to[e.owner].push(ref);
           return Outcome::kForwarded;
         }
         std::uint32_t& done_ctr = done[e.reg][e.gate];
@@ -349,30 +400,15 @@ struct NativeBackend::Impl {
       at = 0;
       ++s.stats.stages;
     }
-    outs.egress.push_back(ref);
+    outs.egress.push(ref);
     return Outcome::kEgressed;
   }
 
   void flush_outs(std::uint32_t me, OutBufs& outs) {
     for (std::uint32_t w = 0; w < opts.workers; ++w) {
-      auto& buf = outs.to[w];
-      auto& off = outs.to_off[w];
-      if (buf.size() == off) continue;
-      off += xfer(me, w).push_batch(buf.data() + off, buf.size() - off);
-      if (off == buf.size()) {
-        buf.clear();
-        off = 0;
-      }
+      if (w != me) outs.to[w].flush(xfer(me, w)); // never forwards to itself
     }
-    auto& ebuf = outs.egress;
-    if (ebuf.size() != outs.egress_off) {
-      outs.egress_off += egress_ring[me]->push_batch(
-          ebuf.data() + outs.egress_off, ebuf.size() - outs.egress_off);
-      if (outs.egress_off == ebuf.size()) {
-        ebuf.clear();
-        outs.egress_off = 0;
-      }
-    }
+    outs.egress.flush(*egress_ring[me]);
   }
 
   void worker_main(std::uint32_t me) {
@@ -416,12 +452,7 @@ struct NativeBackend::Impl {
       flush_outs(me, outs);
 
       if (profiling) {
-        const auto now = Clock::now();
-        const auto ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now - t_prev)
-                .count());
-        (did ? s.stats.busy_ns : s.stats.idle_ns) += ns;
-        t_prev = now;
+        charge_iteration(did, t_prev, s.stats.busy_ns, s.stats.idle_ns);
       }
       if (!did) {
         if (stop.load(std::memory_order_acquire) && parked.empty() &&
@@ -443,7 +474,7 @@ struct NativeBackend::Impl {
   // ---- dispatcher side --------------------------------------------------
 
   void admit(std::uint32_t ref, const TraceItem& item, SeqNo n,
-             std::vector<std::vector<std::uint32_t>>& outbuf) {
+             std::vector<RingBacklog<std::uint32_t>>& outbuf) {
     auto& hdr = headers[ref];
     std::fill(hdr.begin(), hdr.end(), 0);
     const std::size_t nf = std::min(item.fields.size(), declared);
@@ -490,7 +521,7 @@ struct NativeBackend::Impl {
       // Stateless packet: spread round-robin.
       first_owner = static_cast<std::uint16_t>(n % opts.workers);
     }
-    outbuf[first_owner].push_back(ref);
+    outbuf[first_owner].push(ref);
   }
 
   NativeResult run(TraceSource& source) {
@@ -501,8 +532,7 @@ struct NativeBackend::Impl {
     for (std::uint32_t i = 0; i < opts.pool_packets; ++i) {
       free_refs[i] = opts.pool_packets - 1 - i;
     }
-    std::vector<std::vector<std::uint32_t>> outbuf(w);
-    std::vector<std::size_t> outoff(w, 0);
+    std::vector<RingBacklog<std::uint32_t>> outbuf(w);
     std::vector<std::uint32_t> reap(opts.batch);
 
     if (const auto hint = source.size();
@@ -524,6 +554,8 @@ struct NativeBackend::Impl {
     }
 
     const auto t0 = Clock::now();
+    auto t_prev = t0;
+    DispatcherStats& ds = result.profile.dispatcher;
     SeqNo admitted = 0;
     SeqNo reaped = 0;
     std::uint64_t last_rebalance = 0;
@@ -534,11 +566,11 @@ struct NativeBackend::Impl {
     while (!worker_died) {
       bool did = false;
 
-      // Admit while the pool and the first-hop rings have room.
+      // Admit while the pool has free refs, up to one batch per pass.
       const TraceItem* item = nullptr;
       std::uint64_t fresh = 0;
-      while (admitted - reaped < opts.pool_packets && !free_refs.empty() &&
-             fresh < opts.batch && (item = source.peek()) != nullptr) {
+      while (!free_refs.empty() && fresh < opts.batch &&
+             (item = source.peek()) != nullptr) {
         const std::uint32_t ref = free_refs.back();
         free_refs.pop_back();
         admit(ref, *item, admitted, outbuf);
@@ -547,17 +579,8 @@ struct NativeBackend::Impl {
         source.advance();
         did = true;
       }
-      for (std::uint32_t i = 0; i < w; ++i) {
-        auto& buf = outbuf[i];
-        auto& off = outoff[i];
-        if (buf.size() == off) continue;
-        off += dispatch_ring[i]->push_batch(buf.data() + off,
-                                            buf.size() - off);
-        if (off == buf.size()) {
-          buf.clear();
-          off = 0;
-        }
-      }
+      if (free_refs.empty()) ++ds.pool_full;
+      for (std::uint32_t i = 0; i < w; ++i) outbuf[i].flush(*dispatch_ring[i]);
 
       // Reap egressed packets: D2 in-flight accounting, optional egress
       // recording, ref recycling.
@@ -580,6 +603,11 @@ struct NativeBackend::Impl {
                                             headers[ref].begin() + declared);
           }
           free_refs.push_back(ref);
+          // The free list is LIFO, so an upcoming admission reuses this
+          // ref and overwrites its header, which a worker on another core
+          // wrote last. Start the line transfers now instead of stalling
+          // the admission's fill on each of them.
+          prefetch_for_write(headers[ref]);
           ++reaped;
         }
         did = did || n > 0;
@@ -596,8 +624,10 @@ struct NativeBackend::Impl {
         last_rebalance = reaped;
       }
 
+      if (opts.profile) charge_iteration(did, t_prev, ds.busy_ns, ds.idle_ns);
       if (admitted == reaped && source.peek() == nullptr) break;
       if (!did) {
+        ++ds.idle_spins;
         if (oversubscribed) std::this_thread::yield();
         else cpu_relax();
       }
@@ -614,6 +644,8 @@ struct NativeBackend::Impl {
     }
 
     result.packets = admitted;
+    ds.admitted = admitted;
+    ds.reaped = reaped;
     result.seconds =
         std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
             .count();

@@ -31,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "mp5/shard_map.hpp"
@@ -61,8 +63,9 @@ struct NativeOptions {
   /// Record final declared-field values per packet (oracle checking;
   /// O(packets) memory — leave off for throughput runs).
   bool record_egress = false;
-  /// Per-worker busy/idle wall-clock accounting (adds two clock reads per
-  /// worker loop iteration; counters are always collected regardless).
+  /// Per-worker and dispatcher busy/idle wall-clock accounting (adds a
+  /// clock read per loop iteration of each thread; counters are always
+  /// collected regardless).
   bool profile = false;
 };
 
@@ -80,9 +83,15 @@ struct NativeResult {
 };
 
 /// CPUs the calling thread may run on: the size of its sched_getaffinity
-/// mask on Linux (so taskset and cpusets count), hardware_concurrency
-/// elsewhere (0 when unknown). cgroup cpu.max quotas are not considered.
+/// mask on Linux (so taskset and cpusets count), capped by the cgroup v2
+/// cpu.max quota when one is set; hardware_concurrency elsewhere (0 when
+/// unknown).
 std::uint32_t usable_cpus();
+
+/// CPUs a cgroup v2 `cpu.max` line ("<quota> <period>") allows:
+/// ceil(quota / period). nullopt for "max" (no quota) and for text that
+/// does not parse.
+std::optional<std::uint32_t> cpu_max_limit(const std::string& cpu_max);
 
 class NativeBackend {
 public:

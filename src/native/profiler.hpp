@@ -29,6 +29,18 @@ struct WorkerStats {
   std::uint64_t idle_ns = 0;    // wall time of idle iterations
 };
 
+/// Dispatcher accounting: the one serial thread that admits, resolves,
+/// plans and reaps every packet. Counters are always collected; the
+/// wall-clock split only with NativeOptions::profile.
+struct DispatcherStats {
+  std::uint64_t admitted = 0;   // packets admitted from the trace
+  std::uint64_t reaped = 0;     // egressed packets recycled
+  std::uint64_t idle_spins = 0; // loop iterations with nothing to do
+  std::uint64_t pool_full = 0;  // iterations admission stopped on a full pool
+  std::uint64_t busy_ns = 0;    // wall time of productive iterations
+  std::uint64_t idle_ns = 0;    // wall time of idle iterations
+};
+
 /// Per-register contention accounting (merged across workers).
 struct RegisterStats {
   std::string name;
@@ -44,6 +56,7 @@ struct RegisterStats {
 
 struct NativeProfile {
   std::vector<WorkerStats> workers;
+  DispatcherStats dispatcher;
   std::vector<RegisterStats> registers;
   /// Register whose busiest single owner had to serially execute the
   /// largest fraction of the run; empty when the program has no claimed

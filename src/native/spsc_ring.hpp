@@ -118,6 +118,40 @@ private:
   alignas(kCacheLine) std::uint64_t tail_cache_ = 0;
 };
 
+/// Items a producer has handed out but its ring has not accepted yet. A
+/// consumed-prefix offset keeps a partially accepted batch in FIFO order
+/// without a memmove per flush; the prefix is compacted away once it
+/// reaches half the vector, so under steady backpressure the vector
+/// stays within about twice the most items ever pending at once.
+template <typename T>
+class RingBacklog {
+public:
+  void push(const T& item) { buf_.push_back(item); }
+  bool empty() const noexcept { return off_ == buf_.size(); }
+  std::size_t size() const noexcept { return buf_.size() - off_; }
+  std::size_t capacity() const noexcept { return buf_.capacity(); }
+
+  /// Offer every pending item to `ring`; returns how many it accepted.
+  std::size_t flush(SpscRing<T>& ring) {
+    if (empty()) return 0;
+    const std::size_t n = ring.push_batch(buf_.data() + off_, size());
+    off_ += n;
+    if (off_ == buf_.size()) {
+      buf_.clear();
+      off_ = 0;
+    } else if (2 * off_ >= buf_.size()) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(off_));
+      off_ = 0;
+    }
+    return n;
+  }
+
+private:
+  std::vector<T> buf_;
+  std::size_t off_ = 0;
+};
+
 /// Polite spin: x86 PAUSE / ARM YIELD when available.
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)

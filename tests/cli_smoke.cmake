@@ -6,6 +6,7 @@
 #
 # Inputs: -DMP5C=<path> -DMP5SIM=<path> -DMP5FABRIC=<path> -DMP5NATIVE=<path>
 #         -DMP5SOAK=<path> -DABLATION=<path to bench_ablation_remap>
+#         -DPYTHON=<python3, may be empty> -DVALIDATOR=<validate_results.py>
 
 function(expect_failure label)
   execute_process(COMMAND ${ARGN}
@@ -242,6 +243,17 @@ expect_success("mp5native control run"
                --check --profile --json ${workdir}/native.json)
 if(NOT EXISTS ${workdir}/native.json)
   message(FATAL_ERROR "mp5native control run: missing native.json")
+endif()
+# The results document carries the dispatcher's profile, and the schema
+# validator rejects one without it.
+if(PYTHON)
+  expect_success("validate mp5native results"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/native.json)
+  expect_success("strip profiler.dispatcher"
+                 ${PYTHON} -c "import json, sys; d = json.load(open(sys.argv[1])); del d['profiler']['dispatcher']; json.dump(d, open(sys.argv[2], 'w'))"
+                 ${workdir}/native.json ${workdir}/native-nodispatcher.json)
+  expect_failure("validate mp5native results without a dispatcher profile"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/native-nodispatcher.json)
 endif()
 # Oversubscribing --cores must warn (the 1-CPU caveat surfaced up front).
 execute_process(COMMAND ${MP5NATIVE} --builtin counter --packets 200

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <unordered_map>
@@ -15,6 +17,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
+#include "trace/trace_source.hpp"
 
 namespace mp5 {
 namespace {
@@ -58,6 +61,86 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng a(5);
   Rng child = a.fork();
   EXPECT_NE(a.next_u64(), child.next_u64());
+}
+
+// Golden streams: every drawn value below was recorded from the generator
+// as it stood before its hot path moved inline, so a change to the
+// arithmetic (or to the synthetic trace built on it) fails here.
+TEST(Rng, GoldenNextU64Streams) {
+  const std::pair<std::uint64_t, std::array<std::uint64_t, 8>> golden[] = {
+      {0,
+       {0x99ec5f36cb75f2b4ULL, 0xbf6e1f784956452aULL, 0x1a5f849d4933e6e0ULL,
+        0x6aa594f1262d2d2cULL, 0xbba5ad4a1f842e59ULL, 0xffef8375d9ebcacaULL,
+        0x6c160deed2f54c98ULL, 0x8920ad648fc30a3fULL}},
+      {1,
+       {0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL, 0x92f89756082a4514ULL,
+        0x642e1c7bc266a3a7ULL, 0xb27a48e29a233673ULL, 0x24c123126ffda722ULL,
+        0x123004ef8df510e6ULL, 0x61954dcc47b1e89dULL}},
+      {0x9e3779b97f4a7c15ULL,
+       {0x422ea740d0977210ULL, 0xe062b061b42e2928ULL, 0x5a071fc5930841b6ULL,
+        0x01334ef8ed3cc2bdULL, 0xe45cbd6a2d9e96dbULL, 0x3bc1fe841a5f292fULL,
+        0x60001d95ebbbd8e6ULL, 0xa0aee00b5b303762ULL}},
+  };
+  for (const auto& [seed, stream] : golden) {
+    Rng rng(seed);
+    for (const std::uint64_t want : stream) {
+      EXPECT_EQ(rng.next_u64(), want) << "seed " << seed;
+    }
+  }
+}
+
+TEST(Rng, GoldenBoundedAndDoubleDraws) {
+  Rng rng(1);
+  // Four draws per bound, in this order; bound 2^63 + 1 rejects its third
+  // draw, so the stream also pins Lemire's rejection loop.
+  const std::pair<std::uint64_t, std::array<std::uint64_t, 4>> golden[] = {
+      {1, {0, 0, 0, 0}},
+      {2, {1, 0, 0, 0}},
+      {3, {2, 1, 2, 2}},
+      {10, {9, 6, 5, 8}},
+      {(std::uint64_t{1} << 63) + 1,
+       {0xa4c616091043e43ULL, 0x3ee4e1e366989c17ULL, 0x829c224f16a7ad7ULL,
+        0x3b4b2084a4987bc8ULL}},
+  };
+  for (const auto& [bound, draws] : golden) {
+    for (const std::uint64_t want : draws) {
+      EXPECT_EQ(rng.next_below(bound), want) << "bound " << bound;
+    }
+  }
+  EXPECT_EQ(rng.next_double(), 0x1.fc639ebbb01c4p-2);
+  EXPECT_EQ(rng.next_double(), 0x1.38b9bf9956d0ap-1);
+  EXPECT_EQ(rng.next_u64(), 0x598a4ace20e1c342ULL);
+}
+
+/// Order-dependent digest of a trace source's items from its position on.
+std::uint64_t drain_digest(TraceSource& source) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  while (const TraceItem* item = source.peek()) {
+    std::uint64_t arrival = 0;
+    std::memcpy(&arrival, &item->arrival_time, sizeof(arrival));
+    mix(arrival);
+    mix(item->port);
+    mix(item->size_bytes);
+    mix(item->flow);
+    mix(item->fields.size());
+    for (const Value v : item->fields) mix(static_cast<std::uint64_t>(v));
+    source.advance();
+  }
+  return h;
+}
+
+TEST(SyntheticTrace, GoldenItemDigests) {
+  SyntheticSpec spec;
+  spec.packets = 1000;
+  spec.seed = 1;
+  spec.field_count = 6;
+  spec.pipelines = 3;
+  SyntheticTraceSource whole(spec);
+  EXPECT_EQ(drain_digest(whole), 0x744ca2d2ef242fbbULL);
+  SyntheticTraceSource tail(spec);
+  tail.skip_to(500);
+  EXPECT_EQ(drain_digest(tail), 0x893e4f746f09198bULL);
 }
 
 TEST(Zipf, SkewSamplerMatchesConfiguredMass) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -123,6 +124,34 @@ TEST(SpscRing, TwoThreadStressPreservesOrderAndLosesNothing) {
   EXPECT_TRUE(ordered);
   EXPECT_EQ(expect, kItems);
   EXPECT_TRUE(ring.empty_consumer());
+}
+
+TEST(RingBacklog, KeepsFifoOrderAndStaysBoundedUnderBackpressure) {
+  // A producer with at most kPending refs outstanding feeds a 2-slot ring
+  // that its consumer drains one ref per round: the ring accepts only
+  // part of the backlog on nearly every flush, so the consumed prefix
+  // never catches up with the end of the vector by itself.
+  constexpr std::uint32_t kRefs = 100000;
+  constexpr std::size_t kPending = 64;
+  native::SpscRing<std::uint32_t> ring(2);
+  native::RingBacklog<std::uint32_t> backlog;
+  std::uint32_t next = 0;
+  std::uint32_t expect = 0;
+  std::size_t max_capacity = 0;
+  bool ordered = true;
+  while (expect < kRefs) {
+    for (int i = 0; i < 3 && next < kRefs && backlog.size() < kPending; ++i) {
+      backlog.push(next++);
+    }
+    backlog.flush(ring);
+    max_capacity = std::max(max_capacity, backlog.capacity());
+    std::uint32_t out = 0;
+    if (ring.pop_batch(&out, 1) == 1) ordered = ordered && out == expect++;
+  }
+  EXPECT_TRUE(ordered);
+  EXPECT_TRUE(backlog.empty());
+  EXPECT_LE(max_capacity, 4 * kPending)
+      << "the consumed prefix was never compacted away";
 }
 
 // ---- backend helpers -------------------------------------------------------
@@ -240,6 +269,17 @@ TEST(NativeBackend, BuiltinAppsMatchOracleAcrossCoresAndPolicies) {
       }
     }
   }
+}
+
+TEST(NativeBackend, OneWorkerWithTheSmallestRingsMatchesOracle) {
+  // Rings of exactly two batches keep the dispatcher's and the worker's
+  // backlogs under constant backpressure.
+  const auto cp = compile_source(apps::flowlet_app().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 20000, 13, 4096);
+  native::NativeOptions opts;
+  opts.workers = 1;
+  opts.ring_capacity = 2 * opts.batch;
+  expect_oracle_equivalent(cp, trace, opts, "flowlet, 2-batch rings");
 }
 
 // ---- equivalence: committed corpus -----------------------------------------
@@ -374,10 +414,31 @@ TEST(NativeBackend, CountsAffinityMaskAndStaysExactOnOneCpu) {
   opts.workers = 2;
   expect_oracle_equivalent(cp, trace, opts, "flowlet on one CPU");
   ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
-  EXPECT_EQ(native::usable_cpus(),
-            static_cast<std::uint32_t>(CPU_COUNT(&saved)));
+  auto expected = static_cast<std::uint32_t>(CPU_COUNT(&saved));
+  std::ifstream cgroup("/sys/fs/cgroup/cpu.max");
+  std::string line;
+  if (std::getline(cgroup, line)) {
+    if (const auto quota = native::cpu_max_limit(line)) {
+      expected = std::min(expected, *quota);
+    }
+  }
+  EXPECT_EQ(native::usable_cpus(), expected);
 }
 #endif
+
+TEST(NativeBackend, CgroupCpuMaxRoundsTheQuotaUp) {
+  EXPECT_EQ(native::cpu_max_limit("max 100000"), std::nullopt);
+  EXPECT_EQ(native::cpu_max_limit("max 100000\n"), std::nullopt);
+  EXPECT_EQ(native::cpu_max_limit("150000 100000"), 2u);
+  EXPECT_EQ(native::cpu_max_limit("50000 100000\n"), 1u);
+  EXPECT_EQ(native::cpu_max_limit("400000 100000"), 4u);
+  for (const char* garbage : {"", "max", "150000", "abc 100000",
+                              "150000 0", "0 100000", "-5 100000",
+                              "150000 100000 7", "1.5 1"}) {
+    EXPECT_EQ(native::cpu_max_limit(garbage), std::nullopt)
+        << "'" << garbage << "'";
+  }
+}
 
 TEST(NativeBackend, WorkerAccountingIsConsistent) {
   const auto cp = compile_source(apps::figure3_source());
@@ -391,12 +452,32 @@ TEST(NativeBackend, WorkerAccountingIsConsistent) {
   // Every packet traverses every program stage exactly once, wherever it
   // ran.
   EXPECT_EQ(stages, trace.size() * cp.program.pvsm.stages.size());
+  const auto& d = result.profile.dispatcher;
+  EXPECT_EQ(d.admitted, trace.size());
+  EXPECT_EQ(d.reaped, trace.size());
+  EXPECT_EQ(d.busy_ns + d.idle_ns, 0u) << "wall clock read with profile off";
   for (const auto& r : result.profile.registers) {
     EXPECT_LE(r.performed, r.claimed);
     EXPECT_LE(r.busiest_owner_accesses, r.claimed);
     EXPECT_GE(r.owner_share, 0.0);
     EXPECT_LE(r.owner_share, 1.0);
   }
+}
+
+TEST(NativeProfiler, DispatcherIsTimedWithinTheRun) {
+  const auto cp = compile_source(apps::flowlet_app().source);
+  const Trace trace = synthetic_trace(cp.ast.fields.size(), 5000, 17, 4096);
+  native::NativeOptions opts;
+  opts.workers = 2;
+  opts.profile = true;
+  const auto result = run_native(cp, trace, opts);
+  const auto& d = result.profile.dispatcher;
+  EXPECT_EQ(d.admitted, trace.size());
+  EXPECT_EQ(d.reaped, trace.size());
+  EXPECT_GT(d.busy_ns, 0u);
+  // The dispatcher's iterations tile the timed window, never more.
+  EXPECT_LE(static_cast<double>(d.busy_ns + d.idle_ns),
+            result.seconds * 1e9);
 }
 
 } // namespace

@@ -22,7 +22,8 @@
 //   --seed S  --load F
 //   --no-pin           don't pin workers to cores
 //   --check            verify egress + final state vs the AstInterp oracle
-//   --profile          per-worker busy/idle accounting + register table
+//   --profile          per-worker and dispatcher busy/idle accounting +
+//                      register table
 //   --json file.json   write the mp5-native-results v1 document
 //   --quiet            suppress the human-readable table
 #include <fstream>
@@ -178,6 +179,15 @@ void write_json(std::ostream& out, const Args& args,
     json.end_object();
   }
   json.end_array();
+  const auto& d = result.profile.dispatcher;
+  json.key("dispatcher").begin_object();
+  json.kv("admitted", d.admitted);
+  json.kv("reaped", d.reaped);
+  json.kv("idle_spins", d.idle_spins);
+  json.kv("pool_full", d.pool_full);
+  json.kv("busy_ns", d.busy_ns);
+  json.kv("idle_ns", d.idle_ns);
+  json.end_object();
   json.key("registers").begin_array();
   for (const auto& r : result.profile.registers) {
     json.begin_object();
@@ -303,22 +313,28 @@ int run(int argc, char** argv) {
     table.print(std::cout);
 
     if (args.native.profile) {
+      const auto count = [](std::uint64_t v) {
+        return TextTable::integer(static_cast<long long>(v));
+      };
+      const auto busy_pct = [](std::uint64_t busy_ns, std::uint64_t idle_ns) {
+        const double total =
+            static_cast<double>(busy_ns) + static_cast<double>(idle_ns);
+        return TextTable::num(total > 0 ? 100.0 * busy_ns / total : 0.0, 1);
+      };
       TextTable workers({"worker", "hops", "accesses", "forwards", "parks",
-                         "busy%"});
+                         "idle iters", "pool full", "busy%"});
       for (std::size_t w = 0; w < result.profile.workers.size(); ++w) {
         const auto& s = result.profile.workers[w];
-        const double total =
-            static_cast<double>(s.busy_ns) + static_cast<double>(s.idle_ns);
-        const double busy = total > 0 ? 100.0 * s.busy_ns / total : 0.0;
-        workers.add_row({TextTable::integer(static_cast<long long>(w)),
-                         TextTable::integer(static_cast<long long>(s.hops)),
-                         TextTable::integer(
-                             static_cast<long long>(s.accesses)),
-                         TextTable::integer(
-                             static_cast<long long>(s.forwards)),
-                         TextTable::integer(static_cast<long long>(s.parks)),
-                         TextTable::num(busy, 1)});
+        workers.add_row({count(w), count(s.hops), count(s.accesses),
+                         count(s.forwards), count(s.parks),
+                         count(s.idle_spins), "-",
+                         busy_pct(s.busy_ns, s.idle_ns)});
       }
+      // The dispatcher's "hops" are the packets it admitted (first hops).
+      const auto& d = result.profile.dispatcher;
+      workers.add_row({"dispatcher", count(d.admitted), "-", "-", "-",
+                       count(d.idle_spins), count(d.pool_full),
+                       busy_pct(d.busy_ns, d.idle_ns)});
       workers.print(std::cout);
       TextTable regs({"register", "claimed", "performed", "remote", "parks",
                       "owner share"});

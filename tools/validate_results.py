@@ -433,6 +433,15 @@ def validate_native_results(doc, where):
         for key in ("hops", "stages", "accesses", "forwards", "parks",
                     "idle_spins", "busy_ns", "idle_ns"):
             require(w, key, int, wwhere)
+    disp = require(prof, "dispatcher", dict, pwhere)
+    dwhere = f"{pwhere}.dispatcher"
+    for key in ("admitted", "reaped", "idle_spins", "pool_full", "busy_ns",
+                "idle_ns"):
+        require(disp, key, int, dwhere)
+    # A finished run has admitted and reaped every packet it reports.
+    if not disp["admitted"] == disp["reaped"] == packets:
+        fail(f"{dwhere}: admitted {disp['admitted']} / reaped "
+             f"{disp['reaped']} != {packets} packets")
     registers = require(prof, "registers", list, pwhere)
     for i, reg in enumerate(registers):
         rwhere = f"{pwhere}.registers[{i}]"
