@@ -41,7 +41,7 @@ int main() {
 
     banzai::ReferenceSwitch reference(program.pvsm);
     const auto ref_result =
-        reference.run(to_header_batch(trace, program.pvsm.num_slots()));
+        reference.run(to_header_batch(trace, program.pvsm));
     const auto report =
         check_equivalence(program.pvsm, ref_result, result);
 

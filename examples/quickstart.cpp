@@ -67,7 +67,7 @@ int main() {
   // 5. Verify functional equivalence against the single-pipeline switch.
   banzai::ReferenceSwitch reference(program.pvsm);
   const auto ref_result =
-      reference.run(to_header_batch(trace, program.pvsm.num_slots()));
+      reference.run(to_header_batch(trace, program.pvsm));
   const auto report = check_equivalence(program.pvsm, ref_result, result);
   std::cout << "functional equivalence: "
             << (report.equivalent() ? "OK" : "VIOLATED") << "\n";

@@ -38,7 +38,7 @@ int main() {
 
   banzai::ReferenceSwitch reference(program.pvsm);
   const auto ref_result =
-      reference.run(to_header_batch(trace, program.pvsm.num_slots()));
+      reference.run(to_header_batch(trace, program.pvsm));
 
   const auto stamp = static_cast<std::size_t>(program.pvsm.slot_of("stamp"));
   auto misstamped = [&](const SimResult& result) {

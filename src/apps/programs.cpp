@@ -1,7 +1,9 @@
 #include "apps/programs.hpp"
 
 #include <sstream>
+#include <utility>
 
+#include "common/error.hpp"
 #include "common/hashing.hpp"
 
 namespace mp5::apps {
@@ -367,6 +369,45 @@ std::vector<AppSpec> extended_apps() {
   return {count_min_app(),       syn_flood_app(), dns_amplification_app(),
           rcp_app(),             sampled_netflow_app(),
           bloom_firewall_app(),  dctcp_ecn_app()};
+}
+
+namespace {
+
+/// builtin()'s catalogue, in builtin_names() order.
+std::vector<AppSpec> builtins() {
+  std::vector<AppSpec> all = real_apps();
+  for (AppSpec& app : extended_apps()) all.push_back(std::move(app));
+  for (auto [name, source] :
+       {std::pair{"figure3", figure3_source()},
+        std::pair{"counter", packet_counter_source()},
+        std::pair{"sequencer_example", sequencer_example_source()}}) {
+    AppSpec app;
+    app.name = name;
+    app.source = std::move(source);
+    all.push_back(std::move(app));
+  }
+  return all;
+}
+
+} // namespace
+
+AppSpec builtin(const std::string& name) {
+  std::vector<AppSpec> all = builtins();
+  for (AppSpec& app : all) {
+    if (app.name == name) return std::move(app);
+  }
+  std::string valid;
+  for (const AppSpec& app : all) {
+    valid += (valid.empty() ? "" : ", ") + app.name;
+  }
+  throw ConfigError("unknown builtin program '" + name +
+                    "' (expected one of " + valid + ")");
+}
+
+std::vector<std::string> builtin_names() {
+  std::vector<std::string> names;
+  for (const AppSpec& app : builtins()) names.push_back(app.name);
+  return names;
 }
 
 std::string packet_counter_source() {

@@ -41,6 +41,13 @@ AppSpec conga_app();
 AppSpec wfq_app();
 AppSpec sequencer_app();
 
+/// A bundled program by name: every real_apps() and extended_apps() entry
+/// (with its filler), then "figure3", "counter" and "sequencer_example"
+/// (source only, no filler). Throws ConfigError naming the valid programs.
+AppSpec builtin(const std::string& name);
+/// Every name builtin() accepts, in that order (`mp5c --list`).
+std::vector<std::string> builtin_names();
+
 /// §2.3.1 Example 1: count packets in a single register.
 std::string packet_counter_source();
 /// §2.3.1 Example 2: count packets and write the count into the packet.

@@ -48,7 +48,7 @@ void ReferenceSwitch::restore_registers(std::vector<std::vector<Value>> regs) {
           "ReferenceSwitch::restore_registers: register size mismatch");
     }
   }
-  regs_ = ir::FlatRegFile(std::move(regs));
+  regs_.storage() = std::move(regs);
 }
 
 ReferenceResult ReferenceSwitch::run(

@@ -7,21 +7,6 @@
 namespace mp5 {
 namespace {
 
-struct C1Observer final : ir::AccessObserver {
-  void on_state_access(RegId reg, RegIndex index, bool /*is_write*/) override {
-    if (seen && reg == last_reg && index == last_index) return;
-    checker->on_access(reg, index, seq);
-    last_reg = reg;
-    last_index = index;
-    seen = true;
-  }
-  C1Checker* checker = nullptr;
-  SeqNo seq = 0;
-  RegId last_reg = ir::kNoReg;
-  RegIndex last_index = 0;
-  bool seen = false;
-};
-
 bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
 
 } // namespace
@@ -77,7 +62,7 @@ SimResult RecircSimulator::run(const Trace& trace) {
     ++now;
   }
   result_.cycles_run = now;
-  result_.final_registers = state_->storage();
+  result_.final_registers = state_->regs().storage();
   result_.c1_violating_packets = c1_.violating_packets();
   result_.max_queue_depth = max_ingress_depth_;
   std::sort(result_.egress.begin(), result_.egress.end(),
@@ -94,14 +79,8 @@ void RecircSimulator::admit(const TraceItem& item, Cycle now) {
   pkt.port = item.port;
   pkt.size_bytes = item.size_bytes;
   pkt.flow = item.flow;
-  pkt.headers.assign(prog_->pvsm.num_slots(), 0);
-  for (std::size_t i = 0; i < item.fields.size() && i < pkt.headers.size();
-       ++i) {
-    pkt.headers[i] = item.fields[i];
-  }
-  for (const auto& instr : prog_->resolver) {
-    ir::exec_instr(instr, pkt.headers, *state_, prog_->pvsm.registers);
-  }
+  load_headers(item, prog_->pvsm, pkt.headers);
+  ir::exec_pure(prog_->resolver, pkt.headers);
   for (const auto& desc : prog_->accesses) {
     if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
       const bool truthy =
@@ -152,9 +131,7 @@ void RecircSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
 
   if (st > 0) {
     const ir::Stage& stage = prog_->pvsm.stages[st - 1];
-    C1Observer obs;
-    obs.checker = &c1_;
-    obs.seq = pkt.seq;
+    C1Observer obs(c1_, pkt.seq);
     for (const auto& atom : stage.atoms) {
       bool allow_state = false;
       if (atom.stateful()) {
@@ -170,16 +147,10 @@ void RecircSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
         // State lives in another pipeline (or the branch is not taken):
         // execute only the atom's pure computation. Pure instructions are
         // idempotent, so re-execution on later passes is harmless.
-        for (const auto& instr : atom.body) {
-          if (instr.op == ir::TacOp::kRegRead ||
-              instr.op == ir::TacOp::kRegWrite) {
-            continue;
-          }
-          ir::exec_instr(instr, pkt.headers, *state_, prog_->pvsm.registers);
-        }
+        ir::exec_pure(atom.body, pkt.headers);
       } else {
-        ir::exec_atom(atom, pkt.headers, *state_, prog_->pvsm.registers,
-                      opts_.check_c1 ? &obs : nullptr);
+        ir::exec_atom(atom, pkt.headers, state_->regs(),
+                      prog_->pvsm.registers, opts_.check_c1 ? &obs : nullptr);
       }
     }
     for (auto& e : pkt.plan) {

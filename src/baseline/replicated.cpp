@@ -12,24 +12,6 @@
 namespace mp5 {
 namespace {
 
-/// Collapses an atom's read-modify-write into one logical access, like the
-/// recirculation baseline's observer: C1 reasons about packets touching a
-/// state, not about individual port operations.
-struct C1Observer final : ir::AccessObserver {
-  void on_state_access(RegId reg, RegIndex index, bool /*is_write*/) override {
-    if (seen && reg == last_reg && index == last_index) return;
-    checker->on_access(reg, index, seq);
-    last_reg = reg;
-    last_index = index;
-    seen = true;
-  }
-  C1Checker* checker = nullptr;
-  SeqNo seq = 0;
-  RegId last_reg = ir::kNoReg;
-  RegIndex last_index = 0;
-  bool seen = false;
-};
-
 /// Every MP5-only knob is rejected by name — the replicated designs must
 /// never run silently with wrong semantics (ISSUE 10 validation sweep).
 void validate_replicated(const SimOptions& o) {
@@ -281,11 +263,7 @@ void ReplicatedSimulator::admit(const TraceItem& item, Cycle now) {
   pkt.seq = next_seq_++;
   pkt.arrival_cycle = now;
   pkt.flow = item.flow;
-  pkt.headers.assign(prog_->pvsm.num_slots(), 0);
-  for (std::size_t i = 0; i < item.fields.size() && i < pkt.headers.size();
-       ++i) {
-    pkt.headers[i] = item.fields[i];
-  }
+  load_headers(item, prog_->pvsm, pkt.headers);
   ++result_.offered;
   ++live_packets_;
   // Round-robin spray: every replica holds all state, so placement is pure
@@ -303,9 +281,7 @@ void ReplicatedSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
     const bool stateful = !stage.stateful_regs().empty();
     std::vector<Value> snapshot;
     if (stateful && k_ > 1) snapshot = pkt.headers;
-    C1Observer obs;
-    obs.checker = &c1_;
-    obs.seq = pkt.seq;
+    C1Observer obs(c1_, pkt.seq);
     ir::exec_stage(stage, pkt.headers, replicas_[p], prog_->pvsm.registers,
                    opts_.check_c1 ? &obs : nullptr);
     if (stateful && k_ > 1) {
@@ -430,7 +406,7 @@ Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
   result_.load(r);
 
   const std::size_t num_slots = prog_->pvsm.num_slots();
-  auto load_headers = [&](std::vector<Value>& headers) {
+  auto read_headers = [&](std::vector<Value>& headers) {
     const std::uint64_t n = r.count(8);
     if (n != num_slots) {
       throw Error("checkpoint: packet header width mismatch");
@@ -442,7 +418,7 @@ Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
     pkt.seq = r.u64();
     pkt.arrival_cycle = r.u64();
     pkt.flow = r.u64();
-    load_headers(pkt.headers);
+    read_headers(pkt.headers);
   };
 
   for (ir::FlatRegFile& replica : replicas_) {
@@ -458,7 +434,7 @@ Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
       for (Value& v : values) v = r.i64();
       storage.push_back(std::move(values));
     }
-    replica = ir::FlatRegFile(std::move(storage));
+    replica.storage() = std::move(storage);
   }
 
   for (PipelineId p = 0; p < k_; ++p) {
@@ -491,7 +467,7 @@ Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
     if (d.stage == 0 || d.stage >= num_stages_ || d.origin >= k_) {
       throw Error("checkpoint: digest addresses an invalid stage or lane");
     }
-    load_headers(d.headers);
+    read_headers(d.headers);
     digests_.push_back(std::move(d));
   }
   c1_.load(r);

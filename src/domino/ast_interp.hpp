@@ -17,7 +17,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "banzai/single_pipeline.hpp"
 #include "domino/ast.hpp"
+#include "trace/trace.hpp"
 
 namespace mp5::domino {
 
@@ -58,5 +60,15 @@ private:
   std::unordered_map<std::string, Value> consts_;
   std::vector<std::vector<Value>> regs_;
 };
+
+/// Replay `trace` through `oracle` and report the result in the compiled
+/// `program`'s slot space, as a ReferenceSwitch run would: each packet's
+/// final declared fields at their slots (the declared prefix only) and the
+/// oracle's final registers; the access log stays empty. Arrival fields
+/// come from load_headers, so the oracle sees exactly what every executor
+/// sees. Any executor then answers to the oracle through
+/// check_equivalence (metrics/equivalence.hpp).
+banzai::ReferenceResult replay(AstInterp& oracle, const ir::Pvsm& program,
+                               const Trace& trace);
 
 } // namespace mp5::domino

@@ -4,7 +4,6 @@
 #include <exception>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 
 #include "banzai/single_pipeline.hpp"
 #include "baseline/replicated.hpp"
@@ -49,29 +48,11 @@ Compiled prepare(const domino::Ast& ast, const Trace& trace) {
   Compiled out;
   out.prog = transform(domino::compile(ast, {}, /*reserve_stages=*/1).pvsm);
   banzai::ReferenceSwitch ref(out.prog.pvsm);
-  out.reference = ref.run(to_header_batch(trace, out.prog.pvsm.num_slots()));
+  out.reference = ref.run(to_header_batch(trace, out.prog.pvsm));
   return out;
 }
 
 } // namespace
-
-std::string to_string(ShardingPolicy policy) {
-  switch (policy) {
-    case ShardingPolicy::kDynamic: return "dynamic";
-    case ShardingPolicy::kStaticRandom: return "static-random";
-    case ShardingPolicy::kSinglePipeline: return "single-pipeline";
-    case ShardingPolicy::kIdealLpt: return "ideal-lpt";
-  }
-  throw Error("to_string: bad sharding policy");
-}
-
-ShardingPolicy sharding_from_string(const std::string& name) {
-  if (name == "dynamic") return ShardingPolicy::kDynamic;
-  if (name == "static-random") return ShardingPolicy::kStaticRandom;
-  if (name == "single-pipeline") return ShardingPolicy::kSinglePipeline;
-  if (name == "ideal-lpt") return ShardingPolicy::kIdealLpt;
-  throw ConfigError("unknown sharding policy '" + name + "'");
-}
 
 const char* to_string(FailureKind kind) {
   switch (kind) {
@@ -93,7 +74,7 @@ std::string SimConfig::name() const {
     if (checkpoint_restore) os << "-ckpt";
     return os.str();
   }
-  os << "k" << pipelines << "-" << fuzz::to_string(sharding);
+  os << "k" << pipelines << "-" << mp5::to_string(sharding);
   if (checkpoint_restore) os << "-ckpt";
   return os.str();
 }
@@ -192,43 +173,16 @@ Failure Differ::check_oracle(const domino::Ast& ast,
     oracle = std::make_unique<domino::AstInterp>(ast);
   }
 
+  const EquivalenceReport report = check_equivalence(
+      compiled.prog.pvsm, domino::replay(*oracle, compiled.prog.pvsm, trace),
+      compiled.reference.final_registers, compiled.reference.egress_headers);
+  if (report.equivalent()) return Failure{};
   Failure failure;
   failure.kind = FailureKind::kOracleDivergence;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    std::unordered_map<std::string, Value> fields;
-    for (std::size_t f = 0; f < ast.fields.size(); ++f) {
-      fields[ast.fields[f]] =
-          f < trace[i].fields.size() ? trace[i].fields[f] : 0;
-    }
-    const auto out = oracle->process(fields);
-    for (const auto& name : ast.fields) {
-      const auto slot =
-          static_cast<std::size_t>(compiled.prog.pvsm.slot_of(name));
-      const Value want = out.at(name);
-      const Value got = compiled.reference.egress_headers[i][slot];
-      if (want != got) {
-        std::ostringstream os;
-        os << "packet " << i << " field '" << name << "': oracle " << want
-           << ", reference " << got;
-        failure.detail = os.str();
-        return failure;
-      }
-    }
-  }
-  const auto& oracle_regs = oracle->registers();
-  const auto& ref_regs = compiled.reference.final_registers;
-  for (std::size_t r = 0; r < oracle_regs.size() && r < ref_regs.size(); ++r) {
-    for (std::size_t i = 0; i < oracle_regs[r].size(); ++i) {
-      if (oracle_regs[r][i] != ref_regs[r][i]) {
-        std::ostringstream os;
-        os << "register " << ast.registers[r].name << "[" << i << "]: oracle "
-           << oracle_regs[r][i] << ", reference " << ref_regs[r][i];
-        failure.detail = os.str();
-        return failure;
-      }
-    }
-  }
-  return Failure{};
+  failure.detail =
+      "oracle (the 'reference' below) vs compiled program: " +
+      report.first_difference;
+  return failure;
 }
 
 namespace {

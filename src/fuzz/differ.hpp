@@ -52,10 +52,6 @@ struct SimConfig {
   SimOptions to_options() const;
 };
 
-std::string to_string(ShardingPolicy policy);
-/// Inverse of to_string; throws ConfigError on unknown names.
-ShardingPolicy sharding_from_string(const std::string& name);
-
 /// The full matrix: 3 k-values x 3 sharding policies.
 std::vector<SimConfig> full_config_matrix();
 /// A small subset for smoke tests (one config per distinguishing axis).

@@ -24,6 +24,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "banzai/ir.hpp"
 #include "common/types.hpp"
 
 namespace mp5 {
@@ -63,6 +64,27 @@ private:
   std::unordered_map<std::uint64_t, SeqNo> last_seq_; // key -> max seq seen
   std::unordered_set<SeqNo> violators_;
   std::uint64_t accesses_ = 0;
+};
+
+/// Feeds one packet's state accesses to a C1Checker, collapsing the
+/// packet's read-modify-write of a state into a single logical access: C1
+/// reasons about packets touching a state, not about port operations.
+struct C1Observer final : ir::AccessObserver {
+  C1Observer(C1Checker& checker, SeqNo seq) : checker(&checker), seq(seq) {}
+
+  void on_state_access(RegId reg, RegIndex index, bool /*is_write*/) override {
+    if (seen && reg == last_reg && index == last_index) return;
+    checker->on_access(reg, index, seq);
+    last_reg = reg;
+    last_index = index;
+    seen = true;
+  }
+
+  C1Checker* checker;
+  SeqNo seq;
+  RegId last_reg = ir::kNoReg;
+  RegIndex last_index = 0;
+  bool seen = false;
 };
 
 } // namespace mp5

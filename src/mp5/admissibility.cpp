@@ -6,16 +6,6 @@
 #include "packet/packet.hpp"
 
 namespace mp5 {
-namespace {
-
-/// Register file stub for the (pure) resolver instructions.
-class NullRegs final : public ir::RegFile {
-public:
-  Value read(RegId, RegIndex) override { return 0; }
-  void write(RegId, RegIndex, Value) override {}
-};
-
-} // namespace
 
 AdmissibilityReport analyze_admissibility(const Mp5Program& program,
                                           const Trace& trace,
@@ -23,19 +13,13 @@ AdmissibilityReport analyze_admissibility(const Mp5Program& program,
   AdmissibilityReport report;
   if (trace.empty() || pipelines == 0) return report;
 
-  NullRegs regs;
   std::unordered_map<std::uint64_t, std::uint64_t> state_hits;
   std::unordered_map<StageId, std::uint64_t> stage_hits;
 
+  std::vector<Value> headers;
   for (const auto& item : trace) {
-    std::vector<Value> headers(program.pvsm.num_slots(), 0);
-    for (std::size_t i = 0; i < item.fields.size() && i < headers.size();
-         ++i) {
-      headers[i] = item.fields[i];
-    }
-    for (const auto& instr : program.resolver) {
-      ir::exec_instr(instr, headers, regs, program.pvsm.registers);
-    }
+    load_headers(item, program.pvsm, headers);
+    ir::exec_pure(program.resolver, headers);
     for (const auto& desc : program.accesses) {
       if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
         const bool truthy =

@@ -10,23 +10,36 @@
 
 namespace mp5 {
 
+const char* to_string(ShardingPolicy policy) {
+  switch (policy) {
+    case ShardingPolicy::kDynamic: return "dynamic";
+    case ShardingPolicy::kStaticRandom: return "static-random";
+    case ShardingPolicy::kSinglePipeline: return "single-pipeline";
+    case ShardingPolicy::kIdealLpt: return "ideal-lpt";
+  }
+  throw Error("to_string: bad sharding policy");
+}
+
+ShardingPolicy sharding_from_string(const std::string& name) {
+  for (const ShardingPolicy policy :
+       {ShardingPolicy::kDynamic, ShardingPolicy::kStaticRandom,
+        ShardingPolicy::kSinglePipeline, ShardingPolicy::kIdealLpt}) {
+    if (name == to_string(policy)) return policy;
+  }
+  throw ConfigError("unknown sharding policy '" + name +
+                    "' (expected dynamic|static-random|single-pipeline|"
+                    "ideal-lpt)");
+}
+
 ShardedState::ShardedState(const std::vector<ir::RegisterSpec>& specs,
                            const std::vector<bool>& shardable,
                            std::uint32_t pipelines, ShardingPolicy policy,
                            Rng rng)
     : k_(pipelines), policy_(policy), alive_(pipelines, true),
-      shardable_(shardable) {
+      shardable_(shardable), values_(ir::initial_registers(specs)) {
   if (pipelines == 0) throw ConfigError("ShardedState: pipelines must be > 0");
   if (shardable_.size() != specs.size()) {
     throw ConfigError("ShardedState: shardable mask size mismatch");
-  }
-  for (const auto& spec : specs) {
-    std::vector<Value> arr(spec.size, 0);
-    for (std::size_t i = 0; i < spec.init.size() && i < spec.size; ++i) {
-      arr[i] = spec.init[i];
-    }
-    if (spec.init.size() == 1) std::fill(arr.begin(), arr.end(), spec.init[0]);
-    values_.push_back(std::move(arr));
   }
   const bool static_policy = policy_ == ShardingPolicy::kStaticRandom ||
                              policy_ == ShardingPolicy::kSinglePipeline ||
@@ -56,14 +69,6 @@ ShardedState::ShardedState(const std::vector<ir::RegisterSpec>& specs,
     per.lane_load.assign(k_, 0);
     regs_.push_back(std::move(per));
   }
-}
-
-Value ShardedState::read(RegId reg, RegIndex index) {
-  return values_[reg][index];
-}
-
-void ShardedState::write(RegId reg, RegIndex index, Value v) {
-  values_[reg][index] = v;
 }
 
 PipelineId ShardedState::pipeline_of(RegId reg, RegIndex index) const {
@@ -486,8 +491,8 @@ std::size_t ShardedState::rebalance_lpt_reference(RegId reg) {
 // ---------------------------------------------------------------------------
 
 void ShardedState::save(ByteWriter& w) const {
-  w.u64(values_.size());
-  for (const auto& vals : values_) {
+  w.u64(values_.storage().size());
+  for (const auto& vals : values_.storage()) {
     w.u64(vals.size());
     for (const Value v : vals) w.i64(v);
   }
@@ -514,10 +519,10 @@ void ShardedState::save(ByteWriter& w) const {
 }
 
 void ShardedState::load(ByteReader& r) {
-  if (r.count(8) != values_.size()) {
+  if (r.count(8) != values_.storage().size()) {
     throw Error("checkpoint: register count mismatch");
   }
-  for (auto& vals : values_) {
+  for (auto& vals : values_.storage()) {
     if (r.count(8) != vals.size()) {
       throw Error("checkpoint: register size mismatch");
     }

@@ -8,23 +8,6 @@
 namespace mp5 {
 namespace {
 
-/// Access observer that feeds the C1 checker, collapsing one packet's
-/// read-modify-write of a state into a single logical access.
-struct C1Observer final : ir::AccessObserver {
-  void on_state_access(RegId reg, RegIndex index, bool /*is_write*/) override {
-    if (seen && reg == last_reg && index == last_index) return;
-    checker->on_access(reg, index, seq);
-    last_reg = reg;
-    last_index = index;
-    seen = true;
-  }
-  C1Checker* checker = nullptr;
-  SeqNo seq = 0;
-  RegId last_reg = ir::kNoReg;
-  RegIndex last_index = 0;
-  bool seen = false;
-};
-
 bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
 
 } // namespace
@@ -356,7 +339,7 @@ void Mp5Simulator::step_cycle(Cycle now) {
 SimResult Mp5Simulator::finalize(Cycle now) {
   source_ = nullptr;
   result_.cycles_run = now;
-  result_.final_registers = state_->storage();
+  result_.final_registers = state_->regs().storage();
   result_.c1_violating_packets = c1_.violating_packets();
   for (const auto& fifo : fifos_) {
     result_.max_queue_depth =
@@ -792,18 +775,11 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   pkt.port = item.port;
   pkt.size_bytes = item.size_bytes;
   pkt.flow = item.flow;
-  pkt.headers.assign(prog_->pvsm.num_slots(), 0);
-  for (std::size_t i = 0; i < item.fields.size() && i < pkt.headers.size();
-       ++i) {
-    pkt.headers[i] = item.fields[i];
-  }
+  load_headers(item, prog_->pvsm, pkt.headers);
 
   // Address resolution: execute the hoisted stateless slices. They are
-  // pure, so no register file is touched; pass the real one for interface
-  // uniformity.
-  for (const auto& instr : prog_->resolver) {
-    ir::exec_instr(instr, pkt.headers, *state_, prog_->pvsm.registers);
-  }
+  // pure, so no register file is touched.
+  ir::exec_pure(prog_->resolver, pkt.headers);
 
   // Build the access plan. The ingress spray covers live lanes only, so a
   // failed pipeline degrades throughput to ~(k-1)/k instead of blackholing
@@ -1056,10 +1032,7 @@ void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
   if (st == 0) return; // AR stage has no program atoms
   const ir::Stage& stage = prog_->pvsm.stages[st - 1];
 
-  C1Observer obs;
-  obs.checker = &c1_;
-  obs.seq = pkt.seq;
-
+  C1Observer obs(c1_, pkt.seq);
   for (const auto& atom : stage.atoms) {
     bool allow_state = false;
     if (atom.stateful() && from_fifo) {
@@ -1076,15 +1049,9 @@ void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
       // body but suppress state accesses. Their guards are false for this
       // packet by construction, so this matches reference semantics while
       // also protecting inactive register replicas.
-      for (const auto& instr : atom.body) {
-        if (instr.op == ir::TacOp::kRegRead ||
-            instr.op == ir::TacOp::kRegWrite) {
-          continue;
-        }
-        ir::exec_instr(instr, pkt.headers, *state_, prog_->pvsm.registers);
-      }
+      ir::exec_pure(atom.body, pkt.headers);
     } else {
-      ir::exec_atom(atom, pkt.headers, *state_, prog_->pvsm.registers,
+      ir::exec_atom(atom, pkt.headers, state_->regs(), prog_->pvsm.registers,
                     opts_.check_c1 ? &obs : nullptr);
     }
   }

@@ -108,7 +108,8 @@ void RollingVerifier::resolve(SeqNo seq, Pending& fate) {
     input_->advance();
     return;
   }
-  std::vector<Value> headers(item->fields.begin(), item->fields.end());
+  std::vector<Value> headers;
+  load_headers(*item, *program_, headers);
   input_->advance();
   core_.compare_packet(seq, ref_.process(std::move(headers)), fate.headers);
   ++verified_;

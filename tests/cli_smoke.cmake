@@ -233,6 +233,9 @@ expect_failure("mp5native ring smaller than batch"
                ${MP5NATIVE} --builtin counter --batch 64 --ring-capacity 64)
 expect_failure("mp5native unknown policy"
                ${MP5NATIVE} --builtin counter --policy roundrobin)
+# Short policy names are rejected: the vocabulary is ShardingPolicy's.
+expect_failure("mp5native short policy name"
+               ${MP5NATIVE} --builtin counter --policy lpt)
 expect_failure("mp5native bad numeric flag"
                ${MP5NATIVE} --builtin counter --packets notanumber)
 expect_failure("mp5native json to unwritable path"

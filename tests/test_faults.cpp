@@ -43,7 +43,7 @@ void expect_equivalent_modulo_drops(const Mp5Program& prog, const Trace& trace,
   }
 
   banzai::ReferenceSwitch ref(prog.pvsm);
-  const auto batch = to_header_batch(trace, prog.pvsm.num_slots());
+  const auto batch = to_header_batch(trace, prog.pvsm);
   std::unordered_map<SeqNo, std::vector<Value>> ref_headers;
   for (const SeqNo seq : effective) {
     ASSERT_LT(seq, batch.size());

@@ -28,8 +28,8 @@
 #include "fuzz/trace_gen.hpp"
 #include "mp5/transform.hpp"
 #include "native/backend.hpp"
-#include "native/oracle.hpp"
 #include "native/spsc_ring.hpp"
+#include "test_util.hpp"
 #include "trace/trace_source.hpp"
 
 #ifndef MP5_CORPUS_DIR
@@ -198,9 +198,9 @@ void expect_oracle_equivalent(const CompiledProgram& cp, const Trace& trace,
                               const native::NativeOptions& opts,
                               const std::string& what) {
   const auto result = run_native(cp, trace, opts);
-  const auto check =
-      native::check_against_oracle(cp.ast, cp.program, trace, result);
-  EXPECT_TRUE(check.equivalent)
+  const auto check = check_against_oracle(
+      cp.ast, cp.program, trace, result.final_registers, result.egress_fields);
+  EXPECT_TRUE(check.equivalent())
       << what << " (cores=" << opts.workers << "): "
       << check.first_difference;
 }
@@ -389,9 +389,9 @@ TEST(NativeProfiler, ShardableStateSpreadsOwnershipAcrossWorkers) {
   std::uint64_t total_claimed = 0;
   for (const auto& r : result.profile.registers) total_claimed += r.claimed;
   EXPECT_GT(total_claimed, 0u);
-  const auto check =
-      native::check_against_oracle(cp.ast, cp.program, trace, result);
-  EXPECT_TRUE(check.equivalent) << check.first_difference;
+  const auto check = check_against_oracle(
+      cp.ast, cp.program, trace, result.final_registers, result.egress_fields);
+  EXPECT_TRUE(check.equivalent()) << check.first_difference;
 }
 
 #if defined(__linux__)

@@ -189,5 +189,46 @@ TEST(IrExec, HashGoldenAcrossArities) {
   }
 }
 
+// exec_pure runs the same instructions as exec_instr minus the register
+// ports: a failing guard skips the instruction, a passing one executes it,
+// and kRegRead/kRegWrite never execute, so no register file is needed.
+TEST(IrExec, PureExecutionHonoursGuardsAndSkipsRegisterPorts) {
+  const auto instr = [](ir::TacOp op, ir::Slot dst, ir::Slot guard,
+                        bool negate) {
+    ir::TacInstr i;
+    i.op = op;
+    i.dst = dst;
+    i.a = ir::Operand::make_const(7);
+    i.reg = 0;
+    i.index = ir::Operand::make_const(0);
+    i.guard = guard;
+    i.guard_negate = negate;
+    return i;
+  };
+  // Slot 0 is the guard: 0, so a plain guard fails and a negated one passes.
+  const std::vector<ir::TacInstr> body = {
+      instr(ir::TacOp::kCopy, 1, 0, false),
+      instr(ir::TacOp::kCopy, 2, 0, true),
+      instr(ir::TacOp::kCopy, 3, ir::kNoSlot, false),
+      instr(ir::TacOp::kRegRead, 4, ir::kNoSlot, false),
+      instr(ir::TacOp::kRegWrite, ir::kNoSlot, ir::kNoSlot, false),
+  };
+  std::vector<Value> headers = {0, -1, -1, -1, -1};
+  ir::exec_pure(body, headers);
+  EXPECT_EQ(headers, (std::vector<Value>{0, -1, 7, 7, -1}));
+
+  // exec_instr agrees on the pure instructions and performs the ports.
+  ir::FlatRegFile regs(std::vector<std::vector<Value>>{{5}});
+  const std::vector<ir::RegisterSpec> specs = {{"r", 1, {}}};
+  std::vector<Value> full = {0, -1, -1, -1, -1};
+  for (const auto& i : body) ir::exec_instr(i, full, regs, specs);
+  EXPECT_EQ(full, (std::vector<Value>{0, -1, 7, 7, 5}));
+  EXPECT_EQ(regs.read(0, 0), 7);
+
+  headers[0] = 1; // guard passes now
+  ir::exec_pure(body.front(), headers);
+  EXPECT_EQ(headers[1], 7);
+}
+
 } // namespace
 } // namespace mp5

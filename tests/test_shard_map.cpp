@@ -418,10 +418,10 @@ TEST(ShardMap, ReadsAndWritesHitFlatStorage) {
   auto specs = one_reg(4);
   specs[0].init = {5};
   ShardedState state(specs, {true}, 2, ShardingPolicy::kDynamic, Rng(13));
-  EXPECT_EQ(state.read(0, 2), 5); // broadcast init
-  state.write(0, 2, 42);
-  EXPECT_EQ(state.read(0, 2), 42);
-  EXPECT_EQ(state.storage()[0][2], 42);
+  EXPECT_EQ(state.regs().read(0, 2), 5); // broadcast init
+  state.regs().write(0, 2, 42);
+  EXPECT_EQ(state.regs().read(0, 2), 42);
+  EXPECT_EQ(state.regs().storage()[0][2], 42);
 }
 
 } // namespace

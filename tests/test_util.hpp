@@ -7,6 +7,7 @@
 
 #include "banzai/single_pipeline.hpp"
 #include "common/rng.hpp"
+#include "domino/ast_interp.hpp"
 #include "domino/compiler.hpp"
 #include "metrics/equivalence.hpp"
 #include "mp5/simulator.hpp"
@@ -57,7 +58,18 @@ inline std::vector<std::vector<Value>> random_fields(std::size_t packets,
 inline banzai::ReferenceResult run_reference(const Mp5Program& prog,
                                              const Trace& trace) {
   banzai::ReferenceSwitch ref(prog.pvsm);
-  return ref.run(to_header_batch(trace, prog.pvsm.num_slots()));
+  return ref.run(to_header_batch(trace, prog.pvsm));
+}
+
+/// Check a run, given as final registers plus egress headers by seq,
+/// against the AstInterp oracle's replay of the same trace.
+inline EquivalenceReport check_against_oracle(
+    const domino::Ast& ast, const Mp5Program& prog, const Trace& trace,
+    const std::vector<std::vector<Value>>& final_registers,
+    const std::vector<std::vector<Value>>& egress_by_seq) {
+  domino::AstInterp oracle(ast);
+  return check_equivalence(prog.pvsm, domino::replay(oracle, prog.pvsm, trace),
+                           final_registers, egress_by_seq);
 }
 
 /// FNV-1a over a stream of 64-bit words (little-endian bytes): the hash

@@ -29,29 +29,6 @@ namespace {
 
 using namespace mp5;
 
-std::vector<apps::AppSpec> all_builtins() {
-  auto out = apps::real_apps();
-  auto more = apps::extended_apps();
-  out.insert(out.end(), std::make_move_iterator(more.begin()),
-             std::make_move_iterator(more.end()));
-  return out;
-}
-
-std::string load_builtin(const std::string& name) {
-  for (const auto& app : all_builtins()) {
-    if (app.name == name) return app.source;
-  }
-  if (name == "figure3") return apps::figure3_source();
-  if (name == "counter") return apps::packet_counter_source();
-  if (name == "sequencer_example") return apps::sequencer_example_source();
-  throw ConfigError("unknown builtin program '" + name + "'");
-}
-
-void list_builtins() {
-  for (const auto& app : all_builtins()) std::cout << app.name << "\n";
-  std::cout << "figure3\ncounter\nsequencer_example\n";
-}
-
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   std::stringstream ss(s);
@@ -75,10 +52,10 @@ int run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--list") {
-      list_builtins();
+      for (const auto& name : apps::builtin_names()) std::cout << name << "\n";
       return 0;
     } else if (arg == "--builtin") {
-      source = load_builtin(next());
+      source = apps::builtin(next()).source;
       have_source = true;
     } else if (arg == "--stages") {
       machine.max_stages = static_cast<std::uint32_t>(std::stoul(next()));

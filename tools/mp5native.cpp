@@ -17,7 +17,8 @@
 //   --batch N          ring push/pop batch             (default 32)
 //   --ring-capacity N  per-ring slots                  (default 1024)
 //   --pool N           in-flight packet window         (default 8192)
-//   --policy dynamic|static|single|lpt                 (default dynamic)
+//   --policy dynamic|static-random|single-pipeline|ideal-lpt
+//                      shard placement policy          (default dynamic)
 //   --rebalance N      reshard every N packets         (default 8192)
 //   --seed S  --load F
 //   --no-pin           don't pin workers to cores
@@ -35,11 +36,12 @@
 #include "apps/programs.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "domino/ast_interp.hpp"
 #include "domino/compiler.hpp"
 #include "domino/parser.hpp"
 #include "mp5/transform.hpp"
+#include "metrics/equivalence.hpp"
 #include "native/backend.hpp"
-#include "native/oracle.hpp"
 #include "telemetry/json_writer.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
@@ -59,20 +61,10 @@ struct Args {
   std::uint64_t seed = 1;
   double load = 1.0;
   native::NativeOptions native;
-  std::string policy_name = "dynamic";
   bool check = false;
   bool quiet = false;
   std::string json_out;
 };
-
-ShardingPolicy policy_from_string(const std::string& name) {
-  if (name == "dynamic") return ShardingPolicy::kDynamic;
-  if (name == "static") return ShardingPolicy::kStaticRandom;
-  if (name == "single") return ShardingPolicy::kSinglePipeline;
-  if (name == "lpt") return ShardingPolicy::kIdealLpt;
-  throw ConfigError("--policy expects dynamic|static|single|lpt, got '" +
-                    name + "'");
-}
 
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -97,7 +89,8 @@ Args parse_args(int argc, char** argv) {
         static_cast<std::uint32_t>(std::stoul(next()));
     else if (arg == "--pool") args.native.pool_packets =
         static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--policy") args.policy_name = next();
+    else if (arg == "--policy")
+      args.native.policy = sharding_from_string(next());
     else if (arg == "--rebalance")
       args.native.rebalance_packets = std::stoull(next());
     else if (arg == "--no-pin") args.native.pin_threads = false;
@@ -116,21 +109,8 @@ Args parse_args(int argc, char** argv) {
       args.program_name = arg;
     }
   }
-  args.native.policy = policy_from_string(args.policy_name);
   args.native.seed = args.seed;
   return args;
-}
-
-std::string resolve_builtin(const std::string& name) {
-  auto builtins = apps::real_apps();
-  auto more = apps::extended_apps();
-  builtins.insert(builtins.end(), more.begin(), more.end());
-  for (const auto& app : builtins) {
-    if (app.name == name) return app.source;
-  }
-  if (name == "counter") return apps::packet_counter_source();
-  if (name == "figure3") return apps::figure3_source();
-  throw ConfigError("unknown builtin '" + name + "'");
 }
 
 void write_json(std::ostream& out, const Args& args,
@@ -147,7 +127,7 @@ void write_json(std::ostream& out, const Args& args,
   json.kv("batch", args.native.batch);
   json.kv("ring_capacity", args.native.ring_capacity);
   json.kv("pool_packets", args.native.pool_packets);
-  json.kv("policy", args.policy_name);
+  json.kv("policy", to_string(args.native.policy));
   json.kv("rebalance_packets", args.native.rebalance_packets);
   json.kv("seed", args.seed);
   json.kv("pinned", args.native.pin_threads);
@@ -160,7 +140,7 @@ void write_json(std::ostream& out, const Args& args,
   json.kv("pkts_per_sec", result.pkts_per_sec);
   json.end_object();
   json.key("sharding").begin_object();
-  json.kv("policy", args.policy_name);
+  json.kv("policy", to_string(args.native.policy));
   json.kv("moves", result.shard_moves);
   json.kv("rebalances", result.rebalances);
   json.end_object();
@@ -223,7 +203,7 @@ int run(int argc, char** argv) {
   std::string source = args.source;
   std::string program_name = args.program_name;
   if (!args.builtin.empty()) {
-    source = resolve_builtin(args.builtin);
+    source = apps::builtin(args.builtin).source;
     program_name = args.builtin;
   }
   if (source.empty()) {
@@ -285,18 +265,19 @@ int run(int argc, char** argv) {
   native::NativeBackend backend(program, nopts);
   const native::NativeResult result = backend.run(*source_ptr);
 
-  bool oracle_equivalent = false;
-  native::OracleCheck check;
+  EquivalenceReport check;
   if (args.check) {
-    check = native::check_against_oracle(ast, program, trace, result);
-    oracle_equivalent = check.equivalent;
+    domino::AstInterp oracle(ast);
+    check = check_equivalence(program.pvsm,
+                              domino::replay(oracle, program.pvsm, trace),
+                              result.final_registers, result.egress_fields);
   }
 
   if (!args.quiet) {
     TextTable table({"metric", "value"});
     table.add_row({"program", program_name});
     table.add_row({"cores", TextTable::integer(args.native.workers)});
-    table.add_row({"policy", args.policy_name});
+    table.add_row({"policy", to_string(args.native.policy)});
     table.add_row({"packets", TextTable::integer(
                                   static_cast<long long>(result.packets))});
     table.add_row({"seconds", TextTable::num(result.seconds, 4)});
@@ -351,9 +332,10 @@ int run(int argc, char** argv) {
     }
     if (args.check) {
       std::cout << "oracle equivalence: "
-                << (check.equivalent ? "OK" : "VIOLATED") << "\n";
-      if (!check.equivalent) std::cout << "  " << check.first_difference
-                                       << "\n";
+                << (check.equivalent() ? "OK" : "VIOLATED") << "\n";
+      if (!check.equivalent()) {
+        std::cout << "  " << check.first_difference << "\n";
+      }
     }
   }
 
@@ -364,11 +346,11 @@ int run(int argc, char** argv) {
                         "' for writing");
     }
     write_json(out, args, program_name, result, args.check,
-               oracle_equivalent);
+               check.equivalent());
     if (!args.quiet) std::cout << "results json: " << args.json_out << "\n";
   }
 
-  return args.check && !check.equivalent ? 1 : 0;
+  return args.check && !check.equivalent() ? 1 : 0;
 }
 
 } // namespace

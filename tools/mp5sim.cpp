@@ -244,24 +244,9 @@ int run(int argc, char** argv) {
   std::string source = args.source;
   FieldFiller filler;
   if (!args.builtin.empty()) {
-    auto builtins = apps::real_apps();
-    auto more = apps::extended_apps();
-    builtins.insert(builtins.end(), more.begin(), more.end());
-    for (const auto& app : builtins) {
-      if (app.name == args.builtin) {
-        source = app.source;
-        filler = app.filler;
-      }
-    }
-    if (source.empty() && args.builtin == "counter") {
-      source = apps::packet_counter_source();
-    }
-    if (source.empty() && args.builtin == "figure3") {
-      source = apps::figure3_source();
-    }
-    if (source.empty()) {
-      throw ConfigError("unknown builtin '" + args.builtin + "'");
-    }
+    apps::AppSpec app = apps::builtin(args.builtin);
+    source = std::move(app.source);
+    filler = std::move(app.filler);
   }
   if (source.empty()) {
     std::cerr << "usage: mp5sim <file.dom> | --builtin <name> [options]\n";
@@ -528,7 +513,7 @@ int run(int argc, char** argv) {
   if (args.check_equivalence) {
     banzai::ReferenceSwitch reference(program.pvsm);
     const auto ref =
-        reference.run(to_header_batch(trace, program.pvsm.num_slots()));
+        reference.run(to_header_batch(trace, program.pvsm));
     const auto report = check_equivalence(program.pvsm, ref, result);
     std::cout << "functional equivalence: "
               << (report.equivalent() ? "OK" : "VIOLATED") << "\n";

@@ -163,23 +163,7 @@ Args parse_args(int argc, char** argv) {
 
 Mp5Program resolve_program(Args& args) {
   std::string source = args.source;
-  if (!args.builtin.empty()) {
-    auto builtins = apps::real_apps();
-    auto more = apps::extended_apps();
-    builtins.insert(builtins.end(), more.begin(), more.end());
-    for (const auto& app : builtins) {
-      if (app.name == args.builtin) source = app.source;
-    }
-    if (source.empty() && args.builtin == "counter") {
-      source = apps::packet_counter_source();
-    }
-    if (source.empty() && args.builtin == "figure3") {
-      source = apps::figure3_source();
-    }
-    if (source.empty()) {
-      throw ConfigError("unknown builtin '" + args.builtin + "'");
-    }
-  }
+  if (!args.builtin.empty()) source = apps::builtin(args.builtin).source;
   if (source.empty()) {
     source = apps::make_synthetic_source(args.synthetic_stages, 1024);
   }

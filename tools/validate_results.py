@@ -228,7 +228,10 @@ def validate_bench(doc, where):
 FUZZ_EXPECT = {"pass", "oracle-divergence", "sim-divergence",
                "checkpoint-divergence", "crash", "variant-divergence"}
 FUZZ_VARIANTS = {"mp5", "scr", "relaxed"}
-FUZZ_SHARDING = {"dynamic", "static-random", "single-pipeline", "ideal-lpt"}
+# ShardingPolicy's one set of names (mp5/shard_map.hpp): the fuzz corpus
+# and mp5-native-results both use it.
+SHARDING_POLICIES = {"dynamic", "static-random", "single-pipeline",
+                     "ideal-lpt"}
 
 
 def validate_repro(doc, where):
@@ -251,8 +254,9 @@ def validate_repro(doc, where):
         if require(config, key, int, cwhere) < 1:
             fail(f"{cwhere}: {key} must be >= 1")
     sharding = require(config, "sharding", str, cwhere)
-    if sharding not in FUZZ_SHARDING:
-        fail(f"{cwhere}: sharding '{sharding}' not in {sorted(FUZZ_SHARDING)}")
+    if sharding not in SHARDING_POLICIES:
+        fail(f"{cwhere}: sharding '{sharding}' not in "
+             f"{sorted(SHARDING_POLICIES)}")
     # Older files also carry the selector keys of retired cycle walks; the
     # loader ignores them, so they are neither required nor checked.
     if require(config, "fifo_capacity", int, cwhere) < 0:
@@ -392,9 +396,6 @@ def validate_fabric_results(doc, where):
         check_telemetry_section(telem, f"{where}.telemetry")
 
 
-NATIVE_POLICIES = {"dynamic", "static", "single", "lpt"}
-
-
 def validate_native_results(doc, where):
     check_version(doc, "mp5-native-results", where)
     meta = require(doc, "meta", dict, where)
@@ -408,8 +409,8 @@ def validate_native_results(doc, where):
         require(meta, key, int, mwhere)
     require(meta, "pinned", bool, mwhere)
     policy = require(meta, "policy", str, mwhere)
-    if policy not in NATIVE_POLICIES:
-        fail(f"{mwhere}: policy '{policy}' not in {sorted(NATIVE_POLICIES)}")
+    if policy not in SHARDING_POLICIES:
+        fail(f"{mwhere}: policy '{policy}' not in {sorted(SHARDING_POLICIES)}")
 
     throughput = require(doc, "throughput", dict, where)
     twhere = f"{where}.throughput"
