@@ -355,6 +355,7 @@ private:
       }
       out.stages[node.stage].atoms.push_back(std::move(atom));
     }
+    out.declared_prefix(); // the slot layout every executor indexes by
     return out;
   }
 

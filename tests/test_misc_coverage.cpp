@@ -1,5 +1,7 @@
 // Coverage for the smaller public surfaces: IR printing, machine usage
 // reports, the equivalence checker's negative paths, and timeline naming.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "apps/programs.hpp"
@@ -90,6 +92,46 @@ TEST(EquivalenceChecker, DetectsPacketMismatchAndMissingPackets) {
   auto missing = check_equivalence(prog.pvsm, reference, result);
   EXPECT_FALSE(missing.packets_equal);
   EXPECT_NE(missing.first_difference.find("egress count"), std::string::npos);
+}
+
+TEST(PvsmLayout, DeclaredPrefixIsChecked) {
+  const auto prog = compile_mp5(apps::sequencer_example_source());
+  const std::size_t declared = prog.pvsm.declared_slot.size();
+  ASSERT_GT(prog.pvsm.num_slots(), declared);
+  EXPECT_EQ(prog.pvsm.declared_prefix(), declared);
+  // Moving a declared field past a temporary breaks the layout that the
+  // header loader, the oracle replay and native egress index by.
+  ir::Pvsm broken = prog.pvsm;
+  const std::string field = broken.fields[0].name;
+  std::swap(broken.fields[0], broken.fields[declared]);
+  broken.declared_slot[field] = static_cast<ir::Slot>(declared);
+  EXPECT_THROW(broken.declared_prefix(), Error);
+}
+
+TEST(EquivalenceChecker, SeqIndexedRecordHoleIsNeverEgressed) {
+  const auto prog = compile_mp5(apps::sequencer_example_source());
+  Rng rng(11);
+  const auto trace = trace_from_fields(random_fields(30, 1, 4, rng), 2);
+  auto reference = run_reference(prog, trace);
+  // A seq-indexed record (the native backend's) keeps a lost packet as an
+  // empty slot. Even when the reference fields of that packet are all 0,
+  // the hole must not read as a matching packet.
+  std::fill(reference.egress_headers[5].begin(),
+            reference.egress_headers[5].end(), 0);
+  auto egress = reference.egress_headers;
+  egress[5].clear();
+  const auto report = check_equivalence(prog.pvsm, reference,
+                                        reference.final_registers, egress);
+  EXPECT_FALSE(report.packets_equal);
+  EXPECT_EQ(report.packet_mismatches, 1u);
+  EXPECT_NE(report.first_difference.find("packet 5 never egressed"),
+            std::string::npos)
+      << report.first_difference;
+
+  egress[5] = reference.egress_headers[5];
+  EXPECT_TRUE(check_equivalence(prog.pvsm, reference,
+                                reference.final_registers, egress)
+                  .equivalent());
 }
 
 TEST(EquivalenceChecker, DetectsDuplicateEgress) {
