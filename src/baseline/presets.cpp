@@ -37,16 +37,15 @@ SimOptions ideal_options(std::uint32_t pipelines, std::uint64_t seed) {
   return opts;
 }
 
-SimOptions scr_options(std::uint32_t pipelines, std::uint64_t seed) {
-  SimOptions opts = mp5_options(pipelines, seed);
-  opts.variant = DesignVariant::kScr;
+ReplicatedOptions scr_options(std::uint32_t pipelines) {
+  ReplicatedOptions opts;
+  opts.pipelines = pipelines;
   return opts;
 }
 
-SimOptions relaxed_options(std::uint32_t pipelines, std::uint64_t seed,
-                           std::uint32_t staleness) {
-  SimOptions opts = mp5_options(pipelines, seed);
-  opts.variant = DesignVariant::kRelaxed;
+ReplicatedOptions relaxed_options(std::uint32_t pipelines,
+                                  std::uint32_t staleness) {
+  ReplicatedOptions opts = scr_options(pipelines);
   opts.staleness_bound = staleness;
   return opts;
 }

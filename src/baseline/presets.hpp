@@ -24,15 +24,15 @@ SimOptions naive_options(std::uint32_t pipelines, std::uint64_t seed);
 /// cancellation, LPT re-sharding.
 SimOptions ideal_options(std::uint32_t pipelines, std::uint64_t seed);
 
-/// State-Compute Replication (ISSUE 10): per-pipeline full register
-/// replicas, remote updates replayed after one pipeline traversal.
-/// Consumed by ScrSimulator (src/baseline/replicated.hpp).
-SimOptions scr_options(std::uint32_t pipelines, std::uint64_t seed);
+/// State-Compute Replication: per-pipeline full register replicas, remote
+/// updates replayed after one pipeline traversal. Consumed by
+/// ReplicatedSimulator (src/baseline/replicated.hpp).
+ReplicatedOptions scr_options(std::uint32_t pipelines);
 
-/// Relaxed-consistency replication (ISSUE 10): per-pipeline full register
-/// replicas, remote updates batched to every `staleness` cycles. Consumed
-/// by RelaxedSimulator. Default bound 64 cycles.
-SimOptions relaxed_options(std::uint32_t pipelines, std::uint64_t seed,
-                           std::uint32_t staleness = 64);
+/// Relaxed-consistency replication: per-pipeline full register replicas,
+/// remote updates batched to every `staleness` cycles. Consumed by
+/// ReplicatedSimulator. Default bound 64 cycles.
+ReplicatedOptions relaxed_options(std::uint32_t pipelines,
+                                  std::uint32_t staleness = 64);
 
 } // namespace mp5

@@ -10,119 +10,17 @@
 #include "mp5/checkpoint.hpp"
 
 namespace mp5 {
-namespace {
-
-/// Every MP5-only knob is rejected by name — the replicated designs must
-/// never run silently with wrong semantics (ISSUE 10 validation sweep).
-void validate_replicated(const SimOptions& o) {
-  const std::string v = std::string("variant '") + to_string(o.variant) + "'";
-  if (o.variant == DesignVariant::kMp5) {
-    throw ConfigError(
-        "SimOptions: variant 'mp5' selects the shared-state Mp5Simulator; "
-        "ReplicatedSimulator implements variants 'scr' and 'relaxed' only");
-  }
-  if (o.pipelines == 0) {
-    throw ConfigError("SimOptions: pipelines must be > 0");
-  }
-  if (o.variant == DesignVariant::kRelaxed && o.staleness_bound == 0) {
-    throw ConfigError("SimOptions: " + v +
-                      " requires staleness_bound >= 1 (the synchronization "
-                      "period in cycles)");
-  }
-  if (o.variant == DesignVariant::kScr && o.staleness_bound != 0) {
-    throw ConfigError("SimOptions: " + v +
-                      " replays digests after a fixed pipeline traversal; "
-                      "the staleness_bound knob applies to variant "
-                      "'relaxed' only");
-  }
-  if (o.sharding != ShardingPolicy::kDynamic) {
-    throw ConfigError("SimOptions: " + v +
-                      " replicates every register on every pipeline; the "
-                      "sharding knob applies to variant 'mp5' only (leave "
-                      "the kDynamic default)");
-  }
-  if (!o.phantoms) {
-    throw ConfigError("SimOptions: " + v +
-                      " has no phantom packets to disable; the phantoms "
-                      "knob (D4 ablation) applies to variant 'mp5' only");
-  }
-  if (o.realistic_phantom_channel) {
-    throw ConfigError("SimOptions: " + v +
-                      " has no phantom channel; the "
-                      "realistic_phantom_channel knob applies to variant "
-                      "'mp5' only");
-  }
-  if (o.ideal_queues) {
-    throw ConfigError("SimOptions: " + v +
-                      " queues per pipeline, not per index; the "
-                      "ideal_queues knob applies to variant 'mp5' only");
-  }
-  if (o.naive_single_pipeline) {
-    throw ConfigError("SimOptions: " + v +
-                      " sprays packets across all pipelines; the "
-                      "naive_single_pipeline knob applies to variant 'mp5' "
-                      "only");
-  }
-  if (o.starvation_threshold != 0) {
-    throw ConfigError("SimOptions: " + v +
-                      " never queues packets behind state; the "
-                      "starvation_threshold knob applies to variant 'mp5' "
-                      "only");
-  }
-  if (o.ecn_threshold != 0) {
-    throw ConfigError("SimOptions: " + v +
-                      " has no stage FIFOs to mark from; the ecn_threshold "
-                      "knob applies to variant 'mp5' only");
-  }
-  if (o.fifo_capacity != 0) {
-    throw ConfigError("SimOptions: " + v +
-                      " admits through unbounded ingress queues; the "
-                      "fifo_capacity knob applies to variant 'mp5' only");
-  }
-  if (!o.faults.empty()) {
-    throw ConfigError("SimOptions: " + v +
-                      " does not model fault injection; the faults knob "
-                      "applies to variant 'mp5' only");
-  }
-  if (o.telemetry != nullptr) {
-    throw ConfigError("SimOptions: " + v +
-                      " registers no metrics; the telemetry knob applies "
-                      "to variant 'mp5' only");
-  }
-  if (o.timeline) {
-    throw ConfigError("SimOptions: " + v +
-                      " emits no simulator events; the timeline knob "
-                      "applies to variant 'mp5' only");
-  }
-  if (o.track_flow_reordering) {
-    throw ConfigError("SimOptions: " + v +
-                      " does not implement the §3.4 ordering stage; the "
-                      "track_flow_reordering knob applies to variant 'mp5' "
-                      "only");
-  }
-  if (o.egress_sink) {
-    throw ConfigError("SimOptions: " + v +
-                      " does not stream egress records; the egress_sink "
-                      "knob applies to variant 'mp5' only");
-  }
-  if (o.fault_drop_sink) {
-    throw ConfigError("SimOptions: " + v +
-                      " never drops packets to faults; the fault_drop_sink "
-                      "knob applies to variant 'mp5' only");
-  }
-  if (o.checkpoint_interval != 0 && !o.checkpoint_sink) {
-    throw ConfigError(
-        "SimOptions: checkpoint_interval requires a checkpoint_sink to "
-        "receive the blobs");
-  }
-}
-
-} // namespace
-
 ReplicatedSimulator::ReplicatedSimulator(const Mp5Program& program,
-                                         const SimOptions& options)
+                                         const ReplicatedOptions& options)
     : prog_(&program), opts_(options) {
-  validate_replicated(opts_);
+  if (opts_.pipelines == 0) {
+    throw ConfigError("ReplicatedOptions: pipelines must be > 0");
+  }
+  if (opts_.checkpoint_interval != 0 && !opts_.checkpoint_sink) {
+    throw ConfigError(
+        "ReplicatedOptions: checkpoint_interval requires a checkpoint_sink "
+        "to receive the blobs");
+  }
   k_ = opts_.pipelines;
   num_stages_ = prog_->num_stages;
   replicas_.reserve(k_);
@@ -137,8 +35,8 @@ ReplicatedSimulator::ReplicatedSimulator(const Mp5Program& program,
 }
 
 Cycle ReplicatedSimulator::deliver_cycle(Cycle now) const {
-  if (opts_.variant == DesignVariant::kScr) {
-    // One traversal of the replication channel + replay pipeline.
+  if (opts_.staleness_bound == 0) {
+    // SCR: one traversal of the replication channel + replay pipeline.
     return now + num_stages_;
   }
   // Relaxed: the next synchronization boundary strictly after `now`.
@@ -338,7 +236,7 @@ void ReplicatedSimulator::check_accounting(Cycle now) const {
 
 // ---------------------------------------------------------------------------
 // Checkpoint/restore (mp5-checkpoint v1 framing; the config fingerprint
-// covers variant and staleness_bound, so cross-variant restores refuse).
+// covers the design and staleness_bound, so cross-design restores refuse).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -507,27 +405,6 @@ SimResult ReplicatedSimulator::resume(const Trace& trace,
                        opts_.checkpoint_interval;
   }
   return run_loop(trace, now);
-}
-
-ScrSimulator::ScrSimulator(const Mp5Program& program,
-                           const SimOptions& options)
-    : ReplicatedSimulator(program, options) {
-  if (options.variant != DesignVariant::kScr) {
-    throw ConfigError(std::string("ScrSimulator requires SimOptions::variant "
-                                  "== 'scr' (got '") +
-                      to_string(options.variant) + "')");
-  }
-}
-
-RelaxedSimulator::RelaxedSimulator(const Mp5Program& program,
-                                   const SimOptions& options)
-    : ReplicatedSimulator(program, options) {
-  if (options.variant != DesignVariant::kRelaxed) {
-    throw ConfigError(
-        std::string("RelaxedSimulator requires SimOptions::variant == "
-                    "'relaxed' (got '") +
-        to_string(options.variant) + "')");
-  }
 }
 
 } // namespace mp5

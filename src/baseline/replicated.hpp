@@ -10,15 +10,15 @@
 // (the packet's header snapshot at stage entry) is broadcast to the other
 // replicas, which replay the stage's compute against their own local state
 // when the digest is delivered. The two variants differ only in when
-// delivery happens:
+// delivery happens, selected by ReplicatedOptions::staleness_bound:
 //
-//   * SCR (ScrSimulator; Xu et al., arXiv 2309.14647): the digest rides a
-//     dedicated replication channel and is replayed after one pipeline
-//     traversal — delivery at `execution cycle + num_stages`.
-//   * relaxed (RelaxedSimulator; Cascone et al., arXiv 1703.05442):
-//     digests are buffered and applied only at periodic synchronization
-//     boundaries, every Δ = SimOptions::staleness_bound cycles — a read
-//     observes remote updates at most Δ cycles stale.
+//   * SCR (staleness_bound == 0; Xu et al., arXiv 2309.14647): the digest
+//     rides a dedicated replication channel and is replayed after one
+//     pipeline traversal — delivery at `execution cycle + num_stages`.
+//   * relaxed (staleness_bound = Δ >= 1; Cascone et al., arXiv
+//     1703.05442): digests are buffered and applied only at periodic
+//     synchronization boundaries, every Δ cycles — a read observes remote
+//     updates at most Δ cycles stale.
 //
 // Neither variant enforces C1: a read on one replica can miss a
 // concurrent update executed on another, which is exactly where these
@@ -27,12 +27,11 @@
 // or divergent per variant (src/fuzz/differ.hpp) and shrinks the
 // divergent-where-MP5-isn't cases into committed witnesses.
 //
-// Both simulators take the common SimOptions. MP5-only knobs (sharding,
-// phantoms, faults, telemetry, ...) are rejected at construction with a
-// ConfigError naming the variant and the knob — never silently ignored.
-// Supported: record_egress, check_c1, paranoid_checks, max_cycles, seed,
-// and mp5-checkpoint v1 checkpoint/restore (the config fingerprint covers
-// variant and staleness bound, so cross-variant restores are refused).
+// The simulator takes ReplicatedOptions (mp5/options.hpp), which holds
+// only what these designs read; MP5's knobs (sharding, phantoms, faults,
+// telemetry, ...) cannot be passed to it. Checkpoint/restore uses the
+// mp5-checkpoint v1 framing; the config fingerprint covers the design and
+// the staleness bound, so cross-design restores are refused.
 // Idle cycles with nothing in flight are always jumped, bit-identically
 // (including cycles_run) to stepping them one by one.
 #pragma once
@@ -53,14 +52,15 @@ namespace mp5 {
 
 class ReplicatedSimulator {
 public:
-  ReplicatedSimulator(const Mp5Program& program, const SimOptions& options);
+  ReplicatedSimulator(const Mp5Program& program,
+                      const ReplicatedOptions& options);
 
   SimResult run(const Trace& trace);
 
-  /// Restore from an mp5-checkpoint v1 blob emitted by this variant's
-  /// checkpoint_sink and finish the run. The config fingerprint (which
-  /// covers variant and staleness_bound) must match; requires a freshly
-  /// constructed simulator.
+  /// Restore from an mp5-checkpoint v1 blob emitted by a checkpoint_sink
+  /// and finish the run. The config fingerprint (which covers the design
+  /// and staleness_bound) must match; requires a freshly constructed
+  /// simulator.
   SimResult resume(const Trace& trace, std::string_view checkpoint_blob);
 
 private:
@@ -88,7 +88,7 @@ private:
   void admit(const TraceItem& item, Cycle now);
   void step_cell(PipelineId p, StageId st, Cycle now);
   void apply_due_digests(Cycle now);
-  /// Delivery cycle for a digest generated at `now` (variant-specific).
+  /// Delivery cycle for a digest generated at `now` (design-specific).
   Cycle deliver_cycle(Cycle now) const;
   bool heap_greater(const Digest& a, const Digest& b) const;
   void push_digest(Digest&& d);
@@ -99,7 +99,7 @@ private:
   Cycle restore_state(ByteReader& r);
 
   const Mp5Program* prog_;
-  SimOptions opts_;
+  ReplicatedOptions opts_;
   std::uint32_t k_ = 0;
   StageId num_stages_ = 0;
 
@@ -121,18 +121,6 @@ private:
 
   SimResult result_;
   C1Checker c1_;
-};
-
-/// SCR: replay after one pipeline traversal.
-class ScrSimulator : public ReplicatedSimulator {
-public:
-  ScrSimulator(const Mp5Program& program, const SimOptions& options);
-};
-
-/// Relaxed consistency: replay at staleness_bound boundaries.
-class RelaxedSimulator : public ReplicatedSimulator {
-public:
-  RelaxedSimulator(const Mp5Program& program, const SimOptions& options);
 };
 
 } // namespace mp5

@@ -66,10 +66,27 @@ const char* to_string(FailureKind kind) {
   throw Error("to_string: bad failure kind");
 }
 
+const char* to_string(DesignVariant v) {
+  switch (v) {
+    case DesignVariant::kMp5: return "mp5";
+    case DesignVariant::kScr: return "scr";
+    case DesignVariant::kRelaxed: return "relaxed";
+  }
+  throw Error("to_string: bad design variant");
+}
+
+DesignVariant variant_from_string(const std::string& s) {
+  if (s == "mp5") return DesignVariant::kMp5;
+  if (s == "scr") return DesignVariant::kScr;
+  if (s == "relaxed") return DesignVariant::kRelaxed;
+  throw ConfigError("unknown variant '" + s +
+                    "' (expected 'mp5', 'scr' or 'relaxed')");
+}
+
 std::string SimConfig::name() const {
   std::ostringstream os;
   if (variant != DesignVariant::kMp5) {
-    os << "k" << pipelines << "-" << mp5::to_string(variant);
+    os << "k" << pipelines << "-" << to_string(variant);
     if (variant == DesignVariant::kRelaxed) os << staleness;
     if (checkpoint_restore) os << "-ckpt";
     return os.str();
@@ -87,16 +104,18 @@ SimOptions SimConfig::to_options() const {
   // Every fuzz run doubles as a watchdog run: invariant violations are
   // failures, not silent corruption.
   opts.paranoid_checks = true;
-  if (variant != DesignVariant::kMp5) {
-    // Replicated cells: the MP5-only axes must stay at their defaults —
-    // the Scr/Relaxed constructors reject each of them by name.
-    opts.variant = variant;
-    opts.staleness_bound = staleness;
-    return opts;
-  }
   opts.sharding = sharding;
   opts.remap_period = remap_period;
   opts.fifo_capacity = fifo_capacity;
+  return opts;
+}
+
+ReplicatedOptions SimConfig::to_replicated_options() const {
+  ReplicatedOptions opts;
+  opts.pipelines = pipelines;
+  opts.staleness_bound = staleness;
+  opts.record_egress = true;
+  opts.paranoid_checks = true;
   return opts;
 }
 
@@ -263,14 +282,6 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
   return Failure{};
 }
 
-std::unique_ptr<ReplicatedSimulator> make_replicated(const Mp5Program& prog,
-                                                     const SimOptions& opts) {
-  if (opts.variant == DesignVariant::kScr) {
-    return std::make_unique<ScrSimulator>(prog, opts);
-  }
-  return std::make_unique<RelaxedSimulator>(prog, opts);
-}
-
 /// One replicated-variant cell under expectation mode. `failure` carries
 /// anything *unexpected* (crash, drop in a lossless design,
 /// nondeterminism, checkpoint breakage); reference divergence lands in
@@ -287,7 +298,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
   out.failure.config = config;
   try {
     const SimResult result =
-        make_replicated(compiled.prog, config.to_options())->run(trace);
+        ReplicatedSimulator(compiled.prog, config.to_replicated_options())
+            .run(trace);
     if (result.egressed != result.offered) {
       // The replicated designs admit through unbounded ingress queues:
       // any drop is a simulator bug, not a consistency relaxation.
@@ -301,7 +313,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
     // Relaxed consistency never excuses nondeterminism: the same trace
     // must produce the bit-identical result on a second run.
     const SimResult again =
-        make_replicated(compiled.prog, config.to_options())->run(trace);
+        ReplicatedSimulator(compiled.prog, config.to_replicated_options())
+            .run(trace);
     std::string why;
     if (!same_results(result, again, &why)) {
       out.failure.kind = FailureKind::kSimDivergence;
@@ -309,7 +322,7 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
       return out;
     }
     if (config.checkpoint_restore) {
-      SimOptions ckpt_opts = config.to_options();
+      ReplicatedOptions ckpt_opts = config.to_replicated_options();
       ckpt_opts.checkpoint_interval =
           std::max<std::uint64_t>(1, result.cycles_run / 2);
       std::string blob;
@@ -323,7 +336,7 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
         }
       };
       const SimResult with_ckpt =
-          make_replicated(compiled.prog, ckpt_opts)->run(trace);
+          ReplicatedSimulator(compiled.prog, ckpt_opts).run(trace);
       if (!same_results(result, with_ckpt, &why)) {
         out.failure.kind = FailureKind::kCheckpointDivergence;
         out.failure.detail =
@@ -332,8 +345,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
       }
       if (captured) {
         const SimResult after =
-            make_replicated(compiled.prog, config.to_options())
-                ->resume(trace, blob);
+            ReplicatedSimulator(compiled.prog, config.to_replicated_options())
+                .resume(trace, blob);
         if (!same_results(result, after, &why)) {
           out.failure.kind = FailureKind::kCheckpointDivergence;
           out.failure.detail = "restore at cycle " +

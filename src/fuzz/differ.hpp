@@ -23,14 +23,29 @@
 
 namespace mp5::fuzz {
 
+/// Which design a matrix cell runs: the corpus JSON "variant" key and the
+/// cell names ("k4-scr", "k2-relaxed1") use these names.
+enum class DesignVariant : std::uint8_t {
+  /// Mp5Simulator (SimOptions): D1-D4 and the ablations thereof.
+  kMp5 = 0,
+  /// ReplicatedSimulator with staleness_bound 0 (State-Compute
+  /// Replication).
+  kScr = 1,
+  /// ReplicatedSimulator with staleness_bound = SimConfig::staleness >= 1
+  /// (relaxed consistency).
+  kRelaxed = 2,
+};
+
+const char* to_string(DesignVariant v);
+/// Inverse of to_string; throws ConfigError on an unknown name.
+DesignVariant variant_from_string(const std::string& s);
+
 /// One cell of the simulator configuration matrix.
 struct SimConfig {
   /// Consistency design for this cell. kMp5 cells exercise the Mp5Simulator
-  /// knob axes below; kScr/kRelaxed cells run the replicated-state
-  /// baselines, whose only knobs are pipelines, staleness (relaxed) and
-  /// checkpoint_restore — the MP5-only axes must stay at their defaults
-  /// (to_options() would otherwise be rejected at simulator
-  /// construction).
+  /// knob axes below (to_options()); kScr/kRelaxed cells run the
+  /// replicated-state baselines, whose only axes are pipelines, staleness
+  /// (relaxed) and checkpoint_restore (to_replicated_options()).
   DesignVariant variant = DesignVariant::kMp5;
   /// Staleness bound Δ for kRelaxed cells; 0 otherwise.
   std::uint32_t staleness = 0;
@@ -50,6 +65,7 @@ struct SimConfig {
   /// "k4-scr" / "k2-relaxed64" (checkpoint cells add "-ckpt").
   std::string name() const;
   SimOptions to_options() const;
+  ReplicatedOptions to_replicated_options() const;
 };
 
 /// The full matrix: 3 k-values x 3 sharding policies.

@@ -163,7 +163,7 @@ void save_reproducer(const Reproducer& repro, const std::string& json_path) {
   w.kv("program", fs::path(dom_path).filename().string());
   w.kv("trace", fs::path(trace_path).filename().string());
   w.key("config").begin_object();
-  w.kv("variant", mp5::to_string(repro.config.variant));
+  w.kv("variant", to_string(repro.config.variant));
   w.kv("staleness", repro.config.staleness);
   w.kv("pipelines", repro.config.pipelines);
   w.kv("sharding", to_string(repro.config.sharding));
@@ -209,6 +209,16 @@ Reproducer load_reproducer(const std::string& json_path) {
       config_text.find("\"staleness\"") == std::string::npos
           ? 0
           : static_cast<std::uint32_t>(scan_int(config_text, "staleness"));
+  // Δ = 0 is how ReplicatedOptions spells SCR, so a staleness that does not
+  // match the variant would silently run another design.
+  if ((repro.config.variant == DesignVariant::kRelaxed) !=
+      (repro.config.staleness != 0)) {
+    throw ConfigError("reproducer: variant '" +
+                      std::string(to_string(repro.config.variant)) +
+                      "' with staleness " +
+                      std::to_string(repro.config.staleness) + " in " +
+                      json_path + " (only 'relaxed' takes one, >= 1)");
+  }
   repro.config.pipelines =
       static_cast<std::uint32_t>(scan_int(config_text, "pipelines"));
   repro.config.sharding =

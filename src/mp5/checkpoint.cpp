@@ -139,6 +139,21 @@ struct Fp {
   }
 };
 
+/// Program shape: enough structure to reject a checkpoint taken against a
+/// different compiled program (full IR equality would be overkill — the
+/// payload readers validate sizes again anyway).
+void hash_program_shape(Fp& fp, const Mp5Program& program) {
+  fp.u32(program.num_stages);
+  fp.u64(program.pvsm.num_slots());
+  fp.u64(program.pvsm.registers.size());
+  for (const auto& spec : program.pvsm.registers) fp.u64(spec.size);
+  fp.u64(program.accesses.size());
+  for (std::size_t i = 0; i < program.shardable.size(); ++i) {
+    fp.b(program.shardable[i]);
+  }
+  fp.b(program.has_flow_order);
+}
+
 } // namespace
 
 std::uint64_t config_fingerprint(const Mp5Program& program,
@@ -148,8 +163,10 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   // Run knobs (max_cycles, paranoid_checks, sinks, telemetry, checkpoint
   // cadence) are excluded by design: they cannot change the result, so a
   // checkpoint may be restored under a different run configuration.
-  fp.u32(static_cast<std::uint32_t>(options.variant));
-  fp.u32(options.staleness_bound);
+  // Design tag 0 and staleness 0: the prefix the replicated overload below
+  // shares, so MP5, SCR and relaxed configurations never hash equal input.
+  fp.u32(0);
+  fp.u32(0);
   fp.u32(options.pipelines);
   fp.u64(options.fifo_capacity);
   fp.u32(options.remap_period);
@@ -188,18 +205,21 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.f64(plan.phantom_loss_rate);
   fp.f64(plan.phantom_delay_rate);
   fp.u64(plan.phantom_extra_delay);
-  // Program shape: enough structure to reject a checkpoint taken against a
-  // different compiled program (full IR equality would be overkill — the
-  // payload readers validate sizes again anyway).
-  fp.u32(program.num_stages);
-  fp.u64(program.pvsm.num_slots());
-  fp.u64(program.pvsm.registers.size());
-  for (const auto& spec : program.pvsm.registers) fp.u64(spec.size);
-  fp.u64(program.accesses.size());
-  for (std::size_t i = 0; i < program.shardable.size(); ++i) {
-    fp.b(program.shardable[i]);
-  }
-  fp.b(program.has_flow_order);
+  hash_program_shape(fp, program);
+  return fp.h;
+}
+
+std::uint64_t config_fingerprint(const Mp5Program& program,
+                                 const ReplicatedOptions& options) {
+  Fp fp;
+  // Design tag (1 = SCR, 2 = relaxed) and Δ: a checkpoint never restores
+  // across designs or staleness bounds. Run knobs are excluded as above.
+  fp.u32(options.staleness_bound == 0 ? 1 : 2);
+  fp.u32(options.staleness_bound);
+  fp.u32(options.pipelines);
+  fp.b(options.record_egress);
+  fp.b(options.check_c1);
+  hash_program_shape(fp, program);
   return fp.h;
 }
 

@@ -34,6 +34,7 @@ namespace mp5 {
 
 struct Mp5Program;
 struct SimOptions;
+struct ReplicatedOptions;
 
 inline constexpr std::string_view kCheckpointMagic = "mp5-checkpoint v1\n";
 inline constexpr std::uint32_t kCheckpointVersion = 1;
@@ -71,5 +72,7 @@ std::string read_checkpoint_file(const std::string& path);
 /// checkpointing and the restoring simulator for bit-identity.
 std::uint64_t config_fingerprint(const Mp5Program& program,
                                  const SimOptions& options);
+std::uint64_t config_fingerprint(const Mp5Program& program,
+                                 const ReplicatedOptions& options);
 
 } // namespace mp5

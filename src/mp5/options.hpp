@@ -1,11 +1,11 @@
-// Configuration of the MP5 switch simulator and its ablated variants.
+// Configuration of the MP5 switch simulator and its ablated variants
+// (SimOptions), and of the replicated-state baselines (ReplicatedOptions).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "common/error.hpp"
 #include "mp5/faults.hpp"
 #include "mp5/shard_map.hpp"
 #include "mp5/timeline.hpp"
@@ -17,62 +17,7 @@ namespace telemetry {
 class Telemetry;
 }
 
-/// Which consistency design the options describe (SimOptions::variant).
-///
-/// kMp5 covers the whole Mp5Simulator family — full MP5 and its ablations
-/// (ideal / no-d2 / no-d4 / naive are expressed through the other knobs).
-/// kScr and kRelaxed select the replicated-state baselines implemented by
-/// ScrSimulator / RelaxedSimulator (src/baseline/replicated.hpp); the
-/// Mp5Simulator constructor rejects them, and the replicated simulators
-/// reject every MP5-only knob by name (see the variant/knob validation
-/// sweep in tests/test_variants.cpp).
-enum class DesignVariant : std::uint8_t {
-  /// Shared-state multi-pipeline switch (D1-D4 and ablations thereof).
-  kMp5 = 0,
-  /// State-Compute Replication (Xu et al., arXiv 2309.14647): every
-  /// pipeline holds a full register replica; remote updates are replayed
-  /// from packet history after a pipeline-traversal delay. No cross-
-  /// pipeline ordering (no D4), no sharding (no D2).
-  kScr = 1,
-  /// Relaxed-consistency replication (Cascone et al., arXiv 1703.05442):
-  /// same replicated layout, but remote updates are batched and applied
-  /// only at periodic synchronization boundaries every `staleness_bound`
-  /// cycles — reads may observe state up to that bound stale.
-  kRelaxed = 2,
-};
-
-inline const char* to_string(DesignVariant v) {
-  switch (v) {
-    case DesignVariant::kMp5: return "mp5";
-    case DesignVariant::kScr: return "scr";
-    case DesignVariant::kRelaxed: return "relaxed";
-  }
-  return "mp5";
-}
-
-inline DesignVariant variant_from_string(const std::string& s) {
-  if (s == "mp5") return DesignVariant::kMp5;
-  if (s == "scr") return DesignVariant::kScr;
-  if (s == "relaxed") return DesignVariant::kRelaxed;
-  throw ConfigError("SimOptions::variant: unknown variant '" + s +
-                    "' (expected 'mp5', 'scr' or 'relaxed')");
-}
-
 struct SimOptions {
-  /// Consistency design. kMp5 (the default) is consumed by Mp5Simulator;
-  /// kScr / kRelaxed select the replicated-state baselines and are only
-  /// accepted by ScrSimulator / RelaxedSimulator. Semantic — part of the
-  /// checkpoint config fingerprint, so a checkpoint taken under one
-  /// variant refuses to restore under another.
-  DesignVariant variant = DesignVariant::kMp5;
-
-  /// Staleness bound Δ for DesignVariant::kRelaxed, in cycles: buffered
-  /// remote state updates are applied at every cycle divisible by Δ, so a
-  /// read observes state at most Δ cycles stale. Required >= 1 for the
-  /// relaxed variant; must stay 0 (unset) for every other variant. Part
-  /// of the checkpoint config fingerprint.
-  std::uint32_t staleness_bound = 0;
-
   /// Number of parallel pipelines (k). The paper's default is 4 (§4.3.1).
   std::uint32_t pipelines = 4;
 
@@ -198,6 +143,32 @@ struct SimOptions {
   /// counters silently merge. Empty (the default) keeps the classic flat
   /// single-simulator names ("sim.admitted", "fifo.push", ...).
   std::string telemetry_prefix;
+};
+
+/// Configuration of ReplicatedSimulator (src/baseline/replicated.hpp), the
+/// replicated-state baselines MP5 is compared against. Every pipeline holds
+/// a full register replica; the designs differ only in when remote updates
+/// are replayed:
+///   * staleness_bound == 0 — State-Compute Replication (Xu et al., arXiv
+///     2309.14647): replay after one pipeline traversal.
+///   * staleness_bound >= 1 — relaxed consistency (Cascone et al., arXiv
+///     1703.05442): replay at every cycle divisible by Δ = staleness_bound,
+///     so a read observes remote state at most Δ cycles stale.
+/// Both are part of the checkpoint config fingerprint.
+struct ReplicatedOptions {
+  std::uint32_t pipelines = 4;
+  std::uint32_t staleness_bound = 0;
+  /// Safety valve for runaway runs.
+  std::uint64_t max_cycles = 5'000'000;
+  /// Record per-packet egress headers (needed for equivalence checks).
+  bool record_egress = false;
+  /// Track C1 violations via the access log.
+  bool check_c1 = true;
+  /// Per-cycle live-packet accounting check (throws Error on mismatch).
+  bool paranoid_checks = false;
+  /// Checkpoint every N cycles (0 = disabled). Requires checkpoint_sink.
+  std::uint64_t checkpoint_interval = 0;
+  std::function<void(Cycle, std::string&&)> checkpoint_sink;
 };
 
 } // namespace mp5

@@ -20,18 +20,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   if (opts_.pipelines == 0) {
     throw ConfigError("SimOptions: pipelines must be > 0");
   }
-  if (opts_.variant != DesignVariant::kMp5) {
-    throw ConfigError(std::string("SimOptions: variant '") +
-                      to_string(opts_.variant) +
-                      "' is a replicated-state design; construct "
-                      "ScrSimulator/RelaxedSimulator "
-                      "(src/baseline/replicated.hpp), not Mp5Simulator");
-  }
-  if (opts_.staleness_bound != 0) {
-    throw ConfigError(
-        "SimOptions: staleness_bound applies to variant 'relaxed' only; "
-        "variant 'mp5' shares state through D1-D4 and has no staleness");
-  }
   if (opts_.naive_single_pipeline &&
       opts_.sharding != ShardingPolicy::kSinglePipeline) {
     throw ConfigError(

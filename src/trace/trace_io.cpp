@@ -1,50 +1,84 @@
 #include "trace/trace_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 #include "common/error.hpp"
 
 namespace mp5 {
 
+namespace {
+
+/// Parse `cell` whole into `out`; false on an empty cell, trailing bytes
+/// or overflow. std::from_chars takes no leading '+' and, for unsigned
+/// types, no '-'.
+template <typename T>
+bool parse_cell(std::string_view cell, T& out) {
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+} // namespace
+
 void save_trace_csv(const Trace& trace, std::ostream& os) {
   os << "# arrival_time,port,size_bytes,flow,fields...\n";
+  char time[32];
   for (const auto& item : trace) {
-    os << item.arrival_time << ',' << item.port << ',' << item.size_bytes
-       << ',' << item.flow;
+    const auto written =
+        std::to_chars(time, time + sizeof time, item.arrival_time).ptr;
+    os.write(time, written - time);
+    os << ',' << item.port << ',' << item.size_bytes << ',' << item.flow;
     for (const Value v : item.fields) os << ',' << v;
     os << '\n';
   }
+}
+
+bool parse_trace_csv_line(std::string_view line, std::size_t lineno,
+                          TraceItem& item) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.empty() || line[0] == '#') return false;
+  auto fail = [lineno](const std::string& why) -> Error {
+    return Error("trace csv line " + std::to_string(lineno) + ": " + why);
+  };
+  item = TraceItem{};
+  std::size_t column = 0;
+  while (true) {
+    const std::size_t comma = line.find(',');
+    const std::string_view cell = line.substr(0, comma);
+    bool ok = false;
+    switch (column) {
+      case 0:
+        ok = parse_cell(cell, item.arrival_time) &&
+             std::isfinite(item.arrival_time);
+        break;
+      case 1: ok = parse_cell(cell, item.port); break;
+      case 2: ok = parse_cell(cell, item.size_bytes); break;
+      case 3: ok = parse_cell(cell, item.flow); break;
+      default: ok = parse_cell(cell, item.fields.emplace_back()); break;
+    }
+    if (!ok) {
+      throw fail("malformed number '" + std::string(cell) + "' in column " +
+                 std::to_string(column + 1));
+    }
+    ++column;
+    if (comma == std::string_view::npos) break;
+    line.remove_prefix(comma + 1);
+  }
+  if (column < 4) throw fail("expected at least 4 columns");
+  return true;
 }
 
 Trace load_trace_csv(std::istream& is) {
   Trace trace;
   std::string line;
   std::size_t lineno = 0;
+  TraceItem item;
   while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::stringstream ss(line);
-    std::string cell;
-    std::vector<std::string> cells;
-    while (std::getline(ss, cell, ',')) cells.push_back(cell);
-    if (cells.size() < 4) {
-      throw Error("trace csv line " + std::to_string(lineno) +
-                  ": expected at least 4 columns");
-    }
-    try {
-      TraceItem item;
-      item.arrival_time = std::stod(cells[0]);
-      item.port = static_cast<std::uint32_t>(std::stoul(cells[1]));
-      item.size_bytes = static_cast<std::uint32_t>(std::stoul(cells[2]));
-      item.flow = std::stoull(cells[3]);
-      for (std::size_t i = 4; i < cells.size(); ++i) {
-        item.fields.push_back(static_cast<Value>(std::stoll(cells[i])));
-      }
+    if (parse_trace_csv_line(line, ++lineno, item)) {
       trace.push_back(std::move(item));
-    } catch (const std::exception&) {
-      throw Error("trace csv line " + std::to_string(lineno) +
-                  ": malformed number");
     }
   }
   sort_by_arrival(trace);

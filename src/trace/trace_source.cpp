@@ -96,43 +96,13 @@ void CsvFileTraceSource::skip_to(std::uint64_t n) {
 void CsvFileTraceSource::parse_next() {
   const char* base = map_->data();
   const std::size_t size = map_->size();
+  TraceItem item;
   while (offset_ < size) {
     std::size_t end = offset_;
     while (end < size && base[end] != '\n') ++end;
-    std::string line(base + offset_, end - offset_);
+    const std::string_view line(base + offset_, end - offset_);
     offset_ = (end < size) ? end + 1 : size;
-    ++lineno_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-
-    std::vector<std::string> cells;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t comma = line.find(',', start);
-      if (comma == std::string::npos) {
-        cells.push_back(line.substr(start));
-        break;
-      }
-      cells.push_back(line.substr(start, comma - start));
-      start = comma + 1;
-    }
-    if (cells.size() < 4) {
-      throw Error("trace csv line " + std::to_string(lineno_) +
-                  ": expected at least 4 columns");
-    }
-    TraceItem item;
-    try {
-      item.arrival_time = std::stod(cells[0]);
-      item.port = static_cast<std::uint32_t>(std::stoul(cells[1]));
-      item.size_bytes = static_cast<std::uint32_t>(std::stoul(cells[2]));
-      item.flow = std::stoull(cells[3]);
-      for (std::size_t i = 4; i < cells.size(); ++i) {
-        item.fields.push_back(static_cast<Value>(std::stoll(cells[i])));
-      }
-    } catch (const std::exception&) {
-      throw Error("trace csv line " + std::to_string(lineno_) +
-                  ": malformed number");
-    }
+    if (!parse_trace_csv_line(line, ++lineno_, item)) continue;
     // A streaming reader cannot sort after the fact the way
     // load_trace_csv does, so admission order is an input contract.
     if (any_parsed_ &&

@@ -125,8 +125,7 @@ expect_failure("mp5sim relaxed restore of scr checkpoint"
                ${MP5SIM} --builtin figure3 --packets 800 --design relaxed
                --staleness 32 --restore ${workdir}/scr.ckpt)
 
-# MP5-only knobs silently ignored by --design recirc before ISSUE 10 must
-# now be rejected.
+# MP5-only knobs that --design recirc once ignored silently are rejected.
 expect_failure("mp5sim recirc rejects fifo-capacity"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --fifo-capacity 8)
@@ -139,6 +138,20 @@ expect_failure("mp5sim recirc rejects timeline"
 expect_failure("mp5sim recirc rejects staleness"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --staleness 8)
+# One table in mp5sim decides which designs take which flag; these were
+# silently ignored (remap) or refused only inside the library.
+expect_failure("mp5sim scr rejects remap"
+               ${MP5SIM} --builtin figure3 --packets 200 --design scr
+               --remap 7)
+expect_failure("mp5sim recirc rejects remap"
+               ${MP5SIM} --builtin figure3 --packets 200 --design recirc
+               --remap 7)
+expect_failure("mp5sim relaxed rejects fail-pipeline"
+               ${MP5SIM} --builtin figure3 --packets 200 --design relaxed
+               --fail-pipeline 1@100)
+expect_failure("mp5sim scr rejects telemetry"
+               ${MP5SIM} --builtin figure3 --packets 200 --design scr
+               --telemetry)
 
 # -- removed cycle-walk engine flags: the event walk is the only engine,
 # so its former selectors are unknown options now --

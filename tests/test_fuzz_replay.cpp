@@ -8,8 +8,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fuzz/repro.hpp"
 
 #ifndef MP5_CORPUS_DIR
@@ -76,7 +78,7 @@ std::string slurp(const std::string& path) {
 TEST(ReproCompat, VariantConfigRoundTrips) {
   fuzz::Reproducer repro = sample_repro();
   repro.kind = fuzz::FailureKind::kVariantDivergence;
-  repro.config.variant = DesignVariant::kRelaxed;
+  repro.config.variant = fuzz::DesignVariant::kRelaxed;
   repro.config.staleness = 64;
   repro.config.pipelines = 8;
 
@@ -88,10 +90,32 @@ TEST(ReproCompat, VariantConfigRoundTrips) {
 
   const fuzz::Reproducer loaded = fuzz::load_reproducer(path);
   EXPECT_EQ(loaded.kind, fuzz::FailureKind::kVariantDivergence);
-  EXPECT_EQ(loaded.config.variant, DesignVariant::kRelaxed);
+  EXPECT_EQ(loaded.config.variant, fuzz::DesignVariant::kRelaxed);
   EXPECT_EQ(loaded.config.staleness, 64u);
   EXPECT_EQ(loaded.config.pipelines, 8u);
   EXPECT_EQ(loaded.config.name(), repro.config.name());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReproCompat, StalenessMustMatchVariant) {
+  // Staleness 0 is how the replicated simulator spells SCR, so a
+  // reproducer whose staleness disagrees with its variant would silently
+  // replay another design.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mp5-repro-staleness";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "mismatch.json").string();
+  for (const auto& [variant, staleness] :
+       {std::pair{fuzz::DesignVariant::kScr, 64u},
+        std::pair{fuzz::DesignVariant::kRelaxed, 0u},
+        std::pair{fuzz::DesignVariant::kMp5, 8u}}) {
+    fuzz::Reproducer repro = sample_repro();
+    repro.config.variant = variant;
+    repro.config.staleness = staleness;
+    fuzz::save_reproducer(repro, path);
+    EXPECT_THROW(fuzz::load_reproducer(path), ConfigError)
+        << fuzz::to_string(variant) << " with staleness " << staleness;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -117,7 +141,7 @@ TEST(ReproCompat, PreVariantReproLoadsAsMp5) {
   std::ofstream(path) << text;
 
   const fuzz::Reproducer loaded = fuzz::load_reproducer(path);
-  EXPECT_EQ(loaded.config.variant, DesignVariant::kMp5);
+  EXPECT_EQ(loaded.config.variant, fuzz::DesignVariant::kMp5);
   EXPECT_EQ(loaded.config.staleness, 0u);
 
   text = slurp(path);

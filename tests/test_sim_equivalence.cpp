@@ -151,6 +151,12 @@ struct SweepParam {
   std::uint64_t seed;
 };
 
+// Without a printer gtest shows the raw bytes, padding included, so the
+// registered test names would carry uninitialized memory.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "k=" << p.pipelines << " seed=" << p.seed;
+}
+
 class EquivalenceSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(EquivalenceSweep, RealAppsAtLineRate) {

@@ -78,6 +78,20 @@ TEST(CsvSource, RejectsUnsortedArrivals) {
   EXPECT_THROW(source.advance(), Error);
 }
 
+TEST(CsvSource, RejectsMalformedCells) {
+  // The same line parser as load_trace_csv: each cell is consumed whole.
+  for (const char* line : {"0.0abc,0,64,1,5", "0,0,64zz,1,5", "0,-1,64,1,5"}) {
+    const std::string path = testing::TempDir() + "malformed.trace.csv";
+    {
+      std::ofstream out(path);
+      out << "0,0,64,1,5\r\n" << line << "\n";
+    }
+    CsvFileTraceSource source(path);
+    ASSERT_NE(source.peek(), nullptr) << line; // the CRLF line parses fine
+    EXPECT_THROW(source.advance(), Error) << line;
+  }
+}
+
 TEST(BinarySource, RoundTripsThroughFile) {
   const Trace trace = small_trace(120, 3);
   const std::string path = testing::TempDir() + "rt.tracebin";

@@ -1,22 +1,21 @@
 // Replicated design variants (ISSUE 10): the SCR / relaxed-consistency
-// simulators and the variant×knob validation sweep. Every MP5-only knob
-// combined with a replicated variant must raise ConfigError naming both
-// the variant and the knob — never run with silently wrong semantics.
+// simulator. ReplicatedOptions holds only the fields it reads, so MP5's
+// knobs cannot reach it and SimOptions cannot configure it.
 #include <gtest/gtest.h>
 
 #include <ios>
 #include <string>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "baseline/presets.hpp"
 #include "baseline/replicated.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fuzz/differ.hpp"
 #include "metrics/equivalence.hpp"
 #include "metrics/sim_result.hpp"
 #include "mp5/simulator.hpp"
-#include "telemetry/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace mp5::test {
@@ -45,17 +44,14 @@ constexpr char kCounter[] = R"(
 )";
 
 SimResult run_variant(const Mp5Program& prog, const Trace& trace,
-                      SimOptions opts) {
+                      ReplicatedOptions opts) {
   opts.record_egress = true;
   opts.paranoid_checks = true;
-  if (opts.variant == DesignVariant::kScr) {
-    return ScrSimulator(prog, opts).run(trace);
-  }
-  return RelaxedSimulator(prog, opts).run(trace);
+  return ReplicatedSimulator(prog, opts).run(trace);
 }
 
 EquivalenceReport check_variant(const Mp5Program& prog, const Trace& trace,
-                                const SimOptions& opts) {
+                                const ReplicatedOptions& opts) {
   const SimResult result = run_variant(prog, trace, opts);
   return check_equivalence(prog.pvsm, run_reference(prog, trace), result);
 }
@@ -68,118 +64,35 @@ Trace dense_trace(const Mp5Program& prog, std::size_t packets,
       load);
 }
 
-// ---------------------------------------------------------------------------
-// Variant×knob validation sweep (satellite 1): one table entry per
-// MP5-only knob. Each must be rejected for BOTH replicated variants with
-// a message naming the variant and the knob.
-// ---------------------------------------------------------------------------
-
-struct KnobCase {
-  const char* knob; // must appear verbatim in the error message
-  void (*set)(SimOptions&);
-};
-
-const std::vector<KnobCase>& mp5_only_knobs() {
-  static telemetry::Telemetry telem;
-  static const std::vector<KnobCase> cases = {
-      {"sharding",
-       [](SimOptions& o) { o.sharding = ShardingPolicy::kStaticRandom; }},
-      {"phantoms", [](SimOptions& o) { o.phantoms = false; }},
-      {"realistic_phantom_channel",
-       [](SimOptions& o) { o.realistic_phantom_channel = true; }},
-      {"ideal_queues", [](SimOptions& o) { o.ideal_queues = true; }},
-      {"naive_single_pipeline",
-       [](SimOptions& o) { o.naive_single_pipeline = true; }},
-      {"starvation_threshold",
-       [](SimOptions& o) { o.starvation_threshold = 16; }},
-      {"ecn_threshold", [](SimOptions& o) { o.ecn_threshold = 4; }},
-      {"fifo_capacity", [](SimOptions& o) { o.fifo_capacity = 8; }},
-      {"faults",
-       [](SimOptions& o) {
-         PipelineFault fault;
-         fault.pipeline = 0;
-         fault.fail_at = 10;
-         o.faults.pipeline_faults.push_back(fault);
-       }},
-      {"telemetry", [](SimOptions& o) { o.telemetry = &telem; }},
-      {"timeline",
-       [](SimOptions& o) { o.timeline = [](const TimelineEvent&) {}; }},
-      {"track_flow_reordering",
-       [](SimOptions& o) { o.track_flow_reordering = true; }},
-      {"egress_sink",
-       [](SimOptions& o) { o.egress_sink = [](EgressRecord&&) {}; }},
-      {"fault_drop_sink",
-       [](SimOptions& o) { o.fault_drop_sink = [](SeqNo, bool) {}; }},
-  };
-  return cases;
-}
-
-TEST(VariantValidation, EveryMp5OnlyKnobRejectedNamingVariantAndKnob) {
-  const Mp5Program prog = compile_mp5(kCounter);
-  for (const DesignVariant variant :
-       {DesignVariant::kScr, DesignVariant::kRelaxed}) {
-    for (const KnobCase& c : mp5_only_knobs()) {
-      SimOptions opts = variant == DesignVariant::kScr
-                            ? scr_options(4, 1)
-                            : relaxed_options(4, 1);
-      c.set(opts);
-      try {
-        run_variant(prog, {}, opts);
-        FAIL() << to_string(variant) << " accepted MP5-only knob " << c.knob;
-      } catch (const ConfigError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find(std::string("variant '") + to_string(variant) +
-                            "'"),
-                  std::string::npos)
-            << c.knob << ": message does not name the variant: " << what;
-        EXPECT_NE(what.find(c.knob), std::string::npos)
-            << "message does not name the knob: " << what;
-      }
-    }
-  }
-}
-
-TEST(VariantValidation, StalenessBoundGatedPerVariant) {
-  const Mp5Program prog = compile_mp5(kCounter);
-  // relaxed requires a bound >= 1.
-  SimOptions opts = relaxed_options(4, 1, /*staleness=*/0);
-  EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
-  // scr must not carry one.
-  opts = scr_options(4, 1);
-  opts.staleness_bound = 64;
-  EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
-  // And the MP5 family rejects the knob entirely.
-  SimOptions mp5 = mp5_options(4, 1);
-  mp5.staleness_bound = 8;
-  EXPECT_THROW(Mp5Simulator(prog, mp5), ConfigError);
-}
-
 TEST(VariantValidation, SimulatorsRejectMismatchedVariants) {
-  const Mp5Program prog = compile_mp5(kCounter);
-  // Mp5Simulator refuses replicated-variant options…
-  EXPECT_THROW(Mp5Simulator(prog, scr_options(4, 1)), ConfigError);
-  EXPECT_THROW(Mp5Simulator(prog, relaxed_options(4, 1)), ConfigError);
-  // …and each replicated wrapper refuses the other family's options.
-  EXPECT_THROW(ScrSimulator(prog, relaxed_options(4, 1)), ConfigError);
-  EXPECT_THROW(RelaxedSimulator(prog, scr_options(4, 1)), ConfigError);
-  EXPECT_THROW(ScrSimulator(prog, mp5_options(4, 1)), ConfigError);
+  // Each simulator takes only its own options type: a replicated design
+  // cannot be handed MP5's knobs, nor MP5 a staleness bound.
+  static_assert(!std::is_constructible_v<Mp5Simulator, const Mp5Program&,
+                                         const ReplicatedOptions&>);
+  static_assert(!std::is_constructible_v<ReplicatedSimulator,
+                                         const Mp5Program&,
+                                         const SimOptions&>);
+  static_assert(std::is_constructible_v<ReplicatedSimulator,
+                                        const Mp5Program&,
+                                        const ReplicatedOptions&>);
 }
 
 TEST(VariantValidation, GenericBoundsStillChecked) {
   const Mp5Program prog = compile_mp5(kCounter);
-  SimOptions opts = scr_options(0, 1);
+  ReplicatedOptions opts = scr_options(0);
   EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
-  opts = scr_options(4, 1);
+  opts = scr_options(4);
   opts.checkpoint_interval = 100; // no sink
   EXPECT_THROW(run_variant(prog, {}, opts), ConfigError);
 }
 
 TEST(VariantValidation, StringRoundTrip) {
+  using fuzz::DesignVariant;
   for (const DesignVariant v : {DesignVariant::kMp5, DesignVariant::kScr,
                                 DesignVariant::kRelaxed}) {
-    EXPECT_EQ(variant_from_string(to_string(v)), v);
+    EXPECT_EQ(fuzz::variant_from_string(to_string(v)), v);
   }
-  EXPECT_THROW(variant_from_string("eventual"), ConfigError);
+  EXPECT_THROW(fuzz::variant_from_string("eventual"), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,9 +106,9 @@ TEST(VariantBehavior, SinglePipelineIsAlwaysEquivalent) {
   for (const char* source : {kDependent, kCounter}) {
     const Mp5Program prog = compile_mp5(source);
     const Trace trace = dense_trace(prog, 300, 1);
-    EXPECT_TRUE(check_variant(prog, trace, scr_options(1, 1)).equivalent());
+    EXPECT_TRUE(check_variant(prog, trace, scr_options(1)).equivalent());
     EXPECT_TRUE(
-        check_variant(prog, trace, relaxed_options(1, 1, 16)).equivalent());
+        check_variant(prog, trace, relaxed_options(1, 16)).equivalent());
   }
 }
 
@@ -204,9 +117,9 @@ TEST(VariantBehavior, SparseTrafficIsEquivalent) {
   // before the next packet reads, so the replicas are always in sync.
   const Mp5Program prog = compile_mp5(kDependent);
   const Trace trace = dense_trace(prog, 200, 4, /*load=*/0.005);
-  EXPECT_TRUE(check_variant(prog, trace, scr_options(4, 1)).equivalent());
+  EXPECT_TRUE(check_variant(prog, trace, scr_options(4)).equivalent());
   EXPECT_TRUE(
-      check_variant(prog, trace, relaxed_options(4, 1, 8)).equivalent());
+      check_variant(prog, trace, relaxed_options(4, 8)).equivalent());
 }
 
 TEST(VariantBehavior, DenseReadDependentTrafficDivergesWhereMp5DoesNot) {
@@ -216,16 +129,16 @@ TEST(VariantBehavior, DenseReadDependentTrafficDivergesWhereMp5DoesNot) {
   const Mp5Program prog = compile_mp5(kDependent);
   const Trace trace = dense_trace(prog, 400, 4);
   EXPECT_TRUE(run_and_check(prog, trace, mp5_options(4, 1)).equivalent());
-  EXPECT_FALSE(check_variant(prog, trace, scr_options(4, 1)).equivalent());
+  EXPECT_FALSE(check_variant(prog, trace, scr_options(4)).equivalent());
   EXPECT_FALSE(
-      check_variant(prog, trace, relaxed_options(4, 1, 64)).equivalent());
+      check_variant(prog, trace, relaxed_options(4, 64)).equivalent());
 }
 
 TEST(VariantBehavior, LosslessAndDeterministic) {
   const Mp5Program prog = compile_mp5(kCounter);
   const Trace trace = dense_trace(prog, 500, 4);
-  for (const SimOptions& opts :
-       {scr_options(4, 1), relaxed_options(4, 1, 32)}) {
+  for (const ReplicatedOptions& opts :
+       {scr_options(4), relaxed_options(4, 32)}) {
     const SimResult a = run_variant(prog, trace, opts);
     const SimResult b = run_variant(prog, trace, opts);
     EXPECT_EQ(a.offered, trace.size());
@@ -236,21 +149,21 @@ TEST(VariantBehavior, LosslessAndDeterministic) {
 }
 
 TEST(VariantBehavior, FastForwardIsBitIdentical) {
-  // The replicated simulators always jump idle cycles. On a sparse trace,
+  // The replicated simulator always jumps idle cycles. On a sparse trace,
   // where the jump actually engages, they must reproduce the digests
   // recorded under their unskipped cycle-by-cycle walk.
   const Mp5Program prog = compile_mp5(kCounter);
   const Trace trace = dense_trace(prog, 120, 4, /*load=*/0.01);
-  const std::pair<SimOptions, std::uint64_t> cases[] = {
-      {scr_options(4, 1), 0xc977657cf24773ec},
-      {relaxed_options(4, 1, 16), 0x84f6cda954c20cbe},
+  const std::pair<ReplicatedOptions, std::uint64_t> cases[] = {
+      {scr_options(4), 0xc977657cf24773ec},
+      {relaxed_options(4, 16), 0x84f6cda954c20cbe},
   };
   for (const auto& [opts, golden] : cases) {
     const SimResult result = run_variant(prog, trace, opts);
     EXPECT_GT(result.cycles_run, 10 * trace.size()); // really sparse
     const std::uint64_t digest = result_digest(result);
-    EXPECT_EQ(digest, golden) << to_string(opts.variant) << " digest 0x"
-                              << std::hex << digest;
+    EXPECT_EQ(digest, golden) << "staleness " << opts.staleness_bound
+                              << " digest 0x" << std::hex << digest;
   }
 }
 
@@ -275,9 +188,9 @@ TEST(VariantBehavior, RelaxedStalenessBoundsDivergenceWindow) {
     return count;
   };
   const SimResult tight =
-      run_variant(prog, trace, relaxed_options(4, 1, 1));
+      run_variant(prog, trace, relaxed_options(4, 1));
   const SimResult loose =
-      run_variant(prog, trace, relaxed_options(4, 1, 4096));
+      run_variant(prog, trace, relaxed_options(4, 4096));
   EXPECT_LE(mismatches(tight), mismatches(loose));
 }
 
@@ -286,9 +199,9 @@ TEST(VariantBehavior, SteersCountDigestBroadcasts) {
   // digest; with k=1 there is no replication traffic at all.
   const Mp5Program prog = compile_mp5(kCounter);
   const Trace trace = dense_trace(prog, 100, 4);
-  EXPECT_GT(run_variant(prog, trace, scr_options(4, 1)).steers, 0u);
+  EXPECT_GT(run_variant(prog, trace, scr_options(4)).steers, 0u);
   EXPECT_EQ(run_variant(prog, dense_trace(prog, 100, 1),
-                        scr_options(1, 1))
+                        scr_options(1))
                 .steers,
             0u);
 }

@@ -183,7 +183,7 @@ int run(int argc, char** argv) {
     if (!outcome.failure) {
       std::map<std::string, bool> diverged;
       for (const VariantCellOutcome& cell : outcome.variant_cells) {
-        std::string family = mp5::to_string(cell.config.variant);
+        std::string family = to_string(cell.config.variant);
         if (cell.config.variant == DesignVariant::kRelaxed) {
           family += std::to_string(cell.config.staleness);
         }

@@ -15,13 +15,16 @@
 //                                      (default, B=1024)
 // Options:
 //   --design mp5|ideal|no-d2|no-d4|naive|recirc|scr|relaxed  (default mp5)
+//                           mp5..naive are the MP5 designs; scr and relaxed
+//                           are the replicated-state baselines
 //   --staleness N           synchronization period Δ in cycles for
-//                           --design relaxed (default 64); rejected for
-//                           every other design
-//   --pipelines K  --packets N  --seed S  --load F
-//   --fifo-capacity N  --remap N  --flow-order f1,f2
+//                           --design relaxed (default 64)
+//   --pipelines K  --packets N  --seed S  --load F  --flow-order f1,f2
+//   --fifo-capacity N  --remap N          (MP5 designs only)
 //   --check-equivalence     verify vs the single-pipeline reference
 //   --save-trace file.csv   store the generated trace
+// A flag the chosen design does not honour is rejected, naming the flag
+// and the design (kDesignFlags below lists which designs take which flag).
 // Checkpoint/restore (MP5 and replicated designs; see DESIGN.md "Soak &
 // crash recovery"):
 //   --checkpoint-interval N write an mp5-checkpoint v1 file every N
@@ -44,6 +47,7 @@
 //                                       delay each phantom D extra cycles
 //                                       with probability R
 //   --paranoid                          per-cycle invariant watchdog
+//                                       (MP5 and replicated designs)
 // Telemetry & machine-readable output (see DESIGN.md "Telemetry"):
 //   --telemetry                         attach the telemetry registry
 //                                       (counters + event ring; MP5
@@ -62,6 +66,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "apps/programs.hpp"
 #include "banzai/single_pipeline.hpp"
@@ -115,6 +120,7 @@ struct Args {
   std::uint64_t checkpoint_interval = 0;
   std::string checkpoint_out;
   std::string restore_from;
+  std::vector<std::string> flags; // every option given, in order
 };
 
 /// Parse a --fail-pipeline spec: P@CYCLE or P@CYCLE:RECOVER.
@@ -154,6 +160,7 @@ Args parse_args(int argc, char** argv) {
       if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
       return argv[++i];
     };
+    if (arg.starts_with("--")) args.flags.push_back(arg);
     if (arg == "--builtin") args.builtin = next();
     else if (arg == "--design") args.design = next();
     else if (arg == "--trace") args.trace_file = next();
@@ -164,8 +171,8 @@ Args parse_args(int argc, char** argv) {
         static_cast<std::uint32_t>(std::stoul(next()));
     else if (arg == "--staleness") {
       args.staleness = static_cast<std::uint32_t>(std::stoul(next()));
-      // 0 internally means "flag absent"; accepting it here would silently
-      // run the relaxed design at its default bound instead.
+      // Δ = 0 is how ReplicatedOptions spells SCR; --design scr asks for
+      // that, so --staleness 0 under --design relaxed is a mistake.
       if (args.staleness == 0) {
         throw ConfigError("--staleness must be >= 1 (cycles between "
                           "synchronization boundaries)");
@@ -210,6 +217,47 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// Flags that only some designs honour, with the designs that accept each.
+/// Checked once after parsing, so no design silently ignores a flag.
+constexpr const char* kMp5Designs = "mp5|ideal|no-d2|no-d4|naive";
+constexpr const char* kCheckpointingDesigns =
+    "mp5|ideal|no-d2|no-d4|naive|scr|relaxed";
+constexpr std::pair<const char*, const char*> kDesignFlags[] = {
+    {"--staleness", "relaxed"},
+    {"--fifo-capacity", kMp5Designs},
+    {"--remap", kMp5Designs},
+    {"--timeline", kMp5Designs},
+    {"--fail-pipeline", kMp5Designs},
+    {"--phantom-channel", kMp5Designs},
+    {"--phantom-loss-rate", kMp5Designs},
+    {"--phantom-delay-rate", kMp5Designs},
+    {"--phantom-delay", kMp5Designs},
+    {"--telemetry", kMp5Designs},
+    {"--trace-out", kMp5Designs},
+    {"--paranoid", kCheckpointingDesigns},
+    {"--checkpoint-interval", kCheckpointingDesigns},
+    {"--checkpoint-out", kCheckpointingDesigns},
+    {"--restore", kCheckpointingDesigns},
+};
+
+bool design_in(const std::string& design, const std::string& designs) {
+  return ("|" + designs + "|").find("|" + design + "|") != std::string::npos;
+}
+
+void validate_design_flags(const Args& args) {
+  if (!design_in(args.design, std::string(kCheckpointingDesigns) + "|recirc")) {
+    throw ConfigError("unknown design '" + args.design + "'");
+  }
+  for (const std::string& flag : args.flags) {
+    for (const auto& [restricted, designs] : kDesignFlags) {
+      if (flag == restricted && !design_in(args.design, designs)) {
+        throw ConfigError(flag + " applies to --design " + designs +
+                          " only, not " + args.design);
+      }
+    }
+  }
+}
+
 /// Up-front checkpoint-flag validation: a 10^8-cycle run must not discover
 /// an unwritable checkpoint path at the first interval.
 void validate_checkpoint_args(const Args& args) {
@@ -238,6 +286,7 @@ void validate_checkpoint_args(const Args& args) {
 
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  validate_design_flags(args);
   validate_checkpoint_args(args);
 
   // Resolve the program.
@@ -300,62 +349,47 @@ int run(int argc, char** argv) {
   const bool want_telemetry = args.telemetry || !args.trace_out.empty();
   SimResult result;
   std::unique_ptr<telemetry::Telemetry> telem;
+  std::uint64_t checkpoints_written = 0;
+  auto checkpoint_sink = [&](Cycle, std::string&& blob) {
+    write_checkpoint_file(args.checkpoint_out, blob);
+    ++checkpoints_written;
+  };
+  std::string restore_blob;
+  if (!args.restore_from.empty()) {
+    restore_blob = read_checkpoint_file(args.restore_from);
+    std::cout << "resumed from cycle " << parse_checkpoint(restore_blob).cycle
+              << " (" << args.restore_from << ")\n";
+  }
+  std::uint32_t staleness = 0; // the relaxed design's Δ as it ran
   if (args.design == "recirc") {
-    if (!args.faults.empty() || args.paranoid) {
-      throw ConfigError(
-          "fault injection / --paranoid apply to the MP5 designs only, not "
-          "recirc");
-    }
-    if (args.checkpoint_interval != 0 || !args.restore_from.empty()) {
-      throw ConfigError(
-          "--checkpoint-interval/--restore apply to the MP5 designs only, "
-          "not recirc");
-    }
-    if (want_telemetry) {
-      // --json alone stays legal for recirc: the document just carries a
-      // null telemetry section.
-      throw ConfigError(
-          "--telemetry/--trace-out apply to the MP5 designs only, not "
-          "recirc");
-    }
-    // The remaining knobs would otherwise be silently ignored: recirc has
-    // no stage FIFOs, no phantom channel and no timeline hook.
-    if (args.fifo_capacity != 0) {
-      throw ConfigError(
-          "--fifo-capacity applies to the MP5 designs only, not recirc");
-    }
-    if (args.phantom_channel) {
-      throw ConfigError(
-          "--phantom-channel applies to the MP5 designs only, not recirc");
-    }
-    if (args.timeline > 0) {
-      throw ConfigError(
-          "--timeline applies to the MP5 designs only, not recirc");
-    }
-    if (args.staleness != 0) {
-      throw ConfigError(
-          "--staleness applies to --design relaxed only, not recirc");
-    }
     RecircOptions ropts;
     ropts.pipelines = args.pipelines;
     ropts.seed = args.seed;
     ropts.record_egress = args.check_equivalence;
     RecircSimulator sim(program, ropts);
     result = sim.run(trace);
+  } else if (args.design == "scr" || args.design == "relaxed") {
+    ReplicatedOptions ropts = args.design == "scr"
+                                  ? scr_options(args.pipelines)
+                                  : relaxed_options(args.pipelines);
+    if (args.staleness != 0) ropts.staleness_bound = args.staleness;
+    ropts.record_egress = args.check_equivalence;
+    ropts.paranoid_checks = args.paranoid;
+    if (args.checkpoint_interval != 0) {
+      ropts.checkpoint_interval = args.checkpoint_interval;
+      ropts.checkpoint_sink = checkpoint_sink;
+    }
+    staleness = ropts.staleness_bound;
+    ReplicatedSimulator sim(program, ropts);
+    result = restore_blob.empty() ? sim.run(trace)
+                                  : sim.resume(trace, restore_blob);
   } else {
     SimOptions opts;
     if (args.design == "mp5") opts = mp5_options(args.pipelines, args.seed);
     else if (args.design == "ideal") opts = ideal_options(args.pipelines, args.seed);
     else if (args.design == "no-d2") opts = no_d2_options(args.pipelines, args.seed);
     else if (args.design == "no-d4") opts = no_d4_options(args.pipelines, args.seed);
-    else if (args.design == "naive") opts = naive_options(args.pipelines, args.seed);
-    else if (args.design == "scr") opts = scr_options(args.pipelines, args.seed);
-    else if (args.design == "relaxed")
-      opts = relaxed_options(args.pipelines, args.seed);
-    else throw ConfigError("unknown design '" + args.design + "'");
-    // --staleness overrides the relaxed preset's default; passing it for
-    // any other design trips the constructors' variant/knob validation.
-    if (args.staleness != 0) opts.staleness_bound = args.staleness;
+    else opts = naive_options(args.pipelines, args.seed);
     opts.fifo_capacity = args.fifo_capacity;
     opts.remap_period = args.remap;
     opts.record_egress = args.check_equivalence;
@@ -377,45 +411,18 @@ int run(int argc, char** argv) {
         std::cout << "\n";
       };
     }
-    std::uint64_t checkpoints_written = 0;
     if (args.checkpoint_interval != 0) {
       opts.checkpoint_interval = args.checkpoint_interval;
-      opts.checkpoint_sink = [&](Cycle, std::string&& blob) {
-        write_checkpoint_file(args.checkpoint_out, blob);
-        ++checkpoints_written;
-      };
+      opts.checkpoint_sink = checkpoint_sink;
     }
-    if (args.design == "scr" || args.design == "relaxed") {
-      std::unique_ptr<ReplicatedSimulator> sim;
-      if (args.design == "scr") {
-        sim = std::make_unique<ScrSimulator>(program, opts);
-      } else {
-        sim = std::make_unique<RelaxedSimulator>(program, opts);
-      }
-      if (!args.restore_from.empty()) {
-        const std::string blob = read_checkpoint_file(args.restore_from);
-        std::cout << "resumed from cycle " << parse_checkpoint(blob).cycle
-                  << " (" << args.restore_from << ")\n";
-        result = sim->resume(trace, blob);
-      } else {
-        result = sim->run(trace);
-      }
-    } else {
-      Mp5Simulator sim(program, opts);
-      if (!args.restore_from.empty()) {
-        VectorTraceSource source(trace);
-        const std::string blob = read_checkpoint_file(args.restore_from);
-        std::cout << "resumed from cycle " << parse_checkpoint(blob).cycle
-                  << " (" << args.restore_from << ")\n";
-        result = sim.resume(source, blob);
-      } else {
-        result = sim.run(trace);
-      }
-    }
-    if (args.checkpoint_interval != 0) {
-      std::cout << "checkpoints written: " << checkpoints_written << " ("
-                << args.checkpoint_out << ")\n";
-    }
+    Mp5Simulator sim(program, opts);
+    VectorTraceSource source(trace);
+    result = restore_blob.empty() ? sim.run(trace)
+                                  : sim.resume(source, restore_blob);
+  }
+  if (args.checkpoint_interval != 0) {
+    std::cout << "checkpoints written: " << checkpoints_written << " ("
+              << args.checkpoint_out << ")\n";
   }
 
   const double wall_s = std::chrono::duration<double>(
@@ -486,9 +493,7 @@ int run(int argc, char** argv) {
     meta.design = args.design;
     if (args.design == "scr" || args.design == "relaxed") {
       meta.variant = args.design;
-      if (args.design == "relaxed") {
-        meta.staleness = args.staleness != 0 ? args.staleness : 64;
-      }
+      meta.staleness = staleness;
     }
     meta.program = !args.builtin.empty() ? args.builtin : "custom";
     meta.pipelines = args.pipelines;

@@ -111,6 +111,14 @@ def check_telemetry_section(telem, where):
             fail(f"{ewhere}: retained + dropped != recorded")
 
 
+def check_staleness(variant, staleness, where):
+    if variant == "relaxed" and staleness < 1:
+        fail(f"{where}: relaxed variant needs staleness >= 1")
+    if variant != "relaxed" and staleness != 0:
+        fail(f"{where}: staleness is only meaningful for the relaxed "
+             "variant")
+
+
 def validate_results(doc, where):
     check_version(doc, "mp5-results", where)
     meta = require(doc, "meta", dict, where)
@@ -124,7 +132,8 @@ def validate_results(doc, where):
         if variant not in FUZZ_VARIANTS:
             fail(f"{where}.meta: variant '{variant}' not in "
                  f"{sorted(FUZZ_VARIANTS)}")
-        require(meta, "staleness", int, f"{where}.meta")
+        check_staleness(variant, require(meta, "staleness", int,
+                                         f"{where}.meta"), f"{where}.meta")
 
     packets = require(doc, "packets", dict, where)
     fields = ("offered", "egressed", "dropped_phantom", "dropped_data",
@@ -270,12 +279,8 @@ def validate_repro(doc, where):
         if variant not in FUZZ_VARIANTS:
             fail(f"{cwhere}: variant '{variant}' not in "
                  f"{sorted(FUZZ_VARIANTS)}")
-        staleness = require(config, "staleness", int, cwhere)
-        if variant == "relaxed" and staleness < 1:
-            fail(f"{cwhere}: relaxed variant needs staleness >= 1")
-        if variant != "relaxed" and staleness != 0:
-            fail(f"{cwhere}: staleness is only meaningful for the relaxed "
-                 "variant")
+        check_staleness(variant, require(config, "staleness", int, cwhere),
+                        cwhere)
     elif expect == "variant-divergence":
         fail(f"{cwhere}: variant-divergence entries must name their variant")
 
