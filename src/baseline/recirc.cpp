@@ -82,18 +82,13 @@ void RecircSimulator::admit(const TraceItem& item, Cycle now) {
   load_headers(item, prog_->pvsm, pkt.headers);
   ir::exec_pure(prog_->resolver, pkt.headers);
   for (const auto& desc : prog_->accesses) {
-    if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
-      const bool truthy =
-          pkt.headers[static_cast<std::size_t>(desc.guard)] != 0;
-      if (desc.guard_negate ? truthy : !truthy) continue;
-    }
+    const std::optional<RegIndex> index =
+        resolve_at_arrival(desc, pkt.headers, prog_->pvsm.registers);
+    if (!index) continue;
     PlannedAccess acc;
     acc.reg = desc.reg;
     acc.stage = desc.stage;
-    acc.index = desc.index_resolvable
-                    ? ir::resolve_index(desc.index, pkt.headers,
-                                        prog_->pvsm.registers[desc.reg].size)
-                    : kUnresolvedIndex;
+    acc.index = *index;
     acc.pipeline = state_->pipeline_of(desc.reg, acc.index);
     if (desc.guard != ir::kNoSlot && !desc.guard_resolvable) {
       acc.guard = GuardStatus::kConservative;

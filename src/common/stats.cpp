@@ -34,14 +34,18 @@ Histogram::Histogram(double bucket_width, std::size_t buckets)
   }
 }
 
-void Histogram::add(double x) {
-  if (std::isnan(x)) {
-    throw ConfigError("Histogram::add: NaN sample");
+void Histogram::throw_nan() {
+  throw ConfigError("Histogram::add: NaN sample");
+}
+
+void Histogram::merge(const Histogram& other) {
+  if (other.width_ != width_ || other.counts_.size() != counts_.size()) {
+    throw ConfigError("Histogram::merge: bucket shapes differ");
   }
-  auto idx = static_cast<std::size_t>(std::max(0.0, x) / width_);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-  ++total_;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  total_ += other.total_;
 }
 
 double Histogram::quantile(double q) const {

@@ -2,6 +2,8 @@
 // benchmark harnesses.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -39,8 +41,17 @@ class Histogram {
 public:
   Histogram(double bucket_width, std::size_t buckets);
 
-  /// Throws ConfigError on NaN (it has no bucket).
-  void add(double x);
+  /// Throws ConfigError on NaN (it has no bucket). Inline: the simulator
+  /// samples on every FIFO push and every egress.
+  void add(double x) {
+    if (std::isnan(x)) throw_nan();
+    const auto idx = static_cast<std::size_t>(std::max(0.0, x) / width_);
+    ++counts_[std::min(idx, counts_.size() - 1)];
+    ++total_;
+  }
+  /// Add another histogram's samples; throws ConfigError unless both
+  /// have the same bucket width and count.
+  void merge(const Histogram& other);
   std::uint64_t total() const noexcept { return total_; }
 
   /// Value below which `q` of the mass lies, to bucket precision. Returns
@@ -58,6 +69,8 @@ public:
   double bucket_width() const noexcept { return width_; }
 
 private:
+  [[noreturn]] static void throw_nan();
+
   double width_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;

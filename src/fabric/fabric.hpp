@@ -107,9 +107,9 @@ struct FabricOptions {
 
   FabricFaultPlan faults;
 
-  /// Optional shared telemetry sink. Each switch registers its metrics
-  /// under "fabric.<switch-name>." (the Scope mechanism), so one process
-  /// can host the whole fabric without name collisions.
+  /// Optional shared telemetry sink. Each switch exports its metrics
+  /// under "fabric.<switch-name>." (its SimOptions::telemetry_prefix), so
+  /// one registry holds the whole fabric without name collisions.
   telemetry::Telemetry* telemetry = nullptr;
 };
 

@@ -30,8 +30,9 @@
 //   }
 //
 // Per-switch telemetry metrics appear in the telemetry section under
-// their "fabric.<switch-name>." prefixes (the Scope mechanism keeps the
-// per-instance names collision-free in the shared registry).
+// their "fabric.<switch-name>." prefixes (each switch's
+// SimOptions::telemetry_prefix keeps the names collision-free in the
+// shared registry).
 #pragma once
 
 #include <ostream>

@@ -21,17 +21,11 @@ AdmissibilityReport analyze_admissibility(const Mp5Program& program,
     load_headers(item, program.pvsm, headers);
     ir::exec_pure(program.resolver, headers);
     for (const auto& desc : program.accesses) {
-      if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
-        const bool truthy =
-            headers[static_cast<std::size_t>(desc.guard)] != 0;
-        if (desc.guard_negate ? truthy : !truthy) continue;
-      }
-      const RegIndex index =
-          desc.index_resolvable
-              ? ir::resolve_index(desc.index, headers,
-                                  program.pvsm.registers[desc.reg].size)
-              : kUnresolvedIndex; // pinned array: one serial pool
-      ++state_hits[(static_cast<std::uint64_t>(desc.reg) << 32) | index];
+      // A pinned array resolves to kUnresolvedIndex: one serial pool.
+      const std::optional<RegIndex> index =
+          resolve_at_arrival(desc, headers, program.pvsm.registers);
+      if (!index) continue;
+      ++state_hits[(static_cast<std::uint64_t>(desc.reg) << 32) | *index];
       ++stage_hits[desc.stage];
     }
   }

@@ -319,22 +319,18 @@ std::string Mp5Simulator::serialize_state(Cycle now) {
     }
   }
 
-  // Telemetry counters/gauges, when a registry is attached. Restored via
-  // inc()/set() into the (fresh, zeroed) restoring registry; histograms and
-  // the event ring are diagnostics and are not carried across a restore.
-  w.boolean(telem_ != nullptr);
-  if (telem_ != nullptr) {
-    w.u64(telem_->counters().size());
-    for (const auto& [name, counter] : telem_->counters()) {
-      w.str(name);
-      w.u64(counter.value());
-    }
-    w.u64(telem_->gauges().size());
-    for (const auto& [name, gauge] : telem_->gauges()) {
-      w.str(name);
-      w.f64(gauge.value());
-    }
+  // Named counters: the counts SimResult has no field for (SimResult
+  // itself travels above), written whether or not telemetry is attached.
+  // The layout (flag, named counters, named gauges) is the one older
+  // checkpoints used; no gauges are written, they are end-of-run values.
+  const auto counts = named_counts();
+  w.boolean(true);
+  w.u64(counts.size());
+  for (const auto& [name, value] : counts) {
+    w.str(name);
+    w.u64(*value);
   }
+  w.u64(0);
 
   return w.take();
 }
@@ -474,18 +470,23 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
     flow_last_egress_[flow] = r.u64();
   }
 
+  // Named counters. Older builds wrote the flag false when no telemetry
+  // was attached, and wrote every registry counter and gauge otherwise:
+  // names this build does not keep, and all gauges, are skipped.
   if (r.boolean()) {
+    const auto counts = named_counts();
     const std::uint64_t nc = r.count(16);
     for (std::uint64_t i = 0; i < nc; ++i) {
       const std::string name = r.str();
       const std::uint64_t value = r.u64();
-      if (telem_ != nullptr) telem_->counter(name).inc(value);
+      for (const auto& [known, slot] : counts) {
+        if (name == known) *slot = value;
+      }
     }
     const std::uint64_t ng = r.count(16);
     for (std::uint64_t i = 0; i < ng; ++i) {
-      const std::string name = r.str();
-      const double value = r.f64();
-      if (telem_ != nullptr) telem_->gauge(name).set(value);
+      (void)r.str();
+      (void)r.f64();
     }
   }
 

@@ -129,16 +129,16 @@ struct SimOptions {
   /// Optional per-event instrumentation hook (tests, mp5sim --timeline).
   TimelineHook timeline;
 
-  /// Optional telemetry sink (non-owning; see src/telemetry/). When null —
-  /// the default — every hook in the simulator and its components reduces
-  /// to a never-taken branch and the run is bit-identical to a build
-  /// without telemetry. Attach one Telemetry object per run: counters,
-  /// gauges and histograms are registered at simulator construction and
-  /// the event ring records the cycle-level timeline.
+  /// Optional telemetry sink (non-owning; see src/telemetry/). The run
+  /// counts its events whether or not one is attached; at the end of the
+  /// run (run, finish or resume) the simulator writes every counter, gauge
+  /// and histogram into it, and during the run its event ring records the
+  /// cycle-level timeline. Attaching one changes neither the SimResult nor
+  /// the cycle walk.
   telemetry::Telemetry* telemetry = nullptr;
 
-  /// Name prefix for every metric this simulator registers (e.g.
-  /// "fabric.leaf0."). Registration is find-or-create by flat name, so two
+  /// Name prefix for every metric this simulator exports (e.g.
+  /// "fabric.leaf0."). The registry is find-or-create by flat name, so two
   /// simulators sharing one Telemetry MUST use distinct prefixes or their
   /// counters silently merge. Empty (the default) keeps the classic flat
   /// single-simulator names ("sim.admitted", "fifo.push", ...).

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "packet/packet.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace mp5 {
 
@@ -79,14 +78,6 @@ PipelineId ShardedState::pipeline_of(RegId reg, RegIndex index) const {
   return regs_[reg].map[index];
 }
 
-void ShardedState::set_telemetry(const telemetry::Scope& sink) {
-  t_rebalance_runs_ = &sink.counter("shard.rebalance_runs");
-  t_rebalance_moves_ = &sink.counter("shard.rebalance_moves");
-  t_fault_rehomed_ = &sink.counter("shard.fault_rehomed_indices");
-  t_accesses_ = &sink.counter("shard.state_accesses");
-  t_touched_ = &sink.counter("shard.touched_indices");
-}
-
 void ShardedState::note_resolved(RegId reg, RegIndex index) {
   if (index == kUnresolvedIndex) return;
   auto& per = regs_[reg];
@@ -102,7 +93,7 @@ void ShardedState::note_resolved(RegId reg, RegIndex index) {
   per.lane_load[per.map[index]] += 1;
   ++per.in_flight[index];
   if (resets_[reg]) window_dirty_ = true;
-  MP5_TELEM_INC(t_accesses_);
+  ++counts_.state_accesses;
 }
 
 void ShardedState::note_completed(RegId reg, RegIndex index) {
@@ -149,9 +140,8 @@ void ShardedState::end_window(PerReg& per) {
 void ShardedState::finish_rebalance(std::size_t moves, std::uint64_t touched) {
   window_dirty_ = false;
   total_moves_ += moves;
-  MP5_TELEM_INC(t_rebalance_runs_);
-  MP5_TELEM_ADD(t_rebalance_moves_, moves);
-  MP5_TELEM_ADD(t_touched_, touched);
+  ++counts_.rebalance_runs;
+  counts_.touched_indices += touched;
 }
 
 std::size_t ShardedState::fail_pipeline(PipelineId pipeline) {
@@ -229,7 +219,6 @@ std::size_t ShardedState::fail_pipeline(PipelineId pipeline) {
     per.lane_load[pipeline] = 0;
   }
   total_moves_ += moved;
-  MP5_TELEM_ADD(t_fault_rehomed_, moved);
   return moved;
 }
 

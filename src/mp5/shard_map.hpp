@@ -47,11 +47,6 @@ namespace mp5 {
 class ByteReader;
 class ByteWriter;
 
-namespace telemetry {
-class Counter;
-class Scope;
-}
-
 enum class ShardingPolicy {
   /// Figure 6 heuristic every remap period (the MP5 default).
   kDynamic,
@@ -148,10 +143,18 @@ public:
 
   std::uint64_t total_moves() const { return total_moves_; }
 
-  /// Attach the telemetry registry (see src/telemetry/): registers the
-  /// "shard.*" counters for rebalance churn and fault re-homing. Not
-  /// called on telemetry-disabled runs; the hooks stay null and free.
-  void set_telemetry(const telemetry::Scope& sink);
+  /// Work counts since construction (telemetry exports them as
+  /// "shard.state_accesses", "shard.touched_indices" and
+  /// "shard.rebalance_runs"). They are not part of save(): the simulator
+  /// carries them in its checkpoint's named-counter block, and counts the
+  /// provably idle windows its clock jumps over into rebalance_runs.
+  struct Counts {
+    std::uint64_t state_accesses = 0;  // resolved-index note_resolved calls
+    std::uint64_t touched_indices = 0; // windowed working sets, summed
+    std::uint64_t rebalance_runs = 0;  // closed remap windows
+  };
+  const Counts& counts() const { return counts_; }
+  Counts& counts() { return counts_; }
 
   // -- checkpoint/restore --
 
@@ -198,7 +201,7 @@ private:
   /// Close the register's remap window: clear the touched list, zero the
   /// per-lane aggregates, and invalidate every stamp via an epoch bump.
   void end_window(PerReg& per);
-  /// Telemetry + dirty-flag epilogue shared by both rebalance paths.
+  /// Counts + dirty-flag epilogue shared by both rebalance paths.
   void finish_rebalance(std::size_t moves, std::uint64_t touched);
 
   std::size_t rebalance_one(RegId reg);      // Figure 6, O(touched), + O(chosen index) on cold fallback
@@ -217,15 +220,9 @@ private:
   std::vector<bool> resets_;
   std::vector<PerReg> regs_;
   std::uint64_t total_moves_ = 0;
+  Counts counts_;
   bool window_dirty_ = false;
   std::vector<RegIndex> scratch_; // evacuation / movable-candidate reuse
-
-  // -- telemetry hooks (registry-owned; null when telemetry is off) --
-  telemetry::Counter* t_rebalance_runs_ = nullptr;
-  telemetry::Counter* t_rebalance_moves_ = nullptr;
-  telemetry::Counter* t_fault_rehomed_ = nullptr;
-  telemetry::Counter* t_accesses_ = nullptr;
-  telemetry::Counter* t_touched_ = nullptr;
 
   /// On its own cache line: the native backend's workers read this header
   /// on every atom while its dispatcher writes the counters above.

@@ -98,31 +98,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
 
   lane_words_ = (k_ + 63) / 64;
   active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
-
-#if MP5_TELEMETRY_COMPILED
-  if (opts_.telemetry != nullptr) {
-    telem_ = opts_.telemetry;
-    // All metric names go through the scope so co-resident simulators with
-    // distinct SimOptions::telemetry_prefix values keep distinct metrics.
-    tscope_ = telemetry::Scope(*telem_, opts_.telemetry_prefix);
-    state_->set_telemetry(tscope_);
-    for (auto& fifo : fifos_) fifo.set_telemetry(tscope_);
-    t_admit_ = &tscope_.counter("sim.admitted");
-    t_egress_ = &tscope_.counter("sim.egressed");
-    t_steer_ = &tscope_.counter("sim.steers");
-    t_drop_data_ = &tscope_.counter("sim.dropped_data");
-    t_drop_starved_ = &tscope_.counter("sim.dropped_starved");
-    t_drop_fault_ = &tscope_.counter("sim.dropped_fault");
-    t_ecn_ = &tscope_.counter("sim.ecn_marked");
-    t_stall_cycles_ = &tscope_.counter("fault.stalled_cycles");
-    t_phantom_sent_ = &tscope_.counter("phantom.sent");
-    t_phantom_lost_ = &tscope_.counter("phantom.lost");
-    t_phantom_delayed_ = &tscope_.counter("phantom.delayed");
-    t_lane_fail_ = &tscope_.counter("fault.lane_failures");
-    t_lane_recover_ = &tscope_.counter("fault.lane_recoveries");
-    t_egress_latency_ = &tscope_.histogram("sim.egress_latency", 1.0, 128);
-  }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +177,14 @@ SimResult Mp5Simulator::run_loop(TraceSource& source, Cycle start_cycle) {
       //     at every observable boundary: checkpoints, remaps, fault
       //     events and stall windows.
       if (live_packets_ == 0 && activity_all_clear()) {
-        now = next_event_cycle(now);
+        const Cycle next = next_event_cycle(now);
+        if (opts_.remap_period != 0) {
+          // The remap boundaries jumped over close provably idle windows:
+          // they count as rebalance runs, as if stepped.
+          const Cycle period = opts_.remap_period;
+          state_->counts().rebalance_runs += next / period - now / period;
+        }
+        now = next;
       }
       if (now >= opts_.max_cycles) {
         throw Error(
@@ -288,10 +270,7 @@ void Mp5Simulator::step_cycle(Cycle now) {
       }
       if (!counted) ++skipped;
     }
-    if (skipped != 0) {
-      result_.stalled_cycles += skipped;
-      MP5_TELEM_ADD(t_stall_cycles_, skipped);
-    }
+    result_.stalled_cycles += skipped;
   }
   //    A visited cell's bit is cleared once the cell is empty again. Bits
   //    the walk sets itself (a processed packet advancing into stage
@@ -333,17 +312,7 @@ SimResult Mp5Simulator::finalize(Cycle now) {
     result_.max_queue_depth =
         std::max(result_.max_queue_depth, fifo.high_water());
   }
-  if (telem_ != nullptr) {
-    tscope_.gauge("sim.cycles_run").set(static_cast<double>(now));
-    tscope_.gauge("sim.max_queue_depth")
-        .set(static_cast<double>(result_.max_queue_depth));
-    tscope_.gauge("sim.normalized_throughput")
-        .set(result_.normalized_throughput());
-    tscope_.gauge("sim.arena_peak_live")
-        .set(static_cast<double>(arena_.peak_live()));
-    tscope_.gauge("sim.arena_recycled_allocs")
-        .set(static_cast<double>(arena_.recycled_allocs()));
-  }
+  export_telemetry();
   std::sort(result_.egress.begin(), result_.egress.end(),
             [](const EgressRecord& a, const EgressRecord& b) {
               return a.seq < b.seq;
@@ -353,6 +322,66 @@ SimResult Mp5Simulator::finalize(Cycle now) {
               return a.seq < b.seq;
             });
   return std::move(result_);
+}
+
+std::array<std::pair<const char*, std::uint64_t*>, 9>
+Mp5Simulator::named_counts() {
+  ShardedState::Counts& shard = state_->counts();
+  return {{{"phantom.sent", &counts_.phantom_sent},
+           {"fifo.push", &counts_.fifo_push},
+           {"fifo.push_dropped", &counts_.fifo_push_dropped},
+           {"fifo.insert", &counts_.fifo_insert},
+           {"fifo.cancel", &counts_.fifo_cancel},
+           {"fifo.pop_data", &counts_.fifo_pop_data},
+           {"shard.state_accesses", &shard.state_accesses},
+           {"shard.touched_indices", &shard.touched_indices},
+           {"shard.rebalance_runs", &shard.rebalance_runs}}};
+}
+
+void Mp5Simulator::export_telemetry() {
+  telemetry::Telemetry* telem = opts_.telemetry;
+  if (telem == nullptr) return;
+  const std::string& prefix = opts_.telemetry_prefix;
+  // Counters whose value is a SimResult field.
+  static constexpr std::pair<const char*, std::uint64_t SimResult::*>
+      kResultCounters[] = {
+          {"sim.admitted", &SimResult::offered},
+          {"sim.egressed", &SimResult::egressed},
+          {"sim.steers", &SimResult::steers},
+          {"sim.dropped_data", &SimResult::dropped_data},
+          {"sim.dropped_starved", &SimResult::dropped_starved},
+          {"sim.dropped_fault", &SimResult::dropped_fault},
+          {"sim.ecn_marked", &SimResult::ecn_marked},
+          {"fault.stalled_cycles", &SimResult::stalled_cycles},
+          {"fault.lane_failures", &SimResult::pipeline_failures},
+          {"fault.lane_recoveries", &SimResult::pipeline_recoveries},
+          {"phantom.lost", &SimResult::phantom_lost},
+          {"phantom.delayed", &SimResult::phantom_delayed},
+          {"fifo.pop_blocked", &SimResult::blocked_cycles},
+          {"fifo.pop_wasted", &SimResult::wasted_cycles},
+          {"shard.rebalance_moves", &SimResult::remap_moves},
+          {"shard.fault_rehomed_indices", &SimResult::fault_remapped_indices},
+      };
+  for (const auto& [name, field] : kResultCounters) {
+    telem->counter(prefix + name).inc(result_.*field);
+  }
+  for (const auto& [name, value] : named_counts()) {
+    telem->counter(prefix + name).inc(*value);
+  }
+  telem->histogram(prefix + "fifo.depth_on_push", 1.0, 64)
+      .merge(depth_on_push_);
+  telem->histogram(prefix + "sim.egress_latency", 1.0, 128)
+      .merge(egress_latency_);
+  telem->gauge(prefix + "sim.cycles_run")
+      .set(static_cast<double>(result_.cycles_run));
+  telem->gauge(prefix + "sim.max_queue_depth")
+      .set(static_cast<double>(result_.max_queue_depth));
+  telem->gauge(prefix + "sim.normalized_throughput")
+      .set(result_.normalized_throughput());
+  telem->gauge(prefix + "sim.arena_peak_live")
+      .set(static_cast<double>(arena_.peak_live()));
+  telem->gauge(prefix + "sim.arena_recycled_allocs")
+      .set(static_cast<double>(arena_.recycled_allocs()));
 }
 
 // ---------------------------------------------------------------------------
@@ -370,11 +399,11 @@ Cycle Mp5Simulator::next_event_cycle(Cycle now) {
     target = std::min(target, *deliver);
   }
   // Remap boundaries are observable while the shard map's window is dirty
-  // (the rebalance could move shards or reset live counters) or telemetry
-  // counts rebalance runs; with a clean window and no telemetry the
-  // rebalance is a provable no-op (zero loads => zero moves, nothing to
-  // reset) and the boundary can be skipped.
-  if (opts_.remap_period != 0 && (state_->window_dirty() || telem_ != nullptr)) {
+  // (the rebalance could move shards or reset live counters); with a
+  // clean window the rebalance is a provable no-op (zero loads => zero
+  // moves, nothing to reset) and the boundary can be skipped. run_loop
+  // still counts the skipped boundary as a rebalance run.
+  if (opts_.remap_period != 0 && state_->window_dirty()) {
     const Cycle period = opts_.remap_period;
     const Cycle boundary = ((now + period) / period) * period - 1;
     target = std::min(target, boundary);
@@ -492,8 +521,8 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
             });
   for (const auto& pending : due_scratch_) {
     auto& fifo = fifo_at(pending.pipeline, pending.stage);
-    if (!fifo.push_phantom(pending.seq, pending.reg, pending.index,
-                           pending.lane, now)) {
+    if (!push_counted(fifo, pending.seq, pending.reg, pending.index,
+                      pending.lane, now)) {
       ++result_.dropped_phantom;
       continue; // the data packet will miss its placeholder and be dropped
     }
@@ -502,7 +531,7 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
          pending.stage, pending.seq);
     if (pending.cancelled) {
       // Cancelled while in flight: arrives as a zombie (one wasted pop).
-      fifo.cancel(pending.seq);
+      if (fifo.cancel(pending.seq)) ++counts_.fifo_cancel;
       emit(TimelineEvent::Kind::kCancel, now, pending.pipeline,
            pending.stage, pending.seq);
     }
@@ -529,7 +558,6 @@ void Mp5Simulator::apply_fault_events(Cycle now) {
 void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
   emit(TimelineEvent::Kind::kLaneFail, now, p, 0, kInvalidSeqNo);
   ++result_.pipeline_failures;
-  MP5_TELEM_INC(t_lane_fail_);
   fail_marker_ = now;
   awaiting_egress_after_failure_ = true;
 
@@ -615,7 +643,6 @@ void Mp5Simulator::recover_lane(PipelineId p, Cycle now) {
   state_->recover_pipeline(p);
   lane_alive_[p] = true;
   ++result_.pipeline_recoveries;
-  MP5_TELEM_INC(t_lane_recover_);
   emit(TimelineEvent::Kind::kLaneRecover, now, p, 0, kInvalidSeqNo);
 }
 
@@ -775,18 +802,13 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   const PipelineId admit_lane =
       opts_.naive_single_pipeline ? 0 : spray_lane(pkt.seq);
   for (const auto& desc : prog_->accesses) {
-    if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
-      const bool truthy =
-          pkt.headers[static_cast<std::size_t>(desc.guard)] != 0;
-      if (desc.guard_negate ? truthy : !truthy) continue; // branch not taken
-    }
+    const std::optional<RegIndex> index =
+        resolve_at_arrival(desc, pkt.headers, prog_->pvsm.registers);
+    if (!index) continue; // branch not taken
     PlannedAccess acc;
     acc.reg = desc.reg;
     acc.stage = desc.stage;
-    acc.index = desc.index_resolvable
-                    ? ir::resolve_index(desc.index, pkt.headers,
-                                        prog_->pvsm.registers[desc.reg].size)
-                    : kUnresolvedIndex;
+    acc.index = *index;
     acc.pipeline = state_->pipeline_of(desc.reg, acc.index);
     if (desc.guard != ir::kNoSlot && !desc.guard_resolvable) {
       acc.guard = GuardStatus::kConservative;
@@ -830,14 +852,12 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             // deadlocking behind a hole in the order).
             lost_phantoms_[acc.pipeline].insert(key);
             ++result_.phantom_lost;
-            MP5_TELEM_INC(t_phantom_lost_);
           } else {
             Cycle deliver = now + acc.stage;
             if (opts_.faults.phantom_delay_rate > 0.0 &&
                 fault_rng_.chance(opts_.faults.phantom_delay_rate)) {
               deliver += opts_.faults.phantom_extra_delay;
               ++result_.phantom_delayed;
-              MP5_TELEM_INC(t_phantom_delayed_);
             }
             PendingPhantom pending;
             pending.seq = pkt.seq;
@@ -847,18 +867,16 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             pending.stage = acc.stage;
             pending.lane = lane_pred;
             channel_push(deliver, pending);
-            MP5_TELEM_INC(t_phantom_sent_);
+            ++counts_.phantom_sent;
           }
         } else {
-          const bool ok = fifo_at(acc.pipeline, acc.stage)
-                              .push_phantom(pkt.seq, acc.reg, acc.index,
-                                            lane_pred, now);
-          if (!ok) {
+          if (!push_counted(fifo_at(acc.pipeline, acc.stage), pkt.seq,
+                            acc.reg, acc.index, lane_pred, now)) {
             acc.phantom_dropped = true;
             ++result_.dropped_phantom;
           } else {
             mark_active(acc.pipeline, acc.stage);
-            MP5_TELEM_INC(t_phantom_sent_);
+            ++counts_.phantom_sent;
             emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
                  acc.stage, pkt.seq);
           }
@@ -873,9 +891,19 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
 
   ++result_.offered;
   ++live_packets_;
-  MP5_TELEM_INC(t_admit_);
   emit(TimelineEvent::Kind::kAdmit, now, admit_lane, 0, pkt.seq);
   ingress_[admit_lane].push_back(ref);
+}
+
+bool Mp5Simulator::push_counted(StageFifo& fifo, SeqNo seq, RegId reg,
+                                RegIndex index, PipelineId lane, Cycle now) {
+  if (!fifo.push_phantom(seq, reg, index, lane, now)) {
+    ++counts_.fifo_push_dropped;
+    return false;
+  }
+  ++counts_.fifo_push;
+  depth_on_push_.add(static_cast<double>(fifo.size()));
+  return true;
 }
 
 void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
@@ -885,10 +913,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
   // Invariant 2 forbids queueing it.
   const bool stalled =
       fault_sched_.has_stalls() && fault_sched_.stalled(p, st, now);
-  if (stalled) {
-    ++result_.stalled_cycles;
-    MP5_TELEM_INC(t_stall_cycles_);
-  }
+  if (stalled) ++result_.stalled_cycles;
 
   StageFifo& fifo = fifos_[cell(p, st)];
   const std::size_t base = cell(p, st) * k_;
@@ -910,11 +935,12 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       if (!opts_.phantoms) {
         // no-D4 ablation: queue the data packet directly at the stage.
         const SeqNo seq = pkt.seq;
-        if (!fifo.push_phantom(seq, acc->reg, acc->index, from_lane, now)) {
+        if (!push_counted(fifo, seq, acc->reg, acc->index, from_lane, now)) {
           drop_packet(ref, DropCause::kData, now);
         } else {
           // Convert the just-pushed placeholder into the data packet.
           fifo.insert_data(seq, ref);
+          ++counts_.fifo_insert;
         }
       } else if (acc->phantom_dropped) {
         emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
@@ -952,6 +978,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
         if (!fifo.insert_data(seq, ref)) {
           throw Error("Mp5Simulator: insert failed with phantom present");
         }
+        ++counts_.fifo_insert;
         emit(TimelineEvent::Kind::kInsert, now, p, st, seq);
       }
     } else {
@@ -1008,6 +1035,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       emit(TimelineEvent::Kind::kPopWasted, now, p, st, kInvalidSeqNo);
       return;
     case StageFifo::PopResult::Kind::kData:
+      ++counts_.fifo_pop_data;
       emit(TimelineEvent::Kind::kPopData, now, p, st,
            arena_.get(popped.ref).seq);
       process_packet(popped.ref, p, st, /*from_fifo=*/true, now);
@@ -1110,23 +1138,18 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
   }
   emit(TimelineEvent::Kind::kCancel, now, owner_acc.pipeline, owner_acc.stage,
        pkt.seq);
-  fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq);
+  if (fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq)) {
+    ++counts_.fifo_cancel;
+  }
 }
 
 void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause, Cycle now) {
   Packet& pkt = arena_.get(ref);
   switch (cause) {
-    case DropCause::kData:
-      ++result_.dropped_data;
-      MP5_TELEM_INC(t_drop_data_);
-      break;
-    case DropCause::kStarved:
-      ++result_.dropped_starved;
-      MP5_TELEM_INC(t_drop_starved_);
-      break;
+    case DropCause::kData: ++result_.dropped_data; break;
+    case DropCause::kStarved: ++result_.dropped_starved; break;
     case DropCause::kFault: {
       ++result_.dropped_fault;
-      MP5_TELEM_INC(t_drop_fault_);
       if (opts_.record_egress || opts_.fault_drop_sink) {
         // Declared drop set for equivalence-modulo-drops: remember whether
         // the packet's partial state effects remain in the registers.
@@ -1169,7 +1192,6 @@ void Mp5Simulator::route_onwards(PacketRef ref, PipelineId p, StageId st,
     dest = acc->pipeline;
     if (dest != p) {
       ++result_.steers;
-      MP5_TELEM_INC(t_steer_);
       emit(TimelineEvent::Kind::kSteer, now, dest, st + 1, pkt.seq);
     }
   }
@@ -1189,9 +1211,7 @@ void Mp5Simulator::egress_packet(PacketRef ref, Cycle now) {
   Packet& pkt = arena_.get(ref);
   emit(TimelineEvent::Kind::kEgress, now, 0, num_stages_ - 1, pkt.seq);
   ++result_.egressed;
-  MP5_TELEM_INC(t_egress_);
-  MP5_TELEM_OBSERVE(t_egress_latency_,
-                    static_cast<double>(now - pkt.arrival_cycle));
+  egress_latency_.add(static_cast<double>(now - pkt.arrival_cycle));
   --live_packets_;
   result_.last_egress = now;
   if (awaiting_egress_after_failure_) {
@@ -1200,10 +1220,7 @@ void Mp5Simulator::egress_packet(PacketRef ref, Cycle now) {
     result_.time_to_recover = now - fail_marker_;
     awaiting_egress_after_failure_ = false;
   }
-  if (pkt.ecn_marked) {
-    ++result_.ecn_marked;
-    MP5_TELEM_INC(t_ecn_);
-  }
+  if (pkt.ecn_marked) ++result_.ecn_marked;
   if (opts_.track_flow_reordering) {
     auto [it, inserted] = flow_last_egress_.try_emplace(pkt.flow, pkt.seq);
     if (!inserted) {

@@ -44,6 +44,7 @@
 // its own simulator in src/baseline.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -51,10 +52,12 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "banzai/ir.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "metrics/c1_checker.hpp"
 #include "metrics/sim_result.hpp"
 #include "mp5/faults.hpp"
@@ -184,6 +187,10 @@ private:
                     PipelineId from_lane);
 
   void admit(const TraceItem& item, Cycle now);
+  /// StageFifo::push_phantom plus its counts: fifo.push or
+  /// fifo.push_dropped, and the depth-on-push histogram.
+  bool push_counted(StageFifo& fifo, SeqNo seq, RegId reg, RegIndex index,
+                    PipelineId lane, Cycle now);
   void deliver_due_phantoms(Cycle now);
   void step_cell(PipelineId p, StageId st, Cycle now);
   void process_packet(PacketRef ref, PipelineId p, StageId st, bool from_fifo,
@@ -206,8 +213,17 @@ private:
   /// run_loop and the external-clock step().
   void step_cycle(Cycle now);
   /// The shared run tail: unbind the source, fill the end-of-run
-  /// SimResult fields, and sort the egress/fault-drop logs.
+  /// SimResult fields, export telemetry, and sort the egress/fault-drop
+  /// logs.
   SimResult finalize(Cycle now);
+  /// Write every count into SimOptions::telemetry under telemetry_prefix:
+  /// the counters SimResult already holds, named_counts(), the two
+  /// histograms and the end-of-run gauges, zeros included. No-op without
+  /// a registry.
+  void export_telemetry();
+  /// The counts SimResult has no field for, by telemetry name. The export
+  /// and the checkpoint's named-counter block both walk this one list.
+  std::array<std::pair<const char*, std::uint64_t*>, 9> named_counts();
   /// Frame the complete simulator state and hand it to checkpoint_sink.
   void do_checkpoint(Cycle now);
   /// Serialize every piece of run state the cycle walk depends on.
@@ -222,7 +238,7 @@ private:
   /// Next cycle at which anything can happen, for a drained switch: the
   /// next trace arrival, the next phantom-channel delivery, the next
   /// checkpoint boundary, the next remap boundary while the shard map's
-  /// window is dirty or telemetry observes rebalance runs, the next lane
+  /// window is dirty, the next lane
   /// fail/recover event, and every cycle covered by a stall window of an
   /// alive lane (each increments stalled_cycles).
   Cycle next_event_cycle(Cycle now);
@@ -300,7 +316,7 @@ private:
   void check_invariants(Cycle now) const;
   void emit(TimelineEvent::Kind kind, Cycle now, PipelineId p, StageId st,
             SeqNo seq, std::uint64_t arg = 0) const {
-    if (telem_ == nullptr && !opts_.timeline) return;
+    if (opts_.telemetry == nullptr && !opts_.timeline) return;
     TimelineEvent event;
     event.kind = kind;
     event.cycle = now;
@@ -308,7 +324,7 @@ private:
     event.stage = st;
     event.seq = seq;
     event.arg = arg;
-    if (telem_ != nullptr) telem_->record(event);
+    if (opts_.telemetry != nullptr) opts_.telemetry->record(event);
     if (opts_.timeline) opts_.timeline(event);
   }
 
@@ -371,25 +387,19 @@ private:
   C1Checker c1_;
   std::unordered_map<std::uint64_t, SeqNo> flow_last_egress_;
 
-  // -- telemetry (see src/telemetry/): registry-owned hooks, all null on a
-  // telemetry-disabled run, where every hook is a never-taken branch and
-  // the SimResult is bit-identical to a build without telemetry. --
-  telemetry::Telemetry* telem_ = nullptr;
-  telemetry::Scope tscope_; // telem_ + SimOptions::telemetry_prefix
-  telemetry::Counter* t_admit_ = nullptr;
-  telemetry::Counter* t_egress_ = nullptr;
-  telemetry::Counter* t_steer_ = nullptr;
-  telemetry::Counter* t_drop_data_ = nullptr;
-  telemetry::Counter* t_drop_starved_ = nullptr;
-  telemetry::Counter* t_drop_fault_ = nullptr;
-  telemetry::Counter* t_ecn_ = nullptr;
-  telemetry::Counter* t_stall_cycles_ = nullptr;
-  telemetry::Counter* t_phantom_sent_ = nullptr;
-  telemetry::Counter* t_phantom_lost_ = nullptr;
-  telemetry::Counter* t_phantom_delayed_ = nullptr;
-  telemetry::Counter* t_lane_fail_ = nullptr;
-  telemetry::Counter* t_lane_recover_ = nullptr;
-  Histogram* t_egress_latency_ = nullptr; // cycles from arrival to egress
+  /// Counts SimResult has no field for (see named_counts()); the shard
+  /// map keeps its own.
+  struct Counts {
+    std::uint64_t phantom_sent = 0;
+    std::uint64_t fifo_push = 0;
+    std::uint64_t fifo_push_dropped = 0;
+    std::uint64_t fifo_insert = 0;
+    std::uint64_t fifo_cancel = 0;
+    std::uint64_t fifo_pop_data = 0;
+  };
+  Counts counts_;
+  Histogram depth_on_push_{1.0, 64};   // FIFO occupancy after each push
+  Histogram egress_latency_{1.0, 128}; // cycles from arrival to egress
 };
 
 } // namespace mp5

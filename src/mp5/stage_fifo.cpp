@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace mp5 {
 namespace {
@@ -29,18 +28,6 @@ StageFifo::StageFifo(std::uint32_t lanes, std::size_t capacity, bool ideal)
   }
 }
 
-void StageFifo::set_telemetry(const telemetry::Scope& sink) {
-  t_push_ = &sink.counter("fifo.push");
-  t_push_dropped_ = &sink.counter("fifo.push_dropped");
-  t_insert_ = &sink.counter("fifo.insert");
-  t_cancel_ = &sink.counter("fifo.cancel");
-  t_pop_data_ = &sink.counter("fifo.pop_data");
-  t_pop_wasted_ = &sink.counter("fifo.pop_wasted");
-  t_pop_blocked_ = &sink.counter("fifo.pop_blocked");
-  t_depth_ = &sink.histogram("fifo.depth_on_push", /*bucket_width=*/1.0,
-                             /*buckets=*/64);
-}
-
 bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
                              PipelineId lane, Cycle now) {
   FifoEntry entry;
@@ -54,7 +41,6 @@ bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
     if (pressure_ != 0) {
       auto it = queues_.find(key);
       if (it != queues_.end() && it->second.size() >= pressure_) {
-        MP5_TELEM_INC(t_push_dropped_);
         return false; // forced-pressure fault: treat the queue as full
       }
     }
@@ -63,20 +49,14 @@ bool StageFifo::push_phantom(SeqNo seq, RegId reg, RegIndex index,
     directory_.insert_or_assign(seq, Address{lane, 0});
   } else {
     if (pressure_ != 0 && lanes_[lane].size() >= pressure_) {
-      MP5_TELEM_INC(t_push_dropped_);
       return false; // forced-pressure fault: treat the lane as full
     }
     auto vidx = lanes_[lane].push(std::move(entry));
-    if (!vidx) {
-      MP5_TELEM_INC(t_push_dropped_);
-      return false; // dropped: lane full
-    }
+    if (!vidx) return false; // dropped: lane full
     directory_.insert_or_assign(seq, Address{lane, *vidx});
   }
   ++live_entries_;
   high_water_ = std::max(high_water_, live_entries_);
-  MP5_TELEM_INC(t_push_);
-  MP5_TELEM_OBSERVE(t_depth_, static_cast<double>(live_entries_));
   return true;
 }
 
@@ -102,14 +82,12 @@ bool StageFifo::insert_data(SeqNo seq, PacketRef ref) {
     entry.ref = ref;
   }
   directory_.erase(seq);
-  MP5_TELEM_INC(t_insert_);
   return true;
 }
 
-void StageFifo::cancel(SeqNo seq) {
+bool StageFifo::cancel(SeqNo seq) {
   const Address* addr = directory_.find(seq);
-  if (addr == nullptr) return; // phantom was dropped
-  MP5_TELEM_INC(t_cancel_);
+  if (addr == nullptr) return false; // phantom was dropped
   if (ideal_) {
     const IndexKey key = seq_key_.at(seq);
     auto& queue = queues_.at(key);
@@ -128,6 +106,7 @@ void StageFifo::cancel(SeqNo seq) {
     entry.kind = FifoEntry::Kind::kCancelled;
     directory_.erase(seq);
   }
+  return true;
 }
 
 void StageFifo::ideal_settle_front(IndexKey key) {
@@ -170,14 +149,7 @@ std::optional<Cycle> StageFifo::oldest_head_enqueue() const {
 }
 
 StageFifo::PopResult StageFifo::pop() {
-  PopResult result = ideal_ ? pop_ideal() : pop_lanes();
-  switch (result.kind) {
-    case PopResult::Kind::kData: MP5_TELEM_INC(t_pop_data_); break;
-    case PopResult::Kind::kWasted: MP5_TELEM_INC(t_pop_wasted_); break;
-    case PopResult::Kind::kBlocked: MP5_TELEM_INC(t_pop_blocked_); break;
-    case PopResult::Kind::kIdle: break;
-  }
-  return result;
+  return ideal_ ? pop_ideal() : pop_lanes();
 }
 
 std::vector<PacketRef> StageFifo::drain_all() {

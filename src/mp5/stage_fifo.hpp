@@ -41,12 +41,6 @@ namespace mp5 {
 
 class ByteReader;
 class ByteWriter;
-class Histogram;
-
-namespace telemetry {
-class Counter;
-class Scope;
-}
 
 class StageFifo {
 public:
@@ -71,8 +65,8 @@ public:
   bool insert_data(SeqNo seq, PacketRef ref);
 
   /// Cancel the phantom of a conservative access whose guard evaluated
-  /// false (§3.3). No-op if the phantom was dropped.
-  void cancel(SeqNo seq);
+  /// false (§3.3). Returns false (a no-op) if the phantom was dropped.
+  bool cancel(SeqNo seq);
 
   struct PopResult {
     enum class Kind : std::uint8_t {
@@ -89,13 +83,6 @@ public:
 
   std::size_t size() const { return live_entries_; }
   std::size_t high_water() const { return high_water_; }
-
-  /// Attach the telemetry registry (see src/telemetry/): the FIFO caches
-  /// pointers to the switch-wide "fifo.*" counters and the occupancy
-  /// histogram, shared by every StageFifo instance of the run. Never
-  /// called on a telemetry-disabled run — all hook pointers stay null and
-  /// each hook is a single never-taken branch.
-  void set_telemetry(const telemetry::Scope& sink);
 
   // -- fault injection & watchdog support --
 
@@ -166,16 +153,6 @@ private:
   std::size_t live_entries_ = 0;
   std::size_t high_water_ = 0;
   std::size_t pressure_ = 0; // forced capacity clamp; 0 = off
-
-  // -- telemetry hooks (registry-owned; null when telemetry is off) --
-  telemetry::Counter* t_push_ = nullptr;
-  telemetry::Counter* t_push_dropped_ = nullptr;
-  telemetry::Counter* t_insert_ = nullptr;
-  telemetry::Counter* t_cancel_ = nullptr;
-  telemetry::Counter* t_pop_data_ = nullptr;
-  telemetry::Counter* t_pop_wasted_ = nullptr;
-  telemetry::Counter* t_pop_blocked_ = nullptr;
-  Histogram* t_depth_ = nullptr; // occupancy sampled at each push
 };
 
 } // namespace mp5

@@ -25,11 +25,13 @@
 // per-flow in-order departure.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "banzai/ir.hpp"
 #include "common/types.hpp"
+#include "packet/packet.hpp" // kUnresolvedIndex
 
 namespace mp5 {
 
@@ -48,6 +50,24 @@ struct AccessDescriptor {
   /// (only meaningful for unresolvable guards).
   StageId guard_known_after_stage = 0;
 };
+
+/// What address resolution decides about one access at packet arrival,
+/// once the resolver slices have run on `headers`: nullopt when a guard
+/// that resolves at arrival skips the access, otherwise the register index
+/// it hits (kUnresolvedIndex when the index resolves only in-pipeline,
+/// i.e. the array is pinned). A guard that does not resolve at arrival
+/// never skips here; the access stays conservative.
+inline std::optional<RegIndex> resolve_at_arrival(
+    const AccessDescriptor& desc, const std::vector<Value>& headers,
+    const std::vector<ir::RegisterSpec>& registers) {
+  if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
+    const bool truthy = headers[static_cast<std::size_t>(desc.guard)] != 0;
+    if (desc.guard_negate ? truthy : !truthy) return std::nullopt;
+  }
+  return desc.index_resolvable
+             ? ir::resolve_index(desc.index, headers, registers[desc.reg].size)
+             : kUnresolvedIndex;
+}
 
 struct TransformOptions {
   /// Append the §3.4 per-flow ordering stage. `flow_fields` lists the

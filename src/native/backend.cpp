@@ -463,19 +463,14 @@ struct NativeBackend::Impl {
       const AccessDescriptor& desc = program.accesses[i];
       PlanEntry& e = plan[i];
       e.reg = static_cast<std::uint16_t>(desc.reg);
-      if (desc.guard != ir::kNoSlot && desc.guard_resolvable) {
-        const bool truthy =
-            hdr[static_cast<std::size_t>(desc.guard)] != 0;
-        if (desc.guard_negate ? truthy : !truthy) {
-          e.flags = kSkipState; // branch not taken: no claim, no ticket
-          continue;
-        }
+      const std::optional<RegIndex> index =
+          resolve_at_arrival(desc, hdr, program.pvsm.registers);
+      if (!index) {
+        e.flags = kSkipState; // branch not taken: no claim, no ticket
+        continue;
       }
       e.flags = 0;
-      e.index = desc.index_resolvable
-                    ? ir::resolve_index(desc.index, hdr,
-                                        program.pvsm.registers[desc.reg].size)
-                    : kUnresolvedIndex;
+      e.index = *index;
       e.gate = program.shardable[desc.reg] ? e.index : 0;
       e.ticket = next_ticket[desc.reg][e.gate]++;
       e.owner =

@@ -1,13 +1,12 @@
-// Telemetry subsystem: per-component counters/gauges/histograms plus a
-// bounded cycle-level event ring buffer.
+// Telemetry subsystem: a name-ordered registry of counters, gauges and
+// histograms plus a bounded cycle-level event ring buffer.
 //
 // Design contract (see DESIGN.md "Telemetry"):
-//   * Zero overhead when disabled. Components hold raw pointers to
-//     registry-owned metric objects; a disabled run leaves every pointer
-//     null and each hook is a single predictable branch (the MP5_TELEM_*
-//     macros below), compiled out entirely when MP5_TELEMETRY_COMPILED is
-//     0. Telemetry never touches the simulation RNG or any simulated
-//     state, so results are bit-identical with and without it.
+//   * Read-only export. Simulators count every event once, as plain
+//     always-on integers in the code that observes it (most of them are
+//     SimResult fields). At the end of a run the simulator writes those
+//     counts into the registry; attaching a registry changes neither the
+//     result nor the cycle walk. Only the event ring is fed during the run.
 //   * Deterministic. Metrics live in name-ordered maps; two same-seed runs
 //     produce identical snapshots. No wall-clock time anywhere — the event
 //     timestamps are simulated cycles.
@@ -28,35 +27,6 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mp5/timeline.hpp"
-
-// Compile-time master switch. Building with -DMP5_TELEMETRY_COMPILED=0
-// removes every hook from the binary (the "compiled out" half of the
-// overhead contract); the default build keeps them behind null checks.
-#ifndef MP5_TELEMETRY_COMPILED
-#define MP5_TELEMETRY_COMPILED 1
-#endif
-
-#if MP5_TELEMETRY_COMPILED
-/// Increment a registry counter through a possibly-null Counter*.
-#define MP5_TELEM_INC(counter_ptr)                                  \
-  do {                                                              \
-    if (counter_ptr) (counter_ptr)->inc();                          \
-  } while (0)
-/// Add `delta` to a registry counter through a possibly-null Counter*.
-#define MP5_TELEM_ADD(counter_ptr, delta)                           \
-  do {                                                              \
-    if (counter_ptr) (counter_ptr)->inc(delta);                     \
-  } while (0)
-/// Record a sample into a possibly-null Histogram*.
-#define MP5_TELEM_OBSERVE(hist_ptr, sample)                         \
-  do {                                                              \
-    if (hist_ptr) (hist_ptr)->add(sample);                          \
-  } while (0)
-#else
-#define MP5_TELEM_INC(counter_ptr) do {} while (0)
-#define MP5_TELEM_ADD(counter_ptr, delta) do {} while (0)
-#define MP5_TELEM_OBSERVE(hist_ptr, sample) do {} while (0)
-#endif
 
 namespace mp5::telemetry {
 
@@ -119,18 +89,15 @@ struct Config {
   std::size_t event_capacity = 1 << 16;
 };
 
-/// The per-run metric registry plus the event ring. One Telemetry object
-/// instruments one simulator run; attach it via SimOptions::telemetry.
-///
-/// Metric objects are owned by the registry and never move (node-based
-/// map), so components may cache raw pointers for inlined updates.
+/// The per-run metric registry plus the event ring. Attach one via
+/// SimOptions::telemetry; several simulators may share one registry under
+/// distinct SimOptions::telemetry_prefix values (the fabric does).
 class Telemetry {
 public:
   explicit Telemetry(Config config = {});
 
   /// Find-or-create. Repeated registration under one name returns the
-  /// same object, so aggregate counters can be shared across instances
-  /// (e.g. every StageFifo updates the one "fifo.push" counter).
+  /// same object.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   /// Find-or-create; the width/bucket shape is fixed by the first
@@ -160,47 +127,6 @@ private:
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::unique_ptr<EventRing> ring_;
-};
-
-/// A named slice of a registry: every metric registered through a Scope
-/// has the scope's prefix prepended to its name. This is the instancing
-/// mechanism for multi-simulator processes — registration is find-or-create
-/// by *flat* name, so two Mp5Simulators sharing one Telemetry would
-/// otherwise silently merge their "sim.admitted" (etc.) counters. A fabric
-/// gives each switch a scope like "fabric.leaf0." and all per-switch
-/// metrics stay distinct while living in one exportable registry.
-///
-/// A Scope is a cheap value (pointer + string). The default-constructed
-/// scope is null (operator bool is false, metric calls are invalid); a
-/// Telemetry& converts implicitly to an unprefixed scope, preserving the
-/// flat single-simulator names.
-class Scope {
-public:
-  Scope() = default;
-  /*implicit*/ Scope(Telemetry& registry) : telem_(&registry) {}
-  Scope(Telemetry& registry, std::string prefix)
-      : telem_(&registry), prefix_(std::move(prefix)) {}
-
-  Telemetry* registry() const noexcept { return telem_; }
-  const std::string& prefix() const noexcept { return prefix_; }
-  explicit operator bool() const noexcept { return telem_ != nullptr; }
-
-  Counter& counter(const std::string& name) const {
-    return telem_->counter(prefix_ + name);
-  }
-  Gauge& gauge(const std::string& name) const {
-    return telem_->gauge(prefix_ + name);
-  }
-  Histogram& histogram(const std::string& name, double bucket_width,
-                       std::size_t buckets) const {
-    return telem_->histogram(prefix_ + name, bucket_width, buckets);
-  }
-  /// Events carry no metric name; they pass through to the shared ring.
-  void record(const TimelineEvent& event) const { telem_->record(event); }
-
-private:
-  Telemetry* telem_ = nullptr;
-  std::string prefix_;
 };
 
 } // namespace mp5::telemetry

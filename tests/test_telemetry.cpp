@@ -1,12 +1,15 @@
 // Telemetry subsystem tests: registry semantics, event-ring bounds,
-// exporter validity, run-to-run determinism, and the zero-overhead
-// contract (telemetry attached vs absent must not change the simulation).
+// exporter validity, run-to-run determinism, and the read-only export
+// contract (telemetry attached vs absent must not change the simulation,
+// and the exported counters equal the run's own counts, across restores).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
@@ -252,30 +255,135 @@ TEST(JsonWriterTest, EscapesAndStructures) {
 // Simulator integration
 
 TEST(TelemetrySim, CountersMatchSimResult) {
+  // Every counter with a SimResult twin must equal it in every
+  // configuration: fault-free, under a lane fail/recover plan with phantom
+  // channel faults (the fault twins are non-zero), and without phantoms,
+  // where fifo.push_dropped counts data drops instead of phantom drops.
+  struct Case {
+    const char* name;
+    SimOptions opts;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mp5", mp5_options(4, 1)});
+  {
+    SimOptions opts = mp5_options(4, 1);
+    opts.faults.pipeline_faults.push_back(PipelineFault{1, 300, 900});
+    opts.faults.stalls.push_back(StageStall{2, 1, 100, 400});
+    opts.realistic_phantom_channel = true;
+    opts.faults.phantom_loss_rate = 0.02;
+    opts.faults.phantom_delay_rate = 0.02;
+    opts.faults.phantom_extra_delay = 3;
+    cases.push_back({"lane-fail-recover", opts});
+  }
+  {
+    SimOptions opts = no_d4_options(4, 1);
+    opts.fifo_capacity = 2;
+    cases.push_back({"no-d4", opts});
+  }
   const auto prog = synthetic_program();
   const auto trace = synthetic_trace(1);
-  Telemetry telem;
-  SimOptions opts = mp5_options(4, 1);
-  opts.telemetry = &telem;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Telemetry telem;
+    SimOptions opts = c.opts;
+    opts.telemetry = &telem;
+    Mp5Simulator sim(prog, opts);
+    const auto result = sim.run(trace);
 
-  const auto counters = telem.counter_snapshot();
-  EXPECT_EQ(counters.at("sim.admitted"), result.offered);
-  EXPECT_EQ(counters.at("sim.egressed"), result.egressed);
-  EXPECT_EQ(counters.at("sim.steers"), result.steers);
-  EXPECT_EQ(counters.at("sim.dropped_data"), result.dropped_data);
-  EXPECT_EQ(counters.at("fifo.pop_wasted"), result.wasted_cycles);
-  EXPECT_GT(counters.at("fifo.push"), 0u);
-  EXPECT_GT(counters.at("shard.state_accesses"), 0u);
-  EXPECT_TRUE(telem.events_enabled());
-  EXPECT_GT(telem.events().recorded(), 0u);
-  // End-of-run gauges.
-  EXPECT_DOUBLE_EQ(telem.gauge("sim.cycles_run").value(),
-                   static_cast<double>(result.cycles_run));
-  // Egress-latency histogram saw every egressed packet.
-  EXPECT_EQ(telem.histograms().at("sim.egress_latency").total(),
-            result.egressed);
+    const auto counters = telem.counter_snapshot();
+    EXPECT_EQ(counters.at("sim.admitted"), result.offered);
+    EXPECT_EQ(counters.at("sim.egressed"), result.egressed);
+    EXPECT_EQ(counters.at("sim.steers"), result.steers);
+    EXPECT_EQ(counters.at("sim.dropped_data"), result.dropped_data);
+    EXPECT_EQ(counters.at("fifo.pop_wasted"), result.wasted_cycles);
+    EXPECT_GT(counters.at("fifo.push"), 0u);
+    EXPECT_GT(counters.at("shard.state_accesses"), 0u);
+    EXPECT_TRUE(telem.events_enabled());
+    EXPECT_GT(telem.events().recorded(), 0u);
+    // End-of-run gauges.
+    EXPECT_DOUBLE_EQ(telem.gauge("sim.cycles_run").value(),
+                     static_cast<double>(result.cycles_run));
+    // Egress-latency histogram saw every egressed packet.
+    EXPECT_EQ(telem.histograms().at("sim.egress_latency").total(),
+              result.egressed);
+
+    // The remaining twins.
+    EXPECT_EQ(counters.at("sim.dropped_starved"), result.dropped_starved);
+    EXPECT_EQ(counters.at("sim.dropped_fault"), result.dropped_fault);
+    EXPECT_EQ(counters.at("sim.ecn_marked"), result.ecn_marked);
+    EXPECT_EQ(counters.at("fault.stalled_cycles"), result.stalled_cycles);
+    EXPECT_EQ(counters.at("fault.lane_failures"), result.pipeline_failures);
+    EXPECT_EQ(counters.at("fault.lane_recoveries"),
+              result.pipeline_recoveries);
+    EXPECT_EQ(counters.at("phantom.lost"), result.phantom_lost);
+    EXPECT_EQ(counters.at("phantom.delayed"), result.phantom_delayed);
+    EXPECT_EQ(counters.at("fifo.pop_blocked"), result.blocked_cycles);
+    EXPECT_EQ(counters.at("shard.rebalance_moves"), result.remap_moves);
+    EXPECT_EQ(counters.at("shard.fault_rehomed_indices"),
+              result.fault_remapped_indices);
+    // Not a twin: a failed push drops a phantom under D4 but the data
+    // packet itself without phantoms.
+    EXPECT_EQ(counters.at("fifo.push_dropped"),
+              opts.phantoms ? result.dropped_phantom : result.dropped_data);
+    if (!opts.phantoms) {
+      EXPECT_GT(counters.at("fifo.push_dropped"), 0u);
+      EXPECT_EQ(result.dropped_phantom, 0u);
+    }
+    if (!opts.faults.pipeline_faults.empty()) {
+      EXPECT_GT(result.pipeline_failures, 0u);
+      EXPECT_GT(result.pipeline_recoveries, 0u);
+      EXPECT_GT(result.fault_remapped_indices, 0u);
+      EXPECT_GT(result.stalled_cycles, 0u);
+      EXPECT_GT(result.phantom_lost, 0u);
+      EXPECT_GT(result.phantom_delayed, 0u);
+    }
+  }
+}
+
+TEST(TelemetrySim, ResumedRunCountersCoverTheWholeRun) {
+  // A run resumed from a checkpoint reports counters for the whole run,
+  // even when the checkpointing run had no telemetry attached: the
+  // checkpoint carries every count, not the registry.
+  const auto prog = synthetic_program();
+  for (const double load : {1.0, 0.05}) {
+    SCOPED_TRACE(load);
+    SyntheticConfig config;
+    config.stateful_stages = 4;
+    config.reg_size = 64;
+    config.pattern = AccessPattern::kSkewed;
+    config.packets = 2000;
+    config.load = load;
+    config.seed = 9;
+    const Trace trace = make_synthetic_trace(config);
+    SimOptions opts = mp5_options(4, 9);
+    opts.faults.pipeline_faults.push_back(PipelineFault{2, 200, 700});
+
+    Telemetry whole;
+    SimOptions wopts = opts;
+    wopts.telemetry = &whole;
+    const SimResult uninterrupted = Mp5Simulator(prog, wopts).run(trace);
+
+    std::vector<std::string> blobs;
+    SimOptions copts = opts;
+    copts.checkpoint_interval =
+        std::max<std::uint64_t>(1, uninterrupted.cycles_run / 4);
+    copts.checkpoint_sink = [&blobs](Cycle, std::string&& blob) {
+      blobs.push_back(std::move(blob));
+    };
+    (void)Mp5Simulator(prog, copts).run(trace);
+    ASSERT_GE(blobs.size(), 3u);
+
+    for (std::size_t i = 1; i < blobs.size(); ++i) {
+      SCOPED_TRACE(i);
+      Telemetry resumed;
+      SimOptions ropts = opts;
+      ropts.telemetry = &resumed;
+      Mp5Simulator sim(prog, ropts);
+      VectorTraceSource source(trace);
+      (void)sim.resume(source, blobs[i]);
+      EXPECT_EQ(resumed.counter_snapshot(), whole.counter_snapshot());
+    }
+  }
 }
 
 TEST(TelemetrySim, TwoSimulatorsOneRegistryScopedPrefixesDoNotCollide) {

@@ -111,6 +111,32 @@ def check_telemetry_section(telem, where):
             fail(f"{ewhere}: retained + dropped != recorded")
 
 
+# Telemetry counters that must equal a field of the run's own result: the
+# simulator counts each event once and exports it, so any difference means
+# the telemetry covers a different run (e.g. only a resumed segment).
+RESULT_TWINS = (
+    ("sim.admitted", "packets", "offered"),
+    ("sim.egressed", "packets", "egressed"),
+    ("sim.steers", "mechanics", "steers"),
+    ("fifo.pop_blocked", "mechanics", "blocked_cycles"),
+    ("fifo.pop_wasted", "mechanics", "wasted_cycles"),
+    ("shard.rebalance_moves", "mechanics", "remap_moves"),
+)
+FABRIC_SWITCH_TWINS = (
+    ("sim.admitted", "offered"),
+    ("sim.egressed", "egressed"),
+    ("sim.steers", "steers"),
+)
+
+
+def check_twin(counters, name, expected, where):
+    if name not in counters:
+        fail(f"{where}: telemetry counter '{name}' is missing")
+    if counters[name] != expected:
+        fail(f"{where}: telemetry counter '{name}' = {counters[name]} "
+             f"but the result says {expected}")
+
+
 def check_staleness(variant, staleness, where):
     if variant == "relaxed" and staleness < 1:
         fail(f"{where}: relaxed variant needs staleness >= 1")
@@ -175,6 +201,9 @@ def validate_results(doc, where):
     telem = require(doc, "telemetry", (dict, type(None)), where)
     if telem is not None:
         check_telemetry_section(telem, f"{where}.telemetry")
+        for name, section, key in RESULT_TWINS:
+            check_twin(telem["counters"], name, doc[section][key],
+                       f"{where}.telemetry")
 
 
 def validate_chrome_trace(doc, where):
@@ -399,6 +428,11 @@ def validate_fabric_results(doc, where):
     telem = require(doc, "telemetry", (dict, type(None)), where)
     if telem is not None:
         check_telemetry_section(telem, f"{where}.telemetry")
+        for i, sw in enumerate(switches):
+            for name, key in FABRIC_SWITCH_TWINS:
+                check_twin(telem["counters"],
+                           f"fabric.{sw['name']}.{name}", sw[key],
+                           f"{where}.telemetry (switches[{i}])")
 
 
 def validate_native_results(doc, where):
