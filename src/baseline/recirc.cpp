@@ -145,7 +145,7 @@ void RecircSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
         ir::exec_pure(atom.body, pkt.headers);
       } else {
         ir::exec_atom(atom, pkt.headers, state_->regs(),
-                      prog_->pvsm.registers, opts_.check_c1 ? &obs : nullptr);
+                      prog_->pvsm.registers, &obs);
       }
     }
     for (auto& e : pkt.plan) {

@@ -38,7 +38,6 @@ struct RecircOptions {
   std::size_t ingress_capacity = 64;
   std::uint64_t max_cycles = 5'000'000;
   bool record_egress = false;
-  bool check_c1 = true;
   std::uint64_t seed = 1;
 };
 

@@ -181,7 +181,7 @@ void ReplicatedSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
     if (stateful && k_ > 1) snapshot = pkt.headers;
     C1Observer obs(c1_, pkt.seq);
     ir::exec_stage(stage, pkt.headers, replicas_[p], prog_->pvsm.registers,
-                   opts_.check_c1 ? &obs : nullptr);
+                   &obs);
     if (stateful && k_ > 1) {
       Digest d;
       d.deliver = deliver_cycle(now);

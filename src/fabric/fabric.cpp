@@ -273,7 +273,6 @@ FabricSimulator::FabricSimulator(const FabricOptions& options)
     so.pipelines = opts_.pipelines;
     so.fifo_capacity = opts_.fifo_capacity;
     so.remap_period = opts_.remap_period;
-    so.check_c1 = opts_.check_c1;
     so.paranoid_checks = opts_.paranoid_checks;
     so.seed = mix64(opts_.seed ^ (0xfab00000ULL + s));
     so.max_cycles = opts_.max_cycles + 2;

@@ -88,7 +88,6 @@ struct FabricOptions {
   std::uint32_t pipelines = 4;
   std::size_t fifo_capacity = 0;
   std::uint32_t remap_period = 100;
-  bool check_c1 = true;
   bool paranoid_checks = false;
 
   std::uint64_t seed = 1;

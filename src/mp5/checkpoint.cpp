@@ -178,7 +178,7 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u64(options.starvation_threshold);
   fp.u64(options.ecn_threshold);
   fp.b(options.record_egress);
-  fp.b(options.check_c1);
+  fp.b(true); // C1 tracking, once a knob; kept so old checkpoints restore
   fp.b(options.track_flow_reordering);
   fp.u64(options.seed);
   // Fault plan: the schedule is part of the deterministic run definition.
@@ -218,7 +218,7 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u32(options.staleness_bound);
   fp.u32(options.pipelines);
   fp.b(options.record_egress);
-  fp.b(options.check_c1);
+  fp.b(true); // C1 tracking, once a knob; kept so old checkpoints restore
   hash_program_shape(fp, program);
   return fp.h;
 }

@@ -78,9 +78,6 @@ struct SimOptions {
   /// Record per-packet egress headers (needed for equivalence checks).
   bool record_egress = false;
 
-  /// Track C1 violations via the access log.
-  bool check_c1 = true;
-
   /// Track per-flow egress reordering.
   bool track_flow_reordering = false;
 
@@ -162,8 +159,6 @@ struct ReplicatedOptions {
   std::uint64_t max_cycles = 5'000'000;
   /// Record per-packet egress headers (needed for equivalence checks).
   bool record_egress = false;
-  /// Track C1 violations via the access log.
-  bool check_c1 = true;
   /// Per-cycle live-packet accounting check (throws Error on mismatch).
   bool paranoid_checks = false;
   /// Checkpoint every N cycles (0 = disabled). Requires checkpoint_sink.

@@ -85,16 +85,14 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   arrival_count_.assign(cells, 0);
   ingress_.resize(k_);
 
-  if (opts_.check_c1) {
-    // Dense last-seq table: one flat vector per register array, replacing
-    // the per-access hash lookup.
-    std::vector<std::size_t> sizes;
-    sizes.reserve(prog_->pvsm.registers.size());
-    for (const auto& spec : prog_->pvsm.registers) {
-      sizes.push_back(static_cast<std::size_t>(spec.size));
-    }
-    c1_.init_dense(sizes);
+  // Dense last-seq table: one flat vector per register array, replacing
+  // the per-access hash lookup.
+  std::vector<std::size_t> sizes;
+  sizes.reserve(prog_->pvsm.registers.size());
+  for (const auto& spec : prog_->pvsm.registers) {
+    sizes.push_back(static_cast<std::size_t>(spec.size));
   }
+  c1_.init_dense(sizes);
 
   lane_words_ = (k_ + 63) / 64;
   active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
@@ -1068,7 +1066,7 @@ void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
       ir::exec_pure(atom.body, pkt.headers);
     } else {
       ir::exec_atom(atom, pkt.headers, state_->regs(), prog_->pvsm.registers,
-                    opts_.check_c1 ? &obs : nullptr);
+                    &obs);
     }
   }
 }

@@ -169,6 +169,9 @@ struct NativeBackend::Impl {
   /// so idle paths yield immediately instead of pause-looping.
   bool oversubscribed = false;
   std::atomic<bool> stop{false};
+  /// The run failed (the source or a worker threw): nobody reaps egress
+  /// any more, so an idle worker leaves without draining.
+  std::atomic<bool> abandon{false};
   std::vector<std::exception_ptr> worker_error;
   std::vector<WorkerScratch> scratch;
 
@@ -426,6 +429,7 @@ struct NativeBackend::Impl {
         charge_iteration(did, t_prev, s.stats.busy_ns, s.stats.idle_ns);
       }
       if (!did) {
+        if (abandon.load(std::memory_order_acquire)) return;
         if (stop.load(std::memory_order_acquire) && parked.empty() &&
             !outs.pending()) {
           bool drained = true;
@@ -524,80 +528,94 @@ struct NativeBackend::Impl {
                                opts.policy == ShardingPolicy::kIdealLpt;
     bool worker_died = false;
 
-    while (!worker_died) {
-      bool did = false;
+    // The source may throw mid-run (a malformed or out-of-order trace
+    // line); the workers must be joined before the exception leaves.
+    try {
+      while (!worker_died) {
+        bool did = false;
 
-      // Admit while the pool has free refs, up to one batch per pass.
-      const TraceItem* item = nullptr;
-      std::uint64_t fresh = 0;
-      while (!free_refs.empty() && fresh < opts.batch &&
-             (item = source.peek()) != nullptr) {
-        const std::uint32_t ref = free_refs.back();
-        free_refs.pop_back();
-        admit(ref, *item, admitted, outbuf);
-        ++admitted;
-        ++fresh;
-        source.advance();
-        did = true;
-      }
-      if (free_refs.empty()) ++ds.pool_full;
-      for (std::uint32_t i = 0; i < w; ++i) outbuf[i].flush(*dispatch_ring[i]);
-
-      // Reap egressed packets: D2 in-flight accounting, optional egress
-      // recording, ref recycling.
-      for (std::uint32_t i = 0; i < w; ++i) {
-        const std::size_t n =
-            egress_ring[i]->pop_batch(reap.data(), reap.size());
-        for (std::size_t p = 0; p < n; ++p) {
-          const std::uint32_t ref = reap[p];
-          const PlanEntry* plan = plan_of(ref);
-          for (std::size_t a = 0; a < naccesses; ++a) {
-            if (plan[a].flags & kSkipState) continue;
-            state.note_completed(plan[a].reg, plan[a].index);
-          }
-          if (opts.record_egress) {
-            const SeqNo sq = seq[ref];
-            if (result.egress_fields.size() <= sq) {
-              result.egress_fields.resize(sq + 1);
-            }
-            result.egress_fields[sq].assign(headers[ref].begin(),
-                                            headers[ref].begin() + declared);
-          }
-          free_refs.push_back(ref);
-          // The free list is LIFO, so an upcoming admission reuses this
-          // ref and overwrites its header, which a worker on another core
-          // wrote last. Start the line transfers now instead of stalling
-          // the admission's fill on each of them.
-          prefetch_for_write(headers[ref]);
-          ++reaped;
+        // Admit while the pool has free refs, up to one batch per pass.
+        const TraceItem* item = nullptr;
+        std::uint64_t fresh = 0;
+        while (!free_refs.empty() && fresh < opts.batch &&
+               (item = source.peek()) != nullptr) {
+          const std::uint32_t ref = free_refs.back();
+          free_refs.pop_back();
+          admit(ref, *item, admitted, outbuf);
+          ++admitted;
+          ++fresh;
+          source.advance();
+          did = true;
         }
-        did = did || n > 0;
-      }
+        if (free_refs.empty()) ++ds.pool_full;
+        for (std::uint32_t i = 0; i < w; ++i) {
+          outbuf[i].flush(*dispatch_ring[i]);
+        }
 
-      // Periodic D2 rebalance: ownership of quiescent (in-flight == 0)
-      // indices migrates between workers; the dispatcher's ring handoffs
-      // carry the happens-before edge from the old owner's last write to
-      // the new owner's first read.
-      if (moving_policy && opts.rebalance_packets > 0 &&
-          reaped - last_rebalance >= opts.rebalance_packets) {
-        result.shard_moves += state.rebalance();
-        ++result.rebalances;
-        last_rebalance = reaped;
-      }
+        // Reap egressed packets: D2 in-flight accounting, optional egress
+        // recording, ref recycling.
+        for (std::uint32_t i = 0; i < w; ++i) {
+          const std::size_t n =
+              egress_ring[i]->pop_batch(reap.data(), reap.size());
+          for (std::size_t p = 0; p < n; ++p) {
+            const std::uint32_t ref = reap[p];
+            const PlanEntry* plan = plan_of(ref);
+            for (std::size_t a = 0; a < naccesses; ++a) {
+              if (plan[a].flags & kSkipState) continue;
+              state.note_completed(plan[a].reg, plan[a].index);
+            }
+            if (opts.record_egress) {
+              const SeqNo sq = seq[ref];
+              if (result.egress_fields.size() <= sq) {
+                result.egress_fields.resize(sq + 1);
+              }
+              result.egress_fields[sq].assign(
+                  headers[ref].begin(), headers[ref].begin() + declared);
+            }
+            free_refs.push_back(ref);
+            // The free list is LIFO, so an upcoming admission reuses this
+            // ref and overwrites its header, which a worker on another core
+            // wrote last. Start the line transfers now instead of stalling
+            // the admission's fill on each of them.
+            prefetch_for_write(headers[ref]);
+            ++reaped;
+          }
+          did = did || n > 0;
+        }
 
-      if (opts.profile) charge_iteration(did, t_prev, ds.busy_ns, ds.idle_ns);
-      if (admitted == reaped && source.peek() == nullptr) break;
-      if (!did) {
-        ++ds.idle_spins;
-        if (oversubscribed) std::this_thread::yield();
-        else cpu_relax();
+        // Periodic D2 rebalance: ownership of quiescent (in-flight == 0)
+        // indices migrates between workers; the dispatcher's ring handoffs
+        // carry the happens-before edge from the old owner's last write to
+        // the new owner's first read.
+        if (moving_policy && opts.rebalance_packets > 0 &&
+            reaped - last_rebalance >= opts.rebalance_packets) {
+          result.shard_moves += state.rebalance();
+          ++result.rebalances;
+          last_rebalance = reaped;
+        }
+
+        if (opts.profile) {
+          charge_iteration(did, t_prev, ds.busy_ns, ds.idle_ns);
+        }
+        if (admitted == reaped && source.peek() == nullptr) break;
+        if (!did) {
+          ++ds.idle_spins;
+          if (oversubscribed) std::this_thread::yield();
+          else cpu_relax();
+        }
+        for (std::uint32_t i = 0; i < w && !worker_died; ++i) {
+          worker_died = worker_error[i] != nullptr;
+        }
       }
-      for (std::uint32_t i = 0; i < w && !worker_died; ++i) {
-        worker_died = worker_error[i] != nullptr;
-      }
+    } catch (...) {
+      abandon.store(true, std::memory_order_release);
+      stop.store(true, std::memory_order_release);
+      for (auto& t : threads) t.join();
+      throw;
     }
 
     const auto t1 = Clock::now();
+    if (worker_died) abandon.store(true, std::memory_order_release);
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
     for (std::uint32_t i = 0; i < w; ++i) {

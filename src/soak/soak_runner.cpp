@@ -13,13 +13,6 @@
 
 namespace mp5::soak {
 
-std::unique_ptr<TraceSource> make_soak_source(const SoakOptions& options) {
-  if (!options.trace_path.empty()) {
-    return open_trace_source(options.trace_path);
-  }
-  return std::make_unique<SyntheticTraceSource>(options.synthetic);
-}
-
 namespace {
 
 void track_rss(SoakReport& report) {
@@ -49,7 +42,8 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
     RollingVerifier::Options vopts;
     vopts.max_window = options.verify_window;
     verifier = std::make_unique<RollingVerifier>(
-        program.pvsm, make_soak_source(options), vopts);
+        program.pvsm, open_traffic(options.trace_path, options.synthetic),
+        vopts);
     sim_opts.egress_sink = [&v = *verifier](EgressRecord&& rec) {
       v.on_egress(std::move(rec));
     };
@@ -83,7 +77,7 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
     };
   }
 
-  auto source = make_soak_source(options);
+  auto source = open_traffic(options.trace_path, options.synthetic);
   Mp5Simulator sim(program, sim_opts);
 
   if (options.resume) {

@@ -28,7 +28,7 @@
 namespace mp5::soak {
 
 struct SoakOptions {
-  /// Trace file (.trace.csv or compact binary) to stream. When empty the
+  /// CSV trace file to stream, in admission order. When empty the
   /// deterministic synthetic generator below supplies the packets.
   std::string trace_path;
   SyntheticSpec synthetic;
@@ -79,11 +79,6 @@ struct SoakReport {
   std::uint64_t rss_kib = 0;
   std::uint64_t peak_rss_kib = 0;
 };
-
-/// Build the packet source a SoakOptions describes (file or synthetic).
-/// Exposed so callers (mp5soak, tests) can stream the same trace the soak
-/// will consume.
-std::unique_ptr<TraceSource> make_soak_source(const SoakOptions& options);
 
 SoakReport run_soak(const Mp5Program& program, const SoakOptions& options);
 

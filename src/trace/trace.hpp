@@ -49,11 +49,11 @@ std::vector<std::vector<Value>> to_header_batch(const Trace& trace,
 
 /// Line-rate arrival clock: a k-pipeline switch's aggregate capacity is k
 /// minimum-size (64 B) packets per cycle, so a packet of S bytes advances
-/// time by S / (64 * k * load) cycles. load > 1 oversubscribes.
+/// time by S / (64 * k * load) cycles. load > 1 oversubscribes. Throws
+/// ConfigError unless pipelines > 0 and load is finite and > 0.
 class LineRateClock {
 public:
-  LineRateClock(std::uint32_t pipelines, double load)
-      : per_byte_(1.0 / (64.0 * pipelines * load)) {}
+  LineRateClock(std::uint32_t pipelines, double load);
 
   /// Returns the arrival time for a packet of `size_bytes`, then advances.
   double next(std::uint32_t size_bytes) {

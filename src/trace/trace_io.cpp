@@ -1,27 +1,12 @@
 #include "trace/trace_io.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <fstream>
-#include <system_error>
 
 #include "common/error.hpp"
+#include "common/parse_number.hpp"
 
 namespace mp5 {
-
-namespace {
-
-/// Parse `cell` whole into `out`; false on an empty cell, trailing bytes
-/// or overflow. std::from_chars takes no leading '+' and, for unsigned
-/// types, no '-'.
-template <typename T>
-bool parse_cell(std::string_view cell, T& out) {
-  const char* end = cell.data() + cell.size();
-  const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-} // namespace
 
 void save_trace_csv(const Trace& trace, std::ostream& os) {
   os << "# arrival_time,port,size_bytes,flow,fields...\n";
@@ -50,14 +35,11 @@ bool parse_trace_csv_line(std::string_view line, std::size_t lineno,
     const std::string_view cell = line.substr(0, comma);
     bool ok = false;
     switch (column) {
-      case 0:
-        ok = parse_cell(cell, item.arrival_time) &&
-             std::isfinite(item.arrival_time);
-        break;
-      case 1: ok = parse_cell(cell, item.port); break;
-      case 2: ok = parse_cell(cell, item.size_bytes); break;
-      case 3: ok = parse_cell(cell, item.flow); break;
-      default: ok = parse_cell(cell, item.fields.emplace_back()); break;
+      case 0: ok = parse_number(cell, item.arrival_time); break;
+      case 1: ok = parse_number(cell, item.port); break;
+      case 2: ok = parse_number(cell, item.size_bytes); break;
+      case 3: ok = parse_number(cell, item.flow); break;
+      default: ok = parse_number(cell, item.fields.emplace_back()); break;
     }
     if (!ok) {
       throw fail("malformed number '" + std::string(cell) + "' in column " +

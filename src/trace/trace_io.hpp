@@ -27,20 +27,12 @@ void save_trace_csv(const Trace& trace, std::ostream& os);
 /// CsvFileTraceSource) use it.
 bool parse_trace_csv_line(std::string_view line, std::size_t lineno,
                           TraceItem& item);
+/// Reads every line and sorts the result into admission order. The tools
+/// read --trace through CsvFileTraceSource instead, which rejects an
+/// out-of-order file; these loaders serve stored fuzz reproducers.
 Trace load_trace_csv(std::istream& is);
 
 void save_trace_file(const Trace& trace, const std::string& path);
 Trace load_trace_file(const std::string& path);
-
-/// Compact binary trace format for soak-scale inputs: fixed-size records
-/// make BinaryFileTraceSource::skip_to O(1). Layout (little-endian):
-///   magic "MP5TRCB1" | u32 version=1 | u32 field_count | u64 item_count
-///   then item_count records of
-///   f64 arrival_time | u32 port | u32 size_bytes | u64 flow
-///   | field_count x i64 fields (zero-padded per item)
-inline constexpr std::string_view kTraceBinMagic = "MP5TRCB1";
-
-void save_trace_bin(const Trace& trace, const std::string& path);
-Trace load_trace_bin(const std::string& path);
 
 } // namespace mp5

@@ -7,12 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/serialize.hpp"
 #include "trace/trace_io.hpp"
 
 namespace mp5 {
@@ -122,125 +120,6 @@ void CsvFileTraceSource::parse_next() {
   have_current_ = false;
 }
 
-// -- Binary trace format ---------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kBinMagicBytes = 8;
-constexpr std::uint32_t kBinVersion = 1;
-constexpr std::size_t kBinHeaderBytes = kBinMagicBytes + 4 + 4 + 8;
-constexpr std::size_t kBinFixedRecordBytes = 8 + 4 + 4 + 8;
-
-} // namespace
-
-BinaryFileTraceSource::BinaryFileTraceSource(const std::string& path)
-    : path_(path), map_(std::make_unique<MappedFile>(path)) {
-  if (map_->size() < kBinHeaderBytes ||
-      std::memcmp(map_->data(), kTraceBinMagic.data(), kBinMagicBytes) != 0) {
-    throw Error("'" + path + "' is not a binary trace file (bad magic)");
-  }
-  ByteReader r(std::string_view(map_->data() + kBinMagicBytes,
-                                kBinHeaderBytes - kBinMagicBytes));
-  const std::uint32_t version = r.u32();
-  if (version != kBinVersion) {
-    throw Error("binary trace '" + path + "': unsupported version " +
-                std::to_string(version));
-  }
-  field_count_ = r.u32();
-  items_ = r.u64();
-  if (field_count_ > (1u << 20)) {
-    throw Error("binary trace '" + path + "': implausible field count " +
-                std::to_string(field_count_));
-  }
-  record_bytes_ = kBinFixedRecordBytes + 8 * std::size_t{field_count_};
-  header_bytes_ = kBinHeaderBytes;
-  const std::size_t expected = header_bytes_ + items_ * record_bytes_;
-  if (map_->size() != expected) {
-    throw Error("binary trace '" + path + "': size " +
-                std::to_string(map_->size()) + " != expected " +
-                std::to_string(expected) + " (truncated or corrupt)");
-  }
-  current_.fields.resize(field_count_);
-  load_current();
-}
-
-const TraceItem* BinaryFileTraceSource::peek() {
-  return have_current_ ? &current_ : nullptr;
-}
-
-void BinaryFileTraceSource::advance() {
-  ++consumed_;
-  load_current();
-}
-
-void BinaryFileTraceSource::skip_to(std::uint64_t n) {
-  if (n > items_) {
-    throw Error("trace skip_to(" + std::to_string(n) + ") past end (" +
-                std::to_string(items_) + " items)");
-  }
-  consumed_ = n;
-  load_current();
-}
-
-void BinaryFileTraceSource::load_current() {
-  if (consumed_ >= items_) {
-    have_current_ = false;
-    return;
-  }
-  ByteReader r(std::string_view(
-      map_->data() + header_bytes_ + consumed_ * record_bytes_,
-      record_bytes_));
-  current_.arrival_time = r.f64();
-  current_.port = r.u32();
-  current_.size_bytes = r.u32();
-  current_.flow = r.u64();
-  for (std::uint32_t f = 0; f < field_count_; ++f) {
-    current_.fields[f] = r.i64();
-  }
-  have_current_ = true;
-}
-
-void save_trace_bin(const Trace& trace, const std::string& path) {
-  std::size_t field_count = 0;
-  for (const auto& item : trace) {
-    field_count = std::max(field_count, item.fields.size());
-  }
-  ByteWriter w;
-  w.bytes(kTraceBinMagic.data(), kBinMagicBytes);
-  w.u32(kBinVersion);
-  w.u32(static_cast<std::uint32_t>(field_count));
-  w.u64(trace.size());
-  for (const auto& item : trace) {
-    w.f64(item.arrival_time);
-    w.u32(item.port);
-    w.u32(item.size_bytes);
-    w.u64(item.flow);
-    for (std::size_t f = 0; f < field_count; ++f) {
-      w.i64(f < item.fields.size() ? item.fields[f] : 0);
-    }
-  }
-  std::FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr) {
-    throw Error("cannot write binary trace '" + path + "'");
-  }
-  const std::string& buf = w.buffer();
-  const bool ok = std::fwrite(buf.data(), 1, buf.size(), fp) == buf.size();
-  if (std::fclose(fp) != 0 || !ok) {
-    throw Error("short write to binary trace '" + path + "'");
-  }
-}
-
-Trace load_trace_bin(const std::string& path) {
-  BinaryFileTraceSource source(path);
-  Trace trace;
-  if (auto n = source.size()) trace.reserve(*n);
-  while (const TraceItem* item = source.peek()) {
-    trace.push_back(*item);
-    source.advance();
-  }
-  return trace;
-}
-
 // -- SyntheticTraceSource --------------------------------------------------
 
 SyntheticTraceSource::SyntheticTraceSource(const SyntheticSpec& spec)
@@ -297,16 +176,20 @@ void SyntheticTraceSource::generate(std::uint64_t i) {
   have_current_ = true;
 }
 
-std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
-  const auto ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-  };
-  if (ends_with(".csv")) {
-    return std::make_unique<CsvFileTraceSource>(path);
+std::unique_ptr<TraceSource> open_traffic(const std::string& path,
+                                          const SyntheticSpec& spec) {
+  if (path.empty()) return std::make_unique<SyntheticTraceSource>(spec);
+  return std::make_unique<CsvFileTraceSource>(path);
+}
+
+Trace materialize(TraceSource& source) {
+  Trace trace;
+  if (const auto n = source.size()) trace.reserve(*n);
+  while (const TraceItem* item = source.peek()) {
+    trace.push_back(*item);
+    source.advance();
   }
-  return std::make_unique<BinaryFileTraceSource>(path);
+  return trace;
 }
 
 } // namespace mp5

@@ -8,8 +8,6 @@
 //
 //   VectorTraceSource     adapter over an in-memory Trace (back compat)
 //   CsvFileTraceSource    mmap'd .trace.csv, parsed on demand
-//   BinaryFileTraceSource mmap'd compact binary (save_trace_bin),
-//                         O(1) random repositioning
 //   SyntheticTraceSource  generator-driven: item i is a pure function of
 //                         (spec, i), so skip_to() is O(1) — the backbone
 //                         of billion-packet soak runs
@@ -122,33 +120,6 @@ private:
   bool any_parsed_ = false;
 };
 
-/// Streams the compact binary format written by save_trace_bin
-/// (fixed-size records → O(1) skip_to, which makes restore from a
-/// late checkpoint instant even on a multi-gigabyte trace).
-class BinaryFileTraceSource final : public TraceSource {
-public:
-  explicit BinaryFileTraceSource(const std::string& path);
-
-  const TraceItem* peek() override;
-  void advance() override;
-  std::uint64_t consumed() const override { return consumed_; }
-  void skip_to(std::uint64_t n) override;
-  std::optional<std::uint64_t> size() const override { return items_; }
-
-private:
-  void load_current();
-
-  std::string path_;
-  std::unique_ptr<MappedFile> map_;
-  std::uint32_t field_count_ = 0;
-  std::uint64_t items_ = 0;
-  std::size_t record_bytes_ = 0;
-  std::size_t header_bytes_ = 0;
-  std::uint64_t consumed_ = 0;
-  bool have_current_ = false;
-  TraceItem current_;
-};
-
 /// Parameters for the deterministic soak-traffic generator. Item i is a
 /// pure function of (spec, i): arrival times follow the line-rate clock
 /// for fixed 64 B packets and the randomized fields are drawn from an Rng
@@ -186,8 +157,14 @@ private:
   TraceItem current_;
 };
 
-/// Dispatch on file extension: ".csv"/".trace.csv" → CSV streamer,
-/// anything else → binary streamer (which validates its magic).
-std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
+/// The packets of a run: the CSV trace at `path`, which must be in
+/// admission order, or the synthetic stream `spec` describes when `path`
+/// is empty.
+std::unique_ptr<TraceSource> open_traffic(const std::string& path,
+                                          const SyntheticSpec& spec);
+
+/// Drain `source` into a vector, for the callers that need the whole
+/// trace at once (the equivalence oracles, --save-trace).
+Trace materialize(TraceSource& source);
 
 } // namespace mp5

@@ -5,11 +5,22 @@
 # invocation must still exit zero.
 #
 # Inputs: -DMP5C=<path> -DMP5SIM=<path> -DMP5FABRIC=<path> -DMP5NATIVE=<path>
-#         -DMP5SOAK=<path> -DABLATION=<path to bench_ablation_remap>
+#         -DMP5SOAK=<path> -DMP5FUZZ=<path>
+#         -DABLATION=<path to bench_ablation_remap>
 #         -DPYTHON=<python3, may be empty> -DVALIDATOR=<validate_results.py>
 
+# expect_failure(<label> [STDERR <regex>] <command> <args>...): the command
+# must exit with a small nonzero code and print a diagnostic on stderr;
+# with STDERR, that diagnostic must match <regex>.
 function(expect_failure label)
-  execute_process(COMMAND ${ARGN}
+  set(command ${ARGN})
+  set(pattern "")
+  list(GET command 0 first)
+  if(first STREQUAL "STDERR")
+    list(GET command 1 pattern)
+    list(REMOVE_AT command 0 1)
+  endif()
+  execute_process(COMMAND ${command}
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
@@ -23,6 +34,9 @@ function(expect_failure label)
   endif()
   if(err STREQUAL "")
     message(FATAL_ERROR "${label}: expected a diagnostic on stderr")
+  endif()
+  if(pattern AND NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "${label}: expected stderr matching '${pattern}', got '${err}'")
   endif()
 endfunction()
 
@@ -298,6 +312,64 @@ if(TASKSET)
     endif()
   endif()
 endif()
+
+# -- strict flag values: one parser for every numeric flag of every tool.
+# A value must be one whole number of the flag's type; the diagnostic
+# names the flag and the text --
+expect_failure("mp5c trailing garbage" STDERR "--stages: .*'8x'"
+               ${MP5C} --builtin flowlet --stages 8x)
+expect_failure("mp5sim trailing garbage" STDERR "--packets: .*'2000x'"
+               ${MP5SIM} --builtin figure3 --packets 2000x)
+expect_failure("mp5sim trailing garbage, 32-bit"
+               STDERR "--pipelines: expected an unsigned 32-bit integer, got '4abc'"
+               ${MP5SIM} --builtin figure3 --pipelines 4abc)
+expect_failure("mp5native trailing garbage" STDERR "--cores: .*'2x'"
+               ${MP5NATIVE} --builtin counter --cores 2x)
+expect_failure("mp5soak trailing garbage" STDERR "--packets: .*'4000x'"
+               ${MP5SOAK} --packets 4000x)
+expect_failure("mp5fabric trailing garbage" STDERR "--flows: .*'600x'"
+               ${MP5FABRIC} --flows 600x)
+expect_failure("mp5fuzz trailing garbage" STDERR "--seeds: .*'1x'"
+               ${MP5FUZZ} --seeds 1x)
+expect_failure("mp5sim negative pipelines" STDERR "--pipelines: .*'-1'"
+               ${MP5SIM} --builtin figure3 --pipelines -1)
+expect_failure("mp5sim negative load" STDERR "--load: .*'-1'"
+               ${MP5SIM} --builtin figure3 --load -1)
+expect_failure("mp5soak seed without a value" STDERR "--seed needs an argument"
+               ${MP5SOAK} --seed)
+
+# -- one trace reader: a trace mp5sim saves replays in all three tools
+# that take --trace, and all three refuse the same trace out of order --
+expect_success("mp5sim save trace"
+               ${MP5SIM} --builtin figure3 --packets 300
+               --save-trace ${workdir}/saved.trace.csv)
+expect_success("mp5sim replays the saved trace"
+               ${MP5SIM} --builtin figure3 --check-equivalence
+               --trace ${workdir}/saved.trace.csv)
+expect_success("mp5native replays the saved trace"
+               ${MP5NATIVE} --builtin figure3 --cores 2 --check
+               --trace ${workdir}/saved.trace.csv)
+expect_success("mp5soak replays the saved trace"
+               ${MP5SOAK} --builtin figure3 --trace ${workdir}/saved.trace.csv)
+# Swap the first two packets (row 0 is the header comment).
+file(STRINGS ${workdir}/saved.trace.csv rows)
+list(GET rows 1 first_packet)
+list(REMOVE_AT rows 1)
+list(INSERT rows 2 "${first_packet}")
+list(JOIN rows "\n" unsorted)
+file(WRITE ${workdir}/unsorted.trace.csv "${unsorted}\n")
+foreach(tool "mp5sim;${MP5SIM};--check-equivalence"
+             "mp5native --check;${MP5NATIVE};--check"
+             "mp5native;${MP5NATIVE};--quiet"
+             "mp5soak;${MP5SOAK};--paranoid")
+  list(GET tool 0 name)
+  list(GET tool 1 binary)
+  list(GET tool 2 flag)
+  expect_failure("${name} rejects an out-of-order trace"
+                 STDERR "line 3: out of admission order"
+                 ${binary} --builtin figure3 ${flag}
+                 --trace ${workdir}/unsorted.trace.csv)
+endforeach()
 
 # -- bench_ablation_remap --
 # A misspelt flag must not silently run all five ablation sections.

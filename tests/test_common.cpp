@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/hashing.hpp"
+#include "common/parse_number.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/seq_map.hpp"
@@ -141,6 +142,45 @@ TEST(SyntheticTrace, GoldenItemDigests) {
   SyntheticTraceSource tail(spec);
   tail.skip_to(500);
   EXPECT_EQ(drain_digest(tail), 0x893e4f746f09198bULL);
+}
+
+// ---- parse_number: the one parser for trace cells and flag values -------
+
+TEST(ParseNumber, TakesWholeNumbersIntoTheDestinationType) {
+  std::uint32_t u32 = 0;
+  EXPECT_TRUE(parse_number("4294967295", u32));
+  EXPECT_EQ(u32, 4294967295u);
+  std::int64_t i64 = 0;
+  EXPECT_TRUE(parse_number("-42", i64));
+  EXPECT_EQ(i64, -42);
+  double real = 0;
+  EXPECT_TRUE(parse_number("0.25", real));
+  EXPECT_EQ(real, 0.25);
+  EXPECT_TRUE(parse_number("1e3", real));
+  EXPECT_EQ(real, 1000.0);
+}
+
+TEST(ParseNumber, RejectsAnythingButOneWholeNumber) {
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  double real = 0;
+  EXPECT_FALSE(parse_number("4abc", u32)) << "trailing bytes";
+  EXPECT_FALSE(parse_number("12 ", u64)) << "trailing space";
+  EXPECT_FALSE(parse_number("0.5x", real)) << "trailing bytes";
+  EXPECT_FALSE(parse_number("-1", u32)) << "sign on an unsigned type";
+  EXPECT_FALSE(parse_number("-0", u64)) << "sign on an unsigned type";
+  EXPECT_FALSE(parse_number("4294967296", u32)) << "overflows 32 bits";
+  EXPECT_FALSE(parse_number("18446744073709551616", u64));
+  EXPECT_FALSE(parse_number("", u32)) << "empty value";
+  EXPECT_FALSE(parse_number("", real)) << "empty value";
+  EXPECT_FALSE(parse_number("+1", u32)) << "leading '+'";
+  EXPECT_FALSE(parse_number("+1", i64)) << "leading '+'";
+  EXPECT_FALSE(parse_number("+0.5", real)) << "leading '+'";
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    EXPECT_FALSE(parse_number(text, real)) << text;
+  }
+  EXPECT_FALSE(parse_number("1e999", real)) << "overflows a double";
 }
 
 TEST(Zipf, SkewSamplerMatchesConfiguredMass) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +204,65 @@ void expect_oracle_equivalent(const CompiledProgram& cp, const Trace& trace,
   EXPECT_TRUE(check.equivalent())
       << what << " (cores=" << opts.workers << "): "
       << check.first_difference;
+}
+
+// ---- a failing source -------------------------------------------------------
+
+/// Streams a trace and throws Error when asked for item `fail_at`, as a
+/// trace file with a malformed or out-of-order line does mid-run.
+class ThrowingSource final : public TraceSource {
+public:
+  ThrowingSource(const Trace& trace, std::uint64_t fail_at)
+      : inner_(trace), fail_at_(fail_at) {}
+
+  const TraceItem* peek() override {
+    if (inner_.consumed() == fail_at_) throw Error("source failed");
+    return inner_.peek();
+  }
+  void advance() override { inner_.advance(); }
+  std::uint64_t consumed() const override { return inner_.consumed(); }
+  void skip_to(std::uint64_t n) override { inner_.skip_to(n); }
+  std::optional<std::uint64_t> size() const override { return std::nullopt; }
+
+private:
+  VectorTraceSource inner_;
+  std::uint64_t fail_at_;
+};
+
+TEST(NativeBackend, SourceErrorJoinsWorkersAndRethrows) {
+  const auto cp = compile_source(apps::flowlet_app().source);
+  const Trace trace =
+      synthetic_trace(cp.ast.fields.size(), /*packets=*/6000, /*seed=*/3);
+#if defined(__linux__)
+  // On one CPU the dispatcher fills the in-flight pool (2048 refs) in one
+  // time slice, past what an egress ring holds (1024 slots). When the
+  // source then throws, nobody reaps egress: the workers must leave
+  // without draining or the join never returns.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+#endif
+  for (const std::uint32_t cores : {1u, 2u}) {
+    for (const std::uint64_t fail_at : {0u, 100u, 5000u}) {
+      native::NativeOptions opts;
+      opts.workers = cores;
+      opts.pool_packets = 2048;
+      opts.pin_threads = false;
+      native::NativeBackend backend(cp.program, opts);
+      ThrowingSource source(trace, fail_at);
+      EXPECT_THROW(backend.run(source), Error)
+          << "cores=" << cores << " fail_at=" << fail_at;
+    }
+  }
+#if defined(__linux__)
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+#endif
 }
 
 // ---- option validation -----------------------------------------------------

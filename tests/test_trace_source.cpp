@@ -2,7 +2,6 @@
 // exact item sequence of the materialized trace, reposition correctly via
 // skip_to, and reject malformed inputs with errors instead of UB.
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -92,29 +91,6 @@ TEST(CsvSource, RejectsMalformedCells) {
   }
 }
 
-TEST(BinarySource, RoundTripsThroughFile) {
-  const Trace trace = small_trace(120, 3);
-  const std::string path = testing::TempDir() + "rt.tracebin";
-  save_trace_bin(trace, path);
-  BinaryFileTraceSource source(path);
-  EXPECT_EQ(*source.size(), trace.size());
-  expect_same_stream(source, trace);
-
-  BinaryFileTraceSource again(path);
-  again.skip_to(100);
-  EXPECT_EQ(again.peek()->fields, trace[100].fields);
-  EXPECT_THROW(again.skip_to(trace.size() + 1), Error);
-}
-
-TEST(BinarySource, RejectsBadMagic) {
-  const std::string path = testing::TempDir() + "garbage.tracebin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a trace";
-  }
-  EXPECT_THROW(BinaryFileTraceSource{path}, Error);
-}
-
 TEST(SyntheticSource, DeterministicAndSkippable) {
   SyntheticSpec spec;
   spec.packets = 500;
@@ -141,16 +117,18 @@ TEST(SyntheticSource, DeterministicAndSkippable) {
   EXPECT_THROW(jump.skip_to(spec.packets + 1), Error);
 }
 
-TEST(OpenTraceSource, DispatchesOnExtension) {
-  const Trace trace = small_trace(30);
-  const std::string csv = testing::TempDir() + "dispatch.trace.csv";
-  const std::string bin = testing::TempDir() + "dispatch.tracebin";
-  save_trace_file(trace, csv);
-  save_trace_bin(trace, bin);
-  expect_same_stream(*open_trace_source(csv), trace);
-  expect_same_stream(*open_trace_source(bin), trace);
-  EXPECT_THROW(open_trace_source(testing::TempDir() + "missing.tracebin"),
+TEST(CsvSource, RejectsMissingFile) {
+  EXPECT_THROW(CsvFileTraceSource{testing::TempDir() + "missing.trace.csv"},
                Error);
+}
+
+TEST(Materialize, DrainsTheSourceInOrder) {
+  const Trace trace = small_trace(40);
+  VectorTraceSource source(trace);
+  const Trace copy = materialize(source);
+  VectorTraceSource again(copy);
+  expect_same_stream(again, trace);
+  EXPECT_EQ(source.peek(), nullptr);
 }
 
 // The streaming run must be indistinguishable from the materialized run:
@@ -161,15 +139,15 @@ TEST(StreamingRun, MatchesMaterializedRun) {
   Rng rng(11);
   const Trace trace = test::trace_from_fields(
       test::random_fields(400, prog.pvsm.num_slots(), 64, rng), 4);
-  const std::string bin = testing::TempDir() + "simrun.tracebin";
-  save_trace_bin(trace, bin);
+  const std::string csv = testing::TempDir() + "simrun.trace.csv";
+  save_trace_file(trace, csv);
 
   SimOptions opts;
   opts.record_egress = true;
   const SimResult batch = Mp5Simulator(prog, opts).run(trace);
 
-  auto source = open_trace_source(bin);
-  const SimResult streamed = Mp5Simulator(prog, opts).run(*source);
+  CsvFileTraceSource source(csv);
+  const SimResult streamed = Mp5Simulator(prog, opts).run(source);
   std::string why;
   EXPECT_TRUE(same_results(batch, streamed, &why)) << why;
 }

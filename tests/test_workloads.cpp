@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/error.hpp"
@@ -33,6 +34,14 @@ TEST(Trace, LineRateClockScalesWithPipelinesAndSize) {
   LineRateClock clock2(4, 1.0);
   (void)clock2.next(128);
   EXPECT_DOUBLE_EQ(clock2.next(64), 0.5);  // 128 B takes twice as long
+}
+
+TEST(Trace, LineRateClockRejectsAnImpossibleRate) {
+  EXPECT_THROW(LineRateClock(0, 1.0), ConfigError);
+  for (const double load : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(LineRateClock(4, load), ConfigError) << load;
+  }
+  EXPECT_NO_THROW(LineRateClock(1, 1e-6));
 }
 
 TEST(Synthetic, GeneratesRequestedShape) {

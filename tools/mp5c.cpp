@@ -12,16 +12,14 @@
 // Options:
 //   --stages N     machine stage budget (default 16)
 //   --flow-order f1,f2   append the §3.4 per-flow ordering stage
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "apps/programs.hpp"
 #include "banzai/atom_templates.hpp"
 #include "banzai/machine.hpp"
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "domino/compiler.hpp"
 #include "mp5/transform.hpp"
 
@@ -29,52 +27,33 @@ namespace {
 
 using namespace mp5;
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int run(int argc, char** argv) {
   std::string source;
   banzai::MachineSpec machine;
   TransformOptions topts;
   bool have_source = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
     if (arg == "--list") {
       for (const auto& name : apps::builtin_names()) std::cout << name << "\n";
       return 0;
     } else if (arg == "--builtin") {
-      source = apps::builtin(next()).source;
+      source = apps::builtin(in.value()).source;
       have_source = true;
     } else if (arg == "--stages") {
-      machine.max_stages = static_cast<std::uint32_t>(std::stoul(next()));
+      in.read(machine.max_stages);
     } else if (arg == "--flow-order") {
       topts.add_flow_order_stage = true;
-      topts.flow_fields = split_csv(next());
+      topts.flow_fields = cli::split_csv(in.value());
     } else if (arg == "-") {
       std::ostringstream ss;
       ss << std::cin.rdbuf();
       source = ss.str();
       have_source = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw ConfigError("unknown option '" + arg + "'");
     } else {
-      std::ifstream in(arg);
-      if (!in) throw ConfigError("cannot open '" + arg + "'");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      source = ss.str();
+      source = in.program();
       have_source = true;
     }
   }
@@ -148,15 +127,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const mp5::Error& e) {
-    std::cerr << "mp5c: " << e.what() << "\n";
-    return 1;
-  } catch (const std::exception& e) {
-    // Malformed numeric flags (std::stoul etc.) and other library errors
-    // must produce a diagnostic and a nonzero exit, never a terminate().
-    std::cerr << "mp5c: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5c", run, argc, argv);
 }

@@ -36,9 +36,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/results.hpp"
 #include "telemetry/telemetry.hpp"
@@ -57,16 +56,6 @@ struct Args {
   bool quiet = false;
 };
 
-std::vector<double> parse_weights(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
-  }
-  return out;
-}
-
 /// Split "SPEC@CYCLE", returning the spec and filling the cycle.
 std::string split_at_cycle(const std::string& spec, const char* flag,
                            Cycle* cycle) {
@@ -75,7 +64,7 @@ std::string split_at_cycle(const std::string& spec, const char* flag,
     throw ConfigError(std::string(flag) + " expects SPEC@CYCLE, got '" +
                       spec + "'");
   }
-  *cycle = std::stoull(spec.substr(at + 1));
+  *cycle = cli::parse_flag_value<Cycle>(flag, spec.substr(at + 1));
   return spec.substr(0, at);
 }
 
@@ -117,57 +106,47 @@ void resolve_faults(Args& args) {
 Args parse_args(int argc, char** argv) {
   Args args;
   FabricOptions& o = args.opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
-    if (arg == "--leaves") o.topology.leaves =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--spines") o.topology.spines =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--hosts-per-leaf") o.topology.hosts_per_leaf =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--link-latency") o.topology.link_latency =
-        std::stoull(next());
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
+    if (arg == "--leaves") in.read(o.topology.leaves);
+    else if (arg == "--spines") in.read(o.topology.spines);
+    else if (arg == "--hosts-per-leaf") in.read(o.topology.hosts_per_leaf);
+    else if (arg == "--link-latency") in.read(o.topology.link_latency);
     else if (arg == "--link-bytes-per-cycle")
-      o.topology.link_bytes_per_cycle = std::stod(next());
-    else if (arg == "--spine-weights")
-      o.topology.spine_weights = parse_weights(next());
-    else if (arg == "--lb") o.lb = parse_lb_mode(next());
-    else if (arg == "--hash") o.hash_alg = parse_hash_alg(next());
-    else if (arg == "--salt") o.salt = std::stoull(next());
-    else if (arg == "--flows") o.workload.flows = std::stoull(next());
-    else if (arg == "--flow-rate") o.workload.flow_rate = std::stod(next());
-    else if (arg == "--mean-lifetime")
-      o.workload.mean_lifetime = std::stod(next());
-    else if (arg == "--max-flow-packets") o.workload.max_flow_packets =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--zipf") o.workload.zipf_exponent = std::stod(next());
-    else if (arg == "--burst-size") o.workload.burst_size =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--burst-spacing")
-      o.workload.burst_spacing = std::stod(next());
-    else if (arg == "--packet-bytes") o.workload.packet_bytes =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--pipelines") o.pipelines =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--fifo-capacity") o.fifo_capacity = std::stoull(next());
-    else if (arg == "--remap") o.remap_period =
-        static_cast<std::uint32_t>(std::stoul(next()));
+      in.read(o.topology.link_bytes_per_cycle);
+    else if (arg == "--spine-weights") {
+      o.topology.spine_weights.clear();
+      for (const std::string& w : cli::split_csv(in.value())) {
+        o.topology.spine_weights.push_back(
+            cli::parse_flag_value<double>(arg, w));
+      }
+    }
+    else if (arg == "--lb") o.lb = parse_lb_mode(in.value());
+    else if (arg == "--hash") o.hash_alg = parse_hash_alg(in.value());
+    else if (arg == "--salt") in.read(o.salt);
+    else if (arg == "--flows") in.read(o.workload.flows);
+    else if (arg == "--flow-rate") in.read(o.workload.flow_rate);
+    else if (arg == "--mean-lifetime") in.read(o.workload.mean_lifetime);
+    else if (arg == "--max-flow-packets") in.read(o.workload.max_flow_packets);
+    else if (arg == "--zipf") in.read(o.workload.zipf_exponent);
+    else if (arg == "--burst-size") in.read(o.workload.burst_size);
+    else if (arg == "--burst-spacing") in.read(o.workload.burst_spacing);
+    else if (arg == "--packet-bytes") in.read(o.workload.packet_bytes);
+    else if (arg == "--pipelines") in.read(o.pipelines);
+    else if (arg == "--fifo-capacity") in.read(o.fifo_capacity);
+    else if (arg == "--remap") in.read(o.remap_period);
     else if (arg == "--paranoid") o.paranoid_checks = true;
-    else if (arg == "--seed") o.seed = std::stoull(next());
-    else if (arg == "--max-cycles") o.max_cycles = std::stoull(next());
-    else if (arg == "--util-window") o.util_window =
-        static_cast<std::uint32_t>(std::stoul(next()));
+    else if (arg == "--seed") in.read(o.seed);
+    else if (arg == "--max-cycles") in.read(o.max_cycles);
+    else if (arg == "--util-window") in.read(o.util_window);
     else if (arg == "--kill-switch")
-      args.kill_switch_specs.push_back(next());
-    else if (arg == "--kill-link") args.kill_link_specs.push_back(next());
-    else if (arg == "--json") args.json_out = next();
+      args.kill_switch_specs.push_back(in.value());
+    else if (arg == "--kill-link") args.kill_link_specs.push_back(in.value());
+    else if (arg == "--json") args.json_out = in.value();
     else if (arg == "--telemetry") args.telemetry = true;
     else if (arg == "--quiet") args.quiet = true;
-    else throw ConfigError("unknown option '" + arg + "'");
+    else in.unknown();
   }
   // The workload inherits the run seed unless the flows themselves need a
   // different one; one knob reproduces the whole fabric.
@@ -241,13 +220,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const mp5::Error& e) {
-    std::cerr << "mp5fabric: " << e.what() << "\n";
-    return 1;
-  } catch (const std::exception& e) {
-    std::cerr << "mp5fabric: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5fabric", run, argc, argv);
 }

@@ -54,7 +54,7 @@
 #include <string>
 #include <utility>
 
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "fuzz/ast_printer.hpp"
 #include "fuzz/differ.hpp"
 #include "fuzz/repro.hpp"
@@ -84,29 +84,25 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
-    if (arg == "--seeds") args.seeds = std::stoull(next());
-    else if (arg == "--seed-start") args.seed_start = std::stoull(next());
-    else if (arg == "--budget-s") args.budget_s = std::stod(next());
-    else if (arg == "--matrix") args.matrix = next();
-    else if (arg == "--packets") args.packets = std::stoull(next());
-    else if (arg == "--trace-mutations")
-      args.trace_mutations = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--corpus") args.corpus = next();
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
+    if (arg == "--seeds") in.read(args.seeds);
+    else if (arg == "--seed-start") in.read(args.seed_start);
+    else if (arg == "--budget-s") in.read(args.budget_s);
+    else if (arg == "--matrix") args.matrix = in.value();
+    else if (arg == "--packets") in.read(args.packets);
+    else if (arg == "--trace-mutations") in.read(args.trace_mutations);
+    else if (arg == "--corpus") args.corpus = in.value();
     else if (arg == "--no-shrink") args.shrink_failures = false;
     else if (arg == "--no-variants") args.variants = false;
-    else if (arg == "--witnesses") args.witnesses = std::stoull(next());
+    else if (arg == "--witnesses") in.read(args.witnesses);
     else if (arg == "--checkpoint") args.checkpoint_restore = true;
     else if (arg == "--fail-on-divergence") args.fail_on_divergence = true;
     else if (arg == "--inject-floor-mod-bug")
       args.inject_floor_mod_bug = true;
-    else if (arg == "--replay") args.replay_file = next();
-    else throw ConfigError("unknown option '" + arg + "'");
+    else if (arg == "--replay") args.replay_file = in.value();
+    else in.unknown();
   }
   if (args.matrix != "full" && args.matrix != "quick") {
     throw ConfigError("--matrix expects full|quick, got '" + args.matrix +
@@ -288,10 +284,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "mp5fuzz: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5fuzz", run, argc, argv);
 }

@@ -10,7 +10,8 @@
 // Program source:
 //   <file.dom> | --builtin <name>      (see mp5c --list)
 // Traffic (choose one):
-//   --trace file.csv|file.bin          replay a stored trace
+//   --trace file.csv                   replay a stored trace (in admission
+//                                      order: arrival_time, then port)
 //   synthetic (default):  --packets N  --rand-fields B  --flows F
 // Options:
 //   --cores K          worker threads / state shards   (default 1)
@@ -30,11 +31,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "apps/programs.hpp"
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "domino/ast_interp.hpp"
 #include "domino/compiler.hpp"
@@ -43,7 +43,6 @@
 #include "metrics/equivalence.hpp"
 #include "native/backend.hpp"
 #include "telemetry/json_writer.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
 
 namespace {
@@ -68,44 +67,30 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
-    if (arg == "--builtin") args.builtin = next();
-    else if (arg == "--trace") args.trace_file = next();
-    else if (arg == "--packets") args.packets = std::stoull(next());
-    else if (arg == "--rand-fields") args.rand_bound = std::stoll(next());
-    else if (arg == "--flows") args.flows = std::stoull(next());
-    else if (arg == "--seed") args.seed = std::stoull(next());
-    else if (arg == "--load") args.load = std::stod(next());
-    else if (arg == "--cores") args.native.workers =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--batch") args.native.batch =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--ring-capacity") args.native.ring_capacity =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--pool") args.native.pool_packets =
-        static_cast<std::uint32_t>(std::stoul(next()));
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
+    if (arg == "--builtin") args.builtin = in.value();
+    else if (arg == "--trace") args.trace_file = in.value();
+    else if (arg == "--packets") in.read(args.packets);
+    else if (arg == "--rand-fields") in.read(args.rand_bound);
+    else if (arg == "--flows") in.read(args.flows);
+    else if (arg == "--seed") in.read(args.seed);
+    else if (arg == "--load") in.read_positive(args.load);
+    else if (arg == "--cores") in.read(args.native.workers);
+    else if (arg == "--batch") in.read(args.native.batch);
+    else if (arg == "--ring-capacity") in.read(args.native.ring_capacity);
+    else if (arg == "--pool") in.read(args.native.pool_packets);
     else if (arg == "--policy")
-      args.native.policy = sharding_from_string(next());
-    else if (arg == "--rebalance")
-      args.native.rebalance_packets = std::stoull(next());
+      args.native.policy = sharding_from_string(in.value());
+    else if (arg == "--rebalance") in.read(args.native.rebalance_packets);
     else if (arg == "--no-pin") args.native.pin_threads = false;
     else if (arg == "--check") args.check = true;
     else if (arg == "--profile") args.native.profile = true;
-    else if (arg == "--json") args.json_out = next();
+    else if (arg == "--json") args.json_out = in.value();
     else if (arg == "--quiet") args.quiet = true;
-    else if (!arg.empty() && arg[0] == '-')
-      throw ConfigError("unknown option '" + arg + "'");
     else {
-      std::ifstream in(arg);
-      if (!in) throw ConfigError("cannot open '" + arg + "'");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      args.source = ss.str();
+      args.source = in.program();
       args.program_name = arg;
     }
   }
@@ -232,38 +217,23 @@ int run(int argc, char** argv) {
 
   // Resolve traffic. The oracle needs the materialized trace; pure
   // throughput runs stream it.
+  SyntheticSpec spec;
+  spec.packets = args.packets;
+  spec.pipelines = args.native.workers;
+  spec.load = args.load;
+  spec.field_count = static_cast<std::uint32_t>(ast.fields.size());
+  spec.field_bound = args.rand_bound;
+  spec.flows = args.flows;
+  spec.seed = args.seed;
+  std::unique_ptr<TraceSource> traffic = open_traffic(args.trace_file, spec);
   Trace trace;
-  std::unique_ptr<TraceSource> source_ptr;
-  if (!args.trace_file.empty()) {
-    if (args.check) {
-      trace = load_trace_file(args.trace_file);
-      source_ptr = std::make_unique<VectorTraceSource>(trace);
-    } else {
-      source_ptr = open_trace_source(args.trace_file);
-    }
-  } else {
-    SyntheticSpec spec;
-    spec.packets = args.packets;
-    spec.pipelines = args.native.workers;
-    spec.load = args.load;
-    spec.field_count = static_cast<std::uint32_t>(ast.fields.size());
-    spec.field_bound = args.rand_bound;
-    spec.flows = args.flows;
-    spec.seed = args.seed;
-    if (args.check) {
-      SyntheticTraceSource gen(spec);
-      while (const TraceItem* item = gen.peek()) {
-        trace.push_back(*item);
-        gen.advance();
-      }
-      source_ptr = std::make_unique<VectorTraceSource>(trace);
-    } else {
-      source_ptr = std::make_unique<SyntheticTraceSource>(spec);
-    }
+  if (args.check) {
+    trace = materialize(*traffic);
+    traffic = std::make_unique<VectorTraceSource>(trace);
   }
 
   native::NativeBackend backend(program, nopts);
-  const native::NativeResult result = backend.run(*source_ptr);
+  const native::NativeResult result = backend.run(*traffic);
 
   EquivalenceReport check;
   if (args.check) {
@@ -356,13 +326,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const mp5::Error& e) {
-    std::cerr << "mp5native: " << e.what() << "\n";
-    return 1;
-  } catch (const std::exception& e) {
-    std::cerr << "mp5native: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5native", run, argc, argv);
 }

@@ -8,11 +8,13 @@
 // Program source:
 //   <file.dom> | --builtin <name>      (see mp5c --list)
 // Traffic (choose one):
-//   --trace file.csv                   replay a stored trace
+//   --trace file.csv                   replay a stored trace (in admission
+//                                      order: arrival_time, then port)
 //   --flow-workload                    §4.4 web-search flows (uses the
 //                                      builtin's field filler; builtin only)
-//   --rand-fields B                    uniform random fields in [0, B)
-//                                      (default, B=1024)
+//   --rand-fields B                    the synthetic stream mp5native and
+//                                      mp5soak use, fields uniform in
+//                                      [0, B) (default, B=1024)
 // Options:
 //   --design mp5|ideal|no-d2|no-d4|naive|recirc|scr|relaxed  (default mp5)
 //                           mp5..naive are the MP5 designs; scr and relaxed
@@ -65,7 +67,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "apps/programs.hpp"
@@ -73,8 +74,7 @@
 #include "baseline/presets.hpp"
 #include "baseline/recirc.hpp"
 #include "baseline/replicated.hpp"
-#include "common/error.hpp"
-#include "common/rng.hpp"
+#include "cli.hpp"
 #include "common/table.hpp"
 #include "domino/compiler.hpp"
 #include "domino/parser.hpp"
@@ -82,11 +82,11 @@
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
-#include "trace/trace_source.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace_io.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
@@ -123,54 +123,21 @@ struct Args {
   std::vector<std::string> flags; // every option given, in order
 };
 
-/// Parse a --fail-pipeline spec: P@CYCLE or P@CYCLE:RECOVER.
-PipelineFault parse_fail_spec(const std::string& spec) {
-  const auto at = spec.find('@');
-  if (at == std::string::npos || at == 0) {
-    throw ConfigError("--fail-pipeline expects P@CYCLE[:RECOVER], got '" +
-                      spec + "'");
-  }
-  PipelineFault fault;
-  fault.pipeline = static_cast<PipelineId>(std::stoul(spec.substr(0, at)));
-  const auto colon = spec.find(':', at + 1);
-  if (colon == std::string::npos) {
-    fault.fail_at = std::stoull(spec.substr(at + 1));
-  } else {
-    fault.fail_at = std::stoull(spec.substr(at + 1, colon - at - 1));
-    fault.recover_at = std::stoull(spec.substr(colon + 1));
-  }
-  return fault;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
     if (arg.starts_with("--")) args.flags.push_back(arg);
-    if (arg == "--builtin") args.builtin = next();
-    else if (arg == "--design") args.design = next();
-    else if (arg == "--trace") args.trace_file = next();
-    else if (arg == "--save-trace") args.save_trace = next();
+    if (arg == "--builtin") args.builtin = in.value();
+    else if (arg == "--design") args.design = in.value();
+    else if (arg == "--trace") args.trace_file = in.value();
+    else if (arg == "--save-trace") args.save_trace = in.value();
     else if (arg == "--flow-workload") args.flow_workload = true;
-    else if (arg == "--rand-fields") args.rand_bound = std::stoll(next());
-    else if (arg == "--pipelines") args.pipelines =
-        static_cast<std::uint32_t>(std::stoul(next()));
+    else if (arg == "--rand-fields") in.read(args.rand_bound);
+    else if (arg == "--pipelines") in.read(args.pipelines);
     else if (arg == "--staleness") {
-      args.staleness = static_cast<std::uint32_t>(std::stoul(next()));
+      in.read(args.staleness);
       // Δ = 0 is how ReplicatedOptions spells SCR; --design scr asks for
       // that, so --staleness 0 under --design relaxed is a mistake.
       if (args.staleness == 0) {
@@ -178,41 +145,31 @@ Args parse_args(int argc, char** argv) {
                           "synchronization boundaries)");
       }
     }
-    else if (arg == "--packets") args.packets = std::stoull(next());
-    else if (arg == "--seed") args.seed = std::stoull(next());
-    else if (arg == "--load") args.load = std::stod(next());
-    else if (arg == "--fifo-capacity") args.fifo_capacity = std::stoull(next());
-    else if (arg == "--remap") args.remap =
-        static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--flow-order") args.flow_order_fields = split_csv(next());
+    else if (arg == "--packets") in.read(args.packets);
+    else if (arg == "--seed") in.read(args.seed);
+    else if (arg == "--load") in.read_positive(args.load);
+    else if (arg == "--fifo-capacity") in.read(args.fifo_capacity);
+    else if (arg == "--remap") in.read(args.remap);
+    else if (arg == "--flow-order")
+      args.flow_order_fields = cli::split_csv(in.value());
     else if (arg == "--check-equivalence") args.check_equivalence = true;
-    else if (arg == "--timeline") args.timeline = std::stoull(next());
+    else if (arg == "--timeline") in.read(args.timeline);
     else if (arg == "--fail-pipeline")
-      args.faults.pipeline_faults.push_back(parse_fail_spec(next()));
+      args.faults.pipeline_faults.push_back(cli::parse_fail_spec(in.value()));
     else if (arg == "--phantom-channel") args.phantom_channel = true;
     else if (arg == "--phantom-loss-rate")
-      args.faults.phantom_loss_rate = std::stod(next());
+      in.read(args.faults.phantom_loss_rate);
     else if (arg == "--phantom-delay-rate")
-      args.faults.phantom_delay_rate = std::stod(next());
-    else if (arg == "--phantom-delay")
-      args.faults.phantom_extra_delay = std::stoull(next());
+      in.read(args.faults.phantom_delay_rate);
+    else if (arg == "--phantom-delay") in.read(args.faults.phantom_extra_delay);
     else if (arg == "--paranoid") args.paranoid = true;
     else if (arg == "--telemetry") args.telemetry = true;
-    else if (arg == "--trace-out") args.trace_out = next();
-    else if (arg == "--json") args.json_out = next();
-    else if (arg == "--checkpoint-interval")
-      args.checkpoint_interval = std::stoull(next());
-    else if (arg == "--checkpoint-out") args.checkpoint_out = next();
-    else if (arg == "--restore") args.restore_from = next();
-    else if (!arg.empty() && arg[0] == '-')
-      throw ConfigError("unknown option '" + arg + "'");
-    else {
-      std::ifstream in(arg);
-      if (!in) throw ConfigError("cannot open '" + arg + "'");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      args.source = ss.str();
-    }
+    else if (arg == "--trace-out") args.trace_out = in.value();
+    else if (arg == "--json") args.json_out = in.value();
+    else if (arg == "--checkpoint-interval") in.read(args.checkpoint_interval);
+    else if (arg == "--checkpoint-out") args.checkpoint_out = in.value();
+    else if (arg == "--restore") args.restore_from = in.value();
+    else args.source = in.program();
   }
   return args;
 }
@@ -314,9 +271,7 @@ int run(int argc, char** argv) {
 
   // Resolve the traffic.
   Trace trace;
-  if (!args.trace_file.empty()) {
-    trace = load_trace_file(args.trace_file);
-  } else if (args.flow_workload) {
+  if (args.flow_workload && args.trace_file.empty()) {
     if (!filler) {
       throw ConfigError("--flow-workload needs a --builtin app (its filler "
                         "maps flows to header fields)");
@@ -328,18 +283,14 @@ int run(int argc, char** argv) {
     config.load = args.load;
     trace = make_flow_trace(config, filler);
   } else {
-    Rng rng(args.seed);
-    LineRateClock clock(args.pipelines, args.load);
-    for (std::uint64_t n = 0; n < args.packets; ++n) {
-      TraceItem item;
-      item.arrival_time = clock.next(64);
-      item.port = static_cast<std::uint32_t>(n % 64);
-      item.flow = n % 128;
-      for (std::size_t f = 0; f < ast.fields.size(); ++f) {
-        item.fields.push_back(rng.next_in(0, args.rand_bound - 1));
-      }
-      trace.push_back(std::move(item));
-    }
+    SyntheticSpec spec;
+    spec.packets = args.packets;
+    spec.pipelines = args.pipelines;
+    spec.load = args.load;
+    spec.field_count = static_cast<std::uint32_t>(ast.fields.size());
+    spec.field_bound = args.rand_bound;
+    spec.seed = args.seed;
+    trace = materialize(*open_traffic(args.trace_file, spec));
   }
   if (!args.save_trace.empty()) save_trace_file(trace, args.save_trace);
 
@@ -540,15 +491,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const mp5::Error& e) {
-    std::cerr << "mp5sim: " << e.what() << "\n";
-    return 1;
-  } catch (const std::exception& e) {
-    // Malformed numeric flags (std::stoull etc.) and other library errors
-    // must produce a diagnostic and a nonzero exit, never a terminate().
-    std::cerr << "mp5sim: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5sim", run, argc, argv);
 }

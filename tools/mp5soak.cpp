@@ -17,7 +17,8 @@
 // Program source (default: the synthetic sensitivity program):
 //   <file.dom> | --builtin <name> | --synthetic-stages N
 // Traffic:
-//   --trace FILE        stream a .trace.csv / compact binary trace
+//   --trace FILE        stream a .trace.csv trace (in admission order:
+//                       arrival_time, then port)
 //   --packets N         synthetic generator length (default 10^7)
 //   --load F            offered load vs aggregate line rate (default 0.9;
 //                       sustained overload grows the in-switch backlog and
@@ -41,16 +42,14 @@
 //                            an uninterrupted run
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "apps/programs.hpp"
-#include "common/error.hpp"
+#include "cli.hpp"
 #include "domino/compiler.hpp"
 #include "domino/parser.hpp"
 #include "metrics/sim_result.hpp"
@@ -70,24 +69,6 @@ struct Args {
   bool self_test = false;
 };
 
-PipelineFault parse_fail_spec(const std::string& spec) {
-  const auto at = spec.find('@');
-  if (at == std::string::npos || at == 0) {
-    throw ConfigError("--fail-pipeline expects P@CYCLE[:RECOVER], got '" +
-                      spec + "'");
-  }
-  PipelineFault fault;
-  fault.pipeline = static_cast<PipelineId>(std::stoul(spec.substr(0, at)));
-  const auto colon = spec.find(':', at + 1);
-  if (colon == std::string::npos) {
-    fault.fail_at = std::stoull(spec.substr(at + 1));
-  } else {
-    fault.fail_at = std::stoull(spec.substr(at + 1, colon - at - 1));
-    fault.recover_at = std::stoull(spec.substr(colon + 1));
-  }
-  return fault;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
   args.soak.synthetic.packets = 10'000'000;
@@ -98,57 +79,40 @@ Args parse_args(int argc, char** argv) {
   // grow with the trace length. Default to a sustainable 0.9; --load can
   // still push into overload deliberately.
   args.soak.synthetic.load = 0.9;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs an argument");
-      return argv[++i];
-    };
-    if (arg == "--builtin") args.builtin = next();
-    else if (arg == "--synthetic-stages")
-      args.synthetic_stages = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (arg == "--trace") args.soak.trace_path = next();
-    else if (arg == "--packets") args.soak.synthetic.packets = std::stoull(next());
-    else if (arg == "--load") args.soak.synthetic.load = std::stod(next());
-    else if (arg == "--flows") args.soak.synthetic.flows = std::stoull(next());
-    else if (arg == "--field-bound")
-      args.soak.synthetic.field_bound = std::stoll(next());
+  cli::ArgReader in(argc, argv);
+  while (in.next()) {
+    const std::string& arg = in.arg();
+    if (arg == "--builtin") args.builtin = in.value();
+    else if (arg == "--synthetic-stages") in.read(args.synthetic_stages);
+    else if (arg == "--trace") args.soak.trace_path = in.value();
+    else if (arg == "--packets") in.read(args.soak.synthetic.packets);
+    else if (arg == "--load") in.read_positive(args.soak.synthetic.load);
+    else if (arg == "--flows") in.read(args.soak.synthetic.flows);
+    else if (arg == "--field-bound") in.read(args.soak.synthetic.field_bound);
     else if (arg == "--seed") {
-      args.soak.synthetic.seed = std::stoull(argv[i + 1]);
-      args.soak.sim.seed = std::stoull(next());
+      in.read(args.soak.sim.seed);
+      args.soak.synthetic.seed = args.soak.sim.seed;
     }
     else if (arg == "--pipelines") {
-      args.soak.synthetic.pipelines =
-          static_cast<std::uint32_t>(std::stoul(argv[i + 1]));
-      args.soak.sim.pipelines = static_cast<std::uint32_t>(std::stoul(next()));
+      in.read(args.soak.sim.pipelines);
+      args.soak.synthetic.pipelines = args.soak.sim.pipelines;
     }
-    else if (arg == "--fifo-capacity")
-      args.soak.sim.fifo_capacity = std::stoull(next());
-    else if (arg == "--remap")
-      args.soak.sim.remap_period = static_cast<std::uint32_t>(std::stoul(next()));
+    else if (arg == "--fifo-capacity") in.read(args.soak.sim.fifo_capacity);
+    else if (arg == "--remap") in.read(args.soak.sim.remap_period);
     else if (arg == "--paranoid") args.soak.sim.paranoid_checks = true;
-    else if (arg == "--max-cycles") args.max_cycles_override = std::stoull(next());
+    else if (arg == "--max-cycles") in.read(args.max_cycles_override);
     else if (arg == "--fail-pipeline")
-      args.soak.sim.faults.pipeline_faults.push_back(parse_fail_spec(next()));
+      args.soak.sim.faults.pipeline_faults.push_back(
+          cli::parse_fail_spec(in.value()));
     else if (arg == "--checkpoint-interval")
-      args.soak.checkpoint_interval = std::stoull(next());
-    else if (arg == "--checkpoint-out") args.soak.checkpoint_path = next();
+      in.read(args.soak.checkpoint_interval);
+    else if (arg == "--checkpoint-out") args.soak.checkpoint_path = in.value();
     else if (arg == "--resume") args.soak.resume = true;
     else if (arg == "--no-verify") args.soak.verify = false;
-    else if (arg == "--verify-window")
-      args.soak.verify_window = std::stoull(next());
-    else if (arg == "--rss-limit-kib")
-      args.soak.rss_limit_kib = std::stoull(next());
+    else if (arg == "--verify-window") in.read(args.soak.verify_window);
+    else if (arg == "--rss-limit-kib") in.read(args.soak.rss_limit_kib);
     else if (arg == "--self-test") args.self_test = true;
-    else if (!arg.empty() && arg[0] == '-')
-      throw ConfigError("unknown option '" + arg + "'");
-    else {
-      std::ifstream in(arg);
-      if (!in) throw ConfigError("cannot open '" + arg + "'");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      args.source = ss.str();
-    }
+    else args.source = in.program();
   }
   if (args.soak.checkpoint_interval != 0 && args.soak.checkpoint_path.empty()) {
     throw ConfigError(
@@ -183,7 +147,7 @@ void derive_max_cycles(Args& args) {
     args.soak.sim.max_cycles = args.max_cycles_override;
     return;
   }
-  const auto source = soak::make_soak_source(args.soak);
+  const auto source = open_traffic(args.soak.trace_path, args.soak.synthetic);
   if (const auto total = source->size()) {
     const double load =
         args.soak.trace_path.empty() ? args.soak.synthetic.load : 1.0;
@@ -336,10 +300,5 @@ int run(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "mp5soak: " << e.what() << "\n";
-    return 1;
-  }
+  return mp5::cli::run_main("mp5soak", run, argc, argv);
 }
