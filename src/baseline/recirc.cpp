@@ -13,7 +13,7 @@ bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
 
 RecircSimulator::RecircSimulator(const Mp5Program& program,
                                  const RecircOptions& options)
-    : prog_(&program), opts_(options) {
+    : prog_(&program), opts_(options), c1_(program.pvsm.registers) {
   if (opts_.pipelines == 0) throw ConfigError("pipelines must be > 0");
   k_ = opts_.pipelines;
   num_stages_ = prog_->num_stages;

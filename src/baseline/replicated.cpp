@@ -12,7 +12,7 @@
 namespace mp5 {
 ReplicatedSimulator::ReplicatedSimulator(const Mp5Program& program,
                                          const ReplicatedOptions& options)
-    : prog_(&program), opts_(options) {
+    : prog_(&program), opts_(options), c1_(program.pvsm.registers) {
   if (opts_.pipelines == 0) {
     throw ConfigError("ReplicatedOptions: pipelines must be > 0");
   }

@@ -165,4 +165,20 @@ inline std::uint64_t fnv1a(std::string_view data,
   return hash;
 }
 
+/// FNV-1a over a stream of 64-bit words (little-endian bytes): the hash
+/// behind result digests.
+class Fnv1aDigest {
+public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (word >> (8 * i)) & 0xffU;
+      h_ *= kFnv1aPrime;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+private:
+  std::uint64_t h_ = kFnv1aOffset;
+};
+
 } // namespace mp5

@@ -117,18 +117,10 @@ void write_fabric_results_json(std::ostream& out,
     json.kv("name", s.name);
     json.kv("killed", s.killed);
     json.kv("killed_at", s.killed_at);
-    json.kv("offered", s.sim.offered);
-    json.kv("egressed", s.sim.egressed);
-    json.kv("dropped_data", s.sim.dropped_data);
-    json.kv("dropped_phantom", s.sim.dropped_phantom);
-    json.kv("steers", s.sim.steers);
-    json.kv("wasted_cycles", s.sim.wasted_cycles);
-    json.kv("remap_moves", s.sim.remap_moves);
-    json.kv("max_queue_depth",
-            static_cast<std::uint64_t>(s.sim.max_queue_depth));
-    json.kv("c1_violating_packets", s.sim.c1_violating_packets);
+    for (const ResultCounter& c : kResultCounters) {
+      json.kv(c.name, s.sim.*c.member);
+    }
     json.kv("c1_fraction", s.sim.c1_fraction());
-    json.kv("reordered_flow_packets", s.sim.reordered_flow_packets);
     json.end_object();
   }
   json.end_array();

@@ -21,11 +21,8 @@
 //     "links":    [ { name, from, to, uplink, killed, weight, packets,
 //                     bytes, busy_cycles, utilization,
 //                     peak_queue_cycles } ],
-//     "switches": [ { name, killed, killed_at, offered, egressed,
-//                     dropped_data, dropped_phantom, steers,
-//                     wasted_cycles, remap_moves, max_queue_depth,
-//                     c1_violating_packets, c1_fraction,
-//                     reordered_flow_packets } ],
+//     "switches": [ { name, killed, killed_at, <every SimResult counter,
+//                     by its kResultCounters name>, c1_fraction } ],
 //     "telemetry": { counters, gauges, histograms, events } | null
 //   }
 //

@@ -10,17 +10,11 @@
 // in an inversion as the late side). The §4.3.2 D4 experiment reports the
 // fraction of packets with at least one such violation.
 //
-// Two storage modes:
-//  * map mode (default): last-seq table keyed by (reg << 32 | index) in an
-//    unordered_map. Works for any index space; used by the recirculation
-//    baseline, whose register universe is not pre-declared to the checker.
-//  * dense mode (init_dense): one flat SeqNo vector per register, sized to
-//    the register's declared length. This removes the hash+probe from every
-//    state access on the simulator hot path.
+// Storage: one flat last-seq vector per register, sized to the register's
+// declared length, so a state access is an index, not a hash probe.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -34,16 +28,16 @@ class ByteWriter;
 
 class C1Checker {
 public:
-  /// Switch to dense storage. `reg_sizes[r]` is the declared length of
-  /// register array `r`; accesses outside the declared space throw.
-  void init_dense(const std::vector<std::size_t>& reg_sizes);
+  /// `registers` declares the register space (one table row per register
+  /// array, of its declared size); accesses outside it throw.
+  explicit C1Checker(const std::vector<ir::RegisterSpec>& registers);
 
   /// Record that packet `seq` performed an access at (reg, index).
   void on_access(RegId reg, RegIndex index, SeqNo seq);
 
-  /// Checkpoint serialization (unordered containers written sorted for a
-  /// byte-stable payload). load() requires the same storage mode and,
-  /// in dense mode, the same register shapes as at save time.
+  /// Checkpoint serialization (the violator set written sorted for a
+  /// byte-stable payload). load() requires the same register shapes as at
+  /// save time.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
 
@@ -59,9 +53,7 @@ public:
   }
 
 private:
-  bool dense_ = false;
-  std::vector<std::vector<SeqNo>> last_seq_dense_; // [reg][index] -> max seq
-  std::unordered_map<std::uint64_t, SeqNo> last_seq_; // key -> max seq seen
+  std::vector<std::vector<SeqNo>> last_seq_; // [reg][index] -> max seq
   std::unordered_set<SeqNo> violators_;
   std::uint64_t accesses_ = 0;
 };

@@ -25,37 +25,16 @@ double SimResult::normalized_throughput() const {
 }
 
 void SimResult::save(ByteWriter& w) const {
-  w.u64(offered);
-  w.u64(egressed);
-  w.u64(dropped_phantom);
-  w.u64(dropped_data);
-  w.u64(dropped_starved);
-  w.u64(dropped_fault);
-  w.u64(ecn_marked);
-  w.u64(first_arrival);
-  w.u64(last_arrival);
-  w.u64(last_egress);
-  w.u64(cycles_run);
-  w.u64(steers);
-  w.u64(wasted_cycles);
-  w.u64(blocked_cycles);
-  w.u64(remap_moves);
-  w.u64(recirculations);
-  w.u64(max_queue_depth);
-  w.u64(pipeline_failures);
-  w.u64(pipeline_recoveries);
-  w.u64(fault_remapped_indices);
-  w.u64(phantom_lost);
-  w.u64(phantom_delayed);
-  w.u64(stalled_cycles);
-  w.u64(time_to_recover);
-  w.u64(fault_drops.size());
-  for (const FaultDrop& d : fault_drops) {
-    w.u64(d.seq);
-    w.boolean(d.state_touched);
+  for (const ResultCounter& c : kResultCounters) {
+    w.u64(this->*c.member);
+    // The fault-drop log follows time_to_recover in the v1 payload.
+    if (c.member != &SimResult::time_to_recover) continue;
+    w.u64(fault_drops.size());
+    for (const FaultDrop& d : fault_drops) {
+      w.u64(d.seq);
+      w.boolean(d.state_touched);
+    }
   }
-  w.u64(c1_violating_packets);
-  w.u64(reordered_flow_packets);
   w.u64(final_registers.size());
   for (const auto& regs : final_registers) {
     w.u64(regs.size());
@@ -72,37 +51,15 @@ void SimResult::save(ByteWriter& w) const {
 }
 
 void SimResult::load(ByteReader& r) {
-  offered = r.u64();
-  egressed = r.u64();
-  dropped_phantom = r.u64();
-  dropped_data = r.u64();
-  dropped_starved = r.u64();
-  dropped_fault = r.u64();
-  ecn_marked = r.u64();
-  first_arrival = r.u64();
-  last_arrival = r.u64();
-  last_egress = r.u64();
-  cycles_run = r.u64();
-  steers = r.u64();
-  wasted_cycles = r.u64();
-  blocked_cycles = r.u64();
-  remap_moves = r.u64();
-  recirculations = r.u64();
-  max_queue_depth = static_cast<std::size_t>(r.u64());
-  pipeline_failures = r.u64();
-  pipeline_recoveries = r.u64();
-  fault_remapped_indices = r.u64();
-  phantom_lost = r.u64();
-  phantom_delayed = r.u64();
-  stalled_cycles = r.u64();
-  time_to_recover = r.u64();
-  fault_drops.resize(static_cast<std::size_t>(r.count(9)));
-  for (FaultDrop& d : fault_drops) {
-    d.seq = r.u64();
-    d.state_touched = r.boolean();
+  for (const ResultCounter& c : kResultCounters) {
+    this->*c.member = r.u64();
+    if (c.member != &SimResult::time_to_recover) continue;
+    fault_drops.resize(static_cast<std::size_t>(r.count(9)));
+    for (FaultDrop& d : fault_drops) {
+      d.seq = r.u64();
+      d.state_touched = r.boolean();
+    }
   }
-  c1_violating_packets = r.u64();
-  reordered_flow_packets = r.u64();
   final_registers.resize(static_cast<std::size_t>(r.count(8)));
   for (auto& regs : final_registers) {
     regs.resize(static_cast<std::size_t>(r.count(8)));
@@ -128,36 +85,12 @@ bool differ(std::string* why, const char* field) {
 } // namespace
 
 bool same_results(const SimResult& a, const SimResult& b, std::string* why) {
-#define MP5_SAME(field) \
-  if (a.field != b.field) return differ(why, #field)
-  MP5_SAME(offered);
-  MP5_SAME(egressed);
-  MP5_SAME(dropped_phantom);
-  MP5_SAME(dropped_data);
-  MP5_SAME(dropped_starved);
-  MP5_SAME(dropped_fault);
-  MP5_SAME(ecn_marked);
-  MP5_SAME(first_arrival);
-  MP5_SAME(last_arrival);
-  MP5_SAME(last_egress);
-  MP5_SAME(cycles_run);
-  MP5_SAME(steers);
-  MP5_SAME(wasted_cycles);
-  MP5_SAME(blocked_cycles);
-  MP5_SAME(remap_moves);
-  MP5_SAME(recirculations);
-  MP5_SAME(max_queue_depth);
-  MP5_SAME(pipeline_failures);
-  MP5_SAME(pipeline_recoveries);
-  MP5_SAME(fault_remapped_indices);
-  MP5_SAME(phantom_lost);
-  MP5_SAME(phantom_delayed);
-  MP5_SAME(stalled_cycles);
-  MP5_SAME(time_to_recover);
-  MP5_SAME(c1_violating_packets);
-  MP5_SAME(reordered_flow_packets);
-  MP5_SAME(final_registers);
-#undef MP5_SAME
+  for (const ResultCounter& c : kResultCounters) {
+    if (a.*c.member != b.*c.member) return differ(why, c.name);
+  }
+  if (a.final_registers != b.final_registers) {
+    return differ(why, "final_registers");
+  }
   if (a.fault_drops.size() != b.fault_drops.size()) {
     return differ(why, "fault_drops.size");
   }
@@ -180,6 +113,30 @@ bool same_results(const SimResult& a, const SimResult& b, std::string* why) {
     }
   }
   return true;
+}
+
+std::uint64_t result_digest(const SimResult& r) {
+  Fnv1aDigest d;
+  for (const ResultCounter& c : kResultCounters) d.add(r.*c.member);
+  d.add(r.final_registers.size());
+  for (const auto& reg : r.final_registers) {
+    d.add(reg.size());
+    for (const Value v : reg) d.add(static_cast<std::uint64_t>(v));
+  }
+  d.add(r.fault_drops.size());
+  for (const SimResult::FaultDrop& f : r.fault_drops) {
+    d.add(f.seq);
+    d.add(std::uint64_t{f.state_touched});
+  }
+  d.add(r.egress.size());
+  for (const EgressRecord& e : r.egress) {
+    d.add(e.seq);
+    d.add(e.egress_cycle);
+    d.add(e.flow);
+    d.add(e.headers.size());
+    for (const Value v : e.headers) d.add(static_cast<std::uint64_t>(v));
+  }
+  return d.value();
 }
 
 } // namespace mp5

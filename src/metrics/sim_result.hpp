@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,10 @@ namespace mp5 {
 class ByteReader;
 class ByteWriter;
 
+// Every scalar counter below has one row in kResultCounters (after the
+// struct): the checkpoint, same_results, result_digest, the results JSON
+// and the telemetry export all walk that list, so a new counter is one
+// field plus one row.
 struct SimResult {
   // --- packet accounting ---
   std::uint64_t offered = 0;
@@ -34,8 +39,8 @@ struct SimResult {
   std::uint64_t wasted_cycles = 0; // cancelled-phantom pop slots
   std::uint64_t blocked_cycles = 0;
   std::uint64_t remap_moves = 0;
-  std::uint64_t recirculations = 0; // recirculation baseline only
-  std::size_t max_queue_depth = 0;  // entries at any (pipeline, stage) FIFO
+  std::uint64_t recirculations = 0;  // recirculation baseline only
+  std::uint64_t max_queue_depth = 0; // entries at any (pipeline, stage) FIFO
 
   // --- fault injection & recovery ---
   std::uint64_t pipeline_failures = 0;
@@ -97,10 +102,75 @@ struct SimResult {
   void load(ByteReader& r);
 };
 
+/// One scalar counter of SimResult.
+struct ResultCounter {
+  const char* name;      // the field name, also its key in the results JSON
+  const char* section;   // its "mp5-results" section
+  const char* telemetry; // its telemetry counter name, or null
+  std::uint64_t SimResult::*member;
+};
+
+/// Every scalar counter, in declaration order (which is also the
+/// mp5-checkpoint v1 payload order).
+inline constexpr ResultCounter kResultCounters[] = {
+    {"offered", "packets", "sim.admitted", &SimResult::offered},
+    {"egressed", "packets", "sim.egressed", &SimResult::egressed},
+    {"dropped_phantom", "packets", nullptr, &SimResult::dropped_phantom},
+    {"dropped_data", "packets", "sim.dropped_data", &SimResult::dropped_data},
+    {"dropped_starved", "packets", "sim.dropped_starved",
+     &SimResult::dropped_starved},
+    {"dropped_fault", "packets", "sim.dropped_fault",
+     &SimResult::dropped_fault},
+    {"ecn_marked", "packets", "sim.ecn_marked", &SimResult::ecn_marked},
+    {"first_arrival", "timing", nullptr, &SimResult::first_arrival},
+    {"last_arrival", "timing", nullptr, &SimResult::last_arrival},
+    {"last_egress", "timing", nullptr, &SimResult::last_egress},
+    {"cycles_run", "timing", nullptr, &SimResult::cycles_run},
+    {"steers", "mechanics", "sim.steers", &SimResult::steers},
+    {"wasted_cycles", "mechanics", "fifo.pop_wasted",
+     &SimResult::wasted_cycles},
+    {"blocked_cycles", "mechanics", "fifo.pop_blocked",
+     &SimResult::blocked_cycles},
+    {"remap_moves", "mechanics", "shard.rebalance_moves",
+     &SimResult::remap_moves},
+    {"recirculations", "mechanics", nullptr, &SimResult::recirculations},
+    {"max_queue_depth", "mechanics", nullptr, &SimResult::max_queue_depth},
+    {"pipeline_failures", "faults", "fault.lane_failures",
+     &SimResult::pipeline_failures},
+    {"pipeline_recoveries", "faults", "fault.lane_recoveries",
+     &SimResult::pipeline_recoveries},
+    {"fault_remapped_indices", "faults", "shard.fault_rehomed_indices",
+     &SimResult::fault_remapped_indices},
+    {"phantom_lost", "faults", "phantom.lost", &SimResult::phantom_lost},
+    {"phantom_delayed", "faults", "phantom.delayed",
+     &SimResult::phantom_delayed},
+    {"stalled_cycles", "faults", "fault.stalled_cycles",
+     &SimResult::stalled_cycles},
+    {"time_to_recover", "faults", nullptr, &SimResult::time_to_recover},
+    {"c1_violating_packets", "correctness", nullptr,
+     &SimResult::c1_violating_packets},
+    {"reordered_flow_packets", "correctness", nullptr,
+     &SimResult::reordered_flow_packets},
+};
+
+// A new SimResult field without a row fails to compile here: every counter
+// is 8 bytes wide and everything else is one of the three logs.
+static_assert(sizeof(SimResult) ==
+                  sizeof(std::uint64_t) * std::size(kResultCounters) +
+                      sizeof(SimResult::fault_drops) +
+                      sizeof(SimResult::final_registers) +
+                      sizeof(SimResult::egress),
+              "every SimResult counter needs a kResultCounters row");
+
 /// Field-by-field equality of two results — the checkpoint/restore
 /// bit-identity contract. On mismatch returns false and, when `why` is
 /// non-null, names the first differing field.
 bool same_results(const SimResult& a, const SimResult& b,
                   std::string* why = nullptr);
+
+/// FNV-1a digest of every field same_results() compares, in a fixed
+/// order: two results with equal digests are field-by-field identical (up
+/// to hash collisions). The golden digests in the tests pin it.
+std::uint64_t result_digest(const SimResult& r);
 
 } // namespace mp5

@@ -218,7 +218,10 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u32(options.staleness_bound);
   fp.u32(options.pipelines);
   fp.b(options.record_egress);
-  fp.b(true); // C1 tracking, once a knob; kept so old checkpoints restore
+  fp.b(true); // C1 tracking, once a knob
+  // Payload revision: 1 since the C1 checker stores a dense table here
+  // too, so a checkpoint with the older sparse C1 table is refused.
+  fp.u32(1);
   hash_program_shape(fp, program);
   return fp.h;
 }

@@ -13,7 +13,7 @@ bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
 } // namespace
 
 Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
-    : prog_(&program), opts_(options) {
+    : prog_(&program), opts_(options), c1_(program.pvsm.registers) {
   // Option validation: every inconsistent combination is rejected here, at
   // construction, instead of being silently patched or misbehaving at run
   // time.
@@ -84,15 +84,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   arrival_slots_.assign(cells * k_, ArrivedRef{});
   arrival_count_.assign(cells, 0);
   ingress_.resize(k_);
-
-  // Dense last-seq table: one flat vector per register array, replacing
-  // the per-access hash lookup.
-  std::vector<std::size_t> sizes;
-  sizes.reserve(prog_->pvsm.registers.size());
-  for (const auto& spec : prog_->pvsm.registers) {
-    sizes.push_back(static_cast<std::size_t>(spec.size));
-  }
-  c1_.init_dense(sizes);
 
   lane_words_ = (k_ + 63) / 64;
   active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
@@ -307,8 +298,8 @@ SimResult Mp5Simulator::finalize(Cycle now) {
   result_.final_registers = state_->regs().storage();
   result_.c1_violating_packets = c1_.violating_packets();
   for (const auto& fifo : fifos_) {
-    result_.max_queue_depth =
-        std::max(result_.max_queue_depth, fifo.high_water());
+    result_.max_queue_depth = std::max<std::uint64_t>(
+        result_.max_queue_depth, fifo.high_water());
   }
   export_telemetry();
   std::sort(result_.egress.begin(), result_.egress.end(),
@@ -340,28 +331,10 @@ void Mp5Simulator::export_telemetry() {
   telemetry::Telemetry* telem = opts_.telemetry;
   if (telem == nullptr) return;
   const std::string& prefix = opts_.telemetry_prefix;
-  // Counters whose value is a SimResult field.
-  static constexpr std::pair<const char*, std::uint64_t SimResult::*>
-      kResultCounters[] = {
-          {"sim.admitted", &SimResult::offered},
-          {"sim.egressed", &SimResult::egressed},
-          {"sim.steers", &SimResult::steers},
-          {"sim.dropped_data", &SimResult::dropped_data},
-          {"sim.dropped_starved", &SimResult::dropped_starved},
-          {"sim.dropped_fault", &SimResult::dropped_fault},
-          {"sim.ecn_marked", &SimResult::ecn_marked},
-          {"fault.stalled_cycles", &SimResult::stalled_cycles},
-          {"fault.lane_failures", &SimResult::pipeline_failures},
-          {"fault.lane_recoveries", &SimResult::pipeline_recoveries},
-          {"phantom.lost", &SimResult::phantom_lost},
-          {"phantom.delayed", &SimResult::phantom_delayed},
-          {"fifo.pop_blocked", &SimResult::blocked_cycles},
-          {"fifo.pop_wasted", &SimResult::wasted_cycles},
-          {"shard.rebalance_moves", &SimResult::remap_moves},
-          {"shard.fault_rehomed_indices", &SimResult::fault_remapped_indices},
-      };
-  for (const auto& [name, field] : kResultCounters) {
-    telem->counter(prefix + name).inc(result_.*field);
+  for (const ResultCounter& c : kResultCounters) {
+    if (c.telemetry != nullptr) {
+      telem->counter(prefix + c.telemetry).inc(result_.*c.member);
+    }
   }
   for (const auto& [name, value] : named_counts()) {
     telem->counter(prefix + name).inc(*value);

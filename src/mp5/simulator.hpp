@@ -217,9 +217,9 @@ private:
   /// logs.
   SimResult finalize(Cycle now);
   /// Write every count into SimOptions::telemetry under telemetry_prefix:
-  /// the counters SimResult already holds, named_counts(), the two
-  /// histograms and the end-of-run gauges, zeros included. No-op without
-  /// a registry.
+  /// the kResultCounters rows that have a telemetry name, named_counts(),
+  /// the two histograms and the end-of-run gauges, zeros included. No-op
+  /// without a registry.
   void export_telemetry();
   /// The counts SimResult has no field for, by telemetry name. The export
   /// and the checkpoint's named-counter block both walk this one list.

@@ -1,5 +1,7 @@
 #include "telemetry/results.hpp"
 
+#include <string_view>
+
 #include "telemetry/json_writer.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -70,55 +72,26 @@ void write_results_json(std::ostream& out, const RunMeta& meta,
       .kv("load", meta.load)
       .end_object();
 
-  json.key("packets")
-      .begin_object()
-      .kv("offered", result.offered)
-      .kv("egressed", result.egressed)
-      .kv("dropped_phantom", result.dropped_phantom)
-      .kv("dropped_data", result.dropped_data)
-      .kv("dropped_starved", result.dropped_starved)
-      .kv("dropped_fault", result.dropped_fault)
-      .kv("ecn_marked", result.ecn_marked)
-      .end_object();
-
-  json.key("timing")
-      .begin_object()
-      .kv("first_arrival", result.first_arrival)
-      .kv("last_arrival", result.last_arrival)
-      .kv("last_egress", result.last_egress)
-      .kv("cycles_run", result.cycles_run)
+  // Each section lists its kResultCounters rows, then its derived values.
+  const auto section = [&](std::string_view name) -> JsonWriter& {
+    json.key(name).begin_object();
+    for (const ResultCounter& c : kResultCounters) {
+      if (c.section == name) json.kv(c.name, result.*c.member);
+    }
+    return json;
+  };
+  section("packets").end_object();
+  section("timing")
       .kv("input_rate", result.input_rate())
       .kv("normalized_throughput", result.normalized_throughput())
       .end_object();
-
-  json.key("mechanics")
-      .begin_object()
-      .kv("steers", result.steers)
-      .kv("wasted_cycles", result.wasted_cycles)
-      .kv("blocked_cycles", result.blocked_cycles)
-      .kv("remap_moves", result.remap_moves)
-      .kv("recirculations", result.recirculations)
-      .kv("max_queue_depth", static_cast<std::uint64_t>(result.max_queue_depth))
-      .end_object();
-
-  json.key("faults")
-      .begin_object()
-      .kv("pipeline_failures", result.pipeline_failures)
-      .kv("pipeline_recoveries", result.pipeline_recoveries)
-      .kv("fault_remapped_indices", result.fault_remapped_indices)
-      .kv("phantom_lost", result.phantom_lost)
-      .kv("phantom_delayed", result.phantom_delayed)
-      .kv("stalled_cycles", result.stalled_cycles)
-      .kv("time_to_recover", result.time_to_recover)
+  section("mechanics").end_object();
+  section("faults")
       .kv("fault_drops",
           static_cast<std::uint64_t>(result.fault_drops.size()))
       .end_object();
-
-  json.key("correctness")
-      .begin_object()
-      .kv("c1_violating_packets", result.c1_violating_packets)
+  section("correctness")
       .kv("c1_fraction", result.c1_fraction())
-      .kv("reordered_flow_packets", result.reordered_flow_packets)
       .kv("drop_fraction", result.drop_fraction())
       .end_object();
 

@@ -1,12 +1,14 @@
-// Machine-readable run results: every SimResult field (including the
-// PR 1 fault/recovery counters) plus an optional telemetry section, as a
-// schema-versioned JSON document. `mp5sim --json <path>` writes one per
-// run; future PRs diff them for regressions.
+// Machine-readable run results: every SimResult counter plus an optional
+// telemetry section, as a schema-versioned JSON document. `mp5sim --json
+// <path>` writes one per run; future PRs diff them for regressions.
 //
-// Schema "mp5-results", version 1 (documented in DESIGN.md "Telemetry"):
+// Schema "mp5-results", version 1 (documented in DESIGN.md "Telemetry").
+// Each section holds the kResultCounters rows of that section
+// (metrics/sim_result.hpp), in table order, then its derived values:
 //   {
 //     "schema": "mp5-results", "schema_version": 1,
-//     "meta":        { design, program, pipelines, packets, seed, load },
+//     "meta":        { design, variant, staleness, program, pipelines,
+//                      packets, seed, load },
 //     "packets":     { offered, egressed, dropped_*, ecn_marked },
 //     "timing":      { first_arrival, last_arrival, last_egress,
 //                      cycles_run, input_rate, normalized_throughput },
@@ -16,8 +18,8 @@
 //                      fault_remapped_indices, phantom_lost,
 //                      phantom_delayed, stalled_cycles, time_to_recover,
 //                      fault_drops },
-//     "correctness": { c1_violating_packets, c1_fraction,
-//                      reordered_flow_packets, drop_fraction },
+//     "correctness": { c1_violating_packets, reordered_flow_packets,
+//                      c1_fraction, drop_fraction },
 //     "telemetry":   { counters, gauges, histograms, events } | null
 //   }
 #pragma once

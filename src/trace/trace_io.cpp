@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/parse_number.hpp"
+#include "trace/trace_source.hpp"
 
 namespace mp5 {
 
@@ -53,20 +54,6 @@ bool parse_trace_csv_line(std::string_view line, std::size_t lineno,
   return true;
 }
 
-Trace load_trace_csv(std::istream& is) {
-  Trace trace;
-  std::string line;
-  std::size_t lineno = 0;
-  TraceItem item;
-  while (std::getline(is, line)) {
-    if (parse_trace_csv_line(line, ++lineno, item)) {
-      trace.push_back(std::move(item));
-    }
-  }
-  sort_by_arrival(trace);
-  return trace;
-}
-
 void save_trace_file(const Trace& trace, const std::string& path) {
   std::ofstream os(path);
   if (!os) throw Error("cannot write trace file '" + path + "'");
@@ -74,9 +61,8 @@ void save_trace_file(const Trace& trace, const std::string& path) {
 }
 
 Trace load_trace_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw Error("cannot read trace file '" + path + "'");
-  return load_trace_csv(is);
+  CsvFileTraceSource source(path);
+  return materialize(source);
 }
 
 } // namespace mp5

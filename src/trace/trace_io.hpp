@@ -23,16 +23,12 @@ void save_trace_csv(const Trace& trace, std::ostream& os);
 /// `item`. Returns false for blank and comment lines. Every cell must be
 /// one whole number: port and size_bytes unsigned 32-bit, flow unsigned
 /// 64-bit, fields signed 64-bit, arrival_time finite. Anything else
-/// throws Error naming `lineno`. Both CSV readers (load_trace_csv and
-/// CsvFileTraceSource) use it.
+/// throws Error naming `lineno`. CsvFileTraceSource reads with it.
 bool parse_trace_csv_line(std::string_view line, std::size_t lineno,
                           TraceItem& item);
-/// Reads every line and sorts the result into admission order. The tools
-/// read --trace through CsvFileTraceSource instead, which rejects an
-/// out-of-order file; these loaders serve stored fuzz reproducers.
-Trace load_trace_csv(std::istream& is);
-
 void save_trace_file(const Trace& trace, const std::string& path);
+/// Materializes a CsvFileTraceSource: the file must be in admission order
+/// (an out-of-order line throws Error naming its line number).
 Trace load_trace_file(const std::string& path);
 
 } // namespace mp5

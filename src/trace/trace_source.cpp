@@ -101,8 +101,8 @@ void CsvFileTraceSource::parse_next() {
     const std::string_view line(base + offset_, end - offset_);
     offset_ = (end < size) ? end + 1 : size;
     if (!parse_trace_csv_line(line, ++lineno_, item)) continue;
-    // A streaming reader cannot sort after the fact the way
-    // load_trace_csv does, so admission order is an input contract.
+    // A streaming reader cannot sort after the fact, so admission order
+    // is an input contract.
     if (any_parsed_ &&
         (item.arrival_time < prev_time_ ||
          (item.arrival_time == prev_time_ && item.port < prev_port_))) {

@@ -90,11 +90,10 @@ private:
   std::size_t size_ = 0;
 };
 
-/// Streams a .trace.csv file without materializing it. Unlike
-/// load_trace_csv (which sorts after loading), a streaming reader cannot
-/// sort — the file must already be in admission order (non-decreasing
-/// arrival_time, ties in non-decreasing port); violations throw with the
-/// offending line number.
+/// Streams a .trace.csv file without materializing it. A streaming reader
+/// cannot sort — the file must already be in admission order
+/// (non-decreasing arrival_time, ties in non-decreasing port); violations
+/// throw with the offending line number.
 class CsvFileTraceSource final : public TraceSource {
 public:
   explicit CsvFileTraceSource(const std::string& path);

@@ -211,6 +211,37 @@ expect_success("mp5sim restore control run"
                ${MP5SIM} --builtin figure3 --packets 800
                --restore ${workdir}/figure3.ckpt --paranoid)
 
+# A resumed run prints the same `result digest:` line as the run that
+# wrote its checkpoint, for the MP5 and the replicated checkpoints.
+function(digest_line out label)
+  execute_process(COMMAND ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE stdout
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${label}: expected exit 0, got ${rc}: ${err}")
+  endif()
+  string(REGEX MATCH "result digest: 0x[0-9a-f]+" line "${stdout}")
+  string(LENGTH "${line}" length)
+  if(NOT length EQUAL 33)
+    message(FATAL_ERROR "${label}: no 'result digest: 0x<16 hex>' line in '${stdout}'")
+  endif()
+  set(${out} "${line}" PARENT_SCOPE)
+endfunction()
+foreach(design mp5 scr)
+  digest_line(written "mp5sim ${design} digest checkpointing run"
+              ${MP5SIM} --builtin flowlet --packets 4000 --design ${design}
+              --checkpoint-interval 400
+              --checkpoint-out ${workdir}/digest-${design}.ckpt)
+  digest_line(resumed "mp5sim ${design} digest resumed run"
+              ${MP5SIM} --builtin flowlet --packets 4000 --design ${design}
+              --restore ${workdir}/digest-${design}.ckpt)
+  if(NOT written STREQUAL resumed)
+    message(FATAL_ERROR "mp5sim ${design}: resumed run printed '${resumed}', "
+                        "its checkpointing run '${written}'")
+  endif()
+endforeach()
+
 # -- mp5fabric (ISSUE 7) --
 expect_failure("mp5fabric unknown flag" ${MP5FABRIC} --no-such-flag)
 expect_failure("mp5fabric zero leaves" ${MP5FABRIC} --leaves 0 --flows 10)

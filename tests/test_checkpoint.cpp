@@ -127,6 +127,15 @@ TEST(CheckpointFingerprint, Mp5GoldenValues) {
   EXPECT_EQ(config_fingerprint(prog, faulty), 0xc150365438d7199au);
 }
 
+TEST(CheckpointFingerprint, ReplicatedGoldenValues) {
+  // Pinned like the MP5 values above: a change that moves one makes every
+  // SCR/relaxed checkpoint written before it refuse to restore.
+  const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(3, 64));
+  EXPECT_EQ(config_fingerprint(prog, scr_options(4)), 0x922c342bbe06d959u);
+  EXPECT_EQ(config_fingerprint(prog, relaxed_options(4, 64)),
+            0xfb54115962c77c02u);
+}
+
 TEST(CheckpointFingerprint, CoversVariantAndStaleness) {
   // The design variant and its staleness bound are semantic state layout:
   // a checkpoint taken under one must never restore under another

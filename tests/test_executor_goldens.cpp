@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/programs.hpp"
+#include "common/serialize.hpp"
 #include "baseline/recirc.hpp"
 #include "common/rng.hpp"
 #include "domino/parser.hpp"
@@ -64,7 +65,8 @@ Trace make_trace(const Builtin& b, std::size_t extra = 0) {
   return trace_from_fields(fields, 4);
 }
 
-void add_registers(Digest& d, const std::vector<std::vector<Value>>& regs) {
+void add_registers(Fnv1aDigest& d,
+                   const std::vector<std::vector<Value>>& regs) {
   d.add(regs.size());
   for (const auto& reg : regs) {
     d.add(reg.size());
@@ -73,7 +75,7 @@ void add_registers(Digest& d, const std::vector<std::vector<Value>>& regs) {
 }
 
 /// Declared slots of one packet's headers (missing trailing slots read 0).
-void add_declared(Digest& d, const ir::Pvsm& pvsm,
+void add_declared(Fnv1aDigest& d, const ir::Pvsm& pvsm,
                   const std::vector<Value>& headers) {
   for (std::size_t s = 0; s < pvsm.declared_slot.size(); ++s) {
     d.add(static_cast<std::uint64_t>(s < headers.size() ? headers[s] : 0));
@@ -82,7 +84,7 @@ void add_declared(Digest& d, const ir::Pvsm& pvsm,
 
 std::uint64_t reference_digest(const Builtin& b, const Trace& trace) {
   const auto ref = run_reference(b.program, trace);
-  Digest d;
+  Fnv1aDigest d;
   add_registers(d, ref.final_registers);
   d.add(ref.egress_headers.size());
   for (const auto& headers : ref.egress_headers) {
@@ -106,7 +108,7 @@ native::NativeResult run_native(const Builtin& b, const Trace& trace,
 std::uint64_t native_digest(const Builtin& b, const Trace& trace,
                             std::uint32_t workers) {
   const auto result = run_native(b, trace, workers);
-  Digest d;
+  Fnv1aDigest d;
   d.add(result.packets);
   add_registers(d, result.final_registers);
   d.add(result.egress_fields.size());
@@ -223,7 +225,7 @@ TEST(ArrivalHeaders, ExtraTraceColumnsNeverReachTheProgram) {
     EXPECT_EQ(sim_wide.final_registers, sim_exact.final_registers);
     ASSERT_EQ(sim_wide.egress.size(), sim_exact.egress.size());
     for (std::size_t i = 0; i < sim_wide.egress.size(); ++i) {
-      Digest w, e;
+      Fnv1aDigest w, e;
       add_declared(w, b.program.pvsm, sim_wide.egress[i].headers);
       add_declared(e, b.program.pvsm, sim_exact.egress[i].headers);
       EXPECT_EQ(w.value(), e.value()) << "egress record " << i;

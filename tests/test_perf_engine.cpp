@@ -10,8 +10,8 @@
 // walks were deleted, and the event walk must reproduce every one (the
 // recording was cross-checked under lockstep with skip, the event walk
 // and the thread pool). A digest covers every SimResult field that
-// same_results() compares (see test_util.hpp); the telemetry scenario also
-// digests the timeline event stream and the counter snapshot.
+// same_results() compares (see mp5::result_digest); the telemetry scenario
+// also digests the timeline event stream and the counter snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "apps/programs.hpp"
+#include "common/serialize.hpp"
 #include "baseline/presets.hpp"
 #include "packet/arena.hpp"
 #include "telemetry/telemetry.hpp"
@@ -218,7 +219,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   const auto result = run_with(prog, trace, opts);
   expect_golden(result, 0x13c097872008aa22, "telemetry result");
 
-  Digest timeline;
+  Fnv1aDigest timeline;
   timeline.add(events.size());
   for (const auto& e : events) {
     timeline.add(static_cast<std::uint64_t>(e.kind));
@@ -230,9 +231,10 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   }
   expect_golden(timeline.value(), 0x72545785dc79fb1, "timeline");
 
-  Digest counters;
+  Fnv1aDigest counters;
   for (const auto& [name, value] : telem.counter_snapshot()) {
-    counters.add(name);
+    counters.add(name.size());
+    for (const char c : name) counters.add(static_cast<unsigned char>(c));
     counters.add(value);
   }
   expect_golden(counters.value(), 0xa404c7d644813d51, "telemetry counters");

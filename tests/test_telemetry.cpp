@@ -290,12 +290,14 @@ TEST(TelemetrySim, CountersMatchSimResult) {
     Mp5Simulator sim(prog, opts);
     const auto result = sim.run(trace);
 
+    // Every twin (a kResultCounters row with a telemetry name) equals its
+    // result field.
     const auto counters = telem.counter_snapshot();
-    EXPECT_EQ(counters.at("sim.admitted"), result.offered);
-    EXPECT_EQ(counters.at("sim.egressed"), result.egressed);
-    EXPECT_EQ(counters.at("sim.steers"), result.steers);
-    EXPECT_EQ(counters.at("sim.dropped_data"), result.dropped_data);
-    EXPECT_EQ(counters.at("fifo.pop_wasted"), result.wasted_cycles);
+    for (const ResultCounter& c : kResultCounters) {
+      if (c.telemetry != nullptr) {
+        EXPECT_EQ(counters.at(c.telemetry), result.*c.member) << c.telemetry;
+      }
+    }
     EXPECT_GT(counters.at("fifo.push"), 0u);
     EXPECT_GT(counters.at("shard.state_accesses"), 0u);
     EXPECT_TRUE(telem.events_enabled());
@@ -307,20 +309,6 @@ TEST(TelemetrySim, CountersMatchSimResult) {
     EXPECT_EQ(telem.histograms().at("sim.egress_latency").total(),
               result.egressed);
 
-    // The remaining twins.
-    EXPECT_EQ(counters.at("sim.dropped_starved"), result.dropped_starved);
-    EXPECT_EQ(counters.at("sim.dropped_fault"), result.dropped_fault);
-    EXPECT_EQ(counters.at("sim.ecn_marked"), result.ecn_marked);
-    EXPECT_EQ(counters.at("fault.stalled_cycles"), result.stalled_cycles);
-    EXPECT_EQ(counters.at("fault.lane_failures"), result.pipeline_failures);
-    EXPECT_EQ(counters.at("fault.lane_recoveries"),
-              result.pipeline_recoveries);
-    EXPECT_EQ(counters.at("phantom.lost"), result.phantom_lost);
-    EXPECT_EQ(counters.at("phantom.delayed"), result.phantom_delayed);
-    EXPECT_EQ(counters.at("fifo.pop_blocked"), result.blocked_cycles);
-    EXPECT_EQ(counters.at("shard.rebalance_moves"), result.remap_moves);
-    EXPECT_EQ(counters.at("shard.fault_rehomed_indices"),
-              result.fault_remapped_indices);
     // Not a twin: a failed push drops a phantom under D4 but the data
     // packet itself without phantoms.
     EXPECT_EQ(counters.at("fifo.push_dropped"),
@@ -496,33 +484,8 @@ TEST(TelemetrySim, DisabledRunIsBitIdentical) {
   Mp5Simulator telem_sim(prog, opts);
   const auto instrumented = telem_sim.run(trace);
 
-  EXPECT_EQ(plain.offered, instrumented.offered);
-  EXPECT_EQ(plain.egressed, instrumented.egressed);
-  EXPECT_EQ(plain.dropped_phantom, instrumented.dropped_phantom);
-  EXPECT_EQ(plain.dropped_data, instrumented.dropped_data);
-  EXPECT_EQ(plain.dropped_starved, instrumented.dropped_starved);
-  EXPECT_EQ(plain.dropped_fault, instrumented.dropped_fault);
-  EXPECT_EQ(plain.ecn_marked, instrumented.ecn_marked);
-  EXPECT_EQ(plain.first_arrival, instrumented.first_arrival);
-  EXPECT_EQ(plain.last_arrival, instrumented.last_arrival);
-  EXPECT_EQ(plain.last_egress, instrumented.last_egress);
-  EXPECT_EQ(plain.cycles_run, instrumented.cycles_run);
-  EXPECT_EQ(plain.steers, instrumented.steers);
-  EXPECT_EQ(plain.wasted_cycles, instrumented.wasted_cycles);
-  EXPECT_EQ(plain.blocked_cycles, instrumented.blocked_cycles);
-  EXPECT_EQ(plain.remap_moves, instrumented.remap_moves);
-  EXPECT_EQ(plain.max_queue_depth, instrumented.max_queue_depth);
-  EXPECT_EQ(plain.c1_violating_packets, instrumented.c1_violating_packets);
-  EXPECT_EQ(plain.reordered_flow_packets,
-            instrumented.reordered_flow_packets);
-  EXPECT_EQ(plain.final_registers, instrumented.final_registers);
-  ASSERT_EQ(plain.egress.size(), instrumented.egress.size());
-  for (std::size_t i = 0; i < plain.egress.size(); ++i) {
-    EXPECT_EQ(plain.egress[i].seq, instrumented.egress[i].seq);
-    EXPECT_EQ(plain.egress[i].egress_cycle,
-              instrumented.egress[i].egress_cycle);
-    EXPECT_EQ(plain.egress[i].headers, instrumented.egress[i].headers);
-  }
+  std::string why;
+  EXPECT_TRUE(same_results(plain, instrumented, &why)) << why;
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "trace/trace_io.hpp"
@@ -8,6 +9,12 @@
 
 namespace mp5 {
 namespace {
+
+std::string write_trace_text(const std::string& text) {
+  const std::string path = testing::TempDir() + "trace_io.trace.csv";
+  std::ofstream(path) << text;
+  return path;
+}
 
 TEST(TraceIo, RoundTripsAllFields) {
   SyntheticConfig config;
@@ -21,9 +28,9 @@ TEST(TraceIo, RoundTripsAllFields) {
     original[i].arrival_time = 1342096.0 + 0.1 * static_cast<double>(i);
   }
 
-  std::stringstream ss;
-  save_trace_csv(original, ss);
-  const Trace loaded = load_trace_csv(ss);
+  const std::string path = testing::TempDir() + "roundtrip.trace.csv";
+  save_trace_file(original, path);
+  const Trace loaded = load_trace_file(path);
 
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -35,20 +42,34 @@ TEST(TraceIo, RoundTripsAllFields) {
   }
 }
 
-TEST(TraceIo, SkipsCommentsAndSortsOnLoad) {
-  std::stringstream ss;
-  ss << "# a comment\r\n"
-     << "2.5,3,64,7,10,-20\r\n" // CRLF line endings are accepted
-     << "\r\n"
-     << "1.0,9,128,8\n"   // no fields: allowed
-     << "1.0,2,64,9,5\n"; // same time, smaller port: sorts first
-  const Trace trace = load_trace_csv(ss);
+TEST(TraceIo, SkipsCommentsAndBlankLines) {
+  const Trace trace = load_trace_file(
+      write_trace_text("# a comment\r\n"
+                       "1.0,2,64,9,5\r\n" // CRLF line endings are accepted
+                       "\r\n"
+                       "1.0,9,128,8\n" // no fields: allowed
+                       "2.5,3,64,7,10,-20\n"));
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].port, 2u);
   EXPECT_EQ(trace[1].port, 9u);
   EXPECT_EQ(trace[2].port, 3u);
   EXPECT_EQ(trace[2].fields, (std::vector<Value>{10, -20}));
   EXPECT_TRUE(trace[1].fields.empty());
+}
+
+TEST(TraceIo, RejectsOutOfOrderLines) {
+  // Same time, smaller port: out of admission order, named by line.
+  const std::string path = write_trace_text("# header\n"
+                                            "1.0,9,128,8\n"
+                                            "1.0,2,64,9,5\n");
+  try {
+    load_trace_file(path);
+    FAIL() << "out-of-order trace loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: out of admission order"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, RejectsMalformedLines) {
@@ -58,8 +79,9 @@ TEST(TraceIo, RejectsMalformedLines) {
         "0,0,64zz,1,5",    // trailing bytes after the size
         "0,-1,64,1,5",     // port is unsigned
         "0,0,+64,1,5", "0,0,4294967296,1,5", "nan,0,64,1,5", " 0,0,64,1"}) {
-    std::stringstream ss(std::string(line) + "\n");
-    EXPECT_THROW(load_trace_csv(ss), Error) << line;
+    EXPECT_THROW(load_trace_file(write_trace_text(std::string(line) + "\n")),
+                 Error)
+        << line;
   }
 }
 

@@ -78,7 +78,7 @@ TEST(CsvSource, RejectsUnsortedArrivals) {
 }
 
 TEST(CsvSource, RejectsMalformedCells) {
-  // The same line parser as load_trace_csv: each cell is consumed whole.
+  // parse_trace_csv_line consumes each cell whole.
   for (const char* line : {"0.0abc,0,64,1,5", "0,0,64zz,1,5", "0,-1,64,1,5"}) {
     const std::string path = testing::TempDir() + "malformed.trace.csv";
     {

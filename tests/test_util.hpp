@@ -72,63 +72,6 @@ inline EquivalenceReport check_against_oracle(
                            final_registers, egress_by_seq);
 }
 
-/// FNV-1a over a stream of 64-bit words (little-endian bytes): the hash
-/// behind the golden result digests.
-class Digest {
-public:
-  void add(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(const std::string& s) {
-    add(s.size());
-    for (const char c : s) add(static_cast<unsigned char>(c));
-  }
-  std::uint64_t value() const { return h_; }
-
-private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-/// Digest of every SimResult field that same_results() compares, in a
-/// fixed order: two runs with equal digests are field-by-field identical
-/// (up to hash collisions).
-inline std::uint64_t result_digest(const SimResult& r) {
-  Digest d;
-  for (const std::uint64_t v :
-       {r.offered, r.egressed, r.dropped_phantom, r.dropped_data,
-        r.dropped_starved, r.dropped_fault, r.ecn_marked, r.first_arrival,
-        r.last_arrival, r.last_egress, r.cycles_run, r.steers,
-        r.wasted_cycles, r.blocked_cycles, r.remap_moves, r.recirculations,
-        static_cast<std::uint64_t>(r.max_queue_depth), r.pipeline_failures,
-        r.pipeline_recoveries, r.fault_remapped_indices, r.phantom_lost,
-        r.phantom_delayed, r.stalled_cycles, r.time_to_recover,
-        r.c1_violating_packets, r.reordered_flow_packets}) {
-    d.add(v);
-  }
-  d.add(r.final_registers.size());
-  for (const auto& reg : r.final_registers) {
-    d.add(reg.size());
-    for (const Value v : reg) d.add(static_cast<std::uint64_t>(v));
-  }
-  d.add(r.fault_drops.size());
-  for (const auto& f : r.fault_drops) {
-    d.add(f.seq);
-    d.add(std::uint64_t{f.state_touched});
-  }
-  d.add(r.egress.size());
-  for (const auto& e : r.egress) {
-    d.add(e.seq);
-    d.add(e.egress_cycle);
-    d.add(e.flow);
-    d.add(e.headers.size());
-    for (const Value v : e.headers) d.add(static_cast<std::uint64_t>(v));
-  }
-  return d.value();
-}
-
 /// Run MP5 and check functional equivalence against the reference.
 inline EquivalenceReport run_and_check(const Mp5Program& prog,
                                        const Trace& trace, SimOptions opts) {

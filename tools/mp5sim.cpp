@@ -62,6 +62,9 @@
 //                                       "mp5-results" document (includes
 //                                       the telemetry section when
 //                                       --telemetry is on)
+// After the metric table every run prints `result digest: 0x<16 hex>`,
+// result_digest() of the whole result: equal lines mean field-by-field
+// equal results (a resumed run prints its uninterrupted run's digest).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -433,6 +436,8 @@ int run(int argc, char** argv) {
                      wall_s > 0 ? static_cast<double>(result.cycles_run) / wall_s
                                 : 0.0))});
   table.print(std::cout);
+  std::printf("result digest: 0x%016llx\n",
+              static_cast<unsigned long long>(result_digest(result)));
 
   if (!args.json_out.empty()) {
     std::ofstream out(args.json_out);
