@@ -68,11 +68,7 @@ double Histogram::quantile(double q) const {
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  return sorted_percentile(samples, q);
 }
 
 } // namespace mp5

@@ -80,4 +80,16 @@ private:
 /// such as per-run throughput samples).
 double percentile(std::vector<double> samples, double q);
 
+/// The `q` quantile of non-empty samples sorted ascending, interpolated
+/// linearly between the two nearest ranks.
+template <typename T>
+double sorted_percentile(const std::vector<T>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return static_cast<double>(sorted[lo]) * (1.0 - frac) +
+         static_cast<double>(sorted[hi]) * frac;
+}
+
 } // namespace mp5

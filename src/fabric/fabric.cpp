@@ -51,86 +51,11 @@ void FabricFaultPlan::validate(const FabricTopology& topo) const {
 
 namespace {
 
-bool differ(std::string* why, const std::string& field) {
-  if (why != nullptr) *why = "field '" + field + "' differs";
-  return false;
-}
-
 /// Derived per-flow transport ports: stable across hops and runs, shared
 /// by the ECMP tuple and the flowlet program's flow identity.
 std::uint64_t flow_ports(std::uint64_t flow) { return mix64(flow + 0x5eed); }
 
 } // namespace
-
-bool same_fabric_results(const FabricResult& a, const FabricResult& b,
-                         std::string* why) {
-#define MP5_SAME(field) \
-  if (a.field != b.field) return differ(why, #field)
-  MP5_SAME(injected);
-  MP5_SAME(delivered);
-  MP5_SAME(dropped_dead_source);
-  MP5_SAME(dropped_dead_destination);
-  MP5_SAME(dropped_switch_killed);
-  MP5_SAME(dropped_in_switch);
-  MP5_SAME(in_flight_end);
-  MP5_SAME(truncated);
-  MP5_SAME(cycles_run);
-  MP5_SAME(flows_total);
-  MP5_SAME(flows_started);
-  MP5_SAME(flows_completed);
-  MP5_SAME(flows_fully_delivered);
-  MP5_SAME(peak_concurrent_flows);
-  MP5_SAME(reordered_packets);
-  MP5_SAME(fct_count);
-  MP5_SAME(fct_p50);
-  MP5_SAME(fct_p90);
-  MP5_SAME(fct_p99);
-  MP5_SAME(fct_mean);
-  MP5_SAME(fct_max);
-  MP5_SAME(latency_p50);
-  MP5_SAME(latency_p90);
-  MP5_SAME(latency_p99);
-  MP5_SAME(throughput_pkts_per_cycle);
-  MP5_SAME(offered_pkts_per_cycle);
-  MP5_SAME(delivered_fraction);
-  MP5_SAME(uplink_util_max);
-  MP5_SAME(uplink_util_mean);
-  MP5_SAME(uplink_util_skew);
-#undef MP5_SAME
-  if (a.links.size() != b.links.size()) return differ(why, "links.size");
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    const FabricLinkResult& la = a.links[i];
-    const FabricLinkResult& lb = b.links[i];
-#define MP5_SAME_LINK(field)   \
-  if (la.field != lb.field)    \
-  return differ(why, "links[" + std::to_string(i) + "]." #field)
-    MP5_SAME_LINK(name);
-    MP5_SAME_LINK(killed);
-    MP5_SAME_LINK(packets);
-    MP5_SAME_LINK(bytes);
-    MP5_SAME_LINK(busy_cycles);
-    MP5_SAME_LINK(utilization);
-    MP5_SAME_LINK(peak_queue_cycles);
-#undef MP5_SAME_LINK
-  }
-  if (a.switches.size() != b.switches.size()) {
-    return differ(why, "switches.size");
-  }
-  for (std::size_t i = 0; i < a.switches.size(); ++i) {
-    const FabricSwitchResult& sa = a.switches[i];
-    const FabricSwitchResult& sb = b.switches[i];
-    if (sa.name != sb.name || sa.killed != sb.killed ||
-        sa.killed_at != sb.killed_at) {
-      return differ(why, "switches[" + std::to_string(i) + "]");
-    }
-    std::string sub;
-    if (!same_results(sa.sim, sb.sim, &sub)) {
-      if (why != nullptr) *why = "switches[" + std::to_string(i) + "]: " + sub;
-      return false;
-    }
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // SwitchSource: the per-switch ingress queue, fed by the fabric each cycle
@@ -264,9 +189,18 @@ FabricSimulator::FabricSimulator(const FabricOptions& options)
   leaf_has_path_.assign(topo_.leaves, true);
   probe_rr_.assign(topo_.leaves, 0);
   links_.resize(topo_.num_links());
+  for (LinkId l = 0; l < topo_.num_links(); ++l) {
+    const bool up = topo_.is_uplink(l);
+    result_.links.push_back(
+        {.name = topo_.link_name(l), .from = topo_.link_from(l),
+         .to = topo_.link_to(l), .uplink = up,
+         .weight = up ? base_weights_[l % topo_.spines] : 1.0});
+  }
 
   switches_.resize(topo_.num_switches());
+  result_.switches.resize(topo_.num_switches());
   for (SwitchId s = 0; s < topo_.num_switches(); ++s) {
+    result_.switches[s].name = topo_.switch_name(s);
     SwitchCtx& ctx = switches_[s];
     ctx.source = std::make_unique<SwitchSource>(this, s);
     SimOptions so;
@@ -317,13 +251,13 @@ std::uint32_t FabricSimulator::alloc_pkt(const FabricPacketEvent& ev,
   fp.dst_host = ev.dst_host;
   fp.pkt_index = ev.pkt_index;
   fp.size_bytes = ev.size_bytes;
-  ++live_pkts_;
+  ++result_.in_flight_end;
   return id;
 }
 
 void FabricSimulator::release_pkt(std::uint32_t pkt) {
   free_pkts_.push_back(pkt);
-  --live_pkts_;
+  --result_.in_flight_end;
 }
 
 void FabricSimulator::account_terminal(std::uint64_t flow,
@@ -335,16 +269,16 @@ void FabricSimulator::account_terminal(std::uint64_t flow,
     ++fr.delivered;
     fr.last_deliver = now;
     if (fr.max_idx_plus1 != 0 && pkt_index + 1 < fr.max_idx_plus1) {
-      ++reordered_packets_;
+      ++result_.reordered_packets;
     } else {
       fr.max_idx_plus1 = pkt_index + 1;
     }
   }
   if (fr.accounted == fr.total) {
     --active_flows_;
-    ++flows_completed_;
+    ++result_.flows_completed;
     if (fr.delivered == fr.total) {
-      ++flows_fully_delivered_;
+      ++result_.flows_fully_delivered;
       fct_samples_.push_back(
           static_cast<double>(fr.last_deliver - fr.first_inject + 1));
     }
@@ -359,18 +293,19 @@ void FabricSimulator::drop(std::uint32_t pkt, std::uint64_t& counter,
 }
 
 void FabricSimulator::inject(const FabricPacketEvent& ev, Cycle now) {
-  ++injected_;
+  ++result_.injected;
   FlowRec& fr = flows_[ev.flow];
   if (fr.total == 0) {
     fr.total = ev.pkt_count;
     fr.first_inject = now;
-    ++flows_started_;
+    ++result_.flows_started;
     ++active_flows_;
-    peak_concurrent_ = std::max(peak_concurrent_, active_flows_);
+    result_.peak_concurrent_flows =
+        std::max(result_.peak_concurrent_flows, active_flows_);
   }
   const SwitchId leaf = topo_.leaf_of_host(ev.src_host);
   if (!switches_[leaf].alive) {
-    ++dropped_dead_source_;
+    ++result_.dropped_dead_source;
     account_terminal(ev.flow, ev.pkt_index, false, now);
     return;
   }
@@ -503,7 +438,7 @@ void FabricSimulator::on_switch_drop(SwitchId sw, SeqNo seq) {
   if (it == ctx.inflight.end()) return;
   const std::uint32_t pkt = it->second;
   ctx.inflight.erase(it);
-  drop(pkt, dropped_in_switch_, 0);
+  drop(pkt, result_.dropped_in_switch, 0);
 }
 
 void FabricSimulator::route(SwitchId sw, std::uint32_t pkt,
@@ -514,7 +449,7 @@ void FabricSimulator::route(SwitchId sw, std::uint32_t pkt,
     const std::uint32_t si = topo_.spine_index(sw);
     const LinkId link = topo_.downlink(si, dst_leaf);
     if (!switches_[dst_leaf].alive || !links_[link].alive) {
-      drop(pkt, dropped_dead_destination_, now);
+      drop(pkt, result_.dropped_dead_destination, now);
       return;
     }
     transmit(link, pkt, now);
@@ -526,7 +461,7 @@ void FabricSimulator::route(SwitchId sw, std::uint32_t pkt,
   }
   const auto spine = choose_spine(sw, fp, headers);
   if (!spine) {
-    drop(pkt, dropped_dead_destination_, now);
+    drop(pkt, result_.dropped_dead_destination, now);
     return;
   }
   transmit(topo_.uplink(sw, *spine), pkt, now);
@@ -534,6 +469,7 @@ void FabricSimulator::route(SwitchId sw, std::uint32_t pkt,
 
 void FabricSimulator::transmit(LinkId link, std::uint32_t pkt, Cycle now) {
   LinkCtx& L = links_[link];
+  FabricLinkResult& lr = result_.links[link];
   FabricPkt& fp = pkts_[pkt];
   // Serialization starts next cycle at the earliest, after whatever is
   // already on the wire; propagation (>= 1 cycle) comes on top, so the
@@ -544,11 +480,11 @@ void FabricSimulator::transmit(LinkId link, std::uint32_t pkt, Cycle now) {
   const double tx =
       static_cast<double>(fp.size_bytes) / topo_.link_bytes_per_cycle;
   L.busy_until = start + tx;
-  L.busy_accum += tx;
-  ++L.packets;
-  L.bytes += fp.size_bytes;
   L.window_bytes += fp.size_bytes;
-  L.peak_queue = std::max(L.peak_queue, start - earliest);
+  lr.busy_cycles += tx;
+  ++lr.packets;
+  lr.bytes += fp.size_bytes;
+  lr.peak_queue_cycles = std::max(lr.peak_queue_cycles, start - earliest);
   if (topo_.is_uplink(link)) {
     fp.last_spine = static_cast<std::uint16_t>(link % topo_.spines);
   }
@@ -560,7 +496,7 @@ void FabricSimulator::transmit(LinkId link, std::uint32_t pkt, Cycle now) {
 void FabricSimulator::deliver(const Delivery& d, Cycle now) {
   const SwitchId dst = topo_.link_to(d.link);
   if (!switches_[dst].alive) {
-    drop(d.pkt, dropped_dead_destination_, now);
+    drop(d.pkt, result_.dropped_dead_destination, now);
     return;
   }
   push_into_switch(dst, d.pkt, d.time, topo_.ingress_port(d.link), now);
@@ -568,7 +504,7 @@ void FabricSimulator::deliver(const Delivery& d, Cycle now) {
 
 void FabricSimulator::deliver_to_host(std::uint32_t pkt, Cycle now) {
   const FabricPkt& fp = pkts_[pkt];
-  ++delivered_;
+  ++result_.delivered;
   latency_samples_.push_back(
       static_cast<std::uint32_t>(std::min<Cycle>(now - fp.inject_cycle,
                                                  0xffffffffu)));
@@ -590,9 +526,9 @@ void FabricSimulator::apply_fault(const FabricFaultEvent& ev, Cycle now) {
 
 void FabricSimulator::kill_link(LinkId link) {
   LinkCtx& L = links_[link];
-  if (L.killed) return;
+  if (!L.alive) return;
   L.alive = false;
-  L.killed = true;
+  result_.links[link].killed = true;
   L.util = 1000; // looks saturated forever: CONGA steers away on its own
   L.window_bytes = 0;
   if (topo_.is_uplink(link)) rebuild_leaf_weights(topo_.link_from(link));
@@ -602,15 +538,16 @@ void FabricSimulator::kill_switch(SwitchId sw, Cycle now) {
   SwitchCtx& ctx = switches_[sw];
   if (!ctx.alive) return;
   ctx.alive = false;
-  ctx.killed_at = now;
-  ctx.result = ctx.sim->finish(now);
-  ctx.finished = true;
+  FabricSwitchResult& sr = result_.switches[sw];
+  sr.killed = true;
+  sr.killed_at = now;
+  sr.sim = ctx.sim->finish(now);
   for (const auto& [seq, pkt] : ctx.inflight) {
-    drop(pkt, dropped_switch_killed_, now);
+    drop(pkt, result_.dropped_switch_killed, now);
   }
   ctx.inflight.clear();
   for (const std::uint32_t pkt : ctx.source->drain_pending()) {
-    drop(pkt, dropped_switch_killed_, now);
+    drop(pkt, result_.dropped_switch_killed, now);
   }
   if (topo_.is_spine(sw)) {
     const std::uint32_t si = topo_.spine_index(sw);
@@ -741,61 +678,39 @@ FabricResult FabricSimulator::run() {
       ++now;
     }
   }
-  return finalize(end, truncated);
+  finalize(end, truncated);
+  return std::move(result_);
 }
 
-FabricResult FabricSimulator::finalize(Cycle end, bool truncated) {
+void FabricSimulator::finalize(Cycle end, bool truncated) {
+  FabricResult& r = result_;
   for (SwitchId s = 0; s < static_cast<SwitchId>(switches_.size()); ++s) {
     SwitchCtx& ctx = switches_[s];
-    if (!ctx.finished) {
-      ctx.result = ctx.sim->finish(end);
-      ctx.finished = true;
-    }
+    if (ctx.alive) r.switches[s].sim = ctx.sim->finish(end);
     if (!truncated) {
       // A completed run has no in-flight packets, so whatever a live
       // switch still maps was silently lost inside it (bounded-FIFO data
       // drops, starvation-guard drops).
       for (const auto& [seq, pkt] : ctx.inflight) {
-        drop(pkt, dropped_in_switch_, end);
+        drop(pkt, r.dropped_in_switch, end);
       }
       ctx.inflight.clear();
       for (const std::uint32_t pkt : ctx.source->drain_pending()) {
-        drop(pkt, dropped_in_switch_, end);
+        drop(pkt, r.dropped_in_switch, end);
       }
     }
   }
 
-  FabricResult r;
   r.cycles_run = end;
   r.truncated = truncated;
-  r.injected = injected_;
-  r.delivered = delivered_;
-  r.dropped_dead_source = dropped_dead_source_;
-  r.dropped_dead_destination = dropped_dead_destination_;
-  r.dropped_switch_killed = dropped_switch_killed_;
-  r.dropped_in_switch = dropped_in_switch_;
-  r.in_flight_end = live_pkts_;
-
   r.flows_total = opts_.workload.flows;
-  r.flows_started = flows_started_;
-  r.flows_completed = flows_completed_;
-  r.flows_fully_delivered = flows_fully_delivered_;
-  r.peak_concurrent_flows = peak_concurrent_;
-  r.reordered_packets = reordered_packets_;
 
   r.fct_count = fct_samples_.size();
   if (!fct_samples_.empty()) {
     std::sort(fct_samples_.begin(), fct_samples_.end());
-    const auto quant = [&](double q) {
-      const double pos = q * static_cast<double>(fct_samples_.size() - 1);
-      const auto lo = static_cast<std::size_t>(pos);
-      const auto hi = std::min(lo + 1, fct_samples_.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      return fct_samples_[lo] * (1.0 - frac) + fct_samples_[hi] * frac;
-    };
-    r.fct_p50 = quant(0.50);
-    r.fct_p90 = quant(0.90);
-    r.fct_p99 = quant(0.99);
+    r.fct_p50 = sorted_percentile(fct_samples_, 0.50);
+    r.fct_p90 = sorted_percentile(fct_samples_, 0.90);
+    r.fct_p99 = sorted_percentile(fct_samples_, 0.99);
     double sum = 0.0;
     for (const double x : fct_samples_) sum += x;
     r.fct_mean = sum / static_cast<double>(fct_samples_.size());
@@ -803,49 +718,27 @@ FabricResult FabricSimulator::finalize(Cycle end, bool truncated) {
   }
   if (!latency_samples_.empty()) {
     std::sort(latency_samples_.begin(), latency_samples_.end());
-    const auto lquant = [&](double q) {
-      const double pos =
-          q * static_cast<double>(latency_samples_.size() - 1);
-      const auto lo = static_cast<std::size_t>(pos);
-      const auto hi = std::min(lo + 1, latency_samples_.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      return static_cast<double>(latency_samples_[lo]) * (1.0 - frac) +
-             static_cast<double>(latency_samples_[hi]) * frac;
-    };
-    r.latency_p50 = lquant(0.50);
-    r.latency_p90 = lquant(0.90);
-    r.latency_p99 = lquant(0.99);
+    r.latency_p50 = sorted_percentile(latency_samples_, 0.50);
+    r.latency_p90 = sorted_percentile(latency_samples_, 0.90);
+    r.latency_p99 = sorted_percentile(latency_samples_, 0.99);
   }
 
   if (end > 0) {
     r.throughput_pkts_per_cycle =
-        static_cast<double>(delivered_) / static_cast<double>(end);
+        static_cast<double>(r.delivered) / static_cast<double>(end);
     r.offered_pkts_per_cycle =
-        static_cast<double>(injected_) / static_cast<double>(end);
+        static_cast<double>(r.injected) / static_cast<double>(end);
   }
-  if (injected_ > 0) {
+  if (r.injected > 0) {
     r.delivered_fraction =
-        static_cast<double>(delivered_) / static_cast<double>(injected_);
+        static_cast<double>(r.delivered) / static_cast<double>(r.injected);
   }
 
-  r.links.resize(topo_.num_links());
   double up_sum = 0.0;
-  for (LinkId l = 0; l < topo_.num_links(); ++l) {
-    FabricLinkResult& lr = r.links[l];
-    const LinkCtx& L = links_[l];
-    lr.name = topo_.link_name(l);
-    lr.from = topo_.link_from(l);
-    lr.to = topo_.link_to(l);
-    lr.uplink = topo_.is_uplink(l);
-    lr.killed = L.killed;
-    lr.weight = lr.uplink ? base_weights_[l % topo_.spines] : 1.0;
-    lr.packets = L.packets;
-    lr.bytes = L.bytes;
-    lr.busy_cycles = L.busy_accum;
+  for (FabricLinkResult& lr : r.links) {
     lr.utilization =
-        end > 0 ? std::min(1.0, L.busy_accum / static_cast<double>(end))
+        end > 0 ? std::min(1.0, lr.busy_cycles / static_cast<double>(end))
                 : 0.0;
-    lr.peak_queue_cycles = L.peak_queue;
     if (lr.uplink) {
       up_sum += lr.utilization;
       r.uplink_util_max = std::max(r.uplink_util_max, lr.utilization);
@@ -856,15 +749,6 @@ FabricResult FabricSimulator::finalize(Cycle end, bool truncated) {
   r.uplink_util_skew =
       r.uplink_util_mean > 0.0 ? r.uplink_util_max / r.uplink_util_mean : 0.0;
 
-  r.switches.resize(switches_.size());
-  for (SwitchId s = 0; s < static_cast<SwitchId>(switches_.size()); ++s) {
-    FabricSwitchResult& sr = r.switches[s];
-    sr.name = topo_.switch_name(s);
-    sr.killed = !switches_[s].alive;
-    sr.killed_at = switches_[s].killed_at;
-    sr.sim = std::move(switches_[s].result);
-  }
-
   if (!r.conserved()) {
     throw InvariantError(
         "fabric-conservation", end,
@@ -874,7 +758,6 @@ FabricResult FabricSimulator::finalize(Cycle end, bool truncated) {
             std::to_string(r.dropped_total()) + " in_flight=" +
             std::to_string(r.in_flight_end));
   }
-  return r;
 }
 
 } // namespace mp5::fabric

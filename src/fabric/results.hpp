@@ -8,19 +8,10 @@
 //                   workload { flows, flow_rate, mean_lifetime,
 //                              max_flow_packets, zipf_exponent, burst_size,
 //                              burst_spacing, packet_bytes, seed } },
-//     "totals":   { injected, delivered, dropped { dead_source,
-//                   dead_destination, switch_killed, in_switch, total },
-//                   in_flight_end, conserved, truncated, cycles_run,
-//                   throughput_pkts_per_cycle, offered_pkts_per_cycle,
-//                   delivered_fraction },
-//     "flows":    { total, started, completed, fully_delivered,
-//                   peak_concurrent, reordered_packets,
-//                   fct { count, p50, p90, p99, mean, max } },
-//     "latency":  { p50, p90, p99 },
-//     "uplinks":  { util_max, util_mean, util_skew },
-//     "links":    [ { name, from, to, uplink, killed, weight, packets,
-//                     bytes, busy_cycles, utilization,
-//                     peak_queue_cycles } ],
+//     "totals", "flows", "latency", "uplinks": every kFabricFields row at
+//                   its section and key, plus totals.dropped.total and
+//                   totals.conserved (derived),
+//     "links":    [ { every kFabricLinkFields row } ],
 //     "switches": [ { name, killed, killed_at, <every SimResult counter,
 //                     by its kResultCounters name>, c1_fraction } ],
 //     "telemetry": { counters, gauges, histograms, events } | null

@@ -50,11 +50,6 @@ public:
   /// equals its weight share and zero-weight paths are never picked.
   std::uint32_t pick(const FiveTuple& t) const;
 
-  std::size_t num_paths() const { return weights_.size(); }
-  std::uint64_t salt() const { return salt_; }
-  HashAlg alg() const { return alg_; }
-  const std::vector<double>& weights() const { return weights_; }
-
 private:
   HashAlg alg_;
   std::uint64_t salt_;

@@ -80,9 +80,6 @@ public:
   void skip_to(std::uint64_t n);
 
   std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t total_flows() const { return config_.flows; }
-  /// Flows whose first packet has been emitted.
-  std::uint64_t flows_born() const { return next_flow_; }
 
 private:
   struct ActiveFlow {

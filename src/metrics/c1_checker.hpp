@@ -42,15 +42,6 @@ public:
   void load(ByteReader& r);
 
   std::uint64_t violating_packets() const { return violators_.size(); }
-  std::uint64_t total_accesses() const { return accesses_; }
-
-  /// Fraction of `total_packets` that violated C1 at least once.
-  double violation_fraction(std::uint64_t total_packets) const {
-    return total_packets == 0
-               ? 0.0
-               : static_cast<double>(violators_.size()) /
-                     static_cast<double>(total_packets);
-  }
 
 private:
   std::vector<std::vector<SeqNo>> last_seq_; // [reg][index] -> max seq

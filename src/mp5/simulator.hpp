@@ -128,8 +128,6 @@ public:
   void step(Cycle now);
   /// True while packets are in flight or the bound source has items.
   bool has_work();
-  /// Packets currently inside the switch (queues, slots, FIFOs).
-  std::uint64_t live_packets() const { return live_packets_; }
   /// End the externally-clocked run at `end_cycle` and return the result
   /// (identical tail to run(): final registers, C1, sorted egress).
   SimResult finish(Cycle end_cycle);

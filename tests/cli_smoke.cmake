@@ -241,6 +241,16 @@ foreach(design mp5 scr)
                         "its checkpointing run '${written}'")
   endif()
 endforeach()
+digest_line(written "mp5soak digest checkpointing run"
+            ${MP5SOAK} --packets 20000 --checkpoint-interval 2000
+            --checkpoint-out ${workdir}/digest-soak.ckpt)
+digest_line(resumed "mp5soak digest resumed run"
+            ${MP5SOAK} --packets 20000 --checkpoint-interval 2000
+            --checkpoint-out ${workdir}/digest-soak.ckpt --resume)
+if(NOT written STREQUAL resumed)
+  message(FATAL_ERROR "mp5soak: resumed run printed '${resumed}', "
+                      "its checkpointing run '${written}'")
+endif()
 
 # -- mp5fabric (ISSUE 7) --
 expect_failure("mp5fabric unknown flag" ${MP5FABRIC} --no-such-flag)
@@ -271,6 +281,29 @@ endif()
 expect_success("mp5fabric fault control run"
                ${MP5FABRIC} --flows 300 --lb flowlet --quiet
                --kill-switch spine1@1000 --kill-link leaf0:spine0@500)
+# The same options print the same result digest; another seed another.
+digest_line(first "mp5fabric digest run" ${MP5FABRIC} --flows 300)
+digest_line(again "mp5fabric digest rerun" ${MP5FABRIC} --flows 300)
+digest_line(reseeded "mp5fabric digest run, seed 8"
+            ${MP5FABRIC} --flows 300 --seed 8)
+if(NOT first STREQUAL again)
+  message(FATAL_ERROR "mp5fabric: same-seed runs printed '${first}' and '${again}'")
+endif()
+if(first STREQUAL reseeded)
+  message(FATAL_ERROR "mp5fabric: --seed 8 printed the seed-1 digest '${first}'")
+endif()
+# Every per-switch entry carries every SimResult counter, and the schema
+# validator rejects one without it.
+if(PYTHON)
+  expect_success("validate mp5fabric results"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/fabric.json)
+  expect_success("strip one per-switch counter"
+                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\ndel d['switches'][0]['time_to_recover']\njson.dump(d, open(sys.argv[2], 'w'))"
+                 ${workdir}/fabric.json ${workdir}/fabric-nocounter.json)
+  expect_failure("validate mp5fabric results without a per-switch counter"
+                 STDERR "switches\\[0\\]: missing required key 'time_to_recover'"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/fabric-nocounter.json)
+endif()
 
 # -- mp5native (ISSUE 9) --
 expect_failure("mp5native no program" ${MP5NATIVE})
@@ -311,9 +344,10 @@ if(PYTHON)
   expect_success("validate mp5native results"
                  ${PYTHON} ${VALIDATOR} ${workdir}/native.json)
   expect_success("strip profiler.dispatcher"
-                 ${PYTHON} -c "import json, sys; d = json.load(open(sys.argv[1])); del d['profiler']['dispatcher']; json.dump(d, open(sys.argv[2], 'w'))"
+                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\ndel d['profiler']['dispatcher']\njson.dump(d, open(sys.argv[2], 'w'))"
                  ${workdir}/native.json ${workdir}/native-nodispatcher.json)
   expect_failure("validate mp5native results without a dispatcher profile"
+                 STDERR "missing required key 'dispatcher'"
                  ${PYTHON} ${VALIDATOR} ${workdir}/native-nodispatcher.json)
 endif()
 # Oversubscribing --cores must warn (the 1-CPU caveat surfaced up front).

@@ -33,6 +33,10 @@
 //   --telemetry       attach a shared telemetry registry (per-switch
 //                     metrics under fabric.<switch>.*; lands in --json)
 //   --quiet           suppress the human-readable summary
+//
+// The summary ends with `result digest: 0x<16 hex>`, fabric_result_digest()
+// of the whole result: equal lines mean field-by-field equal results.
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -189,6 +193,8 @@ void print_summary(const FabricOptions& opts, const FabricResult& r) {
     if (s.killed) std::cout << " [killed @" << s.killed_at << "]";
     std::cout << "\n";
   }
+  std::printf("result digest: 0x%016llx\n",
+              static_cast<unsigned long long>(fabric_result_digest(r)));
 }
 
 int run(int argc, char** argv) {

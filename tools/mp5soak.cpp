@@ -40,6 +40,9 @@
 //                            its first checkpoint, resume from the file,
 //                            and require the SimResult to be identical to
 //                            an uninterrupted run
+//
+// The report prints `result digest: 0x<16 hex>`, result_digest() of the
+// run's SimResult: a resumed soak prints its uninterrupted run's line.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -164,6 +167,8 @@ void print_report(const soak::SoakReport& report) {
             << "  fault-dropped " << r.dropped_fault << "  cycles "
             << r.cycles_run << "\n"
             << "throughput " << r.normalized_throughput() << "\n";
+  std::printf("result digest: 0x%016llx\n",
+              static_cast<unsigned long long>(result_digest(r)));
   if (report.resumed) {
     std::cout << "resumed from cycle " << report.resumed_from_cycle << "\n";
   }

@@ -111,9 +111,10 @@ def check_telemetry_section(telem, where):
             fail(f"{ewhere}: retained + dropped != recorded")
 
 
-# Telemetry counters that must equal a field of the run's own result: the
-# simulator counts each event once and exports it, so any difference means
-# the telemetry covers a different run (e.g. only a resumed segment).
+# Telemetry counters that must equal a field of the run's own result (of
+# each switch's entry, for fabric results): the simulator counts each event
+# once and exports it, so any difference means the telemetry covers a
+# different run (e.g. only a resumed segment).
 RESULT_TWINS = (
     ("sim.admitted", "packets", "offered"),
     ("sim.egressed", "packets", "egressed"),
@@ -122,11 +123,21 @@ RESULT_TWINS = (
     ("fifo.pop_wasted", "mechanics", "wasted_cycles"),
     ("shard.rebalance_moves", "mechanics", "remap_moves"),
 )
-FABRIC_SWITCH_TWINS = (
-    ("sim.admitted", "offered"),
-    ("sim.egressed", "egressed"),
-    ("sim.steers", "steers"),
-)
+
+# SimResult's 26 counters by mp5-results section. This is the validator's
+# own list, kept apart from the C++ table on purpose: a counter the C++
+# side drops from its table must fail here.
+SIM_COUNTERS = {
+    "packets": ("offered", "egressed", "dropped_phantom", "dropped_data",
+                "dropped_starved", "dropped_fault", "ecn_marked"),
+    "timing": ("first_arrival", "last_arrival", "last_egress", "cycles_run"),
+    "mechanics": ("steers", "wasted_cycles", "blocked_cycles", "remap_moves",
+                  "recirculations", "max_queue_depth"),
+    "faults": ("pipeline_failures", "pipeline_recoveries",
+               "fault_remapped_indices", "phantom_lost", "phantom_delayed",
+               "stalled_cycles", "time_to_recover"),
+    "correctness": ("c1_violating_packets", "reordered_flow_packets"),
+}
 
 
 def check_twin(counters, name, expected, where):
@@ -161,40 +172,22 @@ def validate_results(doc, where):
         check_staleness(variant, require(meta, "staleness", int,
                                          f"{where}.meta"), f"{where}.meta")
 
-    packets = require(doc, "packets", dict, where)
-    fields = ("offered", "egressed", "dropped_phantom", "dropped_data",
-              "dropped_starved", "dropped_fault", "ecn_marked")
-    for key in fields:
-        require(packets, key, int, f"{where}.packets")
+    for section, keys in SIM_COUNTERS.items():
+        body = require(doc, section, dict, where)
+        for key in keys:
+            require(body, key, int, f"{where}.{section}")
+    packets = doc["packets"]
     accounted = sum(packets[k] for k in ("egressed", "dropped_data",
                                          "dropped_starved", "dropped_fault"))
     if accounted > packets["offered"]:
         fail(f"{where}.packets: conservation violated "
              f"({accounted} accounted > {packets['offered']} offered)")
 
-    timing = require(doc, "timing", dict, where)
-    for key in ("first_arrival", "last_arrival", "last_egress", "cycles_run"):
-        require(timing, key, int, f"{where}.timing")
     for key in ("input_rate", "normalized_throughput"):
-        require(timing, key, NUM, f"{where}.timing")
-
-    mechanics = require(doc, "mechanics", dict, where)
-    for key in ("steers", "wasted_cycles", "blocked_cycles", "remap_moves",
-                "recirculations", "max_queue_depth"):
-        require(mechanics, key, int, f"{where}.mechanics")
-
-    faults = require(doc, "faults", dict, where)
-    for key in ("pipeline_failures", "pipeline_recoveries",
-                "fault_remapped_indices", "phantom_lost", "phantom_delayed",
-                "stalled_cycles", "time_to_recover", "fault_drops"):
-        require(faults, key, int, f"{where}.faults")
-
-    correctness = require(doc, "correctness", dict, where)
-    require(correctness, "c1_violating_packets", int, f"{where}.correctness")
-    require(correctness, "reordered_flow_packets", int,
-            f"{where}.correctness")
+        require(doc["timing"], key, NUM, f"{where}.timing")
+    require(doc["faults"], "fault_drops", int, f"{where}.faults")
     for key in ("c1_fraction", "drop_fraction"):
-        v = require(correctness, key, NUM, f"{where}.correctness")
+        v = require(doc["correctness"], key, NUM, f"{where}.correctness")
         if not 0.0 <= v <= 1.0:
             fail(f"{where}.correctness: {key}={v} outside [0, 1]")
 
@@ -325,10 +318,8 @@ def validate_fabric_results(doc, where):
     cwhere = f"{where}.config"
     leaves = require(config, "leaves", int, cwhere)
     spines = require(config, "spines", int, cwhere)
-    for key in ("hosts_per_leaf", "pipelines", "remap_period",
-                "util_window"):
-        require(config, key, int, cwhere)
-    for key in ("salt", "seed", "link_latency"):
+    for key in ("hosts_per_leaf", "pipelines", "remap_period", "util_window",
+                "salt", "seed", "link_latency"):
         require(config, key, int, cwhere)
     require(config, "link_bytes_per_cycle", NUM, cwhere)
     lb = require(config, "lb", str, cwhere)
@@ -416,11 +407,10 @@ def validate_fabric_results(doc, where):
         swhere = f"{where}.switches[{i}]"
         require(sw, "name", str, swhere)
         require(sw, "killed", bool, swhere)
-        for key in ("killed_at", "offered", "egressed", "dropped_data",
-                    "dropped_phantom", "steers", "wasted_cycles",
-                    "remap_moves", "max_queue_depth",
-                    "c1_violating_packets", "reordered_flow_packets"):
-            require(sw, key, int, swhere)
+        require(sw, "killed_at", int, swhere)
+        for keys in SIM_COUNTERS.values():
+            for key in keys:
+                require(sw, key, int, swhere)
         c1 = require(sw, "c1_fraction", NUM, swhere)
         if not 0.0 <= c1 <= 1.0:
             fail(f"{swhere}: c1_fraction {c1} outside [0, 1]")
@@ -429,7 +419,7 @@ def validate_fabric_results(doc, where):
     if telem is not None:
         check_telemetry_section(telem, f"{where}.telemetry")
         for i, sw in enumerate(switches):
-            for name, key in FABRIC_SWITCH_TWINS:
+            for name, _, key in RESULT_TWINS:
                 check_twin(telem["counters"],
                            f"fabric.{sw['name']}.{name}", sw[key],
                            f"{where}.telemetry (switches[{i}])")
