@@ -8,6 +8,7 @@
 #include "common/serialize.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/results.hpp"
+#include "telemetry/run_envelope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mp5::fabric {
@@ -122,11 +123,8 @@ void write_fabric_results_json(std::ostream& out,
                                const FabricOptions& options,
                                const FabricResult& result,
                                const telemetry::Telemetry* telem) {
-  JsonWriter json(out);
-  json.begin_object();
-  json.kv("schema", "mp5-fabric-results");
-  json.kv("schema_version", kFabricResultsSchemaVersion);
-
+  telemetry::RunEnvelope doc(out, "mp5-fabric-results");
+  JsonWriter& json = doc.json();
   const FabricTopology& topo = options.topology;
   json.key("config").begin_object();
   json.kv("leaves", topo.leaves);
@@ -194,15 +192,8 @@ void write_fabric_results_json(std::ostream& out,
   }
   json.end_array();
 
-  json.key("telemetry");
-  if (telem != nullptr) {
-    telemetry::write_telemetry_section(json, *telem);
-  } else {
-    json.null();
-  }
-
-  json.end_object();
-  out << "\n";
+  telemetry::write_telemetry_section(json, telem);
+  doc.finish(fabric_result_digest(result));
 }
 
 } // namespace mp5::fabric

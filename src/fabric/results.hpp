@@ -1,7 +1,8 @@
 // Machine-readable fabric run results, schema "mp5-fabric-results"
-// version 1 (validated by tools/validate_results.py):
+// (validated by tools/validate_results.py), inside the run envelope
+// (telemetry/run_envelope.hpp: schema, schema_version 2, host, build,
+// digest = fabric_result_digest, profile = null):
 //   {
-//     "schema": "mp5-fabric-results", "schema_version": 1,
 //     "config":   { leaves, spines, hosts_per_leaf, link_latency,
 //                   link_bytes_per_cycle, lb, hash, salt, seed, pipelines,
 //                   remap_period, util_window,
@@ -28,8 +29,6 @@
 #include "fabric/fabric.hpp"
 
 namespace mp5::fabric {
-
-inline constexpr int kFabricResultsSchemaVersion = 1;
 
 void write_fabric_results_json(std::ostream& out,
                                const FabricOptions& options,

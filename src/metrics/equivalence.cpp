@@ -151,4 +151,18 @@ EquivalenceReport check_equivalence(
   return verifier.report();
 }
 
+std::uint64_t final_state_digest(
+    const ir::Pvsm& program,
+    const std::vector<std::vector<Value>>& final_registers,
+    const std::vector<std::vector<Value>>& egress, Fnv1aDigest d) {
+  add_registers(d, final_registers);
+  d.add(egress.size());
+  for (const auto& headers : egress) {
+    for (std::size_t s = 0; s < program.declared_slot.size(); ++s) {
+      d.add(static_cast<std::uint64_t>(s < headers.size() ? headers[s] : 0));
+    }
+  }
+  return d.value();
+}
+
 } // namespace mp5

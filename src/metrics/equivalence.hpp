@@ -19,6 +19,7 @@
 
 #include "banzai/ir.hpp"
 #include "banzai/single_pipeline.hpp"
+#include "common/serialize.hpp"
 #include "metrics/sim_result.hpp"
 
 namespace mp5 {
@@ -90,5 +91,15 @@ EquivalenceReport check_equivalence(
     const ir::Pvsm& program, const banzai::ReferenceResult& reference,
     const std::vector<std::vector<Value>>& final_registers,
     const std::vector<std::vector<Value>>& egress_by_seq);
+
+/// Digest of the state equivalence is about, folded into `d` after any
+/// words it already holds: the register arrays, then the egress row count
+/// and each row's declared slots (missing trailing slots read 0). With
+/// `egress` in seq order, equivalent runs of one input digest alike,
+/// whatever executed them.
+std::uint64_t final_state_digest(
+    const ir::Pvsm& program,
+    const std::vector<std::vector<Value>>& final_registers,
+    const std::vector<std::vector<Value>>& egress, Fnv1aDigest d = {});
 
 } // namespace mp5

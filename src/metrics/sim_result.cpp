@@ -115,14 +115,19 @@ bool same_results(const SimResult& a, const SimResult& b, std::string* why) {
   return true;
 }
 
-std::uint64_t result_digest(const SimResult& r) {
-  Fnv1aDigest d;
-  for (const ResultCounter& c : kResultCounters) d.add(r.*c.member);
-  d.add(r.final_registers.size());
-  for (const auto& reg : r.final_registers) {
+void add_registers(Fnv1aDigest& d,
+                   const std::vector<std::vector<Value>>& registers) {
+  d.add(registers.size());
+  for (const auto& reg : registers) {
     d.add(reg.size());
     for (const Value v : reg) d.add(static_cast<std::uint64_t>(v));
   }
+}
+
+std::uint64_t result_digest(const SimResult& r) {
+  Fnv1aDigest d;
+  for (const ResultCounter& c : kResultCounters) d.add(r.*c.member);
+  add_registers(d, r.final_registers);
   d.add(r.fault_drops.size());
   for (const SimResult::FaultDrop& f : r.fault_drops) {
     d.add(f.seq);

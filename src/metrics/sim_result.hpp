@@ -13,6 +13,7 @@ namespace mp5 {
 
 class ByteReader;
 class ByteWriter;
+class Fnv1aDigest;
 
 // Every scalar counter below has one row in kResultCounters (after the
 // struct): the checkpoint, same_results, result_digest, the results JSON
@@ -172,5 +173,10 @@ bool same_results(const SimResult& a, const SimResult& b,
 /// order: two results with equal digests are field-by-field identical (up
 /// to hash collisions). The golden digests in the tests pin it.
 std::uint64_t result_digest(const SimResult& r);
+
+/// Folds register arrays into `d`: their count, then each array's size
+/// and values (the register part of every result digest).
+void add_registers(Fnv1aDigest& d,
+                   const std::vector<std::vector<Value>>& registers);
 
 } // namespace mp5

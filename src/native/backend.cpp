@@ -1,17 +1,15 @@
 #include "native/backend.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <optional>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/host.hpp"
 #include "common/rng.hpp"
 #include "native/spsc_ring.hpp"
 #include "packet/packet.hpp" // kUnresolvedIndex
@@ -87,49 +85,6 @@ void prefetch_for_write(const std::vector<T>& v) {
 
 } // namespace
 
-std::optional<std::uint32_t> cpu_max_limit(const std::string& cpu_max) {
-  std::istringstream in(cpu_max);
-  std::string quota;
-  std::string period;
-  std::string extra;
-  if (!(in >> quota >> period) || (in >> extra) || quota == "max") {
-    return std::nullopt;
-  }
-  const auto number = [](const std::string& text) -> std::uint64_t {
-    std::uint64_t v = 0;
-    const char* end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, v);
-    return ec == std::errc{} && stop == end ? v : 0;
-  };
-  const std::uint64_t q = number(quota);
-  const std::uint64_t p = number(period);
-  if (q == 0 || p == 0) return std::nullopt;
-  const std::uint64_t cpus = q / p + (q % p != 0 ? 1 : 0);
-  return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      cpus, std::numeric_limits<std::uint32_t>::max()));
-}
-
-std::uint32_t usable_cpus() {
-  std::uint32_t cpus = std::thread::hardware_concurrency();
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    cpus = static_cast<std::uint32_t>(CPU_COUNT(&set));
-  }
-  // The quota belongs to the container, not the thread: read it once.
-  static const std::optional<std::uint32_t> quota =
-      []() -> std::optional<std::uint32_t> {
-    std::ifstream cgroup("/sys/fs/cgroup/cpu.max");
-    std::string line;
-    if (!std::getline(cgroup, line)) return std::nullopt;
-    return cpu_max_limit(line);
-  }();
-  if (quota) cpus = cpus == 0 ? *quota : std::min(cpus, *quota);
-#endif
-  return cpus;
-}
-
 struct NativeBackend::Impl {
   const Mp5Program& program;
   NativeOptions opts;
@@ -180,7 +135,7 @@ struct NativeBackend::Impl {
         state(prog.pvsm.registers, prog.shardable, o.workers, o.policy,
               Rng(o.seed)) {
     validate();
-    const std::uint32_t cpus = usable_cpus();
+    const std::uint32_t cpus = host::usable_cpus();
     oversubscribed = cpus != 0 && opts.workers + 1u > cpus;
     slots = program.pvsm.num_slots();
     naccesses = program.accesses.size();

@@ -31,8 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "mp5/shard_map.hpp"
@@ -81,17 +79,6 @@ struct NativeResult {
   std::vector<std::vector<Value>> egress_fields;
   NativeProfile profile;
 };
-
-/// CPUs the calling thread may run on: the size of its sched_getaffinity
-/// mask on Linux (so taskset and cpusets count), capped by the cgroup v2
-/// cpu.max quota when one is set; hardware_concurrency elsewhere (0 when
-/// unknown).
-std::uint32_t usable_cpus();
-
-/// CPUs a cgroup v2 `cpu.max` line ("<quota> <period>") allows:
-/// ceil(quota / period). nullopt for "max" (no quota) and for text that
-/// does not parse.
-std::optional<std::uint32_t> cpu_max_limit(const std::string& cpu_max);
 
 class NativeBackend {
 public:

@@ -3,11 +3,18 @@
 #include <string_view>
 
 #include "telemetry/json_writer.hpp"
+#include "telemetry/run_envelope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mp5::telemetry {
 
-void write_telemetry_section(JsonWriter& json, const Telemetry& telem) {
+void write_telemetry_section(JsonWriter& json, const Telemetry* telemetry) {
+  json.key("telemetry");
+  if (telemetry == nullptr) {
+    json.null();
+    return;
+  }
+  const Telemetry& telem = *telemetry;
   json.begin_object();
 
   json.key("counters").begin_object();
@@ -54,12 +61,10 @@ void write_telemetry_section(JsonWriter& json, const Telemetry& telem) {
 }
 
 void write_results_json(std::ostream& out, const RunMeta& meta,
-                        const SimResult& result, const Telemetry* telemetry) {
-  JsonWriter json(out);
-  json.begin_object();
-  json.kv("schema", "mp5-results");
-  json.kv("schema_version", kResultsSchemaVersion);
-
+                        const SimResult& result, const Telemetry* telemetry,
+                        std::optional<double> wall_seconds) {
+  RunEnvelope doc(out, "mp5-results");
+  JsonWriter& json = doc.json();
   json.key("meta")
       .begin_object()
       .kv("design", meta.design)
@@ -94,16 +99,12 @@ void write_results_json(std::ostream& out, const RunMeta& meta,
       .kv("c1_fraction", result.c1_fraction())
       .kv("drop_fraction", result.drop_fraction())
       .end_object();
+  write_telemetry_section(json, telemetry);
 
-  json.key("telemetry");
-  if (telemetry != nullptr) {
-    write_telemetry_section(json, *telemetry);
-  } else {
-    json.null();
-  }
-
-  json.end_object();
-  out << "\n";
+  if (!wall_seconds) return doc.finish(result_digest(result));
+  doc.finish(result_digest(result), [&](JsonWriter& profile) {
+    profile.begin_object().kv("wall_seconds", *wall_seconds).end_object();
+  });
 }
 
 } // namespace mp5::telemetry

@@ -1,12 +1,13 @@
 // Machine-readable run results: every SimResult counter plus an optional
 // telemetry section, as a schema-versioned JSON document. `mp5sim --json
-// <path>` writes one per run; future PRs diff them for regressions.
+// <path>` writes one per run.
 //
-// Schema "mp5-results", version 1 (documented in DESIGN.md "Telemetry").
-// Each section holds the kResultCounters rows of that section
+// Schema "mp5-results" (DESIGN.md "Telemetry"), inside the run envelope
+// (telemetry/run_envelope.hpp: schema, schema_version 2, host, build,
+// digest = result_digest, profile = { wall_seconds } | null). Each
+// section holds the kResultCounters rows of that section
 // (metrics/sim_result.hpp), in table order, then its derived values:
 //   {
-//     "schema": "mp5-results", "schema_version": 1,
 //     "meta":        { design, variant, staleness, program, pipelines,
 //                      packets, seed, load },
 //     "packets":     { offered, egressed, dropped_*, ecn_marked },
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -33,8 +35,6 @@
 namespace mp5::telemetry {
 
 class Telemetry;
-
-inline constexpr int kResultsSchemaVersion = 1;
 
 /// Free-form description of what was run; lands in the "meta" section.
 struct RunMeta {
@@ -52,15 +52,16 @@ struct RunMeta {
 };
 
 /// Emit the full document. `telemetry` may be null (the "telemetry" key
-/// is then JSON null).
+/// is then JSON null); so may the wall time the run took (profile null).
 void write_results_json(std::ostream& out, const RunMeta& meta,
-                        const SimResult& result, const Telemetry* telemetry);
+                        const SimResult& result, const Telemetry* telemetry,
+                        std::optional<double> wall_seconds = std::nullopt);
 
 class JsonWriter;
 
-/// Emit the standard "telemetry" object (counters/gauges/histograms/
-/// events) into an in-progress document — shared by the single-switch and
-/// fabric results exporters.
-void write_telemetry_section(JsonWriter& json, const Telemetry& telem);
+/// Emit the standard "telemetry" member (counters/gauges/histograms/
+/// events, or null without a registry) into an in-progress document —
+/// shared by the single-switch and fabric results exporters.
+void write_telemetry_section(JsonWriter& json, const Telemetry* telem);
 
 } // namespace mp5::telemetry

@@ -94,6 +94,18 @@ foreach(artifact results.json trace.json)
     message(FATAL_ERROR "mp5sim telemetry exports: missing ${artifact}")
   endif()
 endforeach()
+# The results documents are schema_version 2; the validator refuses a
+# version-1 document with its one-line version error.
+if(PYTHON)
+  expect_success("validate mp5sim results"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/results.json)
+  expect_success("mark mp5sim results as version 1"
+                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\nd['schema_version'] = 1\njson.dump(d, open(sys.argv[2], 'w'))"
+                 ${workdir}/results.json ${workdir}/results-v1.json)
+  expect_failure("validate a version-1 mp5sim results document"
+                 STDERR "unsupported mp5-results schema_version 1"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/results-v1.json)
+endif()
 expect_success("mp5sim fault control run"
                ${MP5SIM} --builtin figure3 --packets 400
                --fail-pipeline 1@50:300 --paranoid)
@@ -343,12 +355,29 @@ endif()
 if(PYTHON)
   expect_success("validate mp5native results"
                  ${PYTHON} ${VALIDATOR} ${workdir}/native.json)
-  expect_success("strip profiler.dispatcher"
-                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\ndel d['profiler']['dispatcher']\njson.dump(d, open(sys.argv[2], 'w'))"
+  expect_success("strip profile.profiler.dispatcher"
+                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\ndel d['profile']['profiler']['dispatcher']\njson.dump(d, open(sys.argv[2], 'w'))"
                  ${workdir}/native.json ${workdir}/native-nodispatcher.json)
   expect_failure("validate mp5native results without a dispatcher profile"
                  STDERR "missing required key 'dispatcher'"
                  ${PYTHON} ${VALIDATOR} ${workdir}/native-nodispatcher.json)
+  # A register's busiest owner ran some of its claims, never more.
+  expect_success("raise busiest_owner_accesses past claimed"
+                 ${PYTHON} -c "import json, sys\nd = json.load(open(sys.argv[1]))\nr = d['profile']['profiler']['registers'][0]\nr['busiest_owner_accesses'] = r['claimed'] + 1\njson.dump(d, open(sys.argv[2], 'w'))"
+                 ${workdir}/native.json ${workdir}/native-busiest.json)
+  expect_failure("validate mp5native results with busiest owner past claimed"
+                 STDERR "registers\\[0\\]: busiest_owner_accesses [0-9]+ exceeds claimed"
+                 ${PYTHON} ${VALIDATOR} ${workdir}/native-busiest.json)
+endif()
+# The oracle fixes the egress and the final registers (Theorem 1, §2.2.1),
+# so the core count never moves the result digest.
+digest_line(one_core "mp5native digest at --cores 1"
+            ${MP5NATIVE} --builtin flowlet --packets 5000 --cores 1 --check)
+digest_line(two_cores "mp5native digest at --cores 2"
+            ${MP5NATIVE} --builtin flowlet --packets 5000 --cores 2 --check)
+if(NOT one_core STREQUAL two_cores)
+  message(FATAL_ERROR "mp5native: --cores 1 printed '${one_core}', "
+                      "--cores 2 '${two_cores}'")
 endif()
 # Oversubscribing --cores must warn (the 1-CPU caveat surfaced up front).
 execute_process(COMMAND ${MP5NATIVE} --builtin counter --packets 200

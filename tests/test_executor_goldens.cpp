@@ -15,11 +15,12 @@
 #include <vector>
 
 #include "apps/programs.hpp"
-#include "common/serialize.hpp"
 #include "baseline/recirc.hpp"
 #include "common/rng.hpp"
 #include "domino/parser.hpp"
+#include "metrics/equivalence.hpp"
 #include "native/backend.hpp"
+#include "native/results.hpp"
 #include "test_util.hpp"
 #include "trace/trace_source.hpp"
 
@@ -65,34 +66,6 @@ Trace make_trace(const Builtin& b, std::size_t extra = 0) {
   return trace_from_fields(fields, 4);
 }
 
-void add_registers(Fnv1aDigest& d,
-                   const std::vector<std::vector<Value>>& regs) {
-  d.add(regs.size());
-  for (const auto& reg : regs) {
-    d.add(reg.size());
-    for (const Value v : reg) d.add(static_cast<std::uint64_t>(v));
-  }
-}
-
-/// Declared slots of one packet's headers (missing trailing slots read 0).
-void add_declared(Fnv1aDigest& d, const ir::Pvsm& pvsm,
-                  const std::vector<Value>& headers) {
-  for (std::size_t s = 0; s < pvsm.declared_slot.size(); ++s) {
-    d.add(static_cast<std::uint64_t>(s < headers.size() ? headers[s] : 0));
-  }
-}
-
-std::uint64_t reference_digest(const Builtin& b, const Trace& trace) {
-  const auto ref = run_reference(b.program, trace);
-  Fnv1aDigest d;
-  add_registers(d, ref.final_registers);
-  d.add(ref.egress_headers.size());
-  for (const auto& headers : ref.egress_headers) {
-    add_declared(d, b.program.pvsm, headers);
-  }
-  return d.value();
-}
-
 native::NativeResult run_native(const Builtin& b, const Trace& trace,
                                 std::uint32_t workers) {
   native::NativeOptions opts;
@@ -103,19 +76,6 @@ native::NativeResult run_native(const Builtin& b, const Trace& trace,
   native::NativeBackend backend(b.program, opts);
   VectorTraceSource source(trace);
   return backend.run(source);
-}
-
-std::uint64_t native_digest(const Builtin& b, const Trace& trace,
-                            std::uint32_t workers) {
-  const auto result = run_native(b, trace, workers);
-  Fnv1aDigest d;
-  d.add(result.packets);
-  add_registers(d, result.final_registers);
-  d.add(result.egress_fields.size());
-  for (const auto& headers : result.egress_fields) {
-    add_declared(d, b.program.pvsm, headers);
-  }
-  return d.value();
 }
 
 struct Golden {
@@ -153,7 +113,11 @@ TEST(ExecutorGoldens, ReferenceSwitch) {
           {"bloom_firewall", 0x35629ea0a2f3a814},
           {"dctcp_ecn", 0x6a74d93e224b4078},
       },
-      [](const Builtin& b) { return reference_digest(b, make_trace(b)); });
+      [](const Builtin& b) {
+        const auto ref = run_reference(b.program, make_trace(b));
+        return final_state_digest(b.program.pvsm, ref.final_registers,
+                                  ref.egress_headers);
+      });
 }
 
 TEST(ExecutorGoldens, RecircSimulator) {
@@ -199,7 +163,8 @@ TEST(ExecutorGoldens, NativeBackendOneAndThreeWorkers) {
   for (const std::uint32_t workers : {1u, 3u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_goldens(goldens, [workers](const Builtin& b) {
-      return native_digest(b, make_trace(b), workers);
+      return native::native_result_digest(
+          b.program.pvsm, run_native(b, make_trace(b), workers));
     });
   }
 }
@@ -211,9 +176,12 @@ TEST(ArrivalHeaders, ExtraTraceColumnsNeverReachTheProgram) {
     SCOPED_TRACE(b.name);
     const Trace exact = make_trace(b);
     const Trace wide = make_trace(b, 8);
-    EXPECT_EQ(reference_digest(b, wide), reference_digest(b, exact));
-
     const auto reference = run_reference(b.program, exact);
+    const auto wide_reference = run_reference(b.program, wide);
+    EXPECT_EQ(final_state_digest(b.program.pvsm, wide_reference.final_registers,
+                                 wide_reference.egress_headers),
+              final_state_digest(b.program.pvsm, reference.final_registers,
+                                 reference.egress_headers));
     SimOptions opts;
     opts.record_egress = true;
     opts.paranoid_checks = true;
@@ -225,16 +193,18 @@ TEST(ArrivalHeaders, ExtraTraceColumnsNeverReachTheProgram) {
     EXPECT_EQ(sim_wide.final_registers, sim_exact.final_registers);
     ASSERT_EQ(sim_wide.egress.size(), sim_exact.egress.size());
     for (std::size_t i = 0; i < sim_wide.egress.size(); ++i) {
-      Fnv1aDigest w, e;
-      add_declared(w, b.program.pvsm, sim_wide.egress[i].headers);
-      add_declared(e, b.program.pvsm, sim_exact.egress[i].headers);
-      EXPECT_EQ(w.value(), e.value()) << "egress record " << i;
+      EXPECT_EQ(final_state_digest(b.program.pvsm, {},
+                                   {sim_wide.egress[i].headers}),
+                final_state_digest(b.program.pvsm, {},
+                                   {sim_exact.egress[i].headers}))
+          << "egress record " << i;
     }
 
     for (const std::uint32_t workers : {1u, 2u}) {
-      EXPECT_EQ(native_digest(b, wide, workers),
-                native_digest(b, exact, workers));
       const auto run = run_native(b, wide, workers);
+      EXPECT_EQ(native::native_result_digest(b.program.pvsm, run),
+                native::native_result_digest(
+                    b.program.pvsm, run_native(b, exact, workers)));
       const auto check = check_against_oracle(
           b.ast, b.program, wide, run.final_registers, run.egress_fields);
       EXPECT_TRUE(check.equivalent()) << check.first_difference;

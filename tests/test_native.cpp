@@ -22,6 +22,7 @@
 
 #include "apps/programs.hpp"
 #include "common/error.hpp"
+#include "common/host.hpp"
 #include "domino/compiler.hpp"
 #include "domino/parser.hpp"
 #include "fuzz/program_gen.hpp"
@@ -467,7 +468,7 @@ TEST(NativeBackend, CountsAffinityMaskAndStaysExactOnOneCpu) {
   ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   // Workers inherit the one-CPU mask: two of them plus the dispatcher
   // time-share it, and the result must still match the oracle.
-  EXPECT_EQ(native::usable_cpus(), 1u);
+  EXPECT_EQ(host::usable_cpus(), 1u);
   const auto cp = compile_source(apps::flowlet_app().source);
   const Trace trace = synthetic_trace(cp.ast.fields.size(), 2000, 11);
   native::NativeOptions opts;
@@ -478,24 +479,24 @@ TEST(NativeBackend, CountsAffinityMaskAndStaysExactOnOneCpu) {
   std::ifstream cgroup("/sys/fs/cgroup/cpu.max");
   std::string line;
   if (std::getline(cgroup, line)) {
-    if (const auto quota = native::cpu_max_limit(line)) {
+    if (const auto quota = host::cpu_max_limit(line)) {
       expected = std::min(expected, *quota);
     }
   }
-  EXPECT_EQ(native::usable_cpus(), expected);
+  EXPECT_EQ(host::usable_cpus(), expected);
 }
 #endif
 
 TEST(NativeBackend, CgroupCpuMaxRoundsTheQuotaUp) {
-  EXPECT_EQ(native::cpu_max_limit("max 100000"), std::nullopt);
-  EXPECT_EQ(native::cpu_max_limit("max 100000\n"), std::nullopt);
-  EXPECT_EQ(native::cpu_max_limit("150000 100000"), 2u);
-  EXPECT_EQ(native::cpu_max_limit("50000 100000\n"), 1u);
-  EXPECT_EQ(native::cpu_max_limit("400000 100000"), 4u);
+  EXPECT_EQ(host::cpu_max_limit("max 100000"), std::nullopt);
+  EXPECT_EQ(host::cpu_max_limit("max 100000\n"), std::nullopt);
+  EXPECT_EQ(host::cpu_max_limit("150000 100000"), 2u);
+  EXPECT_EQ(host::cpu_max_limit("50000 100000\n"), 1u);
+  EXPECT_EQ(host::cpu_max_limit("400000 100000"), 4u);
   for (const char* garbage : {"", "max", "150000", "abc 100000",
                               "150000 0", "0 100000", "-5 100000",
                               "150000 100000 7", "1.5 1"}) {
-    EXPECT_EQ(native::cpu_max_limit(garbage), std::nullopt)
+    EXPECT_EQ(host::cpu_max_limit(garbage), std::nullopt)
         << "'" << garbage << "'";
   }
 }

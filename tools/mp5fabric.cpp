@@ -29,14 +29,14 @@
 //   --kill-switch NAME@CYCLE      kill a whole switch mid-run
 //   --kill-link FROM:TO@CYCLE     kill one directional link
 // Output:
-//   --json FILE       write the "mp5-fabric-results" v1 document
+//   --json FILE       write the "mp5-fabric-results" document
 //   --telemetry       attach a shared telemetry registry (per-switch
 //                     metrics under fabric.<switch>.*; lands in --json)
 //   --quiet           suppress the human-readable summary
 //
-// The summary ends with `result digest: 0x<16 hex>`, fabric_result_digest()
-// of the whole result: equal lines mean field-by-field equal results.
-#include <cstdio>
+// The summary ends with the host/build line and `result digest: 0x<16
+// hex>`, fabric_result_digest() of the whole result: equal lines mean
+// field-by-field equal results.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -44,6 +44,7 @@
 #include "cli.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/results.hpp"
+#include "telemetry/run_envelope.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -193,8 +194,8 @@ void print_summary(const FabricOptions& opts, const FabricResult& r) {
     if (s.killed) std::cout << " [killed @" << s.killed_at << "]";
     std::cout << "\n";
   }
-  std::printf("result digest: 0x%016llx\n",
-              static_cast<unsigned long long>(fabric_result_digest(r)));
+  std::cout << telemetry::host_build_line() << "\nresult digest: "
+            << telemetry::digest_hex(fabric_result_digest(r)) << "\n";
 }
 
 int run(int argc, char** argv) {

@@ -26,15 +26,18 @@
 //   --check            verify egress + final state vs the AstInterp oracle
 //   --profile          per-worker and dispatcher busy/idle accounting +
 //                      register table
-//   --json file.json   write the mp5-native-results v1 document
+//   --json file.json   write the mp5-native-results document
 //   --quiet            suppress the human-readable table
+//
+// The table ends with the host/build line and `result digest: 0x<16 hex>`
+// (native_result_digest): one digest for every --cores and --policy.
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <thread>
 
 #include "apps/programs.hpp"
 #include "cli.hpp"
+#include "common/host.hpp"
 #include "common/table.hpp"
 #include "domino/ast_interp.hpp"
 #include "domino/compiler.hpp"
@@ -42,7 +45,8 @@
 #include "mp5/transform.hpp"
 #include "metrics/equivalence.hpp"
 #include "native/backend.hpp"
-#include "telemetry/json_writer.hpp"
+#include "native/results.hpp"
+#include "telemetry/run_envelope.hpp"
 #include "trace/trace_source.hpp"
 
 namespace {
@@ -98,90 +102,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-void write_json(std::ostream& out, const Args& args,
-                const std::string& program_name,
-                const native::NativeResult& result, bool oracle_checked,
-                bool oracle_equivalent) {
-  telemetry::JsonWriter json(out);
-  json.begin_object();
-  json.kv("schema", "mp5-native-results");
-  json.kv("schema_version", std::uint64_t{1});
-  json.key("meta").begin_object();
-  json.kv("program", program_name);
-  json.kv("cores", args.native.workers);
-  json.kv("batch", args.native.batch);
-  json.kv("ring_capacity", args.native.ring_capacity);
-  json.kv("pool_packets", args.native.pool_packets);
-  json.kv("policy", to_string(args.native.policy));
-  json.kv("rebalance_packets", args.native.rebalance_packets);
-  json.kv("seed", args.seed);
-  json.kv("pinned", args.native.pin_threads);
-  json.kv("hardware_concurrency",
-          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.end_object();
-  json.key("throughput").begin_object();
-  json.kv("packets", result.packets);
-  json.kv("seconds", result.seconds);
-  json.kv("pkts_per_sec", result.pkts_per_sec);
-  json.end_object();
-  json.key("sharding").begin_object();
-  json.kv("policy", to_string(args.native.policy));
-  json.kv("moves", result.shard_moves);
-  json.kv("rebalances", result.rebalances);
-  json.end_object();
-  json.key("profiler").begin_object();
-  json.key("workers").begin_array();
-  for (const auto& w : result.profile.workers) {
-    json.begin_object();
-    json.kv("hops", w.hops);
-    json.kv("stages", w.stages);
-    json.kv("accesses", w.accesses);
-    json.kv("forwards", w.forwards);
-    json.kv("parks", w.parks);
-    json.kv("idle_spins", w.idle_spins);
-    json.kv("busy_ns", w.busy_ns);
-    json.kv("idle_ns", w.idle_ns);
-    json.end_object();
-  }
-  json.end_array();
-  const auto& d = result.profile.dispatcher;
-  json.key("dispatcher").begin_object();
-  json.kv("admitted", d.admitted);
-  json.kv("reaped", d.reaped);
-  json.kv("idle_spins", d.idle_spins);
-  json.kv("pool_full", d.pool_full);
-  json.kv("busy_ns", d.busy_ns);
-  json.kv("idle_ns", d.idle_ns);
-  json.end_object();
-  json.key("registers").begin_array();
-  for (const auto& r : result.profile.registers) {
-    json.begin_object();
-    json.kv("name", r.name);
-    json.kv("claimed", r.claimed);
-    json.kv("performed", r.performed);
-    json.kv("remote", r.remote);
-    json.kv("parks", r.parks);
-    json.kv("busiest_owner", r.busiest_owner);
-    json.kv("busiest_owner_accesses", r.busiest_owner_accesses);
-    json.kv("owner_share", r.owner_share);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("serializing_register");
-  if (result.profile.serializing_register.empty()) json.null();
-  else json.value(result.profile.serializing_register);
-  json.kv("serial_fraction", result.profile.serial_fraction);
-  json.end_object();
-  json.key("oracle").begin_object();
-  json.kv("checked", oracle_checked);
-  json.key("equivalent");
-  if (oracle_checked) json.value(oracle_equivalent);
-  else json.null();
-  json.end_object();
-  json.end_object();
-  out << "\n";
-}
-
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
 
@@ -199,7 +119,7 @@ int run(int argc, char** argv) {
   if (args.native.workers < 1) {
     throw ConfigError("--cores must be >= 1");
   }
-  const std::uint32_t cpus = native::usable_cpus();
+  const std::uint32_t cpus = host::usable_cpus();
   if (cpus != 0 && args.native.workers > cpus) {
     std::cerr << "mp5native: warning: --cores " << args.native.workers
               << " exceeds the " << cpus
@@ -290,12 +210,8 @@ int run(int argc, char** argv) {
       TextTable regs({"register", "claimed", "performed", "remote", "parks",
                       "owner share"});
       for (const auto& r : result.profile.registers) {
-        regs.add_row({r.name,
-                      TextTable::integer(static_cast<long long>(r.claimed)),
-                      TextTable::integer(
-                          static_cast<long long>(r.performed)),
-                      TextTable::integer(static_cast<long long>(r.remote)),
-                      TextTable::integer(static_cast<long long>(r.parks)),
+        regs.add_row({r.name, count(r.claimed), count(r.performed),
+                      count(r.remote), count(r.parks),
                       TextTable::num(r.owner_share, 3)});
       }
       regs.print(std::cout);
@@ -307,6 +223,10 @@ int run(int argc, char** argv) {
         std::cout << "  " << check.first_difference << "\n";
       }
     }
+    std::cout << telemetry::host_build_line() << "\nresult digest: "
+              << telemetry::digest_hex(
+                     native::native_result_digest(program.pvsm, result))
+              << "\n";
   }
 
   if (!args.json_out.empty()) {
@@ -315,8 +235,9 @@ int run(int argc, char** argv) {
       throw ConfigError("--json: cannot open '" + args.json_out +
                         "' for writing");
     }
-    write_json(out, args, program_name, result, args.check,
-               check.equivalent());
+    native::write_native_results_json(out, program_name, program.pvsm,
+                                      args.native, result,
+                                      args.check ? &check : nullptr);
     if (!args.quiet) std::cout << "results json: " << args.json_out << "\n";
   }
 

@@ -66,7 +66,6 @@
 // result_digest() of the whole result: equal lines mean field-by-field
 // equal results (a resumed run prints its uninterrupted run's digest).
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -87,6 +86,7 @@
 #include "mp5/transform.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
+#include "telemetry/run_envelope.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
@@ -298,7 +298,7 @@ int run(int argc, char** argv) {
   if (!args.save_trace.empty()) save_trace_file(trace, args.save_trace);
 
   // Resolve the design and run. The wall clock covers building the
-  // simulator and running it; it is printed, never written to the JSON.
+  // simulator and running it; the JSON carries it only in its profile.
   const auto sim_start = std::chrono::steady_clock::now();
   const bool want_telemetry = args.telemetry || !args.trace_out.empty();
   SimResult result;
@@ -436,8 +436,8 @@ int run(int argc, char** argv) {
                      wall_s > 0 ? static_cast<double>(result.cycles_run) / wall_s
                                 : 0.0))});
   table.print(std::cout);
-  std::printf("result digest: 0x%016llx\n",
-              static_cast<unsigned long long>(result_digest(result)));
+  std::cout << telemetry::host_build_line() << "\nresult digest: "
+            << telemetry::digest_hex(result_digest(result)) << "\n";
 
   if (!args.json_out.empty()) {
     std::ofstream out(args.json_out);
@@ -456,7 +456,7 @@ int run(int argc, char** argv) {
     meta.packets = trace.size();
     meta.seed = args.seed;
     meta.load = args.load;
-    telemetry::write_results_json(out, meta, result, telem.get());
+    telemetry::write_results_json(out, meta, result, telem.get(), wall_s);
     std::cout << "results json: " << args.json_out << "\n";
   }
   if (!args.trace_out.empty()) {

@@ -44,7 +44,6 @@
 // The report prints `result digest: 0x<16 hex>`, result_digest() of the
 // run's SimResult: a resumed soak prints its uninterrupted run's line.
 #include <csignal>
-#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -58,6 +57,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/transform.hpp"
 #include "soak/soak_runner.hpp"
+#include "telemetry/run_envelope.hpp"
 
 namespace {
 
@@ -166,9 +166,9 @@ void print_report(const soak::SoakReport& report) {
   std::cout << "offered " << r.offered << "  egressed " << r.egressed
             << "  fault-dropped " << r.dropped_fault << "  cycles "
             << r.cycles_run << "\n"
-            << "throughput " << r.normalized_throughput() << "\n";
-  std::printf("result digest: 0x%016llx\n",
-              static_cast<unsigned long long>(result_digest(r)));
+            << "throughput " << r.normalized_throughput() << "\n"
+            << "result digest: " << telemetry::digest_hex(result_digest(r))
+            << "\n";
   if (report.resumed) {
     std::cout << "resumed from cycle " << report.resumed_from_cycle << "\n";
   }

@@ -4,13 +4,16 @@
 Checks any mix of the JSON schemas this repo emits, plus the binary
 checkpoint format:
 
-  mp5-results        mp5sim --json            (schema_version 1)
+  mp5-results        mp5sim --json            (schema_version 2)
   mp5-chrome-trace   mp5sim --trace-out       (schema_version 1)
   mp5-bench          bench_* BENCH_<name>.json (schema_version 1)
   mp5-fuzz-repro     mp5fuzz reproducers       (schema_version 1)
-  mp5-fabric-results mp5fabric --json          (schema_version 1)
-  mp5-native-results mp5native --json          (schema_version 1)
+  mp5-fabric-results mp5fabric --json          (schema_version 2)
+  mp5-native-results mp5native --json          (schema_version 2)
   mp5-checkpoint     mp5sim --checkpoint-out / mp5soak (binary, version 1)
+
+The three results documents (version 2) share one run envelope: host,
+build, the run's result digest and a non-deterministic profile section.
 
 Usage:  validate_results.py FILE [FILE...]
 
@@ -22,16 +25,18 @@ with a one-line diagnostic naming the file and the check.
 """
 
 import json
+import math
+import re
 import struct
 import sys
 
 SUPPORTED_VERSIONS = {
-    "mp5-results": 1,
+    "mp5-results": 2,
     "mp5-chrome-trace": 1,
     "mp5-bench": 1,
     "mp5-fuzz-repro": 1,
-    "mp5-fabric-results": 1,
-    "mp5-native-results": 1,
+    "mp5-fabric-results": 2,
+    "mp5-native-results": 2,
 }
 
 
@@ -60,6 +65,24 @@ def require(obj, key, types, where):
 
 
 NUM = (int, float)
+NULL = type(None)
+
+
+def keys(names, types):
+    """A shape fragment: each space-separated name in `names` of `types`."""
+    return dict.fromkeys(names.split(), types)
+
+
+def check_shape(obj, shape, where):
+    """require() every key of `shape` (name -> types, or name -> shape of a
+    nested object) in `obj`; returns `obj`."""
+    for key, types in shape.items():
+        if isinstance(types, dict):
+            check_shape(require(obj, key, dict, where), types,
+                        f"{where}.{key}")
+        else:
+            require(obj, key, types, where)
+    return obj
 
 
 def check_version(doc, schema, where):
@@ -68,6 +91,25 @@ def check_version(doc, schema, where):
     if version != expected:
         fail(f"{where}: unsupported {schema} schema_version {version} "
              f"(this validator knows {expected})")
+
+
+# The run envelope of the three results documents (run_envelope.hpp):
+# profile is their only section that may differ between two runs.
+ENVELOPE = {
+    "host": {**keys("usable_cpus affinity_cpus hardware_concurrency", int),
+             "cpu_max": (int, NULL)},
+    "build": keys("compiler compiler_version build_type cxx_flags git_sha",
+                  str),
+    "digest": str,
+    "profile": (dict, NULL),
+}
+
+
+def check_envelope(doc, schema, where):
+    check_version(doc, schema, where)
+    check_shape(doc, ENVELOPE, where)
+    if not re.fullmatch(r"0x[0-9a-f]{16}", doc["digest"]):
+        fail(f"{where}: digest '{doc['digest']}' is not 0x<16 hex>")
 
 
 def check_metric_map(obj, where):
@@ -87,24 +129,24 @@ def check_telemetry_section(telem, where):
     histograms = require(telem, "histograms", dict, where)
     for name, hist in histograms.items():
         hwhere = f"{where}.histograms['{name}']"
-        require(hist, "bucket_width", NUM, hwhere)
-        total = require(hist, "total", int, hwhere)
+        # Empty histograms quantile to NaN, which the writer emits as
+        # null; both shapes are legal.
+        check_shape(hist, {"bucket_width": NUM, "total": int,
+                           **keys("p50 p90 p99", (int, float, NULL)),
+                           "buckets": list}, hwhere)
+        total = hist["total"]
         for q in ("p50", "p90", "p99"):
-            # Empty histograms quantile to NaN, which the writer emits as
-            # null; both shapes are legal.
-            v = require(hist, q, (int, float, type(None)), hwhere)
-            if total == 0 and isinstance(v, NUM):
+            if total == 0 and isinstance(hist[q], NUM):
                 fail(f"{hwhere}: empty histogram has non-null {q}")
-        buckets = require(hist, "buckets", list, hwhere)
-        if sum(int(b) for b in buckets) != total:
+        if sum(int(b) for b in hist["buckets"]) != total:
             fail(f"{hwhere}: bucket sum != total")
-    events = require(telem, "events", (dict, type(None)), where)
+    events = require(telem, "events", (dict, NULL), where)
     if events is not None:
         ewhere = f"{where}.events"
-        capacity = require(events, "capacity", int, ewhere)
-        recorded = require(events, "recorded", int, ewhere)
-        retained = require(events, "retained", int, ewhere)
-        dropped = require(events, "dropped", int, ewhere)
+        check_shape(events, keys("capacity recorded retained dropped", int),
+                    ewhere)
+        capacity, recorded, retained, dropped = (
+            events[k] for k in ("capacity", "recorded", "retained", "dropped"))
         if retained > capacity:
             fail(f"{ewhere}: retained {retained} exceeds capacity {capacity}")
         if retained + dropped != recorded:
@@ -128,15 +170,15 @@ RESULT_TWINS = (
 # own list, kept apart from the C++ table on purpose: a counter the C++
 # side drops from its table must fail here.
 SIM_COUNTERS = {
-    "packets": ("offered", "egressed", "dropped_phantom", "dropped_data",
-                "dropped_starved", "dropped_fault", "ecn_marked"),
-    "timing": ("first_arrival", "last_arrival", "last_egress", "cycles_run"),
-    "mechanics": ("steers", "wasted_cycles", "blocked_cycles", "remap_moves",
-                  "recirculations", "max_queue_depth"),
-    "faults": ("pipeline_failures", "pipeline_recoveries",
-               "fault_remapped_indices", "phantom_lost", "phantom_delayed",
-               "stalled_cycles", "time_to_recover"),
-    "correctness": ("c1_violating_packets", "reordered_flow_packets"),
+    "packets": keys("offered egressed dropped_phantom dropped_data "
+                    "dropped_starved dropped_fault ecn_marked", int),
+    "timing": keys("first_arrival last_arrival last_egress cycles_run", int),
+    "mechanics": keys("steers wasted_cycles blocked_cycles remap_moves "
+                      "recirculations max_queue_depth", int),
+    "faults": keys("pipeline_failures pipeline_recoveries "
+                   "fault_remapped_indices phantom_lost phantom_delayed "
+                   "stalled_cycles time_to_recover", int),
+    "correctness": keys("c1_violating_packets reordered_flow_packets", int),
 }
 
 
@@ -157,25 +199,18 @@ def check_staleness(variant, staleness, where):
 
 
 def validate_results(doc, where):
-    check_version(doc, "mp5-results", where)
-    meta = require(doc, "meta", dict, where)
-    for key, types in (("design", str), ("program", str), ("pipelines", int),
-                       ("packets", int), ("seed", int), ("load", NUM)):
-        require(meta, key, types, f"{where}.meta")
-    # Keys added with the replicated variants (ISSUE 10); older documents
-    # predate them.
-    if "variant" in meta:
-        variant = require(meta, "variant", str, f"{where}.meta")
-        if variant not in FUZZ_VARIANTS:
-            fail(f"{where}.meta: variant '{variant}' not in "
-                 f"{sorted(FUZZ_VARIANTS)}")
-        check_staleness(variant, require(meta, "staleness", int,
-                                         f"{where}.meta"), f"{where}.meta")
+    if doc["profile"] is not None:
+        require(doc["profile"], "wall_seconds", NUM, f"{where}.profile")
+    meta = check_shape(require(doc, "meta", dict, where),
+                       {**keys("design variant program", str),
+                        **keys("staleness pipelines packets seed", int),
+                        "load": NUM}, f"{where}.meta")
+    if meta["variant"] not in FUZZ_VARIANTS:
+        fail(f"{where}.meta: variant '{meta['variant']}' not in "
+             f"{sorted(FUZZ_VARIANTS)}")
+    check_staleness(meta["variant"], meta["staleness"], f"{where}.meta")
 
-    for section, keys in SIM_COUNTERS.items():
-        body = require(doc, section, dict, where)
-        for key in keys:
-            require(body, key, int, f"{where}.{section}")
+    check_shape(doc, SIM_COUNTERS, where)
     packets = doc["packets"]
     accounted = sum(packets[k] for k in ("egressed", "dropped_data",
                                          "dropped_starved", "dropped_fault"))
@@ -183,15 +218,16 @@ def validate_results(doc, where):
         fail(f"{where}.packets: conservation violated "
              f"({accounted} accounted > {packets['offered']} offered)")
 
-    for key in ("input_rate", "normalized_throughput"):
-        require(doc["timing"], key, NUM, f"{where}.timing")
-    require(doc["faults"], "fault_drops", int, f"{where}.faults")
+    check_shape(doc, {"timing": keys("input_rate normalized_throughput", NUM),
+                      "faults": {"fault_drops": int},
+                      "correctness": keys("c1_fraction drop_fraction", NUM)},
+                where)
     for key in ("c1_fraction", "drop_fraction"):
-        v = require(doc["correctness"], key, NUM, f"{where}.correctness")
+        v = doc["correctness"][key]
         if not 0.0 <= v <= 1.0:
             fail(f"{where}.correctness: {key}={v} outside [0, 1]")
 
-    telem = require(doc, "telemetry", (dict, type(None)), where)
+    telem = require(doc, "telemetry", (dict, NULL), where)
     if telem is not None:
         check_telemetry_section(telem, f"{where}.telemetry")
         for name, section, key in RESULT_TWINS:
@@ -205,10 +241,10 @@ def validate_chrome_trace(doc, where):
     if schema != "mp5-chrome-trace":
         fail(f"{where}.otherData: schema '{schema}' != 'mp5-chrome-trace'")
     check_version(other, "mp5-chrome-trace", f"{where}.otherData")
-    recorded = require(other, "events_recorded", int, f"{where}.otherData")
-    dropped = require(other, "events_dropped", int, f"{where}.otherData")
-    check_metric_map(require(other, "counters", dict, f"{where}.otherData"),
-                     f"{where}.otherData.counters")
+    check_shape(other, {**keys("events_recorded events_dropped", int),
+                        "counters": dict}, f"{where}.otherData")
+    recorded, dropped = other["events_recorded"], other["events_dropped"]
+    check_metric_map(other["counters"], f"{where}.otherData.counters")
 
     events = require(doc, "traceEvents", list, where)
     instants = [e for e in events if e.get("ph") == "i"]
@@ -221,20 +257,17 @@ def validate_chrome_trace(doc, where):
     last_ts = None
     for i, ev in enumerate(events):
         ewhere = f"{where}.traceEvents[{i}]"
-        require(ev, "name", str, ewhere)
-        require(ev, "ph", str, ewhere)
-        require(ev, "pid", int, ewhere)
+        check_shape(ev, {**keys("name ph", str), "pid": int}, ewhere)
         if ev["ph"] == "M":
             continue
-        require(ev, "tid", int, ewhere)
-        ts = require(ev, "ts", int, ewhere)
+        check_shape(ev, keys("tid ts", int), ewhere)
+        ts = ev["ts"]
         if last_ts is not None and ts < last_ts:
             fail(f"{ewhere}: timestamps not monotonic ({ts} < {last_ts})")
         last_ts = ts
 
 
 def validate_bench(doc, where):
-    check_version(doc, "mp5-bench", where)
     require(doc, "bench", str, where)
     rows = require(doc, "rows", list, where)
     if not rows:
@@ -266,13 +299,11 @@ SHARDING_POLICIES = {"dynamic", "static-random", "single-pipeline",
 
 
 def validate_repro(doc, where):
-    check_version(doc, "mp5-fuzz-repro", where)
     expect = require(doc, "expect", str, where)
     if expect not in FUZZ_EXPECT:
         fail(f"{where}: expect '{expect}' not in {sorted(FUZZ_EXPECT)}")
-    require(doc, "seed", int, where)
-    require(doc, "inject_floor_mod_bug", bool, where)
-    require(doc, "detail", str, where)
+    check_shape(doc, {"seed": int, "inject_floor_mod_bug": bool,
+                      "detail": str}, where)
     program = require(doc, "program", str, where)
     if not program.endswith(".dom"):
         fail(f"{where}: program '{program}' must end in .dom")
@@ -312,90 +343,78 @@ FABRIC_DROP_FATES = ("dead_source", "dead_destination", "switch_killed",
                      "in_switch")
 
 
-def validate_fabric_results(doc, where):
-    check_version(doc, "mp5-fabric-results", where)
-    config = require(doc, "config", dict, where)
-    cwhere = f"{where}.config"
-    leaves = require(config, "leaves", int, cwhere)
-    spines = require(config, "spines", int, cwhere)
-    for key in ("hosts_per_leaf", "pipelines", "remap_period", "util_window",
-                "salt", "seed", "link_latency"):
-        require(config, key, int, cwhere)
-    require(config, "link_bytes_per_cycle", NUM, cwhere)
-    lb = require(config, "lb", str, cwhere)
-    if lb not in FABRIC_LB_MODES:
-        fail(f"{cwhere}: lb '{lb}' not in {sorted(FABRIC_LB_MODES)}")
-    require(config, "hash", str, cwhere)
-    workload = require(config, "workload", dict, cwhere)
-    wwhere = f"{cwhere}.workload"
-    for key in ("flows", "max_flow_packets", "burst_size", "packet_bytes",
-                "seed"):
-        require(workload, key, int, wwhere)
-    for key in ("flow_rate", "mean_lifetime", "zipf_exponent",
-                "burst_spacing"):
-        require(workload, key, NUM, wwhere)
+FABRIC_SHAPE = {
+    "config": {
+        **keys("leaves spines hosts_per_leaf pipelines remap_period "
+               "util_window salt seed link_latency", int),
+        **keys("lb hash", str),
+        "link_bytes_per_cycle": NUM,
+        "workload": {
+            **keys("flows max_flow_packets burst_size packet_bytes seed", int),
+            **keys("flow_rate mean_lifetime zipf_exponent burst_spacing", NUM),
+        },
+    },
+    "totals": {
+        **keys("injected delivered in_flight_end cycles_run", int),
+        "dropped": keys(" ".join(FABRIC_DROP_FATES) + " total", int),
+        **keys("conserved truncated", bool),
+        **keys("throughput_pkts_per_cycle offered_pkts_per_cycle "
+               "delivered_fraction", NUM),
+    },
+    "flows": {
+        **keys("total started completed fully_delivered peak_concurrent "
+               "reordered_packets", int),
+        "fct": {"count": int, **keys("p50 p90 p99 mean max", NUM)},
+    },
+    "latency": keys("p50 p90 p99", NUM),
+    "uplinks": keys("util_max util_mean util_skew", NUM),
+}
+FABRIC_LINK = {"name": str, **keys("from to packets bytes", int),
+               **keys("uplink killed", bool),
+               **keys("weight busy_cycles peak_queue_cycles utilization",
+                      NUM)}
+FABRIC_SWITCH = {"name": str, "killed": bool, "killed_at": int,
+                 **{k: int for section in SIM_COUNTERS.values()
+                    for k in section},
+                 "c1_fraction": NUM}
 
-    totals = require(doc, "totals", dict, where)
+
+def validate_fabric_results(doc, where):
+    check_shape(doc, FABRIC_SHAPE, where)
+    config, totals, flows = doc["config"], doc["totals"], doc["flows"]
+    leaves, spines = config["leaves"], config["spines"]
+    if config["lb"] not in FABRIC_LB_MODES:
+        fail(f"{where}.config: lb '{config['lb']}' not in "
+             f"{sorted(FABRIC_LB_MODES)}")
+
     twhere = f"{where}.totals"
-    injected = require(totals, "injected", int, twhere)
-    delivered = require(totals, "delivered", int, twhere)
-    dropped = require(totals, "dropped", dict, twhere)
-    for key in FABRIC_DROP_FATES + ("total",):
-        require(dropped, key, int, f"{twhere}.dropped")
+    dropped = totals["dropped"]
     if sum(dropped[k] for k in FABRIC_DROP_FATES) != dropped["total"]:
         fail(f"{twhere}.dropped: fates do not sum to total")
-    in_flight = require(totals, "in_flight_end", int, twhere)
-    conserved = require(totals, "conserved", bool, twhere)
+    injected, delivered, in_flight = (
+        totals[k] for k in ("injected", "delivered", "in_flight_end"))
     # The fabric's core invariant: every packet delivered, dropped with a
     # recorded fate, or in flight at truncation.
     balanced = injected == delivered + dropped["total"] + in_flight
-    if balanced != conserved:
+    if balanced != totals["conserved"]:
         fail(f"{twhere}: conserved flag disagrees with the ledger")
     if not balanced:
         fail(f"{twhere}: conservation violated ({injected} injected != "
              f"{delivered} delivered + {dropped['total']} dropped + "
              f"{in_flight} in flight)")
-    require(totals, "truncated", bool, twhere)
-    require(totals, "cycles_run", int, twhere)
-    for key in ("throughput_pkts_per_cycle", "offered_pkts_per_cycle",
-                "delivered_fraction"):
-        require(totals, key, NUM, twhere)
 
-    flows = require(doc, "flows", dict, where)
     fwhere = f"{where}.flows"
-    for key in ("total", "started", "completed", "fully_delivered",
-                "peak_concurrent", "reordered_packets"):
-        require(flows, key, int, fwhere)
     if flows["fully_delivered"] > flows["completed"]:
         fail(f"{fwhere}: fully_delivered exceeds completed")
     if flows["completed"] > flows["started"]:
         fail(f"{fwhere}: completed exceeds started")
-    fct = require(flows, "fct", dict, fwhere)
-    require(fct, "count", int, f"{fwhere}.fct")
-    for key in ("p50", "p90", "p99", "mean", "max"):
-        require(fct, key, NUM, f"{fwhere}.fct")
-
-    latency = require(doc, "latency", dict, where)
-    for key in ("p50", "p90", "p99"):
-        require(latency, key, NUM, f"{where}.latency")
-
-    uplinks = require(doc, "uplinks", dict, where)
-    for key in ("util_max", "util_mean", "util_skew"):
-        require(uplinks, key, NUM, f"{where}.uplinks")
 
     links = require(doc, "links", list, where)
     if len(links) != 2 * leaves * spines:
         fail(f"{where}.links: {len(links)} links != 2*{leaves}*{spines}")
     for i, link in enumerate(links):
         lwhere = f"{where}.links[{i}]"
-        require(link, "name", str, lwhere)
-        for key in ("from", "to", "packets", "bytes"):
-            require(link, key, int, lwhere)
-        for key in ("uplink", "killed"):
-            require(link, key, bool, lwhere)
-        for key in ("weight", "busy_cycles", "peak_queue_cycles"):
-            require(link, key, NUM, lwhere)
-        util = require(link, "utilization", NUM, lwhere)
+        util = check_shape(link, FABRIC_LINK, lwhere)["utilization"]
         if not 0.0 <= util <= 1.0:
             fail(f"{lwhere}: utilization {util} outside [0, 1]")
 
@@ -405,17 +424,11 @@ def validate_fabric_results(doc, where):
              f"{leaves}+{spines}")
     for i, sw in enumerate(switches):
         swhere = f"{where}.switches[{i}]"
-        require(sw, "name", str, swhere)
-        require(sw, "killed", bool, swhere)
-        require(sw, "killed_at", int, swhere)
-        for keys in SIM_COUNTERS.values():
-            for key in keys:
-                require(sw, key, int, swhere)
-        c1 = require(sw, "c1_fraction", NUM, swhere)
+        c1 = check_shape(sw, FABRIC_SWITCH, swhere)["c1_fraction"]
         if not 0.0 <= c1 <= 1.0:
             fail(f"{swhere}: c1_fraction {c1} outside [0, 1]")
 
-    telem = require(doc, "telemetry", (dict, type(None)), where)
+    telem = require(doc, "telemetry", (dict, NULL), where)
     if telem is not None:
         check_telemetry_section(telem, f"{where}.telemetry")
         for i, sw in enumerate(switches):
@@ -425,89 +438,95 @@ def validate_fabric_results(doc, where):
                            f"{where}.telemetry (switches[{i}])")
 
 
+NATIVE_SHAPE = {
+    "meta": {**keys("program policy", str),
+             **keys("cores batch ring_capacity pool_packets rebalance_packets "
+                    "seed", int),
+             "pinned": bool},
+    "throughput": {"packets": int},
+    "sharding": {"policy": str},
+    "oracle": {"checked": bool, "equivalent": (bool, NULL)},
+    # Wall time and thread interleaving decide everything in the profile.
+    "profile": {
+        "throughput": keys("seconds pkts_per_sec", NUM),
+        "sharding": keys("moves rebalances", int),
+        "profiler": {
+            **keys("workers registers", list),
+            "dispatcher": keys("admitted reaped idle_spins pool_full "
+                               "busy_ns idle_ns", int),
+            "serializing_register": (str, NULL),
+            "serial_fraction": NUM,
+        },
+    },
+}
+NATIVE_WORKER = keys("hops stages accesses forwards parks idle_spins busy_ns "
+                     "idle_ns", int)
+NATIVE_REGISTER = {"name": str, "owner_share": NUM,
+                   **keys("claimed performed remote parks busiest_owner "
+                          "busiest_owner_accesses", int)}
+
+
 def validate_native_results(doc, where):
-    check_version(doc, "mp5-native-results", where)
-    meta = require(doc, "meta", dict, where)
-    mwhere = f"{where}.meta"
-    require(meta, "program", str, mwhere)
-    cores = require(meta, "cores", int, mwhere)
+    check_shape(doc, NATIVE_SHAPE, where)
+    meta, prof = doc["meta"], doc["profile"]["profiler"]
+    cores, packets = meta["cores"], doc["throughput"]["packets"]
     if cores < 1:
-        fail(f"{mwhere}: cores must be >= 1")
-    for key in ("batch", "ring_capacity", "pool_packets",
-                "rebalance_packets", "seed", "hardware_concurrency"):
-        require(meta, key, int, mwhere)
-    require(meta, "pinned", bool, mwhere)
-    policy = require(meta, "policy", str, mwhere)
-    if policy not in SHARDING_POLICIES:
-        fail(f"{mwhere}: policy '{policy}' not in {sorted(SHARDING_POLICIES)}")
+        fail(f"{where}.meta: cores must be >= 1")
+    if meta["policy"] not in SHARDING_POLICIES:
+        fail(f"{where}.meta: policy '{meta['policy']}' not in "
+             f"{sorted(SHARDING_POLICIES)}")
 
-    throughput = require(doc, "throughput", dict, where)
-    twhere = f"{where}.throughput"
-    packets = require(throughput, "packets", int, twhere)
-    require(throughput, "seconds", NUM, twhere)
-    require(throughput, "pkts_per_sec", NUM, twhere)
-
-    sharding = require(doc, "sharding", dict, where)
-    swhere = f"{where}.sharding"
-    require(sharding, "policy", str, swhere)
-    for key in ("moves", "rebalances"):
-        require(sharding, key, int, swhere)
-
-    prof = require(doc, "profiler", dict, where)
-    pwhere = f"{where}.profiler"
-    workers = require(prof, "workers", list, pwhere)
+    pwhere = f"{where}.profile.profiler"
+    workers = prof["workers"]
     if len(workers) != cores:
         fail(f"{pwhere}.workers: {len(workers)} entries != {cores} cores")
     for i, w in enumerate(workers):
-        wwhere = f"{pwhere}.workers[{i}]"
-        for key in ("hops", "stages", "accesses", "forwards", "parks",
-                    "idle_spins", "busy_ns", "idle_ns"):
-            require(w, key, int, wwhere)
-    disp = require(prof, "dispatcher", dict, pwhere)
-    dwhere = f"{pwhere}.dispatcher"
-    for key in ("admitted", "reaped", "idle_spins", "pool_full", "busy_ns",
-                "idle_ns"):
-        require(disp, key, int, dwhere)
+        check_shape(w, NATIVE_WORKER, f"{pwhere}.workers[{i}]")
+    disp = prof["dispatcher"]
     # A finished run has admitted and reaped every packet it reports.
     if not disp["admitted"] == disp["reaped"] == packets:
-        fail(f"{dwhere}: admitted {disp['admitted']} / reaped "
+        fail(f"{pwhere}.dispatcher: admitted {disp['admitted']} / reaped "
              f"{disp['reaped']} != {packets} packets")
-    registers = require(prof, "registers", list, pwhere)
+    registers = prof["registers"]
+    # The backend's merge: each register's busiest owner is the worker that
+    # ran most of its claims; the serializing register is the first whose
+    # busiest owner ran the most, as a fraction of all packets.
+    serial = None
     for i, reg in enumerate(registers):
         rwhere = f"{pwhere}.registers[{i}]"
-        require(reg, "name", str, rwhere)
-        for key in ("claimed", "performed", "remote", "parks",
-                    "busiest_owner"):
-            require(reg, key, int, rwhere)
-        if reg["performed"] > reg["claimed"]:
+        check_shape(reg, NATIVE_REGISTER, rwhere)
+        claimed, busiest = reg["claimed"], reg["busiest_owner_accesses"]
+        if reg["performed"] > claimed:
             fail(f"{rwhere}: performed exceeds claimed")
+        if busiest > claimed:
+            fail(f"{rwhere}: busiest_owner_accesses {busiest} exceeds "
+                 f"claimed {claimed}")
         if reg["busiest_owner"] >= cores:
             fail(f"{rwhere}: busiest_owner {reg['busiest_owner']} out of "
                  f"range for {cores} cores")
-        share = require(reg, "owner_share", NUM, rwhere)
+        share = reg["owner_share"]
         if not 0.0 <= share <= 1.0:
             fail(f"{rwhere}: owner_share {share} outside [0, 1]")
-    serializing = require(prof, "serializing_register", (str, type(None)),
-                          pwhere)
-    if serializing is not None and registers:
-        if serializing not in {r["name"] for r in registers}:
-            fail(f"{pwhere}: serializing_register '{serializing}' names no "
-                 f"profiled register")
-    fraction = require(prof, "serial_fraction", NUM, pwhere)
+        if not math.isclose(share, busiest / claimed if claimed else 0.0):
+            fail(f"{rwhere}: owner_share {share} != busiest_owner_accesses "
+                 f"/ claimed")
+        if busiest > (serial["busiest_owner_accesses"] if serial else 0):
+            serial = reg
+    serializing = prof["serializing_register"]
+    expected = serial["name"] if serial else None
+    if serializing != expected:
+        fail(f"{pwhere}: serializing_register {serializing!r} is not the "
+             f"register with the most busiest-owner accesses ({expected!r})")
+    fraction = prof["serial_fraction"]
     if not 0.0 <= fraction <= 1.0:
         fail(f"{pwhere}: serial_fraction {fraction} outside [0, 1]")
-    # The serializing register's busiest owner cannot have executed more
-    # accesses than packets exist.
-    if packets > 0 and registers:
-        busiest = max(r.get("busiest_owner_accesses", 0) for r in registers
-                      if isinstance(r.get("busiest_owner_accesses", 0), int))
-        if busiest > packets * max(1, len(registers)):
-            fail(f"{pwhere}: busiest-owner accesses exceed total work")
+    busiest = serial["busiest_owner_accesses"] if serial else 0
+    if not math.isclose(fraction, busiest / packets if packets else 0.0):
+        fail(f"{pwhere}: serial_fraction {fraction} != {busiest} "
+             f"busiest-owner accesses / {packets} packets")
 
-    oracle = require(doc, "oracle", dict, where)
     owhere = f"{where}.oracle"
-    checked = require(oracle, "checked", bool, owhere)
-    equivalent = require(oracle, "equivalent", (bool, type(None)), owhere)
+    checked, equivalent = doc["oracle"]["checked"], doc["oracle"]["equivalent"]
     if checked and equivalent is None:
         fail(f"{owhere}: checked run must record an equivalent verdict")
     if not checked and equivalent is not None:
@@ -558,6 +577,17 @@ def validate_checkpoint(blob, where):
         fail(f"{where}: {frames} frames (expected 1 or 2)")
 
 
+VALIDATORS = {
+    "mp5-results": validate_results,
+    "mp5-bench": validate_bench,
+    "mp5-fuzz-repro": validate_repro,
+    "mp5-fabric-results": validate_fabric_results,
+    "mp5-native-results": validate_native_results,
+}
+# The documents that carry the run envelope (check_envelope).
+RUN_DOCUMENTS = ("mp5-results", "mp5-fabric-results", "mp5-native-results")
+
+
 def validate_file(path):
     # Binary checkpoint files are sniffed by magic before any JSON parse.
     with open(path, "rb") as fp:
@@ -571,22 +601,16 @@ def validate_file(path):
     if not isinstance(doc, dict):
         fail(f"{path}: top level must be an object")
     if "traceEvents" in doc:
-        schema = "mp5-chrome-trace"
         validate_chrome_trace(doc, path)
+        return "mp5-chrome-trace"
+    schema = require(doc, "schema", str, path)
+    if schema not in VALIDATORS:
+        fail(f"{path}: unknown schema '{schema}'")
+    if schema in RUN_DOCUMENTS:
+        check_envelope(doc, schema, path)
     else:
-        schema = require(doc, "schema", str, path)
-        if schema == "mp5-results":
-            validate_results(doc, path)
-        elif schema == "mp5-bench":
-            validate_bench(doc, path)
-        elif schema == "mp5-fuzz-repro":
-            validate_repro(doc, path)
-        elif schema == "mp5-fabric-results":
-            validate_fabric_results(doc, path)
-        elif schema == "mp5-native-results":
-            validate_native_results(doc, path)
-        else:
-            fail(f"{path}: unknown schema '{schema}'")
+        check_version(doc, schema, path)
+    VALIDATORS[schema](doc, path)
     return schema
 
 
