@@ -239,136 +239,73 @@ void ReplicatedSimulator::check_accounting(Cycle now) const {
 // covers the design and staleness_bound, so cross-design restores refuse).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void save_pkt(ByteWriter& w, SeqNo seq, Cycle arrival, std::uint64_t flow,
-              const std::vector<Value>& headers) {
-  w.u64(seq);
-  w.u64(arrival);
-  w.u64(flow);
-  w.u64(headers.size());
-  for (const Value v : headers) w.i64(v);
-}
-
-} // namespace
-
-std::string ReplicatedSimulator::serialize_state(Cycle now) const {
-  ByteWriter w;
-  w.u64(now);
-  w.u64(next_seq_);
-  w.u64(live_packets_);
-  w.u64(cursor_);
-  w.u64(max_ingress_depth_);
-  result_.save(w);
-  for (const ir::FlatRegFile& replica : replicas_) {
-    for (const auto& reg : replica.storage()) {
-      w.u64(reg.size());
-      for (const Value v : reg) w.i64(v);
+template <class Io> void ReplicatedSimulator::transfer(Io& io, Cycle& now) {
+  io.u64(now);
+  io.u64(next_seq_);
+  io.u64(live_packets_);
+  io.u64(cursor_);
+  io.u64(max_ingress_depth_);
+  result_.transfer(io);
+  for (ir::FlatRegFile& replica : replicas_) {
+    auto& storage = replica.storage();
+    for (std::size_t reg = 0; reg < prog_->pvsm.registers.size(); ++reg) {
+      const ir::RegisterSpec& spec = prog_->pvsm.registers[reg];
+      const std::string message =
+          "checkpoint: register size mismatch for '" + spec.name + "'";
+      io.size_equal(spec.size, message.c_str());
+      if constexpr (Io::kLoad) storage[reg].resize(spec.size);
+      for (Value& v : storage[reg]) io.i64(v);
     }
   }
+  const std::size_t num_slots = prog_->pvsm.num_slots();
+  auto headers = [&](std::vector<Value>& h) {
+    io.size_equal(num_slots, "checkpoint: packet header width mismatch");
+    if constexpr (Io::kLoad) h.resize(num_slots);
+    for (Value& v : h) io.i64(v);
+  };
+  auto packet = [&](Pkt& pkt) {
+    io.u64(pkt.seq);
+    io.u64(pkt.arrival_cycle);
+    io.u64(pkt.flow);
+    headers(pkt.headers);
+  };
   for (PipelineId p = 0; p < k_; ++p) {
-    for (StageId st = 0; st < num_stages_; ++st) {
-      const auto& cell = cells_[p][st];
-      w.boolean(cell.has_value());
-      if (cell.has_value()) {
-        save_pkt(w, cell->seq, cell->arrival_cycle, cell->flow,
-                 cell->headers);
+    for (std::optional<Pkt>& cell : cells_[p]) {
+      bool occupied = cell.has_value();
+      io.boolean(occupied);
+      if constexpr (Io::kLoad) {
+        cell.reset();
+        if (occupied) cell.emplace();
       }
+      if (occupied) packet(*cell);
     }
-    w.u64(ingress_[p].size());
-    for (const Pkt& pkt : ingress_[p]) {
-      save_pkt(w, pkt.seq, pkt.arrival_cycle, pkt.flow, pkt.headers);
-    }
+    io.seq(ingress_[p], 28, packet);
   }
   // The heap's raw array is serialized as-is: restoring it verbatim
   // preserves the exact pop order.
-  w.u64(digests_.size());
-  for (const Digest& d : digests_) {
-    w.u64(d.deliver);
-    w.u64(d.seq);
-    w.u32(d.stage);
-    w.u32(d.origin);
-    w.u64(d.headers.size());
-    for (const Value v : d.headers) w.i64(v);
-  }
-  c1_.save(w);
+  io.seq(digests_, 32, [&](Digest& d) {
+    io.u64(d.deliver);
+    io.u64(d.seq);
+    io.u32(d.stage);
+    io.u32(d.origin);
+    io.check(d.stage != 0 && d.stage < num_stages_ && d.origin < k_,
+             "checkpoint: digest addresses an invalid stage or lane");
+    headers(d.headers);
+  });
+  c1_.transfer(io);
+}
+
+std::string ReplicatedSimulator::serialize_state(Cycle now) const {
+  ByteWriter w;
+  SaveIo io(w);
+  const_cast<ReplicatedSimulator*>(this)->transfer(io, now);
   return w.take();
 }
 
 Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
-  const Cycle now = r.u64();
-  next_seq_ = r.u64();
-  live_packets_ = r.u64();
-  cursor_ = static_cast<std::size_t>(r.u64());
-  max_ingress_depth_ = static_cast<std::size_t>(r.u64());
-  result_.load(r);
-
-  const std::size_t num_slots = prog_->pvsm.num_slots();
-  auto read_headers = [&](std::vector<Value>& headers) {
-    const std::uint64_t n = r.count(8);
-    if (n != num_slots) {
-      throw Error("checkpoint: packet header width mismatch");
-    }
-    headers.resize(static_cast<std::size_t>(n));
-    for (Value& v : headers) v = r.i64();
-  };
-  auto load_pkt = [&](Pkt& pkt) {
-    pkt.seq = r.u64();
-    pkt.arrival_cycle = r.u64();
-    pkt.flow = r.u64();
-    read_headers(pkt.headers);
-  };
-
-  for (ir::FlatRegFile& replica : replicas_) {
-    std::vector<std::vector<Value>> storage;
-    storage.reserve(prog_->pvsm.registers.size());
-    for (const auto& spec : prog_->pvsm.registers) {
-      const std::uint64_t n = r.count(8);
-      if (n != spec.size) {
-        throw Error("checkpoint: register size mismatch for '" + spec.name +
-                    "'");
-      }
-      std::vector<Value> values(static_cast<std::size_t>(n));
-      for (Value& v : values) v = r.i64();
-      storage.push_back(std::move(values));
-    }
-    replica.storage() = std::move(storage);
-  }
-
-  for (PipelineId p = 0; p < k_; ++p) {
-    for (StageId st = 0; st < num_stages_; ++st) {
-      cells_[p][st].reset();
-      if (r.boolean()) {
-        Pkt pkt;
-        load_pkt(pkt);
-        cells_[p][st] = std::move(pkt);
-      }
-    }
-    ingress_[p].clear();
-    const std::uint64_t n = r.count(28);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Pkt pkt;
-      load_pkt(pkt);
-      ingress_[p].push_back(std::move(pkt));
-    }
-  }
-
-  digests_.clear();
-  const std::uint64_t ndigests = r.count(32);
-  digests_.reserve(static_cast<std::size_t>(ndigests));
-  for (std::uint64_t i = 0; i < ndigests; ++i) {
-    Digest d;
-    d.deliver = r.u64();
-    d.seq = r.u64();
-    d.stage = r.u32();
-    d.origin = r.u32();
-    if (d.stage == 0 || d.stage >= num_stages_ || d.origin >= k_) {
-      throw Error("checkpoint: digest addresses an invalid stage or lane");
-    }
-    read_headers(d.headers);
-    digests_.push_back(std::move(d));
-  }
-  c1_.load(r);
+  LoadIo io(r);
+  Cycle now = 0;
+  transfer(io, now);
   return now;
 }
 
@@ -386,24 +323,10 @@ SimResult ReplicatedSimulator::resume(const Trace& trace,
         "simulator");
   }
   ran_ = true;
-  const CheckpointInfo info = parse_checkpoint(checkpoint_blob);
-  const std::uint64_t expect = config_fingerprint(*prog_, opts_);
-  if (info.fingerprint != expect) {
-    throw Error(
-        "checkpoint configuration fingerprint mismatch: the checkpoint was "
-        "taken under a different program, variant or semantic simulator "
-        "options");
-  }
-  ByteReader r(info.payload);
-  const Cycle now = restore_state(r);
-  r.expect_done();
-  if (now != info.cycle) {
-    throw Error("checkpoint corrupted (frame/payload cycle mismatch)");
-  }
-  if (opts_.checkpoint_interval != 0) {
-    next_checkpoint_ = ((now / opts_.checkpoint_interval) + 1) *
-                       opts_.checkpoint_interval;
-  }
+  const Cycle now = resume_checkpoint(
+      checkpoint_blob, config_fingerprint(*prog_, opts_),
+      opts_.checkpoint_interval, next_checkpoint_,
+      [this](ByteReader& r) { return restore_state(r); });
   return run_loop(trace, now);
 }
 

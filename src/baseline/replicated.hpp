@@ -95,6 +95,8 @@ private:
   void pop_digest();
   void check_accounting(Cycle now) const;
   void do_checkpoint(Cycle now);
+  /// The one checkpoint listing behind serialize_state and restore_state.
+  template <class Io> void transfer(Io& io, Cycle& now);
   std::string serialize_state(Cycle now) const;
   Cycle restore_state(ByteReader& r);
 

@@ -1,7 +1,5 @@
 #include "metrics/c1_checker.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 
@@ -30,38 +28,26 @@ void C1Checker::on_access(RegId reg, RegIndex index, SeqNo seq) {
   }
 }
 
-void C1Checker::save(ByteWriter& w) const {
-  w.boolean(true); // the v1 payload's storage-mode byte: dense table
-  w.u64(last_seq_.size());
-  for (const auto& row : last_seq_) {
-    w.u64(row.size());
-    for (const SeqNo s : row) w.u64(s);
+template <class Io> void C1Checker::transfer(Io& io) {
+  bool dense = true; // the v1 payload's storage-mode byte: dense table
+  io.boolean(dense);
+  io.check(dense, "checkpoint: C1 checker storage-mode mismatch");
+  io.size_equal(last_seq_.size(),
+                "checkpoint: C1 dense table register count mismatch");
+  for (auto& row : last_seq_) {
+    io.size_equal(row.size(), "checkpoint: C1 dense table size mismatch");
+    for (SeqNo& s : row) io.u64(s);
   }
-  std::vector<SeqNo> violators(violators_.begin(), violators_.end());
-  std::sort(violators.begin(), violators.end());
-  w.u64(violators.size());
-  for (const SeqNo s : violators) w.u64(s);
-  w.u64(accesses_);
+  io.sorted(violators_, 8, [&](SeqNo& s) { io.u64(s); });
+  io.u64(accesses_);
 }
 
-void C1Checker::load(ByteReader& r) {
-  if (!r.boolean()) {
-    throw Error("checkpoint: C1 checker storage-mode mismatch");
-  }
-  if (r.count(8) != last_seq_.size()) {
-    throw Error("checkpoint: C1 dense table register count mismatch");
-  }
-  for (auto& row : last_seq_) {
-    if (r.count(8) != row.size()) {
-      throw Error("checkpoint: C1 dense table size mismatch");
-    }
-    for (SeqNo& s : row) s = r.u64();
-  }
-  violators_.clear();
-  const std::uint64_t nv = r.count(8);
-  violators_.reserve(static_cast<std::size_t>(nv));
-  for (std::uint64_t i = 0; i < nv; ++i) violators_.insert(r.u64());
-  accesses_ = r.u64();
-}
+void C1Checker::save(ByteWriter& w) const { save_fields(w, *this); }
+
+void C1Checker::load(ByteReader& r) { load_fields(r, *this); }
+
+// The simulators list this class inside their own transfer().
+template void C1Checker::transfer(SaveIo&);
+template void C1Checker::transfer(LoadIo&);
 
 } // namespace mp5

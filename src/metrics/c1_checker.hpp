@@ -40,6 +40,8 @@ public:
   /// save time.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
+  /// The one field listing behind save() and load() (common/serialize.hpp).
+  template <class Io> void transfer(Io& io);
 
   std::uint64_t violating_packets() const { return violators_.size(); }
 

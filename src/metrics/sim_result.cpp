@@ -24,56 +24,33 @@ double SimResult::normalized_throughput() const {
   return std::min(1.0, delivered_rate / input_rate());
 }
 
-void SimResult::save(ByteWriter& w) const {
+template <class Io> void SimResult::transfer(Io& io) {
   for (const ResultCounter& c : kResultCounters) {
-    w.u64(this->*c.member);
+    io.u64(this->*c.member);
     // The fault-drop log follows time_to_recover in the v1 payload.
     if (c.member != &SimResult::time_to_recover) continue;
-    w.u64(fault_drops.size());
-    for (const FaultDrop& d : fault_drops) {
-      w.u64(d.seq);
-      w.boolean(d.state_touched);
-    }
+    io.seq(fault_drops, 9, [&](FaultDrop& d) {
+      io.u64(d.seq);
+      io.boolean(d.state_touched);
+    });
   }
-  w.u64(final_registers.size());
-  for (const auto& regs : final_registers) {
-    w.u64(regs.size());
-    for (const Value v : regs) w.i64(v);
-  }
-  w.u64(egress.size());
-  for (const EgressRecord& rec : egress) {
-    w.u64(rec.seq);
-    w.u64(rec.egress_cycle);
-    w.u64(rec.flow);
-    w.u64(rec.headers.size());
-    for (const Value v : rec.headers) w.i64(v);
-  }
+  io.seq(final_registers, 8,
+         [&](std::vector<Value>& regs) { io.values(regs); });
+  io.seq(egress, 32, [&](EgressRecord& rec) {
+    io.u64(rec.seq);
+    io.u64(rec.egress_cycle);
+    io.u64(rec.flow);
+    io.values(rec.headers);
+  });
 }
 
-void SimResult::load(ByteReader& r) {
-  for (const ResultCounter& c : kResultCounters) {
-    this->*c.member = r.u64();
-    if (c.member != &SimResult::time_to_recover) continue;
-    fault_drops.resize(static_cast<std::size_t>(r.count(9)));
-    for (FaultDrop& d : fault_drops) {
-      d.seq = r.u64();
-      d.state_touched = r.boolean();
-    }
-  }
-  final_registers.resize(static_cast<std::size_t>(r.count(8)));
-  for (auto& regs : final_registers) {
-    regs.resize(static_cast<std::size_t>(r.count(8)));
-    for (Value& v : regs) v = r.i64();
-  }
-  egress.resize(static_cast<std::size_t>(r.count(32)));
-  for (EgressRecord& rec : egress) {
-    rec.seq = r.u64();
-    rec.egress_cycle = r.u64();
-    rec.flow = r.u64();
-    rec.headers.resize(static_cast<std::size_t>(r.count(8)));
-    for (Value& v : rec.headers) v = r.i64();
-  }
-}
+void SimResult::save(ByteWriter& w) const { save_fields(w, *this); }
+
+void SimResult::load(ByteReader& r) { load_fields(r, *this); }
+
+// The simulators list this class inside their own transfer().
+template void SimResult::transfer(SaveIo&);
+template void SimResult::transfer(LoadIo&);
 
 namespace {
 

@@ -101,6 +101,8 @@ struct SimResult {
   /// order would break bit-identity of the finished result.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
+  /// The one field listing behind save() and load() (common/serialize.hpp).
+  template <class Io> void transfer(Io& io);
 };
 
 /// One scalar counter of SimResult.

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,7 @@
 
 namespace mp5 {
 
+class ByteReader;
 struct Mp5Program;
 struct SimOptions;
 struct ReplicatedOptions;
@@ -60,6 +62,18 @@ CheckpointInfo parse_checkpoint(std::string_view blob);
 /// parse_checkpoint afterwards. Throws Error if the header is incomplete
 /// or the implied size exceeds the blob.
 std::size_t framed_size(std::string_view blob);
+
+/// The resume prologue every checkpointable simulator shares: parse and
+/// checksum `blob`, refuse a frame whose fingerprint is not `fingerprint`,
+/// restore its payload through `restore` (which returns the payload's
+/// cycle), and require the whole payload to be read and its cycle to be
+/// the frame's. Returns that cycle, and sets `next_checkpoint` to the
+/// first boundary after it when `checkpoint_interval` is nonzero. Throws
+/// Error on any mismatch.
+Cycle resume_checkpoint(std::string_view blob, std::uint64_t fingerprint,
+                        std::uint64_t checkpoint_interval,
+                        Cycle& next_checkpoint,
+                        const std::function<Cycle(ByteReader&)>& restore);
 
 /// Atomic checkpoint write: the blob lands under a temporary name and is
 /// renamed into place, so a crash mid-write never leaves a torn file at

@@ -479,70 +479,43 @@ std::size_t ShardedState::rebalance_lpt_reference(RegId reg) {
 // Checkpoint/restore
 // ---------------------------------------------------------------------------
 
-void ShardedState::save(ByteWriter& w) const {
-  w.u64(values_.storage().size());
-  for (const auto& vals : values_.storage()) {
-    w.u64(vals.size());
-    for (const Value v : vals) w.i64(v);
+template <class Io> void ShardedState::transfer(Io& io) {
+  auto& storage = values_.storage();
+  io.size_equal(storage.size(), "checkpoint: register count mismatch");
+  for (auto& vals : storage) {
+    io.size_equal(vals.size(), "checkpoint: register size mismatch");
+    for (Value& v : vals) io.i64(v);
   }
-  w.u32(pin_);
-  for (std::uint32_t p = 0; p < k_; ++p) w.boolean(alive_[p]);
-  w.u64(total_moves_);
-  w.boolean(window_dirty_);
-  for (const PerReg& per : regs_) {
-    w.u64(per.map.size());
-    for (const PipelineId p : per.map) w.u32(p);
-    for (const std::uint32_t a : per.access) w.u32(a);
-    for (const std::uint32_t s : per.stamp) w.u32(s);
-    for (const std::uint32_t f : per.in_flight) w.u32(f);
-    w.u64(per.touched.size());
-    for (const RegIndex i : per.touched) w.u32(i);
-    for (const auto& lane : per.members) {
-      w.u64(lane.size());
-      for (const RegIndex i : lane) w.u32(i);
+  io.u32(pin_);
+  io.check(pin_ < k_, "checkpoint: pin pipeline out of range");
+  for (std::uint32_t p = 0; p < k_; ++p) io.boolean(alive_[p]);
+  io.u64(total_moves_);
+  io.boolean(window_dirty_);
+  for (PerReg& per : regs_) {
+    io.size_equal(per.map.size(), "checkpoint: shard map size mismatch");
+    for (PipelineId& p : per.map) {
+      io.u32(p);
+      io.check(p < k_, "checkpoint: shard map pipeline out of range");
     }
-    for (const std::uint32_t p : per.pos) w.u32(p);
-    for (const std::uint64_t l : per.lane_load) w.u64(l);
-    w.u32(per.epoch);
+    for (std::uint32_t& a : per.access) io.u32(a);
+    for (std::uint32_t& s : per.stamp) io.u32(s);
+    for (std::uint32_t& f : per.in_flight) io.u32(f);
+    io.seq(per.touched, 4, [&](RegIndex& i) { io.u32(i); });
+    for (auto& lane : per.members) {
+      io.seq(lane, 4, [&](RegIndex& i) { io.u32(i); });
+    }
+    for (std::uint32_t& p : per.pos) io.u32(p);
+    for (std::uint64_t& l : per.lane_load) io.u64(l);
+    io.u32(per.epoch);
   }
 }
 
-void ShardedState::load(ByteReader& r) {
-  if (r.count(8) != values_.storage().size()) {
-    throw Error("checkpoint: register count mismatch");
-  }
-  for (auto& vals : values_.storage()) {
-    if (r.count(8) != vals.size()) {
-      throw Error("checkpoint: register size mismatch");
-    }
-    for (Value& v : vals) v = r.i64();
-  }
-  pin_ = r.u32();
-  if (pin_ >= k_) throw Error("checkpoint: pin pipeline out of range");
-  for (std::uint32_t p = 0; p < k_; ++p) alive_[p] = r.boolean();
-  total_moves_ = r.u64();
-  window_dirty_ = r.boolean();
-  for (PerReg& per : regs_) {
-    if (r.count(4) != per.map.size()) {
-      throw Error("checkpoint: shard map size mismatch");
-    }
-    for (PipelineId& p : per.map) {
-      p = r.u32();
-      if (p >= k_) throw Error("checkpoint: shard map pipeline out of range");
-    }
-    for (std::uint32_t& a : per.access) a = r.u32();
-    for (std::uint32_t& s : per.stamp) s = r.u32();
-    for (std::uint32_t& f : per.in_flight) f = r.u32();
-    per.touched.resize(static_cast<std::size_t>(r.count(4)));
-    for (RegIndex& i : per.touched) i = r.u32();
-    for (auto& lane : per.members) {
-      lane.resize(static_cast<std::size_t>(r.count(4)));
-      for (RegIndex& i : lane) i = r.u32();
-    }
-    for (std::uint32_t& p : per.pos) p = r.u32();
-    for (std::uint64_t& l : per.lane_load) l = r.u64();
-    per.epoch = r.u32();
-  }
-}
+void ShardedState::save(ByteWriter& w) const { save_fields(w, *this); }
+
+void ShardedState::load(ByteReader& r) { load_fields(r, *this); }
+
+// The simulators list this class inside their own transfer().
+template void ShardedState::transfer(SaveIo&);
+template void ShardedState::transfer(LoadIo&);
 
 } // namespace mp5

@@ -167,6 +167,8 @@ public:
   /// the constructor's initial placement is overwritten. Throws Error on
   /// shape mismatch.
   void load(ByteReader& r);
+  /// The one field listing behind save() and load() (common/serialize.hpp).
+  template <class Io> void transfer(Io& io);
 
 private:
   struct PerReg {

@@ -224,11 +224,15 @@ private:
   std::array<std::pair<const char*, std::uint64_t*>, 9> named_counts();
   /// Frame the complete simulator state and hand it to checkpoint_sink.
   void do_checkpoint(Cycle now);
-  /// Serialize every piece of run state the cycle walk depends on.
+  /// The one listing of every piece of run state the cycle walk depends
+  /// on, behind both serialize_state and restore_state: the checkpoint
+  /// cycle, the trace items already admitted, then each member.
+  template <class Io>
+  void transfer(Io& io, Cycle& now, std::uint64_t& consumed);
   std::string serialize_state(Cycle now);
-  /// Inverse of serialize_state into a freshly constructed simulator.
-  /// Returns the checkpointed cycle; `trace_consumed` receives the number
-  /// of trace items already admitted (the source skip target).
+  /// Restore into a freshly constructed simulator. Returns the
+  /// checkpointed cycle; `trace_consumed` receives the number of trace
+  /// items already admitted (the source skip target).
   Cycle restore_state(ByteReader& r, std::uint64_t& trace_consumed);
 
   // -- idle-cycle skip --

@@ -332,149 +332,103 @@ void StageFifo::check_invariants(Cycle now, bool check_order) const {
 
 namespace {
 
-void save_entry(ByteWriter& w, const FifoEntry& entry) {
-  w.u8(static_cast<std::uint8_t>(entry.kind));
-  w.u64(entry.seq);
-  w.u64(entry.enqueued);
-  w.u32(entry.reg);
-  w.u32(entry.index);
-  w.u32(entry.ref);
-}
-
-FifoEntry load_entry(ByteReader& r) {
-  FifoEntry entry;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(FifoEntry::Kind::kCancelled)) {
-    throw Error("checkpoint: invalid FifoEntry kind");
-  }
-  entry.kind = static_cast<FifoEntry::Kind>(kind);
-  entry.seq = r.u64();
-  entry.enqueued = r.u64();
-  entry.reg = r.u32();
-  entry.index = r.u32();
-  entry.ref = r.u32();
-  return entry;
+template <class Io> void transfer_entry(Io& io, FifoEntry& entry) {
+  io.u8_enum(entry.kind, FifoEntry::Kind::kCancelled,
+             "checkpoint: invalid FifoEntry kind");
+  io.u64(entry.seq);
+  io.u64(entry.enqueued);
+  io.u32(entry.reg);
+  io.u32(entry.index);
+  io.u32(entry.ref);
 }
 
 } // namespace
 
-void StageFifo::save(ByteWriter& w) const {
-  w.boolean(ideal_);
+template <class Io> void StageFifo::transfer(Io& io) {
+  bool ideal = ideal_;
+  io.boolean(ideal);
+  io.check(ideal == ideal_, "checkpoint: StageFifo ideal-mode mismatch");
+  io.check(live_entries_ == 0,
+           "checkpoint: StageFifo::load target is not empty");
   if (ideal_) {
-    // queues_ and eligible_ are std::maps: iteration order is already
-    // deterministic. seq_key_ is derivable from queues_ and not written.
-    w.u64(queues_.size());
-    for (const auto& [key, queue] : queues_) {
-      w.u64(key);
-      w.u64(queue.size());
-      for (const FifoEntry& entry : queue) save_entry(w, entry);
-    }
-    w.u64(eligible_.size());
-    for (const auto& [seq, key] : eligible_) {
-      w.u64(seq);
-      w.u64(key);
+    // seq_key_ is derivable from queues_ and not written.
+    io.sorted(queues_, 8, [&](auto& kv) {
+      io.u64(kv.first);
+      io.seq(kv.second, 8, [&](FifoEntry& e) { transfer_entry(io, e); });
+      io.check(!kv.second.empty(), "checkpoint: empty ideal queue serialized");
+    });
+    io.sorted(eligible_, 16, [&](auto& kv) {
+      io.u64(kv.first);
+      io.u64(kv.second);
+    });
+    if constexpr (Io::kLoad) {
+      seq_key_.clear();
+      for (const auto& [key, queue] : queues_) {
+        for (const FifoEntry& entry : queue) seq_key_[entry.seq] = key;
+      }
     }
   } else {
-    w.u64(lanes_.size());
-    for (const auto& lane : lanes_) {
-      w.u64(lane.base_vidx());
-      w.u64(lane.size());
-      w.u64(lane.high_water_mark());
-      if (!lane.empty()) {
-        for (std::uint64_t v = lane.front_vidx(); lane.contains(v); ++v) {
-          save_entry(w, lane.at(v));
-        }
-      }
-    }
-  }
-  // directory_ iterates in table order: write it sorted by seq for a
-  // byte-stable payload.
-  std::vector<std::pair<SeqNo, Address>> dir;
-  dir.reserve(directory_.size());
-  directory_.for_each(
-      [&](SeqNo seq, const Address& addr) { dir.emplace_back(seq, addr); });
-  std::sort(dir.begin(), dir.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(dir.size());
-  for (const auto& [seq, addr] : dir) {
-    w.u64(seq);
-    w.u32(addr.lane);
-    w.u64(addr.vidx);
-  }
-  w.u64(live_entries_);
-  w.u64(high_water_);
-}
-
-void StageFifo::load(ByteReader& r) {
-  if (r.boolean() != ideal_) {
-    throw Error("checkpoint: StageFifo ideal-mode mismatch");
-  }
-  if (live_entries_ != 0) {
-    throw Error("checkpoint: StageFifo::load target is not empty");
-  }
-  if (ideal_) {
-    queues_.clear();
-    eligible_.clear();
-    seq_key_.clear();
-    const std::uint64_t nqueues = r.count(8);
-    for (std::uint64_t q = 0; q < nqueues; ++q) {
-      const IndexKey key = r.u64();
-      auto& queue = queues_[key];
-      const std::uint64_t nentries = r.count(8);
-      for (std::uint64_t i = 0; i < nentries; ++i) {
-        queue.push_back(load_entry(r));
-        seq_key_[queue.back().seq] = key;
-      }
-      if (queue.empty()) {
-        throw Error("checkpoint: empty ideal queue serialized");
-      }
-    }
-    const std::uint64_t neligible = r.count(16);
-    for (std::uint64_t i = 0; i < neligible; ++i) {
-      const SeqNo seq = r.u64();
-      eligible_[seq] = r.u64();
-    }
-  } else {
-    const std::uint64_t nlanes = r.count(8);
-    if (nlanes != lanes_.size()) {
-      throw Error("checkpoint: StageFifo lane count mismatch");
-    }
+    io.size_equal(lanes_.size(), "checkpoint: StageFifo lane count mismatch");
     for (auto& lane : lanes_) {
-      const std::uint64_t base = r.u64();
-      const std::uint64_t size = r.u64();
-      const std::uint64_t lane_hw = r.u64();
-      if (size > lane_hw) {
-        throw Error("checkpoint: StageFifo lane size exceeds high water");
-      }
+      std::uint64_t base = lane.base_vidx();
+      std::uint64_t size = lane.size();
+      std::uint64_t lane_hw = lane.high_water_mark();
+      io.u64(base);
+      io.u64(size);
+      io.u64(lane_hw);
+      io.check(size <= lane_hw,
+               "checkpoint: StageFifo lane size exceeds high water");
       // restore_base re-establishes the virtual-index origin, so each
       // push below reproduces the checkpointed run's vidx values exactly
       // (the directory below addresses entries by them).
-      lane.restore_base(base, static_cast<std::size_t>(lane_hw));
+      if constexpr (Io::kLoad) {
+        lane.restore_base(base, static_cast<std::size_t>(lane_hw));
+      }
       for (std::uint64_t i = 0; i < size; ++i) {
-        if (!lane.push(load_entry(r))) {
-          throw Error("checkpoint: StageFifo lane overflow on restore");
+        FifoEntry entry;
+        if constexpr (!Io::kLoad) entry = lane.at(base + i);
+        transfer_entry(io, entry);
+        if constexpr (Io::kLoad) {
+          io.check(lane.push(entry).has_value(),
+                   "checkpoint: StageFifo lane overflow on restore");
         }
       }
     }
   }
-  directory_.clear();
-  const std::uint64_t ndir = r.count(20);
-  for (std::uint64_t i = 0; i < ndir; ++i) {
-    const SeqNo seq = r.u64();
-    Address addr{};
-    addr.lane = r.u32();
-    addr.vidx = r.u64();
-    if (!ideal_) {
-      if (addr.lane >= lanes_.size() ||
-          !lanes_[addr.lane].contains(addr.vidx)) {
-        throw Error("checkpoint: FIFO directory addresses a stale entry");
-      }
-    }
-    directory_.insert_or_assign(seq, addr);
+  // directory_ iterates in table order: written sorted by seq for a
+  // byte-stable payload.
+  std::vector<std::pair<SeqNo, Address>> dir;
+  if constexpr (!Io::kLoad) {
+    dir.reserve(directory_.size());
+    directory_.for_each(
+        [&](SeqNo seq, const Address& addr) { dir.emplace_back(seq, addr); });
+    std::sort(dir.begin(), dir.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
-  live_entries_ = static_cast<std::size_t>(r.u64());
-  high_water_ = static_cast<std::size_t>(r.u64());
+  io.seq(dir, 20, [&](std::pair<SeqNo, Address>& entry) {
+    auto& [seq, addr] = entry;
+    io.u64(seq);
+    io.u32(addr.lane);
+    io.u64(addr.vidx);
+    io.check(ideal_ || (addr.lane < lanes_.size() &&
+                        lanes_[addr.lane].contains(addr.vidx)),
+             "checkpoint: FIFO directory addresses a stale entry");
+  });
+  if constexpr (Io::kLoad) {
+    directory_.clear();
+    for (const auto& [seq, addr] : dir) directory_.insert_or_assign(seq, addr);
+  }
+  io.u64(live_entries_);
+  io.u64(high_water_);
 }
+
+void StageFifo::save(ByteWriter& w) const { save_fields(w, *this); }
+
+void StageFifo::load(ByteReader& r) { load_fields(r, *this); }
+
+// The simulators list this class inside their own transfer().
+template void StageFifo::transfer(SaveIo&);
+template void StageFifo::transfer(LoadIo&);
 
 StageFifo::PopResult StageFifo::pop_lanes() {
   PopResult result;

@@ -121,6 +121,8 @@ public:
   /// Restore into a freshly constructed (empty) StageFifo of the same
   /// configuration; throws Error on any structural mismatch.
   void load(ByteReader& r);
+  /// The one field listing behind save() and load() (common/serialize.hpp).
+  template <class Io> void transfer(Io& io);
 
 private:
   using IndexKey = std::uint64_t; // (reg << 32) | index

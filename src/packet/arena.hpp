@@ -21,6 +21,7 @@
 //    errors; release() throws Error on a slot that is not live.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,70 +31,36 @@
 
 namespace mp5 {
 
-/// Checkpoint (de)serialization of one packet, every logical field
-/// included (headers, the full access plan with phantom bookkeeping, and
-/// the next_access cursor) — an in-flight packet restored from a
-/// checkpoint must continue through the pipeline bit-identically.
-inline void save_packet(ByteWriter& w, const Packet& pkt) {
-  w.u64(pkt.seq);
-  w.u64(pkt.arrival_cycle);
-  w.u32(pkt.port);
-  w.u32(pkt.size_bytes);
-  w.u64(pkt.flow);
-  w.boolean(pkt.ecn_marked);
-  w.u64(pkt.headers.size());
-  for (const Value v : pkt.headers) w.i64(v);
-  w.u64(pkt.plan.size());
-  for (const PlannedAccess& a : pkt.plan) {
-    w.u32(a.reg);
-    w.u32(a.stage);
-    w.u32(a.index);
-    w.u32(a.pipeline);
-    w.u8(static_cast<std::uint8_t>(a.guard));
-    w.u32(a.guard_known_after_stage);
-    w.i64(a.guard_slot);
-    w.boolean(a.guard_negate);
-    w.boolean(a.cancelled);
-    w.boolean(a.done);
-    w.u32(a.phantom_lane);
-    w.u64(a.phantom_owner);
-    w.boolean(a.phantom_dropped);
-    w.boolean(a.phantom_delivered);
-  }
-  w.u64(pkt.next_access);
-}
-
-inline void load_packet(ByteReader& r, Packet& pkt) {
-  pkt.seq = r.u64();
-  pkt.arrival_cycle = r.u64();
-  pkt.port = r.u32();
-  pkt.size_bytes = r.u32();
-  pkt.flow = r.u64();
-  pkt.ecn_marked = r.boolean();
-  pkt.headers.resize(r.count(8));
-  for (Value& v : pkt.headers) v = r.i64();
-  pkt.plan.resize(r.count(8));
-  for (PlannedAccess& a : pkt.plan) {
-    a.reg = r.u32();
-    a.stage = r.u32();
-    a.index = r.u32();
-    a.pipeline = r.u32();
-    const std::uint8_t guard = r.u8();
-    if (guard > static_cast<std::uint8_t>(GuardStatus::kConservative)) {
-      throw Error("checkpoint: invalid GuardStatus value");
-    }
-    a.guard = static_cast<GuardStatus>(guard);
-    a.guard_known_after_stage = r.u32();
-    a.guard_slot = static_cast<int>(r.i64());
-    a.guard_negate = r.boolean();
-    a.cancelled = r.boolean();
-    a.done = r.boolean();
-    a.phantom_lane = r.u32();
-    a.phantom_owner = static_cast<std::size_t>(r.u64());
-    a.phantom_dropped = r.boolean();
-    a.phantom_delivered = r.boolean();
-  }
-  pkt.next_access = static_cast<std::size_t>(r.u64());
+/// Checkpoint listing of one packet, every logical field included
+/// (headers, the full access plan with phantom bookkeeping, and the
+/// next_access cursor) — an in-flight packet restored from a checkpoint
+/// must continue through the pipeline bit-identically.
+template <class Io> void transfer_packet(Io& io, Packet& pkt) {
+  io.u64(pkt.seq);
+  io.u64(pkt.arrival_cycle);
+  io.u32(pkt.port);
+  io.u32(pkt.size_bytes);
+  io.u64(pkt.flow);
+  io.boolean(pkt.ecn_marked);
+  io.values(pkt.headers);
+  io.seq(pkt.plan, 8, [&](PlannedAccess& a) {
+    io.u32(a.reg);
+    io.u32(a.stage);
+    io.u32(a.index);
+    io.u32(a.pipeline);
+    io.u8_enum(a.guard, GuardStatus::kConservative,
+               "checkpoint: invalid GuardStatus value");
+    io.u32(a.guard_known_after_stage);
+    io.i64(a.guard_slot);
+    io.boolean(a.guard_negate);
+    io.boolean(a.cancelled);
+    io.boolean(a.done);
+    io.u32(a.phantom_lane);
+    io.u64(a.phantom_owner);
+    io.boolean(a.phantom_dropped);
+    io.boolean(a.phantom_delivered);
+  });
+  io.u64(pkt.next_access);
 }
 
 class PacketArena {
@@ -155,49 +122,38 @@ public:
   std::uint64_t recycled_allocs() const { return recycled_; }
   std::size_t peak_live() const { return peak_live_; }
 
-  /// Checkpoint serialization. Released slots were reset at release()
-  /// time, so only live slots carry packet content; the freelist order is
+  /// Checkpoint listing. Released slots were reset at release() time, so
+  /// only live slots carry packet content; the freelist order is
   /// preserved exactly (it determines which slot the next alloc reuses,
   /// and FIFO entries address packets by slot index).
-  void save(ByteWriter& w) const {
-    w.u64(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      w.boolean(in_use_[i]);
-      if (in_use_[i]) save_packet(w, slots_[i]);
+  template <class Io> void transfer(Io& io) {
+    std::size_t slot_count = slots_.size();
+    io.count(slot_count, 1);
+    if constexpr (Io::kLoad) {
+      slots_.assign(slot_count, Packet{});
+      in_use_.assign(slot_count, false);
     }
-    w.u64(free_.size());
-    for (const PacketRef ref : free_) w.u32(ref);
-    w.u64(peak_live_);
-    w.u64(total_allocs_);
-    w.u64(recycled_);
+    for (std::size_t i = 0; i < slot_count; ++i) {
+      io.boolean(in_use_[i]);
+      if (in_use_[i]) transfer_packet(io, slots_[i]);
+    }
+    io.seq(free_, 4, [&](PacketRef& ref) {
+      io.u32(ref);
+      io.check(ref < slots_.size() && !in_use_[ref],
+               "checkpoint: arena freelist addresses a live slot");
+    });
+    if constexpr (Io::kLoad) {
+      live_ = static_cast<std::size_t>(
+          std::count(in_use_.begin(), in_use_.end(), true));
+    }
+    io.check(free_.size() + live_ == slots_.size(),
+             "checkpoint: arena slot accounting mismatch");
+    io.u64(peak_live_);
+    io.u64(total_allocs_);
+    io.u64(recycled_);
   }
-
-  void load(ByteReader& r) {
-    const std::uint64_t slot_count = r.count(1);
-    slots_.assign(static_cast<std::size_t>(slot_count), Packet{});
-    in_use_.assign(static_cast<std::size_t>(slot_count), false);
-    live_ = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (r.boolean()) {
-        in_use_[i] = true;
-        load_packet(r, slots_[i]);
-        ++live_;
-      }
-    }
-    free_.resize(static_cast<std::size_t>(r.count(4)));
-    for (PacketRef& ref : free_) {
-      ref = r.u32();
-      if (ref >= slots_.size() || in_use_[ref]) {
-        throw Error("checkpoint: arena freelist addresses a live slot");
-      }
-    }
-    if (free_.size() + live_ != slots_.size()) {
-      throw Error("checkpoint: arena slot accounting mismatch");
-    }
-    peak_live_ = static_cast<std::size_t>(r.u64());
-    total_allocs_ = r.u64();
-    recycled_ = r.u64();
-  }
+  void save(ByteWriter& w) const { save_fields(w, *this); }
+  void load(ByteReader& r) { load_fields(r, *this); }
 
 private:
   std::vector<Packet> slots_;

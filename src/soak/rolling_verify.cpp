@@ -157,72 +157,42 @@ EquivalenceReport RollingVerifier::finish(
   return core_.report();
 }
 
-void RollingVerifier::save(ByteWriter& w) const {
-  w.u64(next_seq_);
-  w.u64(verified_);
-  w.boolean(truncated_);
-  w.u64(window_peak_);
-  w.u64(window_.size());
-  for (const Pending& p : window_) {
-    w.boolean(p.resolved);
-    w.boolean(p.egressed);
-    w.boolean(p.state_touched);
-    w.u64(p.headers.size());
-    for (const Value v : p.headers) w.i64(v);
-  }
-  const EquivalenceReport& rep = core_.report();
-  w.boolean(rep.registers_equal);
-  w.boolean(rep.packets_equal);
-  w.u64(rep.register_mismatches);
-  w.u64(rep.packet_mismatches);
-  w.str(rep.first_difference);
-  const auto& regs = ref_.registers();
-  w.u64(regs.size());
-  for (const auto& reg : regs) {
-    w.u64(reg.size());
-    for (const Value v : reg) w.i64(v);
+template <class Io> void RollingVerifier::transfer(Io& io) {
+  io.check(next_seq_ == 0 && verified_ == 0 && window_.empty(),
+           "RollingVerifier::load requires a freshly constructed verifier");
+  io.u64(next_seq_);
+  io.u64(verified_);
+  io.boolean(truncated_);
+  io.u64(window_peak_);
+  io.seq(window_, 11, [&](Pending& p) {
+    io.boolean(p.resolved);
+    io.boolean(p.egressed);
+    io.boolean(p.state_touched);
+    io.values(p.headers);
+  });
+  EquivalenceReport& rep = core_.report();
+  io.boolean(rep.registers_equal);
+  io.boolean(rep.packets_equal);
+  io.u64(rep.register_mismatches);
+  io.u64(rep.packet_mismatches);
+  io.str(rep.first_difference);
+  std::vector<std::vector<Value>> regs;
+  if constexpr (!Io::kLoad) regs = ref_.registers();
+  io.seq(regs, 8, [&](std::vector<Value>& reg) { io.values(reg); });
+  if constexpr (Io::kLoad) {
+    ref_.restore_registers(std::move(regs));
+    // Every resolved seq consumed exactly one reference item (egressed and
+    // skipped-drop fates alike), so the input resumes at the resolution
+    // seq.
+    input_->skip_to(next_seq_);
+    io.check(input_->consumed() == next_seq_,
+             "RollingVerifier::load: reference input too short for the "
+             "saved verification position");
   }
 }
 
-void RollingVerifier::load(ByteReader& r) {
-  if (next_seq_ != 0 || verified_ != 0 || !window_.empty()) {
-    throw Error(
-        "RollingVerifier::load requires a freshly constructed verifier");
-  }
-  next_seq_ = r.u64();
-  verified_ = r.u64();
-  truncated_ = r.boolean();
-  window_peak_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t nwin = r.count(11);
-  for (std::uint64_t i = 0; i < nwin; ++i) {
-    Pending p;
-    p.resolved = r.boolean();
-    p.egressed = r.boolean();
-    p.state_touched = r.boolean();
-    p.headers.resize(static_cast<std::size_t>(r.count(8)));
-    for (Value& v : p.headers) v = r.i64();
-    window_.push_back(std::move(p));
-  }
-  EquivalenceReport& rep = core_.report();
-  rep.registers_equal = r.boolean();
-  rep.packets_equal = r.boolean();
-  rep.register_mismatches = r.u64();
-  rep.packet_mismatches = r.u64();
-  rep.first_difference = r.str();
-  std::vector<std::vector<Value>> regs;
-  regs.resize(static_cast<std::size_t>(r.count(8)));
-  for (auto& reg : regs) {
-    reg.resize(static_cast<std::size_t>(r.count(8)));
-    for (Value& v : reg) v = r.i64();
-  }
-  ref_.restore_registers(std::move(regs));
-  // Every resolved seq consumed exactly one reference item (egressed and
-  // skipped-drop fates alike), so the input resumes at the resolution seq.
-  input_->skip_to(next_seq_);
-  if (input_->consumed() != next_seq_) {
-    throw Error("RollingVerifier::load: reference input too short for the "
-                "saved verification position");
-  }
-}
+void RollingVerifier::save(ByteWriter& w) const { save_fields(w, *this); }
+
+void RollingVerifier::load(ByteReader& r) { load_fields(r, *this); }
 
 } // namespace mp5::soak

@@ -85,6 +85,8 @@ public:
   /// reference input; it repositions the input to the saved seq.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
+  /// The one field listing behind save() and load() (common/serialize.hpp).
+  template <class Io> void transfer(Io& io);
 
 private:
   struct Pending {
