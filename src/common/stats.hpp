@@ -68,6 +68,15 @@ public:
   const std::vector<std::uint64_t>& buckets() const noexcept { return counts_; }
   double bucket_width() const noexcept { return width_; }
 
+  /// Checkpoint listing (common/serialize.hpp): the bucket counts, whose
+  /// number the constructor fixed, then the sample total.
+  template <class Io> void transfer(Io& io) {
+    io.size_equal(counts_.size(),
+                  "checkpoint: histogram bucket count mismatch");
+    for (std::uint64_t& c : counts_) io.u64(c);
+    io.u64(total_);
+  }
+
 private:
   [[noreturn]] static void throw_nan();
 

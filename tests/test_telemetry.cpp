@@ -329,9 +329,10 @@ TEST(TelemetrySim, CountersMatchSimResult) {
 }
 
 TEST(TelemetrySim, ResumedRunCountersCoverTheWholeRun) {
-  // A run resumed from a checkpoint reports counters for the whole run,
-  // even when the checkpointing run had no telemetry attached: the
-  // checkpoint carries every count, not the registry.
+  // A run resumed from a checkpoint reports counters, gauges and
+  // histograms for the whole run, even when the checkpointing run had no
+  // telemetry attached: the checkpoint carries every count and histogram,
+  // not the registry.
   const auto prog = synthetic_program();
   for (const double load : {1.0, 0.05}) {
     SCOPED_TRACE(load);
@@ -370,6 +371,21 @@ TEST(TelemetrySim, ResumedRunCountersCoverTheWholeRun) {
       VectorTraceSource source(trace);
       (void)sim.resume(source, blobs[i]);
       EXPECT_EQ(resumed.counter_snapshot(), whole.counter_snapshot());
+      // Gauges and histograms cover the whole run too: the checkpoint
+      // carries both histograms.
+      ASSERT_EQ(resumed.gauges().size(), whole.gauges().size());
+      for (const auto& [name, gauge] : whole.gauges()) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(resumed.gauges().count(name), 1u);
+        EXPECT_EQ(resumed.gauges().at(name).value(), gauge.value());
+      }
+      ASSERT_EQ(resumed.histograms().size(), whole.histograms().size());
+      for (const auto& [name, hist] : whole.histograms()) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(resumed.histograms().count(name), 1u);
+        EXPECT_EQ(resumed.histograms().at(name).buckets(), hist.buckets());
+        EXPECT_EQ(resumed.histograms().at(name).total(), hist.total());
+      }
     }
   }
 }
