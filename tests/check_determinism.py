@@ -6,8 +6,10 @@ Usage: check_determinism.py MP5SIM MP5FABRIC MP5NATIVE WORKDIR
 
 Runs each case twice, compares the stripped documents with json.load
 (key order is not part of the contract), and also requires the native
-backend's digest to be the same at one and two cores. Exits 1 on the
-first difference.
+backend's digest to be the same at one and two cores. Two more cases
+resume mp5sim from a mid-run checkpoint (the MP5 design with telemetry,
+and the relaxed design) and require the resumed run's document to equal
+the uninterrupted run's. Exits 1 on the first difference.
 """
 import json
 import os
@@ -24,6 +26,23 @@ def document(command, path):
         doc = json.load(f)
     for key in NON_DETERMINISTIC:
         del doc[key]
+    return doc
+
+
+def resumed_document(command, workdir, label):
+    """The document of `command` resumed from the last checkpoint a
+    checkpointing run of it wrote. The telemetry event ring records only
+    the resumed segment (the checkpoint carries every count and histogram
+    the telemetry export reads, not the ring), so its summary is
+    removed."""
+    ckpt = os.path.join(workdir, f"{label}.ckpt")
+    subprocess.run(command + ["--checkpoint-interval", "400",
+                              "--checkpoint-out", ckpt],
+                   check=True, stdout=subprocess.DEVNULL)
+    doc = document(command + ["--restore", ckpt],
+                   os.path.join(workdir, f"{label}-resumed.json"))
+    if doc.get("telemetry") is not None:
+        del doc["telemetry"]["events"]
     return doc
 
 
@@ -60,6 +79,16 @@ def main(argv):
         print(f"FAIL mp5native: digest {one} at one core, {two} at two",
               file=sys.stderr)
         return 1
+    for label, tag in (("mp5sim mp5", "resume-mp5"),
+                       ("mp5sim relaxed", "resume-relaxed")):
+        whole = docs[label]
+        if whole.get("telemetry") is not None:
+            del whole["telemetry"]["events"]
+        if resumed_document(cases[label], workdir, tag) != whole:
+            print(f"FAIL {label}: the run resumed from a checkpoint wrote a "
+                  f"different document ({tag}-resumed.json)", file=sys.stderr)
+            return 1
+        print(f"ok   {label}: resumed run matches")
     return 0
 
 
