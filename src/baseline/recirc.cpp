@@ -81,24 +81,7 @@ void RecircSimulator::admit(const TraceItem& item, Cycle now) {
   pkt.flow = item.flow;
   load_headers(item, prog_->pvsm, pkt.headers);
   ir::exec_pure(prog_->resolver, pkt.headers);
-  for (const auto& desc : prog_->accesses) {
-    const std::optional<RegIndex> index =
-        resolve_at_arrival(desc, pkt.headers, prog_->pvsm.registers);
-    if (!index) continue;
-    PlannedAccess acc;
-    acc.reg = desc.reg;
-    acc.stage = desc.stage;
-    acc.index = *index;
-    acc.pipeline = state_->pipeline_of(desc.reg, acc.index);
-    if (desc.guard != ir::kNoSlot && !desc.guard_resolvable) {
-      acc.guard = GuardStatus::kConservative;
-      acc.guard_known_after_stage = desc.guard_known_after_stage;
-      acc.guard_slot = desc.guard;
-      acc.guard_negate = desc.guard_negate;
-    }
-    state_->note_resolved(desc.reg, acc.index);
-    pkt.plan.push_back(acc);
-  }
+  plan_accesses(*prog_, pkt.headers, *state_, pkt.plan);
 
   // Static port-to-pipeline mapping (§2.3): contiguous port blocks.
   const PipelineId pipe = std::min(

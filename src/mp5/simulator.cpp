@@ -772,24 +772,7 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   // 1/k of the traffic.
   const PipelineId admit_lane =
       opts_.naive_single_pipeline ? 0 : spray_lane(pkt.seq);
-  for (const auto& desc : prog_->accesses) {
-    const std::optional<RegIndex> index =
-        resolve_at_arrival(desc, pkt.headers, prog_->pvsm.registers);
-    if (!index) continue; // branch not taken
-    PlannedAccess acc;
-    acc.reg = desc.reg;
-    acc.stage = desc.stage;
-    acc.index = *index;
-    acc.pipeline = state_->pipeline_of(desc.reg, acc.index);
-    if (desc.guard != ir::kNoSlot && !desc.guard_resolvable) {
-      acc.guard = GuardStatus::kConservative;
-      acc.guard_known_after_stage = desc.guard_known_after_stage;
-      acc.guard_slot = desc.guard;
-      acc.guard_negate = desc.guard_negate;
-    }
-    state_->note_resolved(desc.reg, acc.index);
-    pkt.plan.push_back(acc);
-  }
+  plan_accesses(*prog_, pkt.headers, *state_, pkt.plan);
 
   // Phantom generation (D4): one phantom per (stage, pipeline) group — a
   // packet that must access two co-located arrays in one stage holds a

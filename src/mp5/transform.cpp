@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "mp5/shard_map.hpp"
 
 namespace mp5 {
 namespace {
@@ -283,6 +284,28 @@ std::size_t Mp5Program::pinned_registers() const {
 
 Mp5Program transform(const ir::Pvsm& pvsm, const TransformOptions& options) {
   return Transformer(pvsm, options).run();
+}
+
+void plan_accesses(const Mp5Program& program, const std::vector<Value>& headers,
+                   ShardedState& state, std::vector<PlannedAccess>& plan) {
+  for (const auto& desc : program.accesses) {
+    const std::optional<RegIndex> index =
+        resolve_at_arrival(desc, headers, program.pvsm.registers);
+    if (!index) continue; // branch not taken
+    PlannedAccess acc;
+    acc.reg = desc.reg;
+    acc.stage = desc.stage;
+    acc.index = *index;
+    acc.pipeline = state.pipeline_of(desc.reg, acc.index);
+    if (desc.guard != ir::kNoSlot && !desc.guard_resolvable) {
+      acc.guard = GuardStatus::kConservative;
+      acc.guard_known_after_stage = desc.guard_known_after_stage;
+      acc.guard_slot = desc.guard;
+      acc.guard_negate = desc.guard_negate;
+    }
+    state.note_resolved(desc.reg, acc.index);
+    plan.push_back(acc);
+  }
 }
 
 } // namespace mp5

@@ -102,4 +102,14 @@ struct Mp5Program {
 
 Mp5Program transform(const ir::Pvsm& pvsm, const TransformOptions& options = {});
 
+class ShardedState;
+
+/// Append a packet's access plan to `plan`: each access of `program` whose
+/// branch is taken, at the index it resolves to and the pipeline `state`
+/// maps that index to, with a guard that resolves only in-pipeline marked
+/// conservative. Every planned access is counted in `state`'s remap window
+/// (note_resolved). Shared by the MP5 and recirculation simulators.
+void plan_accesses(const Mp5Program& program, const std::vector<Value>& headers,
+                   ShardedState& state, std::vector<PlannedAccess>& plan);
+
 } // namespace mp5
