@@ -7,10 +7,10 @@
 // SimResult as an uninterrupted run — --self-test proves exactly that by
 // SIGKILLing a child mid-run.
 //
-// Usage:
-//   mp5soak --packets 100000000 --checkpoint-interval 200000 \
+// Usage (each example is one command line, wrapped here):
+//   mp5soak --packets 100000000 --checkpoint-interval 200000
 //           --checkpoint-out soak.ckpt --rss-limit-kib 524288
-//   mp5soak --resume --packets 100000000 --checkpoint-interval 200000 \
+//   mp5soak --resume --packets 100000000 --checkpoint-interval 200000
 //           --checkpoint-out soak.ckpt
 //   mp5soak --self-test --packets 2000000
 //
