@@ -94,7 +94,8 @@ public:
   }
 
   void advance() override {
-    fab_->switches_[sw_].inflight.emplace(consumed_, pending_[head_].pkt);
+    fab_->switches_[sw_].inflight.insert_or_assign(consumed_,
+                                                   pending_[head_].pkt);
     ++head_;
     ++consumed_;
     if (head_ == pending_.size()) {
@@ -421,23 +422,23 @@ std::optional<std::uint32_t> FabricSimulator::choose_spine(
 
 void FabricSimulator::on_egress(SwitchId sw, EgressRecord&& rec) {
   SwitchCtx& ctx = switches_[sw];
-  const auto it = ctx.inflight.find(rec.seq);
-  if (it == ctx.inflight.end()) {
+  const std::uint32_t* tracked = ctx.inflight.find(rec.seq);
+  if (tracked == nullptr) {
     throw InvariantError("fabric-egress-tracked", rec.egress_cycle,
                          topo_.switch_name(sw) + " egressed unknown seq " +
                              std::to_string(rec.seq));
   }
-  const std::uint32_t pkt = it->second;
-  ctx.inflight.erase(it);
+  const std::uint32_t pkt = *tracked;
+  ctx.inflight.erase(rec.seq);
   route(sw, pkt, rec.headers, rec.egress_cycle);
 }
 
 void FabricSimulator::on_switch_drop(SwitchId sw, SeqNo seq) {
   SwitchCtx& ctx = switches_[sw];
-  const auto it = ctx.inflight.find(seq);
-  if (it == ctx.inflight.end()) return;
-  const std::uint32_t pkt = it->second;
-  ctx.inflight.erase(it);
+  const std::uint32_t* tracked = ctx.inflight.find(seq);
+  if (tracked == nullptr) return;
+  const std::uint32_t pkt = *tracked;
+  ctx.inflight.erase(seq);
   drop(pkt, result_.dropped_in_switch, 0);
 }
 
@@ -542,9 +543,9 @@ void FabricSimulator::kill_switch(SwitchId sw, Cycle now) {
   sr.killed = true;
   sr.killed_at = now;
   sr.sim = ctx.sim->finish(now);
-  for (const auto& [seq, pkt] : ctx.inflight) {
+  ctx.inflight.for_each([&](SeqNo, std::uint32_t pkt) {
     drop(pkt, result_.dropped_switch_killed, now);
-  }
+  });
   ctx.inflight.clear();
   for (const std::uint32_t pkt : ctx.source->drain_pending()) {
     drop(pkt, result_.dropped_switch_killed, now);
@@ -691,9 +692,9 @@ void FabricSimulator::finalize(Cycle end, bool truncated) {
       // A completed run has no in-flight packets, so whatever a live
       // switch still maps was silently lost inside it (bounded-FIFO data
       // drops, starvation-guard drops).
-      for (const auto& [seq, pkt] : ctx.inflight) {
+      ctx.inflight.for_each([&](SeqNo, std::uint32_t pkt) {
         drop(pkt, r.dropped_in_switch, end);
-      }
+      });
       ctx.inflight.clear();
       for (const std::uint32_t pkt : ctx.source->drain_pending()) {
         drop(pkt, r.dropped_in_switch, end);

@@ -41,10 +41,10 @@
 #include <optional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
+#include "common/seq_map.hpp"
 #include "common/stats.hpp"
 #include "fabric/topology.hpp"
 #include "fabric/wcmp.hpp"
@@ -300,8 +300,9 @@ private:
     std::unique_ptr<SwitchSource> source;
     /// Sub-simulator seq -> fabric packet id, for every packet currently
     /// inside the switch. Seq numbers are assigned in admission order, so
-    /// the id is simply the source's consumed() count at admission.
-    std::unordered_map<SeqNo, std::uint32_t> inflight;
+    /// the id is simply the source's consumed() count at admission. Flat
+    /// (common/seq_map.hpp): the per-packet churn allocates nothing.
+    SeqMap<std::uint32_t> inflight;
     /// Cleared by kill_switch, which also finishes the switch into its
     /// result_.switches entry; finalize() finishes the live ones.
     bool alive = true;

@@ -434,6 +434,15 @@ Cycle Mp5Simulator::restore_state(ByteReader& r,
 }
 
 void Mp5Simulator::do_checkpoint(Cycle now) {
+  // The payload carries blocked_cycles as a walk that counted every
+  // blocked cycle would have it: each open span is counted up to `now`
+  // and restarts there, its cell still asleep. The restoring simulator
+  // wakes every occupied cell instead (rebuild_activity).
+  for (std::size_t c = 0; c < blocked_since_.size(); ++c) {
+    if (blocked_since_[c] == kAwake) continue;
+    close_blocked_span(c, now);
+    blocked_since_[c] = now;
+  }
   opts_.checkpoint_sink(
       now, frame_checkpoint(config_fingerprint(*prog_, opts_), now,
                             serialize_state(now)));
@@ -455,6 +464,15 @@ SimResult Mp5Simulator::resume(TraceSource& source,
         checkpoint_blob, config_fingerprint(*prog_, opts_),
         opts_.checkpoint_interval, next_checkpoint_,
         [&](ByteReader& r) { return restore_state(r, consumed); });
+    // The listings check framing; the invariant walk decides whether the
+    // restored state is one the simulator could have reached. It runs
+    // once here whatever paranoid_checks says.
+    try {
+      check_invariants(now);
+    } catch (const InvariantError& e) {
+      throw Error(std::string("checkpoint: restored state is invalid: ") +
+                  e.what());
+    }
   } catch (...) {
     source_ = nullptr;
     throw;

@@ -87,6 +87,7 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
 
   lane_words_ = (k_ + 63) / 64;
   active_.assign(static_cast<std::size_t>(num_stages_) * lane_words_, 0);
+  blocked_since_.assign(cells, kAwake);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,8 +239,9 @@ void Mp5Simulator::step_cycle(Cycle now) {
   //    failure time).
   //
   //    A stalled cell counts one stalled cycle per cycle even when it is
-  //    empty. Visited cells count it in step_cell; the unvisited
-  //    (bit-clear) ones are counted here, before the walk mutates any bit.
+  //    empty. Visited cells count it in step_cell; the unvisited empty
+  //    ones are counted here, before the walk mutates any bit, and the
+  //    sleeping ones are woken.
   if (fault_sched_.has_stalls()) {
     const auto& stalls = fault_sched_.stalls();
     std::uint64_t skipped = 0;
@@ -249,6 +251,12 @@ void Mp5Simulator::step_cycle(Cycle now) {
       if (s.pipeline >= k_ || s.stage >= num_stages_) continue;
       if (!lane_alive_[s.pipeline]) continue;
       if (cell_active(s.pipeline, s.stage)) continue; // the walk counts it
+      if (blocked_since_[cell(s.pipeline, s.stage)] != kAwake) {
+        // Asleep on a phantom head: wake it, so its span closes before
+        // the stall and the walk counts the stalled cycle.
+        mark_active(s.pipeline, s.stage);
+        continue;
+      }
       // One stalled cycle per *cell* per cycle, however many windows
       // cover it.
       bool counted = false;
@@ -261,8 +269,9 @@ void Mp5Simulator::step_cycle(Cycle now) {
     }
     result_.stalled_cycles += skipped;
   }
-  //    A visited cell's bit is cleared once the cell is empty again. Bits
-  //    the walk sets itself (a processed packet advancing into stage
+  //    A visited cell's bit is cleared once the cell is empty again, or
+  //    by step_cell when it goes to sleep on a phantom head. Bits the walk
+  //    sets itself (a processed packet advancing into stage
   //    st + 1) always land in rows already behind the cursor, exactly like
   //    arrivals landing in already-processed downstream cells.
   for (StageId st = num_stages_; st-- > 0;) {
@@ -294,6 +303,9 @@ void Mp5Simulator::step_cycle(Cycle now) {
 
 SimResult Mp5Simulator::finalize(Cycle now) {
   source_ = nullptr;
+  for (std::size_t c = 0; c < blocked_since_.size(); ++c) {
+    if (blocked_since_[c] != kAwake) close_blocked_span(c, now);
+  }
   result_.cycles_run = now;
   result_.final_registers = state_->regs().storage();
   result_.c1_violating_packets = c1_.violating_packets();
@@ -412,6 +424,7 @@ bool Mp5Simulator::activity_all_clear() const {
 
 void Mp5Simulator::rebuild_activity() {
   std::fill(active_.begin(), active_.end(), 0);
+  std::fill(blocked_since_.begin(), blocked_since_.end(), kAwake);
   for (PipelineId p = 0; p < k_; ++p) {
     for (StageId st = 0; st < num_stages_; ++st) {
       const std::size_t c = cell(p, st);
@@ -420,6 +433,16 @@ void Mp5Simulator::rebuild_activity() {
       }
     }
   }
+}
+
+void Mp5Simulator::close_blocked_span(std::size_t c, Cycle now) {
+  const Cycle span = now - blocked_since_[c];
+  blocked_since_[c] = kAwake;
+  if (span == 0) return; // restarted by a checkpoint this very cycle
+  result_.blocked_cycles += span;
+  emit(TimelineEvent::Kind::kBlocked, now,
+       static_cast<PipelineId>(c / num_stages_),
+       static_cast<StageId>(c % num_stages_), kInvalidSeqNo, span);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,18 +514,19 @@ void Mp5Simulator::deliver_due_phantoms(Cycle now) {
               return a.seq < b.seq;
             });
   for (const auto& pending : due_scratch_) {
-    auto& fifo = fifo_at(pending.pipeline, pending.stage);
-    if (!push_counted(fifo, pending.seq, pending.reg, pending.index,
-                      pending.lane, now)) {
+    if (!push_counted(pending.pipeline, pending.stage, pending.seq,
+                      pending.reg, pending.index, pending.lane, now)) {
       ++result_.dropped_phantom;
       continue; // the data packet will miss its placeholder and be dropped
     }
-    mark_active(pending.pipeline, pending.stage);
     emit(TimelineEvent::Kind::kPhantomPush, now, pending.pipeline,
          pending.stage, pending.seq);
     if (pending.cancelled) {
-      // Cancelled while in flight: arrives as a zombie (one wasted pop).
+      // Cancelled while in flight: arrives as a zombie (one wasted pop),
+      // which may be the head.
+      auto& fifo = fifo_at(pending.pipeline, pending.stage);
       if (fifo.cancel(pending.seq)) ++counts_.fifo_cancel;
+      mark_active(pending.pipeline, pending.stage);
       emit(TimelineEvent::Kind::kCancel, now, pending.pipeline,
            pending.stage, pending.seq);
     }
@@ -543,6 +567,7 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
     }
     arrival_count_[c] = 0;
     for (const PacketRef ref : fifos_[c].drain_all()) doomed.push_back(ref);
+    if (blocked_since_[c] != kAwake) close_blocked_span(c, now);
     clear_active(p, st);
   }
 
@@ -632,6 +657,28 @@ PipelineId Mp5Simulator::spray_lane(SeqNo seq) const {
 }
 
 void Mp5Simulator::check_invariants(Cycle now) const {
+  // Every live packet's plan addresses the program and the switch (the
+  // checks below index by these coordinates): a restored checkpoint is
+  // checked here before its first cycle.
+  const auto& registers = prog_->pvsm.registers;
+  for (PacketRef ref = 0; ref < arena_.slot_count(); ++ref) {
+    if (!arena_.live(ref)) continue;
+    const Packet& pkt = arena_.get(ref);
+    for (const PlannedAccess& a : pkt.plan) {
+      if (a.reg < registers.size() && a.pipeline < k_ &&
+          a.stage < num_stages_ && a.phantom_lane < k_ &&
+          a.phantom_owner < pkt.plan.size() &&
+          (a.index == kUnresolvedIndex || a.index < registers[a.reg].size)) {
+        continue;
+      }
+      throw InvariantError(
+          "planned-access", now,
+          "packet seq " + std::to_string(pkt.seq) + " plans reg " +
+              std::to_string(a.reg) + " index " + std::to_string(a.index) +
+              " at (" + std::to_string(a.pipeline) + ", " +
+              std::to_string(a.stage) + ") outside the program or switch");
+    }
+  }
   // Per-lane seq ordering (Invariant 1) is a property of the phantom
   // mechanism: the no-D4 ablation queues data packets in stage-arrival
   // order, and injected phantom delays legitimately reorder a lane. Every
@@ -657,15 +704,18 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                                  std::to_string(st));
       }
       in_containers += arrival_count_[c];
+      const bool asleep = blocked_since_[c] != kAwake;
       if (!cell_active(p, st) &&
-          (fifo.size() != 0 || arrival_count_[c] != 0)) {
-        // A clear activity bit must prove the cell empty — a stale clear
-        // would make the walk silently skip real work.
+          (arrival_count_[c] != 0 ||
+           (asleep ? !fifo.head_blocked() : fifo.size() != 0))) {
+        // A clear activity bit must prove the cell a no-op: no arrival,
+        // and empty or asleep on a phantom head. A stale clear would make
+        // the walk silently skip real work.
         throw InvariantError("event-activity", now,
                              "cell (" + std::to_string(p) + ", " +
                                  std::to_string(st) +
-                                 ") holds entries but its activity bit is "
-                                 "clear");
+                                 ") can make progress but its activity bit "
+                                 "is clear");
       }
       fifo.check_invariants(now, check_order);
       fifo.for_each_entry([&](const FifoEntry& entry) {
@@ -824,12 +874,11 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
             ++counts_.phantom_sent;
           }
         } else {
-          if (!push_counted(fifo_at(acc.pipeline, acc.stage), pkt.seq,
-                            acc.reg, acc.index, lane_pred, now)) {
+          if (!push_counted(acc.pipeline, acc.stage, pkt.seq, acc.reg,
+                            acc.index, lane_pred, now)) {
             acc.phantom_dropped = true;
             ++result_.dropped_phantom;
           } else {
-            mark_active(acc.pipeline, acc.stage);
             ++counts_.phantom_sent;
             emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
                  acc.stage, pkt.seq);
@@ -849,18 +898,30 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
   ingress_[admit_lane].push_back(ref);
 }
 
-bool Mp5Simulator::push_counted(StageFifo& fifo, SeqNo seq, RegId reg,
-                                RegIndex index, PipelineId lane, Cycle now) {
+bool Mp5Simulator::push_counted(PipelineId p, StageId st, SeqNo seq,
+                                RegId reg, RegIndex index, PipelineId lane,
+                                Cycle now) {
+  const std::size_t c = cell(p, st);
+  StageFifo& fifo = fifos_[c];
   if (!fifo.push_phantom(seq, reg, index, lane, now)) {
     ++counts_.fifo_push_dropped;
     return false;
   }
   ++counts_.fifo_push;
   depth_on_push_.add(static_cast<double>(fifo.size()));
+  // A phantom lands behind the FIFO head or becomes it, so it never lets
+  // a cell make progress: a sleeping cell sleeps on, and an empty one
+  // falls asleep on it at once (pushes outside a cell's own visit come
+  // before the stage walk, whose visit would find it blocked).
+  if (!cell_active(p, st) && blocked_since_[c] == kAwake) {
+    blocked_since_[c] = now;
+  }
   return true;
 }
 
 void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
+  const std::size_t c = cell(p, st);
+  if (blocked_since_[c] != kAwake) close_blocked_span(c, now);
   // Injected transient stall: the cell has no processing slot this cycle.
   // FIFO inserts still happen (they are memory operations, not processing)
   // but nothing is served — a stateless arrival must be dropped, since
@@ -869,9 +930,9 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       fault_sched_.has_stalls() && fault_sched_.stalled(p, st, now);
   if (stalled) ++result_.stalled_cycles;
 
-  StageFifo& fifo = fifos_[cell(p, st)];
-  const std::size_t base = cell(p, st) * k_;
-  const std::uint32_t n = arrival_count_[cell(p, st)];
+  StageFifo& fifo = fifos_[c];
+  const std::size_t base = c * k_;
+  const std::uint32_t n = arrival_count_[c];
 
   PacketRef passthrough = kNullPacketRef;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -889,7 +950,8 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       if (!opts_.phantoms) {
         // no-D4 ablation: queue the data packet directly at the stage.
         const SeqNo seq = pkt.seq;
-        if (!push_counted(fifo, seq, acc->reg, acc->index, from_lane, now)) {
+        if (!push_counted(p, st, seq, acc->reg, acc->index, from_lane,
+                          now)) {
           drop_packet(ref, DropCause::kData, now);
         } else {
           // Convert the just-pushed placeholder into the data packet.
@@ -942,7 +1004,7 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
       passthrough = ref;
     }
   }
-  arrival_count_[cell(p, st)] = 0;
+  arrival_count_[c] = 0;
 
   if (passthrough != kNullPacketRef) {
     const SeqNo pt_seq = arena_.get(passthrough).seq;
@@ -981,8 +1043,10 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
     case StageFifo::PopResult::Kind::kIdle:
       return;
     case StageFifo::PopResult::Kind::kBlocked:
-      ++result_.blocked_cycles;
-      emit(TimelineEvent::Kind::kBlocked, now, p, st, kInvalidSeqNo);
+      // Sleep until an event can change the head (see the activity
+      // bitmap in simulator.hpp); the span is counted when it closes.
+      blocked_since_[c] = now;
+      clear_active(p, st);
       return;
     case StageFifo::PopResult::Kind::kWasted:
       ++result_.wasted_cycles;
@@ -1094,6 +1158,8 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
        pkt.seq);
   if (fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq)) {
     ++counts_.fifo_cancel;
+    // The cancelled phantom may be the head its cell sleeps on.
+    mark_active(owner_acc.pipeline, owner_acc.stage);
   }
 }
 
@@ -1194,7 +1260,10 @@ void Mp5Simulator::egress_packet(PacketRef ref, Cycle now) {
     if (opts_.egress_sink) {
       // Streaming soak: the record goes to the sink (rolling verification)
       // instead of accumulating in the result — flat RSS for any length.
+      // A sink that only reads the headers leaves them in the record: the
+      // row goes back to the arena slot, so the next admission reuses it.
       opts_.egress_sink(std::move(rec));
+      pkt.headers = std::move(rec.headers);
     } else {
       result_.egress.push_back(std::move(rec));
     }

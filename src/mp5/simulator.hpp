@@ -33,8 +33,10 @@
 //   * The realistic phantom channel is a slot pool plus a lazy-deletion
 //     min-heap instead of a multimap.
 //   * The stage walk is event-driven: an activity bitmap marks the cells
-//     that might hold work, and only those are visited. When the switch
-//     is completely drained, the clock jumps straight to the next event
+//     that might make progress, and only those are visited. A cell whose
+//     FIFO head is a phantom sleeps until something can change that head,
+//     and its blocked cycles are counted per span. When the switch is
+//     completely drained, the clock jumps straight to the next event
 //     (trace arrival, phantom delivery, observable remap boundary, fault
 //     boundary), also under fault plans (see DESIGN.md "Event-driven
 //     engine").
@@ -185,10 +187,11 @@ private:
                     PipelineId from_lane);
 
   void admit(const TraceItem& item, Cycle now);
-  /// StageFifo::push_phantom plus its counts: fifo.push or
-  /// fifo.push_dropped, and the depth-on-push histogram.
-  bool push_counted(StageFifo& fifo, SeqNo seq, RegId reg, RegIndex index,
-                    PipelineId lane, Cycle now);
+  /// StageFifo::push_phantom into cell (p, st) plus its counts: fifo.push
+  /// or fifo.push_dropped, and the depth-on-push histogram. An empty cell
+  /// goes to sleep on the pushed phantom.
+  bool push_counted(PipelineId p, StageId st, SeqNo seq, RegId reg,
+                    RegIndex index, PipelineId lane, Cycle now);
   void deliver_due_phantoms(Cycle now);
   void step_cell(PipelineId p, StageId st, Cycle now);
   void process_packet(PacketRef ref, PipelineId p, StageId st, bool from_fifo,
@@ -248,11 +251,26 @@ private:
   // -- activity bitmap --
   //
   // One activity bit per (stage, lane) cell, set whenever the cell might
-  // hold work (a FIFO entry or a pending arrival slot). Bits are set
-  // conservatively and cleared only at a visit that finds the cell empty
-  // (or when a whole lane is drained at failure), so a clear bit *proves*
-  // the cell is a no-op this cycle. Stale *set* bits are harmless: the
-  // next stepped cycle visits the cell, finds it empty, and clears them.
+  // make progress. A visit clears it when it finds the cell empty, or
+  // blocked: its FIFO head is a phantom, so the cell sleeps (its wait
+  // start is recorded in blocked_since_) until one of these sets the bit
+  // again:
+  //   * an arrival (push_arrival), which may be the head's data packet;
+  //   * a cancel in the cell's FIFO (cancel_entry, or a phantom that was
+  //     cancelled on the channel and arrives as a zombie);
+  //   * a stall window covering the cell (the walk counts stalled cells).
+  // A phantom push sets no bit: the phantom lands behind the head or
+  // becomes it, so it cannot unblock a cell, and an empty cell falls
+  // asleep on it at once (push_counted). A failing lane is drained with
+  // its bits cleared. So a clear bit
+  // *proves* the cell is a no-op this cycle: it has no arrival and is
+  // empty or asleep on a phantom head. Stale *set* bits are harmless: the
+  // next stepped cycle visits the cell and clears them.
+  //
+  // A sleeping cell's blocked cycles are counted as one span, [wait
+  // start, the cycle it closes), when its next visit closes it, or when a
+  // lane failure, a checkpoint or the end of the run does; each closed
+  // span is one kBlocked timeline event.
 
   std::uint64_t& active_word(PipelineId p, StageId st) {
     return active_[static_cast<std::size_t>(st) * lane_words_ + (p >> 6)];
@@ -269,12 +287,18 @@ private:
   }
   /// Every activity bit clear: with live_packets_ == 0 this proves that no
   /// packet or zombie phantom is anywhere in the switch (bits are never
-  /// stale-cleared) — the precondition for jumping the clock.
+  /// stale-cleared, and a queued phantom a cell sleeps on belongs to a
+  /// live packet) — the precondition for jumping the clock.
   bool activity_all_clear() const;
   /// Rebuild every bit from the restored FIFO/arrival-slot occupancy
   /// (checkpoint restore) — the bitmap itself is derived state and is
-  /// never serialized.
+  /// never serialized. No cell sleeps after it: the first visit of a
+  /// blocked cell puts it back to sleep, from that cycle on.
   void rebuild_activity();
+  /// Count cell `c`'s open blocked span up to `now` into blocked_cycles,
+  /// emit it as one kBlocked event (arg = its length) and mark the cell
+  /// awake.
+  void close_blocked_span(std::size_t c, Cycle now);
 
   // -- realistic phantom channel (slot pool + lazy-deletion min-heap) --
 
@@ -368,6 +392,9 @@ private:
   std::uint32_t lane_words_ = 1; // ceil(k_ / 64)
   /// [stage * lane_words_ + (lane >> 6)], bit (lane & 63).
   std::vector<std::uint64_t> active_;
+  static constexpr Cycle kAwake = ~Cycle{0};
+  /// Per cell: the cycle its open blocked span started, or kAwake.
+  std::vector<Cycle> blocked_since_;
 
   // -- fault state --
   FaultSchedule fault_sched_;

@@ -152,6 +152,17 @@ StageFifo::PopResult StageFifo::pop() {
   return ideal_ ? pop_ideal() : pop_lanes();
 }
 
+bool StageFifo::head_blocked() const {
+  if (ideal_) return eligible_.empty() && live_entries_ != 0;
+  const FifoEntry* head = nullptr;
+  for (const auto& lane : lanes_) {
+    if (!lane.empty() && (head == nullptr || lane.front().seq < head->seq)) {
+      head = &lane.front();
+    }
+  }
+  return head != nullptr && head->kind == FifoEntry::Kind::kPhantom;
+}
+
 std::vector<PacketRef> StageFifo::drain_all() {
   std::vector<PacketRef> data;
   if (ideal_) {

@@ -81,6 +81,10 @@ public:
 
   PopResult pop();
 
+  /// True when pop() would return kBlocked: the FIFO holds entries and
+  /// its head is a phantom.
+  bool head_blocked() const;
+
   std::size_t size() const { return live_entries_; }
   std::size_t high_water() const { return high_water_; }
 

@@ -17,7 +17,9 @@ struct TimelineEvent {
     kInsert,       // data packet replaced its phantom at (pipeline, stage)
     kPopData,      // stateful processing at (pipeline, stage)
     kPopWasted,    // cancelled phantom reclaimed (one wasted cycle)
-    kBlocked,      // FIFO head is a phantom: stage idles this cycle
+    kBlocked,      // FIFO head was a phantom: the cell slept for `arg`
+                   // cycles, [cycle - arg, cycle), reported once when the
+                   // span closes
     kSteer,        // crossbar move between pipelines at a stage boundary
     kCancel,       // conservative phantom cancelled in flight
     kEgress,

@@ -7,10 +7,15 @@
 // allocations made inside one window of work.
 //
 // Budgets:
-//   * Mp5Simulator::run with an egress sink allocates at most once per
-//     packet plus a small constant. The one is the header vector, which
-//     the egress record takes over; the phantom directory, the kHash
-//     operands and the Figure 6 fallback allocate nothing per packet.
+//   * Mp5Simulator::run with an egress sink allocates nothing per packet,
+//     only a small constant: the egress record lends the sink the header
+//     vector and takes it back into the packet arena, and the phantom
+//     directory, the kHash operands and the Figure 6 fallback allocate
+//     nothing per packet.
+//   * FabricSimulator::run allocates at most once per switch packet plus a
+//     small constant. The one is make_fields' header row for the packet's
+//     next switch; the per-switch in-flight map allocates nothing per
+//     packet.
 //   * A kHash instruction allocates nothing, at every arity.
 //   * A warmed-up StageFifo push/insert/pop cycle allocates nothing.
 #include <gtest/gtest.h>
@@ -25,6 +30,7 @@
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
 #include "banzai/ir.hpp"
+#include "fabric/fabric.hpp"
 #include "mp5/stage_fifo.hpp"
 #include "test_util.hpp"
 #include "trace/workloads.hpp"
@@ -103,16 +109,48 @@ std::uint64_t sim_run_allocations(const apps::AppSpec& app) {
   return used;
 }
 
-TEST(AllocBudget, SimFlowletRunAllocatesAtMostOncePerPacket) {
+TEST(AllocBudget, SimFlowletRunAllocatesNothingPerPacket) {
   const std::uint64_t used = sim_run_allocations(apps::flowlet_app());
-  EXPECT_LE(used, kPackets + kConstantSlack)
+  EXPECT_LE(used, kConstantSlack)
       << used << " allocations for " << kPackets << " packets";
 }
 
-TEST(AllocBudget, SimCongaRunAllocatesAtMostOncePerPacket) {
+TEST(AllocBudget, SimCongaRunAllocatesNothingPerPacket) {
   const std::uint64_t used = sim_run_allocations(apps::conga_app());
-  EXPECT_LE(used, kPackets + kConstantSlack)
+  EXPECT_LE(used, kConstantSlack)
       << used << " allocations for " << kPackets << " packets";
+}
+
+/// Per-run allocations of a fabric run that do not scale with packets:
+/// besides the per-run vectors, each of the six switches warms up its
+/// packet pool (a header row and an access plan per slot, up to the peak
+/// number of packets in flight).
+constexpr std::uint64_t kFabricSlack = 1000;
+
+TEST(AllocBudget, FabricRunAllocatesAtMostOncePerSwitchPacket) {
+  fabric::FabricOptions opts;
+  opts.topology.leaves = 4;
+  opts.topology.spines = 2;
+  opts.topology.hosts_per_leaf = 16;
+  opts.lb = fabric::LbMode::kConga;
+  // Below saturation, so the packets in flight (and the pools) stay few.
+  opts.workload.flows = 2000;
+  opts.workload.flow_rate = 0.5;
+  opts.workload.mean_lifetime = 1000.0;
+  opts.workload.seed = 1;
+  opts.seed = 1;
+  opts.pipelines = 4;
+  fabric::FabricSimulator sim(opts);
+  const std::uint64_t before = allocations();
+  const fabric::FabricResult result = sim.run();
+  const std::uint64_t used = allocations() - before;
+  std::uint64_t switch_packets = 0;
+  for (const auto& s : result.switches) switch_packets += s.sim.offered;
+  EXPECT_FALSE(result.truncated);
+  EXPECT_GT(switch_packets, 10'000u); // each packet crosses 1-3 switches
+  ::testing::Test::RecordProperty("allocations", std::to_string(used));
+  EXPECT_LE(used, switch_packets + kFabricSlack)
+      << used << " allocations for " << switch_packets << " switch packets";
 }
 
 TEST(AllocBudget, HashInstructionAllocatesNothing) {

@@ -20,6 +20,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
+#include "packet/arena.hpp"
 #include "soak/soak_runner.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace_source.hpp"
@@ -706,6 +707,93 @@ TEST(CheckpointCorruption, Mp5PayloadRestoresOrThrowsError) {
                                       payload.substr(0, payload.size() - 1)));
             }).find("checkpoint payload truncated"),
             std::string::npos);
+}
+
+TEST(CheckpointCorruption, OutOfRangePlannedAccessIsRefused) {
+  // A payload re-framed with a valid checksum can give an in-flight
+  // packet an access outside the program. Such a payload used to restore,
+  // and the first stepped cycles then read and wrote out of bounds
+  // (ShardedState::note_completed). The post-load invariant walk refuses
+  // it; each restoring simulator may run to completion.
+  const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(2, 8));
+  Rng rng(81);
+  const Trace trace = test::trace_from_fields(
+      test::random_fields(24, prog.pvsm.num_slots(), 8, rng), 4);
+  SimOptions opts = mp5_options(4, 1);
+  opts.record_egress = true;
+  std::string frame;
+  SimOptions copts = opts;
+  copts.checkpoint_interval = 4;
+  copts.checkpoint_sink = [&frame](Cycle c, std::string&& blob) {
+    if (c == 8) frame = std::move(blob);
+  };
+  (void)Mp5Simulator(prog, copts).run(trace);
+  ASSERT_FALSE(frame.empty());
+  const CheckpointInfo info = parse_checkpoint(frame);
+  const std::string payload(info.payload);
+
+  // Locate an in-flight packet with a pending access: restore (stopping
+  // right after the load) and find the packet's listing in the payload.
+  SimOptions probe_opts = opts;
+  probe_opts.max_cycles = info.cycle;
+  Mp5Simulator probe(prog, probe_opts);
+  VectorTraceSource probe_source(trace);
+  EXPECT_NE(resume_error([&] { (void)probe.resume(probe_source, frame); })
+                .find("max_cycles exceeded"),
+            std::string::npos);
+  const auto listing = [](Packet pkt) {
+    ByteWriter w;
+    SaveIo io(w);
+    transfer_packet(io, pkt);
+    return w.take();
+  };
+  const PacketArena& arena = probe.arena();
+  const Packet* victim = nullptr;
+  std::size_t entry = 0;
+  for (PacketRef ref = 0; ref < arena.slot_count() && victim == nullptr;
+       ++ref) {
+    if (!arena.live(ref)) continue;
+    const Packet& pkt = arena.get(ref);
+    for (std::size_t i = 0; i < pkt.plan.size(); ++i) {
+      if (!pkt.plan[i].done && !pkt.plan[i].cancelled) {
+        victim = &pkt;
+        entry = i;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(victim, nullptr) << "no pending access at the checkpoint";
+  const std::string original = listing(*victim);
+  const std::size_t at = payload.find(original);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(original, at + 1), std::string::npos);
+
+  const std::pair<const char*, void (*)(PlannedAccess&)> corruptions[] = {
+      {"reg", [](PlannedAccess& a) { a.reg = 1000; }},
+      {"index", [](PlannedAccess& a) { a.index = 1u << 20; }},
+      {"pipeline", [](PlannedAccess& a) { a.pipeline = 9; }},
+      {"stage", [](PlannedAccess& a) { a.stage = 99; }},
+  };
+  for (const auto& [field, corrupt] : corruptions) {
+    SCOPED_TRACE(field);
+    Packet bad = *victim;
+    corrupt(bad.plan[entry]);
+    std::string mutated = payload;
+    mutated.replace(at, original.size(), listing(bad));
+    const std::string what = resume_error([&] {
+      SimOptions ropts = opts;
+      ropts.max_cycles = 100'000;
+      Mp5Simulator sim(prog, ropts);
+      VectorTraceSource source(trace);
+      (void)sim.resume(source, frame_checkpoint(info.fingerprint, info.cycle,
+                                                mutated));
+    });
+    EXPECT_NE(what.find("checkpoint: restored state is invalid"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("[planned-access]"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
 }
 
 TEST(CheckpointCorruption, ReplicatedPayloadRestoresOrThrowsError) {

@@ -12,10 +12,17 @@
 // and the thread pool). A digest covers every SimResult field that
 // same_results() compares (see mp5::result_digest); the telemetry scenario
 // also digests the timeline event stream and the counter snapshot.
+//
+// A cell whose FIFO head is a phantom sleeps until something can change
+// that head, and its blocked cycles are counted, and reported as one
+// kBlocked timeline event, per span. The timeline goldens and the
+// sleeping-cell goldens below were recorded while every blocked cell was
+// still visited, counted and reported once per cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <initializer_list>
+#include <tuple>
 #include <ios>
 #include <iterator>
 #include <sstream>
@@ -206,9 +213,26 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   expect_golden(result, 0x2fc4b40f8548ba93, "skip under fault plan");
 }
 
+using BlockedCell = std::tuple<PipelineId, StageId, Cycle>;
+
+/// Every (pipeline, stage, cycle) a blocked span of `events` covers, sorted:
+/// a kBlocked event at cycle c with arg n covers cycles [c - n, c).
+std::vector<BlockedCell> blocked_cells(const std::vector<TimelineEvent>& events) {
+  std::vector<BlockedCell> out;
+  for (const auto& e : events) {
+    if (e.kind != TimelineEvent::Kind::kBlocked) continue;
+    for (Cycle c = e.cycle - e.arg; c < e.cycle; ++c) {
+      out.emplace_back(e.pipeline, e.stage, c);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(EventEngine, IdenticalTelemetryAndTimeline) {
-  // The event walk visits exactly the cells that do something, so the
-  // event stream and every counter must match the lockstep run's.
+  // The event walk visits exactly the cells that can make progress, so the
+  // event stream (blocked cells reported per span) and every counter must
+  // match the lockstep run's.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   const auto trace = synthetic(3, 128, 4, 500);
   std::vector<TimelineEvent> events;
@@ -219,17 +243,34 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   const auto result = run_with(prog, trace, opts);
   expect_golden(result, 0x13c097872008aa22, "telemetry result");
 
-  Fnv1aDigest timeline;
-  timeline.add(events.size());
+  // The stream without its blocked spans, then the set of blocked cells
+  // per cycle the spans cover.
+  Fnv1aDigest stream;
+  std::uint64_t streamed = 0;
   for (const auto& e : events) {
-    timeline.add(static_cast<std::uint64_t>(e.kind));
-    timeline.add(e.cycle);
-    timeline.add(e.pipeline);
-    timeline.add(e.stage);
-    timeline.add(e.seq);
-    timeline.add(e.arg);
+    if (e.kind == TimelineEvent::Kind::kBlocked) continue;
+    ++streamed;
+    stream.add(static_cast<std::uint64_t>(e.kind));
+    stream.add(e.cycle);
+    stream.add(e.pipeline);
+    stream.add(e.stage);
+    stream.add(e.seq);
+    stream.add(e.arg);
   }
-  expect_golden(timeline.value(), 0x72545785dc79fb1, "timeline");
+  stream.add(streamed);
+  expect_golden(stream.value(), 0x527c2ed73dae18d6, "timeline without blocked spans");
+
+  const auto blocked = blocked_cells(events);
+  Fnv1aDigest blocked_set;
+  blocked_set.add(blocked.size());
+  for (const auto& [p, st, cycle] : blocked) {
+    blocked_set.add(p);
+    blocked_set.add(st);
+    blocked_set.add(cycle);
+  }
+  expect_golden(blocked_set.value(), 0x5f0e028df8a5d3a1, "blocked (pipeline, stage, cycle)");
+  // The span lengths sum to blocked_cycles.
+  EXPECT_EQ(blocked.size(), result.blocked_cycles);
 
   Fnv1aDigest counters;
   for (const auto& [name, value] : telem.counter_snapshot()) {
@@ -332,6 +373,153 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
     EXPECT_GT(result.cycles_run, 10 * opts.remap_period);
     expect_golden(result, kGolden[vi],
                   std::string("empty-window remap ") + kVariants[vi].name);
+  }
+}
+
+// --- sleeping cells ------------------------------------------------------
+//
+// Each scenario makes one of the events that must wake (or close the span
+// of) a sleeping cell happen, checks from the timeline that it did, and
+// pins the result against a golden recorded under the per-cycle walk.
+
+struct TimedRun {
+  SimResult result;
+  std::vector<TimelineEvent> events;
+};
+
+TimedRun timed_run(const Mp5Program& prog, const Trace& trace,
+                   SimOptions opts) {
+  TimedRun out;
+  opts.timeline = [&out](const TimelineEvent& e) { out.events.push_back(e); };
+  out.result = run_with(prog, trace, opts);
+  return out;
+}
+
+/// The kinds of the events at one cell and cycle, in emission order.
+std::vector<TimelineEvent::Kind> kinds_at(const TimedRun& run, PipelineId p,
+                                          StageId st, Cycle cycle) {
+  std::vector<TimelineEvent::Kind> out;
+  for (const auto& e : run.events) {
+    if (e.pipeline == p && e.stage == st && e.cycle == cycle) {
+      out.push_back(e.kind);
+    }
+  }
+  return out;
+}
+
+/// Flowlet switching on a dense flow trace: its last stage's cells wait on
+/// phantoms for long stretches.
+const Mp5Program& flowlet_program() {
+  static const Mp5Program prog = compile_mp5(apps::flowlet_app().source);
+  return prog;
+}
+
+Trace flowlet_trace() {
+  FlowWorkloadConfig config;
+  config.pipelines = 4;
+  config.packets = 3000;
+  config.seed = 1;
+  return make_flow_trace(config, apps::flowlet_app().filler);
+}
+
+TEST(SleepingCells, StallWindowStartingOnASleepingCellIsCounted) {
+  // Both windows open on a cell that is asleep on a phantom head and gets
+  // no arrival that cycle: only the stall can wake it, and the stalled
+  // cycles must not count as blocked.
+  auto opts = mp5_options(4, 5);
+  opts.paranoid_checks = true;
+  opts.faults.stalls.push_back(StageStall{0, 6, 200, 230});
+  opts.faults.stalls.push_back(StageStall{1, 6, 450, 470});
+  const TimedRun run = timed_run(flowlet_program(), flowlet_trace(), opts);
+  for (const StageStall& s : opts.faults.stalls) {
+    // The one event at the window's first cycle closes the cell's span.
+    EXPECT_EQ(kinds_at(run, s.pipeline, s.stage, s.from),
+              std::vector<TimelineEvent::Kind>{TimelineEvent::Kind::kBlocked})
+        << "stall at (" << s.pipeline << ", " << s.stage << ")";
+  }
+  expect_golden(run.result, 0xf4159882626838b, "stall on a sleeping cell");
+}
+
+TEST(SleepingCells, ConservativeCancelWakesASleepingHead) {
+  // A guard resolving false cancels a phantom that is the head a cell
+  // sleeps on: the cell must wake and reclaim it with a wasted pop.
+  const auto prog = compile_mp5(apps::stateful_predicate_source());
+  Rng rng(29);
+  const auto trace = trace_from_fields(random_fields(3000, 3, 8, rng), 4);
+  auto opts = mp5_options(4, 29);
+  opts.paranoid_checks = true;
+  const TimedRun run = timed_run(prog, trace, opts);
+  // A span closed by a wasted pop in the cycle of, or the one after, a
+  // cancel at that cell: the cancel turned the head the cell slept on.
+  std::size_t woken = 0;
+  for (const auto& e : run.events) {
+    if (e.kind != TimelineEvent::Kind::kBlocked) continue;
+    const auto now = kinds_at(run, e.pipeline, e.stage, e.cycle);
+    const auto before = kinds_at(run, e.pipeline, e.stage, e.cycle - 1);
+    const auto has = [](const std::vector<TimelineEvent::Kind>& kinds,
+                        TimelineEvent::Kind kind) {
+      return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
+    };
+    if (has(now, TimelineEvent::Kind::kPopWasted) &&
+        (has(now, TimelineEvent::Kind::kCancel) ||
+         has(before, TimelineEvent::Kind::kCancel))) {
+      ++woken;
+    }
+  }
+  EXPECT_GT(woken, 0u);
+  expect_golden(run.result, 0x7b92294f10721da3, "cancel wakes a sleeping head");
+}
+
+TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
+  // Lane 0 fails while its last-stage cell sleeps, then recovers: the
+  // drain closes the open span at the failure cycle (the dead lane is not
+  // visited then, so only the drain can report a span there).
+  auto opts = mp5_options(4, 5);
+  opts.paranoid_checks = true;
+  opts.faults.pipeline_faults.push_back(PipelineFault{0, 2100, 3000});
+  const TimedRun run = timed_run(flowlet_program(), flowlet_trace(), opts);
+  const auto at_failure = kinds_at(run, 0, 6, 2100);
+  EXPECT_NE(std::find(at_failure.begin(), at_failure.end(),
+                      TimelineEvent::Kind::kBlocked),
+            at_failure.end());
+  EXPECT_EQ(run.result.pipeline_failures, 1u);
+  expect_golden(run.result, 0x57649e5511db0e33, "lane failure drains a sleeping cell");
+}
+
+TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
+  const Mp5Program& prog = flowlet_program();
+  const Trace trace = flowlet_trace();
+  const auto opts = mp5_options(4, 5);
+  const TimedRun whole = timed_run(prog, trace, opts);
+  expect_golden(whole.result, 0x37eabc29947968f3, "uninterrupted");
+  const auto blocked = blocked_cells(whole.events);
+
+  std::vector<std::pair<Cycle, std::string>> frames;
+  auto copts = opts;
+  copts.record_egress = true;
+  copts.track_flow_reordering = true;
+  copts.checkpoint_interval = 500;
+  copts.checkpoint_sink = [&frames](Cycle cycle, std::string&& blob) {
+    if (cycle == 2000 || cycle == 2500 || cycle == 5000) {
+      frames.emplace_back(cycle, std::move(blob));
+    }
+  };
+  expect_identical(whole.result, Mp5Simulator(prog, copts).run(trace));
+  ASSERT_EQ(frames.size(), 3u);
+  for (const auto& [cycle, frame] : frames) {
+    SCOPED_TRACE(cycle);
+    // Some cell was blocked in the cycle before the checkpoint, so it was
+    // asleep when the checkpoint was taken.
+    const bool asleep = std::any_of(
+        blocked.begin(), blocked.end(),
+        [cycle = cycle](const BlockedCell& b) { return std::get<2>(b) == cycle - 1; });
+    EXPECT_TRUE(asleep);
+    auto ropts = opts;
+    ropts.record_egress = true;
+    ropts.track_flow_reordering = true;
+    Mp5Simulator sim(prog, ropts);
+    VectorTraceSource source(trace);
+    expect_identical(whole.result, sim.resume(source, frame));
   }
 }
 
