@@ -24,7 +24,8 @@ int main() {
       config.stages = s;
       const auto area = chip_area(config);
       const double paper = paper_table1_mm2(k, s);
-      report.row("k" + std::to_string(k) + "_s" + std::to_string(s))
+      report.row(std::string("k").append(std::to_string(k)).append("_s").append(
+                     std::to_string(s)))
           .metric("pipelines", k)
           .metric("stages", s)
           .metric("model_mm2", area.total_mm2)

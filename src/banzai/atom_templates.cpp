@@ -17,38 +17,6 @@ using ir::TacOp;
 bool is_read(const TacInstr& i) { return i.op == TacOp::kRegRead; }
 bool is_write(const TacInstr& i) { return i.op == TacOp::kRegWrite; }
 
-/// Does the value in `op` (transitively, through the atom body's temps)
-/// depend on a register read?
-bool derives_from_old(const Operand& op,
-                      const std::unordered_map<Slot, const TacInstr*>& defs,
-                      const std::unordered_set<Slot>& read_slots) {
-  if (op.is_const) return false;
-  if (read_slots.count(op.slot)) return true;
-  auto it = defs.find(op.slot);
-  if (it == defs.end()) return false; // packet field / external temp
-  const TacInstr& instr = *it->second;
-  auto dep = [&](const Operand& inner) {
-    return derives_from_old(inner, defs, read_slots);
-  };
-  switch (instr.op) {
-    case TacOp::kCopy:
-    case TacOp::kUn:
-      return dep(instr.a);
-    case TacOp::kBin:
-      return dep(instr.a) || dep(instr.b);
-    case TacOp::kSelect:
-      return dep(instr.a) || dep(instr.b) || dep(instr.c);
-    case TacOp::kHash: {
-      for (const auto& arg : instr.hash_args) {
-        if (dep(arg)) return true;
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
-}
-
 /// Depth of select nesting on the path from `op` to a register read; -1
 /// when the value does not depend on the old state at all.
 struct ExprShape {

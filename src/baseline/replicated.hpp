@@ -50,6 +50,8 @@
 
 namespace mp5 {
 
+class ByteReader;
+
 class ReplicatedSimulator {
 public:
   ReplicatedSimulator(const Mp5Program& program,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -35,13 +34,6 @@ public:
   }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -99,13 +91,6 @@ public:
   }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   bool boolean() {
     const std::uint8_t v = u8();
@@ -206,7 +191,6 @@ public:
   template <std::integral T> void i64(T& v) {
     w_.i64(static_cast<std::int64_t>(v));
   }
-  void f64(double& v) { w_.f64(v); }
   void boolean(bool& v) { w_.boolean(v); }
   void boolean(std::vector<bool>::reference v) { w_.boolean(v); }
   void str(std::string& s) { w_.str(s); }
@@ -271,7 +255,6 @@ public:
   template <std::integral T> void u32(T& v) { v = static_cast<T>(r_.u32()); }
   template <std::integral T> void u64(T& v) { v = static_cast<T>(r_.u64()); }
   template <std::integral T> void i64(T& v) { v = static_cast<T>(r_.i64()); }
-  void f64(double& v) { v = r_.f64(); }
   void boolean(bool& v) { v = r_.boolean(); }
   void boolean(std::vector<bool>::reference v) { v = r_.boolean(); }
   void str(std::string& s) { s = r_.str(); }

@@ -56,8 +56,8 @@ private:
 
   // ---- instruction emission with CSE over pure ops -----------------------
   static std::string operand_key(const Operand& op) {
-    return op.is_const ? "#" + std::to_string(op.constant)
-                       : "s" + std::to_string(op.slot);
+    return op.is_const ? std::string("#").append(std::to_string(op.constant))
+                       : std::string("s").append(std::to_string(op.slot));
   }
 
   /// Emit a pure instruction producing a fresh temp, or reuse an existing

@@ -217,7 +217,6 @@ FabricSimulator::FabricSimulator(const FabricOptions& options)
     so.egress_sink = [this, s](EgressRecord&& rec) {
       on_egress(s, std::move(rec));
     };
-    so.fault_drop_sink = [this, s](SeqNo seq, bool) { on_switch_drop(s, seq); };
     ctx.sim = std::make_unique<Mp5Simulator>(*program_, so);
   }
 
@@ -431,15 +430,6 @@ void FabricSimulator::on_egress(SwitchId sw, EgressRecord&& rec) {
   const std::uint32_t pkt = *tracked;
   ctx.inflight.erase(rec.seq);
   route(sw, pkt, rec.headers, rec.egress_cycle);
-}
-
-void FabricSimulator::on_switch_drop(SwitchId sw, SeqNo seq) {
-  SwitchCtx& ctx = switches_[sw];
-  const std::uint32_t* tracked = ctx.inflight.find(seq);
-  if (tracked == nullptr) return;
-  const std::uint32_t pkt = *tracked;
-  ctx.inflight.erase(seq);
-  drop(pkt, result_.dropped_in_switch, 0);
 }
 
 void FabricSimulator::route(SwitchId sw, std::uint32_t pkt,

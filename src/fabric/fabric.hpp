@@ -193,19 +193,19 @@ struct FabricResult {
 
 /// One field of a fabric result record: the results-JSON section it sits
 /// in (a dotted path of nested objects; "links" for the per-link array),
-/// its key there, and the member.
-template <typename Record>
+/// its key there, and the member, of one of the record's field types
+/// `Ts`.
+template <typename Record, typename... Ts>
 struct FabricField {
-  using Member =
-      std::variant<std::uint64_t Record::*, std::uint32_t Record::*,
-                   double Record::*, bool Record::*, std::string Record::*>;
+  using Member = std::variant<Ts Record::*...>;
   const char* section;
   const char* key;
   Member member;
 };
 
 /// FabricResult's scalars, in the results JSON's order.
-inline constexpr FabricField<FabricResult> kFabricFields[] = {
+inline constexpr FabricField<FabricResult, std::uint64_t, double, bool>
+    kFabricFields[] = {
     {"totals", "injected", &FabricResult::injected},
     {"totals", "delivered", &FabricResult::delivered},
     {"totals.dropped", "dead_source", &FabricResult::dropped_dead_source},
@@ -241,7 +241,9 @@ inline constexpr FabricField<FabricResult> kFabricFields[] = {
 };
 
 /// FabricLinkResult's fields, in the results JSON's order.
-inline constexpr FabricField<FabricLinkResult> kFabricLinkFields[] = {
+inline constexpr FabricField<FabricLinkResult, std::string, std::uint32_t,
+                             bool, double, std::uint64_t>
+    kFabricLinkFields[] = {
     {"links", "name", &FabricLinkResult::name},
     {"links", "from", &FabricLinkResult::from},
     {"links", "to", &FabricLinkResult::to},
@@ -345,7 +347,6 @@ private:
   void inject(const FabricPacketEvent& ev, Cycle now);
   void deliver(const Delivery& d, Cycle now);
   void on_egress(SwitchId sw, EgressRecord&& rec);
-  void on_switch_drop(SwitchId sw, SeqNo seq);
   void route(SwitchId sw, std::uint32_t pkt,
              const std::vector<Value>& headers, Cycle now);
   void transmit(LinkId link, std::uint32_t pkt, Cycle now);

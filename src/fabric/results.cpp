@@ -25,19 +25,18 @@ std::uint64_t word(double v) { return std::bit_cast<std::uint64_t>(v); }
 std::uint64_t word(const std::string& s) { return fnv1a(s); }
 
 /// Calls fn(row, value) for each row of `fields` on `record`.
-template <typename Record, std::size_t N, typename Fn>
-void for_each_field(const Record& record,
-                    const FabricField<Record> (&fields)[N], Fn fn) {
-  for (const FabricField<Record>& f : fields) {
+template <typename Record, typename Field, std::size_t N, typename Fn>
+void for_each_field(const Record& record, const Field (&fields)[N], Fn fn) {
+  for (const Field& f : fields) {
     std::visit([&](auto m) { fn(f, record.*m); }, f.member);
   }
 }
 
 /// The first row of `fields` on which `a` and `b` differ, or null.
-template <typename Record, std::size_t N>
-const FabricField<Record>* first_difference(
-    const Record& a, const Record& b, const FabricField<Record> (&fields)[N]) {
-  for (const FabricField<Record>& f : fields) {
+template <typename Record, typename Field, std::size_t N>
+const Field* first_difference(const Record& a, const Record& b,
+                              const Field (&fields)[N]) {
+  for (const Field& f : fields) {
     if (std::visit([&](auto m) { return a.*m != b.*m; }, f.member)) return &f;
   }
   return nullptr;
@@ -153,7 +152,7 @@ void write_fabric_results_json(std::ostream& out,
   json.end_object();
   json.end_object();
 
-  using Member = FabricField<FabricResult>::Member;
+  using Member = decltype(kFabricFields[0].member);
   std::string open;
   for_each_field(result, kFabricFields, [&](const auto& f, const auto& v) {
     enter_section(json, open, f.section);

@@ -135,12 +135,6 @@ void print_stmt(std::ostream& os, const Stmt& stmt, const std::string& param,
 
 } // namespace
 
-std::string to_source(const Expr& expr) {
-  std::ostringstream os;
-  print_expr(os, expr, "p");
-  return os.str();
-}
-
 std::string to_source(const Ast& ast) {
   std::ostringstream os;
   os << "struct Packet {";

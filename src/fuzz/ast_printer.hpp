@@ -14,6 +14,5 @@
 namespace mp5::fuzz {
 
 std::string to_source(const domino::Ast& ast);
-std::string to_source(const domino::Expr& expr);
 
 } // namespace mp5::fuzz

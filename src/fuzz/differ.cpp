@@ -4,6 +4,7 @@
 #include <exception>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "banzai/single_pipeline.hpp"
 #include "baseline/replicated.hpp"
@@ -206,15 +207,17 @@ Failure Differ::check_oracle(const domino::Ast& ast,
 
 namespace {
 
-/// The checkpoint/restore column: re-run the cell checkpointing roughly
-/// mid-run, restore the captured blob into a fresh simulator, and demand
-/// a SimResult field-identical to the uninterrupted run's.
+/// The checkpoint/restore column: re-run the cell (a `Sim` on `options`)
+/// checkpointing roughly mid-run, restore the first captured blob into a
+/// fresh simulator, and demand a SimResult field-identical to the
+/// uninterrupted run's.
+template <class Sim, class Options>
 Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
-                              const SimConfig& config,
+                              const SimConfig& config, const Options& options,
                               const SimResult& baseline) {
   Failure failure;
   failure.config = config;
-  SimOptions ckpt_opts = config.to_options();
+  Options ckpt_opts = options;
   ckpt_opts.checkpoint_interval =
       std::max<std::uint64_t>(1, baseline.cycles_run / 2);
   std::string blob;
@@ -227,8 +230,7 @@ Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
       captured = true;
     }
   };
-  Mp5Simulator ckpt_sim(compiled.prog, ckpt_opts);
-  const SimResult with_ckpt = ckpt_sim.run(trace);
+  const SimResult with_ckpt = Sim(compiled.prog, ckpt_opts).run(trace);
   std::string why;
   if (!same_results(baseline, with_ckpt, &why)) {
     failure.kind = FailureKind::kCheckpointDivergence;
@@ -236,9 +238,14 @@ Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
     return failure;
   }
   if (!captured) return Failure{}; // run finished before the first boundary
-  Mp5Simulator restored(compiled.prog, config.to_options());
-  VectorTraceSource source(trace);
-  const SimResult after = restored.resume(source, blob);
+  Sim restored(compiled.prog, options);
+  SimResult after;
+  if constexpr (std::is_same_v<Sim, Mp5Simulator>) {
+    VectorTraceSource source(trace);
+    after = restored.resume(source, blob);
+  } else {
+    after = restored.resume(trace, blob);
+  }
   if (!same_results(baseline, after, &why)) {
     failure.kind = FailureKind::kCheckpointDivergence;
     failure.detail =
@@ -270,7 +277,8 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
       return failure;
     }
     if (config.checkpoint_restore) {
-      if (Failure f = check_checkpoint_cell(compiled, trace, config, result)) {
+      if (Failure f = check_checkpoint_cell<Mp5Simulator>(
+              compiled, trace, config, config.to_options(), result)) {
         return f;
       }
     }
@@ -322,38 +330,11 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
       return out;
     }
     if (config.checkpoint_restore) {
-      ReplicatedOptions ckpt_opts = config.to_replicated_options();
-      ckpt_opts.checkpoint_interval =
-          std::max<std::uint64_t>(1, result.cycles_run / 2);
-      std::string blob;
-      Cycle ckpt_cycle = 0;
-      bool captured = false;
-      ckpt_opts.checkpoint_sink = [&](Cycle cycle, std::string&& b) {
-        if (!captured) {
-          blob = std::move(b);
-          ckpt_cycle = cycle;
-          captured = true;
-        }
-      };
-      const SimResult with_ckpt =
-          ReplicatedSimulator(compiled.prog, ckpt_opts).run(trace);
-      if (!same_results(result, with_ckpt, &why)) {
-        out.failure.kind = FailureKind::kCheckpointDivergence;
-        out.failure.detail =
-            "checkpointing run diverged from the plain run: " + why;
+      if (Failure f = check_checkpoint_cell<ReplicatedSimulator>(
+              compiled, trace, config, config.to_replicated_options(),
+              result)) {
+        out.failure = std::move(f);
         return out;
-      }
-      if (captured) {
-        const SimResult after =
-            ReplicatedSimulator(compiled.prog, config.to_replicated_options())
-                .resume(trace, blob);
-        if (!same_results(result, after, &why)) {
-          out.failure.kind = FailureKind::kCheckpointDivergence;
-          out.failure.detail = "restore at cycle " +
-                               std::to_string(ckpt_cycle) +
-                               " diverged: " + why;
-          return out;
-        }
       }
     }
     const EquivalenceReport report =

@@ -42,10 +42,6 @@ template <class Io> void C1Checker::transfer(Io& io) {
   io.u64(accesses_);
 }
 
-void C1Checker::save(ByteWriter& w) const { save_fields(w, *this); }
-
-void C1Checker::load(ByteReader& r) { load_fields(r, *this); }
-
 // The simulators list this class inside their own transfer().
 template void C1Checker::transfer(SaveIo&);
 template void C1Checker::transfer(LoadIo&);

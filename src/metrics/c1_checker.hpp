@@ -23,9 +23,6 @@
 
 namespace mp5 {
 
-class ByteReader;
-class ByteWriter;
-
 class C1Checker {
 public:
   /// `registers` declares the register space (one table row per register
@@ -35,12 +32,9 @@ public:
   /// Record that packet `seq` performed an access at (reg, index).
   void on_access(RegId reg, RegIndex index, SeqNo seq);
 
-  /// Checkpoint serialization (the violator set written sorted for a
-  /// byte-stable payload). load() requires the same register shapes as at
-  /// save time.
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
-  /// The one field listing behind save() and load() (common/serialize.hpp).
+  /// The checkpoint field listing (common/serialize.hpp); the violator set
+  /// is written sorted for a byte-stable payload, and a load requires the
+  /// register shapes of the save.
   template <class Io> void transfer(Io& io);
 
   std::uint64_t violating_packets() const { return violators_.size(); }

@@ -44,10 +44,6 @@ template <class Io> void SimResult::transfer(Io& io) {
   });
 }
 
-void SimResult::save(ByteWriter& w) const { save_fields(w, *this); }
-
-void SimResult::load(ByteReader& r) { load_fields(r, *this); }
-
 // The simulators list this class inside their own transfer().
 template void SimResult::transfer(SaveIo&);
 template void SimResult::transfer(LoadIo&);

@@ -11,8 +11,6 @@
 
 namespace mp5 {
 
-class ByteReader;
-class ByteWriter;
 class Fnv1aDigest;
 
 // Every scalar counter below has one row in kResultCounters (after the
@@ -95,13 +93,11 @@ struct SimResult {
                               static_cast<double>(offered);
   }
 
-  /// Checkpoint serialization. The egress and fault-drop logs are written
-  /// in their current (possibly unsorted mid-run) order — the run loop
-  /// appends to them until the final sort, so restoring them in any other
-  /// order would break bit-identity of the finished result.
-  void save(ByteWriter& w) const;
-  void load(ByteReader& r);
-  /// The one field listing behind save() and load() (common/serialize.hpp).
+  /// The checkpoint field listing (common/serialize.hpp). The egress and
+  /// fault-drop logs are written in their current (possibly unsorted
+  /// mid-run) order — the run loop appends to them until the final sort,
+  /// so restoring them in any other order would break bit-identity of the
+  /// finished result.
   template <class Io> void transfer(Io& io);
 };
 

@@ -202,12 +202,12 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u64(options.starvation_threshold);
   fp.u64(options.ecn_threshold);
   fp.b(options.record_egress);
-  fp.b(true); // C1 tracking, once a knob; kept so old checkpoints restore
   fp.b(options.track_flow_reordering);
   fp.u64(options.seed);
-  // Payload revision: 1 since the payload carries the depth-on-push and
-  // egress-latency histograms, so an older checkpoint is refused.
-  fp.u32(1);
+  // Payload revision: 2 since the named counts are bare values (1 added
+  // the depth-on-push and egress-latency histograms), so an older
+  // checkpoint is refused.
+  fp.u32(2);
   // Fault plan: the schedule is part of the deterministic run definition.
   const FaultPlan& plan = options.faults;
   fp.u64(plan.pipeline_faults.size());
@@ -376,38 +376,9 @@ void Mp5Simulator::transfer(Io& io, Cycle& now, std::uint64_t& consumed) {
     io.u64(f.second);
   });
 
-  // Named counters: the counts SimResult has no field for (SimResult
-  // itself travels above), written whether or not telemetry is attached,
-  // in the layout older builds wrote (a flag, (name, value) pairs, named
-  // gauges). No gauges are written; they are end-of-run values. Payload
-  // revision 1 refuses those older checkpoints, so an accepted payload
-  // holds exactly named_counts(); unknown names are still ignored.
-  bool has_named = true;
-  io.boolean(has_named);
-  if (has_named) {
-    std::vector<std::pair<std::string, std::uint64_t>> counts;
-    if constexpr (!Io::kLoad) {
-      for (const auto& [name, value] : named_counts()) {
-        counts.emplace_back(name, *value);
-      }
-    }
-    io.seq(counts, 16, [&](std::pair<std::string, std::uint64_t>& c) {
-      io.str(c.first);
-      io.u64(c.second);
-    });
-    std::vector<std::pair<std::string, double>> gauges;
-    io.seq(gauges, 16, [&](std::pair<std::string, double>& g) {
-      io.str(g.first);
-      io.f64(g.second);
-    });
-    if constexpr (Io::kLoad) {
-      for (const auto& [known, slot] : named_counts()) {
-        for (const auto& [name, value] : counts) {
-          if (name == known) *slot = value;
-        }
-      }
-    }
-  }
+  // The counts SimResult has no field for (SimResult itself travels
+  // above), in named_counts() order, whether or not telemetry is attached.
+  for (const auto& count : named_counts()) io.u64(*count.second);
 
   depth_on_push_.transfer(io);
   egress_latency_.transfer(io);

@@ -510,10 +510,6 @@ template <class Io> void ShardedState::transfer(Io& io) {
   }
 }
 
-void ShardedState::save(ByteWriter& w) const { save_fields(w, *this); }
-
-void ShardedState::load(ByteReader& r) { load_fields(r, *this); }
-
 // The simulators list this class inside their own transfer().
 template void ShardedState::transfer(SaveIo&);
 template void ShardedState::transfer(LoadIo&);

@@ -44,9 +44,6 @@
 
 namespace mp5 {
 
-class ByteReader;
-class ByteWriter;
-
 enum class ShardingPolicy {
   /// Figure 6 heuristic every remap period (the MP5 default).
   kDynamic,
@@ -145,7 +142,7 @@ public:
 
   /// Work counts since construction (telemetry exports them as
   /// "shard.state_accesses", "shard.touched_indices" and
-  /// "shard.rebalance_runs"). They are not part of save(): the simulator
+  /// "shard.rebalance_runs"). They are not part of transfer(): the simulator
   /// carries them in its checkpoint's named-counter block, and counts the
   /// provably idle windows its clock jumps over into rebalance_runs.
   struct Counts {
@@ -158,16 +155,13 @@ public:
 
   // -- checkpoint/restore --
 
-  /// Serialize register values, the full index-to-pipeline map, windowed
-  /// access/in-flight counters with their epoch stamps, membership lists
-  /// and per-lane aggregates — everything the rebalance heuristic and
-  /// steering decisions read.
-  void save(ByteWriter& w) const;
-  /// Restore into a same-shaped ShardedState (same specs / k / policy);
-  /// the constructor's initial placement is overwritten. Throws Error on
-  /// shape mismatch.
-  void load(ByteReader& r);
-  /// The one field listing behind save() and load() (common/serialize.hpp).
+  /// The checkpoint field listing (common/serialize.hpp): register values,
+  /// the full index-to-pipeline map, windowed access/in-flight counters
+  /// with their epoch stamps, membership lists and per-lane aggregates —
+  /// everything the rebalance heuristic and steering decisions read. A
+  /// load goes into a same-shaped ShardedState (same specs / k / policy),
+  /// overwrites the constructor's initial placement, and throws Error on
+  /// a shape mismatch.
   template <class Io> void transfer(Io& io);
 
 private:

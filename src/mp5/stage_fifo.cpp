@@ -360,7 +360,7 @@ template <class Io> void StageFifo::transfer(Io& io) {
   io.boolean(ideal);
   io.check(ideal == ideal_, "checkpoint: StageFifo ideal-mode mismatch");
   io.check(live_entries_ == 0,
-           "checkpoint: StageFifo::load target is not empty");
+           "checkpoint: StageFifo load target is not empty");
   if (ideal_) {
     // seq_key_ is derivable from queues_ and not written.
     io.sorted(queues_, 8, [&](auto& kv) {
@@ -432,10 +432,6 @@ template <class Io> void StageFifo::transfer(Io& io) {
   io.u64(live_entries_);
   io.u64(high_water_);
 }
-
-void StageFifo::save(ByteWriter& w) const { save_fields(w, *this); }
-
-void StageFifo::load(ByteReader& r) { load_fields(r, *this); }
 
 // The simulators list this class inside their own transfer().
 template void StageFifo::transfer(SaveIo&);

@@ -39,9 +39,6 @@
 
 namespace mp5 {
 
-class ByteReader;
-class ByteWriter;
-
 class StageFifo {
 public:
   /// capacity: per-lane entry budget; 0 = unbounded (the simulator's
@@ -118,14 +115,12 @@ public:
 
   // -- checkpoint/restore --
 
-  /// Serialize queued entries, the phantom directory (with exact ring
-  /// virtual indexes), and occupancy stats. Hash-map contents are written
-  /// sorted by key, so the payload does not depend on the table layout.
-  void save(ByteWriter& w) const;
-  /// Restore into a freshly constructed (empty) StageFifo of the same
-  /// configuration; throws Error on any structural mismatch.
-  void load(ByteReader& r);
-  /// The one field listing behind save() and load() (common/serialize.hpp).
+  /// The checkpoint field listing (common/serialize.hpp): queued entries,
+  /// the phantom directory (with exact ring virtual indexes), and
+  /// occupancy stats. Hash-map contents are written sorted by key, so the
+  /// payload does not depend on the table layout. A load goes into a
+  /// freshly constructed (empty) StageFifo of the same configuration and
+  /// throws Error on any structural mismatch.
   template <class Io> void transfer(Io& io);
 
 private:

@@ -152,8 +152,6 @@ public:
     io.u64(total_allocs_);
     io.u64(recycled_);
   }
-  void save(ByteWriter& w) const { save_fields(w, *this); }
-  void load(ByteReader& r) { load_fields(r, *this); }
 
 private:
   std::vector<Packet> slots_;

@@ -40,13 +40,25 @@ function(expect_failure label)
   endif()
 endfunction()
 
+# expect_success(<label> [STDOUT <regex>] <command> <args>...): the
+# command must exit 0; with STDOUT, its stdout must match <regex>.
 function(expect_success label)
-  execute_process(COMMAND ${ARGN}
+  set(command ${ARGN})
+  set(pattern "")
+  list(GET command 0 first)
+  if(first STREQUAL "STDOUT")
+    list(GET command 1 pattern)
+    list(REMOVE_AT command 0 1)
+  endif()
+  execute_process(COMMAND ${command}
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${label}: expected exit 0, got ${rc}: ${err}")
+  endif()
+  if(pattern AND NOT out MATCHES "${pattern}")
+    message(FATAL_ERROR "${label}: expected stdout matching '${pattern}', got '${out}'")
   endif()
 endfunction()
 
@@ -429,6 +441,12 @@ expect_failure("mp5sim negative pipelines" STDERR "--pipelines: .*'-1'"
                ${MP5SIM} --builtin figure3 --pipelines -1)
 expect_failure("mp5sim negative load" STDERR "--load: .*'-1'"
                ${MP5SIM} --builtin figure3 --load -1)
+expect_failure("mp5sim malformed real"
+               STDERR "--load: expected a finite real number, got '0.5x'"
+               ${MP5SIM} --builtin figure3 --load 0.5x)
+expect_failure("mp5soak malformed signed value"
+               STDERR "--field-bound: expected a signed 64-bit integer, got '8x'"
+               ${MP5SOAK} --field-bound 8x)
 expect_failure("mp5soak seed without a value" STDERR "--seed needs an argument"
                ${MP5SOAK} --seed)
 
@@ -464,6 +482,17 @@ foreach(tool "mp5sim;${MP5SIM};--check-equivalence"
                  ${binary} --builtin figure3 ${flag}
                  --trace ${workdir}/unsorted.trace.csv)
 endforeach()
+
+# -- flags whose paths no other test takes --
+expect_success("mp5sim random field values" STDOUT "result digest: 0x"
+               ${MP5SIM} --builtin figure3 --packets 200 --rand-fields 16)
+expect_success("mp5soak field bound" STDOUT "result digest: 0x"
+               ${MP5SOAK} --packets 500 --field-bound 16)
+expect_success("mp5sim prints the timeline" STDOUT "cycle [0-9]+  pipe [0-9]+  stage "
+               ${MP5SIM} --builtin figure3 --packets 50 --timeline 5)
+expect_success("mp5fuzz replays a reproducer" STDOUT "observed: variant-divergence.*OK"
+               ${MP5FUZZ} --replay
+               ${CMAKE_CURRENT_LIST_DIR}/corpus/witness-scr-write-replay.json)
 
 # -- bench_ablation_remap --
 # A misspelt flag must not silently run all five ablation sections.

@@ -370,12 +370,36 @@ TEST(Fabric, WcmpHonorsSpineWeights) {
 TEST(Fabric, ConservationHoldsUnderBoundedFifos) {
   // Tight per-stage FIFOs make the switches drop; every drop must land in
   // the fabric ledger with fate `in_switch` and conservation must hold.
+  for (const LbMode lb : {LbMode::kFlowlet, LbMode::kConga}) {
+    SCOPED_TRACE(lb_mode_name(lb));
+    FabricOptions opts = small_options(lb);
+    opts.fifo_capacity = 2;
+    opts.workload.flow_rate = 2.0; // enough pressure to overflow
+    const FabricResult r = FabricSimulator(opts).run();
+    EXPECT_GT(r.dropped_in_switch, 0u);
+    EXPECT_TRUE(r.conserved());
+    EXPECT_EQ(r.injected, r.delivered + r.dropped_total() + r.in_flight_end);
+  }
+}
+
+TEST(Fabric, FlowletSwitchingReordersAndEcmpDoesNot) {
+  // Long flows sent in tight bursts at a high birth rate: a new flowlet
+  // may take a spine whose queue is shorter than the one its flow's
+  // earlier packets still sit in, so it overtakes them. ECMP pins every
+  // flow to one path and never reorders.
   FabricOptions opts = small_options(LbMode::kFlowlet);
-  opts.fifo_capacity = 2;
-  opts.workload.flow_rate = 2.0; // enough pressure to overflow
-  const FabricResult r = FabricSimulator(opts).run();
-  EXPECT_TRUE(r.conserved());
-  EXPECT_EQ(r.injected, r.delivered + r.dropped_total() + r.in_flight_end);
+  opts.workload.flow_rate = 2.0;
+  opts.workload.max_flow_packets = 64;
+  opts.workload.burst_size = 16;
+  opts.workload.burst_spacing = 1.0;
+  const FabricResult flowlet = FabricSimulator(opts).run();
+  EXPECT_GT(flowlet.reordered_packets, 0u);
+  EXPECT_EQ(flowlet.delivered, flowlet.injected);
+
+  opts.lb = LbMode::kEcmp;
+  const FabricResult ecmp = FabricSimulator(opts).run();
+  EXPECT_EQ(ecmp.reordered_packets, 0u);
+  EXPECT_EQ(ecmp.delivered, ecmp.injected);
 }
 
 TEST(Fabric, TruncatedRunAccountsInFlight) {
@@ -486,6 +510,29 @@ TEST(FabricFaults, KillingASpineShiftsEcmpWeights) {
   EXPECT_TRUE(r.conserved());
   EXPECT_GT(r.delivered, r.injected * 9 / 10);
   EXPECT_GT(r.dropped_total(), 0u);
+}
+
+TEST(FabricFaults, KillingALeafDropsOnlyItsHostsTraffic) {
+  // A dead leaf takes its hosts with it: their new packets drop with fate
+  // `dead_source`, packets for them with `dead_destination`, and the ones
+  // inside the leaf with `switch_killed`. The other leaves keep
+  // delivering to each other.
+  FabricOptions opts = small_options(LbMode::kConga);
+  FabricFaultEvent ev;
+  ev.kind = FabricFaultEvent::Kind::kKillSwitch;
+  ev.target = opts.topology.switch_by_name("leaf1");
+  ev.cycle = 400;
+  opts.faults.events.push_back(ev);
+  const FabricResult r = FabricSimulator(opts).run();
+  EXPECT_TRUE(r.conserved());
+  EXPECT_FALSE(r.truncated);
+  EXPECT_TRUE(r.switches[ev.target].killed);
+  EXPECT_EQ(r.switches[ev.target].killed_at, 400u);
+  EXPECT_GT(r.dropped_dead_source, 0u);
+  EXPECT_GT(r.dropped_dead_destination, 0u);
+  EXPECT_GT(r.dropped_switch_killed, 0u);
+  EXPECT_EQ(r.dropped_in_switch, 0u);
+  EXPECT_GT(r.delivered, r.injected / 2);
 }
 
 TEST(FabricFaults, KillingOneLinkReroutes) {
@@ -716,7 +763,7 @@ TEST(FabricResultFields, EveryRowReachesEqualityDigestAndJson) {
   const FabricResult base = FabricSimulator(opts).run();
   const std::uint64_t base_digest = fabric_result_digest(base);
 
-  for (const FabricField<FabricResult>& f : kFabricFields) {
+  for (const auto& f : kFabricFields) {
     const std::string name = std::string(f.section) + "." + f.key;
     SCOPED_TRACE(name);
     FabricResult changed = base;
@@ -739,7 +786,7 @@ TEST(FabricResultFields, EveryRowReachesEqualityDigestAndJson) {
   // One field of one link at a time: even a lone weight tells two
   // results apart.
   const std::size_t link = base.links.size() - 1;
-  for (const FabricField<FabricLinkResult>& f : kFabricLinkFields) {
+  for (const auto& f : kFabricLinkFields) {
     const std::string name =
         "links[" + std::to_string(link) + "]." + f.key;
     SCOPED_TRACE(name);

@@ -182,8 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{4, 1}, SweepParam{4, 2}, SweepParam{4, 3},
                       SweepParam{8, 1}, SweepParam{8, 2}, SweepParam{16, 1}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return "k" + std::to_string(info.param.pipelines) + "_seed" +
-             std::to_string(info.param.seed);
+      return std::string("k")
+          .append(std::to_string(info.param.pipelines))
+          .append("_seed")
+          .append(std::to_string(info.param.seed));
     });
 
 
@@ -292,7 +294,8 @@ TEST_P(PhantomChannelEquivalence, HoldsWithPhysicalChannel) {
 INSTANTIATE_TEST_SUITE_P(Pipelines, PhantomChannelEquivalence,
                          ::testing::Values(2u, 4u, 8u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& i) {
-                           return "k" + std::to_string(i.param);
+                           return std::string("k").append(
+                               std::to_string(i.param));
                          });
 
 } // namespace

@@ -43,10 +43,10 @@ TEST(ResultCounters, EveryRowReachesEqualityDigestCheckpointAndJson) {
     EXPECT_NE(result_digest(changed), result_digest(base));
 
     ByteWriter w;
-    changed.save(w);
+    save_fields(w, changed);
     ByteReader r(w.buffer());
     SimResult loaded;
-    loaded.load(r);
+    load_fields(r, loaded);
     EXPECT_TRUE(r.done());
     EXPECT_EQ(loaded.*c.member, changed.*c.member);
     EXPECT_TRUE(same_results(changed, loaded, &why)) << why;

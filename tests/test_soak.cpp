@@ -241,7 +241,7 @@ TEST(RunSoak, CleanRunVerifies) {
 
 TEST(RunSoak, CheckpointThenResumeMatchesUninterrupted) {
   const Mp5Program prog = soak_program();
-  const std::string path = testing::TempDir() + "soak_resume.ckpt";
+  const std::string path = test::temp_path("soak_resume.ckpt");
 
   const soak::SoakReport baseline =
       soak::run_soak(prog, synthetic_soak(prog, 4000));
@@ -280,7 +280,7 @@ TEST(RunSoak, RejectsBadOptionsAndCorruptCheckpoints) {
   resume_no_path.resume = true;
   EXPECT_THROW(soak::run_soak(prog, resume_no_path), ConfigError);
 
-  const std::string garbage = testing::TempDir() + "garbage.ckpt";
+  const std::string garbage = test::temp_path("garbage.ckpt");
   {
     std::string junk(200, 'x');
     write_checkpoint_file(garbage, junk);
@@ -293,7 +293,7 @@ TEST(RunSoak, RejectsBadOptionsAndCorruptCheckpoints) {
 
 TEST(RunSoak, ResumeWithVerifyNeedsVerifierFrame) {
   const Mp5Program prog = soak_program();
-  const std::string path = testing::TempDir() + "soak_noverify.ckpt";
+  const std::string path = test::temp_path("soak_noverify.ckpt");
 
   // Checkpoint without verification: the file carries only the simulator
   // frame.
@@ -323,7 +323,7 @@ TEST(RunSoak, EnforcesRssCeiling) {
   const Mp5Program prog = soak_program();
   soak::SoakOptions opts = synthetic_soak(prog, 2000);
   opts.checkpoint_interval = 100;
-  opts.checkpoint_path = testing::TempDir() + "soak_rss.ckpt";
+  opts.checkpoint_path = test::temp_path("soak_rss.ckpt");
   opts.rss_limit_kib = 1; // any real process exceeds 1 KiB
   try {
     soak::run_soak(prog, opts);

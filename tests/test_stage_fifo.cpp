@@ -126,11 +126,11 @@ TEST(StageFifoIdeal, CancelledEntriesReclaimedForFree) {
   EXPECT_EQ(r.ref, ref_for(1));
 }
 
-// FNV-1a over the bytes of StageFifo::save after a fixed push / insert /
+// FNV-1a over the bytes of StageFifo's listing after a fixed push / insert /
 // cancel / pop script. The script keeps more phantoms outstanding than
 // the directory's first capacity, leaves phantom, data and cancelled
 // entries queued on every lane, and the payload must round-trip through
-// load(). The goldens pin the mp5-checkpoint v1 bytes of a FIFO.
+// a load. The goldens pin the mp5-checkpoint v1 bytes of a FIFO.
 std::uint64_t scripted_save_digest(bool ideal) {
   StageFifo fifo(3, 0, ideal);
   const auto push = [&](SeqNo s) {
@@ -150,13 +150,13 @@ std::uint64_t scripted_save_digest(bool ideal) {
   for (SeqNo s = 48; s < 60; ++s) push(s);
   fifo.check_invariants(0);
   ByteWriter w;
-  fifo.save(w);
+  save_fields(w, fifo);
 
   StageFifo restored(3, 0, ideal);
   ByteReader r(w.buffer());
-  restored.load(r);
+  load_fields(r, restored);
   ByteWriter again;
-  restored.save(again);
+  save_fields(again, restored);
   EXPECT_EQ(again.buffer(), w.buffer()) << "save/load/save is not stable";
 
   std::uint64_t h = 0xcbf29ce484222325ULL;

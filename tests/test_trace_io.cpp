@@ -6,12 +6,13 @@
 #include "common/error.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
+#include "test_util.hpp"
 
 namespace mp5 {
 namespace {
 
 std::string write_trace_text(const std::string& text) {
-  const std::string path = testing::TempDir() + "trace_io.trace.csv";
+  const std::string path = test::temp_path("trace_io.trace.csv");
   std::ofstream(path) << text;
   return path;
 }
@@ -28,7 +29,7 @@ TEST(TraceIo, RoundTripsAllFields) {
     original[i].arrival_time = 1342096.0 + 0.1 * static_cast<double>(i);
   }
 
-  const std::string path = testing::TempDir() + "roundtrip.trace.csv";
+  const std::string path = test::temp_path("roundtrip.trace.csv");
   save_trace_file(original, path);
   const Trace loaded = load_trace_file(path);
 

@@ -53,7 +53,7 @@ TEST(VectorSource, StreamsAndSkips) {
 
 TEST(CsvSource, RoundTripsThroughFile) {
   const Trace trace = small_trace(80);
-  const std::string path = testing::TempDir() + "rt.trace.csv";
+  const std::string path = test::temp_path("rt.trace.csv");
   save_trace_file(trace, path);
   CsvFileTraceSource source(path);
   expect_same_stream(source, trace);
@@ -66,7 +66,7 @@ TEST(CsvSource, RoundTripsThroughFile) {
 }
 
 TEST(CsvSource, RejectsUnsortedArrivals) {
-  const std::string path = testing::TempDir() + "unsorted.trace.csv";
+  const std::string path = test::temp_path("unsorted.trace.csv");
   {
     std::ofstream out(path);
     out << "10.0,1,64,0,5\n"
@@ -80,7 +80,7 @@ TEST(CsvSource, RejectsUnsortedArrivals) {
 TEST(CsvSource, RejectsMalformedCells) {
   // parse_trace_csv_line consumes each cell whole.
   for (const char* line : {"0.0abc,0,64,1,5", "0,0,64zz,1,5", "0,-1,64,1,5"}) {
-    const std::string path = testing::TempDir() + "malformed.trace.csv";
+    const std::string path = test::temp_path("malformed.trace.csv");
     {
       std::ofstream out(path);
       out << "0,0,64,1,5\r\n" << line << "\n";
@@ -118,7 +118,7 @@ TEST(SyntheticSource, DeterministicAndSkippable) {
 }
 
 TEST(CsvSource, RejectsMissingFile) {
-  EXPECT_THROW(CsvFileTraceSource{testing::TempDir() + "missing.trace.csv"},
+  EXPECT_THROW(CsvFileTraceSource{test::temp_path("missing.trace.csv")},
                Error);
 }
 
@@ -139,7 +139,7 @@ TEST(StreamingRun, MatchesMaterializedRun) {
   Rng rng(11);
   const Trace trace = test::trace_from_fields(
       test::random_fields(400, prog.pvsm.num_slots(), 64, rng), 4);
-  const std::string csv = testing::TempDir() + "simrun.trace.csv";
+  const std::string csv = test::temp_path("simrun.trace.csv");
   save_trace_file(trace, csv);
 
   SimOptions opts;

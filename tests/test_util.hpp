@@ -1,7 +1,12 @@
 // Shared helpers for the MP5 test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -15,6 +20,29 @@
 #include "trace/trace.hpp"
 
 namespace mp5::test {
+
+/// A path under testing::TempDir() that belongs to the running test alone:
+/// ctest runs each discovered test as its own process, so two tests that
+/// wrote one fixed name would race under `ctest -j`. The name carries the
+/// suite, the test and the pid; `file` tells one test's files apart. The
+/// file is removed when the test process exits.
+inline std::string temp_path(const std::string& file) {
+  struct Made {
+    std::vector<std::string> paths;
+    ~Made() {
+      for (const std::string& p : paths) std::remove(p.c_str());
+    }
+  };
+  static Made made;
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." +
+                     info->name() + "." + std::to_string(::getpid()) + "." +
+                     file;
+  std::replace(name.begin(), name.end(), '/', '_'); // parameterized names
+  made.paths.push_back(testing::TempDir() + name);
+  return made.paths.back();
+}
 
 /// Compile source all the way to an Mp5Program (reserving the AR stage).
 inline Mp5Program compile_mp5(const std::string& source,
