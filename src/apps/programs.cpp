@@ -380,7 +380,8 @@ std::vector<AppSpec> builtins() {
   for (auto [name, source] :
        {std::pair{"figure3", figure3_source()},
         std::pair{"counter", packet_counter_source()},
-        std::pair{"sequencer_example", sequencer_example_source()}}) {
+        std::pair{"sequencer_example", sequencer_example_source()},
+        std::pair{"synthetic", make_synthetic_source(4, 1024)}}) {
     AppSpec app;
     app.name = name;
     app.source = std::move(source);

@@ -42,8 +42,10 @@ AppSpec wfq_app();
 AppSpec sequencer_app();
 
 /// A bundled program by name: every real_apps() and extended_apps() entry
-/// (with its filler), then "figure3", "counter" and "sequencer_example"
-/// (source only, no filler). Throws ConfigError naming the valid programs.
+/// (with its filler), then "figure3", "counter", "sequencer_example" and
+/// "synthetic" (make_synthetic_source(4, 1024), the §4.3.1 sensitivity
+/// program; source only, no filler). Throws ConfigError naming the valid
+/// programs.
 AppSpec builtin(const std::string& name);
 /// Every name builtin() accepts, in that order (`mp5c --list`).
 std::vector<std::string> builtin_names();

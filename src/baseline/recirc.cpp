@@ -26,20 +26,24 @@ RecircSimulator::RecircSimulator(const Mp5Program& program,
 }
 
 SimResult RecircSimulator::run(const Trace& trace) {
-  trace_ = &trace;
-  cursor_ = 0;
+  VectorTraceSource source(trace);
+  return run(source);
+}
+
+SimResult RecircSimulator::run(TraceSource& source) {
   result_ = SimResult{};
 
   Cycle now = 0;
   bool first = true;
-  while (live_packets_ > 0 || cursor_ < trace_->size()) {
+  while (live_packets_ > 0 || source.peek() != nullptr) {
     if (now >= opts_.max_cycles) {
       throw Error("RecircSimulator: max_cycles exceeded");
     }
-    while (cursor_ < trace_->size() &&
-           (*trace_)[cursor_].arrival_time < static_cast<double>(now + 1)) {
-      admit((*trace_)[cursor_], now);
-      ++cursor_;
+    for (const TraceItem* item = source.peek();
+         item != nullptr && item->arrival_time < static_cast<double>(now + 1);
+         item = source.peek()) {
+      admit(*item, now);
+      source.advance();
       if (first) {
         result_.first_arrival = now;
         first = false;

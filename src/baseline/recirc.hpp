@@ -25,7 +25,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/shard_map.hpp"
 #include "mp5/transform.hpp"
-#include "trace/trace.hpp"
+#include "trace/trace_source.hpp"
 
 namespace mp5 {
 
@@ -46,6 +46,8 @@ public:
   RecircSimulator(const Mp5Program& program, const RecircOptions& options);
 
   SimResult run(const Trace& trace);
+  /// Streaming variant: pull packets from a TraceSource, one at a time.
+  SimResult run(TraceSource& source);
 
 private:
   void admit(const TraceItem& item, Cycle now);
@@ -62,8 +64,6 @@ private:
   std::vector<std::vector<std::optional<Packet>>> cells_; // [pipeline][stage]
   std::vector<std::deque<Packet>> ingress_;
 
-  const Trace* trace_ = nullptr;
-  std::size_t cursor_ = 0;
   SeqNo next_seq_ = 0;
   std::uint64_t live_packets_ = 0;
   std::size_t max_ingress_depth_ = 0;

@@ -81,18 +81,24 @@ void ReplicatedSimulator::apply_due_digests(Cycle now) {
 }
 
 SimResult ReplicatedSimulator::run(const Trace& trace) {
+  VectorTraceSource source(trace);
+  return run(source);
+}
+
+SimResult ReplicatedSimulator::run(TraceSource& source) {
   if (ran_) {
     throw Error("ReplicatedSimulator::run requires a freshly constructed "
                 "simulator");
   }
   ran_ = true;
-  return run_loop(trace, 0);
+  return run_loop(source, 0);
 }
 
-SimResult ReplicatedSimulator::run_loop(const Trace& trace, Cycle start) {
+SimResult ReplicatedSimulator::run_loop(TraceSource& source, Cycle start) {
+  source_ = &source;
   Cycle now = start;
   bool first = result_.offered == 0;
-  while (live_packets_ > 0 || cursor_ < trace.size() || !digests_.empty()) {
+  while (live_packets_ > 0 || source.peek() != nullptr || !digests_.empty()) {
     if (now >= opts_.max_cycles) {
       throw Error("ReplicatedSimulator: max_cycles exceeded");
     }
@@ -106,9 +112,8 @@ SimResult ReplicatedSimulator::run_loop(const Trace& trace, Cycle start) {
       // preserved; results (including cycles_run) are bit-identical to
       // stepping every idle cycle.
       Cycle target = opts_.max_cycles;
-      if (cursor_ < trace.size()) {
-        target = std::min(target,
-                          static_cast<Cycle>(trace[cursor_].arrival_time));
+      if (const TraceItem* next = source.peek()) {
+        target = std::min(target, static_cast<Cycle>(next->arrival_time));
       }
       if (!digests_.empty()) {
         target = std::min(target, digests_.front().deliver);
@@ -122,10 +127,11 @@ SimResult ReplicatedSimulator::run_loop(const Trace& trace, Cycle start) {
       }
     }
     apply_due_digests(now);
-    while (cursor_ < trace.size() &&
-           trace[cursor_].arrival_time < static_cast<double>(now + 1)) {
-      admit(trace[cursor_], now);
-      ++cursor_;
+    for (const TraceItem* item = source.peek();
+         item != nullptr && item->arrival_time < static_cast<double>(now + 1);
+         item = source.peek()) {
+      admit(*item, now);
+      source.advance();
       if (first) {
         result_.first_arrival = now;
         first = false;
@@ -145,6 +151,7 @@ SimResult ReplicatedSimulator::run_loop(const Trace& trace, Cycle start) {
     if (opts_.paranoid_checks) check_accounting(now);
     ++now;
   }
+  source_ = nullptr;
   result_.cycles_run = now;
   result_.final_registers = replicas_[0].storage();
   result_.c1_violating_packets = c1_.violating_packets();
@@ -239,11 +246,13 @@ void ReplicatedSimulator::check_accounting(Cycle now) const {
 // covers the design and staleness_bound, so cross-design restores refuse).
 // ---------------------------------------------------------------------------
 
-template <class Io> void ReplicatedSimulator::transfer(Io& io, Cycle& now) {
+template <class Io>
+void ReplicatedSimulator::transfer(Io& io, Cycle& now,
+                                   std::uint64_t& consumed) {
   io.u64(now);
   io.u64(next_seq_);
   io.u64(live_packets_);
-  io.u64(cursor_);
+  io.u64(consumed);
   io.u64(max_ingress_depth_);
   result_.transfer(io);
   for (ir::FlatRegFile& replica : replicas_) {
@@ -298,14 +307,16 @@ template <class Io> void ReplicatedSimulator::transfer(Io& io, Cycle& now) {
 std::string ReplicatedSimulator::serialize_state(Cycle now) const {
   ByteWriter w;
   SaveIo io(w);
-  const_cast<ReplicatedSimulator*>(this)->transfer(io, now);
+  std::uint64_t consumed = source_->consumed();
+  const_cast<ReplicatedSimulator*>(this)->transfer(io, now, consumed);
   return w.take();
 }
 
-Cycle ReplicatedSimulator::restore_state(ByteReader& r) {
+Cycle ReplicatedSimulator::restore_state(ByteReader& r,
+                                         std::uint64_t& trace_consumed) {
   LoadIo io(r);
   Cycle now = 0;
-  transfer(io, now);
+  transfer(io, now, trace_consumed);
   return now;
 }
 
@@ -315,7 +326,7 @@ void ReplicatedSimulator::do_checkpoint(Cycle now) {
                             serialize_state(now)));
 }
 
-SimResult ReplicatedSimulator::resume(const Trace& trace,
+SimResult ReplicatedSimulator::resume(TraceSource& source,
                                       std::string_view checkpoint_blob) {
   if (ran_ || next_seq_ != 0) {
     throw Error(
@@ -323,11 +334,13 @@ SimResult ReplicatedSimulator::resume(const Trace& trace,
         "simulator");
   }
   ran_ = true;
+  std::uint64_t consumed = 0;
   const Cycle now = resume_checkpoint(
       checkpoint_blob, config_fingerprint(*prog_, opts_),
       opts_.checkpoint_interval, next_checkpoint_,
-      [this](ByteReader& r) { return restore_state(r); });
-  return run_loop(trace, now);
+      [&](ByteReader& r) { return restore_state(r, consumed); });
+  source.skip_to(consumed);
+  return run_loop(source, now);
 }
 
 } // namespace mp5

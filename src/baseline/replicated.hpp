@@ -46,7 +46,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/options.hpp"
 #include "mp5/transform.hpp"
-#include "trace/trace.hpp"
+#include "trace/trace_source.hpp"
 
 namespace mp5 {
 
@@ -58,12 +58,15 @@ public:
                       const ReplicatedOptions& options);
 
   SimResult run(const Trace& trace);
+  /// Streaming variant: pull packets from a TraceSource, one at a time.
+  SimResult run(TraceSource& source);
 
-  /// Restore from an mp5-checkpoint v1 blob emitted by a checkpoint_sink
-  /// and finish the run. The config fingerprint (which covers the design
-  /// and staleness_bound) must match; requires a freshly constructed
+  /// Restore from an mp5-checkpoint v1 blob emitted by a checkpoint_sink,
+  /// reposition `source` at the checkpoint's trace position, and finish
+  /// the run. The config fingerprint (which covers the design and
+  /// staleness_bound) must match; requires a freshly constructed
   /// simulator.
-  SimResult resume(const Trace& trace, std::string_view checkpoint_blob);
+  SimResult resume(TraceSource& source, std::string_view checkpoint_blob);
 
 private:
   /// One broadcast state update: replay stage `stage` of packet `seq`
@@ -86,7 +89,7 @@ private:
     std::vector<Value> headers;
   };
 
-  SimResult run_loop(const Trace& trace, Cycle start);
+  SimResult run_loop(TraceSource& source, Cycle start);
   void admit(const TraceItem& item, Cycle now);
   void step_cell(PipelineId p, StageId st, Cycle now);
   void apply_due_digests(Cycle now);
@@ -98,9 +101,10 @@ private:
   void check_accounting(Cycle now) const;
   void do_checkpoint(Cycle now);
   /// The one checkpoint listing behind serialize_state and restore_state.
-  template <class Io> void transfer(Io& io, Cycle& now);
+  template <class Io> void transfer(Io& io, Cycle& now,
+                                    std::uint64_t& consumed);
   std::string serialize_state(Cycle now) const;
-  Cycle restore_state(ByteReader& r);
+  Cycle restore_state(ByteReader& r, std::uint64_t& trace_consumed);
 
   const Mp5Program* prog_;
   ReplicatedOptions opts_;
@@ -116,7 +120,7 @@ private:
   /// history order regardless of generation interleaving.
   std::vector<Digest> digests_;
 
-  std::size_t cursor_ = 0;
+  TraceSource* source_ = nullptr; // non-owning, valid during run_loop only
   SeqNo next_seq_ = 0;
   std::uint64_t live_packets_ = 0;
   std::size_t max_ingress_depth_ = 0;

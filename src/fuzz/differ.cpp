@@ -4,7 +4,6 @@
 #include <exception>
 #include <memory>
 #include <sstream>
-#include <type_traits>
 
 #include "banzai/single_pipeline.hpp"
 #include "baseline/replicated.hpp"
@@ -239,13 +238,8 @@ Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
   }
   if (!captured) return Failure{}; // run finished before the first boundary
   Sim restored(compiled.prog, options);
-  SimResult after;
-  if constexpr (std::is_same_v<Sim, Mp5Simulator>) {
-    VectorTraceSource source(trace);
-    after = restored.resume(source, blob);
-  } else {
-    after = restored.resume(trace, blob);
-  }
+  VectorTraceSource source(trace);
+  const SimResult after = restored.resume(source, blob);
   if (!same_results(baseline, after, &why)) {
     failure.kind = FailureKind::kCheckpointDivergence;
     failure.detail =

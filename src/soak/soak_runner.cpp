@@ -1,6 +1,5 @@
 #include "soak/soak_runner.hpp"
 
-#include <algorithm>
 #include <string_view>
 #include <utility>
 
@@ -15,10 +14,15 @@ namespace mp5::soak {
 
 namespace {
 
-void track_rss(SoakReport& report) {
-  const RssSample rss = sample_rss();
-  report.rss_kib = rss.rss_kib;
-  report.peak_rss_kib = std::max(report.peak_rss_kib, rss.peak_kib);
+void finish_verification(RollingVerifier& verifier, SoakReport& report) {
+  report.verify_ran = true;
+  report.equivalence =
+      verifier.finish(report.result.offered, report.result.final_registers);
+  report.truncated = verifier.truncated();
+  report.verified_packets = verifier.verified();
+  report.verify_window_peak = verifier.window_peak();
+  report.verified = !report.truncated && report.equivalence.packets_equal &&
+                    report.equivalence.registers_equal;
 }
 
 } // namespace
@@ -26,9 +30,6 @@ void track_rss(SoakReport& report) {
 SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
   if (options.checkpoint_interval != 0 && options.checkpoint_path.empty()) {
     throw ConfigError("soak: checkpoint_interval requires checkpoint_path");
-  }
-  if (options.resume && options.checkpoint_path.empty()) {
-    throw ConfigError("soak: resume requires checkpoint_path");
   }
 
   SoakReport report;
@@ -39,11 +40,8 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
 
   std::unique_ptr<RollingVerifier> verifier;
   if (options.verify) {
-    RollingVerifier::Options vopts;
-    vopts.max_window = options.verify_window;
-    verifier = std::make_unique<RollingVerifier>(
-        program.pvsm, open_traffic(options.trace_path, options.synthetic),
-        vopts);
+    verifier =
+        std::make_unique<RollingVerifier>(program.pvsm, options.traffic());
     sim_opts.egress_sink = [&v = *verifier](EgressRecord&& rec) {
       v.on_egress(std::move(rec));
     };
@@ -66,30 +64,30 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
       }
       write_checkpoint_file(options.checkpoint_path, file);
       ++report.checkpoints_written;
-      track_rss(report);
-      if (options.rss_limit_kib != 0 &&
-          report.rss_kib > options.rss_limit_kib) {
+      const std::uint64_t rss_kib = sample_rss().rss_kib;
+      if (options.rss_limit_kib != 0 && rss_kib > options.rss_limit_kib) {
         throw Error("soak RSS ceiling exceeded: VmRSS " +
-                    std::to_string(report.rss_kib) + " KiB > limit " +
+                    std::to_string(rss_kib) + " KiB > limit " +
                     std::to_string(options.rss_limit_kib) +
                     " KiB at cycle " + std::to_string(cycle));
       }
     };
   }
 
-  auto source = open_traffic(options.trace_path, options.synthetic);
+  auto source = options.traffic();
   Mp5Simulator sim(program, sim_opts);
 
-  if (options.resume) {
-    const std::string file = read_checkpoint_file(options.checkpoint_path);
+  if (!options.resume.empty()) {
+    const std::string file = read_checkpoint_file(options.resume);
     const std::size_t sim_len = framed_size(file);
     const std::string_view sim_frame(file.data(), sim_len);
     const std::string_view rest(file.data() + sim_len, file.size() - sim_len);
     const CheckpointInfo sim_info = parse_checkpoint(sim_frame);
     if (verifier != nullptr) {
       if (rest.empty()) {
-        throw Error("soak checkpoint has no verifier section (the "
-                    "checkpointing run had verification disabled)");
+        throw Error("soak checkpoint has no verifier frame (the "
+                    "checkpointing run did not verify; resume it without "
+                    "verification)");
       }
       if (framed_size(rest) != rest.size()) {
         throw Error("soak checkpoint corrupted (trailing bytes after the "
@@ -115,18 +113,24 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
     report.result = sim.run(*source);
   }
 
-  if (verifier != nullptr) {
-    report.verify_ran = true;
-    report.equivalence =
-        verifier->finish(report.result.offered, report.result.final_registers);
-    report.truncated = verifier->truncated();
-    report.verified_packets = verifier->verified();
-    report.verify_window_peak = verifier->window_peak();
-    report.verified = !report.truncated && report.equivalence.packets_equal &&
-                      report.equivalence.registers_equal;
-  }
-  track_rss(report);
+  if (verifier != nullptr) finish_verification(*verifier, report);
   return report;
+}
+
+void verify_egress_log(const Mp5Program& program, const TrafficOpener& traffic,
+                       SoakReport& report) {
+  RollingVerifier verifier(program.pvsm, traffic());
+  SeqNo next = 0;
+  for (EgressRecord& rec : report.result.egress) {
+    // The log is sorted by seq, so a hole is a packet that never egressed:
+    // the verdict is settled there, and feeding the rest would only grow
+    // the pending window.
+    if (rec.seq > next) break;
+    next = rec.seq + 1;
+    verifier.on_egress(std::move(rec));
+  }
+  report.result.egress = {};
+  finish_verification(verifier, report);
 }
 
 } // namespace mp5::soak

@@ -1,4 +1,4 @@
-// Crash-recoverable soak driver (ISSUE 6 tentpole).
+// Crash-recoverable streaming driver behind mp5sim's MP5 designs.
 //
 // run_soak() wires the streaming pieces into one billion-packet-capable
 // harness: a TraceSource feeds the simulator, a second source over the
@@ -12,10 +12,12 @@
 // back — the simulator frame first (so external tools can sniff the magic
 // at offset 0), then the verifier frame carrying RollingVerifier state.
 // Both land in a single atomic rename, so there is no crash window in
-// which the two halves disagree.
+// which the two halves disagree. A run without verification writes the
+// simulator frame alone.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -27,11 +29,13 @@
 
 namespace mp5::soak {
 
+/// Opens the run's packet stream at its first packet. run_soak calls it
+/// once for the simulator and once for the verifier; both calls must
+/// yield the same packets.
+using TrafficOpener = std::function<std::unique_ptr<TraceSource>()>;
+
 struct SoakOptions {
-  /// CSV trace file to stream, in admission order. When empty the
-  /// deterministic synthetic generator below supplies the packets.
-  std::string trace_path;
-  SyntheticSpec synthetic;
+  TrafficOpener traffic;
 
   /// Base simulator configuration. The checkpoint knobs
   /// (checkpoint_interval / checkpoint_sink) and the streaming sinks are
@@ -44,14 +48,13 @@ struct SoakOptions {
   /// File the combined checkpoint is (re)written to. Required when
   /// checkpoint_interval != 0.
   std::string checkpoint_path;
-  /// Resume from checkpoint_path instead of starting fresh.
-  bool resume = false;
+  /// Checkpoint file to resume from instead of starting fresh; empty
+  /// starts fresh. With verify on it must carry the verifier frame.
+  std::string resume;
 
   /// Rolling equivalence verification against the single-pipeline
   /// reference.
   bool verify = true;
-  /// RollingVerifier window cap (pending out-of-order fates).
-  std::size_t verify_window = std::size_t{1} << 20;
 
   /// Abort (throw Error) if VmRSS exceeds this many KiB at a checkpoint
   /// boundary — the soak's flat-memory contract, enforced. 0 = unlimited.
@@ -60,7 +63,7 @@ struct SoakOptions {
 
 struct SoakReport {
   SimResult result;
-  /// Meaningful only when SoakOptions::verify was set.
+  /// Meaningful only when verification ran.
   EquivalenceReport equivalence;
   bool verify_ran = false;
   /// verify_ran && packets and registers matched the reference.
@@ -73,13 +76,16 @@ struct SoakReport {
   std::uint64_t checkpoints_written = 0;
   bool resumed = false;
   Cycle resumed_from_cycle = 0;
-
-  /// VmRSS/VmHWM sampled at checkpoints and at completion (KiB; 0 when
-  /// procfs is unavailable).
-  std::uint64_t rss_kib = 0;
-  std::uint64_t peak_rss_kib = 0;
 };
 
 SoakReport run_soak(const Mp5Program& program, const SoakOptions& options);
+
+/// Verify a finished run from its complete, seq-sorted egress log (the
+/// baseline simulators record one under record_egress) with the
+/// RollingVerifier run_soak wires to the sinks, over the packets
+/// `traffic` opens. Releases report.result.egress, so the result is the
+/// one an unchecked run returns, and fills report's verification fields.
+void verify_egress_log(const Mp5Program& program, const TrafficOpener& traffic,
+                       SoakReport& report);
 
 } // namespace mp5::soak

@@ -5,7 +5,7 @@
 # invocation must still exit zero.
 #
 # Inputs: -DMP5C=<path> -DMP5SIM=<path> -DMP5FABRIC=<path> -DMP5NATIVE=<path>
-#         -DMP5SOAK=<path> -DMP5FUZZ=<path>
+#         -DMP5FUZZ=<path>
 #         -DABLATION=<path to bench_ablation_remap>
 #         -DPYTHON=<python3, may be empty> -DVALIDATOR=<validate_results.py>
 
@@ -196,8 +196,6 @@ expect_failure("mp5sim scr rejects telemetry"
 foreach(flag "--engine;event" "--threads;4" "--no-fast-forward")
   expect_failure("mp5sim removed flag ${flag}"
                  ${MP5SIM} --builtin figure3 --packets 200 ${flag})
-  expect_failure("mp5soak removed flag ${flag}"
-                 ${MP5SOAK} --packets 200 ${flag})
   expect_failure("mp5fabric removed flag ${flag}"
                  ${MP5FABRIC} --flows 10 ${flag})
 endforeach()
@@ -265,16 +263,60 @@ foreach(design mp5 scr)
                         "its checkpointing run '${written}'")
   endif()
 endforeach()
-digest_line(written "mp5soak digest checkpointing run"
-            ${MP5SOAK} --packets 20000 --checkpoint-interval 2000
+# A verified soak writes the simulator and the verifier frame; --restore
+# resumes that file with or without verification.
+set(soak ${MP5SIM} --builtin synthetic --load 0.9 --packets 20000)
+digest_line(written "mp5sim soak digest checkpointing run"
+            ${soak} --check-equivalence --checkpoint-interval 2000
             --checkpoint-out ${workdir}/digest-soak.ckpt)
-digest_line(resumed "mp5soak digest resumed run"
-            ${MP5SOAK} --packets 20000 --checkpoint-interval 2000
-            --checkpoint-out ${workdir}/digest-soak.ckpt --resume)
-if(NOT written STREQUAL resumed)
-  message(FATAL_ERROR "mp5soak: resumed run printed '${resumed}', "
-                      "its checkpointing run '${written}'")
+digest_line(resumed "mp5sim soak digest resumed run"
+            ${soak} --check-equivalence --restore ${workdir}/digest-soak.ckpt)
+digest_line(unverified "mp5sim soak digest resumed without verification"
+            ${soak} --restore ${workdir}/digest-soak.ckpt)
+if(NOT written STREQUAL resumed OR NOT written STREQUAL unverified)
+  message(FATAL_ERROR "mp5sim soak: resumed runs printed '${resumed}' and "
+                      "'${unverified}', their checkpointing run '${written}'")
 endif()
+# A checkpoint without the verifier frame cannot resume a verified run.
+expect_success("mp5sim soak unverified checkpointing run"
+               ${soak} --checkpoint-interval 2000
+               --checkpoint-out ${workdir}/unverified-soak.ckpt)
+expect_failure("mp5sim soak verified resume of an unverified checkpoint"
+               STDERR "no verifier frame"
+               ${soak} --check-equivalence
+               --restore ${workdir}/unverified-soak.ckpt)
+
+# Checking a run does not change its result: the same digest with and
+# without --check-equivalence, with and without a fault plan. Under the
+# fault plan the verifier checks the run modulo the dropped packets.
+foreach(faults "" "--fail-pipeline;1@2000:4000")
+  digest_line(plain "mp5sim digest unchecked ${faults}"
+              ${MP5SIM} --builtin flowlet --packets 20000 ${faults})
+  digest_line(checked "mp5sim digest checked ${faults}"
+              ${MP5SIM} --builtin flowlet --packets 20000 ${faults}
+              --check-equivalence)
+  if(NOT plain STREQUAL checked)
+    message(FATAL_ERROR "mp5sim ${faults}: --check-equivalence printed "
+                        "'${checked}', the unchecked run '${plain}'")
+  endif()
+endforeach()
+expect_success("mp5sim verifies a faulty run modulo its drops"
+               STDOUT "verified [0-9]+ packets.*functional equivalence: OK"
+               ${MP5SIM} --builtin flowlet --packets 20000 --check-equivalence
+               --fail-pipeline 1@2000:4000)
+
+# The self-test is an MP5-design flag; the names mp5sim never took stay
+# unknown (the cycle ceiling is derived, memory ceilings are
+# rss_sampler.py's).
+expect_failure("mp5sim scr rejects self-test"
+               ${MP5SIM} --builtin figure3 --packets 200 --design scr
+               --self-test)
+foreach(flag "--field-bound;16" "--resume" "--no-verify" "--synthetic-stages;4"
+             "--verify-window;64" "--flows;8" "--max-cycles;1000"
+             "--rss-limit-kib;1")
+  expect_failure("mp5sim unknown flag ${flag}"
+                 ${MP5SIM} --builtin figure3 --packets 200 ${flag})
+endforeach()
 
 # -- mp5fabric (ISSUE 7) --
 expect_failure("mp5fabric unknown flag" ${MP5FABRIC} --no-such-flag)
@@ -431,8 +473,9 @@ expect_failure("mp5sim trailing garbage, 32-bit"
                ${MP5SIM} --builtin figure3 --pipelines 4abc)
 expect_failure("mp5native trailing garbage" STDERR "--cores: .*'2x'"
                ${MP5NATIVE} --builtin counter --cores 2x)
-expect_failure("mp5soak trailing garbage" STDERR "--packets: .*'4000x'"
-               ${MP5SOAK} --packets 4000x)
+expect_failure("mp5sim trailing garbage, soak flag"
+               STDERR "--checkpoint-interval: .*'4000x'"
+               ${MP5SIM} --builtin figure3 --checkpoint-interval 4000x)
 expect_failure("mp5fabric trailing garbage" STDERR "--flows: .*'600x'"
                ${MP5FABRIC} --flows 600x)
 expect_failure("mp5fuzz trailing garbage" STDERR "--seeds: .*'1x'"
@@ -444,25 +487,27 @@ expect_failure("mp5sim negative load" STDERR "--load: .*'-1'"
 expect_failure("mp5sim malformed real"
                STDERR "--load: expected a finite real number, got '0.5x'"
                ${MP5SIM} --builtin figure3 --load 0.5x)
-expect_failure("mp5soak malformed signed value"
-               STDERR "--field-bound: expected a signed 64-bit integer, got '8x'"
-               ${MP5SOAK} --field-bound 8x)
-expect_failure("mp5soak seed without a value" STDERR "--seed needs an argument"
-               ${MP5SOAK} --seed)
+expect_failure("mp5sim malformed signed value"
+               STDERR "--rand-fields: expected a signed 64-bit integer, got '8x'"
+               ${MP5SIM} --builtin figure3 --rand-fields 8x)
+expect_failure("mp5sim seed without a value" STDERR "--seed needs an argument"
+               ${MP5SIM} --builtin figure3 --seed)
 
 # -- one trace reader: a trace mp5sim saves replays in all three tools
 # that take --trace, and all three refuse the same trace out of order --
-expect_success("mp5sim save trace"
-               ${MP5SIM} --builtin figure3 --packets 300
-               --save-trace ${workdir}/saved.trace.csv)
-expect_success("mp5sim replays the saved trace"
-               ${MP5SIM} --builtin figure3 --check-equivalence
-               --trace ${workdir}/saved.trace.csv)
+digest_line(saved "mp5sim save trace"
+            ${MP5SIM} --builtin figure3 --packets 300
+            --save-trace ${workdir}/saved.trace.csv)
+digest_line(replayed "mp5sim replays the saved trace"
+            ${MP5SIM} --builtin figure3 --check-equivalence
+            --trace ${workdir}/saved.trace.csv)
+if(NOT saved STREQUAL replayed)
+  message(FATAL_ERROR "mp5sim: the replayed trace printed '${replayed}', "
+                      "the run that saved it '${saved}'")
+endif()
 expect_success("mp5native replays the saved trace"
                ${MP5NATIVE} --builtin figure3 --cores 2 --check
                --trace ${workdir}/saved.trace.csv)
-expect_success("mp5soak replays the saved trace"
-               ${MP5SOAK} --builtin figure3 --trace ${workdir}/saved.trace.csv)
 # Swap the first two packets (row 0 is the header comment).
 file(STRINGS ${workdir}/saved.trace.csv rows)
 list(GET rows 1 first_packet)
@@ -470,10 +515,10 @@ list(REMOVE_AT rows 1)
 list(INSERT rows 2 "${first_packet}")
 list(JOIN rows "\n" unsorted)
 file(WRITE ${workdir}/unsorted.trace.csv "${unsorted}\n")
-foreach(tool "mp5sim;${MP5SIM};--check-equivalence"
+foreach(tool "mp5sim --check-equivalence;${MP5SIM};--check-equivalence"
+             "mp5sim;${MP5SIM};--paranoid"
              "mp5native --check;${MP5NATIVE};--check"
-             "mp5native;${MP5NATIVE};--quiet"
-             "mp5soak;${MP5SOAK};--paranoid")
+             "mp5native;${MP5NATIVE};--quiet")
   list(GET tool 0 name)
   list(GET tool 1 binary)
   list(GET tool 2 flag)
@@ -482,12 +527,21 @@ foreach(tool "mp5sim;${MP5SIM};--check-equivalence"
                  ${binary} --builtin figure3 ${flag}
                  --trace ${workdir}/unsorted.trace.csv)
 endforeach()
+# A stored trace's cycle ceiling leaves room past its last arrival, so
+# one that spans more than SimOptions' default 5M cycles still runs.
+file(WRITE ${workdir}/late.trace.csv
+     "0,3,64,17,169,363,113,152,228\n6000000,1,64,5,253,597,49,617,225\n")
+expect_success("mp5sim runs a trace past the default cycle ceiling"
+               STDOUT "verified 2 packets.*functional equivalence: OK"
+               ${MP5SIM} --builtin figure3 --check-equivalence
+               --trace ${workdir}/late.trace.csv)
 
 # -- flags whose paths no other test takes --
 expect_success("mp5sim random field values" STDOUT "result digest: 0x"
                ${MP5SIM} --builtin figure3 --packets 200 --rand-fields 16)
-expect_success("mp5soak field bound" STDOUT "result digest: 0x"
-               ${MP5SOAK} --packets 500 --field-bound 16)
+expect_success("mp5sim soak field bound" STDOUT "result digest: 0x3bd7e2a62c1cddff"
+               ${MP5SIM} --builtin synthetic --load 0.9 --check-equivalence
+               --packets 500 --rand-fields 16)
 expect_success("mp5sim prints the timeline" STDOUT "cycle [0-9]+  pipe [0-9]+  stage "
                ${MP5SIM} --builtin figure3 --packets 50 --timeline 5)
 expect_success("mp5fuzz replays a reproducer" STDOUT "observed: variant-divergence.*OK"

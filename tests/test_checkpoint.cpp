@@ -343,6 +343,13 @@ SimResult run_replicated(const Mp5Program& prog, const Trace& trace,
   return ReplicatedSimulator(prog, opts).run(trace);
 }
 
+/// Resume `sim` from `blob`, streaming the packets of `trace`.
+template <class Sim>
+SimResult resume_over(Sim&& sim, const Trace& trace, std::string_view blob) {
+  VectorTraceSource source(trace);
+  return sim.resume(source, blob);
+}
+
 TEST(CheckpointRestore, ReplicatedBitIdentity) {
   const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(3, 64));
   Rng rng(51);
@@ -378,7 +385,7 @@ TEST(CheckpointRestore, ReplicatedBitIdentity) {
         ropts.record_egress = true;
         ropts.paranoid_checks = paranoid;
         const SimResult result =
-            ReplicatedSimulator(prog, ropts).resume(trace, blob);
+            resume_over(ReplicatedSimulator(prog, ropts), trace, blob);
         EXPECT_TRUE(same_results(baseline, result, &why))
             << "restore at cycle " << cycle << " (paranoid=" << paranoid
             << ") diverged: " << why;
@@ -408,7 +415,7 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
   // MP5 simulator, or into SCR at a different pipeline count.
   {
     ReplicatedSimulator sim(prog, relaxed_options(4, 32));
-    EXPECT_THROW((void)sim.resume(trace, scr_blob), Error);
+    EXPECT_THROW((void)resume_over(sim, trace, scr_blob), Error);
   }
   {
     SimOptions mp5 = mp5_options(4, 1);
@@ -418,7 +425,7 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
   }
   {
     ReplicatedSimulator sim(prog, scr_options(8));
-    EXPECT_THROW((void)sim.resume(trace, scr_blob), Error);
+    EXPECT_THROW((void)resume_over(sim, trace, scr_blob), Error);
   }
 
   // Two relaxed runs differing only in Δ must refuse each other's blobs.
@@ -433,18 +440,18 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
   ASSERT_FALSE(rel_blobs.empty());
   {
     ReplicatedSimulator sim(prog, relaxed_options(4, 128));
-    EXPECT_THROW((void)sim.resume(trace, rel_blobs.front()), Error);
+    EXPECT_THROW((void)resume_over(sim, trace, rel_blobs.front()), Error);
   }
 
   // Reuse and garbage are refused like the MP5 path.
   {
     ReplicatedSimulator sim(prog, scr_options(4));
     (void)sim.run(trace);
-    EXPECT_THROW((void)sim.resume(trace, scr_blob), Error);
+    EXPECT_THROW((void)resume_over(sim, trace, scr_blob), Error);
   }
   {
     ReplicatedSimulator sim(prog, scr_options(4));
-    EXPECT_THROW((void)sim.resume(trace, "not a checkpoint"), Error);
+    EXPECT_THROW((void)resume_over(sim, trace, "not a checkpoint"), Error);
   }
 }
 
@@ -578,7 +585,8 @@ TEST(CheckpointPayloadGolden, ReplicatedFrames) {
     ropts.record_egress = true;
     std::string why;
     EXPECT_TRUE(same_results(
-        baseline, ReplicatedSimulator(prog, ropts).resume(trace, frame), &why))
+        baseline, resume_over(ReplicatedSimulator(prog, ropts), trace, frame),
+        &why))
         << why;
     EXPECT_EQ(fnv1a(frame), c.golden) << hex(fnv1a(frame));
   }
@@ -586,13 +594,14 @@ TEST(CheckpointPayloadGolden, ReplicatedFrames) {
 
 TEST(CheckpointPayloadGolden, SoakFileWithVerifierFrame) {
   const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(3, 64));
+  SyntheticSpec spec;
+  spec.packets = 1500;
+  spec.pipelines = 4;
+  spec.field_count = static_cast<std::uint32_t>(prog.pvsm.num_slots());
+  spec.field_bound = 64;
+  spec.seed = 5;
   soak::SoakOptions opts;
-  opts.synthetic.packets = 1500;
-  opts.synthetic.pipelines = 4;
-  opts.synthetic.field_count =
-      static_cast<std::uint32_t>(prog.pvsm.num_slots());
-  opts.synthetic.field_bound = 64;
-  opts.synthetic.seed = 5;
+  opts.traffic = [spec] { return std::make_unique<SyntheticTraceSource>(spec); };
   opts.checkpoint_interval = 150;
   opts.checkpoint_path = test::temp_path("payload_golden.ckpt");
   const soak::SoakReport report = soak::run_soak(prog, opts);
@@ -815,7 +824,7 @@ TEST(CheckpointCorruption, ReplicatedPayloadRestoresOrThrowsError) {
   ReplicatedOptions ropts = opts;
   ropts.max_cycles = info.cycle;
   auto resume = [&](const std::string& blob) {
-    (void)ReplicatedSimulator(prog, ropts).resume(trace, blob);
+    (void)resume_over(ReplicatedSimulator(prog, ropts), trace, blob);
   };
 
   const SweepOutcome out = sweep_payload(frame, resume);

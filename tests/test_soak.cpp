@@ -1,6 +1,7 @@
-// Soak subsystem (ISSUE 6): rolling verification semantics, its
-// checkpointability, and the end-to-end run_soak driver including
-// resume-from-checkpoint bit-identity and the flat-RSS ceiling.
+// Soak subsystem: rolling verification semantics, its checkpointability,
+// the end-to-end run_soak driver including resume-from-checkpoint
+// bit-identity and the flat-RSS ceiling, and the egress-log check the
+// baseline designs use.
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/programs.hpp"
+#include "baseline/presets.hpp"
+#include "baseline/recirc.hpp"
+#include "baseline/replicated.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "metrics/equivalence.hpp"
@@ -216,13 +220,14 @@ TEST(RollingVerifier, SaveLoadRoundTrip) {
 
 soak::SoakOptions synthetic_soak(const Mp5Program& prog,
                                  std::uint64_t packets) {
+  SyntheticSpec spec;
+  spec.packets = packets;
+  spec.pipelines = 4;
+  spec.field_count = static_cast<std::uint32_t>(prog.pvsm.num_slots());
+  spec.field_bound = 64;
+  spec.seed = 3;
   soak::SoakOptions opts;
-  opts.synthetic.packets = packets;
-  opts.synthetic.pipelines = 4;
-  opts.synthetic.field_count =
-      static_cast<std::uint32_t>(prog.pvsm.num_slots());
-  opts.synthetic.field_bound = 64;
-  opts.synthetic.seed = 3;
+  opts.traffic = [spec] { return std::make_unique<SyntheticTraceSource>(spec); };
   opts.sim.paranoid_checks = true;
   return opts;
 }
@@ -260,7 +265,7 @@ TEST(RunSoak, CheckpointThenResumeMatchesUninterrupted) {
   // The file on disk holds the *last* checkpoint; resuming from it must
   // finish with the identical SimResult and a verified report.
   soak::SoakOptions ropts = copts;
-  ropts.resume = true;
+  ropts.resume = path;
   const soak::SoakReport resumed = soak::run_soak(prog, ropts);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_GT(resumed.resumed_from_cycle, 0u);
@@ -276,9 +281,9 @@ TEST(RunSoak, RejectsBadOptionsAndCorruptCheckpoints) {
   no_path.checkpoint_interval = 50;
   EXPECT_THROW(soak::run_soak(prog, no_path), ConfigError);
 
-  soak::SoakOptions resume_no_path = synthetic_soak(prog, 100);
-  resume_no_path.resume = true;
-  EXPECT_THROW(soak::run_soak(prog, resume_no_path), ConfigError);
+  soak::SoakOptions resume_missing = synthetic_soak(prog, 100);
+  resume_missing.resume = test::temp_path("no_such.ckpt");
+  EXPECT_THROW(soak::run_soak(prog, resume_missing), Error);
 
   const std::string garbage = test::temp_path("garbage.ckpt");
   {
@@ -286,8 +291,7 @@ TEST(RunSoak, RejectsBadOptionsAndCorruptCheckpoints) {
     write_checkpoint_file(garbage, junk);
   }
   soak::SoakOptions from_garbage = synthetic_soak(prog, 100);
-  from_garbage.checkpoint_path = garbage;
-  from_garbage.resume = true;
+  from_garbage.resume = garbage;
   EXPECT_THROW(soak::run_soak(prog, from_garbage), Error);
 }
 
@@ -306,13 +310,13 @@ TEST(RunSoak, ResumeWithVerifyNeedsVerifierFrame) {
   EXPECT_FALSE(report.verify_ran);
 
   soak::SoakOptions ropts = copts;
-  ropts.resume = true;
+  ropts.resume = path;
   ropts.verify = true;
   EXPECT_THROW(soak::run_soak(prog, ropts), Error);
 
   // Resuming with verification off accepts the single-frame file.
   soak::SoakOptions ok = copts;
-  ok.resume = true;
+  ok.resume = path;
   const soak::SoakReport resumed = soak::run_soak(prog, ok);
   EXPECT_TRUE(resumed.resumed);
   std::string why;
@@ -331,6 +335,44 @@ TEST(RunSoak, EnforcesRssCeiling) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("RSS ceiling"), std::string::npos)
         << e.what();
+  }
+}
+
+// -- verify_egress_log ------------------------------------------------------
+
+TEST(VerifyEgressLog, AgreesWithBatchCheckerOnBaselines) {
+  // The synthetic program's updates commute, so only recirculation's
+  // ingress drops break it; the sequencer stamps the count into the packet,
+  // which the replicated designs read stale.
+  for (const Mp5Program& prog :
+       {soak_program(), test::compile_mp5(apps::sequencer_example_source())}) {
+    const Trace trace = soak_trace(prog, 600, 13);
+    const auto reference = test::run_reference(prog, trace);
+    const soak::TrafficOpener traffic = [&trace] {
+      return std::make_unique<VectorTraceSource>(trace);
+    };
+    RecircOptions recirc;
+    recirc.record_egress = true;
+    ReplicatedOptions scr = scr_options(4);
+    scr.record_egress = true;
+    ReplicatedOptions relaxed = relaxed_options(4, 64);
+    relaxed.record_egress = true;
+    const SimResult results[] = {
+        RecircSimulator(prog, recirc).run(trace),
+        ReplicatedSimulator(prog, scr).run(trace),
+        ReplicatedSimulator(prog, relaxed).run(trace)};
+    for (const SimResult& result : results) {
+      const EquivalenceReport batch =
+          check_equivalence(prog.pvsm, reference, result);
+      soak::SoakReport report;
+      report.result = result;
+      soak::verify_egress_log(prog, traffic, report);
+      EXPECT_TRUE(report.verify_ran);
+      EXPECT_EQ(report.verified, batch.equivalent());
+      EXPECT_EQ(report.equivalence.packets_equal, batch.packets_equal);
+      // The log is released: the result an unchecked run returns.
+      EXPECT_TRUE(report.result.egress.empty());
+    }
   }
 }
 

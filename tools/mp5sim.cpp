@@ -4,17 +4,28 @@
 //   mp5sim --builtin flowlet --pipelines 4
 //   mp5sim program.dom --trace trace.csv --design no-d4
 //   mp5sim --builtin counter --packets 5000 --check-equivalence
+//   mp5sim --builtin synthetic --packets 100000000 --load 0.9
+//          --check-equivalence --checkpoint-interval 200000
+//          --checkpoint-out soak.ckpt
+//
+// Every run streams its packets: memory stays flat at any --packets, as
+// long as the offered load stays below what the switch sustains (~0.97 of
+// line rate; sustained overload grows the in-switch backlog). An MP5
+// design's cycle ceiling leaves 64 cycles per packet at the offered load
+// (and, for --trace, room past the last arrival), at least 5,000,000.
 //
 // Program source:
-//   <file.dom> | --builtin <name>      (see mp5c --list)
+//   <file.dom> | --builtin <name>      (see mp5c --list; `synthetic` is
+//                                      the §4.3.1 sensitivity program)
 // Traffic (choose one):
 //   --trace file.csv                   replay a stored trace (in admission
 //                                      order: arrival_time, then port)
 //   --flow-workload                    §4.4 web-search flows (uses the
-//                                      builtin's field filler; builtin only)
-//   --rand-fields B                    the synthetic stream mp5native and
-//                                      mp5soak use, fields uniform in
-//                                      [0, B) (default, B=1024)
+//                                      builtin's field filler; builtin
+//                                      only; held in memory)
+//   --rand-fields B                    the synthetic stream mp5native
+//                                      uses, fields uniform in [0, B)
+//                                      (default, B=1024)
 // Options:
 //   --design mp5|ideal|no-d2|no-d4|naive|recirc|scr|relaxed  (default mp5)
 //                           mp5..naive are the MP5 designs; scr and relaxed
@@ -23,20 +34,30 @@
 //                           --design relaxed (default 64)
 //   --pipelines K  --packets N  --seed S  --load F  --flow-order f1,f2
 //   --fifo-capacity N  --remap N          (MP5 designs only)
-//   --check-equivalence     verify vs the single-pipeline reference
-//   --save-trace file.csv   store the generated trace
+//   --check-equivalence     verify vs the single-pipeline reference,
+//                           packet by packet as the run goes, modulo the
+//                           packets a fault plan drops (verification stops
+//                           at the first dropped packet that changed state)
+//   --save-trace file.csv   store the generated trace (held in memory)
 // A flag the chosen design does not honour is rejected, naming the flag
 // and the design (kDesignFlags below lists which designs take which flag).
 // Checkpoint/restore (MP5 and replicated designs; see DESIGN.md "Soak &
 // crash recovery"):
 //   --checkpoint-interval N write an mp5-checkpoint v1 file every N
-//                           cycles (requires --checkpoint-out)
+//                           cycles (requires --checkpoint-out); with
+//                           --check-equivalence an MP5 design appends the
+//                           verifier's frame to the simulator's
 //   --checkpoint-out FILE   checkpoint destination (atomically replaced
 //                           at each interval; path validated up front)
 //   --restore FILE          resume from a checkpoint instead of starting
 //                           fresh — rerun with the *same* program, trace
 //                           and semantic flags (the config fingerprint is
 //                           enforced, the trace identity cannot be)
+//   --self-test             run uninterrupted, then fork a checkpointing
+//                           child, SIGKILL it after its first checkpoint,
+//                           resume from the file and require the same
+//                           result (MP5 designs; defaults to a checkpoint
+//                           every 5000 cycles in mp5sim.selftest.ckpt)
 // Fault injection (MP5 designs only):
 //   --fail-pipeline P@CYCLE[:RECOVER]   kill pipeline P at CYCLE; with
 //                                       :RECOVER it rejoins empty there
@@ -65,14 +86,19 @@
 // After the metric table every run prints `result digest: 0x<16 hex>`,
 // result_digest() of the whole result: equal lines mean field-by-field
 // equal results (a resumed run prints its uninterrupted run's digest).
+#include <algorithm>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <utility>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "apps/programs.hpp"
-#include "banzai/single_pipeline.hpp"
 #include "baseline/presets.hpp"
 #include "baseline/recirc.hpp"
 #include "baseline/replicated.hpp"
@@ -80,10 +106,9 @@
 #include "common/table.hpp"
 #include "domino/compiler.hpp"
 #include "domino/parser.hpp"
-#include "metrics/equivalence.hpp"
 #include "mp5/checkpoint.hpp"
-#include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/soak_runner.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
 #include "telemetry/run_envelope.hpp"
@@ -123,6 +148,7 @@ struct Args {
   std::uint64_t checkpoint_interval = 0;
   std::string checkpoint_out;
   std::string restore_from;
+  bool self_test = false;
   std::vector<std::string> flags; // every option given, in order
 };
 
@@ -172,7 +198,15 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--checkpoint-interval") in.read(args.checkpoint_interval);
     else if (arg == "--checkpoint-out") args.checkpoint_out = in.value();
     else if (arg == "--restore") args.restore_from = in.value();
+    else if (arg == "--self-test") args.self_test = true;
     else args.source = in.program();
+  }
+  if (args.self_test) {
+    // The self-test kills a checkpointing child, so it always checkpoints.
+    if (args.checkpoint_interval == 0) args.checkpoint_interval = 5000;
+    if (args.checkpoint_out.empty()) {
+      args.checkpoint_out = "mp5sim.selftest.ckpt";
+    }
   }
   return args;
 }
@@ -198,6 +232,7 @@ constexpr std::pair<const char*, const char*> kDesignFlags[] = {
     {"--checkpoint-interval", kCheckpointingDesigns},
     {"--checkpoint-out", kCheckpointingDesigns},
     {"--restore", kCheckpointingDesigns},
+    {"--self-test", kMp5Designs},
 };
 
 bool design_in(const std::string& design, const std::string& designs) {
@@ -244,6 +279,98 @@ void validate_checkpoint_args(const Args& args) {
   }
 }
 
+/// The cycle ceiling of an MP5 run: headroom over the arrival span (64
+/// cycles per packet at the offered load) so a livelock still ends but no
+/// long run trips it, never below SimOptions' default. A stored trace is
+/// read once up front for its length and last arrival, and runs at full
+/// load from there.
+std::uint64_t max_cycles(const Args& args, TraceSource& source) {
+  std::uint64_t packets = source.size().value_or(0);
+  double last_arrival = 0.0;
+  if (!args.trace_file.empty()) {
+    packets = 0;
+    for (const TraceItem* item; (item = source.peek()) != nullptr;
+         source.advance()) {
+      ++packets;
+      last_arrival = item->arrival_time;
+    }
+  }
+  const double load = args.trace_file.empty() ? args.load : 1.0;
+  const double per_packet = 64.0 / std::max(load, 0.01);
+  return std::max(SimOptions{}.max_cycles,
+                  static_cast<std::uint64_t>(
+                      last_arrival + static_cast<double>(packets) * per_packet) +
+                      1'000'000);
+}
+
+/// Crash-recovery self-test: run uninterrupted for the baseline result,
+/// fork a checkpointing child and SIGKILL it once its first checkpoint
+/// file lands, then resume from that file in-process. Returns the resumed
+/// run's report; throws Error unless its result equals the baseline's
+/// field by field.
+soak::SoakReport run_self_test(const Mp5Program& program,
+                               const soak::SoakOptions& options) {
+  // Only the resumed run reports, so only it carries telemetry and the
+  // timeline.
+  soak::SoakOptions plain = options;
+  plain.resume.clear();
+  plain.sim.telemetry = nullptr;
+  plain.sim.timeline = nullptr;
+  std::remove(options.checkpoint_path.c_str());
+
+  std::cout << "[self-test] baseline run (no checkpoints)" << std::endl;
+  soak::SoakOptions uninterrupted = plain;
+  uninterrupted.checkpoint_interval = 0;
+  uninterrupted.checkpoint_path.clear();
+  const soak::SoakReport baseline = soak::run_soak(program, uninterrupted);
+
+  std::cout << "[self-test] forking checkpointing child" << std::endl;
+  const pid_t child = fork();
+  if (child < 0) throw Error("self-test: fork failed");
+  if (child == 0) {
+    // The parent kills the child mid-run, so the child prints nothing.
+    try {
+      (void)soak::run_soak(program, plain);
+      _exit(0);
+    } catch (...) {
+      _exit(1);
+    }
+  }
+
+  // The atomic rename in write_checkpoint_file guarantees the file is a
+  // complete checkpoint no matter when the SIGKILL hits.
+  bool seen = false;
+  for (int spin = 0; spin < 60000 && !seen; ++spin) {
+    if (std::FILE* f = std::fopen(options.checkpoint_path.c_str(), "rb")) {
+      std::fclose(f);
+      seen = true;
+    } else if (waitpid(child, nullptr, WNOHANG) == child) {
+      throw Error("self-test: child finished before its first checkpoint "
+                  "(lower --checkpoint-interval or raise --packets)");
+    } else {
+      usleep(1000);
+    }
+  }
+  kill(child, SIGKILL);
+  waitpid(child, nullptr, 0);
+  if (!seen) throw Error("self-test: no checkpoint appeared within 60s");
+  std::cout << "[self-test] child SIGKILLed after first checkpoint\n"
+            << "[self-test] resuming from " << options.checkpoint_path
+            << std::endl;
+
+  soak::SoakOptions resumed = options;
+  resumed.resume = options.checkpoint_path;
+  soak::SoakReport report = soak::run_soak(program, resumed);
+  std::string why;
+  if (!same_results(baseline.result, report.result, &why)) {
+    throw Error("self-test: recovered result diverged: " + why);
+  }
+  std::remove(options.checkpoint_path.c_str());
+  std::cout << "[self-test] OK: kill/restore reproduced the uninterrupted "
+               "run bit-for-bit\n";
+  return report;
+}
+
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   validate_design_flags(args);
@@ -272,9 +399,19 @@ int run(int argc, char** argv) {
       domino::compile(ast, banzai::MachineSpec{}, /*reserve_stages=*/1);
   const Mp5Program program = transform(compiled.pvsm, topts);
 
-  // Resolve the traffic.
+  // Resolve the traffic. The run streams it; only the flow workload and
+  // --save-trace hold the whole trace in memory.
+  SyntheticSpec spec;
+  spec.packets = args.packets;
+  spec.pipelines = args.pipelines;
+  spec.load = args.load;
+  spec.field_count = static_cast<std::uint32_t>(ast.fields.size());
+  spec.field_bound = args.rand_bound;
+  spec.seed = args.seed;
+  const bool flow_workload = args.flow_workload && args.trace_file.empty();
+  const bool in_memory = flow_workload || !args.save_trace.empty();
   Trace trace;
-  if (args.flow_workload && args.trace_file.empty()) {
+  if (flow_workload) {
     if (!filler) {
       throw ConfigError("--flow-workload needs a --builtin app (its filler "
                         "maps flows to header fields)");
@@ -285,43 +422,33 @@ int run(int argc, char** argv) {
     config.seed = args.seed;
     config.load = args.load;
     trace = make_flow_trace(config, filler);
-  } else {
-    SyntheticSpec spec;
-    spec.packets = args.packets;
-    spec.pipelines = args.pipelines;
-    spec.load = args.load;
-    spec.field_count = static_cast<std::uint32_t>(ast.fields.size());
-    spec.field_bound = args.rand_bound;
-    spec.seed = args.seed;
+  } else if (in_memory) {
     trace = materialize(*open_traffic(args.trace_file, spec));
   }
   if (!args.save_trace.empty()) save_trace_file(trace, args.save_trace);
+  const soak::TrafficOpener traffic = [&]() -> std::unique_ptr<TraceSource> {
+    if (in_memory) return std::make_unique<VectorTraceSource>(trace);
+    return open_traffic(args.trace_file, spec);
+  };
 
   // Resolve the design and run. The wall clock covers building the
-  // simulator and running it; the JSON carries it only in its profile.
+  // simulator and running it, which streams the traffic in and, under
+  // --check-equivalence, replays it through the reference alongside (the
+  // baselines check their egress log after the run, inside the clock too);
+  // the JSON carries it only in its profile.
+  const std::uint64_t cycle_ceiling =
+      design_in(args.design, kMp5Designs) ? max_cycles(args, *traffic()) : 0;
   const auto sim_start = std::chrono::steady_clock::now();
   const bool want_telemetry = args.telemetry || !args.trace_out.empty();
-  SimResult result;
+  soak::SoakReport report;
   std::unique_ptr<telemetry::Telemetry> telem;
-  std::uint64_t checkpoints_written = 0;
-  auto checkpoint_sink = [&](Cycle, std::string&& blob) {
-    write_checkpoint_file(args.checkpoint_out, blob);
-    ++checkpoints_written;
-  };
-  std::string restore_blob;
-  if (!args.restore_from.empty()) {
-    restore_blob = read_checkpoint_file(args.restore_from);
-    std::cout << "resumed from cycle " << parse_checkpoint(restore_blob).cycle
-              << " (" << args.restore_from << ")\n";
-  }
   std::uint32_t staleness = 0; // the relaxed design's Δ as it ran
   if (args.design == "recirc") {
     RecircOptions ropts;
     ropts.pipelines = args.pipelines;
     ropts.seed = args.seed;
     ropts.record_egress = args.check_equivalence;
-    RecircSimulator sim(program, ropts);
-    result = sim.run(trace);
+    report.result = RecircSimulator(program, ropts).run(*traffic());
   } else if (args.design == "scr" || args.design == "relaxed") {
     ReplicatedOptions ropts = args.design == "scr"
                                   ? scr_options(args.pipelines)
@@ -331,14 +458,26 @@ int run(int argc, char** argv) {
     ropts.paranoid_checks = args.paranoid;
     if (args.checkpoint_interval != 0) {
       ropts.checkpoint_interval = args.checkpoint_interval;
-      ropts.checkpoint_sink = checkpoint_sink;
+      ropts.checkpoint_sink = [&](Cycle, std::string&& blob) {
+        write_checkpoint_file(args.checkpoint_out, blob);
+        ++report.checkpoints_written;
+      };
     }
     staleness = ropts.staleness_bound;
     ReplicatedSimulator sim(program, ropts);
-    result = restore_blob.empty() ? sim.run(trace)
-                                  : sim.resume(trace, restore_blob);
+    const auto packets = traffic();
+    if (args.restore_from.empty()) {
+      report.result = sim.run(*packets);
+    } else {
+      const std::string blob = read_checkpoint_file(args.restore_from);
+      report.resumed = true;
+      report.resumed_from_cycle = parse_checkpoint(blob).cycle;
+      report.result = sim.resume(*packets, blob);
+    }
   } else {
-    SimOptions opts;
+    soak::SoakOptions sopts;
+    sopts.traffic = traffic;
+    SimOptions& opts = sopts.sim;
     if (args.design == "mp5") opts = mp5_options(args.pipelines, args.seed);
     else if (args.design == "ideal") opts = ideal_options(args.pipelines, args.seed);
     else if (args.design == "no-d2") opts = no_d2_options(args.pipelines, args.seed);
@@ -346,7 +485,7 @@ int run(int argc, char** argv) {
     else opts = naive_options(args.pipelines, args.seed);
     opts.fifo_capacity = args.fifo_capacity;
     opts.remap_period = args.remap;
-    opts.record_egress = args.check_equivalence;
+    opts.max_cycles = cycle_ceiling;
     opts.faults = args.faults;
     if (args.phantom_channel) opts.realistic_phantom_channel = true;
     opts.paranoid_checks = args.paranoid;
@@ -365,20 +504,28 @@ int run(int argc, char** argv) {
         std::cout << "\n";
       };
     }
-    if (args.checkpoint_interval != 0) {
-      opts.checkpoint_interval = args.checkpoint_interval;
-      opts.checkpoint_sink = checkpoint_sink;
-    }
-    Mp5Simulator sim(program, opts);
-    VectorTraceSource source(trace);
-    result = restore_blob.empty() ? sim.run(trace)
-                                  : sim.resume(source, restore_blob);
+    sopts.checkpoint_interval = args.checkpoint_interval;
+    sopts.checkpoint_path = args.checkpoint_out;
+    sopts.resume = args.restore_from;
+    sopts.verify = args.check_equivalence;
+    report = args.self_test ? run_self_test(program, sopts)
+                            : soak::run_soak(program, sopts);
+  }
+  // The baseline designs record their egress log; the same verifier
+  // checks it after the run.
+  if (args.check_equivalence && !report.verify_ran) {
+    soak::verify_egress_log(program, traffic, report);
+  }
+  const SimResult& result = report.result;
+  if (report.resumed) {
+    std::cout << "resumed from cycle " << report.resumed_from_cycle << " ("
+              << (args.self_test ? args.checkpoint_out : args.restore_from)
+              << ")\n";
   }
   if (args.checkpoint_interval != 0) {
-    std::cout << "checkpoints written: " << checkpoints_written << " ("
+    std::cout << "checkpoints written: " << report.checkpoints_written << " ("
               << args.checkpoint_out << ")\n";
   }
-
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - sim_start)
                             .count();
@@ -453,7 +600,7 @@ int run(int argc, char** argv) {
     }
     meta.program = !args.builtin.empty() ? args.builtin : "custom";
     meta.pipelines = args.pipelines;
-    meta.packets = trace.size();
+    meta.packets = result.offered;
     meta.seed = args.seed;
     meta.load = args.load;
     telemetry::write_results_json(out, meta, result, telem.get(), wall_s);
@@ -471,24 +618,20 @@ int run(int argc, char** argv) {
               << telem->events().dropped() << " dropped)\n";
   }
 
-  if (args.check_equivalence) {
-    banzai::ReferenceSwitch reference(program.pvsm);
-    const auto ref =
-        reference.run(to_header_batch(trace, program.pvsm));
-    const auto report = check_equivalence(program.pvsm, ref, result);
-    std::cout << "functional equivalence: "
-              << (report.equivalent() ? "OK" : "VIOLATED") << "\n";
-    if (!report.equivalent()) {
-      std::cout << "  " << report.first_difference << "\n";
-      if (result.dropped_fault > 0) {
-        std::cout << "  note: " << result.dropped_fault
-                  << " packets were dropped by injected faults; the "
-                     "reference processes the full trace, so mismatches "
-                     "are expected (equivalence modulo the declared drop "
-                     "set is what the fault tests check)\n";
-      }
-      return 1;
+  if (report.verify_ran) {
+    // Verified up to the first fault-dropped packet that changed state
+    // counts as equivalent: the packets after it have no reference state
+    // to compare against.
+    const bool ok = report.verified ||
+                    (report.truncated && report.equivalence.packets_equal);
+    std::cout << "verified " << report.verified_packets
+              << " packets (window peak " << report.verify_window_peak
+              << ")\nfunctional equivalence: " << (ok ? "OK" : "VIOLATED")
+              << "\n";
+    if (!report.verified) {
+      std::cout << "  " << report.equivalence.first_difference << "\n";
     }
+    if (!ok) return 1;
   }
   return 0;
 }

@@ -10,7 +10,7 @@ checkpoint format:
   mp5-fuzz-repro     mp5fuzz reproducers       (schema_version 1)
   mp5-fabric-results mp5fabric --json          (schema_version 2)
   mp5-native-results mp5native --json          (schema_version 2)
-  mp5-checkpoint     mp5sim --checkpoint-out / mp5soak (binary, version 1)
+  mp5-checkpoint     mp5sim --checkpoint-out   (binary, version 1)
 
 The three results documents (version 2) share one run envelope: host,
 build, the run's result digest and a non-deterministic profile section.
@@ -547,8 +547,9 @@ def fnv1a(data):
 
 
 def validate_checkpoint(blob, where):
-    """An mp5-checkpoint v1 file: one frame (mp5sim --checkpoint-out) or
-    two back-to-back (mp5soak: simulator frame + verifier frame)."""
+    """An mp5-checkpoint v1 file written by mp5sim --checkpoint-out: one
+    frame, or two back-to-back (simulator frame + verifier frame) when an
+    MP5 design ran with --check-equivalence."""
     frames = 0
     offset = 0
     while offset < len(blob):
