@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "fuzz/differ.hpp"
+#include "goldens.hpp"
 #include "metrics/sim_result.hpp"
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
@@ -128,17 +129,20 @@ TEST(CheckpointFingerprint, Mp5GoldenValues) {
   const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(3, 64));
   SimOptions faulty = mp5_options(4, 1);
   faulty.faults.pipeline_faults.push_back({1, 100, 500});
-  EXPECT_EQ(config_fingerprint(prog, mp5_options(4, 1)), 0x43c27b9c3843a1d2u);
-  EXPECT_EQ(config_fingerprint(prog, faulty), 0x7265df680e1ae235u);
+  test::expect_golden("fingerprint_mp5",
+                      config_fingerprint(prog, mp5_options(4, 1)));
+  test::expect_golden("fingerprint_mp5_faults",
+                      config_fingerprint(prog, faulty));
 }
 
 TEST(CheckpointFingerprint, ReplicatedGoldenValues) {
   // Pinned like the MP5 values above: a change that moves one makes every
   // SCR/relaxed checkpoint written before it refuse to restore.
   const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(3, 64));
-  EXPECT_EQ(config_fingerprint(prog, scr_options(4)), 0x922c342bbe06d959u);
-  EXPECT_EQ(config_fingerprint(prog, relaxed_options(4, 64)),
-            0xfb54115962c77c02u);
+  test::expect_golden("fingerprint_scr",
+                      config_fingerprint(prog, scr_options(4)));
+  test::expect_golden("fingerprint_relaxed64",
+                      config_fingerprint(prog, relaxed_options(4, 64)));
 }
 
 TEST(CheckpointFingerprint, CoversVariantAndStaleness) {
@@ -463,12 +467,6 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
 // a dropped or added field) moves one of these. Each case also restores
 // its frame, so a golden never pins a frame that fails to resume.
 
-std::string hex(std::uint64_t v) {
-  std::ostringstream out;
-  out << "0x" << std::hex << v;
-  return out.str();
-}
-
 /// The frame a run checkpointing every `interval` cycles emits at cycle
 /// `at`, checked to restore to the uninterrupted result.
 std::string mp5_frame_at(const Mp5Program& prog, const Trace& trace,
@@ -518,11 +516,10 @@ TEST(CheckpointPayloadGolden, Mp5Frames) {
     const Mp5Program* prog;
     const Trace* trace;
     SimOptions opts;
-    std::uint64_t golden;
   };
   std::vector<Case> cases;
-  cases.push_back({"mp5", &flowlet_prog, &flowlet_trace, mp5_options(4, 1),
-                   0x63e3028fabb4bc72u});
+  cases.push_back({"frame_mp5", &flowlet_prog, &flowlet_trace,
+                   mp5_options(4, 1)});
   {
     // Realistic channel, loss, delay, a lane fail/recover, a stall and
     // FIFO pressure all active at cycle 300: channel slots, the heap, the
@@ -535,27 +532,25 @@ TEST(CheckpointPayloadGolden, Mp5Frames) {
     o.faults.pipeline_faults.push_back({2, 150, 450});
     o.faults.stalls.push_back({1, 2, 100, 400});
     o.faults.fifo_pressure.push_back({200, 500, 2});
-    cases.push_back({"conga-faults", &conga_prog, &conga_trace, o,
-                     0x08a1d5395277d54eu});
+    cases.push_back({"frame_conga_faults", &conga_prog, &conga_trace, o});
   }
-  cases.push_back({"ideal", &flowlet_prog, &flowlet_trace,
-                   ideal_options(4, 1), 0xbfdcc1e6f9b2b502u});
+  cases.push_back({"frame_ideal", &flowlet_prog, &flowlet_trace,
+                   ideal_options(4, 1)});
   {
     SimOptions o = no_d4_options(4, 1);
     o.fifo_capacity = 2;
-    cases.push_back({"no-d4-cap2", &flowlet_prog, &flowlet_trace, o,
-                     0x37d6992bfcf62500u});
+    cases.push_back({"frame_no_d4_cap2", &flowlet_prog, &flowlet_trace, o});
   }
   {
     SimOptions o = mp5_options(4, 1);
     o.track_flow_reordering = true;
-    cases.push_back({"flow-reordering", &flowlet_prog, &flowlet_trace, o,
-                     0x2b8f5e14095b8edcu});
+    cases.push_back({"frame_flow_reordering", &flowlet_prog, &flowlet_trace,
+                     o});
   }
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string frame = mp5_frame_at(*c.prog, *c.trace, c.opts, 100, 300);
-    EXPECT_EQ(fnv1a(frame), c.golden) << c.name << " " << hex(fnv1a(frame));
+    test::expect_golden(c.name, fnv1a(frame));
   }
 }
 
@@ -566,10 +561,10 @@ TEST(CheckpointPayloadGolden, ReplicatedFrames) {
       test::random_fields(600, prog.pvsm.num_slots(), 64, rng), 4, 0.9);
   struct Case {
     ReplicatedOptions opts;
-    std::uint64_t golden;
+    const char* row;
   };
-  for (const Case& c : {Case{scr_options(4), 0xc000408370a4e078u},
-                        Case{relaxed_options(4, 8), 0xe8420656f29f78c7u}}) {
+  for (const Case& c : {Case{scr_options(4), "frame_scr"},
+                        Case{relaxed_options(4, 8), "frame_relaxed8"}}) {
     SCOPED_TRACE(c.opts.staleness_bound);
     const SimResult baseline = run_replicated(prog, trace, c.opts);
     std::string frame;
@@ -588,7 +583,7 @@ TEST(CheckpointPayloadGolden, ReplicatedFrames) {
         baseline, resume_over(ReplicatedSimulator(prog, ropts), trace, frame),
         &why))
         << why;
-    EXPECT_EQ(fnv1a(frame), c.golden) << hex(fnv1a(frame));
+    test::expect_golden(c.row, fnv1a(frame));
   }
 }
 
@@ -609,7 +604,7 @@ TEST(CheckpointPayloadGolden, SoakFileWithVerifierFrame) {
   const std::string file = read_checkpoint_file(opts.checkpoint_path);
   const std::size_t sim_len = framed_size(file);
   ASSERT_LT(sim_len, file.size()) << "no verifier frame";
-  EXPECT_EQ(fnv1a(file), 0xab3f00d94af8f309u) << hex(fnv1a(file));
+  test::expect_golden("frame_soak_file_with_verifier", fnv1a(file));
 }
 
 

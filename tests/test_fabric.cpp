@@ -21,6 +21,7 @@
 #include "fabric/topology.hpp"
 #include "fabric/wcmp.hpp"
 #include "fabric/workload.hpp"
+#include "goldens.hpp"
 #include "telemetry/json_writer.hpp"
 
 namespace mp5::fabric {
@@ -596,24 +597,19 @@ TEST(Fabric, RejectsBadOptions) {
 // behaviour change, not a refactor.
 // ---------------------------------------------------------------------
 
-void expect_golden(const FabricOptions& opts, std::uint64_t golden,
-                   const std::string& label) {
-  const std::uint64_t digest =
-      fabric_result_digest(FabricSimulator(opts).run());
-  std::ostringstream got;
-  got << "0x" << std::hex << digest;
-  EXPECT_EQ(digest, golden) << label << " digest " << got.str();
+void expect_golden(const char* row, const FabricOptions& opts) {
+  test::expect_golden(row, fabric_result_digest(FabricSimulator(opts).run()));
 }
 
 TEST(FabricGolden, EveryLbMode) {
   // Equal spine weights make wcmp pick exactly as ecmp does.
-  expect_golden(small_options(LbMode::kEcmp), 0xe0e562e2b550e697, "ecmp");
-  expect_golden(small_options(LbMode::kWcmp), 0xe0e562e2b550e697, "wcmp");
-  expect_golden(small_options(LbMode::kFlowlet), 0x3b9847f228280a0b, "flowlet");
-  expect_golden(small_options(LbMode::kConga), 0x973464cd5f4ca2af, "conga");
+  expect_golden("fabric_ecmp", small_options(LbMode::kEcmp));
+  expect_golden("fabric_wcmp", small_options(LbMode::kWcmp));
+  expect_golden("fabric_flowlet", small_options(LbMode::kFlowlet));
+  expect_golden("fabric_conga", small_options(LbMode::kConga));
   FabricOptions weighted = small_options(LbMode::kWcmp);
   weighted.topology.spine_weights = {3.0, 1.0};
-  expect_golden(weighted, 0x544029b93cfeb3b2, "wcmp 3:1");
+  expect_golden("fabric_wcmp_3_1", weighted);
 }
 
 TEST(FabricGolden, FaultPlansAndTruncation) {
@@ -623,18 +619,18 @@ TEST(FabricGolden, FaultPlansAndTruncation) {
   ev.target = spine_kill.topology.spine_id(1);
   ev.cycle = 400;
   spine_kill.faults.events.push_back(ev);
-  expect_golden(spine_kill, 0xc71c44d2237dde63, "conga, spine1 killed @400");
+  expect_golden("fabric_conga_spine1_killed_400", spine_kill);
 
   FabricOptions link_kill = small_options(LbMode::kFlowlet);
   ev.kind = FabricFaultEvent::Kind::kKillLink;
   ev.link = link_kill.topology.uplink(0, 0);
   ev.cycle = 500;
   link_kill.faults.events.push_back(ev);
-  expect_golden(link_kill, 0xbd3b57f8e2c9e07d, "flowlet, leaf0->spine0 killed @500");
+  expect_golden("fabric_flowlet_uplink_killed_500", link_kill);
 
   FabricOptions truncated = small_options(LbMode::kConga);
   truncated.max_cycles = 300;
-  expect_golden(truncated, 0x1b40adc4489dd38a, "conga, truncated @300");
+  expect_golden("fabric_conga_truncated_300", truncated);
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // The simulator used to carry four interchangeable cycle walks (the dense
 // lockstep walk, lockstep with idle-cycle fast-forward, the event walk, and
 // each of them on a lane thread pool) that were proven bit-identical; only
-// the event walk remains. The golden digests below were recorded under the
+// the event walk remains. The golden digests these tests check (rows of
+// tests/goldens.inc) were recorded under the
 // dense lockstep walk with no idle skip and every rebalance on the
 // full-scan ShardedState::rebalance_reference() path, before the other
 // walks were deleted, and the event walk must reproduce every one (the
@@ -23,15 +24,14 @@
 #include <algorithm>
 #include <initializer_list>
 #include <tuple>
-#include <ios>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/programs.hpp"
 #include "common/serialize.hpp"
 #include "baseline/presets.hpp"
+#include "goldens.hpp"
 #include "packet/arena.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_util.hpp"
@@ -46,16 +46,8 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_TRUE(same_results(a, b, &why)) << why;
 }
 
-void expect_golden(std::uint64_t digest, std::uint64_t golden,
-                   const std::string& label) {
-  std::ostringstream got;
-  got << "0x" << std::hex << digest;
-  EXPECT_EQ(digest, golden) << label << " digest " << got.str();
-}
-
-void expect_golden(const SimResult& r, std::uint64_t golden,
-                   const std::string& label) {
-  expect_golden(result_digest(r), golden, label);
+void expect_golden(const std::string& row, const SimResult& r) {
+  test::expect_golden(row, result_digest(r));
 }
 
 SimResult run_with(const Mp5Program& prog, const Trace& trace,
@@ -93,28 +85,6 @@ Trace synthetic(std::uint32_t stages, std::size_t reg_size, std::uint32_t k,
 
 constexpr std::uint32_t kMatrixKs[] = {2, 4, 8};
 constexpr std::uint64_t kMatrixSeeds[] = {1, 7};
-/// [k][seed][variant], variants in kVariants order.
-constexpr std::uint64_t kMatrixGolden[3][2][4] = {
-    {
-        {0x3b193d7289aa8a1a, 0x4cdac001f8c7a73c,
-         0xbb0e8c715a5192c, 0x22a5f2f9a2f616cf},
-        {0x8a49346a3b88e569, 0xda4fd2187d918c70,
-         0xd68546d9e220d5e6, 0x24aab91c40790ae},
-    },
-    {
-        {0x51e0cde928d95ffd, 0xb007f0ec89143a5,
-         0x39c8649f894640a0, 0x395fcd16048ed90f},
-        {0x26a4e5b9c332bd04, 0x7eac43c22d1aff88,
-         0x49bca3e37c714ae, 0x8d895f39d45e899d},
-    },
-    {
-        {0x839808f819cf7954, 0xf9015c8dd2c55832,
-         0x240c3aee9e699494, 0x5e31b2b5d6121399},
-        {0x6602eba036a17bf4, 0x7a402ea0c11eddab,
-         0xf2f57da29d829118, 0x7148525b2fbfc520},
-    },
-};
-
 /// Run the matrix cells with k in `ks` against their golden digests.
 void check_matrix(std::initializer_list<std::uint32_t> ks) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
@@ -126,11 +96,9 @@ void check_matrix(std::initializer_list<std::uint32_t> ks) {
       const auto trace = synthetic(4, 256, k, 2000, 1.0, seed);
       for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
         const auto& variant = kVariants[vi];
-        expect_golden(run_with(prog, trace, variant.make(k, seed)),
-                      kMatrixGolden[ki][si][vi],
-                      std::string("matrix ") + variant.name +
-                          " k=" + std::to_string(k) +
-                          " seed=" + std::to_string(seed));
+        expect_golden(std::string("matrix_") + variant.name + "_k" +
+                          std::to_string(k) + "_seed" + std::to_string(seed),
+                      run_with(prog, trace, variant.make(k, seed)));
       }
     }
   }
@@ -148,7 +116,7 @@ TEST(EventEngine, MatchesLockstepOnSparseTraces) {
   const auto trace = synthetic(3, 128, 8, 400, 0.01);
   const auto result = run_with(prog, trace, mp5_options(8, 1));
   EXPECT_GT(result.cycles_run, 4000u);
-  expect_golden(result, 0x34c969e58b969187, "sparse k=8");
+  expect_golden("sparse_k8", result);
 }
 
 /// Lane 2 fails and recovers, lane 5 fails for good.
@@ -160,12 +128,11 @@ SimResult lane_fault_run() {
   opts.faults.pipeline_faults.push_back(PipelineFault{5, 300, kNeverRecovers});
   return run_with(prog, trace, opts);
 }
-constexpr std::uint64_t kLaneFaultGolden = 0x151db6f9363ba322;
 
 TEST(EventEngine, MatchesLockstepUnderLaneFailureAndRecovery) {
   const auto result = lane_fault_run();
   EXPECT_GT(result.dropped_fault, 0u); // the plan actually bites
-  expect_golden(result, kLaneFaultGolden, "lane fail/recover");
+  expect_golden("lane_fail_recover", result);
 }
 
 TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
@@ -178,7 +145,7 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   opts.faults.phantom_extra_delay = 12;
   const auto result = run_with(prog, trace, opts);
   EXPECT_GT(result.phantom_lost + result.phantom_delayed, 0u);
-  expect_golden(result, 0x5bd4c044dca710f2, "phantom-channel faults");
+  expect_golden("phantom_channel_faults", result);
 }
 
 TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
@@ -194,7 +161,7 @@ TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
   opts.faults.fifo_pressure.push_back(FifoPressure{200, 260, 1});
   const auto result = run_with(prog, trace, opts);
   EXPECT_GT(result.stalled_cycles, 0u);
-  expect_golden(result, 0xacabc8512ec8b2f9, "stalls + pressure");
+  expect_golden("stalls_and_pressure", result);
 }
 
 TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
@@ -210,7 +177,7 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   const auto result = run_with(prog, trace, opts);
   EXPECT_GT(result.stalled_cycles, 1000u); // empty stalled cycles counted
   EXPECT_EQ(result.pipeline_failures, 1u);
-  expect_golden(result, 0x2fc4b40f8548ba93, "skip under fault plan");
+  expect_golden("skip_under_fault_plan", result);
 }
 
 using BlockedCell = std::tuple<PipelineId, StageId, Cycle>;
@@ -241,7 +208,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   opts.telemetry = &telem;
   opts.timeline = [&events](const TimelineEvent& e) { events.push_back(e); };
   const auto result = run_with(prog, trace, opts);
-  expect_golden(result, 0x13c097872008aa22, "telemetry result");
+  expect_golden("telemetry_result", result);
 
   // The stream without its blocked spans, then the set of blocked cells
   // per cycle the spans cover.
@@ -258,7 +225,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
     stream.add(e.arg);
   }
   stream.add(streamed);
-  expect_golden(stream.value(), 0x527c2ed73dae18d6, "timeline without blocked spans");
+  test::expect_golden("telemetry_timeline_without_blocked", stream.value());
 
   const auto blocked = blocked_cells(events);
   Fnv1aDigest blocked_set;
@@ -268,7 +235,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
     blocked_set.add(st);
     blocked_set.add(cycle);
   }
-  expect_golden(blocked_set.value(), 0x5f0e028df8a5d3a1, "blocked (pipeline, stage, cycle)");
+  test::expect_golden("telemetry_blocked_cells", blocked_set.value());
   // The span lengths sum to blocked_cycles.
   EXPECT_EQ(blocked.size(), result.blocked_cycles);
 
@@ -278,7 +245,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
     for (const char c : name) counters.add(static_cast<unsigned char>(c));
     counters.add(value);
   }
-  expect_golden(counters.value(), 0xa404c7d644813d51, "telemetry counters");
+  test::expect_golden("telemetry_counters", counters.value());
 }
 
 TEST(EventEngine, ExternalClockingMatchesRun) {
@@ -304,7 +271,7 @@ TEST(EventEngine, ExternalClockingMatchesRun) {
   while (sim.has_work()) sim.step(c++);
   const auto stepped = sim.finish(c);
   expect_identical(whole, stepped);
-  expect_golden(stepped, 0xf9a67071f357d360, "external clocking");
+  expect_golden("external_clocking", stepped);
 }
 
 TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
@@ -331,12 +298,12 @@ TEST(FastForward, IdenticalResultsOnSparseTrace) {
   const auto sparse = run_with(prog, synthetic(3, 128, 4, 400, 0.01),
                                mp5_options(4, 1));
   EXPECT_GT(sparse.cycles_run, 5000u); // the sparse trace really is sparse
-  expect_golden(sparse, 0xcaaa6236ff246861, "sparse k=4");
+  expect_golden("sparse_k4", sparse);
   // Wider and less sparse: some cycles skip, most do not.
   const auto prog4 = compile_mp5(apps::make_synthetic_source(4, 256));
-  expect_golden(run_with(prog4, synthetic(4, 256, 8, 500, 0.05),
-                         mp5_options(8, 9)),
-                0x6f5e9226200afaf1, "sparse k=8 load 0.05");
+  expect_golden("sparse_k8_load005",
+                run_with(prog4, synthetic(4, 256, 8, 500, 0.05),
+                         mp5_options(8, 9)));
 }
 
 TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
@@ -344,13 +311,11 @@ TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
   // skip must not jump over.
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   const auto trace = synthetic(4, 256, 4, 300, 0.02);
-  constexpr std::uint64_t kGolden[] = {0x185bc1b8e9fe052b, 0x499f29f9fa647bb9,
-                                       0x185bc1b8e9fe052b, 0xf6f9ba8123cf1015};
   for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
     auto opts = kVariants[vi].make(4, 2);
     opts.realistic_phantom_channel = opts.phantoms;
-    expect_golden(run_with(prog, trace, opts), kGolden[vi],
-                  std::string("channel+remap ") + kVariants[vi].name);
+    expect_golden(std::string("channel_remap_") + kVariants[vi].name,
+                  run_with(prog, trace, opts));
   }
 }
 
@@ -363,16 +328,14 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
   // ~500 idle cycles between packets: whole remap periods pass with
   // nothing touched.
   const auto trace = synthetic(3, 128, 4, 300, 0.002);
-  constexpr std::uint64_t kGolden[] = {0xbd709d868efda439, 0xbd709d868efda439,
-                                       0x7ab2e2d855e03b5f, 0x48f87fb17f993900};
   for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
     const auto opts = kVariants[vi].make(4, 2);
     const auto result = run_with(prog, trace, opts);
     // The trace spans several remap periods, so empty-window boundaries
     // really occur between the sparse arrivals.
     EXPECT_GT(result.cycles_run, 10 * opts.remap_period);
-    expect_golden(result, kGolden[vi],
-                  std::string("empty-window remap ") + kVariants[vi].name);
+    expect_golden(std::string("empty_window_remap_") + kVariants[vi].name,
+                  result);
   }
 }
 
@@ -437,7 +400,7 @@ TEST(SleepingCells, StallWindowStartingOnASleepingCellIsCounted) {
               std::vector<TimelineEvent::Kind>{TimelineEvent::Kind::kBlocked})
         << "stall at (" << s.pipeline << ", " << s.stage << ")";
   }
-  expect_golden(run.result, 0xf4159882626838b, "stall on a sleeping cell");
+  expect_golden("sleeping_stall", run.result);
 }
 
 TEST(SleepingCells, ConservativeCancelWakesASleepingHead) {
@@ -467,7 +430,7 @@ TEST(SleepingCells, ConservativeCancelWakesASleepingHead) {
     }
   }
   EXPECT_GT(woken, 0u);
-  expect_golden(run.result, 0x7b92294f10721da3, "cancel wakes a sleeping head");
+  expect_golden("sleeping_cancel_wakes_head", run.result);
 }
 
 TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
@@ -483,7 +446,7 @@ TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
                       TimelineEvent::Kind::kBlocked),
             at_failure.end());
   EXPECT_EQ(run.result.pipeline_failures, 1u);
-  expect_golden(run.result, 0x57649e5511db0e33, "lane failure drains a sleeping cell");
+  expect_golden("sleeping_lane_failure", run.result);
 }
 
 TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
@@ -491,7 +454,7 @@ TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
   const Trace trace = flowlet_trace();
   const auto opts = mp5_options(4, 5);
   const TimedRun whole = timed_run(prog, trace, opts);
-  expect_golden(whole.result, 0x37eabc29947968f3, "uninterrupted");
+  expect_golden("sleeping_uninterrupted", whole.result);
   const auto blocked = blocked_cells(whole.events);
 
   std::vector<std::pair<Cycle, std::string>> frames;
@@ -536,7 +499,7 @@ TEST(IncrementalSharding, SimResultMatchesReferenceRebalance) {
 TEST(IncrementalSharding, SimResultMatchesReferenceUnderFaultPlan) {
   const auto result = lane_fault_run();
   EXPECT_GT(result.fault_remapped_indices, 0u); // the plan actually bites
-  expect_golden(result, kLaneFaultGolden, "lane faults, incremental");
+  expect_golden("lane_fail_recover", result);
 }
 
 // --- packet arena --------------------------------------------------------

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <ios>
-#include <sstream>
 #include <string>
 
 #include "common/serialize.hpp"
+#include "goldens.hpp"
 #include "mp5/stage_fifo.hpp"
 
 namespace mp5 {
@@ -168,15 +167,8 @@ std::uint64_t scripted_save_digest(bool ideal) {
 }
 
 TEST(StageFifoCheckpoint, SavePayloadMatchesGolden) {
-  for (const bool ideal : {false, true}) {
-    const std::uint64_t digest = scripted_save_digest(ideal);
-    const std::uint64_t golden =
-        ideal ? 0xc631f500824fccd0ULL : 0xa66c49b3cb6f373dULL;
-    std::ostringstream got;
-    got << "0x" << std::hex << digest;
-    EXPECT_EQ(digest, golden) << (ideal ? "ideal" : "lanes") << " digest "
-                              << got.str();
-  }
+  test::expect_golden("frame_stage_fifo_lanes", scripted_save_digest(false));
+  test::expect_golden("frame_stage_fifo_ideal", scripted_save_digest(true));
 }
 
 } // namespace

@@ -3,7 +3,6 @@
 // knobs cannot reach it and SimOptions cannot configure it.
 #include <gtest/gtest.h>
 
-#include <ios>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fuzz/differ.hpp"
+#include "goldens.hpp"
 #include "metrics/equivalence.hpp"
 #include "metrics/sim_result.hpp"
 #include "mp5/simulator.hpp"
@@ -154,16 +154,14 @@ TEST(VariantBehavior, FastForwardIsBitIdentical) {
   // recorded under their unskipped cycle-by-cycle walk.
   const Mp5Program prog = compile_mp5(kCounter);
   const Trace trace = dense_trace(prog, 120, 4, /*load=*/0.01);
-  const std::pair<ReplicatedOptions, std::uint64_t> cases[] = {
-      {scr_options(4), 0xc977657cf24773ec},
-      {relaxed_options(4, 16), 0x84f6cda954c20cbe},
+  const std::pair<ReplicatedOptions, const char*> cases[] = {
+      {scr_options(4), "replicated_sparse_scr"},
+      {relaxed_options(4, 16), "replicated_sparse_relaxed16"},
   };
-  for (const auto& [opts, golden] : cases) {
+  for (const auto& [opts, row] : cases) {
     const SimResult result = run_variant(prog, trace, opts);
     EXPECT_GT(result.cycles_run, 10 * trace.size()); // really sparse
-    const std::uint64_t digest = result_digest(result);
-    EXPECT_EQ(digest, golden) << "staleness " << opts.staleness_bound
-                              << " digest 0x" << std::hex << digest;
+    expect_golden(row, result_digest(result));
   }
 }
 
