@@ -4,6 +4,7 @@
 //   * MP5 without D4                   — paper: 14-26%,
 //   * current-gen switch, recirculation — paper: 18-31%.
 #include <iostream>
+#include <utility>
 
 #include "apps/programs.hpp"
 #include "bench_util.hpp"
@@ -41,12 +42,13 @@ int main() {
 
     RecircOptions ropts;
     ropts.seed = static_cast<std::uint64_t>(stream);
-    ropts.record_egress = true;
+    PacketStreams streams;
+    streams.attach(ropts);
     RecircSimulator recirc(prog, ropts);
     const auto r_recirc = recirc.run(trace);
     const double f_recirc = r_recirc.c1_fraction();
     recirc_stats.add(f_recirc);
-    const auto reorder = analyze_reordering(r_recirc.egress);
+    const auto reorder = analyze_reordering(std::move(streams.egress));
 
     report.row("stream" + std::to_string(stream))
         .metric("c1_mp5", f_mp5)

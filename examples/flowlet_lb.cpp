@@ -7,15 +7,16 @@
 //   $ ./examples/flowlet_lb
 #include <iostream>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "apps/programs.hpp"
-#include "banzai/single_pipeline.hpp"
 #include "baseline/presets.hpp"
 #include "common/table.hpp"
 #include "domino/compiler.hpp"
-#include "metrics/equivalence.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
 
 int main() {
   using namespace mp5;
@@ -34,30 +35,29 @@ int main() {
     config.seed = 7;
     const Trace trace = make_flow_trace(config, app.filler);
 
+    // Each egressed packet streams into a verifier against the
+    // single-pipeline switch; on the way, count flowlet-level next-hop
+    // changes per flow (the application's observable behaviour).
     SimOptions opts = mp5_options(k, 7);
-    opts.record_egress = true;
-    Mp5Simulator sim(program, opts);
-    const auto result = sim.run(trace);
-
-    banzai::ReferenceSwitch reference(program.pvsm);
-    const auto ref_result =
-        reference.run(to_header_batch(trace, program.pvsm));
-    const auto report =
-        check_equivalence(program.pvsm, ref_result, result);
-
-    // Count flowlet-level next-hop changes per flow (the application's
-    // observable behaviour).
+    soak::RollingVerifier verifier(
+        program.pvsm, std::make_unique<VectorTraceSource>(trace));
+    verifier.attach(opts);
     const auto hop_slot =
         static_cast<std::size_t>(program.pvsm.slot_of("next_hop"));
     std::map<std::uint64_t, Value> last_hop;
     std::uint64_t hop_changes = 0;
-    for (const auto& rec : result.egress) {
+    opts.egress_sink = [&, verify = std::move(opts.egress_sink)](
+                           EgressRecord&& rec) {
       auto [it, inserted] = last_hop.try_emplace(rec.flow, rec.headers[hop_slot]);
       if (!inserted && it->second != rec.headers[hop_slot]) {
         ++hop_changes;
         it->second = rec.headers[hop_slot];
       }
-    }
+      verify(std::move(rec));
+    };
+    Mp5Simulator sim(program, opts);
+    const auto result = sim.run(trace);
+    const auto report = verifier.finish(result);
 
     table.add_row({TextTable::integer(k),
                    TextTable::num(result.normalized_throughput(), 3),

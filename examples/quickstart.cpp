@@ -4,14 +4,13 @@
 //
 //   $ ./examples/quickstart
 #include <iostream>
+#include <memory>
 
-#include "banzai/single_pipeline.hpp"
 #include "baseline/presets.hpp"
-#include "common/rng.hpp"
 #include "domino/compiler.hpp"
-#include "metrics/equivalence.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
 #include "trace/workloads.hpp"
 
 int main() {
@@ -52,9 +51,13 @@ int main() {
   traffic.active_flows = 32;
   const Trace trace = make_synthetic_trace(traffic);
 
-  // 4. Run MP5 with 4 pipelines.
+  // 4. Run MP5 with 4 pipelines, streaming every egressed packet into a
+  //    verifier that replays the same trace on the logical single-pipeline
+  //    switch and compares each packet's headers as it leaves.
   SimOptions options = mp5_options(/*pipelines=*/4, /*seed=*/1);
-  options.record_egress = true;
+  soak::RollingVerifier verifier(program.pvsm,
+                                 std::make_unique<VectorTraceSource>(trace));
+  verifier.attach(options);
   Mp5Simulator simulator(program, options);
   const SimResult result = simulator.run(trace);
 
@@ -64,11 +67,8 @@ int main() {
             << result.max_queue_depth << ", steers " << result.steers
             << ", remap moves " << result.remap_moves << "\n";
 
-  // 5. Verify functional equivalence against the single-pipeline switch.
-  banzai::ReferenceSwitch reference(program.pvsm);
-  const auto ref_result =
-      reference.run(to_header_batch(trace, program.pvsm));
-  const auto report = check_equivalence(program.pvsm, ref_result, result);
+  // 5. Close the verification with the final register state.
+  const auto report = verifier.finish(result);
   std::cout << "functional equivalence: "
             << (report.equivalent() ? "OK" : "VIOLATED") << "\n";
   if (!report.equivalent()) {

@@ -6,20 +6,48 @@
 //
 //   $ ./examples/sequencer_demo
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "apps/programs.hpp"
-#include "banzai/single_pipeline.hpp"
 #include "baseline/presets.hpp"
 #include "baseline/recirc.hpp"
-#include "common/rng.hpp"
 #include "domino/compiler.hpp"
-#include "metrics/equivalence.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
+
+using namespace mp5;
+
+struct Checked {
+  SimResult result;
+  EquivalenceReport report;
+  std::uint64_t misstamped = 0;
+};
+
+/// Run one design with its egress streamed into a rolling verifier
+/// against the single-pipeline switch, counting on the way the packets
+/// whose stamp is not their arrival rank.
+template <class Sim, class Options>
+Checked run_checked(const Mp5Program& program, const Trace& trace,
+                    std::size_t stamp, Options opts) {
+  Checked out;
+  soak::RollingVerifier verifier(program.pvsm,
+                                 std::make_unique<VectorTraceSource>(trace));
+  verifier.attach(opts);
+  opts.egress_sink = [&out, stamp, verify = std::move(opts.egress_sink)](
+                         EgressRecord&& rec) {
+    if (rec.headers[stamp] != static_cast<Value>(rec.seq) + 1) {
+      ++out.misstamped;
+    }
+    verify(std::move(rec));
+  };
+  out.result = Sim(program, opts).run(trace);
+  out.report = verifier.finish(out.result);
+  return out;
+}
 
 int main() {
-  using namespace mp5;
-
   const Mp5Program program = transform(
       domino::compile(apps::sequencer_example_source(),
                       banzai::MachineSpec{}, 1)
@@ -36,51 +64,31 @@ int main() {
     trace.push_back(item);
   }
 
-  banzai::ReferenceSwitch reference(program.pvsm);
-  const auto ref_result =
-      reference.run(to_header_batch(trace, program.pvsm));
-
   const auto stamp = static_cast<std::size_t>(program.pvsm.slot_of("stamp"));
-  auto misstamped = [&](const SimResult& result) {
-    std::uint64_t wrong = 0;
-    for (const auto& rec : result.egress) {
-      if (rec.headers[stamp] != static_cast<Value>(rec.seq) + 1) ++wrong;
-    }
-    return wrong;
-  };
 
-  // Current-generation switch with re-circulation.
-  RecircOptions ropts;
-  ropts.record_egress = true;
-  RecircSimulator recirc(program, ropts);
-  const auto r_recirc = recirc.run(trace);
-  const auto recirc_report =
-      check_equivalence(program.pvsm, ref_result, r_recirc);
-
-  // MP5.
-  SimOptions mopts = mp5_options(4, 1);
-  mopts.record_egress = true;
-  Mp5Simulator mp5(program, mopts);
-  const auto r_mp5 = mp5.run(trace);
-  const auto mp5_report = check_equivalence(program.pvsm, ref_result, r_mp5);
+  // Current-generation switch with re-circulation, then MP5.
+  const Checked recirc = run_checked<RecircSimulator>(program, trace, stamp,
+                                                      RecircOptions{});
+  const Checked mp5 =
+      run_checked<Mp5Simulator>(program, trace, stamp, mp5_options(4, 1));
 
   std::cout << "network sequencer, 4000 packets at line rate, 4 pipelines\n\n";
   std::cout << "re-circulating switch:\n";
   std::cout << "  functionally equivalent: "
-            << (recirc_report.equivalent() ? "yes" : "NO") << "\n";
-  std::cout << "  mis-stamped packets:     " << misstamped(r_recirc) << "\n";
-  std::cout << "  C1-violating packets:    " << r_recirc.c1_violating_packets
+            << (recirc.report.equivalent() ? "yes" : "NO") << "\n";
+  std::cout << "  mis-stamped packets:     " << recirc.misstamped << "\n";
+  std::cout << "  C1-violating packets:    " << recirc.result.c1_violating_packets
             << "\n";
   std::cout << "  throughput:              "
-            << r_recirc.normalized_throughput() << "\n\n";
+            << recirc.result.normalized_throughput() << "\n\n";
   std::cout << "MP5:\n";
   std::cout << "  functionally equivalent: "
-            << (mp5_report.equivalent() ? "yes" : "NO") << "\n";
-  std::cout << "  mis-stamped packets:     " << misstamped(r_mp5) << "\n";
-  std::cout << "  C1-violating packets:    " << r_mp5.c1_violating_packets
+            << (mp5.report.equivalent() ? "yes" : "NO") << "\n";
+  std::cout << "  mis-stamped packets:     " << mp5.misstamped << "\n";
+  std::cout << "  C1-violating packets:    " << mp5.result.c1_violating_packets
             << "\n";
-  std::cout << "  throughput:              " << r_mp5.normalized_throughput()
+  std::cout << "  throughput:              " << mp5.result.normalized_throughput()
             << "  (single scalar register: the fundamental 1/k limit of "
                "§3.5.2)\n";
-  return mp5_report.equivalent() && misstamped(r_mp5) == 0 ? 0 : 1;
+  return mp5.report.equivalent() && mp5.misstamped == 0 ? 0 : 1;
 }

@@ -69,10 +69,6 @@ SimResult RecircSimulator::run(TraceSource& source) {
   result_.final_registers = state_->regs().storage();
   result_.c1_violating_packets = c1_.violating_packets();
   result_.max_queue_depth = max_ingress_depth_;
-  std::sort(result_.egress.begin(), result_.egress.end(),
-            [](const EgressRecord& a, const EgressRecord& b) {
-              return a.seq < b.seq;
-            });
   return std::move(result_);
 }
 
@@ -100,6 +96,7 @@ void RecircSimulator::admit(const TraceItem& item, Cycle now) {
     for (auto& e : pkt.plan) {
       if (!e.done && !e.cancelled) state_->note_completed(e.reg, e.index);
     }
+    if (opts_.fault_drop_sink) opts_.fault_drop_sink(pkt.seq, false);
     return;
   }
   ++live_packets_;
@@ -189,13 +186,9 @@ void RecircSimulator::finish_pass(Packet&& pkt, PipelineId /*p*/, Cycle now) {
     ++result_.egressed;
     --live_packets_;
     result_.last_egress = now;
-    if (opts_.record_egress) {
-      EgressRecord rec;
-      rec.seq = pkt.seq;
-      rec.egress_cycle = now;
-      rec.flow = pkt.flow;
-      rec.headers = std::move(pkt.headers);
-      result_.egress.push_back(std::move(rec));
+    if (opts_.egress_sink) {
+      opts_.egress_sink(
+          EgressRecord{pkt.seq, now, pkt.flow, std::move(pkt.headers)});
     }
     return;
   }

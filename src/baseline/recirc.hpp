@@ -17,6 +17,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,8 +38,12 @@ struct RecircOptions {
   /// as on production switches). 0 = unbounded.
   std::size_t ingress_capacity = 64;
   std::uint64_t max_cycles = 5'000'000;
-  bool record_egress = false;
   std::uint64_t seed = 1;
+  /// Receives each egressed packet's record, as SimOptions::egress_sink.
+  std::function<void(EgressRecord&&)> egress_sink;
+  /// Receives each ingress tail drop (seq, state untouched), as
+  /// SimOptions::fault_drop_sink.
+  std::function<void(SeqNo, bool)> fault_drop_sink;
 };
 
 class RecircSimulator {

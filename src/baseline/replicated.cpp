@@ -156,10 +156,6 @@ SimResult ReplicatedSimulator::run_loop(TraceSource& source, Cycle start) {
   result_.final_registers = replicas_[0].storage();
   result_.c1_violating_packets = c1_.violating_packets();
   result_.max_queue_depth = max_ingress_depth_;
-  std::sort(result_.egress.begin(), result_.egress.end(),
-            [](const EgressRecord& a, const EgressRecord& b) {
-              return a.seq < b.seq;
-            });
   return std::move(result_);
 }
 
@@ -207,13 +203,9 @@ void ReplicatedSimulator::step_cell(PipelineId p, StageId st, Cycle now) {
     ++result_.egressed;
     --live_packets_;
     result_.last_egress = now;
-    if (opts_.record_egress) {
-      EgressRecord rec;
-      rec.seq = pkt.seq;
-      rec.egress_cycle = now;
-      rec.flow = pkt.flow;
-      rec.headers = std::move(pkt.headers);
-      result_.egress.push_back(std::move(rec));
+    if (opts_.egress_sink) {
+      opts_.egress_sink(
+          EgressRecord{pkt.seq, now, pkt.flow, std::move(pkt.headers)});
     }
   } else {
     cells_[p][st + 1] = std::move(pkt);

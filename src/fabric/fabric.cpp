@@ -211,7 +211,6 @@ FabricSimulator::FabricSimulator(const FabricOptions& options)
     so.paranoid_checks = opts_.paranoid_checks;
     so.seed = mix64(opts_.seed ^ (0xfab00000ULL + s));
     so.max_cycles = opts_.max_cycles + 2;
-    so.track_flow_reordering = false;
     so.telemetry = opts_.telemetry;
     so.telemetry_prefix = "fabric." + topo_.switch_name(s) + ".";
     so.egress_sink = [this, s](EgressRecord&& rec) {

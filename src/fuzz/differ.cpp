@@ -16,6 +16,7 @@
 #include "metrics/sim_result.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
 #include "trace/trace_source.hpp"
 
 namespace mp5::fuzz {
@@ -100,7 +101,6 @@ SimOptions SimConfig::to_options() const {
   SimOptions opts;
   opts.pipelines = pipelines;
   opts.seed = seed;
-  opts.record_egress = true;
   // Every fuzz run doubles as a watchdog run: invariant violations are
   // failures, not silent corruption.
   opts.paranoid_checks = true;
@@ -114,7 +114,6 @@ ReplicatedOptions SimConfig::to_replicated_options() const {
   ReplicatedOptions opts;
   opts.pipelines = pipelines;
   opts.staleness_bound = staleness;
-  opts.record_egress = true;
   opts.paranoid_checks = true;
   return opts;
 }
@@ -206,42 +205,77 @@ Failure Differ::check_oracle(const domino::Ast& ast,
 
 namespace {
 
+/// One cell's run: its result and the packets its sinks emitted.
+struct CellRun {
+  SimResult result;
+  PacketStreams streams;
+};
+
+template <class Sim, class Options>
+CellRun run_cell(const Compiled& compiled, const Trace& trace,
+                 Options options) {
+  CellRun run;
+  run.streams.attach(options);
+  run.result = Sim(compiled.prog, options).run(trace);
+  return run;
+}
+
+/// Equivalence of a cell's run, with its streams fed through the rolling
+/// verifier against the reference over `trace`.
+EquivalenceReport verify_cell(const Compiled& compiled, const Trace& trace,
+                              const CellRun& run) {
+  soak::RollingVerifier verifier(compiled.prog.pvsm,
+                                 std::make_unique<VectorTraceSource>(trace));
+  for (EgressRecord rec : run.streams.egress) verifier.on_egress(std::move(rec));
+  for (const SimResult::FaultDrop& d : run.streams.drops) {
+    verifier.on_fault_drop(d.seq, d.state_touched);
+  }
+  return verifier.finish(run.result);
+}
+
 /// The checkpoint/restore column: re-run the cell (a `Sim` on `options`)
 /// checkpointing roughly mid-run, restore the first captured blob into a
 /// fresh simulator, and demand a SimResult field-identical to the
-/// uninterrupted run's.
+/// uninterrupted run's, and egress and drop streams equal to what the
+/// uninterrupted run emitted after the checkpoint.
 template <class Sim, class Options>
 Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
                               const SimConfig& config, const Options& options,
-                              const SimResult& baseline) {
+                              const CellRun& baseline) {
   Failure failure;
   failure.config = config;
+  failure.kind = FailureKind::kCheckpointDivergence;
+  CellRun with_ckpt;
   Options ckpt_opts = options;
+  with_ckpt.streams.attach(ckpt_opts);
   ckpt_opts.checkpoint_interval =
-      std::max<std::uint64_t>(1, baseline.cycles_run / 2);
+      std::max<std::uint64_t>(1, baseline.result.cycles_run / 2);
   std::string blob;
   Cycle ckpt_cycle = 0;
-  bool captured = false;
+  PacketStreams::Mark emitted;
   ckpt_opts.checkpoint_sink = [&](Cycle cycle, std::string&& b) {
-    if (!captured) {
+    if (blob.empty()) {
       blob = std::move(b);
       ckpt_cycle = cycle;
-      captured = true;
+      emitted = with_ckpt.streams.mark();
     }
   };
-  const SimResult with_ckpt = Sim(compiled.prog, ckpt_opts).run(trace);
-  std::string why;
-  if (!same_results(baseline, with_ckpt, &why)) {
-    failure.kind = FailureKind::kCheckpointDivergence;
+  with_ckpt.result = Sim(compiled.prog, ckpt_opts).run(trace);
+  std::string why = "egress or drop stream differs";
+  if (!same_results(baseline.result, with_ckpt.result, &why) ||
+      with_ckpt.streams != baseline.streams) {
     failure.detail = "checkpointing run diverged from the plain run: " + why;
     return failure;
   }
-  if (!captured) return Failure{}; // run finished before the first boundary
-  Sim restored(compiled.prog, options);
+  if (blob.empty()) return Failure{}; // run finished before the first boundary
+  CellRun after;
+  Options restore_opts = options;
+  after.streams.attach(restore_opts);
+  Sim restored(compiled.prog, restore_opts);
   VectorTraceSource source(trace);
-  const SimResult after = restored.resume(source, blob);
-  if (!same_results(baseline, after, &why)) {
-    failure.kind = FailureKind::kCheckpointDivergence;
+  after.result = restored.resume(source, blob);
+  if (!same_results(baseline.result, after.result, &why) ||
+      after.streams != baseline.streams.since(emitted)) {
     failure.detail =
         "restore at cycle " + std::to_string(ckpt_cycle) + " diverged: " + why;
     return failure;
@@ -254,8 +288,9 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
   Failure failure;
   failure.config = config;
   try {
-    Mp5Simulator sim(compiled.prog, config.to_options());
-    const SimResult result = sim.run(trace);
+    const CellRun run =
+        run_cell<Mp5Simulator>(compiled, trace, config.to_options());
+    const SimResult& result = run.result;
     if (result.egressed != result.offered) {
       failure.kind = FailureKind::kSimDivergence;
       failure.detail = "lossless config dropped packets: offered " +
@@ -263,8 +298,7 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
                        std::to_string(result.egressed);
       return failure;
     }
-    const EquivalenceReport report =
-        check_equivalence(compiled.prog.pvsm, compiled.reference, result);
+    const EquivalenceReport report = verify_cell(compiled, trace, run);
     if (!report.equivalent()) {
       failure.kind = FailureKind::kSimDivergence;
       failure.detail = report.first_difference;
@@ -272,7 +306,7 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
     }
     if (config.checkpoint_restore) {
       if (Failure f = check_checkpoint_cell<Mp5Simulator>(
-              compiled, trace, config, config.to_options(), result)) {
+              compiled, trace, config, config.to_options(), run)) {
         return f;
       }
     }
@@ -299,9 +333,9 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
   VariantCheck out;
   out.failure.config = config;
   try {
-    const SimResult result =
-        ReplicatedSimulator(compiled.prog, config.to_replicated_options())
-            .run(trace);
+    const CellRun run = run_cell<ReplicatedSimulator>(
+        compiled, trace, config.to_replicated_options());
+    const SimResult& result = run.result;
     if (result.egressed != result.offered) {
       // The replicated designs admit through unbounded ingress queues:
       // any drop is a simulator bug, not a consistency relaxation.
@@ -314,11 +348,11 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
     }
     // Relaxed consistency never excuses nondeterminism: the same trace
     // must produce the bit-identical result on a second run.
-    const SimResult again =
-        ReplicatedSimulator(compiled.prog, config.to_replicated_options())
-            .run(trace);
-    std::string why;
-    if (!same_results(result, again, &why)) {
+    const CellRun again = run_cell<ReplicatedSimulator>(
+        compiled, trace, config.to_replicated_options());
+    std::string why = "egress stream differs";
+    if (!same_results(result, again.result, &why) ||
+        run.streams != again.streams) {
       out.failure.kind = FailureKind::kSimDivergence;
       out.failure.detail = "replicated run is nondeterministic: " + why;
       return out;
@@ -326,13 +360,12 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
     if (config.checkpoint_restore) {
       if (Failure f = check_checkpoint_cell<ReplicatedSimulator>(
               compiled, trace, config, config.to_replicated_options(),
-              result)) {
+              run)) {
         out.failure = std::move(f);
         return out;
       }
     }
-    const EquivalenceReport report =
-        check_equivalence(compiled.prog.pvsm, compiled.reference, result);
+    const EquivalenceReport report = verify_cell(compiled, trace, run);
     out.equivalent = report.equivalent();
     if (!out.equivalent) out.detail = report.first_difference;
   } catch (const std::exception& e) {

@@ -86,47 +86,6 @@ void EquivalenceVerifier::compare_registers(
   }
 }
 
-EquivalenceReport check_equivalence(const ir::Pvsm& program,
-                                    const banzai::ReferenceResult& reference,
-                                    const SimResult& result) {
-  EquivalenceVerifier verifier(program);
-
-  verifier.compare_registers(reference.final_registers,
-                             result.final_registers);
-
-  // Packet state: compare declared header fields per packet, by seq.
-  if (result.egress.size() != reference.egress_headers.size()) {
-    verifier.flag_count_mismatch(reference.egress_headers.size(),
-                                 result.egress.size());
-  }
-  std::vector<const EgressRecord*> by_seq(reference.egress_headers.size(),
-                                          nullptr);
-  std::vector<std::uint32_t> records_per_seq(reference.egress_headers.size(),
-                                             0);
-  for (const auto& rec : result.egress) {
-    if (rec.seq >= by_seq.size()) {
-      verifier.flag_out_of_range(rec.seq, reference.egress_headers.size());
-      continue;
-    }
-    // Field comparison uses the first record; every extra is a mismatch.
-    if (records_per_seq[rec.seq]++ == 0) {
-      by_seq[rec.seq] = &rec;
-    } else {
-      verifier.flag_duplicate(rec.seq, records_per_seq[rec.seq]);
-    }
-  }
-  for (SeqNo seq = 0; seq < reference.egress_headers.size(); ++seq) {
-    const EgressRecord* rec = by_seq[seq];
-    if (rec == nullptr) {
-      verifier.flag_never_egressed(seq);
-      continue;
-    }
-    verifier.compare_packet(seq, reference.egress_headers[seq],
-                            rec->headers);
-  }
-  return verifier.report();
-}
-
 EquivalenceReport check_equivalence(
     const ir::Pvsm& program, const banzai::ReferenceResult& reference,
     const std::vector<std::vector<Value>>& final_registers,

@@ -8,10 +8,12 @@
 // Only declared packet fields are compared — compiler temporaries are
 // scratch metadata, not packet state.
 //
-// Two checkers share the comparison core below: the batch check_equivalence
-// (a whole run vs a whole ReferenceResult) and the rolling verifier in
-// src/soak/ (per-egress incremental compare over a bounded window). The
-// reference side may also be the AstInterp oracle (domino::replay).
+// Two checkers share the comparison core below: the rolling verifier in
+// src/soak/, which checks a simulator's egress stream as it arrives
+// (per-egress incremental compare over a bounded window), and the
+// seq-indexed check_equivalence, which compares a finished run's final
+// registers and egress rows by seq against a ReferenceResult (the native
+// backend against the AstInterp oracle, via domino::replay).
 #pragma once
 
 #include <string>
@@ -74,14 +76,6 @@ private:
   const ir::Pvsm* program_;
   EquivalenceReport report_;
 };
-
-/// Compare a simulator run against the single-pipeline reference run of the
-/// same program over the same packet stream. `result.egress` must be
-/// recorded and the run must be lossless (drops legitimately break
-/// equivalence, §3.5.1 — callers should check result.drop_fraction() first).
-EquivalenceReport check_equivalence(const ir::Pvsm& program,
-                                    const banzai::ReferenceResult& reference,
-                                    const SimResult& result);
 
 /// Compare a lossless run given as final registers plus egress headers
 /// indexed by seq (the native backend's record, or another reference run)

@@ -1,9 +1,12 @@
 // Result record common to all switch simulators (MP5, baselines).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -16,7 +19,9 @@ class Fnv1aDigest;
 // Every scalar counter below has one row in kResultCounters (after the
 // struct): the checkpoint, same_results, result_digest, the results JSON
 // and the telemetry export all walk that list, so a new counter is one
-// field plus one row.
+// field plus one row. Per-packet output is not part of the result: it
+// leaves an executor through its egress and drop sinks (PacketStreams
+// below collects them where a caller wants the records).
 struct SimResult {
   // --- packet accounting ---
   std::uint64_t offered = 0;
@@ -53,23 +58,20 @@ struct SimResult {
   /// egress — how long the switch took to resume delivering packets.
   Cycle time_to_recover = 0;
 
-  /// One record per fault-dropped packet (populated when record_egress is
-  /// set): `state_touched` says whether the packet had already performed
-  /// at least one state access, i.e. whether its partial effects remain in
-  /// register state. The declared drop set for equivalence-modulo-drops.
+  /// One dropped packet as a drop sink reports it: `state_touched` says
+  /// whether the packet had already performed at least one state access,
+  /// i.e. whether its partial effects remain in register state.
   struct FaultDrop {
     SeqNo seq = kInvalidSeqNo;
     bool state_touched = false;
+    bool operator==(const FaultDrop&) const = default;
   };
-  std::vector<FaultDrop> fault_drops;
 
   // --- correctness ---
   std::uint64_t c1_violating_packets = 0;
-  std::uint64_t reordered_flow_packets = 0; // egress inversions within a flow
 
   // --- final state (for equivalence checks) ---
   std::vector<std::vector<Value>> final_registers;
-  std::vector<EgressRecord> egress; // sorted by seq when recorded
 
   /// Packet throughput normalized to the input packet rate, the paper's
   /// §4.3 metric. Offered N packets over the arrival window at rate r,
@@ -93,11 +95,7 @@ struct SimResult {
                               static_cast<double>(offered);
   }
 
-  /// The checkpoint field listing (common/serialize.hpp). The egress and
-  /// fault-drop logs are written in their current (possibly unsorted
-  /// mid-run) order — the run loop appends to them until the final sort,
-  /// so restoring them in any other order would break bit-identity of the
-  /// finished result.
+  /// The checkpoint field listing (common/serialize.hpp).
   template <class Io> void transfer(Io& io);
 };
 
@@ -148,18 +146,57 @@ inline constexpr ResultCounter kResultCounters[] = {
     {"time_to_recover", "faults", nullptr, &SimResult::time_to_recover},
     {"c1_violating_packets", "correctness", nullptr,
      &SimResult::c1_violating_packets},
-    {"reordered_flow_packets", "correctness", nullptr,
-     &SimResult::reordered_flow_packets},
 };
 
 // A new SimResult field without a row fails to compile here: every counter
-// is 8 bytes wide and everything else is one of the three logs.
+// is 8 bytes wide and the only other field is the final registers.
 static_assert(sizeof(SimResult) ==
                   sizeof(std::uint64_t) * std::size(kResultCounters) +
-                      sizeof(SimResult::fault_drops) +
-                      sizeof(SimResult::final_registers) +
-                      sizeof(SimResult::egress),
+                      sizeof(SimResult::final_registers),
               "every SimResult counter needs a kResultCounters row");
+
+/// One run's per-packet output as its sinks emitted it: egress records
+/// and drops, in emission order. For callers that read the records after
+/// the run; a long run should consume them in its sinks instead.
+struct PacketStreams {
+  std::vector<EgressRecord> egress;
+  std::vector<SimResult::FaultDrop> drops;
+
+  /// Point `opts`' egress sink, and its drop sink where the options have
+  /// one, at this collector, which must outlive the run.
+  template <class Options> void attach(Options& opts) {
+    opts.egress_sink = [this](EgressRecord&& rec) {
+      egress.push_back(std::move(rec));
+    };
+    if constexpr (requires { opts.fault_drop_sink; }) {
+      opts.fault_drop_sink = [this](SeqNo seq, bool touched) {
+        drops.push_back({seq, touched});
+      };
+    }
+  }
+
+  /// How much of each stream has been emitted so far.
+  struct Mark {
+    std::size_t egress = 0;
+    std::size_t drops = 0;
+  };
+  Mark mark() const { return {egress.size(), drops.size()}; }
+
+  /// What was emitted after `from`: what a run resumed from a checkpoint
+  /// taken at `from` must emit.
+  PacketStreams since(Mark from) const {
+    PacketStreams out;
+    out.egress.assign(egress.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(from.egress, egress.size())),
+                      egress.end());
+    out.drops.assign(drops.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(from.drops, drops.size())),
+                     drops.end());
+    return out;
+  }
+
+  bool operator==(const PacketStreams&) const = default;
+};
 
 /// Field-by-field equality of two results — the checkpoint/restore
 /// bit-identity contract. On mismatch returns false and, when `why` is

@@ -201,13 +201,11 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.b(options.naive_single_pipeline);
   fp.u64(options.starvation_threshold);
   fp.u64(options.ecn_threshold);
-  fp.b(options.record_egress);
-  fp.b(options.track_flow_reordering);
   fp.u64(options.seed);
-  // Payload revision: 2 since the named counts are bare values (1 added
-  // the depth-on-push and egress-latency histograms), so an older
-  // checkpoint is refused.
-  fp.u32(2);
+  // Payload revision: 3 since the result carries no egress or fault-drop
+  // log and no per-flow egress map (2 made the named counts bare values,
+  // 1 added the two histograms), so an older checkpoint is refused.
+  fp.u32(3);
   // Fault plan: the schedule is part of the deterministic run definition.
   const FaultPlan& plan = options.faults;
   fp.u64(plan.pipeline_faults.size());
@@ -244,11 +242,10 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u32(options.staleness_bound == 0 ? 1 : 2);
   fp.u32(options.staleness_bound);
   fp.u32(options.pipelines);
-  fp.b(options.record_egress);
   fp.b(true); // C1 tracking, once a knob
-  // Payload revision: 1 since the C1 checker stores a dense table here
-  // too, so a checkpoint with the older sparse C1 table is refused.
-  fp.u32(1);
+  // Payload revision: 2 since the result carries no egress log (1 made
+  // the C1 table dense), so an older checkpoint is refused.
+  fp.u32(2);
   hash_program_shape(fp, program);
   return fp.h;
 }
@@ -370,11 +367,6 @@ void Mp5Simulator::transfer(Io& io, Cycle& now, std::uint64_t& consumed) {
   }
 
   c1_.transfer(io);
-
-  io.sorted(flow_last_egress_, 16, [&](std::pair<std::uint64_t, SeqNo>& f) {
-    io.u64(f.first);
-    io.u64(f.second);
-  });
 
   // The counts SimResult has no field for (SimResult itself travels
   // above), in named_counts() order, whether or not telemetry is attached.

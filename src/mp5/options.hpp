@@ -75,12 +75,6 @@ struct SimOptions {
   /// Safety valve for runaway runs; tests assert it is never hit.
   std::uint64_t max_cycles = 5'000'000;
 
-  /// Record per-packet egress headers (needed for equivalence checks).
-  bool record_egress = false;
-
-  /// Track per-flow egress reordering.
-  bool track_flow_reordering = false;
-
   std::uint64_t seed = 1;
 
   /// Scheduled fault injection (see faults.hpp). An empty plan is a
@@ -113,14 +107,17 @@ struct SimOptions {
   /// accept the stall.
   std::function<void(Cycle, std::string&&)> checkpoint_sink;
 
-  /// Streaming egress: when set, egress records are handed to the sink
-  /// instead of accumulating in SimResult::egress — the soak driver's
-  /// flat-RSS path (rolling verification consumes and discards them).
-  /// Independent of record_egress.
+  /// Receives each egressed packet's record (seq, egress cycle, flow,
+  /// final headers) in egress order. The only way per-packet output
+  /// leaves the simulator: nothing accumulates in SimResult, so a sink
+  /// that discards what it has read keeps memory flat at any length.
   std::function<void(EgressRecord&&)> egress_sink;
 
-  /// Streaming fault-drop notifications (seq, state_touched), the sink
-  /// counterpart of SimResult::fault_drops.
+  /// Receives every dropped data packet (seq, state_touched), whatever
+  /// the cause: an injected fault, a missing phantom at a bounded FIFO,
+  /// or the starvation guard. `state_touched` says whether some of the
+  /// packet's state accesses had executed, so its partial effects remain
+  /// in the registers. The name predates the wider contract.
   std::function<void(SeqNo, bool)> fault_drop_sink;
 
   /// Optional per-event instrumentation hook (tests, mp5sim --timeline).
@@ -157,13 +154,14 @@ struct ReplicatedOptions {
   std::uint32_t staleness_bound = 0;
   /// Safety valve for runaway runs.
   std::uint64_t max_cycles = 5'000'000;
-  /// Record per-packet egress headers (needed for equivalence checks).
-  bool record_egress = false;
   /// Per-cycle live-packet accounting check (throws Error on mismatch).
   bool paranoid_checks = false;
   /// Checkpoint every N cycles (0 = disabled). Requires checkpoint_sink.
   std::uint64_t checkpoint_interval = 0;
   std::function<void(Cycle, std::string&&)> checkpoint_sink;
+  /// Receives each egressed packet's record, as SimOptions::egress_sink.
+  /// The designs are lossless, so there is no drop sink.
+  std::function<void(EgressRecord&&)> egress_sink;
 };
 
 } // namespace mp5

@@ -102,17 +102,12 @@ SimResult Mp5Simulator::run(const Trace& trace) {
 SimResult Mp5Simulator::run(TraceSource& source) {
   result_ = SimResult{};
 
-  // Pre-size the per-run pools: the arena grows to the peak number of
-  // in-flight packets (bounded by the trace but usually far smaller), and
-  // the egress log is one record per delivered packet — but a streaming
-  // soak trace is effectively unbounded, so cap the reservations.
+  // Pre-size the arena: it grows to the peak number of in-flight packets
+  // (bounded by the trace but usually far smaller), and a streaming soak
+  // trace is effectively unbounded, so cap the reservation.
   const std::optional<std::uint64_t> total = source.size();
   arena_.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(total.value_or(4096), 4096)));
-  if (opts_.record_egress && !opts_.egress_sink && total.has_value()) {
-    result_.egress.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(*total, std::uint64_t{1} << 20)));
-  }
 
   next_checkpoint_ = opts_.checkpoint_interval; // 0 when disabled
   return run_loop(source, 0);
@@ -314,14 +309,6 @@ SimResult Mp5Simulator::finalize(Cycle now) {
         result_.max_queue_depth, fifo.high_water());
   }
   export_telemetry();
-  std::sort(result_.egress.begin(), result_.egress.end(),
-            [](const EgressRecord& a, const EgressRecord& b) {
-              return a.seq < b.seq;
-            });
-  std::sort(result_.fault_drops.begin(), result_.fault_drops.end(),
-            [](const SimResult::FaultDrop& a, const SimResult::FaultDrop& b) {
-              return a.seq < b.seq;
-            });
   return std::move(result_);
 }
 
@@ -1168,26 +1155,14 @@ void Mp5Simulator::drop_packet(PacketRef ref, DropCause cause, Cycle now) {
   switch (cause) {
     case DropCause::kData: ++result_.dropped_data; break;
     case DropCause::kStarved: ++result_.dropped_starved; break;
-    case DropCause::kFault: {
-      ++result_.dropped_fault;
-      if (opts_.record_egress || opts_.fault_drop_sink) {
-        // Declared drop set for equivalence-modulo-drops: remember whether
-        // the packet's partial state effects remain in the registers.
-        bool touched = false;
-        for (const auto& e : pkt.plan) {
-          if (e.done) {
-            touched = true;
-            break;
-          }
-        }
-        if (opts_.fault_drop_sink) opts_.fault_drop_sink(pkt.seq, touched);
-        if (opts_.record_egress) {
-          result_.fault_drops.push_back(
-              SimResult::FaultDrop{pkt.seq, touched});
-        }
-      }
-      break;
-    }
+    case DropCause::kFault: ++result_.dropped_fault; break;
+  }
+  if (opts_.fault_drop_sink) {
+    // Whether the packet's partial state effects remain in the registers.
+    const bool touched =
+        std::any_of(pkt.plan.begin(), pkt.plan.end(),
+                    [](const PlannedAccess& e) { return e.done; });
+    opts_.fault_drop_sink(pkt.seq, touched);
   }
   for (std::size_t i = 0; i < pkt.plan.size(); ++i) {
     auto& e = pkt.plan[i];
@@ -1241,32 +1216,16 @@ void Mp5Simulator::egress_packet(PacketRef ref, Cycle now) {
     awaiting_egress_after_failure_ = false;
   }
   if (pkt.ecn_marked) ++result_.ecn_marked;
-  if (opts_.track_flow_reordering) {
-    auto [it, inserted] = flow_last_egress_.try_emplace(pkt.flow, pkt.seq);
-    if (!inserted) {
-      if (pkt.seq < it->second) {
-        ++result_.reordered_flow_packets;
-      } else {
-        it->second = pkt.seq;
-      }
-    }
-  }
-  if (opts_.record_egress || opts_.egress_sink) {
+  if (opts_.egress_sink) {
     EgressRecord rec;
     rec.seq = pkt.seq;
     rec.egress_cycle = now;
     rec.flow = pkt.flow;
     rec.headers = std::move(pkt.headers);
-    if (opts_.egress_sink) {
-      // Streaming soak: the record goes to the sink (rolling verification)
-      // instead of accumulating in the result — flat RSS for any length.
-      // A sink that only reads the headers leaves them in the record: the
-      // row goes back to the arena slot, so the next admission reuses it.
-      opts_.egress_sink(std::move(rec));
-      pkt.headers = std::move(rec.headers);
-    } else {
-      result_.egress.push_back(std::move(rec));
-    }
+    // A sink that only reads the headers leaves them in the record: the
+    // row goes back to the arena slot, so the next admission reuses it.
+    opts_.egress_sink(std::move(rec));
+    pkt.headers = std::move(rec.headers);
   }
   arena_.release(ref);
 }

@@ -87,9 +87,9 @@ public:
   SimResult run(const Trace& trace);
 
   /// Streaming variant: pull packets from a TraceSource (generator, mmap'd
-  /// file, ...) instead of an in-memory Trace. With the soak sinks set
-  /// (SimOptions::egress_sink / fault_drop_sink) memory stays flat
-  /// regardless of trace length.
+  /// file, ...) instead of an in-memory Trace. Per-packet output leaves
+  /// only through SimOptions::egress_sink / fault_drop_sink, so memory
+  /// stays flat regardless of trace length.
   SimResult run(TraceSource& source);
 
   /// Resume a checkpointed run: restore the complete simulator state from
@@ -131,7 +131,7 @@ public:
   /// True while packets are in flight or the bound source has items.
   bool has_work();
   /// End the externally-clocked run at `end_cycle` and return the result
-  /// (identical tail to run(): final registers, C1, sorted egress).
+  /// (identical tail to run(): final registers, C1, telemetry).
   SimResult finish(Cycle end_cycle);
 
   /// Observable state, for tests.
@@ -214,8 +214,7 @@ private:
   /// run_loop and the external-clock step().
   void step_cycle(Cycle now);
   /// The shared run tail: unbind the source, fill the end-of-run
-  /// SimResult fields, export telemetry, and sort the egress/fault-drop
-  /// logs.
+  /// SimResult fields and export telemetry.
   SimResult finalize(Cycle now);
   /// Write every count into SimOptions::telemetry under telemetry_prefix:
   /// the kResultCounters rows that have a telemetry name, named_counts(),
@@ -414,7 +413,6 @@ private:
 
   SimResult result_;
   C1Checker c1_;
-  std::unordered_map<std::uint64_t, SeqNo> flow_last_egress_;
 
   /// Counts SimResult has no field for (see named_counts()); the shard
   /// map keeps its own.

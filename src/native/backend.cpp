@@ -455,11 +455,6 @@ struct NativeBackend::Impl {
     std::vector<RingBacklog<std::uint32_t>> outbuf(w);
     std::vector<std::uint32_t> reap(opts.batch);
 
-    if (const auto hint = source.size();
-        opts.record_egress && hint.has_value()) {
-      result.egress_fields.reserve(static_cast<std::size_t>(*hint));
-    }
-
     std::vector<std::thread> threads;
     threads.reserve(w);
     for (std::uint32_t i = 0; i < w; ++i) {
@@ -507,8 +502,8 @@ struct NativeBackend::Impl {
           outbuf[i].flush(*dispatch_ring[i]);
         }
 
-        // Reap egressed packets: D2 in-flight accounting, optional egress
-        // recording, ref recycling.
+        // Reap egressed packets: D2 in-flight accounting, the egress sink,
+        // ref recycling.
         for (std::uint32_t i = 0; i < w; ++i) {
           const std::size_t n =
               egress_ring[i]->pop_batch(reap.data(), reap.size());
@@ -519,13 +514,11 @@ struct NativeBackend::Impl {
               if (plan[a].flags & kSkipState) continue;
               state.note_completed(plan[a].reg, plan[a].index);
             }
-            if (opts.record_egress) {
-              const SeqNo sq = seq[ref];
-              if (result.egress_fields.size() <= sq) {
-                result.egress_fields.resize(sq + 1);
-              }
-              result.egress_fields[sq].assign(
-                  headers[ref].begin(), headers[ref].begin() + declared);
+            if (opts.egress_sink) {
+              opts.egress_sink(EgressRecord{
+                  seq[ref], 0, 0,
+                  std::vector<Value>(headers[ref].begin(),
+                                     headers[ref].begin() + declared)});
             }
             free_refs.push_back(ref);
             // The free list is LIFO, so an upcoming admission reuses this

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mp5/shard_map.hpp"
@@ -58,13 +59,15 @@ struct NativeOptions {
   /// Pin worker i to the (i mod n)-th of the n CPUs in its affinity mask
   /// (Linux only; silently best-effort elsewhere).
   bool pin_threads = true;
-  /// Record final declared-field values per packet (oracle checking;
-  /// O(packets) memory — leave off for throughput runs).
-  bool record_egress = false;
   /// Per-worker and dispatcher busy/idle wall-clock accounting (adds a
   /// clock read per loop iteration of each thread; counters are always
   /// collected regardless).
   bool profile = false;
+  /// Receives each packet's record when the dispatcher reaps it, on the
+  /// dispatcher thread, in reap order: seq and the declared header fields
+  /// (the backend has no clock and no flows, so egress_cycle and flow
+  /// are 0).
+  std::function<void(EgressRecord&&)> egress_sink;
 };
 
 struct NativeResult {
@@ -75,8 +78,6 @@ struct NativeResult {
   std::uint64_t rebalances = 0;
   /// Final register state, flattened per RegisterSpec (oracle-comparable).
   std::vector<std::vector<Value>> final_registers;
-  /// Final declared-field values per packet by seq (record_egress only).
-  std::vector<std::vector<Value>> egress_fields;
   NativeProfile profile;
 };
 

@@ -6,16 +6,15 @@ namespace mp5::native {
 
 using telemetry::JsonWriter;
 
-std::uint64_t native_result_digest(const ir::Pvsm& program,
-                                   const NativeResult& result) {
+std::uint64_t native_result_digest(const NativeResult& result) {
   Fnv1aDigest d;
   d.add(result.packets);
-  return final_state_digest(program, result.final_registers,
-                            result.egress_fields, d);
+  add_registers(d, result.final_registers);
+  return d.value();
 }
 
 void write_native_results_json(std::ostream& out, const std::string& program,
-                               const ir::Pvsm& pvsm, const NativeOptions& opts,
+                               const NativeOptions& opts,
                                const NativeResult& result,
                                const EquivalenceReport* oracle) {
   telemetry::RunEnvelope doc(out, "mp5-native-results");
@@ -42,7 +41,7 @@ void write_native_results_json(std::ostream& out, const std::string& program,
   else json.null();
   json.end_object();
 
-  doc.finish(native_result_digest(pvsm, result), [&](JsonWriter& profile) {
+  doc.finish(native_result_digest(result), [&](JsonWriter& profile) {
     profile.begin_object();
     profile.key("throughput")
         .begin_object()

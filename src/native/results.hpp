@@ -16,14 +16,13 @@
 namespace mp5::native {
 
 /// Digest of what the oracle fixes for a run (the paper's Theorem 1): the
-/// packet count, the final registers and, when recorded, the declared
-/// fields of every egress row. One digest for every core count and policy.
-std::uint64_t native_result_digest(const ir::Pvsm& program,
-                                   const NativeResult& result);
+/// packet count and the final registers. One digest for every core count
+/// and policy, checked or not.
+std::uint64_t native_result_digest(const NativeResult& result);
 
 /// `oracle` is the --check verdict, null when the run was not checked.
 void write_native_results_json(std::ostream& out, const std::string& program,
-                               const ir::Pvsm& pvsm, const NativeOptions& opts,
+                               const NativeOptions& opts,
                                const NativeResult& result,
                                const EquivalenceReport* oracle);
 

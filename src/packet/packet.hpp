@@ -159,6 +159,7 @@ struct EgressRecord {
   Cycle egress_cycle = 0;
   std::uint64_t flow = 0;
   std::vector<Value> headers;
+  bool operator==(const EgressRecord&) const = default;
 };
 
 } // namespace mp5

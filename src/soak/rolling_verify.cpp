@@ -115,9 +115,8 @@ void RollingVerifier::resolve(SeqNo seq, Pending& fate) {
   ++verified_;
 }
 
-EquivalenceReport RollingVerifier::finish(
-    std::uint64_t admitted,
-    const std::vector<std::vector<Value>>& final_registers) {
+EquivalenceReport RollingVerifier::finish(const SimResult& result) {
+  EquivalenceReport& report = core_.report();
   if (!truncated_) {
     // Everything admitted but never resolved is a lost packet. Flag the
     // first few individually, then aggregate (a badly lossy run could have
@@ -128,7 +127,7 @@ EquivalenceReport RollingVerifier::finish(
       if (p.resolved) ++resolved_pending;
     }
     const std::uint64_t outstanding =
-        admitted > next_seq_ ? admitted - next_seq_ : 0;
+        result.offered > next_seq_ ? result.offered - next_seq_ : 0;
     const std::uint64_t missing =
         outstanding > resolved_pending ? outstanding - resolved_pending : 0;
     std::uint64_t flagged = 0;
@@ -144,17 +143,33 @@ EquivalenceReport RollingVerifier::finish(
       }
     }
     if (missing > flagged) {
-      core_.report().packet_mismatches += missing - flagged;
-      core_.report().packets_equal = false;
+      report.packet_mismatches += missing - flagged;
+      report.packets_equal = false;
     }
     if (missing == 0) {
-      core_.compare_registers(ref_.registers(), final_registers);
+      core_.compare_registers(ref_.registers(), result.final_registers);
     } else {
       core_.note("final register state not compared: " +
                  std::to_string(missing) + " packets unresolved");
     }
   }
-  return core_.report();
+  // A drop no fault plan declared breaks equivalence (§3.5.1) even where
+  // the reference could skip the packet; it leads the report.
+  const std::uint64_t undeclared =
+      result.dropped_data + result.dropped_starved;
+  if (undeclared != 0) {
+    report.packets_equal = false;
+    report.packet_mismatches += undeclared;
+    std::string note = std::to_string(undeclared) +
+                       " packets dropped outside the fault plan (" +
+                       std::to_string(result.dropped_data) + " data, " +
+                       std::to_string(result.dropped_starved) + " starved)";
+    if (!report.first_difference.empty()) {
+      note += "; " + report.first_difference;
+    }
+    report.first_difference = std::move(note);
+  }
+  return report;
 }
 
 template <class Io> void RollingVerifier::transfer(Io& io) {

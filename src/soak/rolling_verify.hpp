@@ -1,26 +1,26 @@
-// Rolling egress verification for billion-packet soaks.
+// Rolling egress verification: the one checker of a simulator's egress
+// stream (MP5, SCR/relaxed and recirculation alike).
 //
-// The batch checker (metrics/equivalence.hpp) needs the whole egress log in
-// memory — O(packets) RSS, a non-starter at 10^9 packets. RollingVerifier
-// performs the same declared-field comparison incrementally: egress records
-// and declared fault drops stream in (via the simulator's egress_sink /
-// fault_drop_sink), fates are resolved in seq order against the
-// single-pipeline reference, and verified history is discarded immediately.
-// Memory is bounded by the egress reordering span (the window), not the
-// trace length.
+// Egress records and drops stream in through the executor's egress_sink
+// and fault_drop_sink (attach() wires both), fates are resolved in seq
+// order against the single-pipeline reference, and verified history is
+// discarded immediately. Memory is bounded by the egress reordering span
+// (the window), not the trace length, so a billion-packet run verifies in
+// flat RSS.
 //
 // Fate resolution, per seq:
 //   * egressed            -> run the reference on the packet, compare the
 //                            declared fields (shared EquivalenceVerifier
-//                            core: same duplicate/out-of-range diagnostics
-//                            as the batch checker);
-//   * fault drop, state untouched -> the packet left no effects anywhere;
+//                            core);
+//   * dropped, state untouched -> the packet left no effects anywhere;
 //                            the reference skips it and stays in sync;
-//   * fault drop, state touched   -> the packet's partial register effects
+//   * dropped, state touched   -> the packet's partial register effects
 //                            cannot be replayed on the reference:
 //                            verification is truncated at that seq (the
 //                            report says so) — everything before it stays
 //                            verified.
+// Only injected faults may drop a packet: finish() reads the result's
+// data and starvation drops and marks any of them a violation.
 //
 // The verifier is checkpointable alongside the simulator (save/load), so a
 // crash-recovered soak resumes verification exactly where it stopped.
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "banzai/single_pipeline.hpp"
@@ -60,16 +61,28 @@ public:
                   std::unique_ptr<TraceSource> reference_input,
                   Options options = {});
 
-  /// Wire these to SimOptions::egress_sink / fault_drop_sink.
   void on_egress(EgressRecord&& rec);
   void on_fault_drop(SeqNo seq, bool state_touched);
 
-  /// Close the stream: every admitted-but-unresolved seq is flagged as
-  /// never egressed, and (unless truncated) the final register state is
-  /// compared. `admitted` is the simulator's SimResult::offered.
-  EquivalenceReport finish(
-      std::uint64_t admitted,
-      const std::vector<std::vector<Value>>& final_registers);
+  /// Point `opts`' egress sink, and its drop sink where the options have
+  /// one (SimOptions, RecircOptions, ReplicatedOptions), at this verifier,
+  /// which must outlive the run.
+  template <class Options> void attach(Options& opts) {
+    opts.egress_sink = [this](EgressRecord&& rec) {
+      on_egress(std::move(rec));
+    };
+    if constexpr (requires { opts.fault_drop_sink; }) {
+      opts.fault_drop_sink = [this](SeqNo seq, bool touched) {
+        on_fault_drop(seq, touched);
+      };
+    }
+  }
+
+  /// Close the stream with the run's result: every admitted-but-unresolved
+  /// seq is flagged as never egressed, (unless truncated) the final
+  /// register state is compared, and any data or starvation drop is a
+  /// violation whether or not verification was truncated.
+  EquivalenceReport finish(const SimResult& result);
 
   /// Packets fully verified so far (resolved, compared, discarded).
   std::uint64_t verified() const { return verified_; }

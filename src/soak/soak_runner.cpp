@@ -8,24 +8,18 @@
 #include "mp5/checkpoint.hpp"
 #include "mp5/simulator.hpp"
 #include "soak/rolling_verify.hpp"
-#include "soak/rss.hpp"
 
 namespace mp5::soak {
 
-namespace {
-
 void finish_verification(RollingVerifier& verifier, SoakReport& report) {
   report.verify_ran = true;
-  report.equivalence =
-      verifier.finish(report.result.offered, report.result.final_registers);
+  report.equivalence = verifier.finish(report.result);
   report.truncated = verifier.truncated();
   report.verified_packets = verifier.verified();
   report.verify_window_peak = verifier.window_peak();
   report.verified = !report.truncated && report.equivalence.packets_equal &&
                     report.equivalence.registers_equal;
 }
-
-} // namespace
 
 SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
   if (options.checkpoint_interval != 0 && options.checkpoint_path.empty()) {
@@ -34,20 +28,13 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
 
   SoakReport report;
   SimOptions sim_opts = options.sim;
-  // Verification is fully sink-driven; nothing may accumulate per packet.
-  sim_opts.record_egress = false;
   sim_opts.checkpoint_interval = options.checkpoint_interval;
 
   std::unique_ptr<RollingVerifier> verifier;
   if (options.verify) {
     verifier =
         std::make_unique<RollingVerifier>(program.pvsm, options.traffic());
-    sim_opts.egress_sink = [&v = *verifier](EgressRecord&& rec) {
-      v.on_egress(std::move(rec));
-    };
-    sim_opts.fault_drop_sink = [&v = *verifier](SeqNo seq, bool touched) {
-      v.on_fault_drop(seq, touched);
-    };
+    verifier->attach(sim_opts);
   }
 
   // Sinks and checkpoint cadence are excluded from the fingerprint, so
@@ -64,13 +51,6 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
       }
       write_checkpoint_file(options.checkpoint_path, file);
       ++report.checkpoints_written;
-      const std::uint64_t rss_kib = sample_rss().rss_kib;
-      if (options.rss_limit_kib != 0 && rss_kib > options.rss_limit_kib) {
-        throw Error("soak RSS ceiling exceeded: VmRSS " +
-                    std::to_string(rss_kib) + " KiB > limit " +
-                    std::to_string(options.rss_limit_kib) +
-                    " KiB at cycle " + std::to_string(cycle));
-      }
     };
   }
 
@@ -115,22 +95,6 @@ SoakReport run_soak(const Mp5Program& program, const SoakOptions& options) {
 
   if (verifier != nullptr) finish_verification(*verifier, report);
   return report;
-}
-
-void verify_egress_log(const Mp5Program& program, const TrafficOpener& traffic,
-                       SoakReport& report) {
-  RollingVerifier verifier(program.pvsm, traffic());
-  SeqNo next = 0;
-  for (EgressRecord& rec : report.result.egress) {
-    // The log is sorted by seq, so a hole is a packet that never egressed:
-    // the verdict is settled there, and feeding the rest would only grow
-    // the pending window.
-    if (rec.seq > next) break;
-    next = rec.seq + 1;
-    verifier.on_egress(std::move(rec));
-  }
-  report.result.egress = {};
-  finish_verification(verifier, report);
 }
 
 } // namespace mp5::soak

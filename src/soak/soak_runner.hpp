@@ -2,11 +2,12 @@
 //
 // run_soak() wires the streaming pieces into one billion-packet-capable
 // harness: a TraceSource feeds the simulator, a second source over the
-// same stream feeds the RollingVerifier via the egress/fault-drop sinks
-// (so nothing accumulates in SimResult), and every checkpoint_interval
-// cycles the complete simulator + verifier state is written atomically to
-// one file. A crashed (even SIGKILLed) soak resumes from that file and
-// finishes with the same SimResult as an uninterrupted run.
+// same stream feeds the RollingVerifier via the egress/fault-drop sinks,
+// and every checkpoint_interval cycles the complete simulator + verifier
+// state is written atomically to one file. A crashed (even SIGKILLed)
+// soak resumes from that file and finishes with the same SimResult as an
+// uninterrupted run. The baseline designs verify through the same
+// wiring: RollingVerifier::attach, the run, finish_verification.
 //
 // Soak checkpoint file layout: two `mp5-checkpoint v1` frames back to
 // back — the simulator frame first (so external tools can sniff the magic
@@ -29,6 +30,8 @@
 
 namespace mp5::soak {
 
+class RollingVerifier;
+
 /// Opens the run's packet stream at its first packet. run_soak calls it
 /// once for the simulator and once for the verifier; both calls must
 /// yield the same packets.
@@ -38,9 +41,8 @@ struct SoakOptions {
   TrafficOpener traffic;
 
   /// Base simulator configuration. The checkpoint knobs
-  /// (checkpoint_interval / checkpoint_sink) and the streaming sinks are
-  /// owned by the soak driver and overwritten; record_egress is forced
-  /// off (verification is fully sink-driven).
+  /// (checkpoint_interval / checkpoint_sink) and, when verifying, the
+  /// streaming sinks are owned by the soak driver and overwritten.
   SimOptions sim;
 
   /// Cycles between checkpoints; 0 disables checkpointing.
@@ -55,10 +57,6 @@ struct SoakOptions {
   /// Rolling equivalence verification against the single-pipeline
   /// reference.
   bool verify = true;
-
-  /// Abort (throw Error) if VmRSS exceeds this many KiB at a checkpoint
-  /// boundary — the soak's flat-memory contract, enforced. 0 = unlimited.
-  std::uint64_t rss_limit_kib = 0;
 };
 
 struct SoakReport {
@@ -80,12 +78,8 @@ struct SoakReport {
 
 SoakReport run_soak(const Mp5Program& program, const SoakOptions& options);
 
-/// Verify a finished run from its complete, seq-sorted egress log (the
-/// baseline simulators record one under record_egress) with the
-/// RollingVerifier run_soak wires to the sinks, over the packets
-/// `traffic` opens. Releases report.result.egress, so the result is the
-/// one an unchecked run returns, and fills report's verification fields.
-void verify_egress_log(const Mp5Program& program, const TrafficOpener& traffic,
-                       SoakReport& report);
+/// Close `verifier` with report.result, the run it was attached to, and
+/// fill report's verification fields.
+void finish_verification(RollingVerifier& verifier, SoakReport& report);
 
 } // namespace mp5::soak

@@ -91,10 +91,7 @@ void write_results_json(std::ostream& out, const RunMeta& meta,
       .kv("normalized_throughput", result.normalized_throughput())
       .end_object();
   section("mechanics").end_object();
-  section("faults")
-      .kv("fault_drops",
-          static_cast<std::uint64_t>(result.fault_drops.size()))
-      .end_object();
+  section("faults").end_object();
   section("correctness")
       .kv("c1_fraction", result.c1_fraction())
       .kv("drop_fraction", result.drop_fraction())

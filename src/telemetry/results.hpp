@@ -17,10 +17,8 @@
 //                      recirculations, max_queue_depth },
 //     "faults":      { pipeline_failures, pipeline_recoveries,
 //                      fault_remapped_indices, phantom_lost,
-//                      phantom_delayed, stalled_cycles, time_to_recover,
-//                      fault_drops },
-//     "correctness": { c1_violating_packets, reordered_flow_packets,
-//                      c1_fraction, drop_fraction },
+//                      phantom_delayed, stalled_cycles, time_to_recover },
+//     "correctness": { c1_violating_packets, c1_fraction, drop_fraction },
 //     "telemetry":   { counters, gauges, histograms, events } | null
 //   }
 #pragma once

@@ -277,6 +277,30 @@ if(NOT written STREQUAL resumed OR NOT written STREQUAL unverified)
   message(FATAL_ERROR "mp5sim soak: resumed runs printed '${resumed}' and "
                       "'${unverified}', their checkpointing run '${written}'")
 endif()
+# Checkpoints an older build wrote (MP5 payload revision 2, replicated
+# revision 1: `mp5sim --builtin counter --packets 200
+# --checkpoint-interval 40`) carry the result's egress log and are refused.
+foreach(old "mp5;mp5-payload-rev2" "scr;scr-payload-rev1")
+  list(GET old 0 design)
+  list(GET old 1 file)
+  expect_failure("mp5sim refuses a ${design} checkpoint of an older revision"
+                 STDERR "checkpoint configuration fingerprint mismatch"
+                 ${MP5SIM} --builtin counter --packets 200 --design ${design}
+                 --restore ${CMAKE_CURRENT_LIST_DIR}/data/${file}.ckpt)
+endforeach()
+# Only the MP5 soak file carries a verifier frame, so a replicated design
+# checks equivalence only on a run without checkpoint flags.
+foreach(design scr relaxed)
+  expect_failure("mp5sim ${design} refuses a checked checkpointing run"
+                 STDERR "--check-equivalence with --checkpoint-interval or --restore applies to --design mp5.* only, not ${design}"
+                 ${MP5SIM} --builtin flowlet --packets 4000 --design ${design}
+                 --check-equivalence --checkpoint-interval 400
+                 --checkpoint-out ${workdir}/checked-${design}.ckpt)
+  expect_failure("mp5sim ${design} refuses a checked restore"
+                 STDERR "--check-equivalence with --checkpoint-interval or --restore applies to --design mp5.* only, not ${design}"
+                 ${MP5SIM} --builtin flowlet --packets 4000 --design ${design}
+                 --check-equivalence --restore ${workdir}/digest-${design}.ckpt)
+endforeach()
 # A checkpoint without the verifier frame cannot resume a verified run.
 expect_success("mp5sim soak unverified checkpointing run"
                ${soak} --checkpoint-interval 2000
@@ -424,15 +448,20 @@ if(PYTHON)
                  ${PYTHON} ${VALIDATOR} ${workdir}/native-busiest.json)
 endif()
 # The oracle fixes the egress and the final registers (Theorem 1, §2.2.1),
-# so the core count never moves the result digest.
-digest_line(one_core "mp5native digest at --cores 1"
-            ${MP5NATIVE} --builtin flowlet --packets 5000 --cores 1 --check)
-digest_line(two_cores "mp5native digest at --cores 2"
-            ${MP5NATIVE} --builtin flowlet --packets 5000 --cores 2 --check)
-if(NOT one_core STREQUAL two_cores)
-  message(FATAL_ERROR "mp5native: --cores 1 printed '${one_core}', "
-                      "--cores 2 '${two_cores}'")
-endif()
+# so neither the core count nor --check moves the result digest.
+digest_line(reference "mp5native digest at --cores 1"
+            ${MP5NATIVE} --builtin flowlet --packets 5000 --cores 1 --no-pin)
+foreach(cores 1 2)
+  foreach(check "" "--check")
+    digest_line(digest "mp5native digest at --cores ${cores} ${check}"
+                ${MP5NATIVE} --builtin flowlet --packets 5000 --cores ${cores}
+                --no-pin ${check})
+    if(NOT digest STREQUAL reference)
+      message(FATAL_ERROR "mp5native --cores ${cores} ${check} printed "
+                          "'${digest}', --cores 1 '${reference}'")
+    endif()
+  endforeach()
+endforeach()
 # Oversubscribing --cores must warn (the 1-CPU caveat surfaced up front).
 execute_process(COMMAND ${MP5NATIVE} --builtin counter --packets 200
                 --cores 64 --quiet
@@ -539,7 +568,7 @@ expect_success("mp5sim runs a trace past the default cycle ceiling"
 # -- flags whose paths no other test takes --
 expect_success("mp5sim random field values" STDOUT "result digest: 0x"
                ${MP5SIM} --builtin figure3 --packets 200 --rand-fields 16)
-expect_success("mp5sim soak field bound" STDOUT "result digest: 0x3bd7e2a62c1cddff"
+expect_success("mp5sim soak field bound" STDOUT "result digest: 0xebb96b9e02ae7e7f"
                ${MP5SIM} --builtin synthetic --load 0.9 --check-equivalence
                --packets 500 --rand-fields 16)
 expect_success("mp5sim prints the timeline" STDOUT "cycle [0-9]+  pipe [0-9]+  stage "

@@ -220,29 +220,22 @@ TEST(CheckpointRestore, BitIdentityAcrossMatrixAndFaultPlans) {
       opts.faults = plan.plan;
       opts.realistic_phantom_channel = plan.phantom_channel;
 
-      const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
+      const test::StreamedRun baseline = test::run_streamed(prog, trace, opts);
 
       // Re-run with periodic checkpoints: the cadence must be invisible.
-      std::vector<std::pair<Cycle, std::string>> blobs;
-      SimOptions copts = opts;
-      copts.checkpoint_interval =
-          std::max<std::uint64_t>(1, baseline.cycles_run / 4);
-      copts.checkpoint_sink = [&blobs](Cycle c, std::string&& blob) {
-        blobs.emplace_back(c, std::move(blob));
-      };
-      const SimResult ckpt_run = Mp5Simulator(prog, copts).run(trace);
-      std::string why;
-      ASSERT_TRUE(same_results(baseline, ckpt_run, &why))
-          << "checkpointing run diverged from the plain run: " << why;
-      ASSERT_FALSE(blobs.empty());
+      std::vector<test::CheckpointFrame> frames;
+      test::expect_same_run(
+          baseline,
+          test::run_checkpointing(
+              prog, trace, opts,
+              std::max<std::uint64_t>(1, baseline.result.cycles_run / 4),
+              frames));
+      ASSERT_FALSE(frames.empty());
 
-      // Every emitted checkpoint must restore to the identical SimResult.
-      for (const auto& [cycle, blob] : blobs) {
-        Mp5Simulator restored(prog, opts);
-        VectorTraceSource source(trace);
-        const SimResult result = restored.resume(source, blob);
-        EXPECT_TRUE(same_results(baseline, result, &why))
-            << "restore at cycle " << cycle << " diverged: " << why;
+      // Every emitted checkpoint must restore to the identical SimResult
+      // and emit the rest of the uninterrupted run's streams.
+      for (const test::CheckpointFrame& frame : frames) {
+        test::expect_resumes(prog, trace, opts, frame, baseline);
       }
     }
   }
@@ -255,19 +248,12 @@ TEST(CheckpointRestore, CrossEngineRestore) {
       test::random_fields(400, prog.pvsm.num_slots(), 64, rng), 4);
 
   SimOptions opts;
-  opts.record_egress = true;
   opts.paranoid_checks = true;
-  const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
-
-  std::vector<std::string> blobs;
-  SimOptions copts = opts;
-  copts.checkpoint_interval =
-      std::max<std::uint64_t>(1, baseline.cycles_run / 2);
-  copts.checkpoint_sink = [&blobs](Cycle, std::string&& blob) {
-    blobs.push_back(std::move(blob));
-  };
-  (void)Mp5Simulator(prog, copts).run(trace);
-  ASSERT_FALSE(blobs.empty());
+  std::vector<test::CheckpointFrame> frames;
+  const test::StreamedRun baseline = test::run_checkpointing(
+      prog, trace, opts, test::run_streamed(prog, trace, opts).result.cycles_run / 2,
+      frames);
+  ASSERT_FALSE(frames.empty());
 
   // The fingerprint excludes engine knobs, so the checkpoint restores
   // under a differently configured engine — watchdog off, telemetry
@@ -282,14 +268,10 @@ TEST(CheckpointRestore, CrossEngineRestore) {
     if (std::string(variant) == "telemetry") vopts.telemetry = &telem;
     if (std::string(variant) == "own-cadence") {
       vopts.checkpoint_interval =
-          std::max<std::uint64_t>(1, baseline.cycles_run / 3);
+          std::max<std::uint64_t>(1, baseline.result.cycles_run / 3);
       vopts.checkpoint_sink = [](Cycle, std::string&&) {};
     }
-    Mp5Simulator sim(prog, vopts);
-    VectorTraceSource source(trace);
-    const SimResult result = sim.resume(source, blobs.front());
-    std::string why;
-    EXPECT_TRUE(same_results(baseline, result, &why)) << why;
+    test::expect_resumes(prog, trace, vopts, frames.front(), baseline);
   }
 }
 
@@ -300,7 +282,6 @@ TEST(CheckpointRestore, RejectsMismatchAndReuse) {
       test::random_fields(200, prog.pvsm.num_slots(), 64, rng), 4);
 
   SimOptions opts;
-  opts.record_egress = true;
   std::vector<std::string> blobs;
   SimOptions copts = opts;
   copts.checkpoint_interval = 40;
@@ -340,13 +321,6 @@ TEST(CheckpointRestore, RejectsMismatchAndReuse) {
 
 // -- replicated-variant checkpointing (ISSUE 10) ---------------------------
 
-SimResult run_replicated(const Mp5Program& prog, const Trace& trace,
-                         ReplicatedOptions opts) {
-  opts.record_egress = true;
-  opts.paranoid_checks = true;
-  return ReplicatedSimulator(prog, opts).run(trace);
-}
-
 /// Resume `sim` from `blob`, streaming the packets of `trace`.
 template <class Sim>
 SimResult resume_over(Sim&& sim, const Trace& trace, std::string_view blob) {
@@ -364,35 +338,30 @@ TEST(CheckpointRestore, ReplicatedBitIdentity) {
   for (const ReplicatedOptions& base :
        {scr_options(4), relaxed_options(4, 32)}) {
     SCOPED_TRACE("staleness " + std::to_string(base.staleness_bound));
-    const SimResult baseline = run_replicated(prog, trace, base);
+    ReplicatedOptions opts = base;
+    opts.paranoid_checks = true;
+    const test::StreamedRun baseline =
+        test::run_streamed<ReplicatedSimulator>(prog, trace, opts);
 
-    std::vector<std::pair<Cycle, std::string>> blobs;
-    ReplicatedOptions copts = base;
-    copts.record_egress = true;
-    copts.paranoid_checks = true;
-    copts.checkpoint_interval =
-        std::max<std::uint64_t>(1, baseline.cycles_run / 4);
-    copts.checkpoint_sink = [&blobs](Cycle c, std::string&& blob) {
-      blobs.emplace_back(c, std::move(blob));
-    };
-    const SimResult ckpt_run = ReplicatedSimulator(prog, copts).run(trace);
-    std::string why;
-    ASSERT_TRUE(same_results(baseline, ckpt_run, &why))
-        << "checkpointing run diverged from the plain run: " << why;
-    ASSERT_FALSE(blobs.empty());
+    std::vector<test::CheckpointFrame> frames;
+    test::expect_same_run(
+        baseline,
+        test::run_checkpointing<ReplicatedSimulator>(
+            prog, trace, opts,
+            std::max<std::uint64_t>(1, baseline.result.cycles_run / 4),
+            frames));
+    ASSERT_FALSE(frames.empty());
 
-    // Every emitted checkpoint restores to the identical SimResult, with
-    // the watchdog either on or off in the restoring simulator.
-    for (const auto& [cycle, blob] : blobs) {
+    // Every emitted checkpoint restores to the identical SimResult and the
+    // rest of the streams, with the watchdog either on or off in the
+    // restoring simulator.
+    for (const test::CheckpointFrame& frame : frames) {
       for (const bool paranoid : {true, false}) {
+        SCOPED_TRACE(paranoid ? "paranoid" : "no watchdog");
         ReplicatedOptions ropts = base;
-        ropts.record_egress = true;
         ropts.paranoid_checks = paranoid;
-        const SimResult result =
-            resume_over(ReplicatedSimulator(prog, ropts), trace, blob);
-        EXPECT_TRUE(same_results(baseline, result, &why))
-            << "restore at cycle " << cycle << " (paranoid=" << paranoid
-            << ") diverged: " << why;
+        test::expect_resumes<ReplicatedSimulator>(prog, trace, ropts, frame,
+                                                  baseline);
       }
     }
   }
@@ -406,7 +375,6 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
 
   std::vector<std::string> blobs;
   ReplicatedOptions copts = scr_options(4);
-  copts.record_egress = true;
   copts.checkpoint_interval = 40;
   copts.checkpoint_sink = [&blobs](Cycle, std::string&& blob) {
     blobs.push_back(std::move(blob));
@@ -435,7 +403,6 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
   // Two relaxed runs differing only in Δ must refuse each other's blobs.
   std::vector<std::string> rel_blobs;
   ReplicatedOptions rel_copts = relaxed_options(4, 64);
-  rel_copts.record_egress = true;
   rel_copts.checkpoint_interval = 40;
   rel_copts.checkpoint_sink = [&rel_blobs](Cycle, std::string&& blob) {
     rel_blobs.push_back(std::move(blob));
@@ -467,28 +434,24 @@ TEST(CheckpointRestore, ReplicatedRefusesCrossVariantRestore) {
 // a dropped or added field) moves one of these. Each case also restores
 // its frame, so a golden never pins a frame that fails to resume.
 
-/// The frame a run checkpointing every `interval` cycles emits at cycle
-/// `at`, checked to restore to the uninterrupted result.
-std::string mp5_frame_at(const Mp5Program& prog, const Trace& trace,
-                         SimOptions opts, Cycle interval, Cycle at) {
-  opts.record_egress = true;
+/// The frame a `Sim` run checkpointing every `interval` cycles emits at
+/// cycle `at`, checked to resume to the uninterrupted run.
+template <class Sim = Mp5Simulator, class Options>
+std::string frame_at(const Mp5Program& prog, const Trace& trace, Options opts,
+                     Cycle interval, Cycle at) {
   opts.paranoid_checks = true;
-  const SimResult baseline = Mp5Simulator(prog, opts).run(trace);
-  std::string frame;
-  SimOptions copts = opts;
-  copts.checkpoint_interval = interval;
-  copts.checkpoint_sink = [&frame, at](Cycle c, std::string&& blob) {
-    if (c == at) frame = std::move(blob);
-  };
-  (void)Mp5Simulator(prog, copts).run(trace);
-  EXPECT_FALSE(frame.empty()) << "no checkpoint at cycle " << at;
-  EXPECT_LT(at, baseline.cycles_run);
-  Mp5Simulator restored(prog, opts);
-  VectorTraceSource source(trace);
-  std::string why;
-  EXPECT_TRUE(same_results(baseline, restored.resume(source, frame), &why))
-      << why;
-  return frame;
+  std::vector<test::CheckpointFrame> frames;
+  const test::StreamedRun whole =
+      test::run_checkpointing<Sim>(prog, trace, opts, interval, frames);
+  const auto frame =
+      std::find_if(frames.begin(), frames.end(),
+                   [at](const test::CheckpointFrame& f) { return f.cycle == at; });
+  if (frame == frames.end()) {
+    ADD_FAILURE() << "no checkpoint at cycle " << at;
+    return {};
+  }
+  test::expect_resumes<Sim>(prog, trace, opts, *frame, whole);
+  return frame->blob;
 }
 
 Trace app_trace(const apps::AppSpec& app, std::uint64_t packets,
@@ -541,15 +504,9 @@ TEST(CheckpointPayloadGolden, Mp5Frames) {
     o.fifo_capacity = 2;
     cases.push_back({"frame_no_d4_cap2", &flowlet_prog, &flowlet_trace, o});
   }
-  {
-    SimOptions o = mp5_options(4, 1);
-    o.track_flow_reordering = true;
-    cases.push_back({"frame_flow_reordering", &flowlet_prog, &flowlet_trace,
-                     o});
-  }
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const std::string frame = mp5_frame_at(*c.prog, *c.trace, c.opts, 100, 300);
+    const std::string frame = frame_at(*c.prog, *c.trace, c.opts, 100, 300);
     test::expect_golden(c.name, fnv1a(frame));
   }
 }
@@ -566,23 +523,8 @@ TEST(CheckpointPayloadGolden, ReplicatedFrames) {
   for (const Case& c : {Case{scr_options(4), "frame_scr"},
                         Case{relaxed_options(4, 8), "frame_relaxed8"}}) {
     SCOPED_TRACE(c.opts.staleness_bound);
-    const SimResult baseline = run_replicated(prog, trace, c.opts);
-    std::string frame;
-    ReplicatedOptions copts = c.opts;
-    copts.record_egress = true;
-    copts.checkpoint_interval = 50;
-    copts.checkpoint_sink = [&frame](Cycle cycle, std::string&& blob) {
-      if (cycle == 100) frame = std::move(blob);
-    };
-    (void)ReplicatedSimulator(prog, copts).run(trace);
-    ASSERT_FALSE(frame.empty());
-    ReplicatedOptions ropts = c.opts;
-    ropts.record_egress = true;
-    std::string why;
-    EXPECT_TRUE(same_results(
-        baseline, resume_over(ReplicatedSimulator(prog, ropts), trace, frame),
-        &why))
-        << why;
+    const std::string frame =
+        frame_at<ReplicatedSimulator>(prog, trace, c.opts, 50, 100);
     test::expect_golden(c.row, fnv1a(frame));
   }
 }
@@ -675,7 +617,6 @@ TEST(CheckpointCorruption, Mp5PayloadRestoresOrThrowsError) {
   const Trace trace = test::trace_from_fields(
       test::random_fields(24, prog.pvsm.num_slots(), 8, rng), 4);
   SimOptions opts = mp5_options(4, 1);
-  opts.record_egress = true;
   std::string frame;
   SimOptions copts = opts;
   copts.checkpoint_interval = 4;
@@ -724,7 +665,6 @@ TEST(CheckpointCorruption, OutOfRangePlannedAccessIsRefused) {
   const Trace trace = test::trace_from_fields(
       test::random_fields(24, prog.pvsm.num_slots(), 8, rng), 4);
   SimOptions opts = mp5_options(4, 1);
-  opts.record_egress = true;
   std::string frame;
   SimOptions copts = opts;
   copts.checkpoint_interval = 4;
@@ -806,7 +746,6 @@ TEST(CheckpointCorruption, ReplicatedPayloadRestoresOrThrowsError) {
   const Trace trace = test::trace_from_fields(
       test::random_fields(24, prog.pvsm.num_slots(), 8, rng), 4);
   ReplicatedOptions opts = scr_options(4);
-  opts.record_egress = true;
   std::string frame;
   ReplicatedOptions copts = opts;
   copts.checkpoint_interval = 4;

@@ -65,11 +65,14 @@ Trace make_trace(const Builtin& b, std::size_t extra = 0) {
   return trace_from_fields(fields, 4);
 }
 
-native::NativeResult run_native(const Builtin& b, const Trace& trace,
-                                std::uint32_t workers) {
+/// Runs the backend; with `egress` set, gathers each packet's declared
+/// fields there by seq.
+native::NativeResult run_native(
+    const Builtin& b, const Trace& trace, std::uint32_t workers,
+    std::vector<std::vector<Value>>* egress = nullptr) {
   native::NativeOptions opts;
   opts.workers = workers;
-  opts.record_egress = true;
+  if (egress != nullptr) opts.egress_sink = egress_by_seq_sink(*egress);
   opts.pin_threads = false;
   opts.seed = kSeed;
   native::NativeBackend backend(b.program, opts);
@@ -96,21 +99,25 @@ TEST(ExecutorGoldens, ReferenceSwitch) {
 TEST(ExecutorGoldens, RecircSimulator) {
   expect_goldens("recirc", [](const Builtin& b) {
     RecircOptions opts;
-    opts.record_egress = true;
     opts.seed = kSeed;
-    return result_digest(
-        RecircSimulator(b.program, opts).run(make_trace(b)));
+    return streamed_digest(
+        run_streamed<RecircSimulator>(b.program, make_trace(b), opts));
   });
 }
 
 // Native egress and final registers are oracle-determined, so one golden
-// holds for every worker count.
+// holds for every worker count: the packet count, the final registers and
+// every packet's declared fields, by seq.
 TEST(ExecutorGoldens, NativeBackendOneAndThreeWorkers) {
   for (const std::uint32_t workers : {1u, 3u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_goldens("native", [workers](const Builtin& b) {
-      return native::native_result_digest(
-          b.program.pvsm, run_native(b, make_trace(b), workers));
+      std::vector<std::vector<Value>> egress;
+      const auto run = run_native(b, make_trace(b), workers, &egress);
+      Fnv1aDigest d;
+      d.add(run.packets);
+      return final_state_digest(b.program.pvsm, run.final_registers, egress,
+                                d);
     });
   }
 }
@@ -129,30 +136,37 @@ TEST(ArrivalHeaders, ExtraTraceColumnsNeverReachTheProgram) {
               final_state_digest(b.program.pvsm, reference.final_registers,
                                  reference.egress_headers));
     SimOptions opts;
-    opts.record_egress = true;
     opts.paranoid_checks = true;
     opts.seed = kSeed;
-    const SimResult sim_exact = Mp5Simulator(b.program, opts).run(exact);
-    const SimResult sim_wide = Mp5Simulator(b.program, opts).run(wide);
-    const auto report = check_equivalence(b.program.pvsm, reference, sim_wide);
+    const StreamedRun sim_exact = run_streamed(b.program, exact, opts);
+    const StreamedRun sim_wide = run_streamed(b.program, wide, opts);
+    // The wide run, verified against the reference over the exact trace.
+    const auto report = verify_streams(b.program, exact, sim_wide);
     EXPECT_TRUE(report.equivalent()) << report.first_difference;
-    EXPECT_EQ(sim_wide.final_registers, sim_exact.final_registers);
-    ASSERT_EQ(sim_wide.egress.size(), sim_exact.egress.size());
-    for (std::size_t i = 0; i < sim_wide.egress.size(); ++i) {
+    EXPECT_EQ(sim_wide.result.final_registers,
+              sim_exact.result.final_registers);
+    const auto& wide_egress = sim_wide.streams.egress;
+    const auto& exact_egress = sim_exact.streams.egress;
+    ASSERT_EQ(wide_egress.size(), exact_egress.size());
+    for (std::size_t i = 0; i < wide_egress.size(); ++i) {
+      EXPECT_EQ(wide_egress[i].seq, exact_egress[i].seq);
       EXPECT_EQ(final_state_digest(b.program.pvsm, {},
-                                   {sim_wide.egress[i].headers}),
+                                   {wide_egress[i].headers}),
                 final_state_digest(b.program.pvsm, {},
-                                   {sim_exact.egress[i].headers}))
+                                   {exact_egress[i].headers}))
           << "egress record " << i;
     }
 
     for (const std::uint32_t workers : {1u, 2u}) {
-      const auto run = run_native(b, wide, workers);
-      EXPECT_EQ(native::native_result_digest(b.program.pvsm, run),
+      std::vector<std::vector<Value>> wide_rows;
+      std::vector<std::vector<Value>> exact_rows;
+      const auto run = run_native(b, wide, workers, &wide_rows);
+      EXPECT_EQ(native::native_result_digest(run),
                 native::native_result_digest(
-                    b.program.pvsm, run_native(b, exact, workers)));
+                    run_native(b, exact, workers, &exact_rows)));
+      EXPECT_EQ(wide_rows, exact_rows);
       const auto check = check_against_oracle(
-          b.ast, b.program, wide, run.final_registers, run.egress_fields);
+          b.ast, b.program, wide, run.final_registers, wide_rows);
       EXPECT_TRUE(check.equivalent()) << check.first_difference;
     }
   }

@@ -35,10 +35,11 @@ void expect_conservation(const SimResult& r) {
 // For single-stateful-access programs this reference is exact: a packet
 // either performed its whole state effect (state_touched) or none of it.
 void expect_equivalent_modulo_drops(const Mp5Program& prog, const Trace& trace,
-                                    const SimResult& result) {
+                                    const StreamedRun& run) {
+  const SimResult& result = run.result;
   std::set<SeqNo> effective;
-  for (const auto& rec : result.egress) effective.insert(rec.seq);
-  for (const auto& drop : result.fault_drops) {
+  for (const auto& rec : run.streams.egress) effective.insert(rec.seq);
+  for (const auto& drop : run.streams.drops) {
     if (drop.state_touched) effective.insert(drop.seq);
   }
 
@@ -58,7 +59,7 @@ void expect_equivalent_modulo_drops(const Mp5Program& prog, const Trace& trace,
   }
 
   // Every egressed packet must carry the reference's declared fields.
-  for (const auto& rec : result.egress) {
+  for (const auto& rec : run.streams.egress) {
     const auto& want_headers = ref_headers.at(rec.seq);
     for (const auto& [name, slot] : prog.pvsm.declared_slot) {
       const auto s = static_cast<std::size_t>(slot);
@@ -70,7 +71,6 @@ void expect_equivalent_modulo_drops(const Mp5Program& prog, const Trace& trace,
 
 SimOptions fault_test_options(std::uint32_t k, std::uint64_t seed) {
   SimOptions opts = mp5_options(k, seed);
-  opts.record_egress = true;
   opts.paranoid_checks = true;
   return opts;
 }
@@ -82,8 +82,8 @@ TEST(PipelineFailure, KillOneOfFourMidTrace) {
 
   SimOptions opts = fault_test_options(4, 1);
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 100, kNeverRecovers});
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_EQ(result.pipeline_failures, 1u);
   EXPECT_EQ(result.pipeline_recoveries, 0u);
@@ -91,7 +91,7 @@ TEST(PipelineFailure, KillOneOfFourMidTrace) {
   EXPECT_EQ(result.c1_violating_packets, 0u);
   expect_conservation(result);
   EXPECT_EQ(result.dropped_data, 0u); // unbounded FIFOs: only fault losses
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 }
 
 TEST(PipelineFailure, ThroughputDegradesToSurvivorFraction) {
@@ -107,15 +107,15 @@ TEST(PipelineFailure, ThroughputDegradesToSurvivorFraction) {
 
   SimOptions opts = fault_test_options(4, 2);
   opts.faults.pipeline_faults.push_back(PipelineFault{1, 0, kNeverRecovers});
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_EQ(result.dropped_fault, 0u); // the lane died empty
   EXPECT_EQ(result.egressed, result.offered);
   EXPECT_EQ(result.c1_violating_packets, 0u);
   const double tp = result.normalized_throughput();
   EXPECT_GE(tp, 0.9) << "survivors fell behind (k-1)/k load: " << tp;
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 
   // Control at full line rate: the same failure must cost real capacity
   // (the 4-lane switch keeps up; 3 survivors cannot).
@@ -139,8 +139,8 @@ TEST(PipelineFailure, RecoveryRestoresLaneAndDrainsBacklog) {
 
   SimOptions opts = fault_test_options(4, 3);
   opts.faults.pipeline_faults.push_back(PipelineFault{0, 200, 500});
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_EQ(result.pipeline_failures, 1u);
   EXPECT_EQ(result.pipeline_recoveries, 1u);
@@ -150,7 +150,7 @@ TEST(PipelineFailure, RecoveryRestoresLaneAndDrainsBacklog) {
   // the cycle-500 recovery.
   EXPECT_LT(result.time_to_recover, 100u);
   expect_conservation(result);
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 }
 
 TEST(PipelineFailure, SequentialFailuresLeaveLastSurvivor) {
@@ -162,13 +162,13 @@ TEST(PipelineFailure, SequentialFailuresLeaveLastSurvivor) {
   opts.faults.pipeline_faults.push_back(PipelineFault{3, 50, kNeverRecovers});
   opts.faults.pipeline_faults.push_back(PipelineFault{1, 120, kNeverRecovers});
   opts.faults.pipeline_faults.push_back(PipelineFault{0, 190, kNeverRecovers});
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_EQ(result.pipeline_failures, 3u);
   EXPECT_EQ(result.c1_violating_packets, 0u);
   expect_conservation(result);
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 }
 
 TEST(PhantomFaults, LostPhantomsDropTheirDataPacketsNotTheSwitch) {
@@ -182,16 +182,16 @@ TEST(PhantomFaults, LostPhantomsDropTheirDataPacketsNotTheSwitch) {
   SimOptions opts = fault_test_options(4, 5);
   opts.realistic_phantom_channel = true;
   opts.faults.phantom_loss_rate = 0.05;
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_GT(result.phantom_lost, 0u);
   EXPECT_EQ(result.dropped_fault, result.phantom_lost);
-  for (const auto& drop : result.fault_drops) {
+  for (const auto& drop : run.streams.drops) {
     EXPECT_FALSE(drop.state_touched) << "packet " << drop.seq;
   }
   expect_conservation(result);
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 }
 
 TEST(PhantomFaults, DelayedPhantomsNeverDeadlock) {
@@ -225,13 +225,13 @@ TEST(StallFaults, TransientStallBlocksWithoutCorruption) {
 
   SimOptions opts = fault_test_options(4, 7);
   opts.faults.stalls.push_back(StageStall{0, 1, 50, 150});
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  const SimResult& result = run.result;
 
   EXPECT_EQ(result.stalled_cycles, 100u);
   EXPECT_EQ(result.c1_violating_packets, 0u);
   expect_conservation(result);
-  expect_equivalent_modulo_drops(prog, trace, result);
+  expect_equivalent_modulo_drops(prog, trace, run);
 }
 
 TEST(PressureFaults, ForcedFifoPressureDrivesTheNormalDropPaths) {
@@ -281,7 +281,6 @@ TEST(Watchdog, CleanOnFaultFreeRunsAcrossVariants) {
   const auto trace = trace_from_fields(random_fields(800, 3, 16, rng), 4);
   for (SimOptions opts :
        {mp5_options(4, 10), ideal_options(4, 10), no_d2_options(4, 10)}) {
-    opts.record_egress = true;
     SimOptions checked = opts;
     checked.paranoid_checks = true;
     Mp5Simulator plain(prog, opts);

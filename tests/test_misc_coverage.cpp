@@ -61,13 +61,9 @@ TEST(EquivalenceChecker, DetectsRegisterMismatch) {
   const auto prog = compile_mp5(apps::packet_counter_source());
   Rng rng(3);
   const auto trace = trace_from_fields(random_fields(50, 1, 4, rng), 2);
-  const auto reference = run_reference(prog, trace);
-  SimOptions opts = mp5_options(2, 3);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  auto result = sim.run(trace);
-  result.final_registers[0][0] += 1; // corrupt
-  const auto report = check_equivalence(prog.pvsm, reference, result);
+  StreamedRun run = run_streamed(prog, trace, mp5_options(2, 3));
+  run.result.final_registers[0][0] += 1; // corrupt
+  const auto report = verify_streams(prog, trace, run);
   EXPECT_FALSE(report.registers_equal);
   EXPECT_TRUE(report.packets_equal);
   EXPECT_NE(report.first_difference.find("count"), std::string::npos);
@@ -77,21 +73,21 @@ TEST(EquivalenceChecker, DetectsPacketMismatchAndMissingPackets) {
   const auto prog = compile_mp5(apps::sequencer_example_source());
   Rng rng(5);
   const auto trace = trace_from_fields(random_fields(50, 1, 4, rng), 2);
-  const auto reference = run_reference(prog, trace);
-  SimOptions opts = mp5_options(2, 5);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  auto result = sim.run(trace);
-  result.egress[7].headers[static_cast<std::size_t>(
+  StreamedRun run = run_streamed(prog, trace, mp5_options(2, 5));
+  run.streams.egress[7].headers[static_cast<std::size_t>(
       prog.pvsm.slot_of("stamp"))] ^= 1;
-  auto corrupted = check_equivalence(prog.pvsm, reference, result);
+  const auto corrupted = verify_streams(prog, trace, run);
   EXPECT_FALSE(corrupted.packets_equal);
   EXPECT_EQ(corrupted.packet_mismatches, 1u);
 
-  result.egress.erase(result.egress.begin() + 3);
-  auto missing = check_equivalence(prog.pvsm, reference, result);
+  const SeqNo lost = run.streams.egress[3].seq;
+  run.streams.egress.erase(run.streams.egress.begin() + 3);
+  const auto missing = verify_streams(prog, trace, run);
   EXPECT_FALSE(missing.packets_equal);
-  EXPECT_NE(missing.first_difference.find("egress count"), std::string::npos);
+  EXPECT_NE(missing.first_difference.find(
+                "packet " + std::to_string(lost) + " never egressed"),
+            std::string::npos)
+      << missing.first_difference;
 }
 
 TEST(PvsmLayout, DeclaredPrefixIsChecked) {
@@ -138,37 +134,33 @@ TEST(EquivalenceChecker, DetectsDuplicateEgress) {
   const auto prog = compile_mp5(apps::sequencer_example_source());
   Rng rng(7);
   const auto trace = trace_from_fields(random_fields(30, 1, 4, rng), 2);
-  const auto reference = run_reference(prog, trace);
-  SimOptions opts = mp5_options(2, 7);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  auto result = sim.run(trace);
-  // A packet leaving the switch twice used to be silently collapsed by
-  // the seq-keyed map; it must break packet-state equivalence.
-  result.egress.push_back(result.egress[4]);
-  const auto report = check_equivalence(prog.pvsm, reference, result);
+  StreamedRun run = run_streamed(prog, trace, mp5_options(2, 7));
+  // A packet leaving the switch twice must break packet-state equivalence.
+  run.streams.egress.push_back(run.streams.egress[4]);
+  const auto report = verify_streams(prog, trace, run);
   EXPECT_FALSE(report.packets_equal);
   EXPECT_GE(report.packet_mismatches, 1u);
-  EXPECT_NE(report.first_difference.find("egress count"), std::string::npos);
+  EXPECT_NE(report.first_difference.find("egressed 2 times"),
+            std::string::npos)
+      << report.first_difference;
 }
 
 TEST(EquivalenceChecker, DetectsOutOfRangeSeq) {
   const auto prog = compile_mp5(apps::sequencer_example_source());
   Rng rng(9);
   const auto trace = trace_from_fields(random_fields(30, 1, 4, rng), 2);
-  const auto reference = run_reference(prog, trace);
-  SimOptions opts = mp5_options(2, 9);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  auto result = sim.run(trace);
-  // A seq beyond the reference stream used to index out of bounds; now it
-  // is reported as a divergence.
-  result.egress[2].seq = 1000000;
-  const auto report = check_equivalence(prog.pvsm, reference, result);
+  StreamedRun run = run_streamed(prog, trace, mp5_options(2, 9));
+  // A record for a packet the trace never held is reported as a
+  // divergence, not read past the end of the reference stream.
+  EgressRecord extra = run.streams.egress[2];
+  extra.seq = trace.size();
+  run.streams.egress.push_back(std::move(extra));
+  const auto report = verify_streams(prog, trace, run);
   EXPECT_FALSE(report.packets_equal);
   EXPECT_GE(report.packet_mismatches, 1u);
-  EXPECT_NE(report.first_difference.find("out-of-range seq"),
-            std::string::npos);
+  EXPECT_NE(report.first_difference.find("out-of-range seq 30"),
+            std::string::npos)
+      << report.first_difference;
 }
 
 TEST(Timeline, KindNamesAreStable) {

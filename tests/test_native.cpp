@@ -187,9 +187,12 @@ Trace synthetic_trace(std::size_t fields, std::uint64_t packets,
   return trace;
 }
 
-native::NativeResult run_native(const CompiledProgram& cp, const Trace& trace,
-                                native::NativeOptions opts) {
-  opts.record_egress = true;
+/// Runs the backend; with `egress` set, gathers each packet's declared
+/// fields there by seq.
+native::NativeResult run_native(
+    const CompiledProgram& cp, const Trace& trace, native::NativeOptions opts,
+    std::vector<std::vector<Value>>* egress = nullptr) {
+  if (egress != nullptr) opts.egress_sink = egress_by_seq_sink(*egress);
   opts.pin_threads = false; // meaningless on shared CI cores
   native::NativeBackend backend(cp.program, opts);
   VectorTraceSource source(trace);
@@ -199,9 +202,10 @@ native::NativeResult run_native(const CompiledProgram& cp, const Trace& trace,
 void expect_oracle_equivalent(const CompiledProgram& cp, const Trace& trace,
                               const native::NativeOptions& opts,
                               const std::string& what) {
-  const auto result = run_native(cp, trace, opts);
+  std::vector<std::vector<Value>> egress;
+  const auto result = run_native(cp, trace, opts, &egress);
   const auto check = check_against_oracle(
-      cp.ast, cp.program, trace, result.final_registers, result.egress_fields);
+      cp.ast, cp.program, trace, result.final_registers, egress);
   EXPECT_TRUE(check.equivalent())
       << what << " (cores=" << opts.workers << "): "
       << check.first_difference;
@@ -443,7 +447,8 @@ TEST(NativeProfiler, ShardableStateSpreadsOwnershipAcrossWorkers) {
   native::NativeOptions opts;
   opts.workers = 4;
   opts.rebalance_packets = 512;
-  const auto result = run_native(cp, trace, opts);
+  std::vector<std::vector<Value>> egress;
+  const auto result = run_native(cp, trace, opts, &egress);
   EXPECT_GT(result.rebalances, 0u);
   EXPECT_LT(result.profile.serial_fraction, 0.9)
       << "sharded app serialized through one core";
@@ -451,7 +456,7 @@ TEST(NativeProfiler, ShardableStateSpreadsOwnershipAcrossWorkers) {
   for (const auto& r : result.profile.registers) total_claimed += r.claimed;
   EXPECT_GT(total_claimed, 0u);
   const auto check = check_against_oracle(
-      cp.ast, cp.program, trace, result.final_registers, result.egress_fields);
+      cp.ast, cp.program, trace, result.final_registers, egress);
   EXPECT_TRUE(check.equivalent()) << check.first_difference;
 }
 

@@ -76,29 +76,31 @@ TEST(Partition, EachPartitionKeepsFunctionalEquivalence) {
   a.program = &prog_a;
   a.pipelines = 2;
   a.options = mp5_options(2, 1);
-  a.options.record_egress = true;
   PartitionSpec b = a;
   b.name = "b";
   b.program = &prog_b;
   b.options.seed = 2;
 
-  PartitionedSwitch sw({a, b}, 4);
+  // Each partition's egress streams into a verifier over its own
+  // sub-trace, against its own program.
   Rng rng(7);
   const auto trace = trace_from_fields(random_fields(3000, 3, 32, rng), 4);
+  Trace subs[2];
+  for (const auto& item : trace) subs[item.port % 2].push_back(item);
+  soak::RollingVerifier verify_a(
+      prog_a.pvsm, std::make_unique<VectorTraceSource>(subs[0]));
+  soak::RollingVerifier verify_b(
+      prog_b.pvsm, std::make_unique<VectorTraceSource>(subs[1]));
+  verify_a.attach(a.options);
+  verify_b.attach(b.options);
+
+  PartitionedSwitch sw({a, b}, 4);
   const auto results = sw.run(trace, [](const TraceItem& item) {
     return static_cast<std::size_t>(item.port % 2);
   });
-
-  // Rebuild each partition's sub-trace and check equivalence per program.
-  const Mp5Program* progs[] = {&prog_a, &prog_b};
+  soak::RollingVerifier* verifiers[] = {&verify_a, &verify_b};
   for (std::size_t part = 0; part < 2; ++part) {
-    Trace sub;
-    for (const auto& item : trace) {
-      if (item.port % 2 == part) sub.push_back(item);
-    }
-    const auto reference = run_reference(*progs[part], sub);
-    const auto report =
-        check_equivalence(progs[part]->pvsm, reference, results[part].result);
+    const auto report = verifiers[part]->finish(results[part].result);
     EXPECT_TRUE(report.equivalent())
         << "partition " << part << ": " << report.first_difference;
   }

@@ -40,22 +40,13 @@
 namespace mp5::test {
 namespace {
 
-// Field-by-field SimResult comparison naming the first differing field.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  std::string why;
-  EXPECT_TRUE(same_results(a, b, &why)) << why;
+void expect_golden(const std::string& row, const StreamedRun& run) {
+  test::expect_golden(row, streamed_digest(run));
 }
 
-void expect_golden(const std::string& row, const SimResult& r) {
-  test::expect_golden(row, result_digest(r));
-}
-
-SimResult run_with(const Mp5Program& prog, const Trace& trace,
-                   SimOptions opts) {
-  opts.record_egress = true;
-  opts.track_flow_reordering = true;
-  Mp5Simulator sim(prog, opts);
-  return sim.run(trace);
+StreamedRun run_with(const Mp5Program& prog, const Trace& trace,
+                     const SimOptions& opts) {
+  return run_streamed(prog, trace, opts);
 }
 
 struct Variant {
@@ -114,13 +105,13 @@ TEST(EventEngine, MatchesLockstepOnSparseTraces) {
   // must still land on exactly the lockstep count.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   const auto trace = synthetic(3, 128, 8, 400, 0.01);
-  const auto result = run_with(prog, trace, mp5_options(8, 1));
-  EXPECT_GT(result.cycles_run, 4000u);
-  expect_golden("sparse_k8", result);
+  const auto run = run_with(prog, trace, mp5_options(8, 1));
+  EXPECT_GT(run.result.cycles_run, 4000u);
+  expect_golden("sparse_k8", run);
 }
 
 /// Lane 2 fails and recovers, lane 5 fails for good.
-SimResult lane_fault_run() {
+StreamedRun lane_fault_run() {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   const auto trace = synthetic(4, 256, 8, 3000);
   auto opts = mp5_options(8, 1);
@@ -130,9 +121,9 @@ SimResult lane_fault_run() {
 }
 
 TEST(EventEngine, MatchesLockstepUnderLaneFailureAndRecovery) {
-  const auto result = lane_fault_run();
-  EXPECT_GT(result.dropped_fault, 0u); // the plan actually bites
-  expect_golden("lane_fail_recover", result);
+  const auto run = lane_fault_run();
+  EXPECT_GT(run.result.dropped_fault, 0u); // the plan actually bites
+  expect_golden("lane_fail_recover", run);
 }
 
 TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
@@ -143,9 +134,9 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   opts.faults.phantom_loss_rate = 0.02;
   opts.faults.phantom_delay_rate = 0.05;
   opts.faults.phantom_extra_delay = 12;
-  const auto result = run_with(prog, trace, opts);
-  EXPECT_GT(result.phantom_lost + result.phantom_delayed, 0u);
-  expect_golden("phantom_channel_faults", result);
+  const auto run = run_with(prog, trace, opts);
+  EXPECT_GT(run.result.phantom_lost + run.result.phantom_delayed, 0u);
+  expect_golden("phantom_channel_faults", run);
 }
 
 TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
@@ -159,9 +150,9 @@ TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
   opts.faults.stalls.push_back(StageStall{1, 2, 100, 180});
   opts.faults.stalls.push_back(StageStall{3, 1, 400, 450});
   opts.faults.fifo_pressure.push_back(FifoPressure{200, 260, 1});
-  const auto result = run_with(prog, trace, opts);
-  EXPECT_GT(result.stalled_cycles, 0u);
-  expect_golden("stalls_and_pressure", result);
+  const auto run = run_with(prog, trace, opts);
+  EXPECT_GT(run.result.stalled_cycles, 0u);
+  expect_golden("stalls_and_pressure", run);
 }
 
 TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
@@ -174,10 +165,10 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   auto opts = mp5_options(4, 11);
   opts.faults.stalls.push_back(StageStall{1, 1, 500, 9000});
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 4000, 12000});
-  const auto result = run_with(prog, trace, opts);
-  EXPECT_GT(result.stalled_cycles, 1000u); // empty stalled cycles counted
-  EXPECT_EQ(result.pipeline_failures, 1u);
-  expect_golden("skip_under_fault_plan", result);
+  const auto run = run_with(prog, trace, opts);
+  EXPECT_GT(run.result.stalled_cycles, 1000u); // empty stalled cycles counted
+  EXPECT_EQ(run.result.pipeline_failures, 1u);
+  expect_golden("skip_under_fault_plan", run);
 }
 
 using BlockedCell = std::tuple<PipelineId, StageId, Cycle>;
@@ -207,8 +198,8 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   auto opts = mp5_options(4, 2);
   opts.telemetry = &telem;
   opts.timeline = [&events](const TimelineEvent& e) { events.push_back(e); };
-  const auto result = run_with(prog, trace, opts);
-  expect_golden("telemetry_result", result);
+  const auto run = run_with(prog, trace, opts);
+  expect_golden("telemetry_result", run);
 
   // The stream without its blocked spans, then the set of blocked cells
   // per cycle the spans cover.
@@ -237,7 +228,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   }
   test::expect_golden("telemetry_blocked_cells", blocked_set.value());
   // The span lengths sum to blocked_cycles.
-  EXPECT_EQ(blocked.size(), result.blocked_cycles);
+  EXPECT_EQ(blocked.size(), run.result.blocked_cycles);
 
   Fnv1aDigest counters;
   for (const auto& [name, value] : telem.counter_snapshot()) {
@@ -262,15 +253,15 @@ TEST(EventEngine, ExternalClockingMatchesRun) {
   auto opts = mp5_options(4, 6);
   const auto whole = run_with(prog, trace, opts);
 
-  opts.record_egress = true;
-  opts.track_flow_reordering = true;
+  StreamedRun stepped;
+  stepped.streams.attach(opts);
   Mp5Simulator sim(prog, opts);
   VectorTraceSource source(trace);
   sim.begin(source);
   Cycle c = 0;
   while (sim.has_work()) sim.step(c++);
-  const auto stepped = sim.finish(c);
-  expect_identical(whole, stepped);
+  stepped.result = sim.finish(c);
+  expect_same_run(whole, stepped);
   expect_golden("external_clocking", stepped);
 }
 
@@ -286,8 +277,8 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
   auto opts = mp5_options(4, 4);
   opts.paranoid_checks = true; // the watchdog cross-checks bit vs occupancy
   const auto lockstep_opts = mp5_options(4, 4);
-  expect_identical(run_with(prog, trace, lockstep_opts),
-                   run_with(prog, trace, opts));
+  expect_same_run(run_with(prog, trace, lockstep_opts),
+                  run_with(prog, trace, opts));
 }
 
 // --- idle-cycle skip -----------------------------------------------------
@@ -297,7 +288,7 @@ TEST(FastForward, IdenticalResultsOnSparseTrace) {
   // ~100 idle cycles between packets.
   const auto sparse = run_with(prog, synthetic(3, 128, 4, 400, 0.01),
                                mp5_options(4, 1));
-  EXPECT_GT(sparse.cycles_run, 5000u); // the sparse trace really is sparse
+  EXPECT_GT(sparse.result.cycles_run, 5000u); // the sparse trace really is sparse
   expect_golden("sparse_k4", sparse);
   // Wider and less sparse: some cycles skip, most do not.
   const auto prog4 = compile_mp5(apps::make_synthetic_source(4, 256));
@@ -330,12 +321,12 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
   const auto trace = synthetic(3, 128, 4, 300, 0.002);
   for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
     const auto opts = kVariants[vi].make(4, 2);
-    const auto result = run_with(prog, trace, opts);
+    const auto run = run_with(prog, trace, opts);
     // The trace spans several remap periods, so empty-window boundaries
     // really occur between the sparse arrivals.
-    EXPECT_GT(result.cycles_run, 10 * opts.remap_period);
+    EXPECT_GT(run.result.cycles_run, 10 * opts.remap_period);
     expect_golden(std::string("empty_window_remap_") + kVariants[vi].name,
-                  result);
+                  run);
   }
 }
 
@@ -345,8 +336,7 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
 // of) a sleeping cell happen, checks from the timeline that it did, and
 // pins the result against a golden recorded under the per-cycle walk.
 
-struct TimedRun {
-  SimResult result;
+struct TimedRun : StreamedRun {
   std::vector<TimelineEvent> events;
 };
 
@@ -354,7 +344,7 @@ TimedRun timed_run(const Mp5Program& prog, const Trace& trace,
                    SimOptions opts) {
   TimedRun out;
   opts.timeline = [&out](const TimelineEvent& e) { out.events.push_back(e); };
-  out.result = run_with(prog, trace, opts);
+  static_cast<StreamedRun&>(out) = run_with(prog, trace, opts);
   return out;
 }
 
@@ -400,7 +390,7 @@ TEST(SleepingCells, StallWindowStartingOnASleepingCellIsCounted) {
               std::vector<TimelineEvent::Kind>{TimelineEvent::Kind::kBlocked})
         << "stall at (" << s.pipeline << ", " << s.stage << ")";
   }
-  expect_golden("sleeping_stall", run.result);
+  expect_golden("sleeping_stall", run);
 }
 
 TEST(SleepingCells, ConservativeCancelWakesASleepingHead) {
@@ -430,7 +420,7 @@ TEST(SleepingCells, ConservativeCancelWakesASleepingHead) {
     }
   }
   EXPECT_GT(woken, 0u);
-  expect_golden("sleeping_cancel_wakes_head", run.result);
+  expect_golden("sleeping_cancel_wakes_head", run);
 }
 
 TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
@@ -446,7 +436,7 @@ TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
                       TimelineEvent::Kind::kBlocked),
             at_failure.end());
   EXPECT_EQ(run.result.pipeline_failures, 1u);
-  expect_golden("sleeping_lane_failure", run.result);
+  expect_golden("sleeping_lane_failure", run);
 }
 
 TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
@@ -454,35 +444,24 @@ TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
   const Trace trace = flowlet_trace();
   const auto opts = mp5_options(4, 5);
   const TimedRun whole = timed_run(prog, trace, opts);
-  expect_golden("sleeping_uninterrupted", whole.result);
+  expect_golden("sleeping_uninterrupted", whole);
   const auto blocked = blocked_cells(whole.events);
 
-  std::vector<std::pair<Cycle, std::string>> frames;
-  auto copts = opts;
-  copts.record_egress = true;
-  copts.track_flow_reordering = true;
-  copts.checkpoint_interval = 500;
-  copts.checkpoint_sink = [&frames](Cycle cycle, std::string&& blob) {
-    if (cycle == 2000 || cycle == 2500 || cycle == 5000) {
-      frames.emplace_back(cycle, std::move(blob));
-    }
-  };
-  expect_identical(whole.result, Mp5Simulator(prog, copts).run(trace));
+  std::vector<CheckpointFrame> frames;
+  expect_same_run(whole, run_checkpointing(prog, trace, opts, 500, frames));
+  std::erase_if(frames, [](const CheckpointFrame& f) {
+    return f.cycle != 2000 && f.cycle != 2500 && f.cycle != 5000;
+  });
   ASSERT_EQ(frames.size(), 3u);
-  for (const auto& [cycle, frame] : frames) {
-    SCOPED_TRACE(cycle);
+  for (const CheckpointFrame& frame : frames) {
     // Some cell was blocked in the cycle before the checkpoint, so it was
     // asleep when the checkpoint was taken.
     const bool asleep = std::any_of(
-        blocked.begin(), blocked.end(),
-        [cycle = cycle](const BlockedCell& b) { return std::get<2>(b) == cycle - 1; });
-    EXPECT_TRUE(asleep);
-    auto ropts = opts;
-    ropts.record_egress = true;
-    ropts.track_flow_reordering = true;
-    Mp5Simulator sim(prog, ropts);
-    VectorTraceSource source(trace);
-    expect_identical(whole.result, sim.resume(source, frame));
+        blocked.begin(), blocked.end(), [&frame](const BlockedCell& b) {
+          return std::get<2>(b) == frame.cycle - 1;
+        });
+    EXPECT_TRUE(asleep) << "cycle " << frame.cycle;
+    expect_resumes(prog, trace, opts, frame, whole);
   }
 }
 
@@ -497,9 +476,9 @@ TEST(IncrementalSharding, SimResultMatchesReferenceRebalance) {
 }
 
 TEST(IncrementalSharding, SimResultMatchesReferenceUnderFaultPlan) {
-  const auto result = lane_fault_run();
-  EXPECT_GT(result.fault_remapped_indices, 0u); // the plan actually bites
-  expect_golden("lane_fail_recover", result);
+  const auto run = lane_fault_run();
+  EXPECT_GT(run.result.fault_remapped_indices, 0u); // the plan actually bites
+  expect_golden("lane_fail_recover", run);
 }
 
 // --- packet arena --------------------------------------------------------

@@ -40,7 +40,6 @@ TEST(Recirc, RegisterStateConvergesDespiteOrder) {
   const auto trace = synthetic(2, 32, 4, 1500, 3);
   RecircOptions opts;
   opts.ingress_capacity = 0; // lossless run: every update must land
-  opts.record_egress = true;
   RecircSimulator sim(prog, opts);
   const auto result = sim.run(trace);
   EXPECT_EQ(result.egressed, trace.size());
@@ -64,13 +63,35 @@ TEST(Recirc, SequencerExampleBreaksPacketEquivalence) {
   const auto prog = compile_mp5(apps::sequencer_example_source());
   Rng rng(7);
   const auto trace = trace_from_fields(random_fields(2000, 1, 4, rng), 4);
-  RecircOptions opts;
-  opts.record_egress = true;
-  RecircSimulator sim(prog, opts);
-  const auto result = sim.run(trace);
-  const auto reference = run_reference(prog, trace);
-  const auto report = check_equivalence(prog.pvsm, reference, result);
+  const auto report =
+      run_verified<RecircSimulator>(prog, trace, RecircOptions{});
   EXPECT_FALSE(report.equivalent());
+}
+
+TEST(Recirc, TailDropsReachTheDropSinkAndViolateEquivalence) {
+  // Overload on a one-deep ingress queue: every tail drop is reported,
+  // untouched, and the verifier settles the stream and names the drops.
+  const auto prog = compile_mp5(apps::make_synthetic_source(4, 512));
+  const auto trace = synthetic(4, 512, 4, 2000, 9);
+  RecircOptions opts;
+  opts.ingress_capacity = 1;
+  const StreamedRun run = run_streamed<RecircSimulator>(prog, trace, opts);
+  ASSERT_GT(run.result.dropped_data, 0u);
+  EXPECT_EQ(run.streams.drops.size(), run.result.dropped_data);
+  EXPECT_EQ(run.streams.egress.size() + run.streams.drops.size(),
+            trace.size());
+  for (const auto& drop : run.streams.drops) EXPECT_FALSE(drop.state_touched);
+
+  SimResult result;
+  const auto report =
+      run_verified<RecircSimulator>(prog, trace, opts, &result);
+  EXPECT_FALSE(report.equivalent());
+  EXPECT_EQ(report.first_difference.rfind(
+                std::to_string(result.dropped_data) +
+                    " packets dropped outside the fault plan",
+                0),
+            0u)
+      << report.first_difference;
 }
 
 TEST(Recirc, ThroughputPenaltyVersusMp5) {
@@ -106,7 +127,6 @@ TEST(Recirc, ConservativeGuardHandledAcrossPasses) {
   const auto trace = trace_from_fields(random_fields(1000, 3, 64, rng), 4);
   RecircOptions opts;
   opts.ingress_capacity = 0; // lossless: the gate must count every packet
-  opts.record_egress = true;
   RecircSimulator sim(prog, opts);
   const auto result = sim.run(trace);
   EXPECT_EQ(result.egressed, trace.size());

@@ -66,11 +66,8 @@ TEST(Reordering, Mp5KeepsPerStateOrderButCanReorderAcrossFlows) {
   auto fields = random_fields(4000, 3, 16, rng);
   for (auto& f : fields) f[0] = rng.chance(0.5) ? 1 : 0;
   auto trace = trace_from_fields(fields, 4);
-  SimOptions opts = mp5_options(4, 21);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
-  const auto report = analyze_reordering(result.egress);
+  const auto report = analyze_reordering(
+      run_streamed(prog, trace, mp5_options(4, 21)).streams.egress);
   EXPECT_GT(report.inversions, 0u);  // global reordering happens...
   EXPECT_GT(report.kendall_tau, 0.8); // ...but order stays mostly intact
 }
@@ -97,11 +94,8 @@ TEST(Reordering, FlowOrderStageRestoresIntraFlowOrder) {
   for (auto& item : trace) {
     item.flow = static_cast<std::uint64_t>(item.fields[1]);
   }
-  SimOptions opts = mp5_options(4, 23);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
-  const auto report = analyze_reordering(result.egress);
+  const auto report = analyze_reordering(
+      run_streamed(prog, trace, mp5_options(4, 23)).streams.egress);
   EXPECT_EQ(report.intra_flow_reordered, 0u);
 }
 

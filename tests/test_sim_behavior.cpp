@@ -5,6 +5,7 @@
 
 #include "apps/programs.hpp"
 #include "baseline/presets.hpp"
+#include "metrics/reordering.hpp"
 #include "test_util.hpp"
 
 namespace mp5::test {
@@ -174,22 +175,20 @@ TEST(SimBehavior, FlowOrderStagePreventsReordering) {
   auto trace = trace_from_fields(fields, 4);
   for (auto& item : trace) item.flow = static_cast<std::uint64_t>(item.fields[0]);
 
-  SimOptions opts = mp5_options(4, 37);
-  opts.track_flow_reordering = true;
-
+  const SimOptions opts = mp5_options(4, 37);
   const auto plain = compile_mp5(src);
-  Mp5Simulator sim_plain(plain, opts);
-  const auto r_plain = sim_plain.run(trace);
+  const auto r_plain = analyze_reordering(
+      run_streamed(plain, trace, opts).streams.egress);
 
   TransformOptions topts;
   topts.add_flow_order_stage = true;
   topts.flow_fields = {"flowid"};
   const auto ordered = compile_mp5(src, topts);
-  Mp5Simulator sim_ordered(ordered, opts);
-  const auto r_ordered = sim_ordered.run(trace);
+  const auto r_ordered = analyze_reordering(
+      run_streamed(ordered, trace, opts).streams.egress);
 
-  EXPECT_GT(r_plain.reordered_flow_packets, 0u);
-  EXPECT_EQ(r_ordered.reordered_flow_packets, 0u);
+  EXPECT_GT(r_plain.intra_flow_reordered, 0u);
+  EXPECT_EQ(r_ordered.intra_flow_reordered, 0u);
 }
 
 
@@ -256,18 +255,9 @@ TEST(SimBehavior, EcnMarksPacketsAtCongestedStages) {
 TEST(SimBehavior, DeterministicAcrossRuns) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 64));
   const auto trace = synthetic(4, 64, 4, 2000, 51, AccessPattern::kSkewed);
-  SimOptions opts = mp5_options(4, 51);
-  opts.record_egress = true;
-  Mp5Simulator a(prog, opts), b(prog, opts);
-  const auto ra = a.run(trace);
-  const auto rb = b.run(trace);
-  EXPECT_EQ(ra.cycles_run, rb.cycles_run);
-  EXPECT_EQ(ra.steers, rb.steers);
-  EXPECT_EQ(ra.final_registers, rb.final_registers);
-  ASSERT_EQ(ra.egress.size(), rb.egress.size());
-  for (std::size_t i = 0; i < ra.egress.size(); ++i) {
-    EXPECT_EQ(ra.egress[i].egress_cycle, rb.egress[i].egress_cycle);
-  }
+  const SimOptions opts = mp5_options(4, 51);
+  expect_same_run(run_streamed(prog, trace, opts),
+                  run_streamed(prog, trace, opts));
 }
 
 TEST(SimBehavior, DropsBreakEquivalenceAsSection351Describes) {
@@ -279,13 +269,17 @@ TEST(SimBehavior, DropsBreakEquivalenceAsSection351Describes) {
   const auto trace = trace_from_fields(random_fields(3000, 1, 4, rng), 4);
   SimOptions opts = mp5_options(4, 53);
   opts.fifo_capacity = 8;
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
+  SimResult result;
+  const auto report = run_verified(prog, trace, opts, &result);
   ASSERT_GT(result.dropped_data, 0u);
-  const auto reference = run_reference(prog, trace);
-  const auto report = check_equivalence(prog.pvsm, reference, result);
   EXPECT_FALSE(report.equivalent());
+  // Every data drop reached the verifier; the verdict names them.
+  EXPECT_EQ(report.first_difference.rfind(
+                std::to_string(result.dropped_data + result.dropped_starved) +
+                    " packets dropped outside the fault plan",
+                0),
+            0u)
+      << report.first_difference;
   // The counter missed exactly the dropped packets.
   EXPECT_EQ(result.final_registers[0][0],
             static_cast<Value>(result.egressed));
@@ -304,15 +298,10 @@ TEST(SimBehavior, ArrivalTieBrokenByPort) {
   b.port = 2;
   trace = {a, b};
   sort_by_arrival(trace);
-  SimOptions opts = mp5_options(2, 1);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
-  ASSERT_EQ(result.egress.size(), 2u);
+  const SimOptions opts = mp5_options(2, 1);
+  ASSERT_EQ(run_streamed(prog, trace, opts).streams.egress.size(), 2u);
   // seq 0 (= first processed, stamp 1) must be the port-2 packet.
-  EXPECT_EQ(result.egress[0].seq, 0u);
-  const auto reference = run_reference(prog, trace);
-  EXPECT_TRUE(check_equivalence(prog.pvsm, reference, result).equivalent());
+  EXPECT_TRUE(run_verified(prog, trace, opts).equivalent());
 }
 
 TEST(SimBehavior, ThroughputMetricSanity) {

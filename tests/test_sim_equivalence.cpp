@@ -29,13 +29,11 @@ TEST(Equivalence, SequencerExampleStampsArrivalOrder) {
   Rng rng(11);
   const auto trace =
       trace_from_fields(random_fields(300, 1, 4, rng), /*pipelines=*/4);
-  SimOptions opts = mp5_options(4, 2);
-  opts.record_egress = true;
-  Mp5Simulator sim(prog, opts);
-  const auto result = sim.run(trace);
-  ASSERT_EQ(result.egressed, trace.size());
+  const SimOptions opts = mp5_options(4, 2);
+  const StreamedRun run = run_streamed(prog, trace, opts);
+  ASSERT_EQ(run.result.egressed, trace.size());
   const ir::Slot stamp = prog.pvsm.slot_of("stamp");
-  for (const auto& rec : result.egress) {
+  for (const auto& rec : run.streams.egress) {
     EXPECT_EQ(rec.headers[static_cast<std::size_t>(stamp)],
               static_cast<Value>(rec.seq) + 1)
         << "packet " << rec.seq;

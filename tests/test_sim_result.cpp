@@ -29,7 +29,6 @@ TEST(ResultCounters, EveryRowReachesEqualityDigestCheckpointAndJson) {
   SimResult base;
   std::uint64_t next = 100;
   for (const ResultCounter& c : kResultCounters) base.*c.member = next++;
-  base.fault_drops = {{7, true}};
   base.final_registers = {{1, -2}};
 
   for (const ResultCounter& c : kResultCounters) {

@@ -1,8 +1,9 @@
 // Soak subsystem: rolling verification semantics, its checkpointability,
 // the end-to-end run_soak driver including resume-from-checkpoint
-// bit-identity and the flat-RSS ceiling, and the egress-log check the
-// baseline designs use.
+// bit-identity, and the baseline designs streaming into the same
+// verifier.
 #include <memory>
+#include <typeinfo>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +46,15 @@ std::unique_ptr<soak::RollingVerifier> make_verifier(
       prog.pvsm, std::make_unique<VectorTraceSource>(trace), opts);
 }
 
+/// The end of a run over `offered` packets, as finish() reads it.
+SimResult run_end(std::uint64_t offered,
+                  std::vector<std::vector<Value>> registers) {
+  SimResult result;
+  result.offered = offered;
+  result.final_registers = std::move(registers);
+  return result;
+}
+
 /// Feed the i-th reference egress (correct headers) as an egress record.
 void feed_reference_egress(soak::RollingVerifier& v, SeqNo seq,
                            const std::vector<Value>& headers) {
@@ -61,22 +71,22 @@ TEST(RollingVerifier, AgreesWithBatchChecker) {
   auto verifier = make_verifier(prog, trace);
   SimOptions opts;
   opts.paranoid_checks = true;
-  opts.egress_sink = [&](EgressRecord&& rec) {
-    verifier->on_egress(std::move(rec));
-  };
-  opts.fault_drop_sink = [&](SeqNo seq, bool touched) {
-    verifier->on_fault_drop(seq, touched);
-  };
+  verifier->attach(opts);
   Mp5Simulator sim(prog, opts);
   const SimResult result = sim.run(trace);
-  const EquivalenceReport rolling =
-      verifier->finish(result.offered, result.final_registers);
+  const EquivalenceReport rolling = verifier->finish(result);
   EXPECT_TRUE(rolling.equivalent()) << rolling.first_difference;
   EXPECT_EQ(verifier->verified(), trace.size());
   EXPECT_FALSE(verifier->truncated());
 
+  // The seq-indexed batch comparator, over the same run's egress rows.
+  std::vector<std::vector<Value>> rows;
+  opts.egress_sink = test::egress_by_seq_sink(rows);
+  opts.fault_drop_sink = nullptr;
+  const SimResult again = Mp5Simulator(prog, opts).run(trace);
   const EquivalenceReport batch =
-      test::run_and_check(prog, trace, SimOptions{});
+      check_equivalence(prog.pvsm, test::run_reference(prog, trace),
+                        again.final_registers, rows);
   EXPECT_EQ(rolling.equivalent(), batch.equivalent());
 }
 
@@ -91,7 +101,7 @@ TEST(RollingVerifier, FlagsDuplicateEgress) {
   }
   feed_reference_egress(*verifier, 0, ref.egress_headers[0]); // again
   const EquivalenceReport report =
-      verifier->finish(trace.size(), ref.final_registers);
+      verifier->finish(run_end(trace.size(), ref.final_registers));
   EXPECT_FALSE(report.packets_equal);
   EXPECT_NE(report.first_difference.find("egressed 2 times"),
             std::string::npos)
@@ -110,7 +120,7 @@ TEST(RollingVerifier, FlagsWrongHeaders) {
     feed_reference_egress(*verifier, i, headers);
   }
   const EquivalenceReport report =
-      verifier->finish(trace.size(), ref.final_registers);
+      verifier->finish(run_end(trace.size(), ref.final_registers));
   EXPECT_FALSE(report.packets_equal);
   EXPECT_EQ(report.packet_mismatches, 1u);
 }
@@ -130,7 +140,7 @@ TEST(RollingVerifier, UntouchedDropSkipsReference) {
     feed_reference_egress(*verifier, i + 1, ref.egress_headers[i]);
   }
   const EquivalenceReport report =
-      verifier->finish(trace.size(), ref.final_registers);
+      verifier->finish(run_end(trace.size(), ref.final_registers));
   EXPECT_TRUE(report.equivalent()) << report.first_difference;
   EXPECT_FALSE(verifier->truncated());
   EXPECT_EQ(verifier->verified(), rest.size());
@@ -148,7 +158,7 @@ TEST(RollingVerifier, StateTouchedDropTruncates) {
   // Everything after the truncation point is ignored, not accumulated.
   feed_reference_egress(*verifier, 2, ref.egress_headers[2]);
   const EquivalenceReport report =
-      verifier->finish(trace.size(), ref.final_registers);
+      verifier->finish(run_end(trace.size(), ref.final_registers));
   EXPECT_EQ(verifier->verified(), 1u);
   EXPECT_NE(report.first_difference.find("truncated at seq 1"),
             std::string::npos)
@@ -159,7 +169,7 @@ TEST(RollingVerifier, FinishFlagsNeverEgressed) {
   const Mp5Program prog = soak_program();
   const Trace trace = soak_trace(prog, 5, 10);
   auto verifier = make_verifier(prog, trace);
-  const EquivalenceReport report = verifier->finish(trace.size(), {});
+  const EquivalenceReport report = verifier->finish(run_end(trace.size(), {}));
   EXPECT_FALSE(report.packets_equal);
   EXPECT_EQ(report.packet_mismatches, trace.size());
 }
@@ -185,7 +195,7 @@ TEST(RollingVerifier, SaveLoadRoundTrip) {
     feed_reference_egress(*full, i, ref.egress_headers[i]);
   }
   const EquivalenceReport uninterrupted =
-      full->finish(trace.size(), ref.final_registers);
+      full->finish(run_end(trace.size(), ref.final_registers));
   ASSERT_TRUE(uninterrupted.equivalent());
 
   auto first_half = make_verifier(prog, trace);
@@ -205,7 +215,7 @@ TEST(RollingVerifier, SaveLoadRoundTrip) {
     feed_reference_egress(*restored, i, ref.egress_headers[i]);
   }
   const EquivalenceReport resumed =
-      restored->finish(trace.size(), ref.final_registers);
+      restored->finish(run_end(trace.size(), ref.final_registers));
   EXPECT_TRUE(resumed.equivalent()) << resumed.first_difference;
   EXPECT_EQ(restored->verified(), trace.size());
 
@@ -323,56 +333,76 @@ TEST(RunSoak, ResumeWithVerifyNeedsVerifierFrame) {
   EXPECT_TRUE(same_results(report.result, resumed.result, &why)) << why;
 }
 
-TEST(RunSoak, EnforcesRssCeiling) {
+TEST(RunSoak, LossyRunSettlesAndNamesItsDrops) {
+  // One-deep FIFOs drop data packets whose phantoms were dropped. Every
+  // drop reaches the verifier, so the window settles instead of piling up
+  // behind the first lost seq, and the verdict names the drops.
   const Mp5Program prog = soak_program();
-  soak::SoakOptions opts = synthetic_soak(prog, 2000);
-  opts.checkpoint_interval = 100;
-  opts.checkpoint_path = test::temp_path("soak_rss.ckpt");
-  opts.rss_limit_kib = 1; // any real process exceeds 1 KiB
-  try {
-    soak::run_soak(prog, opts);
-    FAIL() << "expected the RSS ceiling to trip";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("RSS ceiling"), std::string::npos)
-        << e.what();
-  }
+  soak::SoakOptions opts = synthetic_soak(prog, 6000);
+  opts.sim.fifo_capacity = 1;
+  const soak::SoakReport report = soak::run_soak(prog, opts);
+  const SimResult& result = report.result;
+  ASSERT_GT(result.dropped_data, 0u);
+  EXPECT_TRUE(report.verify_ran);
+  EXPECT_FALSE(report.verified);
+  EXPECT_FALSE(report.equivalence.packets_equal);
+  EXPECT_LT(report.verify_window_peak, 1000u);
+  EXPECT_EQ(report.equivalence.first_difference.rfind(
+                std::to_string(result.dropped_data + result.dropped_starved) +
+                    " packets dropped outside the fault plan",
+                0),
+            0u)
+      << report.equivalence.first_difference;
 }
 
-// -- verify_egress_log ------------------------------------------------------
+TEST(RollingVerifier, UndeclaredDropsViolateEvenWhenTruncated) {
+  const Mp5Program prog = soak_program();
+  const Trace trace = soak_trace(prog, 6, 14);
+  const auto ref = test::run_reference(prog, trace);
 
-TEST(VerifyEgressLog, AgreesWithBatchCheckerOnBaselines) {
+  auto verifier = make_verifier(prog, trace);
+  feed_reference_egress(*verifier, 0, ref.egress_headers[0]);
+  verifier->on_fault_drop(1, /*state_touched=*/true);
+  ASSERT_TRUE(verifier->truncated());
+  SimResult result = run_end(trace.size(), ref.final_registers);
+  result.dropped_data = 2;
+  result.dropped_starved = 1;
+  const EquivalenceReport report = verifier->finish(result);
+  EXPECT_FALSE(report.packets_equal);
+  EXPECT_EQ(report.first_difference.rfind(
+                "3 packets dropped outside the fault plan (2 data, 1 "
+                "starved); rolling verification truncated at seq 1",
+                0),
+            0u)
+      << report.first_difference;
+}
+
+TEST(RollingVerifier, AgreesWithSeqIndexedCheckerOnBaselines) {
   // The synthetic program's updates commute, so only recirculation's
   // ingress drops break it; the sequencer stamps the count into the packet,
-  // which the replicated designs read stale.
+  // which the replicated designs read stale. Each design streams into the
+  // rolling verifier; the seq-indexed batch comparator reads the same
+  // egress rows.
   for (const Mp5Program& prog :
        {soak_program(), test::compile_mp5(apps::sequencer_example_source())}) {
     const Trace trace = soak_trace(prog, 600, 13);
     const auto reference = test::run_reference(prog, trace);
-    const soak::TrafficOpener traffic = [&trace] {
-      return std::make_unique<VectorTraceSource>(trace);
+    const auto check = [&]<class Sim, class Options>(Options opts) {
+      SCOPED_TRACE(typeid(Sim).name());
+      const test::StreamedRun run =
+          test::run_streamed<Sim>(prog, trace, opts);
+      std::vector<std::vector<Value>> rows;
+      const auto to_rows = test::egress_by_seq_sink(rows);
+      for (EgressRecord rec : run.streams.egress) to_rows(std::move(rec));
+      const EquivalenceReport batch = check_equivalence(
+          prog.pvsm, reference, run.result.final_registers, rows);
+      const EquivalenceReport rolling = test::verify_streams(prog, trace, run);
+      EXPECT_EQ(rolling.equivalent(), batch.equivalent());
+      EXPECT_EQ(rolling.packets_equal, batch.packets_equal);
     };
-    RecircOptions recirc;
-    recirc.record_egress = true;
-    ReplicatedOptions scr = scr_options(4);
-    scr.record_egress = true;
-    ReplicatedOptions relaxed = relaxed_options(4, 64);
-    relaxed.record_egress = true;
-    const SimResult results[] = {
-        RecircSimulator(prog, recirc).run(trace),
-        ReplicatedSimulator(prog, scr).run(trace),
-        ReplicatedSimulator(prog, relaxed).run(trace)};
-    for (const SimResult& result : results) {
-      const EquivalenceReport batch =
-          check_equivalence(prog.pvsm, reference, result);
-      soak::SoakReport report;
-      report.result = result;
-      soak::verify_egress_log(prog, traffic, report);
-      EXPECT_TRUE(report.verify_ran);
-      EXPECT_EQ(report.verified, batch.equivalent());
-      EXPECT_EQ(report.equivalence.packets_equal, batch.packets_equal);
-      // The log is released: the result an unchecked run returns.
-      EXPECT_TRUE(report.result.egress.empty());
-    }
+    check.operator()<RecircSimulator>(RecircOptions{});
+    check.operator()<ReplicatedSimulator>(scr_options(4));
+    check.operator()<ReplicatedSimulator>(relaxed_options(4, 64));
   }
 }
 

@@ -22,6 +22,7 @@
 #include "telemetry/json_writer.hpp"
 #include "telemetry/results.hpp"
 #include "telemetry/telemetry.hpp"
+#include "test_util.hpp"
 #include "trace/workloads.hpp"
 
 namespace mp5 {
@@ -490,18 +491,11 @@ TEST(TelemetrySim, DisabledRunIsBitIdentical) {
   const auto trace = synthetic_trace(3);
 
   SimOptions opts = mp5_options(4, 3);
-  opts.record_egress = true;
-  opts.track_flow_reordering = true;
-  Mp5Simulator plain_sim(prog, opts);
-  const auto plain = plain_sim.run(trace);
+  const auto plain = test::run_streamed(prog, trace, opts);
 
   Telemetry telem;
   opts.telemetry = &telem;
-  Mp5Simulator telem_sim(prog, opts);
-  const auto instrumented = telem_sim.run(trace);
-
-  std::string why;
-  EXPECT_TRUE(same_results(plain, instrumented, &why)) << why;
+  test::expect_same_run(plain, test::run_streamed(prog, trace, opts));
 }
 
 // ---------------------------------------------------------------------

@@ -142,14 +142,15 @@ TEST(StreamingRun, MatchesMaterializedRun) {
   const std::string csv = test::temp_path("simrun.trace.csv");
   save_trace_file(trace, csv);
 
-  SimOptions opts;
-  opts.record_egress = true;
-  const SimResult batch = Mp5Simulator(prog, opts).run(trace);
+  const test::StreamedRun batch =
+      test::run_streamed(prog, trace, SimOptions{});
 
+  test::StreamedRun streamed;
+  SimOptions opts;
+  streamed.streams.attach(opts);
   CsvFileTraceSource source(csv);
-  const SimResult streamed = Mp5Simulator(prog, opts).run(source);
-  std::string why;
-  EXPECT_TRUE(same_results(batch, streamed, &why)) << why;
+  streamed.result = Mp5Simulator(prog, opts).run(source);
+  test::expect_same_run(batch, streamed);
 }
 
 } // namespace

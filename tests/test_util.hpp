@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "banzai/single_pipeline.hpp"
@@ -17,7 +20,9 @@
 #include "metrics/equivalence.hpp"
 #include "mp5/simulator.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_source.hpp"
 
 namespace mp5::test {
 
@@ -100,17 +105,137 @@ inline EquivalenceReport check_against_oracle(
                            final_registers, egress_by_seq);
 }
 
+/// An egress sink that stores each record's headers at its seq in `rows`,
+/// the form the seq-indexed check_equivalence reads.
+inline std::function<void(EgressRecord&&)> egress_by_seq_sink(
+    std::vector<std::vector<Value>>& rows) {
+  return [&rows](EgressRecord&& rec) {
+    if (rows.size() <= rec.seq) rows.resize(rec.seq + 1);
+    rows[rec.seq] = std::move(rec.headers);
+  };
+}
+
+/// Run `Sim` on `opts` over `trace` with its egress and drops streamed
+/// into a RollingVerifier, and return the verdict against the reference.
+template <class Sim = Mp5Simulator, class Options>
+EquivalenceReport run_verified(const Mp5Program& prog, const Trace& trace,
+                               Options opts, SimResult* result = nullptr) {
+  soak::RollingVerifier verifier(prog.pvsm,
+                                 std::make_unique<VectorTraceSource>(trace));
+  verifier.attach(opts);
+  const SimResult run = Sim(prog, opts).run(trace);
+  if (result != nullptr) *result = run;
+  return verifier.finish(run);
+}
+
 /// Run MP5 and check functional equivalence against the reference.
 inline EquivalenceReport run_and_check(const Mp5Program& prog,
                                        const Trace& trace, SimOptions opts) {
-  opts.record_egress = true;
   // Every equivalence run doubles as a watchdog run: the per-cycle
   // invariant checks must stay clean across the whole suite.
   opts.paranoid_checks = true;
-  Mp5Simulator sim(prog, opts);
-  const SimResult result = sim.run(trace);
-  const auto reference = run_reference(prog, trace);
-  return check_equivalence(prog.pvsm, reference, result);
+  return run_verified(prog, trace, std::move(opts));
+}
+
+/// A run's result and the packets its sinks emitted.
+struct StreamedRun {
+  SimResult result;
+  PacketStreams streams;
+};
+
+/// Run `Sim` on `opts` over `trace`, collecting its per-packet streams.
+template <class Sim = Mp5Simulator, class Options>
+StreamedRun run_streamed(const Mp5Program& prog, const Trace& trace,
+                         Options opts) {
+  StreamedRun run;
+  run.streams.attach(opts);
+  run.result = Sim(prog, opts).run(trace);
+  return run;
+}
+
+/// result_digest, then every egress record and every drop in emission
+/// order: pins a run's per-packet output along with its result.
+inline std::uint64_t streamed_digest(const StreamedRun& run) {
+  Fnv1aDigest d;
+  d.add(result_digest(run.result));
+  d.add(run.streams.egress.size());
+  for (const EgressRecord& e : run.streams.egress) {
+    d.add(e.seq);
+    d.add(e.egress_cycle);
+    d.add(e.flow);
+    d.add(e.headers.size());
+    for (const Value v : e.headers) d.add(static_cast<std::uint64_t>(v));
+  }
+  d.add(run.streams.drops.size());
+  for (const SimResult::FaultDrop& f : run.streams.drops) {
+    d.add(f.seq);
+    d.add(std::uint64_t{f.state_touched});
+  }
+  return d.value();
+}
+
+/// Feed a run's streams (as collected, or doctored by a test) through a
+/// RollingVerifier against the reference over `trace`.
+inline EquivalenceReport verify_streams(const Mp5Program& prog,
+                                        const Trace& trace,
+                                        const StreamedRun& run) {
+  soak::RollingVerifier verifier(prog.pvsm,
+                                 std::make_unique<VectorTraceSource>(trace));
+  for (EgressRecord rec : run.streams.egress) verifier.on_egress(std::move(rec));
+  for (const SimResult::FaultDrop& d : run.streams.drops) {
+    verifier.on_fault_drop(d.seq, d.state_touched);
+  }
+  return verifier.finish(run.result);
+}
+
+/// Both runs' results are field-by-field equal and their streams equal.
+inline void expect_same_run(const StreamedRun& a, const StreamedRun& b) {
+  std::string why;
+  EXPECT_TRUE(same_results(a.result, b.result, &why)) << why;
+  EXPECT_TRUE(a.streams.egress == b.streams.egress) << "egress streams differ";
+  EXPECT_TRUE(a.streams.drops == b.streams.drops) << "drop streams differ";
+}
+
+/// A checkpoint a run emitted, with how much of its egress and drop
+/// streams the run had emitted when the checkpoint fired.
+struct CheckpointFrame {
+  Cycle cycle = 0;
+  std::string blob;
+  PacketStreams::Mark emitted;
+};
+
+/// Run `Sim` on `opts` checkpointing every `interval` cycles; every frame
+/// lands in `frames`.
+template <class Sim = Mp5Simulator, class Options>
+StreamedRun run_checkpointing(const Mp5Program& prog, const Trace& trace,
+                              Options opts, std::uint64_t interval,
+                              std::vector<CheckpointFrame>& frames) {
+  StreamedRun run;
+  run.streams.attach(opts);
+  opts.checkpoint_interval = interval;
+  opts.checkpoint_sink = [&](Cycle cycle, std::string&& blob) {
+    frames.push_back({cycle, std::move(blob), run.streams.mark()});
+  };
+  run.result = Sim(prog, opts).run(trace);
+  return run;
+}
+
+/// Resume `Sim` on `opts` from `frame`: the result must be the
+/// uninterrupted run's, and the streams exactly what it emitted after the
+/// frame fired.
+template <class Sim = Mp5Simulator, class Options>
+void expect_resumes(const Mp5Program& prog, const Trace& trace, Options opts,
+                    const CheckpointFrame& frame, const StreamedRun& whole) {
+  SCOPED_TRACE("restore at cycle " + std::to_string(frame.cycle));
+  StreamedRun resumed;
+  resumed.streams.attach(opts);
+  Sim sim(prog, opts);
+  VectorTraceSource source(trace);
+  resumed.result = sim.resume(source, frame.blob);
+  StreamedRun expected;
+  expected.result = whole.result;
+  expected.streams = whole.streams.since(frame.emitted);
+  expect_same_run(expected, resumed);
 }
 
 } // namespace mp5::test

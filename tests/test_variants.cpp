@@ -43,17 +43,16 @@ constexpr char kCounter[] = R"(
   }
 )";
 
-SimResult run_variant(const Mp5Program& prog, const Trace& trace,
-                      ReplicatedOptions opts) {
-  opts.record_egress = true;
+StreamedRun run_variant(const Mp5Program& prog, const Trace& trace,
+                        ReplicatedOptions opts) {
   opts.paranoid_checks = true;
-  return ReplicatedSimulator(prog, opts).run(trace);
+  return run_streamed<ReplicatedSimulator>(prog, trace, opts);
 }
 
 EquivalenceReport check_variant(const Mp5Program& prog, const Trace& trace,
-                                const ReplicatedOptions& opts) {
-  const SimResult result = run_variant(prog, trace, opts);
-  return check_equivalence(prog.pvsm, run_reference(prog, trace), result);
+                                ReplicatedOptions opts) {
+  opts.paranoid_checks = true;
+  return run_verified<ReplicatedSimulator>(prog, trace, opts);
 }
 
 Trace dense_trace(const Mp5Program& prog, std::size_t packets,
@@ -139,12 +138,10 @@ TEST(VariantBehavior, LosslessAndDeterministic) {
   const Trace trace = dense_trace(prog, 500, 4);
   for (const ReplicatedOptions& opts :
        {scr_options(4), relaxed_options(4, 32)}) {
-    const SimResult a = run_variant(prog, trace, opts);
-    const SimResult b = run_variant(prog, trace, opts);
-    EXPECT_EQ(a.offered, trace.size());
-    EXPECT_EQ(a.egressed, a.offered);
-    std::string why;
-    EXPECT_TRUE(same_results(a, b, &why)) << why;
+    const StreamedRun a = run_variant(prog, trace, opts);
+    EXPECT_EQ(a.result.offered, trace.size());
+    EXPECT_EQ(a.result.egressed, a.result.offered);
+    expect_same_run(a, run_variant(prog, trace, opts));
   }
 }
 
@@ -159,9 +156,9 @@ TEST(VariantBehavior, FastForwardIsBitIdentical) {
       {relaxed_options(4, 16), "replicated_sparse_relaxed16"},
   };
   for (const auto& [opts, row] : cases) {
-    const SimResult result = run_variant(prog, trace, opts);
-    EXPECT_GT(result.cycles_run, 10 * trace.size()); // really sparse
-    expect_golden(row, result_digest(result));
+    const StreamedRun run = run_variant(prog, trace, opts);
+    EXPECT_GT(run.result.cycles_run, 10 * trace.size()); // really sparse
+    expect_golden(row, streamed_digest(run));
   }
 }
 
@@ -186,9 +183,9 @@ TEST(VariantBehavior, RelaxedStalenessBoundsDivergenceWindow) {
     return count;
   };
   const SimResult tight =
-      run_variant(prog, trace, relaxed_options(4, 1));
+      run_variant(prog, trace, relaxed_options(4, 1)).result;
   const SimResult loose =
-      run_variant(prog, trace, relaxed_options(4, 4096));
+      run_variant(prog, trace, relaxed_options(4, 4096)).result;
   EXPECT_LE(mismatches(tight), mismatches(loose));
 }
 
@@ -197,10 +194,9 @@ TEST(VariantBehavior, SteersCountDigestBroadcasts) {
   // digest; with k=1 there is no replication traffic at all.
   const Mp5Program prog = compile_mp5(kCounter);
   const Trace trace = dense_trace(prog, 100, 4);
-  EXPECT_GT(run_variant(prog, trace, scr_options(4)).steers, 0u);
-  EXPECT_EQ(run_variant(prog, dense_trace(prog, 100, 1),
-                        scr_options(1))
-                .steers,
+  EXPECT_GT(run_variant(prog, trace, scr_options(4)).result.steers, 0u);
+  EXPECT_EQ(run_variant(prog, dense_trace(prog, 100, 1), scr_options(1))
+                .result.steers,
             0u);
 }
 

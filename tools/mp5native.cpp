@@ -30,7 +30,8 @@
 //   --quiet            suppress the human-readable table
 //
 // The table ends with the host/build line and `result digest: 0x<16 hex>`
-// (native_result_digest): one digest for every --cores and --policy.
+// (native_result_digest): one digest for every --cores and --policy, with
+// or without --check.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -132,8 +133,15 @@ int run(int argc, char** argv) {
       domino::compile(ast, banzai::MachineSpec{}, /*reserve_stages=*/1);
   const Mp5Program program = transform(compiled.pvsm);
 
+  // The oracle compares every packet's declared fields, by seq.
   native::NativeOptions nopts = args.native;
-  nopts.record_egress = args.check;
+  std::vector<std::vector<Value>> egress_by_seq;
+  if (args.check) {
+    nopts.egress_sink = [&egress_by_seq](EgressRecord&& rec) {
+      if (egress_by_seq.size() <= rec.seq) egress_by_seq.resize(rec.seq + 1);
+      egress_by_seq[rec.seq] = std::move(rec.headers);
+    };
+  }
 
   // Resolve traffic. The oracle needs the materialized trace; pure
   // throughput runs stream it.
@@ -160,7 +168,7 @@ int run(int argc, char** argv) {
     domino::AstInterp oracle(ast);
     check = check_equivalence(program.pvsm,
                               domino::replay(oracle, program.pvsm, trace),
-                              result.final_registers, result.egress_fields);
+                              result.final_registers, egress_by_seq);
   }
 
   if (!args.quiet) {
@@ -225,7 +233,7 @@ int run(int argc, char** argv) {
     }
     std::cout << telemetry::host_build_line() << "\nresult digest: "
               << telemetry::digest_hex(
-                     native::native_result_digest(program.pvsm, result))
+                     native::native_result_digest(result))
               << "\n";
   }
 
@@ -235,9 +243,8 @@ int run(int argc, char** argv) {
       throw ConfigError("--json: cannot open '" + args.json_out +
                         "' for writing");
     }
-    native::write_native_results_json(out, program_name, program.pvsm,
-                                      args.native, result,
-                                      args.check ? &check : nullptr);
+    native::write_native_results_json(out, program_name, args.native,
+                                      result, args.check ? &check : nullptr);
     if (!args.quiet) std::cout << "results json: " << args.json_out << "\n";
   }
 

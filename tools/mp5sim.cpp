@@ -37,7 +37,9 @@
 //   --check-equivalence     verify vs the single-pipeline reference,
 //                           packet by packet as the run goes, modulo the
 //                           packets a fault plan drops (verification stops
-//                           at the first dropped packet that changed state)
+//                           at the first dropped packet that changed state);
+//                           any other drop is a violation. scr and relaxed
+//                           take it only without checkpoint flags
 //   --save-trace file.csv   store the generated trace (held in memory)
 // A flag the chosen design does not honour is rejected, naming the flag
 // and the design (kDesignFlags below lists which designs take which flag).
@@ -108,6 +110,7 @@
 #include "domino/parser.hpp"
 #include "mp5/checkpoint.hpp"
 #include "mp5/transform.hpp"
+#include "soak/rolling_verify.hpp"
 #include "soak/soak_runner.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/results.hpp"
@@ -263,6 +266,14 @@ void validate_checkpoint_args(const Args& args) {
   }
   if (!args.checkpoint_out.empty() && args.checkpoint_interval == 0) {
     throw ConfigError("--checkpoint-out requires --checkpoint-interval");
+  }
+  // Only the MP5 soak file carries the verifier's frame.
+  if (args.check_equivalence && !design_in(args.design, kMp5Designs) &&
+      (args.checkpoint_interval != 0 || !args.restore_from.empty())) {
+    throw ConfigError("--check-equivalence with --checkpoint-interval or "
+                      "--restore applies to --design " +
+                      std::string(kMp5Designs) + " only, not " +
+                      args.design);
   }
   if (!args.checkpoint_out.empty()) {
     // Probe the same temporary name write_checkpoint_file uses, so the
@@ -433,9 +444,8 @@ int run(int argc, char** argv) {
 
   // Resolve the design and run. The wall clock covers building the
   // simulator and running it, which streams the traffic in and, under
-  // --check-equivalence, replays it through the reference alongside (the
-  // baselines check their egress log after the run, inside the clock too);
-  // the JSON carries it only in its profile.
+  // --check-equivalence, replays it through the reference alongside; the
+  // JSON carries it only in its profile.
   const std::uint64_t cycle_ceiling =
       design_in(args.design, kMp5Designs) ? max_cycles(args, *traffic()) : 0;
   const auto sim_start = std::chrono::steady_clock::now();
@@ -443,19 +453,25 @@ int run(int argc, char** argv) {
   soak::SoakReport report;
   std::unique_ptr<telemetry::Telemetry> telem;
   std::uint32_t staleness = 0; // the relaxed design's Δ as it ran
+  // The baseline designs stream their egress into the verifier run_soak
+  // attaches to the MP5 designs.
+  std::unique_ptr<soak::RollingVerifier> verifier;
+  if (args.check_equivalence && !design_in(args.design, kMp5Designs)) {
+    verifier = std::make_unique<soak::RollingVerifier>(program.pvsm, traffic());
+  }
   if (args.design == "recirc") {
     RecircOptions ropts;
     ropts.pipelines = args.pipelines;
     ropts.seed = args.seed;
-    ropts.record_egress = args.check_equivalence;
+    if (verifier) verifier->attach(ropts);
     report.result = RecircSimulator(program, ropts).run(*traffic());
   } else if (args.design == "scr" || args.design == "relaxed") {
     ReplicatedOptions ropts = args.design == "scr"
                                   ? scr_options(args.pipelines)
                                   : relaxed_options(args.pipelines);
     if (args.staleness != 0) ropts.staleness_bound = args.staleness;
-    ropts.record_egress = args.check_equivalence;
     ropts.paranoid_checks = args.paranoid;
+    if (verifier) verifier->attach(ropts);
     if (args.checkpoint_interval != 0) {
       ropts.checkpoint_interval = args.checkpoint_interval;
       ropts.checkpoint_sink = [&](Cycle, std::string&& blob) {
@@ -511,11 +527,7 @@ int run(int argc, char** argv) {
     report = args.self_test ? run_self_test(program, sopts)
                             : soak::run_soak(program, sopts);
   }
-  // The baseline designs record their egress log; the same verifier
-  // checks it after the run.
-  if (args.check_equivalence && !report.verify_ran) {
-    soak::verify_egress_log(program, traffic, report);
-  }
+  if (verifier) soak::finish_verification(*verifier, report);
   const SimResult& result = report.result;
   if (report.resumed) {
     std::cout << "resumed from cycle " << report.resumed_from_cycle << " ("

@@ -166,7 +166,7 @@ RESULT_TWINS = (
     ("shard.rebalance_moves", "mechanics", "remap_moves"),
 )
 
-# SimResult's 26 counters by mp5-results section. This is the validator's
+# SimResult's 25 counters by mp5-results section. This is the validator's
 # own list, kept apart from the C++ table on purpose: a counter the C++
 # side drops from its table must fail here.
 SIM_COUNTERS = {
@@ -178,7 +178,7 @@ SIM_COUNTERS = {
     "faults": keys("pipeline_failures pipeline_recoveries "
                    "fault_remapped_indices phantom_lost phantom_delayed "
                    "stalled_cycles time_to_recover", int),
-    "correctness": keys("c1_violating_packets reordered_flow_packets", int),
+    "correctness": keys("c1_violating_packets", int),
 }
 
 
@@ -219,7 +219,6 @@ def validate_results(doc, where):
              f"({accounted} accounted > {packets['offered']} offered)")
 
     check_shape(doc, {"timing": keys("input_rate normalized_throughput", NUM),
-                      "faults": {"fault_drops": int},
                       "correctness": keys("c1_fraction drop_fraction", NUM)},
                 where)
     for key in ("c1_fraction", "drop_fraction"):
