@@ -109,7 +109,7 @@ void run_load(BenchReport& report, const Mp5Program& prog, double load) {
       .metric("healthy_rate", healthy)
       .metric("outage_rate", outage)
       .metric("recovered_rate", recovered)
-      .metric("fault_drops", static_cast<double>(result.dropped_fault))
+      .metric("dropped_fault", static_cast<double>(result.dropped_fault))
       .metric("indices_rehomed",
               static_cast<double>(result.fault_remapped_indices))
       .metric("time_to_recover", static_cast<double>(result.time_to_recover));

@@ -226,10 +226,7 @@ EquivalenceReport verify_cell(const Compiled& compiled, const Trace& trace,
                               const CellRun& run) {
   soak::RollingVerifier verifier(compiled.prog.pvsm,
                                  std::make_unique<VectorTraceSource>(trace));
-  for (EgressRecord rec : run.streams.egress) verifier.on_egress(std::move(rec));
-  for (const SimResult::FaultDrop& d : run.streams.drops) {
-    verifier.on_fault_drop(d.seq, d.state_touched);
-  }
+  verifier.feed(run.streams);
   return verifier.finish(run.result);
 }
 

@@ -1,7 +1,6 @@
 // Result record common to all switch simulators (MP5, baselines).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -186,11 +185,10 @@ struct PacketStreams {
   /// taken at `from` must emit.
   PacketStreams since(Mark from) const {
     PacketStreams out;
-    out.egress.assign(egress.begin() + static_cast<std::ptrdiff_t>(
-                                           std::min(from.egress, egress.size())),
-                      egress.end());
-    out.drops.assign(drops.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(from.drops, drops.size())),
+    out.egress.assign(
+        egress.begin() + static_cast<std::ptrdiff_t>(from.egress),
+        egress.end());
+    out.drops.assign(drops.begin() + static_cast<std::ptrdiff_t>(from.drops),
                      drops.end());
     return out;
   }

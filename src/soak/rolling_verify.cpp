@@ -52,6 +52,13 @@ void RollingVerifier::on_fault_drop(SeqNo seq, bool state_touched) {
   drain();
 }
 
+void RollingVerifier::feed(const PacketStreams& streams) {
+  for (EgressRecord rec : streams.egress) on_egress(std::move(rec));
+  for (const SimResult::FaultDrop& d : streams.drops) {
+    on_fault_drop(d.seq, d.state_touched);
+  }
+}
+
 void RollingVerifier::set_fate(SeqNo seq, Pending&& fate) {
   const std::uint64_t offset = seq - next_seq_;
   if (offset >= opts_.max_window) {
@@ -100,7 +107,7 @@ void RollingVerifier::resolve(SeqNo seq, Pending& fate) {
       truncated_ = true;
       core_.note("rolling verification truncated at seq " +
                  std::to_string(seq) +
-                 ": fault-dropped packet left partial register effects the "
+                 ": dropped packet left partial register effects the "
                  "reference cannot replay");
       return;
     }

@@ -78,6 +78,9 @@ public:
     }
   }
 
+  /// Feed streams collected from a run (egress records, then drops).
+  void feed(const PacketStreams& streams);
+
   /// Close the stream with the run's result: every admitted-but-unresolved
   /// seq is flagged as never egressed, (unless truncated) the final
   /// register state is compared, and any data or starvation drop is a

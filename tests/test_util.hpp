@@ -181,10 +181,7 @@ inline EquivalenceReport verify_streams(const Mp5Program& prog,
                                         const StreamedRun& run) {
   soak::RollingVerifier verifier(prog.pvsm,
                                  std::make_unique<VectorTraceSource>(trace));
-  for (EgressRecord rec : run.streams.egress) verifier.on_egress(std::move(rec));
-  for (const SimResult::FaultDrop& d : run.streams.drops) {
-    verifier.on_fault_drop(d.seq, d.state_touched);
-  }
+  verifier.feed(run.streams);
   return verifier.finish(run.result);
 }
 
