@@ -205,31 +205,6 @@ Failure Differ::check_oracle(const domino::Ast& ast,
 
 namespace {
 
-/// One cell's run: its result and the packets its sinks emitted.
-struct CellRun {
-  SimResult result;
-  PacketStreams streams;
-};
-
-template <class Sim, class Options>
-CellRun run_cell(const Compiled& compiled, const Trace& trace,
-                 Options options) {
-  CellRun run;
-  run.streams.attach(options);
-  run.result = Sim(compiled.prog, options).run(trace);
-  return run;
-}
-
-/// Equivalence of a cell's run, with its streams fed through the rolling
-/// verifier against the reference over `trace`.
-EquivalenceReport verify_cell(const Compiled& compiled, const Trace& trace,
-                              const CellRun& run) {
-  soak::RollingVerifier verifier(compiled.prog.pvsm,
-                                 std::make_unique<VectorTraceSource>(trace));
-  verifier.feed(run.streams);
-  return verifier.finish(run.result);
-}
-
 /// The checkpoint/restore column: re-run the cell (a `Sim` on `options`)
 /// checkpointing roughly mid-run, restore the first captured blob into a
 /// fresh simulator, and demand a SimResult field-identical to the
@@ -238,11 +213,11 @@ EquivalenceReport verify_cell(const Compiled& compiled, const Trace& trace,
 template <class Sim, class Options>
 Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
                               const SimConfig& config, const Options& options,
-                              const CellRun& baseline) {
+                              const soak::StreamedRun& baseline) {
   Failure failure;
   failure.config = config;
   failure.kind = FailureKind::kCheckpointDivergence;
-  CellRun with_ckpt;
+  soak::StreamedRun with_ckpt;
   Options ckpt_opts = options;
   with_ckpt.streams.attach(ckpt_opts);
   ckpt_opts.checkpoint_interval =
@@ -265,7 +240,7 @@ Failure check_checkpoint_cell(const Compiled& compiled, const Trace& trace,
     return failure;
   }
   if (blob.empty()) return Failure{}; // run finished before the first boundary
-  CellRun after;
+  soak::StreamedRun after;
   Options restore_opts = options;
   after.streams.attach(restore_opts);
   Sim restored(compiled.prog, restore_opts);
@@ -285,8 +260,8 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
   Failure failure;
   failure.config = config;
   try {
-    const CellRun run =
-        run_cell<Mp5Simulator>(compiled, trace, config.to_options());
+    const soak::StreamedRun run =
+        soak::run_streamed(compiled.prog, trace, config.to_options());
     const SimResult& result = run.result;
     if (result.egressed != result.offered) {
       failure.kind = FailureKind::kSimDivergence;
@@ -295,7 +270,8 @@ Failure check_cell(const Compiled& compiled, const Trace& trace,
                        std::to_string(result.egressed);
       return failure;
     }
-    const EquivalenceReport report = verify_cell(compiled, trace, run);
+    const EquivalenceReport report =
+        soak::verify_streams(compiled.prog, trace, run);
     if (!report.equivalent()) {
       failure.kind = FailureKind::kSimDivergence;
       failure.detail = report.first_difference;
@@ -330,8 +306,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
   VariantCheck out;
   out.failure.config = config;
   try {
-    const CellRun run = run_cell<ReplicatedSimulator>(
-        compiled, trace, config.to_replicated_options());
+    const soak::StreamedRun run = soak::run_streamed<ReplicatedSimulator>(
+        compiled.prog, trace, config.to_replicated_options());
     const SimResult& result = run.result;
     if (result.egressed != result.offered) {
       // The replicated designs admit through unbounded ingress queues:
@@ -345,8 +321,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
     }
     // Relaxed consistency never excuses nondeterminism: the same trace
     // must produce the bit-identical result on a second run.
-    const CellRun again = run_cell<ReplicatedSimulator>(
-        compiled, trace, config.to_replicated_options());
+    const soak::StreamedRun again = soak::run_streamed<ReplicatedSimulator>(
+        compiled.prog, trace, config.to_replicated_options());
     std::string why = "egress stream differs";
     if (!same_results(result, again.result, &why) ||
         run.streams != again.streams) {
@@ -362,7 +338,8 @@ VariantCheck check_variant_cell(const Compiled& compiled, const Trace& trace,
         return out;
       }
     }
-    const EquivalenceReport report = verify_cell(compiled, trace, run);
+    const EquivalenceReport report =
+        soak::verify_streams(compiled.prog, trace, run);
     out.equivalent = report.equivalent();
     if (!out.equivalent) out.detail = report.first_difference;
   } catch (const std::exception& e) {

@@ -16,12 +16,12 @@
 // backend against the AstInterp oracle, via domino::replay).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "banzai/ir.hpp"
 #include "banzai/single_pipeline.hpp"
-#include "common/serialize.hpp"
 #include "metrics/sim_result.hpp"
 
 namespace mp5 {
@@ -86,14 +86,10 @@ EquivalenceReport check_equivalence(
     const std::vector<std::vector<Value>>& final_registers,
     const std::vector<std::vector<Value>>& egress_by_seq);
 
-/// Digest of the state equivalence is about, folded into `d` after any
-/// words it already holds: the register arrays, then the egress row count
-/// and each row's declared slots (missing trailing slots read 0). With
-/// `egress` in seq order, equivalent runs of one input digest alike,
-/// whatever executed them.
-std::uint64_t final_state_digest(
-    const ir::Pvsm& program,
-    const std::vector<std::vector<Value>>& final_registers,
-    const std::vector<std::vector<Value>>& egress, Fnv1aDigest d = {});
+/// An egress sink that stores each record's headers at its seq in `rows`,
+/// the form the seq-indexed check_equivalence reads. `rows` must outlive
+/// the run.
+std::function<void(EgressRecord&&)> egress_by_seq_sink(
+    std::vector<std::vector<Value>>& rows);
 
 } // namespace mp5

@@ -1,5 +1,6 @@
 #include "native/results.hpp"
 
+#include "common/serialize.hpp"
 #include "telemetry/run_envelope.hpp"
 
 namespace mp5::native {

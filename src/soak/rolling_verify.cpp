@@ -19,6 +19,7 @@ RollingVerifier::RollingVerifier(const ir::Pvsm& program,
   if (input_ == nullptr) {
     throw ConfigError("RollingVerifier: reference input source is null");
   }
+  input_size_ = input_->size();
   // The C1 access log is O(packets); rolling verification never reads it.
   ref_.set_access_logging(false);
 }
@@ -60,6 +61,12 @@ void RollingVerifier::feed(const PacketStreams& streams) {
 }
 
 void RollingVerifier::set_fate(SeqNo seq, Pending&& fate) {
+  if (input_size_ && seq >= *input_size_) {
+    // A packet the reference stream never held: report it now rather than
+    // widen the window up to it.
+    core_.flag_out_of_range(seq, *input_size_);
+    return;
+  }
   const std::uint64_t offset = seq - next_seq_;
   if (offset >= opts_.max_window) {
     throw Error("rolling verification window exceeded (" +
@@ -129,12 +136,19 @@ EquivalenceReport RollingVerifier::finish(const SimResult& result) {
     // first few individually, then aggregate (a badly lossy run could have
     // millions of holes; the report must stay O(window), not O(trace)).
     constexpr std::uint64_t kDetailed = 8;
-    std::uint64_t resolved_pending = 0;
-    for (const Pending& p : window_) {
-      if (p.resolved) ++resolved_pending;
-    }
     const std::uint64_t outstanding =
         result.offered > next_seq_ ? result.offered - next_seq_ : 0;
+    std::uint64_t resolved_pending = 0;
+    for (std::size_t off = 0; off < window_.size(); ++off) {
+      if (!window_[off].resolved) continue;
+      if (off < outstanding) {
+        ++resolved_pending;
+      } else {
+        // A fate for a packet the run never admitted (a reference of
+        // unknown length lets it wait behind the holes before it).
+        core_.flag_out_of_range(next_seq_ + off, result.offered);
+      }
+    }
     const std::uint64_t missing =
         outstanding > resolved_pending ? outstanding - resolved_pending : 0;
     std::uint64_t flagged = 0;
@@ -211,6 +225,14 @@ template <class Io> void RollingVerifier::transfer(Io& io) {
              "RollingVerifier::load: reference input too short for the "
              "saved verification position");
   }
+}
+
+EquivalenceReport verify_streams(const Mp5Program& prog, const Trace& trace,
+                                 const StreamedRun& run) {
+  RollingVerifier verifier(prog.pvsm,
+                           std::make_unique<VectorTraceSource>(trace));
+  verifier.feed(run.streams);
+  return verifier.finish(run.result);
 }
 
 void RollingVerifier::save(ByteWriter& w) const { save_fields(w, *this); }

@@ -29,11 +29,13 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "banzai/single_pipeline.hpp"
 #include "metrics/equivalence.hpp"
+#include "mp5/simulator.hpp"
 #include "trace/trace_source.hpp"
 
 namespace mp5 {
@@ -81,10 +83,12 @@ public:
   /// Feed streams collected from a run (egress records, then drops).
   void feed(const PacketStreams& streams);
 
-  /// Close the stream with the run's result: every admitted-but-unresolved
-  /// seq is flagged as never egressed, (unless truncated) the final
-  /// register state is compared, and any data or starvation drop is a
-  /// violation whether or not verification was truncated.
+  /// Close the stream with the run's result: (unless truncated) every
+  /// admitted-but-unresolved seq is flagged as never egressed, every fate
+  /// for a seq the run never admitted as out of range, and the final
+  /// register state is compared; any data or starvation drop is a
+  /// violation whether or not verification was truncated. A fate past the
+  /// end of a reference of known length is flagged when it arrives.
   EquivalenceReport finish(const SimResult& result);
 
   /// Packets fully verified so far (resolved, compared, discarded).
@@ -119,6 +123,7 @@ private:
   const ir::Pvsm* program_;
   banzai::ReferenceSwitch ref_;
   std::unique_ptr<TraceSource> input_;
+  std::optional<std::uint64_t> input_size_; // reference length, if known
   Options opts_;
   EquivalenceVerifier core_;
 
@@ -128,5 +133,27 @@ private:
   bool truncated_ = false;
   std::size_t window_peak_ = 0;
 };
+
+/// A run's result and the packets its sinks emitted.
+struct StreamedRun {
+  SimResult result;
+  PacketStreams streams;
+};
+
+/// Run `Sim` (Mp5Simulator, ReplicatedSimulator, RecircSimulator) on
+/// `opts` over `trace`, collecting its per-packet streams.
+template <class Sim = Mp5Simulator, class Options>
+StreamedRun run_streamed(const Mp5Program& prog, const Trace& trace,
+                         Options opts) {
+  StreamedRun run;
+  run.streams.attach(opts);
+  run.result = Sim(prog, opts).run(trace);
+  return run;
+}
+
+/// Feed a run's streams (as collected, or doctored by a test) through a
+/// RollingVerifier against the reference over `trace`.
+EquivalenceReport verify_streams(const Mp5Program& prog, const Trace& trace,
+                                 const StreamedRun& run);
 
 } // namespace mp5::soak

@@ -43,8 +43,8 @@ public:
   /// n must not exceed the stream length.
   virtual void skip_to(std::uint64_t n) = 0;
 
-  /// Total item count when cheaply known (used only for capacity
-  /// hints, never for control flow).
+  /// Total item count when cheaply known; exact when present (capacity
+  /// hints, and the rolling verifier's out-of-range check).
   virtual std::optional<std::uint64_t> size() const = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "apps/programs.hpp"
 #include "baseline/recirc.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "domino/parser.hpp"
 #include "goldens.hpp"
 #include "metrics/equivalence.hpp"
@@ -25,6 +26,25 @@
 
 namespace mp5::test {
 namespace {
+
+/// Digest of the state equivalence is about, folded into `d` after any
+/// words it already holds: the register arrays, then the egress row count
+/// and each row's declared slots (missing trailing slots read 0). With
+/// `egress` in seq order, equivalent runs of one input digest alike,
+/// whatever executed them.
+std::uint64_t final_state_digest(
+    const ir::Pvsm& program,
+    const std::vector<std::vector<Value>>& final_registers,
+    const std::vector<std::vector<Value>>& egress, Fnv1aDigest d = {}) {
+  add_registers(d, final_registers);
+  d.add(egress.size());
+  for (const auto& headers : egress) {
+    for (std::size_t s = 0; s < program.declared_slot.size(); ++s) {
+      d.add(static_cast<std::uint64_t>(s < headers.size() ? headers[s] : 0));
+    }
+  }
+  return d.value();
+}
 
 constexpr std::size_t kPackets = 600;
 constexpr Value kFieldBound = 64; // small: indices collide across flows

@@ -1,6 +1,7 @@
 // Coverage for the smaller public surfaces: IR printing, machine usage
 // reports, the equivalence checker's negative paths, and timeline naming.
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -149,18 +150,24 @@ TEST(EquivalenceChecker, DetectsOutOfRangeSeq) {
   const auto prog = compile_mp5(apps::sequencer_example_source());
   Rng rng(9);
   const auto trace = trace_from_fields(random_fields(30, 1, 4, rng), 2);
-  StreamedRun run = run_streamed(prog, trace, mp5_options(2, 9));
+  const StreamedRun run = run_streamed(prog, trace, mp5_options(2, 9));
   // A record for a packet the trace never held is reported as a
-  // divergence, not read past the end of the reference stream.
-  EgressRecord extra = run.streams.egress[2];
-  extra.seq = trace.size();
-  run.streams.egress.push_back(std::move(extra));
-  const auto report = verify_streams(prog, trace, run);
-  EXPECT_FALSE(report.packets_equal);
-  EXPECT_GE(report.packet_mismatches, 1u);
-  EXPECT_NE(report.first_difference.find("out-of-range seq 30"),
-            std::string::npos)
-      << report.first_difference;
+  // divergence, not read past the end of the reference stream: at the
+  // first seq past the end, one past that, and far past it.
+  for (const SeqNo seq : {SeqNo{30}, SeqNo{31}, SeqNo{1000000}}) {
+    SCOPED_TRACE("extra record at seq " + std::to_string(seq));
+    StreamedRun doctored = run;
+    EgressRecord extra = doctored.streams.egress[2];
+    extra.seq = seq;
+    doctored.streams.egress.push_back(std::move(extra));
+    const auto report = verify_streams(prog, trace, doctored);
+    EXPECT_FALSE(report.packets_equal);
+    EXPECT_EQ(report.packet_mismatches, 1u);
+    EXPECT_NE(report.first_difference.find(
+                  "out-of-range seq " + std::to_string(seq)),
+              std::string::npos)
+        << report.first_difference;
+  }
 }
 
 TEST(Timeline, KindNamesAreStable) {

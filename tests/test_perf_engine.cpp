@@ -44,11 +44,6 @@ void expect_golden(const std::string& row, const StreamedRun& run) {
   test::expect_golden(row, streamed_digest(run));
 }
 
-StreamedRun run_with(const Mp5Program& prog, const Trace& trace,
-                     const SimOptions& opts) {
-  return run_streamed(prog, trace, opts);
-}
-
 struct Variant {
   const char* name;
   SimOptions (*make)(std::uint32_t, std::uint64_t);
@@ -89,7 +84,7 @@ void check_matrix(std::initializer_list<std::uint32_t> ks) {
         const auto& variant = kVariants[vi];
         expect_golden(std::string("matrix_") + variant.name + "_k" +
                           std::to_string(k) + "_seed" + std::to_string(seed),
-                      run_with(prog, trace, variant.make(k, seed)));
+                      run_streamed(prog, trace, variant.make(k, seed)));
       }
     }
   }
@@ -105,7 +100,7 @@ TEST(EventEngine, MatchesLockstepOnSparseTraces) {
   // must still land on exactly the lockstep count.
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   const auto trace = synthetic(3, 128, 8, 400, 0.01);
-  const auto run = run_with(prog, trace, mp5_options(8, 1));
+  const auto run = run_streamed(prog, trace, mp5_options(8, 1));
   EXPECT_GT(run.result.cycles_run, 4000u);
   expect_golden("sparse_k8", run);
 }
@@ -117,7 +112,7 @@ StreamedRun lane_fault_run() {
   auto opts = mp5_options(8, 1);
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 150, 600});
   opts.faults.pipeline_faults.push_back(PipelineFault{5, 300, kNeverRecovers});
-  return run_with(prog, trace, opts);
+  return run_streamed(prog, trace, opts);
 }
 
 TEST(EventEngine, MatchesLockstepUnderLaneFailureAndRecovery) {
@@ -134,7 +129,7 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   opts.faults.phantom_loss_rate = 0.02;
   opts.faults.phantom_delay_rate = 0.05;
   opts.faults.phantom_extra_delay = 12;
-  const auto run = run_with(prog, trace, opts);
+  const auto run = run_streamed(prog, trace, opts);
   EXPECT_GT(run.result.phantom_lost + run.result.phantom_delayed, 0u);
   expect_golden("phantom_channel_faults", run);
 }
@@ -150,7 +145,7 @@ TEST(EventEngine, MatchesLockstepUnderStallsAndPressure) {
   opts.faults.stalls.push_back(StageStall{1, 2, 100, 180});
   opts.faults.stalls.push_back(StageStall{3, 1, 400, 450});
   opts.faults.fifo_pressure.push_back(FifoPressure{200, 260, 1});
-  const auto run = run_with(prog, trace, opts);
+  const auto run = run_streamed(prog, trace, opts);
   EXPECT_GT(run.result.stalled_cycles, 0u);
   expect_golden("stalls_and_pressure", run);
 }
@@ -165,7 +160,7 @@ TEST(EventEngine, SkipsUnderFaultPlansWhereLockstepCannot) {
   auto opts = mp5_options(4, 11);
   opts.faults.stalls.push_back(StageStall{1, 1, 500, 9000});
   opts.faults.pipeline_faults.push_back(PipelineFault{2, 4000, 12000});
-  const auto run = run_with(prog, trace, opts);
+  const auto run = run_streamed(prog, trace, opts);
   EXPECT_GT(run.result.stalled_cycles, 1000u); // empty stalled cycles counted
   EXPECT_EQ(run.result.pipeline_failures, 1u);
   expect_golden("skip_under_fault_plan", run);
@@ -198,7 +193,7 @@ TEST(EventEngine, IdenticalTelemetryAndTimeline) {
   auto opts = mp5_options(4, 2);
   opts.telemetry = &telem;
   opts.timeline = [&events](const TimelineEvent& e) { events.push_back(e); };
-  const auto run = run_with(prog, trace, opts);
+  const auto run = run_streamed(prog, trace, opts);
   expect_golden("telemetry_result", run);
 
   // The stream without its blocked spans, then the set of blocked cells
@@ -251,7 +246,7 @@ TEST(EventEngine, ExternalClockingMatchesRun) {
   const auto trace = make_synthetic_trace(config);
 
   auto opts = mp5_options(4, 6);
-  const auto whole = run_with(prog, trace, opts);
+  const auto whole = run_streamed(prog, trace, opts);
 
   StreamedRun stepped;
   stepped.streams.attach(opts);
@@ -277,8 +272,8 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
   auto opts = mp5_options(4, 4);
   opts.paranoid_checks = true; // the watchdog cross-checks bit vs occupancy
   const auto lockstep_opts = mp5_options(4, 4);
-  expect_same_run(run_with(prog, trace, lockstep_opts),
-                  run_with(prog, trace, opts));
+  expect_same_run(run_streamed(prog, trace, lockstep_opts),
+                  run_streamed(prog, trace, opts));
 }
 
 // --- idle-cycle skip -----------------------------------------------------
@@ -286,15 +281,15 @@ TEST(EventEngine, ParanoidChecksValidateActivityBitmap) {
 TEST(FastForward, IdenticalResultsOnSparseTrace) {
   const auto prog = compile_mp5(apps::make_synthetic_source(3, 128));
   // ~100 idle cycles between packets.
-  const auto sparse = run_with(prog, synthetic(3, 128, 4, 400, 0.01),
-                               mp5_options(4, 1));
+  const auto sparse = run_streamed(prog, synthetic(3, 128, 4, 400, 0.01),
+                                   mp5_options(4, 1));
   EXPECT_GT(sparse.result.cycles_run, 5000u); // the sparse trace really is sparse
   expect_golden("sparse_k4", sparse);
   // Wider and less sparse: some cycles skip, most do not.
   const auto prog4 = compile_mp5(apps::make_synthetic_source(4, 256));
   expect_golden("sparse_k8_load005",
-                run_with(prog4, synthetic(4, 256, 8, 500, 0.05),
-                         mp5_options(8, 9)));
+                run_streamed(prog4, synthetic(4, 256, 8, 500, 0.05),
+                             mp5_options(8, 9)));
 }
 
 TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
@@ -306,7 +301,7 @@ TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
     auto opts = kVariants[vi].make(4, 2);
     opts.realistic_phantom_channel = opts.phantoms;
     expect_golden(std::string("channel_remap_") + kVariants[vi].name,
-                  run_with(prog, trace, opts));
+                  run_streamed(prog, trace, opts));
   }
 }
 
@@ -321,7 +316,7 @@ TEST(FastForward, SkipsEmptyWindowRemapBoundariesBitIdentically) {
   const auto trace = synthetic(3, 128, 4, 300, 0.002);
   for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
     const auto opts = kVariants[vi].make(4, 2);
-    const auto run = run_with(prog, trace, opts);
+    const auto run = run_streamed(prog, trace, opts);
     // The trace spans several remap periods, so empty-window boundaries
     // really occur between the sparse arrivals.
     EXPECT_GT(run.result.cycles_run, 10 * opts.remap_period);
@@ -344,7 +339,7 @@ TimedRun timed_run(const Mp5Program& prog, const Trace& trace,
                    SimOptions opts) {
   TimedRun out;
   opts.timeline = [&out](const TimelineEvent& e) { out.events.push_back(e); };
-  static_cast<StreamedRun&>(out) = run_with(prog, trace, opts);
+  static_cast<StreamedRun&>(out) = run_streamed(prog, trace, opts);
   return out;
 }
 

@@ -3,6 +3,7 @@
 // bit-identity, and the baseline designs streaming into the same
 // verifier.
 #include <memory>
+#include <optional>
 #include <typeinfo>
 #include <string>
 #include <utility>
@@ -81,7 +82,7 @@ TEST(RollingVerifier, AgreesWithBatchChecker) {
 
   // The seq-indexed batch comparator, over the same run's egress rows.
   std::vector<std::vector<Value>> rows;
-  opts.egress_sink = test::egress_by_seq_sink(rows);
+  opts.egress_sink = egress_by_seq_sink(rows);
   opts.fault_drop_sink = nullptr;
   const SimResult again = Mp5Simulator(prog, opts).run(trace);
   const EquivalenceReport batch =
@@ -172,6 +173,87 @@ TEST(RollingVerifier, FinishFlagsNeverEgressed) {
   const EquivalenceReport report = verifier->finish(run_end(trace.size(), {}));
   EXPECT_FALSE(report.packets_equal);
   EXPECT_EQ(report.packet_mismatches, trace.size());
+}
+
+TEST(RollingVerifier, FarOutOfRangeSeqLeavesTheWindowAlone) {
+  const Mp5Program prog = soak_program();
+  const Trace trace = soak_trace(prog, 10, 13);
+  const auto ref = test::run_reference(prog, trace);
+
+  auto verifier = make_verifier(prog, trace);
+  EgressRecord rec;
+  rec.seq = 1000000; // the reference holds 10 packets
+  verifier->on_fault_drop(999999, /*state_touched=*/false);
+  verifier->on_egress(std::move(rec));
+  EXPECT_EQ(verifier->window_peak(), 0u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    feed_reference_egress(*verifier, i, ref.egress_headers[i]);
+  }
+  const EquivalenceReport report =
+      verifier->finish(run_end(trace.size(), ref.final_registers));
+  EXPECT_FALSE(report.packets_equal);
+  EXPECT_EQ(report.packet_mismatches, 2u);
+  EXPECT_TRUE(report.registers_equal);
+  EXPECT_NE(report.first_difference.find("out-of-range seq 999999"),
+            std::string::npos)
+      << report.first_difference;
+}
+
+/// A reference stream that does not know its length, as a CSV file's.
+class UnsizedSource final : public TraceSource {
+public:
+  explicit UnsizedSource(const Trace& trace) : inner_(trace) {}
+  const TraceItem* peek() override { return inner_.peek(); }
+  void advance() override { inner_.advance(); }
+  std::uint64_t consumed() const override { return inner_.consumed(); }
+  void skip_to(std::uint64_t n) override { inner_.skip_to(n); }
+  std::optional<std::uint64_t> size() const override { return std::nullopt; }
+
+private:
+  VectorTraceSource inner_;
+};
+
+TEST(RollingVerifier, FinishFlagsSeqsPastTheRunBehindAHole) {
+  const Mp5Program prog = soak_program();
+  const Trace trace = soak_trace(prog, 10, 14);
+  const auto ref = test::run_reference(prog, trace);
+
+  soak::RollingVerifier verifier(prog.pvsm,
+                                 std::make_unique<UnsizedSource>(trace));
+  // Packet 5 never egresses, and a record names seq 11 of a 10-packet
+  // run: it waits behind the hole at 5, and finish() must still count it.
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (i != 5) feed_reference_egress(verifier, i, ref.egress_headers[i]);
+  }
+  feed_reference_egress(verifier, 11, ref.egress_headers[0]);
+  const EquivalenceReport report =
+      verifier.finish(run_end(trace.size(), ref.final_registers));
+  EXPECT_FALSE(report.packets_equal);
+  EXPECT_EQ(report.packet_mismatches, 2u);
+  EXPECT_NE(report.first_difference.find("out-of-range seq 11"),
+            std::string::npos)
+      << report.first_difference;
+  EXPECT_EQ(verifier.verified(), 5u);
+}
+
+TEST(RollingVerifier, FinishFlagsASeqPastTheRunWithoutAHole) {
+  const Mp5Program prog = soak_program();
+  const Trace trace = soak_trace(prog, 10, 15);
+  const auto ref = test::run_reference(prog, trace);
+
+  soak::RollingVerifier verifier(prog.pvsm,
+                                 std::make_unique<UnsizedSource>(trace));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    feed_reference_egress(verifier, i, ref.egress_headers[i]);
+  }
+  feed_reference_egress(verifier, 11, ref.egress_headers[0]);
+  const EquivalenceReport report =
+      verifier.finish(run_end(trace.size(), ref.final_registers));
+  EXPECT_FALSE(report.packets_equal);
+  EXPECT_EQ(report.packet_mismatches, 1u);
+  EXPECT_NE(report.first_difference.find("out-of-range seq 11"),
+            std::string::npos)
+      << report.first_difference;
 }
 
 TEST(RollingVerifier, WindowOverflowThrows) {
@@ -392,7 +474,7 @@ TEST(RollingVerifier, AgreesWithSeqIndexedCheckerOnBaselines) {
       const test::StreamedRun run =
           test::run_streamed<Sim>(prog, trace, opts);
       std::vector<std::vector<Value>> rows;
-      const auto to_rows = test::egress_by_seq_sink(rows);
+      const auto to_rows = egress_by_seq_sink(rows);
       for (EgressRecord rec : run.streams.egress) to_rows(std::move(rec));
       const EquivalenceReport batch = check_equivalence(
           prog.pvsm, reference, run.result.final_registers, rows);

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -105,16 +104,6 @@ inline EquivalenceReport check_against_oracle(
                            final_registers, egress_by_seq);
 }
 
-/// An egress sink that stores each record's headers at its seq in `rows`,
-/// the form the seq-indexed check_equivalence reads.
-inline std::function<void(EgressRecord&&)> egress_by_seq_sink(
-    std::vector<std::vector<Value>>& rows) {
-  return [&rows](EgressRecord&& rec) {
-    if (rows.size() <= rec.seq) rows.resize(rec.seq + 1);
-    rows[rec.seq] = std::move(rec.headers);
-  };
-}
-
 /// Run `Sim` on `opts` over `trace` with its egress and drops streamed
 /// into a RollingVerifier, and return the verdict against the reference.
 template <class Sim = Mp5Simulator, class Options>
@@ -137,21 +126,9 @@ inline EquivalenceReport run_and_check(const Mp5Program& prog,
   return run_verified(prog, trace, std::move(opts));
 }
 
-/// A run's result and the packets its sinks emitted.
-struct StreamedRun {
-  SimResult result;
-  PacketStreams streams;
-};
-
-/// Run `Sim` on `opts` over `trace`, collecting its per-packet streams.
-template <class Sim = Mp5Simulator, class Options>
-StreamedRun run_streamed(const Mp5Program& prog, const Trace& trace,
-                         Options opts) {
-  StreamedRun run;
-  run.streams.attach(opts);
-  run.result = Sim(prog, opts).run(trace);
-  return run;
-}
+using soak::run_streamed;
+using soak::StreamedRun;
+using soak::verify_streams;
 
 /// result_digest, then every egress record and every drop in emission
 /// order: pins a run's per-packet output along with its result.
@@ -172,17 +149,6 @@ inline std::uint64_t streamed_digest(const StreamedRun& run) {
     d.add(std::uint64_t{f.state_touched});
   }
   return d.value();
-}
-
-/// Feed a run's streams (as collected, or doctored by a test) through a
-/// RollingVerifier against the reference over `trace`.
-inline EquivalenceReport verify_streams(const Mp5Program& prog,
-                                        const Trace& trace,
-                                        const StreamedRun& run) {
-  soak::RollingVerifier verifier(prog.pvsm,
-                                 std::make_unique<VectorTraceSource>(trace));
-  verifier.feed(run.streams);
-  return verifier.finish(run.result);
 }
 
 /// Both runs' results are field-by-field equal and their streams equal.

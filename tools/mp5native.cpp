@@ -136,12 +136,7 @@ int run(int argc, char** argv) {
   // The oracle compares every packet's declared fields, by seq.
   native::NativeOptions nopts = args.native;
   std::vector<std::vector<Value>> egress_by_seq;
-  if (args.check) {
-    nopts.egress_sink = [&egress_by_seq](EgressRecord&& rec) {
-      if (egress_by_seq.size() <= rec.seq) egress_by_seq.resize(rec.seq + 1);
-      egress_by_seq[rec.seq] = std::move(rec.headers);
-    };
-  }
+  if (args.check) nopts.egress_sink = egress_by_seq_sink(egress_by_seq);
 
   // Resolve traffic. The oracle needs the materialized trace; pure
   // throughput runs stream it.
