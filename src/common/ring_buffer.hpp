@@ -13,6 +13,7 @@
 // recording the depth high-water mark.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,7 +28,8 @@ public:
   /// capacity == 0 means unbounded (grow on demand).
   explicit RingFifo(std::size_t capacity = 0)
       : bounded_(capacity != 0),
-        buf_(capacity != 0 ? capacity : kInitialUnboundedSlots) {}
+        buf_(capacity != 0 ? capacity : kInitialUnboundedSlots),
+        pow2_(std::has_single_bit(buf_.size())) {}
 
   bool empty() const noexcept { return size_ == 0; }
   bool full() const noexcept { return bounded_ && size_ == buf_.size(); }
@@ -112,7 +114,9 @@ private:
   static constexpr std::size_t kInitialUnboundedSlots = 16;
 
   std::size_t physical(std::uint64_t vidx) const noexcept {
-    return static_cast<std::size_t>(vidx % buf_.size());
+    // Unbounded buffers only double, so they mask instead of dividing.
+    return static_cast<std::size_t>(pow2_ ? vidx & (buf_.size() - 1)
+                                          : vidx % buf_.size());
   }
 
   void grow() {
@@ -128,6 +132,7 @@ private:
 
   bool bounded_;
   std::vector<T> buf_;
+  bool pow2_; // buf_.size() is a power of two
   std::uint64_t head_vidx_ = 0;
   std::size_t size_ = 0;
   std::size_t high_water_ = 0;

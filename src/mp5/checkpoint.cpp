@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -195,17 +194,18 @@ std::uint64_t config_fingerprint(const Mp5Program& program,
   fp.u64(options.fifo_capacity);
   fp.u32(options.remap_period);
   fp.u32(static_cast<std::uint32_t>(options.sharding));
-  fp.b(options.realistic_phantom_channel);
   fp.b(options.phantoms);
   fp.b(options.ideal_queues);
   fp.b(options.naive_single_pipeline);
   fp.u64(options.starvation_threshold);
   fp.u64(options.ecn_threshold);
   fp.u64(options.seed);
-  // Payload revision: 3 since the result carries no egress or fault-drop
-  // log and no per-flow egress map (2 made the named counts bare values,
-  // 1 added the two histograms), so an older checkpoint is refused.
-  fp.u32(3);
+  // Payload revision: 4 since phantoms travel on per-stage delivery rings
+  // and each plan entry holds its phantom's channel state (3 dropped the
+  // egress and fault-drop logs and the per-flow egress map, 2 made the
+  // named counts bare values, 1 added the two histograms), so an older
+  // checkpoint is refused.
+  fp.u32(4);
   // Fault plan: the schedule is part of the deterministic run definition.
   const FaultPlan& plan = options.faults;
   fp.u64(plan.pipeline_faults.size());
@@ -293,62 +293,27 @@ void Mp5Simulator::transfer(Io& io, Cycle& now, std::uint64_t& consumed) {
     });
   }
 
-  // Phantom channel: slots (including dead ones — the freelist references
-  // them by position), freelist in exact order (it decides the next slot
-  // recycled), and the heap's raw array (stale lazy-deletion entries and
-  // all; the array *is* the heap). channel_index_ and channel_live_ are
-  // derived and rebuilt on restore.
-  io.seq(channel_slots_, 37, [&](PendingPhantom& rec) {
-    io.u64(rec.seq);
-    io.u32(rec.reg);
-    io.u32(rec.index);
-    io.u32(rec.pipeline);
-    io.u32(rec.stage);
-    io.u32(rec.lane);
-    io.boolean(rec.cancelled);
-    io.u64(rec.stamp);
-    io.check(rec.stamp == 0 || (rec.pipeline < k_ && rec.stage < num_stages_),
-             "checkpoint: channel record addresses an invalid cell");
-  });
-  io.seq(channel_free_, 4, [&](std::uint32_t& slot) {
-    io.u32(slot);
-    io.check(slot < channel_slots_.size() && channel_slots_[slot].stamp == 0,
-             "checkpoint: channel freelist references a live slot");
-  });
-  io.seq(channel_heap_, 28, [&](ChannelDue& due) {
-    io.u64(due.deliver);
-    io.u64(due.seq);
-    io.u32(due.slot);
-    io.u64(due.stamp);
-    io.check(due.slot < channel_slots_.size(),
-             "checkpoint: channel heap entry out of range");
-  });
-  io.u64(channel_next_stamp_);
-  if constexpr (Io::kLoad) {
-    channel_index_.clear();
-    channel_live_ = 0;
-    for (std::uint32_t i = 0; i < channel_slots_.size(); ++i) {
-      const PendingPhantom& rec = channel_slots_[i];
-      if (rec.stamp == 0) continue;
-      channel_index_[ChannelKey{rec.seq, rec.pipeline, rec.stage}] = i;
-      ++channel_live_;
+  // Phantom channel: each stage's delivery ring in seq order, then the
+  // delayed queue (any stage).
+  const auto phantom = [&](ChannelPhantom& ph, StageId ring_stage) {
+    ph.transfer(io);
+    io.check((ring_stage == kNoStage ? ph.stage < num_stages_
+                                     : ph.stage == ring_stage) &&
+                 ph.pipeline < k_ && ph.lane < k_,
+             "checkpoint: channel phantom addresses an invalid cell");
+  };
+  for (StageId st = 0; st < num_stages_; ++st) {
+    RingFifo<ChannelPhantom>& ring = channel_[st];
+    std::size_t n = ring.size();
+    io.count(n, 44);
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (Io::kLoad) ring.push(ChannelPhantom{});
+      phantom(ring.at(ring.base_vidx() + i), st);
     }
-    due_scratch_.clear();
   }
-
-  for (auto& lane_set : lost_phantoms_) {
-    io.sorted(
-        lane_set, 16,
-        [&](ChannelKey& key) {
-          io.u64(key.seq);
-          io.u32(key.pipeline);
-          io.u32(key.stage);
-        },
-        [](const ChannelKey& a, const ChannelKey& b) {
-          return std::tie(a.seq, a.pipeline, a.stage) <
-                 std::tie(b.seq, b.pipeline, b.stage);
-        });
-  }
+  io.seq(channel_delayed_, 44, [&](ChannelPhantom& ph) {
+    phantom(ph, kNoStage);
+  });
 
   io.u64(fault_cursor_);
   io.check(fault_cursor_ <= fault_sched_.lane_events().size(),

@@ -9,17 +9,17 @@
 //     index, so the failure is masked at ~(k-1)/k throughput instead of
 //     taking the switch down;
 //   * transient stage-cell stalls (a cell processes nothing for a window);
-//   * phantom-channel loss and extra delay (only meaningful with
-//     SimOptions::realistic_phantom_channel — the instant-delivery model
-//     has no channel to fail);
+//   * phantom-channel loss and extra delay (§3.3's separate channel: a
+//     lost phantom orphans its data packet, a delayed one can land after
+//     it);
 //   * forced FIFO-capacity pressure windows (every stage FIFO behaves as
 //     if its capacity were clamped).
 //
 // The plan is pure configuration: the same plan + seed + trace always
 // reproduces the same fault sequence. Unavoidable packet losses are
-// declared in SimResult::dropped_fault (with per-packet records when
-// egress recording is on), so functional equivalence can still be checked
-// modulo the declared drop set.
+// declared in SimResult::dropped_fault and streamed to
+// SimOptions::fault_drop_sink, so functional equivalence can still be
+// checked modulo the declared drop set.
 #pragma once
 
 #include <cstdint>

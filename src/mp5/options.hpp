@@ -34,16 +34,10 @@ struct SimOptions {
 
   ShardingPolicy sharding = ShardingPolicy::kDynamic;
 
-  /// Model the phantom channel as a physical pipeline: a phantom
-  /// generated at arrival hops one stage per cycle on its dedicated
-  /// channel and reaches stage s after s cycles (the data packet needs at
-  /// least s+1: ingress plus per-stage processing, so phantoms still
-  /// always precede their data packets — Invariant 1). When false,
-  /// phantoms are delivered in the arrival cycle (an equivalent
-  /// simplification; see DESIGN.md).
-  bool realistic_phantom_channel = false;
-
-  /// Design principle D4 (phantom packets). Disabling reproduces the
+  /// Design principle D4 (phantom packets), sent on §3.3's separate
+  /// channel: a phantom generated at arrival hops one stage per cycle and
+  /// reaches stage s after s cycles, ahead of its data packet, which needs
+  /// ingress plus s processing cycles (Invariant 1). Disabling reproduces the
   /// "MP5 w/ D1-D3 but w/o D4" ablation of Figure 3 / §4.3.2: stateful
   /// packets are queued directly on arrival at the stateful stage, so
   /// ordering holds only among packets already present.
@@ -78,18 +72,18 @@ struct SimOptions {
   std::uint64_t seed = 1;
 
   /// Scheduled fault injection (see faults.hpp). An empty plan is a
-  /// fault-free run. Validated at simulator construction; phantom-channel
-  /// faults additionally require `realistic_phantom_channel`, and
-  /// pipeline failures require a sharding policy that can re-home state
-  /// (not kSinglePipeline).
+  /// fault-free run. Validated at simulator construction; pipeline
+  /// failures require a sharding policy that can re-home state (not
+  /// kSinglePipeline).
   FaultPlan faults;
 
   /// Per-cycle runtime invariant watchdog: validates Invariant 1 (per-lane
   /// FIFO ordering), Invariant 2 (queued entries are stateful), FIFO
-  /// occupancy and live-packet accounting, and phantom-directory/channel
-  /// consistency, throwing InvariantError instead of silently corrupting
-  /// results. Costs O(queued entries) per cycle — opt-in for tests and
-  /// debugging.
+  /// occupancy and live-packet accounting, phantom-directory/channel
+  /// consistency, and that every state access executes at the index its
+  /// packet planned at arrival, throwing InvariantError instead of
+  /// silently corrupting results. Costs O(queued entries) per cycle —
+  /// opt-in for tests and debugging.
   bool paranoid_checks = false;
 
   // -- soak mode: checkpointing and streaming sinks (ISSUE 6) --

@@ -10,6 +10,28 @@ namespace {
 
 bool entry_live(const PlannedAccess& e) { return !e.done && !e.cancelled; }
 
+/// Forwards a packet's state accesses to its C1 observer and records the
+/// first one off the access planned at arrival (SimOptions::
+/// paranoid_checks): a pinned array's index is planned unresolved, so only
+/// its register is compared.
+struct PlanCheckObserver final : ir::AccessObserver {
+  PlanCheckObserver(C1Observer& c1, const PlannedAccess& planned)
+      : c1(&c1), planned(&planned) {}
+
+  void on_state_access(RegId reg, RegIndex index, bool is_write) override {
+    c1->on_state_access(reg, index, is_write);
+    if (off_plan) return;
+    off_plan = reg != planned->reg || (planned->index != kUnresolvedIndex &&
+                                       index != planned->index);
+    executed_index = index;
+  }
+
+  C1Observer* c1;
+  const PlannedAccess* planned;
+  bool off_plan = false;
+  RegIndex executed_index = 0;
+};
+
 } // namespace
 
 Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
@@ -48,12 +70,6 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
         "receive the blobs");
   }
   opts_.faults.validate(opts_.pipelines);
-  if (opts_.faults.has_phantom_faults() && !opts_.realistic_phantom_channel) {
-    throw ConfigError(
-        "SimOptions: phantom loss/delay faults need "
-        "realistic_phantom_channel (instant delivery has no channel to "
-        "fail)");
-  }
   if (!opts_.faults.pipeline_faults.empty() &&
       opts_.sharding == ShardingPolicy::kSinglePipeline) {
     throw ConfigError(
@@ -73,7 +89,12 @@ Mp5Simulator::Mp5Simulator(const Mp5Program& program, const SimOptions& options)
   fault_rng_ = rng.fork();
   fault_sched_ = FaultSchedule(opts_.faults, k_);
   lane_alive_.assign(k_, true);
-  lost_phantoms_.resize(k_);
+  channel_.resize(num_stages_);
+  for (const AccessDescriptor& access : prog_->accesses) { // stage order
+    if (stateful_stages_.empty() || stateful_stages_.back() != access.stage) {
+      stateful_stages_.push_back(access.stage);
+    }
+  }
 
   const std::size_t cells =
       static_cast<std::size_t>(k_) * static_cast<std::size_t>(num_stages_);
@@ -218,7 +239,7 @@ void Mp5Simulator::step_cycle(Cycle now) {
     result_.last_arrival = now;
   }
   // 1b. Phantom channel: deliver phantoms whose hop count has elapsed.
-  if (opts_.realistic_phantom_channel) deliver_due_phantoms(now);
+  deliver_due_phantoms(now);
   // 2. Ingress: each live pipeline admits one packet into the AR stage.
   for (PipelineId p = 0; p < k_; ++p) {
     if (!lane_alive_[p]) continue;
@@ -365,8 +386,11 @@ Cycle Mp5Simulator::next_event_cycle(Cycle now) {
   Cycle target = static_cast<Cycle>(source_->peek()->arrival_time);
   // A cancelled phantom still in flight is delivered as a zombie at its
   // scheduled cycle and costs a wasted pop afterwards.
-  if (const auto deliver = channel_next_deliver(); deliver.has_value()) {
-    target = std::min(target, *deliver);
+  for (const auto& ring : channel_) {
+    if (!ring.empty()) target = std::min(target, ring.front().deliver);
+  }
+  for (const ChannelPhantom& ph : channel_delayed_) {
+    target = std::min(target, ph.deliver);
   }
   // Remap boundaries are observable while the shard map's window is dirty
   // (the rebalance could move shards or reset live counters); with a
@@ -433,91 +457,70 @@ void Mp5Simulator::close_blocked_span(std::size_t c, Cycle now) {
 }
 
 // ---------------------------------------------------------------------------
-// Phantom channel (slot pool + lazy-deletion min-heap)
+// Phantom channel (one delivery ring per stage)
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Min-heap order on (deliver, seq) for std::*_heap (which build max-heaps,
-/// hence the inverted comparisons).
-constexpr auto kChannelDueLater = [](const auto& a, const auto& b) {
-  if (a.deliver != b.deliver) return a.deliver > b.deliver;
-  return a.seq > b.seq;
-};
-} // namespace
-
-void Mp5Simulator::channel_push(Cycle deliver, const PendingPhantom& rec) {
-  std::uint32_t slot;
-  if (!channel_free_.empty()) {
-    slot = channel_free_.back();
-    channel_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(channel_slots_.size());
-    channel_slots_.emplace_back();
-  }
-  PendingPhantom& dst = channel_slots_[slot];
-  dst = rec;
-  dst.stamp = channel_next_stamp_++;
-  channel_heap_.push_back(ChannelDue{deliver, dst.seq, slot, dst.stamp});
-  std::push_heap(channel_heap_.begin(), channel_heap_.end(), kChannelDueLater);
-  channel_index_[ChannelKey{dst.seq, dst.pipeline, dst.stage}] = slot;
-  ++channel_live_;
-}
-
-void Mp5Simulator::channel_free_slot(std::uint32_t slot) {
-  channel_slots_[slot].stamp = 0; // invalidates any heap entry lazily
-  channel_free_.push_back(slot);
-  --channel_live_;
-}
-
-std::optional<Cycle> Mp5Simulator::channel_next_deliver() {
-  while (!channel_heap_.empty()) {
-    const ChannelDue& top = channel_heap_.front();
-    if (channel_slots_[top.slot].stamp == top.stamp) return top.deliver;
-    std::pop_heap(channel_heap_.begin(), channel_heap_.end(),
-                  kChannelDueLater);
-    channel_heap_.pop_back();
-  }
-  return std::nullopt;
-}
-
 void Mp5Simulator::deliver_due_phantoms(Cycle now) {
-  // Collect everything due, then push in global arrival (seq) order so
-  // every FIFO receives its phantoms in generation order (Invariant 1).
-  due_scratch_.clear();
-  while (!channel_heap_.empty() && channel_heap_.front().deliver <= now) {
-    const ChannelDue top = channel_heap_.front();
-    std::pop_heap(channel_heap_.begin(), channel_heap_.end(),
-                  kChannelDueLater);
-    channel_heap_.pop_back();
-    PendingPhantom& rec = channel_slots_[top.slot];
-    if (rec.stamp != top.stamp) continue; // stale: erased/recycled slot
-    due_scratch_.push_back(rec);
-    channel_index_.erase(ChannelKey{rec.seq, rec.pipeline, rec.stage});
-    channel_free_slot(top.slot);
-  }
-  if (due_scratch_.empty()) return;
-  std::sort(due_scratch_.begin(), due_scratch_.end(),
-            [](const PendingPhantom& a, const PendingPhantom& b) {
-              return a.seq < b.seq;
-            });
-  for (const auto& pending : due_scratch_) {
-    if (!push_counted(pending.pipeline, pending.stage, pending.seq,
-                      pending.reg, pending.index, pending.lane, now)) {
-      ++result_.dropped_phantom;
-      continue; // the data packet will miss its placeholder and be dropped
+  while (channel_due_ <= now) {
+    // The due phantom of least seq, and the channel's next delivery cycle.
+    Cycle due = ~Cycle{0}; // none
+    RingFifo<ChannelPhantom>* ring = nullptr;
+    for (const StageId st : stateful_stages_) {
+      RingFifo<ChannelPhantom>& r = channel_[st];
+      if (r.empty()) continue;
+      due = std::min(due, r.front().deliver);
+      if (r.front().deliver <= now &&
+          (ring == nullptr || r.front().seq < ring->front().seq)) {
+        ring = &r;
+      }
     }
-    emit(TimelineEvent::Kind::kPhantomPush, now, pending.pipeline,
-         pending.stage, pending.seq);
-    if (pending.cancelled) {
-      // Cancelled while in flight: arrives as a zombie (one wasted pop),
-      // which may be the head.
-      auto& fifo = fifo_at(pending.pipeline, pending.stage);
-      if (fifo.cancel(pending.seq)) ++counts_.fifo_cancel;
-      mark_active(pending.pipeline, pending.stage);
-      emit(TimelineEvent::Kind::kCancel, now, pending.pipeline,
-           pending.stage, pending.seq);
+    auto delayed = channel_delayed_.end();
+    for (auto it = channel_delayed_.begin(); it != channel_delayed_.end();
+         ++it) {
+      due = std::min(due, it->deliver);
+      if (it->deliver <= now && delayed == channel_delayed_.end()) {
+        delayed = it;
+      }
+    }
+    channel_due_ = due;
+    if (delayed != channel_delayed_.end() &&
+        (ring == nullptr || delayed->seq < ring->front().seq)) {
+      const ChannelPhantom ph = *delayed;
+      channel_delayed_.erase(delayed);
+      land_phantom(ph, now);
+    } else if (ring != nullptr) {
+      const ChannelPhantom ph = ring->front();
+      ring->pop_front();
+      land_phantom(ph, now);
+    } else {
+      return;
     }
   }
+}
+
+void Mp5Simulator::land_phantom(const ChannelPhantom& ph, Cycle now) {
+  // A released packet (dropped while its phantom flew) no longer owns ref.
+  PhantomState* state = nullptr;
+  if (arena_.live(ph.ref) && arena_.get(ph.ref).seq == ph.seq) {
+    state = &arena_.get(ph.ref).plan[ph.entry].phantom;
+  }
+  const bool zombie = state == nullptr || *state == PhantomState::kCancelled;
+  if (!push_counted(ph.pipeline, ph.stage, ph.seq, ph.reg, ph.index, ph.lane,
+                    now)) {
+    ++result_.dropped_phantom;
+    // The data packet will miss its placeholder and be dropped.
+    if (!zombie) *state = PhantomState::kDropped;
+    return;
+  }
+  emit(TimelineEvent::Kind::kPhantomPush, now, ph.pipeline, ph.stage, ph.seq);
+  if (!zombie) {
+    *state = PhantomState::kDelivered;
+    return;
+  }
+  // Cancelled in flight (its kCancel event was emitted then): a zombie,
+  // one wasted pop, which may be the head.
+  if (fifo_at(ph.pipeline, ph.stage).cancel(ph.seq)) ++counts_.fifo_cancel;
+  mark_active(ph.pipeline, ph.stage);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,15 +563,16 @@ void Mp5Simulator::fail_lane(PipelineId p, Cycle now) {
 
   // 2. Phantoms in flight toward the dead lane vanish with its channel
   //    ports (their packets are swept below: the plan entry is live).
-  for (auto it = channel_index_.begin(); it != channel_index_.end();) {
-    if (channel_slots_[it->second].pipeline == p) {
-      channel_free_slot(it->second);
-      it = channel_index_.erase(it);
-    } else {
-      ++it;
+  for (auto& ring : channel_) {
+    for (std::size_t n = ring.size(); n-- > 0;) {
+      const ChannelPhantom ph = ring.front();
+      ring.pop_front();
+      if (ph.pipeline != p) ring.push(ph);
     }
   }
-  lost_phantoms_[p].clear();
+  std::erase_if(channel_delayed_, [p](const ChannelPhantom& ph) {
+    return ph.pipeline == p;
+  });
 
   // 3. Sweep the survivors for packets doomed to visit the dead lane: a
   //    live plan entry targeting it can no longer be served. Dropping them
@@ -745,24 +749,60 @@ void Mp5Simulator::check_invariants(Cycle now) const {
                              std::to_string(in_containers) +
                              " packets queued");
   }
-  if (opts_.realistic_phantom_channel) {
-    if (channel_index_.size() != channel_live_) {
+  // The phantom channel: each ring and the delayed queue hold phantoms in
+  // seq order, bound for live lanes; a phantom whose packet is live is
+  // that packet's in-flight or cancelled owner entry; and every in-flight
+  // owner entry of a live packet is on the channel.
+  std::uint64_t on_channel = 0;
+  const auto check_phantom = [&](const ChannelPhantom& ph, SeqNo& prev) {
+    const auto fail = [&](const std::string& what) {
       throw InvariantError("phantom-channel", now,
-                           "channel index size " +
-                               std::to_string(channel_index_.size()) +
-                               " != live channel records " +
-                               std::to_string(channel_live_));
+                           "phantom of seq " + std::to_string(ph.seq) +
+                               " for stage " + std::to_string(ph.stage) +
+                               " " + what);
+    };
+    if (prev != kInvalidSeqNo && ph.seq < prev) {
+      fail("follows seq " + std::to_string(prev) + " on the channel");
     }
-    for (const auto& [key, slot] : channel_index_) {
-      const PendingPhantom& rec = channel_slots_[slot];
-      if (rec.stamp == 0 || rec.seq != key.seq ||
-          rec.pipeline != key.pipeline || rec.stage != key.stage) {
-        throw InvariantError("phantom-channel", now,
-                             "channel index entry for seq " +
-                                 std::to_string(key.seq) +
-                                 " addresses the wrong record");
+    prev = ph.seq;
+    if (ph.pipeline >= k_ || !lane_alive_[ph.pipeline]) {
+      fail("is bound for dead lane " + std::to_string(ph.pipeline));
+    }
+    if (!arena_.live(ph.ref) || arena_.get(ph.ref).seq != ph.seq) return;
+    const auto& plan = arena_.get(ph.ref).plan;
+    if (ph.entry >= plan.size() || plan[ph.entry].phantom_owner != ph.entry ||
+        plan[ph.entry].pipeline != ph.pipeline ||
+        plan[ph.entry].stage != ph.stage ||
+        (plan[ph.entry].phantom != PhantomState::kInFlight &&
+         plan[ph.entry].phantom != PhantomState::kCancelled)) {
+      fail("is not an in-flight phantom of its packet's plan");
+    }
+    if (plan[ph.entry].phantom == PhantomState::kInFlight) ++on_channel;
+  };
+  for (const RingFifo<ChannelPhantom>& ring : channel_) {
+    SeqNo prev = kInvalidSeqNo;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      check_phantom(ring.at(ring.base_vidx() + i), prev);
+    }
+  }
+  SeqNo prev = kInvalidSeqNo;
+  for (const ChannelPhantom& ph : channel_delayed_) check_phantom(ph, prev);
+  std::uint64_t in_flight = 0;
+  for (PacketRef ref = 0; opts_.phantoms && ref < arena_.slot_count(); ++ref) {
+    if (!arena_.live(ref)) continue;
+    const auto& plan = arena_.get(ref).plan;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      if (plan[i].phantom_owner == i &&
+          plan[i].phantom == PhantomState::kInFlight) {
+        ++in_flight;
       }
     }
+  }
+  if (in_flight != on_channel) {
+    throw InvariantError("phantom-channel", now,
+                         std::to_string(in_flight) +
+                             " phantoms in flight but " +
+                             std::to_string(on_channel) + " on the channel");
   }
 }
 
@@ -829,51 +869,33 @@ void Mp5Simulator::admit(const TraceItem& item, Cycle now) {
       acc.phantom_owner = owner;
       acc.phantom_lane = lane_pred;
       if (owner == i) {
-        if (opts_.realistic_phantom_channel) {
-          // The phantom hops one stage per cycle on its own channel: it
-          // reaches stage s after s cycles, always ahead of the data
-          // packet (which needs ingress + s processing cycles).
-          acc.phantom_delivered = false;
-          const ChannelKey key{pkt.seq, acc.pipeline, acc.stage};
-          if (opts_.faults.phantom_loss_rate > 0.0 &&
-              fault_rng_.chance(opts_.faults.phantom_loss_rate)) {
-            // Injected channel loss: the phantom never arrives. The data
-            // packet finds no placeholder at its stateful stage and is
-            // dropped there with fault accounting (instead of
-            // deadlocking behind a hole in the order).
-            lost_phantoms_[acc.pipeline].insert(key);
-            ++result_.phantom_lost;
-          } else {
-            Cycle deliver = now + acc.stage;
-            if (opts_.faults.phantom_delay_rate > 0.0 &&
-                fault_rng_.chance(opts_.faults.phantom_delay_rate)) {
-              deliver += opts_.faults.phantom_extra_delay;
-              ++result_.phantom_delayed;
-            }
-            PendingPhantom pending;
-            pending.seq = pkt.seq;
-            pending.reg = acc.reg;
-            pending.index = acc.index;
-            pending.pipeline = acc.pipeline;
-            pending.stage = acc.stage;
-            pending.lane = lane_pred;
-            channel_push(deliver, pending);
-            ++counts_.phantom_sent;
-          }
+        // The phantom hops one stage per cycle on its own channel: it
+        // reaches stage s after s cycles, always ahead of the data packet
+        // (which needs ingress + s processing cycles).
+        if (opts_.faults.phantom_loss_rate > 0.0 &&
+            fault_rng_.chance(opts_.faults.phantom_loss_rate)) {
+          // Injected channel loss: the phantom never arrives. The data
+          // packet finds no placeholder at its stateful stage and is
+          // dropped there with fault accounting (instead of deadlocking
+          // behind a hole in the order).
+          acc.phantom = PhantomState::kLost;
+          ++result_.phantom_lost;
         } else {
-          if (!push_counted(acc.pipeline, acc.stage, pkt.seq, acc.reg,
-                            acc.index, lane_pred, now)) {
-            acc.phantom_dropped = true;
-            ++result_.dropped_phantom;
+          const ChannelPhantom ph{now + acc.stage, pkt.seq, ref,
+                                  static_cast<std::uint32_t>(i), acc.reg,
+                                  acc.index, acc.pipeline, acc.stage,
+                                  lane_pred};
+          if (opts_.faults.phantom_delay_rate > 0.0 &&
+              fault_rng_.chance(opts_.faults.phantom_delay_rate)) {
+            channel_delayed_.push_back(ph);
+            channel_delayed_.back().deliver += opts_.faults.phantom_extra_delay;
+            ++result_.phantom_delayed;
           } else {
-            ++counts_.phantom_sent;
-            emit(TimelineEvent::Kind::kPhantomPush, now, acc.pipeline,
-                 acc.stage, pkt.seq);
+            channel_[acc.stage].push(ph);
           }
+          channel_due_ = std::min(channel_due_, ph.deliver);
+          ++counts_.phantom_sent;
         }
-      } else {
-        acc.phantom_dropped = pkt.plan[owner].phantom_dropped;
-        acc.phantom_delivered = pkt.plan[owner].phantom_delivered;
       }
       lane_pred = acc.pipeline;
     }
@@ -945,37 +967,21 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
           fifo.insert_data(seq, ref);
           ++counts_.fifo_insert;
         }
-      } else if (acc->phantom_dropped) {
+      } else if (const PhantomState phantom =
+                     pkt.plan[acc->phantom_owner].phantom;
+                 phantom == PhantomState::kDropped) {
+        // The phantom was dropped at delivery (FIFO full): the regular
+        // §3.4 drop path.
         emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
         drop_packet(ref, DropCause::kData, now);
-      } else if (!fifo.has_phantom(pkt.seq)) {
-        if (!opts_.realistic_phantom_channel) {
-          // Defensive: phantom vanished despite not being flagged dropped.
-          throw Error("Mp5Simulator: phantom missing at insert");
-        }
-        // No placeholder for this data packet. Classify the orphan:
-        const ChannelKey key{pkt.seq, p, st};
-        if (lost_phantoms_[p].erase(key) != 0) {
-          // The phantom was lost on the channel (injected fault): drop the
-          // orphaned data packet with fault accounting instead of letting
-          // it deadlock the FIFO order.
-          emit(TimelineEvent::Kind::kDropFault, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kFault, now);
-        } else if (auto chan = channel_index_.find(key);
-                   chan != channel_index_.end()) {
-          // The phantom is still in flight (injected extra delay let the
-          // data packet overtake it — Invariant 1 broken for this packet).
-          // Drop the packet; the late phantom arrives pre-cancelled and
-          // costs one wasted pop.
-          channel_slots_[chan->second].cancelled = true;
-          emit(TimelineEvent::Kind::kDropFault, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kFault, now);
-        } else {
-          // The phantom was dropped at channel delivery (FIFO full): the
-          // regular §3.4 drop path.
-          emit(TimelineEvent::Kind::kDropData, now, p, st, pkt.seq);
-          drop_packet(ref, DropCause::kData, now);
-        }
+      } else if (phantom != PhantomState::kDelivered) {
+        // An orphan: its phantom was lost on the channel, or an injected
+        // extra delay let the data packet overtake it (Invariant 1 broken
+        // for this packet). Drop it with fault accounting instead of
+        // letting it deadlock the FIFO order; a late phantom is cancelled
+        // in flight by the drop and costs one wasted pop.
+        emit(TimelineEvent::Kind::kDropFault, now, p, st, pkt.seq);
+        drop_packet(ref, DropCause::kFault, now);
       } else {
         const SeqNo seq = pkt.seq;
         if (!fifo.insert_data(seq, ref)) {
@@ -1049,31 +1055,46 @@ void Mp5Simulator::step_cell(PipelineId p, StageId st, Cycle now) {
 }
 
 void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
-                                    bool from_fifo) {
+                                    bool from_fifo, Cycle now) {
   if (st == 0) return; // AR stage has no program atoms
   const ir::Stage& stage = prog_->pvsm.stages[st - 1];
 
   C1Observer obs(c1_, pkt.seq);
   for (const auto& atom : stage.atoms) {
-    bool allow_state = false;
+    const PlannedAccess* planned = nullptr;
     if (atom.stateful() && from_fifo) {
       for (const auto& e : pkt.plan) {
         if (e.stage == st && e.reg == atom.reg && !e.cancelled &&
             e.pipeline == p) {
-          allow_state = true;
+          planned = &e;
           break;
         }
       }
     }
-    if (atom.stateful() && !allow_state) {
+    if (atom.stateful() && planned == nullptr) {
       // Pass-through (or foreign-pipeline) execution: run the atom's pure
       // body but suppress state accesses. Their guards are false for this
       // packet by construction, so this matches reference semantics while
       // also protecting inactive register replicas.
       ir::exec_pure(atom.body, pkt.headers);
-    } else {
+    } else if (planned == nullptr || !opts_.paranoid_checks) {
       ir::exec_atom(atom, pkt.headers, state_->regs(), prog_->pvsm.registers,
                     &obs);
+    } else {
+      // Plan equals execution: the access runs where the packet planned
+      // it at arrival, the plan its phantom and steering followed.
+      PlanCheckObserver check(obs, *planned);
+      ir::exec_atom(atom, pkt.headers, state_->regs(), prog_->pvsm.registers,
+                    &check);
+      if (check.off_plan) {
+        throw InvariantError(
+            "planned-access-executed", now,
+            "packet seq " + std::to_string(pkt.seq) + " planned reg " +
+                std::to_string(planned->reg) + " index " +
+                std::to_string(planned->index) + " at stage " +
+                std::to_string(st) + " but executed index " +
+                std::to_string(check.executed_index));
+      }
     }
   }
 }
@@ -1081,7 +1102,7 @@ void Mp5Simulator::exec_stage_atoms(Packet& pkt, PipelineId p, StageId st,
 void Mp5Simulator::process_packet(PacketRef ref, PipelineId p, StageId st,
                                   bool from_fifo, Cycle now) {
   Packet& pkt = arena_.get(ref);
-  exec_stage_atoms(pkt, p, st, from_fifo);
+  exec_stage_atoms(pkt, p, st, from_fifo, now);
 
   if (from_fifo) {
     for (auto& e : pkt.plan) {
@@ -1126,23 +1147,19 @@ void Mp5Simulator::cancel_entry(Packet& pkt, std::size_t entry_idx,
   for (const auto& other : pkt.plan) {
     if (other.phantom_owner == owner && !other.cancelled) return;
   }
-  const auto& owner_acc = pkt.plan[owner];
-  if (owner_acc.phantom_dropped) return;
-  if (opts_.realistic_phantom_channel && !owner_acc.phantom_delivered) {
-    const ChannelKey key{pkt.seq, owner_acc.pipeline, owner_acc.stage};
-    // Lost on the channel (injected fault): there is nothing to cancel,
-    // just forget the pending orphan detection.
-    if (lost_phantoms_[owner_acc.pipeline].erase(key) != 0) return;
-    // Still on the phantom channel: mark it; it arrives as a zombie.
-    auto it = channel_index_.find(key);
-    if (it != channel_index_.end()) {
-      channel_slots_[it->second].cancelled = true;
-      return;
-    }
-    // Already delivered (the packet's flag is stale): fall through.
+  auto& owner_acc = pkt.plan[owner];
+  // Dropped at delivery or lost on the channel: there is nothing to cancel.
+  if (owner_acc.phantom != PhantomState::kInFlight &&
+      owner_acc.phantom != PhantomState::kDelivered) {
+    return;
   }
   emit(TimelineEvent::Kind::kCancel, now, owner_acc.pipeline, owner_acc.stage,
        pkt.seq);
+  if (owner_acc.phantom == PhantomState::kInFlight) {
+    // Still on the channel: it lands as a zombie.
+    owner_acc.phantom = PhantomState::kCancelled;
+    return;
+  }
   if (fifo_at(owner_acc.pipeline, owner_acc.stage).cancel(pkt.seq)) {
     ++counts_.fifo_cancel;
     // The cancelled phantom may be the head its cell sleeps on.

@@ -8,9 +8,10 @@
 //      <reg, index, pipeline, stage> via the index-to-pipeline map, and
 //      sprayed round-robin across pipeline ingress queues. Phantom packets
 //      are generated immediately (§3.3 "phantom packets are generated on
-//      packet arrival") and delivered over the phantom channel to their
-//      destination stage FIFOs — the channel does no processing en route
-//      (Invariant 1), modeled as same-cycle delivery in arrival order.
+//      packet arrival") and sent "on a separate channel" that hops one
+//      stage per cycle and does no processing en route: the phantom for
+//      stage s reaches its FIFO s cycles after admission, before its data
+//      packet can (Invariant 1).
 //   2. Each pipeline admits one packet per cycle from its ingress queue
 //      into the address-resolution stage (transformed stage 0).
 //   3. Every (pipeline, stage) cell processes at most one packet:
@@ -30,8 +31,11 @@
 //   * Packets live in a PacketArena and move between queues as 32-bit
 //     refs; the per-cell arrival buffers are fixed-stride dense slots and
 //     the (pipeline, stage) FIFO grid is one flat vector.
-//   * The realistic phantom channel is a slot pool plus a lazy-deletion
-//     min-heap instead of a multimap.
+//   * The phantom channel is one delivery ring per stage: admission
+//     follows seq order and every undelayed phantom for stage s is due at
+//     its admission cycle + s, so each ring is both seq- and due-ordered.
+//     The packet's plan entry holds its phantom's channel state, so a
+//     cancel or an orphaned data packet needs no lookup.
 //   * The stage walk is event-driven: an activity bitmap marks the cells
 //     that might make progress, and only those are visited. A cell whose
 //     FIFO head is a phantom sleeps until something can change that head,
@@ -49,15 +53,13 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "banzai/ir.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "metrics/c1_checker.hpp"
@@ -139,32 +141,36 @@ public:
   /// The run's packet pool, for tests (recycling/peak-live statistics).
   const PacketArena& arena() const { return arena_; }
 
-  /// Identity of one phantom in flight: a packet can have at most one
-  /// phantom per destination (pipeline, stage) cell, so this triple is
-  /// unique. (An earlier packed-uint64 encoding `(seq<<16)^(p<<8)^st`
-  /// collided: the seq shift XORs into the same bits as p and st, so e.g.
-  /// {seq=1<<48} aliased {p=0,st=0} variations — see test_robustness.)
-  struct ChannelKey {
+  /// One phantom on the §3.3 channel, from admission until it lands in
+  /// its stage FIFO. It carries its FIFO entry's fields, so a phantom
+  /// whose packet was dropped in flight still lands, as a zombie.
+  struct ChannelPhantom {
+    Cycle deliver = 0;
     SeqNo seq = kInvalidSeqNo;
+    PacketRef ref = kNullPacketRef; // its packet, while seq still owns ref
+    std::uint32_t entry = 0;        // the plan entry owning the phantom
+    RegId reg = 0;
+    RegIndex index = kUnresolvedIndex;
     PipelineId pipeline = 0;
     StageId stage = 0;
-    bool operator==(const ChannelKey&) const = default;
-  };
-  struct ChannelKeyHash {
-    std::size_t operator()(const ChannelKey& k) const noexcept {
-      // splitmix64-style mix of the three fields; no information is
-      // discarded before mixing, unlike the old packed key.
-      std::uint64_t x = k.seq;
-      x ^= (static_cast<std::uint64_t>(k.pipeline) << 32) ^
-           (static_cast<std::uint64_t>(k.stage) + 0x9e3779b97f4a7c15ULL);
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebULL;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
+    PipelineId lane = 0;
+
+    template <class Io> void transfer(Io& io) {
+      io.u64(deliver);
+      io.u64(seq);
+      io.u32(ref);
+      io.u32(entry);
+      io.u32(reg);
+      io.u32(index);
+      io.u32(pipeline);
+      io.u32(stage);
+      io.u32(lane);
     }
   };
+  /// The channel's delivery rings, one per stage, for tests.
+  const std::vector<RingFifo<ChannelPhantom>>& channel() const {
+    return channel_;
+  }
 
 private:
   /// One steered/advanced packet landing in a cell's arrival slots.
@@ -192,11 +198,16 @@ private:
   /// goes to sleep on the pushed phantom.
   bool push_counted(PipelineId p, StageId st, SeqNo seq, RegId reg,
                     RegIndex index, PipelineId lane, Cycle now);
+  /// Land every phantom due by `now`, in seq order across the rings and
+  /// the delayed queue, so every FIFO receives its phantoms in generation
+  /// order (Invariant 1).
   void deliver_due_phantoms(Cycle now);
+  void land_phantom(const ChannelPhantom& ph, Cycle now);
   void step_cell(PipelineId p, StageId st, Cycle now);
   void process_packet(PacketRef ref, PipelineId p, StageId st, bool from_fifo,
                       Cycle now);
-  void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo);
+  void exec_stage_atoms(Packet& pkt, PipelineId p, StageId st, bool from_fifo,
+                        Cycle now);
   void resolve_conservative_guards(Packet& pkt, StageId done_stage,
                                    Cycle now);
   void cancel_entry(Packet& pkt, std::size_t entry_idx, Cycle now);
@@ -299,32 +310,6 @@ private:
   /// awake.
   void close_blocked_span(std::size_t c, Cycle now);
 
-  // -- realistic phantom channel (slot pool + lazy-deletion min-heap) --
-
-  struct PendingPhantom {
-    SeqNo seq = kInvalidSeqNo;
-    RegId reg = 0;
-    RegIndex index = kUnresolvedIndex;
-    PipelineId pipeline = 0;
-    StageId stage = 0;
-    PipelineId lane = 0;
-    bool cancelled = false;
-    /// Nonzero while the slot is live; heap entries carry the stamp they
-    /// were pushed with, so a recycled slot invalidates them lazily.
-    std::uint64_t stamp = 0;
-  };
-  struct ChannelDue {
-    Cycle deliver = 0;
-    SeqNo seq = kInvalidSeqNo;
-    std::uint32_t slot = 0;
-    std::uint64_t stamp = 0;
-  };
-  void channel_push(Cycle deliver, const PendingPhantom& rec);
-  void channel_free_slot(std::uint32_t slot);
-  /// Delivery cycle of the earliest live in-flight phantom (drops stale
-  /// heap entries as a side effect).
-  std::optional<Cycle> channel_next_deliver();
-
   // -- fault injection & graceful degradation --
 
   /// Process every scheduled lane fail/recover event due at or before
@@ -371,14 +356,16 @@ private:
 
   std::vector<std::deque<PacketRef>> ingress_;
 
-  std::vector<PendingPhantom> channel_slots_;
-  std::vector<std::uint32_t> channel_free_;
-  std::vector<ChannelDue> channel_heap_; // min-heap by (deliver, seq)
-  std::unordered_map<ChannelKey, std::uint32_t, ChannelKeyHash>
-      channel_index_; // (seq, pipeline, stage) -> live slot
-  std::uint64_t channel_next_stamp_ = 1;
-  std::size_t channel_live_ = 0;
-  std::vector<PendingPhantom> due_scratch_; // reused by deliver_due_phantoms
+  /// The phantom channel: [stage] -> its phantoms in seq order, each due
+  /// at admission + stage. Phantoms given an injected extra delay wait in
+  /// channel_delayed_ instead, also in seq order.
+  std::vector<RingFifo<ChannelPhantom>> channel_;
+  std::vector<ChannelPhantom> channel_delayed_;
+  std::vector<StageId> stateful_stages_; // the stages a phantom can target
+  /// At most the next delivery cycle on the channel (~0 when it is empty),
+  /// so delivery scans the channel only once something may be due.
+  /// Derived, never checkpointed: a restored run starts at 0 and rescans.
+  Cycle channel_due_ = 0;
 
   TraceSource* source_ = nullptr; // non-owning, valid during run_loop only
   Cycle next_checkpoint_ = 0;     // next cycle boundary to checkpoint at
@@ -401,11 +388,6 @@ private:
   Rng fault_rng_{0};              // phantom loss/delay coin flips
   std::vector<bool> lane_alive_;  // mirrors ShardedState liveness
   std::size_t current_pressure_ = 0;
-  /// Phantoms lost on the channel: their data packets are orphans and must
-  /// be dropped as faults (not as regular data drops) when they reach the
-  /// stateful stage. Erased on detection or cancellation. Partitioned by
-  /// destination lane so a lane failure clears its own set.
-  std::vector<std::unordered_set<ChannelKey, ChannelKeyHash>> lost_phantoms_;
   /// Most recent lane-failure cycle with no egress since; kInvalidSeqNo-like
   /// sentinel via awaiting flag. Feeds SimResult::time_to_recover.
   Cycle fail_marker_ = 0;

@@ -57,8 +57,8 @@ template <class Io> void transfer_packet(Io& io, Packet& pkt) {
     io.boolean(a.done);
     io.u32(a.phantom_lane);
     io.u64(a.phantom_owner);
-    io.boolean(a.phantom_dropped);
-    io.boolean(a.phantom_delivered);
+    io.u8_enum(a.phantom, PhantomState::kCancelled,
+               "checkpoint: invalid PhantomState value");
   });
   io.u64(pkt.next_access);
 }

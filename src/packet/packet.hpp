@@ -43,6 +43,19 @@ enum class GuardStatus : std::uint8_t {
   kConservative,
 };
 
+/// Where a phantom packet is on its way to its stage FIFO (§3.3: phantoms
+/// travel "on a separate channel"). Kept on the plan entry that owns the
+/// phantom (see PlannedAccess::phantom_owner).
+enum class PhantomState : std::uint8_t {
+  kInFlight,  // on the channel, not yet at its stage FIFO
+  kDelivered, // queued at its stage FIFO (or replaced there by its packet)
+  kDropped,   // refused by a full FIFO at delivery; the packet is dropped
+              // at that stage (§3.4)
+  kLost,      // lost on the channel (injected fault): the packet is an
+              // orphan, dropped as a fault at that stage
+  kCancelled, // cancelled in flight: it lands as a zombie (one wasted pop)
+};
+
 /// One planned stateful access, attached to the packet at arrival by the
 /// address-resolution logic the MP5 compiler hoisted to the front of the
 /// pipeline.
@@ -78,12 +91,8 @@ struct PlannedAccess {
   /// access rides on. Accesses to co-located arrays in the same stage
   /// share one phantom; an entry owning its own phantom points at itself.
   std::size_t phantom_owner = 0;
-  /// True if the phantom was dropped at push time (FIFO full); the data
-  /// packet is then dropped on arrival at that stage (§3.4).
-  bool phantom_dropped = false;
-  /// Realistic-channel mode: false while the phantom is still in flight
-  /// on the phantom channel (cancellation then intercepts it there).
-  bool phantom_delivered = true;
+  /// Channel state of the phantom this entry owns (owner entries only).
+  PhantomState phantom = PhantomState::kInFlight;
 };
 
 /// A packet flowing through a simulated switch.

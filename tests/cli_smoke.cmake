@@ -82,11 +82,12 @@ expect_failure("mp5sim bad numeric flag"
                ${MP5SIM} --builtin figure3 --packets notanumber)
 expect_failure("mp5sim bad fail spec"
                ${MP5SIM} --builtin figure3 --fail-pipeline 2)
-expect_failure("mp5sim phantom faults without channel"
-               ${MP5SIM} --builtin figure3 --phantom-loss-rate 0.1)
+# One phantom model: the channel is always on, so its knob is gone.
+expect_failure("mp5sim phantom-channel is an unknown option"
+               STDERR "--phantom-channel"
+               ${MP5SIM} --builtin figure3 --phantom-channel)
 expect_failure("mp5sim out-of-range loss rate"
-               ${MP5SIM} --builtin figure3 --phantom-channel
-               --phantom-loss-rate 1.5)
+               ${MP5SIM} --builtin figure3 --phantom-loss-rate 1.5)
 expect_failure("mp5sim telemetry under recirculation baseline"
                ${MP5SIM} --builtin figure3 --design recirc --telemetry)
 expect_failure("mp5sim trace-out to unwritable path"
@@ -97,6 +98,8 @@ expect_failure("mp5sim json to unwritable path"
                --json ${workdir}/no_such_dir/results.json)
 expect_success("mp5sim control run"
                ${MP5SIM} --builtin figure3 --packets 200 --paranoid)
+expect_success("mp5sim phantom faults run on the channel"
+               ${MP5SIM} --builtin figure3 --phantom-loss-rate 0.1)
 expect_success("mp5sim telemetry exports control run"
                ${MP5SIM} --builtin figure3 --packets 400 --telemetry
                --json ${workdir}/results.json
@@ -167,9 +170,9 @@ expect_failure("mp5sim relaxed restore of scr checkpoint"
 expect_failure("mp5sim recirc rejects fifo-capacity"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --fifo-capacity 8)
-expect_failure("mp5sim recirc rejects phantom-channel"
+expect_failure("mp5sim recirc rejects --phantom-loss-rate"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
-               --phantom-channel)
+               --phantom-loss-rate 0.1)
 expect_failure("mp5sim recirc rejects timeline"
                ${MP5SIM} --builtin figure3 --packets 200 --design recirc
                --timeline 50)
@@ -277,10 +280,11 @@ if(NOT written STREQUAL resumed OR NOT written STREQUAL unverified)
   message(FATAL_ERROR "mp5sim soak: resumed runs printed '${resumed}' and "
                       "'${unverified}', their checkpointing run '${written}'")
 endif()
-# Checkpoints an older build wrote (MP5 payload revision 2, replicated
-# revision 1: `mp5sim --builtin counter --packets 200
-# --checkpoint-interval 40`) carry the result's egress log and are refused.
-foreach(old "mp5;mp5-payload-rev2" "scr;scr-payload-rev1")
+# Checkpoints an older build wrote (`mp5sim --builtin counter --packets
+# 200 --checkpoint-interval 40`) are refused: MP5 payload revision 2 and
+# replicated revision 1 carry the result's egress log, MP5 revision 3 the
+# heap-and-slot phantom channel.
+foreach(old "mp5;mp5-payload-rev2" "mp5;mp5-payload-rev3" "scr;scr-payload-rev1")
   list(GET old 0 design)
   list(GET old 1 file)
   expect_failure("mp5sim refuses a ${design} checkpoint of an older revision"
@@ -568,7 +572,7 @@ expect_success("mp5sim runs a trace past the default cycle ceiling"
 # -- flags whose paths no other test takes --
 expect_success("mp5sim random field values" STDOUT "result digest: 0x"
                ${MP5SIM} --builtin figure3 --packets 200 --rand-fields 16)
-expect_success("mp5sim soak field bound" STDOUT "result digest: 0xebb96b9e02ae7e7f"
+expect_success("mp5sim soak field bound" STDOUT "result digest: 0xec05c3b8f04ad003"
                ${MP5SIM} --builtin synthetic --load 0.9 --check-equivalence
                --packets 500 --rand-fields 16)
 expect_success("mp5sim prints the timeline" STDOUT "cycle [0-9]+  pipe [0-9]+  stage "

@@ -172,29 +172,28 @@ TEST(CheckpointFingerprint, CoversVariantAndStaleness) {
 struct NamedPlan {
   const char* name;
   FaultPlan plan;
-  bool phantom_channel = false;
 };
 
 std::vector<NamedPlan> fault_plans() {
   std::vector<NamedPlan> plans;
-  plans.push_back({"fault-free", {}, false});
+  plans.push_back({"fault-free", {}});
   {
     FaultPlan p;
     p.pipeline_faults.push_back({1, 60, 240});
-    plans.push_back({"lane-fail-recover", p, false});
+    plans.push_back({"lane-fail-recover", p});
   }
   {
     FaultPlan p;
     p.stalls.push_back({0, 1, 30, 120});
     p.fifo_pressure.push_back({50, 150, 2});
-    plans.push_back({"stall-and-pressure", p, false});
+    plans.push_back({"stall-and-pressure", p});
   }
   {
     FaultPlan p;
     p.phantom_loss_rate = 0.2;
     p.phantom_delay_rate = 0.2;
     p.phantom_extra_delay = 3;
-    plans.push_back({"phantom-loss-delay", p, true});
+    plans.push_back({"phantom-loss-delay", p});
   }
   return plans;
 }
@@ -218,7 +217,6 @@ TEST(CheckpointRestore, BitIdentityAcrossMatrixAndFaultPlans) {
       SCOPED_TRACE(cell.name() + " / " + plan.name);
       SimOptions opts = cell.to_options();
       opts.faults = plan.plan;
-      opts.realistic_phantom_channel = plan.phantom_channel;
 
       const test::StreamedRun baseline = test::run_streamed(prog, trace, opts);
 
@@ -484,11 +482,10 @@ TEST(CheckpointPayloadGolden, Mp5Frames) {
   cases.push_back({"frame_mp5", &flowlet_prog, &flowlet_trace,
                    mp5_options(4, 1)});
   {
-    // Realistic channel, loss, delay, a lane fail/recover, a stall and
-    // FIFO pressure all active at cycle 300: channel slots, the heap, the
-    // freelist, lost phantoms and the fault RNG are all populated.
+    // Phantom loss, delay, a lane fail/recover, a stall and FIFO pressure
+    // all active at cycle 300: the channel rings, the delayed queue, lost
+    // phantoms and the fault RNG are all populated.
     SimOptions o = mp5_options(4, 1);
-    o.realistic_phantom_channel = true;
     o.faults.phantom_loss_rate = 0.1;
     o.faults.phantom_delay_rate = 0.2;
     o.faults.phantom_extra_delay = 4;
@@ -637,6 +634,8 @@ TEST(CheckpointCorruption, Mp5PayloadRestoresOrThrowsError) {
   const SweepOutcome out = sweep_payload(frame, resume);
   EXPECT_GT(out.restored, 0u);
   EXPECT_TRUE(saw(out, "checkpoint: arrival slot references a dead packet"));
+  EXPECT_TRUE(
+      saw(out, "checkpoint: channel phantom addresses an invalid cell"));
   EXPECT_TRUE(saw(out, "checkpoint: histogram bucket count mismatch"));
   EXPECT_TRUE(saw(out, "exceeds remaining payload"));
 
@@ -738,6 +737,179 @@ TEST(CheckpointCorruption, OutOfRangePlannedAccessIsRefused) {
     EXPECT_NE(what.find("[planned-access]"), std::string::npos) << what;
     EXPECT_EQ(what.find('\n'), std::string::npos) << what;
   }
+}
+
+/// The checkpoint an MP5 run of `trace` under `opts` takes at cycle `at`.
+std::string mp5_frame_at(const Mp5Program& prog, const Trace& trace,
+                         SimOptions opts, Cycle at) {
+  std::string frame;
+  opts.checkpoint_interval = at;
+  opts.checkpoint_sink = [&frame, at](Cycle c, std::string&& blob) {
+    if (c == at) frame = std::move(blob);
+  };
+  (void)Mp5Simulator(prog, opts).run(trace);
+  return frame;
+}
+
+/// `payload` re-framed with `info`'s fingerprint and cycle, resumed under
+/// `opts` to completion: the error it throws, or "(restored)".
+std::string resume_payload(const Mp5Program& prog, const Trace& trace,
+                           SimOptions opts, const CheckpointInfo& info,
+                           const std::string& payload) {
+  return resume_error([&] {
+    opts.max_cycles = 100'000;
+    Mp5Simulator sim(prog, opts);
+    VectorTraceSource source(trace);
+    (void)sim.resume(source,
+                     frame_checkpoint(info.fingerprint, info.cycle, payload));
+  });
+}
+
+/// `payload` with its one copy of `from` replaced by `to`.
+std::string replaced(std::string payload, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(payload.find(from, at + 1), std::string::npos);
+  return at == std::string::npos ? payload
+                                 : payload.replace(at, from.size(), to);
+}
+
+std::string listing(const Mp5Simulator::ChannelPhantom& ph) {
+  ByteWriter w;
+  save_fields(w, ph);
+  return w.take();
+}
+
+TEST(CheckpointCorruption, ChannelOutOfOrderOrDeadLaneIsRefused) {
+  // The channel listing checks framing (a phantom addressing a cell
+  // outside the switch). Whether the rings hold a state the simulator
+  // could have reached is the invariant walk's call: a ring out of seq
+  // order, or a phantom bound for a dead lane, is refused.
+  const Mp5Program prog =
+      test::compile_mp5(apps::make_synthetic_source(3, 16));
+  Rng rng(83);
+  const Trace trace = test::trace_from_fields(
+      test::random_fields(400, prog.pvsm.num_slots(), 16, rng), 4);
+  SimOptions opts = mp5_options(4, 1);
+  opts.faults.pipeline_faults.push_back({3, 20, 200}); // dead at cycle 40
+  const std::string frame = mp5_frame_at(prog, trace, opts, 40);
+  ASSERT_FALSE(frame.empty());
+  const CheckpointInfo info = parse_checkpoint(frame);
+  const std::string payload(info.payload);
+  EXPECT_EQ(resume_payload(prog, trace, opts, info, payload), "(restored)");
+
+  // Read the restored rings: a simulator stopped right after the load.
+  SimOptions probe_opts = opts;
+  probe_opts.max_cycles = info.cycle;
+  Mp5Simulator probe(prog, probe_opts);
+  VectorTraceSource probe_source(trace);
+  EXPECT_NE(resume_error([&] { (void)probe.resume(probe_source, frame); })
+                .find("max_cycles exceeded"),
+            std::string::npos);
+  const RingFifo<Mp5Simulator::ChannelPhantom>* ring = nullptr;
+  for (const auto& r : probe.channel()) {
+    if (r.size() >= 2 &&
+        r.at(r.base_vidx()).seq != r.at(r.base_vidx() + 1).seq) {
+      ring = &r;
+      break;
+    }
+  }
+  ASSERT_NE(ring, nullptr) << "no ring holds two packets' phantoms";
+  const Mp5Simulator::ChannelPhantom first = ring->at(ring->base_vidx());
+  const Mp5Simulator::ChannelPhantom second = ring->at(ring->base_vidx() + 1);
+
+  const auto expect_refused = [&](const std::string& mutated,
+                                  const char* detail) {
+    const std::string what = resume_payload(prog, trace, opts, info, mutated);
+    EXPECT_NE(what.find("checkpoint: restored state is invalid"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("[phantom-channel]"), std::string::npos) << what;
+    EXPECT_NE(what.find(detail), std::string::npos) << what;
+  };
+  {
+    SCOPED_TRACE("out of seq order");
+    expect_refused(replaced(payload, listing(first) + listing(second),
+                            listing(second) + listing(first)),
+                   "follows seq");
+  }
+  {
+    SCOPED_TRACE("bound for a dead lane");
+    Mp5Simulator::ChannelPhantom dead = first;
+    dead.pipeline = 3;
+    expect_refused(replaced(payload, listing(first), listing(dead)),
+                   "dead lane 3");
+  }
+  {
+    SCOPED_TRACE("outside the switch");
+    Mp5Simulator::ChannelPhantom outside = first;
+    outside.stage = 99;
+    EXPECT_NE(resume_payload(prog, trace, opts, info,
+                             replaced(payload, listing(first),
+                                      listing(outside)))
+                  .find("checkpoint: channel phantom addresses an invalid "
+                        "cell"),
+              std::string::npos);
+  }
+}
+
+TEST(CheckpointCorruption, ExecutionOffThePlanIsCaught) {
+  // Plan equals execution: under paranoid_checks every state access runs
+  // at the register and index its packet planned at arrival, the plan its
+  // phantom and steering followed. A restored packet whose planned index
+  // is shifted by one passes the load and the invariant walk (the index
+  // is in range) and is caught when its access executes.
+  const Mp5Program prog = test::compile_mp5(apps::make_synthetic_source(2, 8));
+  Rng rng(81);
+  const Trace trace = test::trace_from_fields(
+      test::random_fields(24, prog.pvsm.num_slots(), 8, rng), 4);
+  SimOptions opts = mp5_options(4, 1);
+  opts.paranoid_checks = true;
+  // The unaltered run and its resume keep to their plans.
+  EXPECT_NO_THROW((void)Mp5Simulator(prog, opts).run(trace));
+  const std::string frame = mp5_frame_at(prog, trace, opts, 4);
+  ASSERT_FALSE(frame.empty());
+  const CheckpointInfo info = parse_checkpoint(frame);
+  const std::string payload(info.payload);
+  EXPECT_EQ(resume_payload(prog, trace, opts, info, payload), "(restored)");
+
+  SimOptions probe_opts = opts;
+  probe_opts.max_cycles = info.cycle;
+  Mp5Simulator probe(prog, probe_opts);
+  VectorTraceSource probe_source(trace);
+  EXPECT_NE(resume_error([&] { (void)probe.resume(probe_source, frame); })
+                .find("max_cycles exceeded"),
+            std::string::npos);
+  const auto packet_listing = [](Packet pkt) {
+    ByteWriter w;
+    SaveIo io(w);
+    transfer_packet(io, pkt);
+    return w.take();
+  };
+  const PacketArena& arena = probe.arena();
+  for (PacketRef ref = 0; ref < arena.slot_count(); ++ref) {
+    if (!arena.live(ref)) continue;
+    const Packet& pkt = arena.get(ref);
+    for (std::size_t i = 0; i < pkt.plan.size(); ++i) {
+      const PlannedAccess& a = pkt.plan[i];
+      if (a.done || a.cancelled || a.guard != GuardStatus::kTaken ||
+          a.index == kUnresolvedIndex) {
+        continue;
+      }
+      SCOPED_TRACE("seq " + std::to_string(pkt.seq));
+      Packet shifted = pkt;
+      shifted.plan[i].index =
+          (a.index + 1) % prog.pvsm.registers[a.reg].size;
+      const std::string what = resume_payload(
+          prog, trace, opts, info,
+          replaced(payload, packet_listing(pkt), packet_listing(shifted)));
+      EXPECT_NE(what.find("[planned-access-executed]"), std::string::npos)
+          << what;
+      return;
+    }
+  }
+  FAIL() << "no pending access at the checkpoint";
 }
 
 TEST(CheckpointCorruption, ReplicatedPayloadRestoresOrThrowsError) {

@@ -180,7 +180,6 @@ TEST(PhantomFaults, LostPhantomsDropTheirDataPacketsNotTheSwitch) {
   const auto trace = trace_from_fields(random_fields(2000, 2, 32, rng), 4);
 
   SimOptions opts = fault_test_options(4, 5);
-  opts.realistic_phantom_channel = true;
   opts.faults.phantom_loss_rate = 0.05;
   const StreamedRun run = run_streamed(prog, trace, opts);
   const SimResult& result = run.result;
@@ -204,7 +203,6 @@ TEST(PhantomFaults, DelayedPhantomsNeverDeadlock) {
   const auto trace = trace_from_fields(random_fields(2000, 2, 32, rng), 4);
 
   SimOptions opts = fault_test_options(4, 6);
-  opts.realistic_phantom_channel = true;
   opts.faults.phantom_delay_rate = 0.3;
   opts.faults.phantom_extra_delay = 32;
   Mp5Simulator sim(prog, opts);
@@ -275,7 +273,7 @@ TEST(PressureFaults, PressureWindowEndsAndLossesStop) {
 
 TEST(Watchdog, CleanOnFaultFreeRunsAcrossVariants) {
   // paranoid_checks must be invisible on healthy runs: same results, no
-  // throws, across the design variants and the phantom-channel model.
+  // throws, across the design variants.
   const auto prog = compile_mp5(apps::make_synthetic_source(2, 16));
   Rng rng(149);
   const auto trace = trace_from_fields(random_fields(800, 3, 16, rng), 4);
@@ -291,11 +289,6 @@ TEST(Watchdog, CleanOnFaultFreeRunsAcrossVariants) {
     EXPECT_EQ(a.cycles_run, b.cycles_run);
     EXPECT_EQ(a.final_registers, b.final_registers);
   }
-  SimOptions chan = mp5_options(4, 10);
-  chan.realistic_phantom_channel = true;
-  chan.paranoid_checks = true;
-  Mp5Simulator sim(prog, chan);
-  EXPECT_NO_THROW(sim.run(trace));
 }
 
 TEST(Watchdog, InvariantErrorCarriesContext) {
@@ -370,8 +363,8 @@ TEST(FaultPlanValidation, SimulatorRejectsUnsupportedCombinations) {
   const auto prog = compile_mp5(apps::make_synthetic_source(1, 8));
 
   SimOptions opts = mp5_options(4, 1);
-  opts.faults.phantom_loss_rate = 0.1; // needs realistic_phantom_channel
-  EXPECT_THROW(Mp5Simulator(prog, opts), ConfigError);
+  opts.faults.phantom_loss_rate = 0.1; // every MP5 design has the channel
+  EXPECT_NO_THROW(Mp5Simulator(prog, opts));
 
   opts = naive_options(4, 1);
   opts.faults.pipeline_faults.push_back(PipelineFault{1, 10, kNeverRecovers});

@@ -125,7 +125,6 @@ TEST(EventEngine, MatchesLockstepUnderPhantomChannelFaults) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   const auto trace = synthetic(4, 256, 4, 3000);
   auto opts = mp5_options(4, 3);
-  opts.realistic_phantom_channel = true;
   opts.faults.phantom_loss_rate = 0.02;
   opts.faults.phantom_delay_rate = 0.05;
   opts.faults.phantom_extra_delay = 12;
@@ -298,8 +297,7 @@ TEST(FastForward, IdenticalUnderRealisticChannelAndRemap) {
   const auto prog = compile_mp5(apps::make_synthetic_source(4, 256));
   const auto trace = synthetic(4, 256, 4, 300, 0.02);
   for (std::size_t vi = 0; vi < std::size(kVariants); ++vi) {
-    auto opts = kVariants[vi].make(4, 2);
-    opts.realistic_phantom_channel = opts.phantoms;
+    const auto opts = kVariants[vi].make(4, 2);
     expect_golden(std::string("channel_remap_") + kVariants[vi].name,
                   run_streamed(prog, trace, opts));
   }
@@ -355,8 +353,11 @@ std::vector<TimelineEvent::Kind> kinds_at(const TimedRun& run, PipelineId p,
   return out;
 }
 
-/// Flowlet switching on a dense flow trace: its last stage's cells wait on
-/// phantoms for long stretches.
+/// Flowlet switching on a flow trace. A phantom lands on its stage just as
+/// its data packet could, so a cell sleeps on a phantom head only while
+/// that packet is held upstream: a stall on a lane's stateful stage 3
+/// (a `hold` below) holds the packets queued there while their stage-6
+/// phantoms land.
 const Mp5Program& flowlet_program() {
   static const Mp5Program prog = compile_mp5(apps::flowlet_app().source);
   return prog;
@@ -376,10 +377,13 @@ TEST(SleepingCells, StallWindowStartingOnASleepingCellIsCounted) {
   // cycles must not count as blocked.
   auto opts = mp5_options(4, 5);
   opts.paranoid_checks = true;
-  opts.faults.stalls.push_back(StageStall{0, 6, 200, 230});
-  opts.faults.stalls.push_back(StageStall{1, 6, 450, 470});
+  const StageStall hold{2, 3, 200, 260};
+  const StageStall windows[] = {{2, 6, 225, 235}, {1, 6, 241, 250}};
+  opts.faults.stalls.push_back(hold);
+  opts.faults.stalls.insert(opts.faults.stalls.end(), std::begin(windows),
+                            std::end(windows));
   const TimedRun run = timed_run(flowlet_program(), flowlet_trace(), opts);
-  for (const StageStall& s : opts.faults.stalls) {
+  for (const StageStall& s : windows) {
     // The one event at the window's first cycle closes the cell's span.
     EXPECT_EQ(kinds_at(run, s.pipeline, s.stage, s.from),
               std::vector<TimelineEvent::Kind>{TimelineEvent::Kind::kBlocked})
@@ -424,9 +428,10 @@ TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
   // visited then, so only the drain can report a span there).
   auto opts = mp5_options(4, 5);
   opts.paranoid_checks = true;
-  opts.faults.pipeline_faults.push_back(PipelineFault{0, 2100, 3000});
+  opts.faults.stalls.push_back(StageStall{3, 3, 2000, 2060}); // a hold
+  opts.faults.pipeline_faults.push_back(PipelineFault{0, 2040, 3000});
   const TimedRun run = timed_run(flowlet_program(), flowlet_trace(), opts);
-  const auto at_failure = kinds_at(run, 0, 6, 2100);
+  const auto at_failure = kinds_at(run, 0, 6, 2040);
   EXPECT_NE(std::find(at_failure.begin(), at_failure.end(),
                       TimelineEvent::Kind::kBlocked),
             at_failure.end());
@@ -437,7 +442,10 @@ TEST(SleepingCells, LaneFailureClosesTheSpansOfItsSleepingCells) {
 TEST(SleepingCells, CheckpointWhileCellsSleepResumesBitIdentically) {
   const Mp5Program& prog = flowlet_program();
   const Trace trace = flowlet_trace();
-  const auto opts = mp5_options(4, 5);
+  auto opts = mp5_options(4, 5);
+  for (const Cycle at : {2000, 2500, 5000}) { // a hold before each frame
+    opts.faults.stalls.push_back(StageStall{1, 3, at - 40, at + 20});
+  }
   const TimedRun whole = timed_run(prog, trace, opts);
   expect_golden("sleeping_uninterrupted", whole);
   const auto blocked = blocked_cells(whole.events);

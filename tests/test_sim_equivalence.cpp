@@ -262,8 +262,8 @@ INSTANTIATE_TEST_SUITE_P(Periods, RemapEquivalence,
                          });
 
 
-// Realistic phantom channel (phantoms hop one stage per cycle): the full
-// equivalence property must hold unchanged, including in-flight phantom
+// The phantom channel (phantoms hop one stage per cycle): the full
+// equivalence property must hold, including in-flight phantom
 // cancellation for conservative predicates.
 class PhantomChannelEquivalence
     : public ::testing::TestWithParam<std::uint32_t> {};
@@ -282,7 +282,6 @@ TEST_P(PhantomChannelEquivalence, HoldsWithPhysicalChannel) {
         random_fields(700, prog.pvsm.declared_slot.size(), 64, rng),
         GetParam());
     SimOptions opts = mp5_options(GetParam(), 9);
-    opts.realistic_phantom_channel = true;
     const auto report = run_and_check(prog, trace, opts);
     EXPECT_TRUE(report.equivalent())
         << "k=" << GetParam() << ": " << report.first_difference;

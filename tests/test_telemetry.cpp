@@ -270,7 +270,6 @@ TEST(TelemetrySim, CountersMatchSimResult) {
     SimOptions opts = mp5_options(4, 1);
     opts.faults.pipeline_faults.push_back(PipelineFault{1, 300, 900});
     opts.faults.stalls.push_back(StageStall{2, 1, 100, 400});
-    opts.realistic_phantom_channel = true;
     opts.faults.phantom_loss_rate = 0.02;
     opts.faults.phantom_delay_rate = 0.02;
     opts.faults.phantom_extra_delay = 3;

@@ -189,7 +189,6 @@ TEST(Timeline, RealisticChannelDeliversAfterStageHops) {
   config.packets = 600;
   const auto trace = make_synthetic_trace(config);
   SimOptions opts = mp5_options(4, 8);
-  opts.realistic_phantom_channel = true;
   std::vector<TimelineEvent> events;
   opts.timeline = [&events](const TimelineEvent& e) { events.push_back(e); };
   Mp5Simulator sim(prog, opts);
@@ -229,7 +228,6 @@ TEST(Timeline, RealisticChannelDropsPlaceholderAndData) {
   Rng rng(77);
   const auto trace = trace_from_fields(random_fields(2000, 1, 4, rng), 4);
   SimOptions opts = mp5_options(4, 77);
-  opts.realistic_phantom_channel = true;
   opts.fifo_capacity = 8;
   Mp5Simulator sim(prog, opts);
   const auto result = sim.run(trace);

@@ -64,9 +64,6 @@
 //   --fail-pipeline P@CYCLE[:RECOVER]   kill pipeline P at CYCLE; with
 //                                       :RECOVER it rejoins empty there
 //                                       (repeatable)
-//   --phantom-channel                   model the phantom channel as a
-//                                       physical pipeline (required by the
-//                                       phantom fault flags)
 //   --phantom-loss-rate R               lose each phantom with prob. R
 //   --phantom-delay-rate R  --phantom-delay D
 //                                       delay each phantom D extra cycles
@@ -143,7 +140,6 @@ struct Args {
   bool check_equivalence = false;
   std::uint64_t timeline = 0; // print the first N simulator events
   FaultPlan faults;
-  bool phantom_channel = false;
   bool paranoid = false;
   bool telemetry = false;
   std::string trace_out; // Chrome trace_event JSON (implies telemetry)
@@ -188,7 +184,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--timeline") in.read(args.timeline);
     else if (arg == "--fail-pipeline")
       args.faults.pipeline_faults.push_back(cli::parse_fail_spec(in.value()));
-    else if (arg == "--phantom-channel") args.phantom_channel = true;
     else if (arg == "--phantom-loss-rate")
       in.read(args.faults.phantom_loss_rate);
     else if (arg == "--phantom-delay-rate")
@@ -225,7 +220,6 @@ constexpr std::pair<const char*, const char*> kDesignFlags[] = {
     {"--remap", kMp5Designs},
     {"--timeline", kMp5Designs},
     {"--fail-pipeline", kMp5Designs},
-    {"--phantom-channel", kMp5Designs},
     {"--phantom-loss-rate", kMp5Designs},
     {"--phantom-delay-rate", kMp5Designs},
     {"--phantom-delay", kMp5Designs},
@@ -503,7 +497,6 @@ int run(int argc, char** argv) {
     opts.remap_period = args.remap;
     opts.max_cycles = cycle_ceiling;
     opts.faults = args.faults;
-    if (args.phantom_channel) opts.realistic_phantom_channel = true;
     opts.paranoid_checks = args.paranoid;
     if (want_telemetry) {
       telem = std::make_unique<telemetry::Telemetry>();
